@@ -9,7 +9,7 @@ BENCH_LABEL ?= adhoc
 PROFILE_EXP ?= fig10
 
 .PHONY: install test lint statics statics-flow typecheck static-checks \
-        bench bench-smoke bench-experiments \
+        bench bench-smoke bench-experiments repo-bench-smoke \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -50,7 +50,7 @@ static-checks: statics statics-flow typecheck lint
 bench:
 	$(PYTHON) -m repro.perf.bench --label $(BENCH_LABEL) \
 	    --out BENCH_core.json --check-against BENCH_core.json \
-	    --baseline-label snapshot-service --max-regression 0.25
+	    --baseline-label service-hot-path --max-regression 0.25
 
 # CI-sized variant: quick iteration counts, no history rewrite.
 # Includes the 2-shard fat-tree smoke of the space-parallel core
@@ -58,7 +58,23 @@ bench:
 bench-smoke:
 	$(PYTHON) -m repro.perf.bench --quick --label ci-smoke \
 	    --out bench-smoke.json --check-against BENCH_core.json \
-	    --baseline-label snapshot-service --max-regression 0.25
+	    --baseline-label service-hot-path --max-regression 0.25
+
+# The repo benchmark's own checks (bench/README.md), CI-sized: its
+# harness tests, one short untraced service_ingest rep and one short
+# traced service_query rep.  Each rep exits non-zero on a wrong answer,
+# an audit violation or a failed operation; the last line fails when a
+# traced entry point no longer resolves (bench.spans_missing > 0), so a
+# refactor that breaks the benchmark is caught before the pipeline
+# runs it.
+repo-bench-smoke:
+	$(PYTHON) -m pytest bench/tests -q
+	$(PYTHON) bench/run.py --workload service_ingest --seconds 2 --trace 0
+	$(PYTHON) bench/run.py --workload service_query --seconds 2 --trace 1
+	$(PYTHON) -c "import json, sys; \
+	missing = json.load(open('bench/out/trace-service_query.json')) \
+	    ['metrics']['bench.spans_missing']['value']; \
+	print('bench.spans_missing =', missing); sys.exit(1 if missing else 0)"
 
 # The full experiment regeneration benchmarks (pytest-benchmark).
 bench-experiments:

@@ -77,8 +77,15 @@ class SnapshotObserver:
         self.config = config or ObserverConfig()
         self.control_planes: dict[str, InitiationTarget] = {}
         self._device_units: dict[str, set[UnitId]] = {}
+        #: Union of every registered device's units, shared by the
+        #: snapshots taken while the device set is unchanged (nothing
+        #: mutates an expected set in place); None = rebuild on next use.
+        self._expected_units: Optional[set[UnitId]] = None
         self.snapshots: dict[int, GlobalSnapshot] = {}
         self._next_epoch = 1  # epoch 0 is the power-on state, never taken
+        #: Every epoch below this has been through no-lapping
+        #: enforcement and can never be PENDING again.
+        self._settled_below = 1
         self._completion_callbacks: list[Callable[[GlobalSnapshot], None]] = []
         self._resolution_callbacks: list[Callable[[GlobalSnapshot], None]] = []
         #: Retry-round accounting (exposed for the tree-aware retry
@@ -109,10 +116,12 @@ class SnapshotObserver:
             raise ValueError(f"device {name!r} already registered")
         self.control_planes[name] = control_plane
         self._device_units[name] = set(units)
+        self._expected_units = None
 
     def remove_device(self, name: str) -> None:
         self.control_planes.pop(name, None)
         self._device_units.pop(name, None)
+        self._expected_units = None
 
     def on_complete(self, callback: Callable[[GlobalSnapshot], None]) -> None:
         """Run ``callback`` whenever a snapshot reaches COMPLETE."""
@@ -178,9 +187,10 @@ class SnapshotObserver:
         self._next_epoch += 1
         at_wall = at_wall_ns if at_wall_ns is not None else (
             self.sim.now + self.config.lead_time_ns)
-        expected: set[UnitId] = set()
-        for units in self._device_units.values():
-            expected |= units
+        expected = self._expected_units
+        if expected is None:
+            expected = self._expected_units = set().union(
+                *self._device_units.values())
         snapshot = GlobalSnapshot(epoch=epoch, requested_wall_ns=at_wall,
                                   expected_units=expected)
         self.snapshots[epoch] = snapshot
@@ -225,13 +235,18 @@ class SnapshotObserver:
         (§5.3) — the observer stops awaiting it.  Campaigns whose
         completion keeps pace with their cadence are never affected,
         regardless of how many epochs were pre-scheduled.
+
+        Amortised O(1): epochs are allocated in ascending order and a
+        resolved snapshot never returns to PENDING, so each epoch is
+        inspected once, when the floor first passes it — in ascending
+        epoch order even when initiation instants are not monotone.
         """
         floor = initiating_epoch - self.ids.window + 1
-        if floor <= 0:
-            return
-        for epoch, snapshot in self.snapshots.items():
-            if epoch < floor and snapshot.status is SnapshotStatus.PENDING:
+        for epoch in range(self._settled_below, floor):
+            snapshot = self.snapshots[epoch]
+            if snapshot.status is SnapshotStatus.PENDING:
                 self._resolve(snapshot, SnapshotStatus.ABANDONED)
+        self._settled_below = max(self._settled_below, floor)
 
     # ------------------------------------------------------------------
     # Record intake

@@ -108,7 +108,6 @@ class ServiceRun:
         self.campaign = ContinuousCampaign(self.sim,
                                            self.deployment.observer,
                                            spec.interval_ns)
-        self._started = False
 
     # ------------------------------------------------------------------
     # Queries
@@ -141,7 +140,9 @@ class ServiceRun:
     def run(self, epochs: int,
             on_chunk: Optional[Callable[["ServiceRun"], None]] = None,
             max_wall_seconds: Optional[float] = None) -> ServiceReport:
-        """Step the simulation until ``epochs`` documents are stored.
+        """Step the simulation until ``epochs`` documents are stored —
+        in total, so a later call with a higher target resumes the
+        ticker and continues the same stream.
 
         ``on_chunk`` runs after every simulation chunk (progress
         reporting, mid-run sampling); ``max_wall_seconds`` is a safety
@@ -151,9 +152,7 @@ class ServiceRun:
             raise ValueError("epochs must be positive")
         if self.workload is not None:
             self.workload.start()
-        if not self._started:
-            self.campaign.start()
-            self._started = True
+        self.campaign.start()
         started = time.perf_counter()
         start_events = self.sim.events_run
         while self.pipeline.ingested < epochs:

@@ -139,7 +139,8 @@ class ContinuousCampaign:
     has no end date.  This ticker takes one snapshot per interval and
     reschedules itself, honoring the observer's no-lapping window
     enforcement exactly as batch campaigns do.  ``stop()`` halts after
-    the current tick; ``ticks`` counts snapshots taken.
+    the current tick and ``start()`` resumes at the instant it is
+    called; ``ticks`` counts snapshots taken.
     """
 
     def __init__(self, sim: Simulator, observer: SnapshotObserver,
@@ -152,23 +153,27 @@ class ContinuousCampaign:
         self.ticks = 0
         self.max_ticks: Optional[int] = None
         self._running = False
+        #: Bumped by every (re)start, so a tick still queued from before
+        #: a ``stop()`` cannot revive a second chain beside the new one.
+        self._generation = 0
 
     def start(self, max_ticks: Optional[int] = None) -> None:
         self.max_ticks = max_ticks
         if self._running:
             return
         self._running = True
-        self.sim.schedule(0, self._tick)
+        self._generation += 1
+        self.sim.schedule(0, self._tick, self._generation)
 
     def stop(self) -> None:
         self._running = False
 
-    def _tick(self) -> None:
-        if not self._running:
+    def _tick(self, generation: int) -> None:
+        if not self._running or generation != self._generation:
             return
         if self.max_ticks is not None and self.ticks >= self.max_ticks:
             self._running = False
             return
         self.observer.take_snapshot()
         self.ticks += 1
-        self.sim.schedule(self.interval_ns, self._tick)
+        self.sim.schedule(self.interval_ns, self._tick, generation)

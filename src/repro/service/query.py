@@ -151,7 +151,7 @@ class QueryEngine:
         merged = 0
         usable = 0
         total = 0
-        for doc in self.store.scan():
+        for doc in self.store.scan_meta():
             total += 1
             merged += int(doc.get("merged_epochs", 0))  # type: ignore[arg-type]
             if doc["status"] == "complete" and doc["consistent"]:

@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from collections.abc import Iterator
-from typing import Optional
+from typing import Optional, Union, overload
 
 #: An epoch-record document (``repro.analysis.report.epoch_record``
 #: output, possibly with service annotations such as ``merged_epochs``).
@@ -52,60 +53,109 @@ def _strip_epoch(row: EpochDoc) -> EpochDoc:
     return {k: v for k, v in row.items() if k != "epoch"}
 
 
-def _rows_equal(a: EpochDoc, b: EpochDoc) -> bool:
-    return _strip_epoch(a) == _strip_epoch(b)
+def _meta_of(doc: EpochDoc) -> EpochDoc:
+    return {k: v for k, v in doc.items() if k != "records"}
 
 
-def encode_delta(prev: EpochDoc, doc: EpochDoc) -> EpochDoc:
+def _hop_meta(meta: EpochDoc, delta: EpochDoc) -> None:
+    for k in delta["meta_removed"]:  # type: ignore[union-attr]
+        meta.pop(k, None)
+    meta.update(delta["meta"])  # type: ignore[arg-type]
+
+
+class _Keyed:
+    """One document in keyed form — the state a delta hop advances.
+
+    ``meta`` holds the top-level fields, ``rows`` the epoch-stripped unit
+    rows by ``device:port:direction``.  Row dicts are shared with stored
+    payloads and never mutated.  The sorted key order is computed on
+    demand and survives every hop that adds or removes no row.
+    """
+
+    __slots__ = ("meta", "order", "rows")
+
+    def __init__(self, doc: EpochDoc) -> None:
+        self.meta = _meta_of(doc)
+        self.rows = {_row_key(r): _strip_epoch(r)
+                     for r in doc["records"]}  # type: ignore[union-attr]
+        self.order: Optional[list[str]] = None
+
+    def sorted_keys(self) -> list[str]:
+        if self.order is None:
+            self.order = sorted(self.rows, key=_row_sort_key)
+        return self.order
+
+    def document(self) -> EpochDoc:
+        """Materialise a fresh full document, rows in sorted order."""
+        doc = dict(self.meta)
+        epoch, rows = doc["epoch"], self.rows
+        doc["records"] = [{**rows[key], "epoch": epoch}
+                          for key in self.sorted_keys()]
+        return doc
+
+
+def _keyed(doc: Union[EpochDoc, _Keyed]) -> _Keyed:
+    return doc if isinstance(doc, _Keyed) else _Keyed(doc)
+
+
+def encode_delta(prev: Union[EpochDoc, _Keyed], doc: EpochDoc) -> EpochDoc:
     """Encode ``doc`` as a delta against ``prev``.
 
     The encoding is exact: :func:`apply_delta` reproduces ``doc``
     bit-for-bit (canonical-JSON identical).  Unit rows are keyed
     ``device:port:direction``; a row's ``epoch`` field is implied by the
-    document and never stored twice.
+    document and never stored twice.  ``prev`` is a document or — the
+    store's own tail — one already in keyed form.
     """
-    prev_rows = {_row_key(r): r for r in prev["records"]}  # type: ignore[union-attr]
-    new_rows = {_row_key(r): r for r in doc["records"]}  # type: ignore[union-attr]
-    changed: dict[str, EpochDoc] = {}
-    for key in sorted(new_rows, key=_row_sort_key):
-        old = prev_rows.get(key)
-        if old is None or not _rows_equal(old, new_rows[key]):
-            changed[key] = _strip_epoch(new_rows[key])
-    removed = sorted((k for k in prev_rows if k not in new_rows),
-                     key=_row_sort_key)
+    state = _keyed(prev)
+    old_meta, old_rows = state.meta, state.rows
+    new_rows = {_row_key(r): _strip_epoch(r)
+                for r in doc["records"]}  # type: ignore[union-attr]
+    removed: list[str] = []
+    if new_rows.keys() == old_rows.keys():
+        order = state.sorted_keys()
+    else:
+        order = sorted(new_rows, key=_row_sort_key)
+        removed = [k for k in state.sorted_keys() if k not in new_rows]
+    changed = {k: new_rows[k] for k in order
+               if old_rows.get(k) != new_rows[k]}
     meta = {k: v for k, v in doc.items()
-            if k != "records" and (k not in prev or prev[k] != v)}
-    meta_removed = sorted(k for k in prev
-                          if k != "records" and k not in doc)
-    return {"base": prev["epoch"], "meta": meta,
+            if k != "records" and (k not in old_meta or old_meta[k] != v)}
+    meta_removed = sorted(k for k in old_meta if k not in doc)
+    return {"base": old_meta["epoch"], "meta": meta,
             "meta_removed": meta_removed, "rows": changed,
             "rows_removed": removed}
 
 
-def apply_delta(prev: EpochDoc, delta: EpochDoc) -> EpochDoc:
-    """Invert :func:`encode_delta`: rebuild the full document."""
-    doc: EpochDoc = {k: v for k, v in prev.items() if k != "records"}
-    for k in delta["meta_removed"]:  # type: ignore[union-attr]
-        doc.pop(k, None)
-    doc.update(delta["meta"])  # type: ignore[arg-type]
-    rows = {_row_key(r): _strip_epoch(r)
-            for r in prev["records"]}  # type: ignore[union-attr]
+@overload
+def apply_delta(prev: EpochDoc, delta: EpochDoc) -> EpochDoc: ...
+@overload
+def apply_delta(prev: _Keyed, delta: EpochDoc) -> _Keyed: ...
+
+
+def apply_delta(prev: Union[EpochDoc, _Keyed],
+                delta: EpochDoc) -> Union[EpochDoc, _Keyed]:
+    """Invert :func:`encode_delta` — the one hop of the delta chain.
+
+    Given a document, rebuilds and returns the next full document.
+    Given a keyed state (the store's decode cursor), advances it in
+    place at O(changed rows) and returns it; the sorted key order is
+    dropped only when the hop adds or removes a row.
+    """
+    state = _keyed(prev)
+    _hop_meta(state.meta, delta)
+    rows = state.rows
+    before = len(rows)
     for key in delta["rows_removed"]:  # type: ignore[union-attr]
         rows.pop(key, None)
-    for key, row in delta["rows"].items():  # type: ignore[union-attr]
-        rows[key] = dict(row)
-    epoch = doc["epoch"]
-    records = []
-    for key in sorted(rows, key=_row_sort_key):
-        row = dict(rows[key])
-        row["epoch"] = epoch
-        records.append(row)
-    doc["records"] = records
-    return doc
+    rows.update(delta["rows"])  # type: ignore[arg-type]
+    if delta["rows_removed"] or len(rows) != before:
+        state.order = None
+    return state if state is prev else state.document()
 
 
 def _copy_doc(doc: EpochDoc) -> EpochDoc:
-    out = {k: v for k, v in doc.items() if k != "records"}
+    out = _meta_of(doc)
     out["records"] = [dict(r) for r in doc["records"]]  # type: ignore[union-attr]
     return out
 
@@ -116,8 +166,9 @@ class StoreConfig:
 
     #: Ring size: the store never holds more than this many epochs.
     retention: int = 1024
-    #: A full keyframe every this many entries (deltas in between).
-    #: Bounds the decode chain a range scan must walk.
+    #: A full keyframe every this many entries (deltas in between):
+    #: a read decodes at most this many minus one hops before its first
+    #: document.
     keyframe_interval: int = 64
 
     def __post_init__(self) -> None:
@@ -148,7 +199,10 @@ class EpochStore:
             raise ValueError("pass config or kwargs, not both")
         self.config = config
         self._entries: deque[_Entry] = deque()
-        self._tail: Optional[EpochDoc] = None  # newest full document
+        #: epoch -> lifetime append number; the entry sits at ring
+        #: position ``number - self.evicted``.
+        self._index: dict[int, int] = {}
+        self._tail: Optional[_Keyed] = None  # newest document, keyed
         self._since_keyframe = 0
         #: Lifetime counters (monotonic; eviction does not reset them).
         self.appended = 0
@@ -163,18 +217,23 @@ class EpochStore:
     # ------------------------------------------------------------------
     def append(self, doc: EpochDoc) -> None:
         """Store one epoch document (newest; callers must not mutate it
-        afterwards — the store keeps a reference)."""
+        afterwards — the store keeps a reference).  Epochs may arrive in
+        any order but each at most once while it is in the ring."""
         epoch = int(doc["epoch"])  # type: ignore[arg-type]
+        if epoch in self._index:
+            raise ValueError(f"epoch {epoch} is already stored")
         if (self._tail is None
                 or self._since_keyframe + 1 >= self.config.keyframe_interval):
             entry = _Entry(epoch, _KEYFRAME, doc)
+            self._tail = _Keyed(doc)
             self._since_keyframe = 0
             self.keyframes += 1
         else:
             entry = _Entry(epoch, _DELTA, encode_delta(self._tail, doc))
+            apply_delta(self._tail, entry.payload)
             self._since_keyframe += 1
         self._entries.append(entry)
-        self._tail = doc
+        self._index[epoch] = self.appended
         self.appended += 1
         self.encoded_bytes += entry.size
         while len(self._entries) > self.config.retention:
@@ -184,7 +243,9 @@ class EpochStore:
         oldest = self._entries.popleft()
         # Invariant: the first entry is always a keyframe (the first
         # append is one, and promotion below restores it after every
-        # eviction), so the chain always decodes from the front.
+        # eviction), so every chain decodes from a keyframe at most
+        # ``keyframe_interval - 1`` entries before it.
+        del self._index[oldest.epoch]
         self.encoded_bytes -= oldest.size
         self.evicted += 1
         if self._entries and self._entries[0].kind == _DELTA:
@@ -214,28 +275,60 @@ class EpochStore:
 
     def epochs(self) -> list[int]:
         """Stored epochs, ascending."""
-        return sorted(e.epoch for e in self._entries)
+        return sorted(self._index)
 
     def scan(self, start: Optional[int] = None,
              end: Optional[int] = None) -> Iterator[EpochDoc]:
         """Decode stored documents in storage (resolution) order,
         yielding those with ``start <= epoch <= end``.  Yielded
-        documents are fresh copies — callers may mutate them."""
-        current: Optional[EpochDoc] = None
+        documents are fresh copies — callers may mutate them.
+
+        Decoding starts at the keyframe nearest before the first match
+        (at most ``keyframe_interval - 1`` hops away) and stops at the
+        last match; the newest entry is served from the decoded tail.
+        """
+        def wanted(epoch: int) -> bool:
+            return ((start is None or epoch >= start)
+                    and (end is None or epoch <= end))
+
+        index = self._index
+        if start is not None and end is not None and end - start < len(index):
+            hits = [index[e] for e in range(start, end + 1) if e in index]
+        else:
+            hits = [n for e, n in index.items() if wanted(e)]
+        if not hits:
+            return
+        entries = self._entries
+        first, last = min(hits) - self.evicted, max(hits) - self.evicted
+        if first == len(entries) - 1 and entries[first].kind == _DELTA:
+            assert self._tail is not None
+            yield self._tail.document()
+            return
+        while entries[first].kind == _DELTA:
+            first -= 1
+        base: EpochDoc = {}
+        state: Optional[_Keyed] = None  # None: ``base`` is the document
+        for entry in islice(entries, first, last + 1):
+            if entry.kind == _KEYFRAME:
+                base, state = entry.payload, None
+            else:
+                state = apply_delta(_Keyed(base) if state is None else state,
+                                    entry.payload)
+            if wanted(entry.epoch):
+                # Always fresh: the generator suspends at yield, and the
+                # caller may mutate the document before the next hop.
+                yield _copy_doc(base) if state is None else state.document()
+
+    def scan_meta(self) -> Iterator[EpochDoc]:
+        """The top-level fields (everything but ``records``) of every
+        stored document, in storage order, without touching a row."""
+        meta: EpochDoc = {}
         for entry in self._entries:
             if entry.kind == _KEYFRAME:
-                current = entry.payload
+                meta = _meta_of(entry.payload)
             else:
-                assert current is not None
-                current = apply_delta(current, entry.payload)
-            if start is not None and entry.epoch < start:
-                continue
-            if end is not None and entry.epoch > end:
-                continue
-            # Always a copy: the generator suspends at yield, and the
-            # caller may mutate the document before the next delta is
-            # applied against ``current``.
-            yield _copy_doc(current)
+                _hop_meta(meta, entry.payload)
+            yield dict(meta)
 
     def get(self, epoch: int) -> Optional[EpochDoc]:
         """The document for one epoch, or None if outside the ring."""

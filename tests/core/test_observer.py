@@ -1,5 +1,7 @@
 """Tests for the snapshot observer."""
 
+import random
+
 import pytest
 
 from repro.core import (DeploymentConfig, ObserverConfig, SpeedlightDeployment,
@@ -174,3 +176,121 @@ class TestNodeAttachment:
         _net, dep = _deploy()
         dep.observer.remove_device("sw0")
         assert dep.observer.control_planes == {}
+
+
+def _full_walk_enforce_window(observer, initiating_epoch):
+    """Reference no-lapping enforcement: inspect every snapshot ever
+    taken, in epoch order, at every initiation."""
+    floor = initiating_epoch - observer.ids.window + 1
+    for epoch, snapshot in sorted(observer.snapshots.items()):
+        if epoch < floor and snapshot.status is SnapshotStatus.PENDING:
+            observer._resolve(snapshot, SnapshotStatus.ABANDONED)
+
+
+class _CountingSnapshots(dict):
+    """``observer.snapshots`` stand-in that counts the snapshots looked
+    at while ``counting`` is set (by key or by iteration)."""
+
+    counting = False
+    inspected = 0
+
+    def __getitem__(self, epoch):
+        self.inspected += self.counting
+        return super().__getitem__(epoch)
+
+    def get(self, epoch, default=None):
+        self.inspected += self.counting
+        return super().get(epoch, default)
+
+    def _walk(self, iterator):
+        for item in iterator:
+            self.inspected += self.counting
+            yield item
+
+    def __iter__(self):
+        return self._walk(super().__iter__())
+
+    def items(self):
+        return self._walk(super().items())
+
+    def values(self):
+        return self._walk(super().values())
+
+
+class TestWindowCursor:
+    """The amortised-O(1) abandon cursor against the full walk."""
+
+    def _abandonments(self, shuffle_seed, reference):
+        net, dep = _deploy(max_sid=7,
+                           observer=ObserverConfig(retry_timeout_ns=10 * S))
+        observer = dep.observer
+        if reference:
+            observer._enforce_window = (
+                lambda epoch: _full_walk_enforce_window(observer, epoch))
+        for sw in net.switches.values():
+            sw.notification_sink = lambda n: None  # nothing ever completes
+        seen = []
+        observer.on_resolved(
+            lambda snap: seen.append((net.sim.now, snap.epoch, snap.status)))
+        instants = [20 * MS + i * 3 * MS for i in range(24)]
+        random.Random(shuffle_seed).shuffle(instants)
+        for at_wall in instants:
+            observer.take_snapshot(at_wall_ns=at_wall)
+        net.run(until=1 * S)
+        return seen
+
+    @pytest.mark.parametrize("shuffle_seed", [0, 1, 2, 3])
+    def test_abandon_set_and_order_match_the_full_walk(self, shuffle_seed):
+        got = self._abandonments(shuffle_seed, reference=False)
+        want = self._abandonments(shuffle_seed, reference=True)
+        assert got == want
+        assert {status for _t, _e, status in got} == {SnapshotStatus.ABANDONED}
+        assert len(got) == 24 - 3  # all but the last window's worth
+
+    def test_each_enforcement_inspects_o1_snapshots(self):
+        net, dep = _deploy(max_sid=7)
+        observer = dep.observer
+        counted = observer.snapshots = _CountingSnapshots()
+        per_call = []
+        enforce = observer._enforce_window
+
+        def counting_enforce(epoch):
+            before = counted.inspected
+            counted.counting = True
+            try:
+                enforce(epoch)
+            finally:
+                counted.counting = False
+            per_call.append(counted.inspected - before)
+
+        observer._enforce_window = counting_enforce
+        epochs = dep.schedule_campaign(count=3000, interval_ns=2 * MS)
+        net.run(until=3000 * 2 * MS + 1 * S)
+        assert len(per_call) == 3000
+        assert max(per_call) <= 1  # the full walk would reach 2999
+        assert sum(per_call) <= 3000
+        # Pace was kept: the wrapped ID space lapped ~430 times, nothing
+        # was abandoned.
+        assert all(observer.snapshot(e).status is SnapshotStatus.COMPLETE
+                   for e in epochs)
+
+    def test_device_set_changes_reach_the_next_snapshot(self):
+        net, dep = _deploy(topo=leaf_spine(hosts_per_leaf=1))
+        observer = dep.observer
+        before = observer.take_snapshot()
+        removed_units = {u for u in observer.snapshot(before).expected_units
+                         if u.device == "leaf1"}
+        cp = observer.control_planes["leaf1"]
+        observer.remove_device("leaf1")
+        without = observer.take_snapshot()
+        observer.register_device("leaf1", cp, removed_units)
+        again = observer.take_snapshot()
+        expected = [observer.snapshot(e).expected_units
+                    for e in (before, without, again)]
+        assert expected[1] == expected[0] - removed_units
+        assert expected[2] == expected[0]
+        # Snapshots of one device set share one expected set; an
+        # exclusion must not leak into the others.
+        later = observer.take_snapshot()
+        observer.snapshot(later).exclude_device("leaf0")
+        assert observer.snapshot(again).expected_units == expected[0]

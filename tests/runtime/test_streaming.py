@@ -34,6 +34,24 @@ class TestServiceRun:
         assert report.stats["backlog"] == 0
         assert report.stats["store_entries"] == min(64, report.epochs_stored)
 
+    def test_second_run_resumes_the_stream(self):
+        run = ServiceRun(_spec())
+        first = run.run(epochs=20, max_wall_seconds=30)
+        # The target is cumulative; the valve only keeps a regression
+        # from hanging the suite.
+        second = run.run(epochs=60, max_wall_seconds=30)
+        assert first.epochs_stored >= 20
+        assert second.epochs_stored >= 60
+        assert second.stats["coalesced_epochs"] == 0
+        assert run.pipeline.store.epochs()[-1] == second.epochs_stored
+        # One ticker at the configured cadence in both calls: only the
+        # gap across the pause differs.
+        observer = run.deployment.observer
+        walls = [observer.snapshot(e).requested_wall_ns
+                 for e in range(1, second.ticks + 1)]
+        gaps = [b - a for a, b in zip(walls, walls[1:])]
+        assert sum(gap != run.spec.interval_ns for gap in gaps) == 1
+
     def test_bounded_store_while_driving(self):
         run = ServiceRun(_spec())
         run.run(epochs=100)

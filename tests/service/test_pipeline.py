@@ -139,6 +139,24 @@ class TestContinuousCampaign:
         assert pipeline.ingested == 5
         assert pipeline.store.epochs() == [1, 2, 3, 4, 5]
 
+    def test_restart_does_not_double_the_cadence(self):
+        network, deployment = _deploy()
+        campaign = ContinuousCampaign(network.sim, deployment.observer,
+                                      interval_ns=2 * MS)
+        campaign.start()
+        network.run(until=5 * MS)  # ticks at 0, 2, 4; the next is queued
+        campaign.stop()
+        campaign.start()           # ...and still queued at the restart
+        network.run(until=25 * MS)
+        campaign.stop()
+        walls = [deployment.observer.snapshot(e).requested_wall_ns
+                 for e in range(1, campaign.ticks + 1)]
+        gaps = [b - a for a, b in zip(walls, walls[1:])]
+        assert gaps[:2] == [2 * MS, 2 * MS]
+        assert gaps[2] == 1 * MS  # resumed at the restart instant, t=5
+        assert set(gaps[3:]) == {2 * MS}  # one chain, not two interleaved
+        assert campaign.ticks == 3 + 11
+
     def test_interval_validated(self):
         network, deployment = _deploy()
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.service import store as store_module
 from repro.service.store import (EpochStore, StoreConfig, apply_delta,
                                  canonical_bytes, encode_delta)
 
@@ -185,3 +186,225 @@ class TestStoreBasics:
         # ...must not corrupt the stored chain.
         assert [d["epoch"] for d in store.scan()] == [1, 2, 3]
         assert all(d["records"] for d in store.scan())
+
+    def test_duplicate_epoch_fails_loudly(self):
+        store = EpochStore(retention=8, keyframe_interval=3)
+        doc = _doc(5, [True] * len(UNITS), [5] * len(UNITS),
+                   [True] * len(UNITS))
+        store.append(doc)
+        with pytest.raises(ValueError, match="epoch 5"):
+            store.append(dict(doc))
+        assert len(store) == 1 and store.appended == 1
+
+    def test_out_of_order_distinct_epochs_are_legal(self):
+        store = EpochStore(retention=8, keyframe_interval=3)
+        for epoch in (7, 3, 9, 4):  # storage order is resolution order
+            store.append(_doc(epoch, [True] * len(UNITS),
+                              [epoch] * len(UNITS), [True] * len(UNITS)))
+        assert [d["epoch"] for d in store.scan()] == [7, 3, 9, 4]
+        assert [d["epoch"] for d in store.scan(start=4, end=8)] == [7, 4]
+        assert store.get(3)["records"][0]["value"] == 3
+        assert store.epochs() == [3, 4, 7, 9]
+
+
+# ----------------------------------------------------------------------
+# The seekable store against a naive reference
+# ----------------------------------------------------------------------
+
+def _naive_key(row):
+    return f"{row['device']}:{row['port']}:{row['direction']}"
+
+
+def _naive_sort_key(name):
+    device, port, direction = name.rsplit(":", 2)
+    return (device, int(port), direction)
+
+
+def _naive_strip(row):
+    return {k: v for k, v in row.items() if k != "epoch"}
+
+
+def _naive_encode(prev, doc):
+    prev_rows = {_naive_key(r): r for r in prev["records"]}
+    new_rows = {_naive_key(r): r for r in doc["records"]}
+    changed = {}
+    for key in sorted(new_rows, key=_naive_sort_key):
+        old = prev_rows.get(key)
+        if old is None or _naive_strip(old) != _naive_strip(new_rows[key]):
+            changed[key] = _naive_strip(new_rows[key])
+    removed = sorted((k for k in prev_rows if k not in new_rows),
+                     key=_naive_sort_key)
+    meta = {k: v for k, v in doc.items()
+            if k != "records" and (k not in prev or prev[k] != v)}
+    meta_removed = sorted(k for k in prev if k != "records" and k not in doc)
+    return {"base": prev["epoch"], "meta": meta,
+            "meta_removed": meta_removed, "rows": changed,
+            "rows_removed": removed}
+
+
+def _naive_apply(prev, delta):
+    doc = {k: v for k, v in prev.items() if k != "records"}
+    for k in delta["meta_removed"]:
+        doc.pop(k, None)
+    doc.update(delta["meta"])
+    rows = {_naive_key(r): _naive_strip(r) for r in prev["records"]}
+    for key in delta["rows_removed"]:
+        rows.pop(key, None)
+    for key, row in delta["rows"].items():
+        rows[key] = dict(row)
+    doc["records"] = [dict(rows[key], epoch=doc["epoch"])
+                      for key in sorted(rows, key=_naive_sort_key)]
+    return doc
+
+
+class _NaiveStore:
+    """Reference store: the same chain of keyframes and deltas, every
+    read decoded front to back with whole-document hops."""
+
+    def __init__(self, retention, keyframe_interval):
+        self.retention = retention
+        self.keyframe_interval = keyframe_interval
+        self.entries = []  # [epoch, kind, payload]
+        self.tail = None
+        self.since_keyframe = 0
+        self.appended = self.evicted = self.keyframes = self.promoted = 0
+
+    def append(self, doc):
+        if (self.tail is None
+                or self.since_keyframe + 1 >= self.keyframe_interval):
+            self.entries.append([doc["epoch"], "key", doc])
+            self.since_keyframe = 0
+            self.keyframes += 1
+        else:
+            self.entries.append([doc["epoch"], "delta",
+                                 _naive_encode(self.tail, doc)])
+            self.since_keyframe += 1
+        self.tail = doc
+        self.appended += 1
+        while len(self.entries) > self.retention:
+            oldest = self.entries.pop(0)
+            self.evicted += 1
+            if self.entries and self.entries[0][1] == "delta":
+                head = self.entries[0]
+                self.entries[0] = [head[0], "key",
+                                   _naive_apply(oldest[2], head[2])]
+                self.promoted += 1
+                self.keyframes += 1
+            if not self.entries:
+                self.tail = None
+
+    def scan(self, start=None, end=None):
+        current = None
+        for epoch, kind, payload in self.entries:
+            current = (payload if kind == "key"
+                       else _naive_apply(current, payload))
+            if ((start is None or epoch >= start)
+                    and (end is None or epoch <= end)):
+                yield current
+
+    def stats(self):
+        return {"entries": len(self.entries), "appended": self.appended,
+                "evicted": self.evicted, "keyframes": self.keyframes,
+                "promoted": self.promoted,
+                "encoded_bytes": sum(canonical_bytes(p)
+                                     for _e, _k, p in self.entries)}
+
+
+_bound = st.one_of(st.none(), st.integers(min_value=0, max_value=45))
+
+_churn = st.fixed_dictionaries({
+    "present": st.lists(st.booleans(), min_size=len(UNITS),
+                        max_size=len(UNITS)),
+    "values": st.lists(st.integers(min_value=0, max_value=3),
+                       min_size=len(UNITS), max_size=len(UNITS)),
+    "consistent": st.lists(st.booleans(), min_size=len(UNITS),
+                           max_size=len(UNITS)),
+    "status": st.sampled_from(["complete", "partial"]),
+    "retries": st.integers(min_value=0, max_value=1),
+    "merged": st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+    "reverse_rows": st.booleans(),
+})
+
+
+class TestSeekableStoreEqualsNaiveReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=40), unique=True,
+                    min_size=1, max_size=24),
+           st.data(),
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=7),
+           st.lists(st.tuples(_bound, _bound), max_size=6))
+    def test_documents_order_and_counters_agree(self, epochs, data,
+                                                retention, interval, probes):
+        store = EpochStore(retention=retention, keyframe_interval=interval)
+        naive = _NaiveStore(retention, interval)
+        for epoch in epochs:  # unique, in arbitrary (resolution) order
+            step = data.draw(_churn)
+            doc = _doc(epoch, step["present"], step["values"],
+                       step["consistent"], status=step["status"],
+                       retries=step["retries"], merged=step["merged"])
+            if step["reverse_rows"]:
+                doc["records"].reverse()  # keyframes keep stored order
+            store.append(doc)
+            naive.append(json.loads(json.dumps(doc)))
+            assert store.stats() == naive.stats()
+            assert (_canon(store.get(store.max_epoch))
+                    == _canon(list(naive.scan())[-1]))
+        for start, end in [(None, None), *probes]:
+            assert ([_canon(d) for d in store.scan(start, end)]
+                    == [_canon(d) for d in naive.scan(start, end)])
+        stored = {e: d for d in naive.scan() for e in [d["epoch"]]}
+        for epoch in range(0, 42):
+            got = store.get(epoch)
+            assert (None if got is None else _canon(got)) == (
+                _canon(stored[epoch]) if epoch in stored else None)
+        assert ([{k: v for k, v in d.items() if k != "records"}
+                 for d in naive.scan()] == list(store.scan_meta()))
+        assert store.stats() == naive.stats()  # reads change nothing
+
+
+class TestSeekCost:
+    """Deterministic work counts: hops through the one delta kernel."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        hops = []
+        kernel = store_module.apply_delta
+
+        def counting(prev, delta):
+            hops.append(delta["base"])
+            return kernel(prev, delta)
+
+        monkeypatch.setattr(store_module, "apply_delta", counting)
+        store = EpochStore(retention=512, keyframe_interval=32)
+        for epoch in range(1, 700):  # full ring, evicting and promoting
+            store.append(_doc(epoch, [True] * len(UNITS),
+                              [epoch] * len(UNITS), [True] * len(UNITS)))
+        assert len(store) == 512
+        hops.clear()
+        return store, hops
+
+    def test_get_decodes_from_the_nearest_keyframe(self, counted):
+        store, hops = counted
+        worst = 0
+        for epoch in store.epochs():
+            assert store.get(epoch)["epoch"] == epoch
+            worst = max(worst, len(hops))
+            assert len(hops) <= 31, f"epoch {epoch}: {len(hops)} hops"
+            hops.clear()
+        assert worst == 31  # the bound is reached, not just respected
+
+    def test_newest_epoch_is_served_from_the_tail(self, counted):
+        store, hops = counted
+        assert store.get(store.max_epoch)["epoch"] == store.max_epoch
+        assert hops == []
+
+    def test_range_rides_the_seek(self, counted):
+        store, hops = counted
+        newest = store.max_epoch
+        docs = list(store.scan(start=newest - 63, end=newest))
+        assert [d["epoch"] for d in docs] == list(range(newest - 63,
+                                                        newest + 1))
+        assert len(hops) <= 63 + 31
+        hops.clear()
+        assert len(list(store.scan_meta())) == 512 and hops == []
