@@ -28,14 +28,14 @@ statics:
 	$(PYTHON) -m repro statics src tests
 
 # Whole-program flow rules (FLOW001/MSG001/MSG002/DET005) over the
-# sharded actor packages, pragma-free — the CI gate, locally.  Summaries
-# are cached content-keyed under .repro-cache/statics-flow, so warm
-# re-runs are milliseconds.
+# sharded actor packages and the spec kernel, pragma-free — the CI gate,
+# locally.  Summaries are cached content-keyed under
+# .repro-cache/statics-flow, so warm re-runs are milliseconds.
 statics-flow:
 	$(PYTHON) -m repro statics --flow --forbid-pragmas \
 	    src/repro/sim/shard.py src/repro/core/sharded.py \
 	    src/repro/core/aggregation.py src/repro/service \
-	    src/repro/updates
+	    src/repro/updates src/repro/specs.py
 
 typecheck:
 	mypy

@@ -140,104 +140,65 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
                              "see docs/AGGREGATION.md")
 
 
-def _load_fault_profile(text: str) -> Optional[dict]:
-    """Parse ``--fault-profile``: inline JSON or a path to a JSON file.
-    Validates by round-tripping through FaultProfile.from_jsonable.
-    Returns None (after printing the reason) on bad input."""
+def _apply_overlays(args: argparse.Namespace, configs: dict,
+                    nobody: str) -> bool:
+    """Thread the overlay flags (``--fault-profile``, ``--update-plan``,
+    ``--shards``, ``--agg-degree``) into every config that understands
+    them.  Returns False, after printing the reason, when a spec flag
+    does not parse or validate (inline JSON or a file path, checked by
+    round trip) or when none of ``configs`` takes a given flag —
+    ``nobody`` words the latter's subject."""
     import json
-    import os
 
     from repro.faults import FaultProfile
-
-    raw = text
-    if os.path.exists(text):
-        with open(text, encoding="utf-8") as handle:
-            raw = handle.read()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"--fault-profile is neither a file nor valid JSON: {exc}",
-              file=sys.stderr)
-        return None
-    try:
-        return FaultProfile.from_jsonable(data).to_jsonable()
-    except (ValueError, TypeError) as exc:
-        print(f"invalid fault profile: {exc}", file=sys.stderr)
-        return None
-
-
-def _load_update_plan(text: str) -> Optional[dict]:
-    """Parse ``--update-plan``: inline JSON or a path to a JSON file.
-    Validates by round-tripping through UpdatePlan.from_jsonable.
-    Returns None (after printing the reason) on bad input."""
-    import json
-    import os
-
+    from repro.specs import Spec, load_spec
     from repro.updates import UpdatePlan
 
-    raw = text
-    if os.path.exists(text):
-        with open(text, encoding="utf-8") as handle:
-            raw = handle.read()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"--update-plan is neither a file nor valid JSON: {exc}",
+    # (flag, spec family it parses as, {config attribute: None to set
+    # the value | key to file it under}, refusal wording, applied label).
+    # recovery keeps a dict of profiles and sweeps its policies against
+    # just the CLI one.
+    overlays: tuple[tuple[str, Optional[type[Spec]],
+                          dict[str, Optional[str]], str, str], ...] = (
+        ("--fault-profile", FaultProfile,
+         {"profile": None, "profiles": "cli-profile"},
+         "accept a fault profile (try faults, scaling, recovery)",
+         "fault profile"),
+        ("--update-plan", UpdatePlan, {"plan": None},
+         "accept an update plan (try updates)", "update plan"),
+        ("--shards", None, {"shards": None},
+         "support sharded simulation (try scaling, recovery, updates)",
+         "{} shards"),
+        ("--agg-degree", None, {"agg_degree": None},
+         "support the aggregation fabric (try scaling)", "agg degree {}"),
+    )
+    for flag, family, targets, refusal, label in overlays:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if family is not None:
+            try:
+                value = load_spec(family, value)
+            except json.JSONDecodeError as exc:
+                print(f"{flag} is neither a file nor valid JSON: {exc}",
+                      file=sys.stderr)
+                return False
+            except ValueError as exc:
+                print(f"invalid {family.family}: {exc}", file=sys.stderr)
+                return False
+        applied = []
+        for name, config in configs.items():
+            attr = next((a for a in targets if hasattr(config, a)), None)
+            if attr is not None:
+                key = targets[attr]
+                setattr(config, attr, value if key is None else {key: value})
+                applied.append(name)
+        if not applied:
+            print(f"{flag}: {nobody} {refusal}", file=sys.stderr)
+            return False
+        print(f"[{label.format(value)} applied to: {', '.join(applied)}]",
               file=sys.stderr)
-        return None
-    try:
-        return UpdatePlan.from_jsonable(data).to_jsonable()
-    except (ValueError, TypeError, KeyError) as exc:
-        print(f"invalid update plan: {exc}", file=sys.stderr)
-        return None
-
-
-def _apply_update_plan(configs: dict, plan_json: dict) -> list[str]:
-    """Thread a serialized update plan into every config that
-    understands one (a ``plan`` attribute — currently updates)."""
-    applied = []
-    for name, config in configs.items():
-        if hasattr(config, "plan"):
-            config.plan = plan_json
-            applied.append(name)
-    return applied
-
-
-def _apply_fault_profile(configs: dict, profile_json: dict) -> list[str]:
-    """Thread a serialized profile into every config that understands
-    one: ``profile`` (faults, scaling) or ``profiles`` (recovery, which
-    then sweeps its policies against just this profile)."""
-    applied = []
-    for name, config in configs.items():
-        if hasattr(config, "profile"):
-            config.profile = profile_json
-            applied.append(name)
-        elif hasattr(config, "profiles"):
-            config.profiles = {"cli-profile": profile_json}
-            applied.append(name)
-    return applied
-
-
-def _apply_shards(configs: dict, shards: int) -> list[str]:
-    """Thread a shard count into every config that understands one
-    (a ``shards`` attribute — currently scaling and recovery)."""
-    applied = []
-    for name, config in configs.items():
-        if hasattr(config, "shards"):
-            config.shards = shards
-            applied.append(name)
-    return applied
-
-
-def _apply_agg_degree(configs: dict, agg_degree: int) -> list[str]:
-    """Thread an aggregation-tree fan-out into every config that
-    understands one (an ``agg_degree`` attribute — currently scaling)."""
-    applied = []
-    for name, config in configs.items():
-        if hasattr(config, "agg_degree"):
-            config.agg_degree = agg_degree
-            applied.append(name)
-    return applied
+    return True
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -265,46 +226,9 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     # sees every trial at once, so --jobs fans out across experiments.
     runner = _make_runner(args)
     configs = {name: reg[name].config(quick=args.quick) for name in names}
-    if args.fault_profile:
-        profile_json = _load_fault_profile(args.fault_profile)
-        if profile_json is None:
-            return 2
-        applied = _apply_fault_profile(configs, profile_json)
-        if not applied:
-            print("--fault-profile: none of the selected experiments "
-                  "accept a fault profile (try faults, scaling, recovery)",
-                  file=sys.stderr)
-            return 2
-        print(f"[fault profile applied to: {', '.join(applied)}]",
-              file=sys.stderr)
-    if args.update_plan:
-        plan_json = _load_update_plan(args.update_plan)
-        if plan_json is None:
-            return 2
-        applied = _apply_update_plan(configs, plan_json)
-        if not applied:
-            print("--update-plan: none of the selected experiments "
-                  "accept an update plan (try updates)", file=sys.stderr)
-            return 2
-        print(f"[update plan applied to: {', '.join(applied)}]",
-              file=sys.stderr)
-    if args.shards:
-        applied = _apply_shards(configs, args.shards)
-        if not applied:
-            print("--shards: none of the selected experiments support "
-                  "sharded simulation (try scaling, recovery, updates)",
-                  file=sys.stderr)
-            return 2
-        print(f"[{args.shards} shards applied to: {', '.join(applied)}]",
-              file=sys.stderr)
-    if args.agg_degree is not None:
-        applied = _apply_agg_degree(configs, args.agg_degree)
-        if not applied:
-            print("--agg-degree: none of the selected experiments support "
-                  "the aggregation fabric (try scaling)", file=sys.stderr)
-            return 2
-        print(f"[agg degree {args.agg_degree} applied to: "
-              f"{', '.join(applied)}]", file=sys.stderr)
+    if not _apply_overlays(args, configs,
+                           "none of the selected experiments"):
+        return 2
     batches = {name: reg[name].specs(configs[name]) for name in names}
     flat = [spec for name in names for spec in batches[name]]
     results = runner.run_batch(flat)
@@ -344,44 +268,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     exp = reg[args.name]
     runner = _make_runner(args)
     config = exp.config(quick=args.quick)
-    if args.fault_profile:
-        profile_json = _load_fault_profile(args.fault_profile)
-        if profile_json is None:
-            return 2
-        applied = _apply_fault_profile({args.name: config}, profile_json)
-        if not applied:
-            print(f"--fault-profile: {args.name} does not accept a fault "
-                  "profile (try faults, scaling, recovery)", file=sys.stderr)
-            return 2
-        print(f"[fault profile applied to: {', '.join(applied)}]",
-              file=sys.stderr)
-    if args.update_plan:
-        plan_json = _load_update_plan(args.update_plan)
-        if plan_json is None:
-            return 2
-        applied = _apply_update_plan({args.name: config}, plan_json)
-        if not applied:
-            print(f"--update-plan: {args.name} does not accept an update "
-                  "plan (try updates)", file=sys.stderr)
-            return 2
-        print(f"[update plan applied to: {args.name}]", file=sys.stderr)
-    if args.shards:
-        applied = _apply_shards({args.name: config}, args.shards)
-        if not applied:
-            print(f"--shards: {args.name} does not support sharded "
-                  "simulation (try scaling, recovery, updates)",
-                  file=sys.stderr)
-            return 2
-        print(f"[{args.shards} shards applied to: {args.name}]",
-              file=sys.stderr)
-    if args.agg_degree is not None:
-        applied = _apply_agg_degree({args.name: config}, args.agg_degree)
-        if not applied:
-            print(f"--agg-degree: {args.name} does not support the "
-                  "aggregation fabric (try scaling)", file=sys.stderr)
-            return 2
-        print(f"[agg degree {args.agg_degree} applied to: {args.name}]",
-              file=sys.stderr)
+    if not _apply_overlays(args, {args.name: config},
+                           f"{args.name} does not"):
+        return 2
     result = exp.run(config, runner=runner)
     print(result.report())
     print(f"\n[{runner.last_stats.summary()}]", file=sys.stderr)

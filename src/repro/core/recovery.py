@@ -23,7 +23,7 @@ recover from dropped notifications without waiting for re-initiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from collections.abc import Mapping
 from typing import Any, Optional
 
@@ -110,17 +110,7 @@ class RecoveryPolicy:
     # Serialization (trial params / CLI)
     # ------------------------------------------------------------------
     def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "reinitiation_timeout_ns": self.reinitiation_timeout_ns,
-            "max_reinitiations": self.max_reinitiations,
-            "probe_delay_ns": self.probe_delay_ns,
-            "register_poll_interval_ns": self.register_poll_interval_ns,
-            "digest_timeout_ns": self.digest_timeout_ns,
-            "retry_timeout_ns": self.retry_timeout_ns,
-            "max_retries": self.max_retries,
-            "device_timeout_ns": self.device_timeout_ns,
-        }
+        return asdict(self)
 
     @classmethod
     def from_jsonable(cls, data: Mapping[str, Any]) -> "RecoveryPolicy":

@@ -134,7 +134,7 @@ def scenarios(config: FaultsConfig) -> list[tuple[str, FaultProfile]]:
     """The (label, profile) pairs this config sweeps."""
     if config.profile is not None:
         profile = FaultProfile.from_jsonable(config.profile)
-        return [(f"profile-{profile.profile_type}", profile)]
+        return [(f"profile-{profile.spec_type}", profile)]
     return [(f"iid-{intensity:g}",
              IndependentFaults(intensity=intensity,
                                kinds=tuple(config.kinds),

@@ -193,7 +193,7 @@ def scenarios(config: UpdatesConfig) -> list[tuple[str, UpdatePlan]]:
     """The (strategy label, plan) pairs this config sweeps."""
     if config.plan is not None:
         plan = UpdatePlan.from_jsonable(config.plan)
-        return [(f"plan-{plan.plan_type}", plan)]
+        return [(f"plan-{plan.spec_type}", plan)]
     return [(strategy, canonical_plan(strategy))
             for strategy in config.strategies]
 

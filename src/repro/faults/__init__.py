@@ -34,8 +34,7 @@ is the supported entry point; everything in ``__all__`` is public API.
 
 Determinism contract: an empty schedule arms zero events and draws zero
 randomness — runs with ``FaultSchedule()`` are byte-identical to runs
-with no schedule at all.  :func:`compile_profile` survives as a
-deprecated shim over :class:`IndependentFaults`.  See ``docs/FAULTS.md``.
+with no schedule at all.  See ``docs/FAULTS.md``.
 """
 
 from repro.core.recovery import (RECOVERY_PRESETS, RecoveryPolicy,
@@ -47,7 +46,7 @@ from repro.faults.profile import (Cascade, Compose, CorrelatedGroup,
                                   FaultProfile, IndependentFaults,
                                   MaintenanceWindow, ProfileContext)
 from repro.faults.schedule import (FAULT_KINDS, INSTANT_KINDS, FaultEvent,
-                                   FaultSchedule, compile_profile)
+                                   FaultSchedule)
 
 __all__ = [
     "FAULT_KINDS",
@@ -68,7 +67,6 @@ __all__ = [
     "RECOVERY_PRESETS",
     "RecoveryPolicy",
     "attribute_epochs",
-    "compile_profile",
     "recovery_preset",
     "spans_from_log",
 ]

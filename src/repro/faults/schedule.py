@@ -21,19 +21,15 @@ Determinism contract
 * Stochastic fault *placement* is done ahead of time by the
   :mod:`repro.faults.profile` spec layer, which maps ``(profile, seed)``
   to a concrete schedule through derived per-stream RNGs — same spec,
-  same context, same schedule, on every machine.  (The legacy
-  :func:`compile_profile` entry point survives as a deprecated shim over
-  :class:`~repro.faults.profile.IndependentFaults`.)
+  same context, same schedule, on every machine.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
-from typing import Any, Optional
-
-from repro.sim.engine import MS
+from collections.abc import Iterable
+from typing import Any
 
 #: Every fault kind the injector understands, with the layer it hooks.
 FAULT_KINDS = {
@@ -156,43 +152,6 @@ class FaultSchedule:
     @classmethod
     def from_jsonable(cls, data: Iterable[dict[str, Any]]) -> "FaultSchedule":
         return cls(events=[FaultEvent.from_jsonable(d) for d in data])
-
-
-def compile_profile(*, intensity: float, horizon_ns: int,
-                    links: Sequence[str] = (),
-                    switches: Sequence[str] = (),
-                    clocks: Sequence[str] = (),
-                    kinds: Optional[Sequence[str]] = None,
-                    seed: int = 0,
-                    start_ns: int = 0,
-                    mean_duration_ns: int = 5 * MS) -> FaultSchedule:
-    """Deprecated shim over the :mod:`repro.faults.profile` spec API.
-
-    ``compile_profile(intensity=…, links=…, …)`` is exactly
-    ``IndependentFaults(intensity=…).compile(ProfileContext(…))`` —
-    same RNG streams, schedule-for-schedule identical — and new code
-    should say so directly (the spec form composes with correlated
-    groups, maintenance windows and cascades; see docs/FAULTS.md for
-    the migration note).
-    """
-    import warnings
-
-    from repro.faults.profile import IndependentFaults, ProfileContext
-
-    warnings.warn(
-        "compile_profile is deprecated; build an IndependentFaults spec "
-        "and compile it against a ProfileContext instead "
-        "(see docs/FAULTS.md)", DeprecationWarning, stacklevel=2)
-    if intensity < 0:
-        raise ValueError(f"intensity must be >= 0, got {intensity}")
-    context = ProfileContext(horizon_ns=horizon_ns, links=tuple(links),
-                             switches=tuple(switches), clocks=tuple(clocks),
-                             start_ns=start_ns, seed=seed)
-    profile = IndependentFaults(
-        intensity=intensity,
-        kinds=None if kinds is None else tuple(kinds),
-        mean_duration_ns=mean_duration_ns)
-    return profile.compile(context)
 
 
 def _poisson(rng: random.Random, mean: float) -> int:

@@ -4,13 +4,14 @@ An :class:`UpdatePlan` describes *how a coordinated forwarding update
 rolls out* without naming concrete port numbers or simulator objects;
 compiling it against an :class:`UpdateContext` (the device inventory
 plus the time window) deterministically yields a concrete
-:class:`UpdateSchedule` of per-device commands.  Plans follow the same
-spec contract as :class:`repro.faults.profile.FaultProfile` (the shared
-pattern is documented in ``docs/SPECS.md``): plain frozen
-JSON-round-trippable dataclasses with registered ``type`` tags, ``|``
-composition, and one clamp point for every scheduled instant — so plans
-ride inside trial params (and cache fingerprints) exactly like fault
-profiles do, and the two algebras compose in one experiment::
+:class:`UpdateSchedule` of per-device commands.  Plans are a family of
+the :mod:`repro.specs` kernel, like
+:class:`repro.faults.profile.FaultProfile` (the contract is documented
+in ``docs/SPECS.md``): plain frozen JSON-round-trippable dataclasses
+with registered ``type`` tags, ``|`` composition, and one clamp point
+for every scheduled instant — so plans ride inside trial params (and
+cache fingerprints) exactly like fault profiles do, and the two
+families combine in one experiment::
 
     plan = (TimedSwap(at_ns=30 * MS, routes=(
                 ("leaf0", "server3", ("spine1",)),
@@ -46,11 +47,12 @@ Determinism contract
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 from typing import Any, ClassVar, Optional
 
 from repro.sim.engine import MS
+from repro.specs import Composite, Spec, Window
 
 __all__ = [
     "Compose",
@@ -213,7 +215,7 @@ class UpdateSchedule:
 
 
 @dataclass(frozen=True)
-class UpdateContext:
+class UpdateContext(Window):
     """Where and when a plan compiles: device inventory plus window.
 
     ``switches`` are the updatable devices; ``edges`` are the switches
@@ -223,21 +225,8 @@ class UpdateContext:
     wave numbering and clamping coherent.
     """
 
-    horizon_ns: int
     switches: tuple[str, ...] = ()
     edges: tuple[str, ...] = ()
-    start_ns: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.horizon_ns <= 0:
-            raise ValueError(f"horizon_ns must be > 0, got {self.horizon_ns}")
-        if self.start_ns < 0:
-            raise ValueError(f"start_ns must be >= 0, got {self.start_ns}")
-        for name in ("switches", "edges"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
 
     @classmethod
     def for_topology(cls, topo: Any, *, horizon_ns: int, start_ns: int = 0,
@@ -253,16 +242,6 @@ class UpdateContext:
                              for n in topo.neighbors(s)))
         return cls(horizon_ns=horizon_ns, switches=switches, edges=edges,
                    start_ns=start_ns, seed=seed)
-
-    @property
-    def end_ns(self) -> int:
-        return self.start_ns + self.horizon_ns
-
-    def clamp(self, at_ns: int) -> int:
-        """Clamp one scheduled instant into ``[start_ns, end_ns)`` —
-        shared by :meth:`emit` and wave metadata so both stay inside
-        the compile window."""
-        return min(max(int(at_ns), self.start_ns), self.end_ns - 1)
 
     # ------------------------------------------------------------------
     # The single clamp/validate point (every compiled command goes here)
@@ -288,38 +267,15 @@ class UpdateContext:
 # The plan algebra
 # ----------------------------------------------------------------------
 
-#: JSON ``type`` tag -> spec class, populated by ``__init_subclass__``.
-_PLAN_TYPES: dict[str, type] = {}
 
+class UpdatePlan(Spec):
+    """Base of every update-plan spec (the ``"update plan"`` family of
+    :mod:`repro.specs`, which supplies JSON round-tripping and the ``|``
+    composition operator — the same kernel
+    :class:`repro.faults.profile.FaultProfile` rests on, see
+    ``docs/SPECS.md``); subclasses implement :meth:`compile_into`."""
 
-def _to_json_value(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return [_to_json_value(v) for v in value]
-    return value
-
-
-def _from_json_value(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_from_json_value(v) for v in value)
-    return value
-
-
-class UpdatePlan:
-    """Base of every update-plan spec.
-
-    Subclasses are frozen dataclasses with a ``plan_type`` class tag;
-    they implement :meth:`compile_into` and inherit JSON round-tripping
-    and the ``|`` composition operator — the same spec contract as
-    :class:`repro.faults.profile.FaultProfile` (see ``docs/SPECS.md``).
-    """
-
-    plan_type: ClassVar[str] = ""
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        tag = cls.__dict__.get("plan_type", "")
-        if tag:
-            _PLAN_TYPES[tag] = cls
+    family: ClassVar[str] = "update plan"
 
     # -- compilation ---------------------------------------------------
     def compile(self, ctx: UpdateContext) -> UpdateSchedule:
@@ -334,55 +290,6 @@ class UpdatePlan:
         schedule (wave indices come from ``schedule.next_wave()``, so
         composed parts never collide)."""
         raise NotImplementedError
-
-    # -- composition ---------------------------------------------------
-    def __or__(self, other: "UpdatePlan") -> "Compose":
-        if not isinstance(other, UpdatePlan):
-            return NotImplemented
-        mine = self.parts if isinstance(self, Compose) else (self,)
-        theirs = other.parts if isinstance(other, Compose) else (other,)
-        return Compose(parts=mine + theirs)
-
-    __add__ = __or__
-
-    # -- serialization -------------------------------------------------
-    def to_jsonable(self) -> dict[str, Any]:
-        """Stable JSON form (``{"type": …, <fields>}``) — what rides in
-        trial params and on the ``--update-plan`` CLI flag."""
-        data: dict[str, Any] = {"type": self.plan_type}
-        for f in fields(self):  # type: ignore[arg-type]
-            data[f.name] = _to_json_value(getattr(self, f.name))
-        return data
-
-    @staticmethod
-    def from_jsonable(data: Mapping[str, Any]) -> "UpdatePlan":
-        """Reconstruct any registered spec (round-trip inverse of
-        :meth:`to_jsonable`)."""
-        if not isinstance(data, Mapping) or "type" not in data:
-            raise ValueError(
-                "a serialized UpdatePlan is an object with a 'type' tag; "
-                f"got {data!r}")
-        tag = data["type"]
-        cls = _PLAN_TYPES.get(tag)
-        if cls is None:
-            raise ValueError(
-                f"unknown update plan type {tag!r} "
-                f"(known: {', '.join(sorted(_PLAN_TYPES))})")
-        payload = {k: v for k, v in data.items() if k != "type"}
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown field(s) {', '.join(unknown)} for plan "
-                f"type {tag!r}")
-        return cls._from_fields(payload)
-
-    @classmethod
-    def _from_fields(cls, payload: dict[str, Any]) -> "UpdatePlan":
-        for key, value in payload.items():
-            if isinstance(value, list):
-                payload[key] = _from_json_value(value)
-        return cls(**payload)  # type: ignore[call-arg]
 
     # -- shared helpers ------------------------------------------------
     @staticmethod
@@ -406,7 +313,7 @@ class TimedSwap(UpdatePlan):
     snapshot verifier attributes to this wave.
     """
 
-    plan_type: ClassVar[str] = "timed_swap"
+    spec_type: ClassVar[str] = "timed_swap"
 
     at_ns: int = 20 * MS
     routes: tuple = ()
@@ -427,8 +334,8 @@ class TimedSwap(UpdatePlan):
             ctx.emit(schedule, "swap", self.at_ns, device=device, wave=wave,
                      changes=changes)
         schedule.add_wave(UpdateWave(
-            index=wave, strategy=self.plan_type,
-            label=self.label or f"{self.plan_type}@{at}",
+            index=wave, strategy=self.spec_type,
+            label=self.label or f"{self.spec_type}@{at}",
             verdict_at_ns=at, window_start_ns=at, window_end_ns=at))
 
 
@@ -444,7 +351,7 @@ class PhasedUpdate(UpdatePlan):
     phase instant.
     """
 
-    plan_type: ClassVar[str] = "phased"
+    spec_type: ClassVar[str] = "phased"
 
     at_ns: int = 20 * MS
     gap_ns: int = 2 * MS
@@ -484,8 +391,8 @@ class PhasedUpdate(UpdatePlan):
         first = ctx.clamp(self.at_ns)
         last = ctx.clamp(self.at_ns + (len(phases) - 1) * self.gap_ns)
         schedule.add_wave(UpdateWave(
-            index=wave, strategy=self.plan_type,
-            label=self.label or f"{self.plan_type}@{first}",
+            index=wave, strategy=self.spec_type,
+            label=self.label or f"{self.spec_type}@{first}",
             verdict_at_ns=last, window_start_ns=first, window_end_ns=last))
 
 
@@ -513,7 +420,7 @@ class TwoPhaseVersioned(UpdatePlan):
     sent against the old tables is still in flight at commit.
     """
 
-    plan_type: ClassVar[str] = "two_phase"
+    spec_type: ClassVar[str] = "two_phase"
 
     at_ns: int = 20 * MS
     lead_ns: int = 5 * MS
@@ -554,13 +461,13 @@ class TwoPhaseVersioned(UpdatePlan):
         commit = ctx.clamp(self.at_ns + self.drain_ns)
         end = ctx.clamp(self.at_ns + 2 * self.drain_ns)
         schedule.add_wave(UpdateWave(
-            index=wave, strategy=self.plan_type,
-            label=self.label or f"{self.plan_type}@{ctx.clamp(self.at_ns)}",
+            index=wave, strategy=self.spec_type,
+            label=self.label or f"{self.spec_type}@{ctx.clamp(self.at_ns)}",
             verdict_at_ns=commit, window_start_ns=start, window_end_ns=end))
 
 
 @dataclass(frozen=True)
-class Compose(UpdatePlan):
+class Compose(Composite, UpdatePlan):
     """Several plans compiled against one context, in part order.
 
     Waves are numbered sequentially across parts (each part allocates
@@ -568,27 +475,11 @@ class Compose(UpdatePlan):
     one-to-one with its parts.
     """
 
-    plan_type: ClassVar[str] = "compose"
+    spec_type: ClassVar[str] = "compose"
 
     parts: tuple = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.parts, tuple):
-            object.__setattr__(self, "parts", tuple(self.parts))
-        for part in self.parts:
-            if not isinstance(part, UpdatePlan):
-                raise TypeError(f"expected UpdatePlan, got {part!r}")
 
     def compile_into(self, ctx: UpdateContext,
                      schedule: UpdateSchedule) -> None:
         for part in self.parts:
             part.compile_into(ctx, schedule)
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"type": self.plan_type,
-                "parts": [part.to_jsonable() for part in self.parts]}
-
-    @classmethod
-    def _from_fields(cls, payload: dict[str, Any]) -> "Compose":
-        parts = payload.get("parts", [])
-        return cls(parts=tuple(UpdatePlan.from_jsonable(p) for p in parts))

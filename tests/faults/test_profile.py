@@ -71,13 +71,14 @@ class TestJsonRoundTrip:
                 max_depth=2, at_ns=15 * MS, include_cp=True),
         Compose(parts=(IndependentFaults(intensity=0.5),
                        CorrelatedGroup(switch="sw2"))),
-        # Nested composition survives serialization too.
+        # A composite built from a composite is flat from the start
+        # (docs/SPECS.md rule 3), so it round-trips like any other.
         Compose(parts=(Compose(parts=(MaintenanceWindow(
             targets=("sw0-sw1",)),)),)),
     ]
 
     @pytest.mark.parametrize("spec", SPECS,
-                             ids=lambda s: s.profile_type)
+                             ids=lambda s: s.spec_type)
     def test_round_trip(self, spec):
         data = spec.to_jsonable()
         restored = FaultProfile.from_jsonable(data)
@@ -85,7 +86,7 @@ class TestJsonRoundTrip:
         assert restored.to_jsonable() == data
 
     @pytest.mark.parametrize("spec", SPECS,
-                             ids=lambda s: s.profile_type)
+                             ids=lambda s: s.spec_type)
     def test_round_trip_compiles_identically(self, spec):
         restored = FaultProfile.from_jsonable(spec.to_jsonable())
         assert (restored.compile(CTX).to_jsonable()
@@ -284,6 +285,25 @@ class TestMaintenanceWindow:
 
     def test_empty_targets_compile_empty(self):
         assert not MaintenanceWindow(targets=()).compile(CTX)
+
+    @pytest.mark.parametrize("target, kind", [
+        ("nope-nada", "link_down"),   # names nothing
+        ("sw0", "link_down"),         # a switch, for a link fault
+        ("sw0-sw1", "cp_crash"),      # a link, for a switch fault
+    ])
+    def test_target_outside_the_kind_inventory_rejected(self, target, kind):
+        # The one emit point validates targets (docs/SPECS.md rule 4),
+        # so a bad profile fails at compile time, not inside a trial.
+        spec = MaintenanceWindow(targets=(target,), kind=kind)
+        with pytest.raises(ValueError) as exc:
+            spec.compile(CTX)
+        assert kind in str(exc.value) and repr(target) in str(exc.value)
+        assert f"no {FAULT_KINDS[kind]} named" in str(exc.value)
+
+    def test_wildcard_and_reversed_link_names_accepted(self):
+        # Exactly what FaultInjector resolves at arm time.
+        schedule = MaintenanceWindow(targets=("*", "sw1-sw0")).compile(CTX)
+        assert [e.target for e in schedule] == ["*", "sw1-sw0"]
 
 
 class TestCascade:

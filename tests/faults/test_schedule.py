@@ -1,10 +1,8 @@
-"""Tests for fault schedules and profile compilation."""
+"""Tests for fault schedules."""
 
 import pytest
 
-from repro.faults import (FAULT_KINDS, INSTANT_KINDS, FaultEvent,
-                          FaultSchedule, compile_profile)
-from repro.sim.engine import MS
+from repro.faults import FAULT_KINDS, INSTANT_KINDS, FaultEvent, FaultSchedule
 
 
 class TestFaultEvent:
@@ -72,40 +70,3 @@ class TestFaultSchedule:
     def test_non_event_rejected(self):
         with pytest.raises(TypeError):
             FaultSchedule(events=["link_down"])
-
-
-class TestCompileProfileShim:
-    """`compile_profile` survives only as a deprecated shim over
-    `IndependentFaults`; behavioral coverage of the compiler itself
-    lives in tests/faults/test_profile.py."""
-
-    _KWARGS = dict(intensity=1.0, horizon_ns=50 * MS,
-                   links=["sw0-sw1"], switches=["sw0", "sw1"],
-                   clocks=["sw0", "sw1"], seed=7, start_ns=10 * MS)
-
-    def test_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="compile_profile"):
-            compile_profile(**self._KWARGS)
-
-    def test_matches_independent_faults_exactly(self):
-        from repro.faults import IndependentFaults, ProfileContext
-
-        with pytest.warns(DeprecationWarning):
-            legacy = compile_profile(**self._KWARGS)
-        context = ProfileContext(horizon_ns=50 * MS, links=("sw0-sw1",),
-                                 switches=("sw0", "sw1"),
-                                 clocks=("sw0", "sw1"),
-                                 start_ns=10 * MS, seed=7)
-        spec = IndependentFaults(intensity=1.0).compile(context)
-        assert legacy.to_jsonable() == spec.to_jsonable()
-
-    def test_negative_intensity_rejected(self):
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ValueError, match="intensity"):
-            compile_profile(**dict(self._KWARGS, intensity=-0.5))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ValueError, match="unknown fault kind"):
-            compile_profile(**dict(self._KWARGS,
-                                   kinds=["link_down", "bitrot"]))

@@ -105,6 +105,44 @@ class TestFaultProfileFlag:
         assert "does not accept a fault profile" in capsys.readouterr().err
 
 
+class TestSpecFlagsRejectBadInput:
+    """Both spec flags share one loader (repro.specs.load_spec): every
+    kind of bad input is one stderr line and exit 2, never a traceback."""
+
+    FLAGS = {
+        "--fault-profile": ("faults", "fault profile",
+                            {"type": "independent", "intensity": "high"}),
+        "--update-plan": ("updates", "update plan",
+                          {"type": "timed_swap", "at_ns": "soon"}),
+    }
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    @pytest.mark.parametrize("case", ["directory", "bad-json", "unknown-type",
+                                      "wrong-typed-field", "nested-unknown"])
+    def test_one_line_and_exit_2(self, flag, case, capsys, tmp_path):
+        import json
+
+        experiment, noun, wrong_typed = self.FLAGS[flag]
+        text, expected = {
+            "directory": (str(tmp_path), f"{flag} is neither a file nor "
+                                         "valid JSON"),
+            "bad-json": ("{not json", f"{flag} is neither a file nor "
+                                      "valid JSON"),
+            "unknown-type": ('{"type": "gremlins"}',
+                             f"invalid {noun}: unknown {noun} type"),
+            "wrong-typed-field": (json.dumps(wrong_typed),
+                                  f"invalid {noun}: invalid {noun} type "
+                                  f"'{wrong_typed['type']}'"),
+            "nested-unknown": (json.dumps({"type": "compose", "parts": [
+                {"type": wrong_typed["type"], "bogus": 1}]}),
+                f"invalid {noun}: unknown field(s) bogus"),
+        }[case]
+        assert main(["run", experiment, "--quick", "--no-cache",
+                     flag, text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and err.count("\n") == 1
+
+
 class TestShardsFlag:
     def test_run_scaling_quick_with_shards(self, capsys):
         # The CI quick suite's sharded exercise: a real space-parallel
