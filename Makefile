@@ -34,6 +34,7 @@ statics:
 statics-flow:
 	$(PYTHON) -m repro statics --flow --forbid-pragmas \
 	    src/repro/sim/shard.py src/repro/core/sharded.py \
+	    src/repro/core/deployment.py src/repro/core/builder.py \
 	    src/repro/core/aggregation.py src/repro/service \
 	    src/repro/updates src/repro/specs.py
 
@@ -62,19 +63,23 @@ bench-smoke:
 
 # The repo benchmark's own checks (bench/README.md), CI-sized: its
 # harness tests, one short untraced service_ingest rep and one short
-# traced service_query rep.  Each rep exits non-zero on a wrong answer,
-# an audit violation or a failed operation; the last line fails when a
-# traced entry point no longer resolves (bench.spans_missing > 0), so a
-# refactor that breaks the benchmark is caught before the pipeline
-# runs it.
+# traced rep each of service_query and sharded_fabric (the cross-shard
+# deployment wiring is what the sharded ledger wraps).  Each rep exits
+# non-zero on a wrong answer, an audit violation or a failed operation;
+# the last line fails when a traced entry point no longer resolves
+# (bench.spans_missing > 0), so a refactor that breaks the benchmark is
+# caught before the pipeline runs it.
 repo-bench-smoke:
 	$(PYTHON) -m pytest bench/tests -q
 	$(PYTHON) bench/run.py --workload service_ingest --seconds 2 --trace 0
 	$(PYTHON) bench/run.py --workload service_query --seconds 2 --trace 1
+	$(PYTHON) bench/run.py --workload sharded_fabric --seconds 2 --trace 1
 	$(PYTHON) -c "import json, sys; \
-	missing = json.load(open('bench/out/trace-service_query.json')) \
-	    ['metrics']['bench.spans_missing']['value']; \
-	print('bench.spans_missing =', missing); sys.exit(1 if missing else 0)"
+	missing = {w: json.load(open('bench/out/trace-%s.json' % w)) \
+	    ['metrics']['bench.spans_missing']['value'] \
+	    for w in ('service_query', 'sharded_fabric')}; \
+	print('bench.spans_missing =', missing); \
+	sys.exit(1 if any(missing.values()) else 0)"
 
 # The full experiment regeneration benchmarks (pytest-benchmark).
 bench-experiments:

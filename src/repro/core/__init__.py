@@ -16,7 +16,10 @@ Layering (mirroring §4–§6 of the paper):
   signals in-network so the observer services O(fan-out) messages per
   epoch instead of O(units);
 * :mod:`~repro.core.deployment` — one-call wiring of all of the above
-  onto a simulated network (including partial deployment, §10).
+  onto a simulated network (including partial deployment, §10) or one
+  shard's slice of it;
+* :mod:`~repro.core.sharded` — the cross-shard vocabulary: mailbox
+  names, the observer's home shard, the remote-control-plane proxy.
 
 Most users only need :func:`deploy` (sugar over
 :class:`SpeedlightDeployment`, which stays the primitive)::
@@ -60,10 +63,7 @@ from repro.core.deployment import (
     GAUGE_METRICS,
 )
 from repro.core.builder import deploy
-from repro.core.sharded import (
-    RemoteControlPlane,
-    ShardedSpeedlightDeployment,
-)
+from repro.core.sharded import RemoteControlPlane
 
 __all__ = [
     "AggregateMessage",
@@ -96,5 +96,4 @@ __all__ = [
     "GAUGE_METRICS",
     "deploy",
     "RemoteControlPlane",
-    "ShardedSpeedlightDeployment",
 ]

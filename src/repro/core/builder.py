@@ -15,11 +15,10 @@ coordinated update plans) compose::
                         updates=plan, update_horizon_ns=100 * MS)
 
 Passing a :class:`~repro.sim.shard.ShardWorker` instead of a
-:class:`~repro.sim.network.Network` builds the cross-shard variant
-(:class:`~repro.core.sharded.ShardedSpeedlightDeployment`) with the
-same surface.  The constructors remain the primitive — ``deploy`` is
-sugar plus update wiring, nothing else — so existing code keeps
-working unchanged.
+:class:`~repro.sim.network.Network` wires that shard's slice — same
+class, same surface.  The constructor remains the primitive —
+``deploy`` is sugar plus update wiring, nothing else — so existing code
+keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ def deploy(target, *, metric: str = "packet_count",
     """Wire a Speedlight deployment onto ``target`` in one call.
 
     ``target`` is a :class:`~repro.sim.network.Network` (single-process)
-    or a :class:`~repro.sim.shard.ShardWorker` (space-parallel; builds
-    the sharded deployment).  Keyword arguments mirror
+    or a :class:`~repro.sim.shard.ShardWorker` (space-parallel; wires
+    that shard's slice).  Keyword arguments mirror
     :class:`~repro.core.deployment.DeploymentConfig` field-for-field;
     ``control_plane``/``observer`` default to the config's defaults when
     None.
@@ -92,20 +91,13 @@ def deploy(target, *, metric: str = "packet_count",
         config_kwargs["control_plane"] = control_plane
     if observer is not None:
         config_kwargs["observer"] = observer
-    config = DeploymentConfig(**config_kwargs)
-
-    if isinstance(target, Network):
-        network = target
-        deployment = SpeedlightDeployment(network, config)
-    else:
-        from repro.core.sharded import ShardedSpeedlightDeployment
-
-        network = target.network
-        deployment = ShardedSpeedlightDeployment(target, config)
+    deployment = SpeedlightDeployment(target,
+                                      DeploymentConfig(**config_kwargs))
 
     if updates is not None:
         from repro.updates.driver import UpdateDriver
 
+        network = deployment.network
         schedule = _compile_updates(network, updates, update_horizon_ns,
                                     update_seed)
         driver = UpdateDriver(network, schedule)

@@ -25,13 +25,23 @@ tagged in-flight packets, so they are excluded — the §6 "removal of
 non-utilized upstream neighbors" knob, applied automatically); an egress
 unit gates on every connected ingress port of its switch except its own
 (a packet never hairpins out the port it arrived on).
+
+The same class wires a :class:`~repro.sim.network.Network` and one
+shard's slice of a space-parallel run (a
+:class:`~repro.sim.shard.ShardWorker`; docs/SHARDING.md).  Every
+observer / control-plane / relay edge is built by one routing primitive,
+:meth:`SpeedlightDeployment._edge`, which decides *at wiring time*
+whether the receiving handler lives here (management plane, as ever) or
+behind a mailbox on another shard (:mod:`repro.core.sharded`); on a
+``Network`` or a one-shard plan every handler is local.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable
-from typing import Optional
+from functools import partial
+from typing import Any, Optional, Union
 
 from repro.core.aggregation import (AggregateMessage, AggregationAgent,
                                     AggregationConfig, AggregationFabric,
@@ -43,10 +53,14 @@ from repro.core.ideal import IdealUnit
 from repro.core.ids import IdSpace
 from repro.core.observer import ObserverConfig, SnapshotObserver
 from repro.core.recovery import RecoveryPolicy
+from repro.core.sharded import (AGG_OBSERVER_MAILBOX, OBSERVER_MAILBOX,
+                                OBSERVER_SHARD, RemoteControlPlane,
+                                agg_init_mailbox, agg_mailbox, cp_mailbox)
 from repro.counters import (FibVersionCounter, QueueDepthCounter,
                             QueueHighWatermark, make_counter)
 from repro.sim.network import Network
 from repro.sim.packet import Packet
+from repro.sim.shard import ShardWorker
 from repro.sim.switch import Direction, Switch, UnitId
 from repro.topology.graph import NodeKind
 
@@ -61,6 +75,12 @@ _IN_FLIGHT_FNS: dict[str, Callable[[Packet], int]] = {
     "packet_count": lambda pkt: 1,
     "byte_count": lambda pkt: pkt.size_bytes,
 }
+
+
+def _unpacked(handler: Callable[..., Any]) -> Callable[[tuple], None]:
+    """A mailbox handler takes one payload; on the deployment's
+    mailboxes that payload is always the handler's argument tuple."""
+    return lambda args: handler(*args)
 
 
 def _make_flat_sink(name: str, cp: SwitchControlPlane, send_root):
@@ -117,15 +137,49 @@ class DeploymentConfig:
 
 
 class SpeedlightDeployment:
-    """A fully wired Speedlight instance on a simulated network."""
+    """A fully wired Speedlight instance on a simulated network — or the
+    per-shard slice of one.
 
-    def __init__(self, network: Network,
+    ``target`` is a :class:`~repro.sim.network.Network` or, inside a
+    shard's ``setup`` callable, its :class:`~repro.sim.shard.ShardWorker`.
+    On shard 0 (:data:`~repro.core.sharded.OBSERVER_SHARD`) the
+    deployment's :attr:`observer` is *the* observer — drive campaigns
+    there; on other shards the observer exists but is inert, and
+    :meth:`take_snapshot` / :meth:`schedule_campaign` refuse to run.
+    """
+
+    def __init__(self, target: Union[Network, ShardWorker],
                  config: Optional[DeploymentConfig] = None,
                  **config_kwargs) -> None:
         if config is None:
             config = DeploymentConfig(**config_kwargs)
         elif config_kwargs:
             raise TypeError("pass either a DeploymentConfig or kwargs, not both")
+        #: The shard worker hosting this slice (None on a plain Network).
+        self.worker = None if isinstance(target, Network) else target
+        network = target if self.worker is None else self.worker.network
+        self._sharded = (self.worker is not None
+                         and self.worker.plan.num_shards > 1)
+        #: True where :attr:`observer` is live — always, unless this is a
+        #: non-zero shard of a multi-shard plan.
+        self.is_observer_shard = (not self._sharded
+                                  or self.worker.shard_id == OBSERVER_SHARD)
+        if self._sharded:
+            # In-flight accumulation gates on cross-switch Last Seen
+            # state whose gating sets the per-shard slices cannot see
+            # across the cut.  The clean protocol path (the §8 scaling
+            # study) is exactly what sharding is for — bigger fabrics,
+            # more switches.
+            if config.channel_state:
+                raise ValueError(
+                    "channel state is not supported on a sharded "
+                    "deployment (cross-shard gating sets are invisible "
+                    "to the per-shard slices); run shards=1 or disable "
+                    "channel_state")
+            if config.switches is not None:
+                raise ValueError(
+                    "sharded deployments are full deployments; partial "
+                    "deployment (§10) requires shards=1")
         if config.recovery is not None:
             config = replace(
                 config,
@@ -148,12 +202,13 @@ class SpeedlightDeployment:
         self.control_planes: dict[str, SwitchControlPlane] = {}
         self.observer = SnapshotObserver(network.sim, network.mgmt, self.ids,
                                          config.observer)
-        #: Per-switch record sinks, consulted *at ship time* by the
-        #: closures :meth:`_make_shipper` builds.  Aggregation wiring
-        #: (which needs the control planes to exist first) populates it
-        #: after :meth:`_deploy`; with no aggregation it stays empty and
-        #: every shipper takes the legacy direct-to-observer path.
-        self._record_sinks: dict[str, Callable[[UnitSnapshotRecord], None]] = {}
+        #: The switches this deployment wires, in wiring order: the
+        #: configured subset (partial deployment, §10) or every switch of
+        #: the target — on a shard, that shard's own.
+        self.switch_names: list[str] = (
+            list(config.switches) if config.switches is not None
+            else sorted(network.switches))
+        self._participants = frozenset(self.switch_names)
         self.aggregation: Optional[AggregationFabric] = None
         #: Armed update driver (:mod:`repro.updates.driver`), attached by
         #: :func:`repro.core.deploy` when an update plan is given; None —
@@ -164,29 +219,64 @@ class SpeedlightDeployment:
         network.refresh_header_stripping()
 
     # ------------------------------------------------------------------
+    # Control-edge routing
+    # ------------------------------------------------------------------
+    def _edge(self, mailbox: str,
+              handler: Optional[Callable[..., Any]]) -> Callable[..., None]:
+        """The one routing primitive: wire the control edge into
+        ``mailbox`` and return its ``send(*args)``.  ``handler`` is the
+        edge's receiving end when that lives here — it is then also made
+        reachable from the other shards, if there are any — and None
+        when it lives on another shard.  Call once per mailbox.
+
+        Either way one management-plane latency is sampled per message.
+        The cross-shard leg then rides the batch transport, which
+        enforces at least the plan's lookahead; initiations are
+        wall-clock-addressed and records carry their own timestamps, so
+        the longer delivery only eats lead time.
+        """
+        mgmt = self.network.mgmt
+        if handler is None:
+            worker = self.worker
+
+            def send(*args: Any) -> None:
+                worker.send_ctrl(mailbox, args,
+                                 extra_ns=mgmt.one_way_latency_ns())
+
+            return send
+        if self._sharded:
+            self.worker.register_mailbox(mailbox, _unpacked(handler))
+        return partial(mgmt.send, handler)
+
+    # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    @property
-    def switch_names(self) -> list[str]:
-        if self.config.switches is not None:
-            return list(self.config.switches)
-        return sorted(self.network.switches)
-
     def _deploy(self) -> None:
+        ship = self._edge(OBSERVER_MAILBOX,
+                          self.observer.on_unit_record
+                          if self.is_observer_shard else None)
         for name in self.switch_names:
-            self._deploy_switch(name)
+            self._deploy_switch(name, ship)
         # Gating depends on which peers are enabled, so compute after all
         # switches have their agents attached.
         for name in self.switch_names:
             self._register_units(name)
+        if not self.is_observer_shard:
+            # The far end of the observer's RemoteControlPlane proxies.
+            for name, cp in self.control_planes.items():
+                self.worker.register_mailbox(
+                    cp_mailbox(name), _unpacked(cp.schedule_initiation))
+        elif self._sharded:
+            self._register_remote_devices()
 
-    def _deploy_switch(self, name: str) -> None:
+    def _deploy_switch(self, name: str,
+                       ship: Callable[[UnitSnapshotRecord], None]) -> None:
         switch = self.network.switch(name)
         cp = SwitchControlPlane(
             switch, self.network.ptp.clocks[name], self.ids,
             channel_state=self.config.channel_state,
             config=self.config.control_plane,
-            ship=self._make_shipper(name),
+            ship=ship,
             ideal_dataplane=self.config.ideal_units)
         self.control_planes[name] = cp
         for port_index in switch.connected_ports():
@@ -231,20 +321,6 @@ class SpeedlightDeployment:
     def _in_flight_fn(self) -> Optional[Callable[[Packet], int]]:
         return _IN_FLIGHT_FNS.get(self.config.metric)
 
-    def _make_shipper(self, name: str) -> Callable[[UnitSnapshotRecord], None]:
-        observer = self.observer
-        mgmt = self.network.mgmt
-        sinks = self._record_sinks
-
-        def ship(record: UnitSnapshotRecord) -> None:
-            sink = sinks.get(name)
-            if sink is not None:
-                sink(record)  # aggregation fabric (wired post-deploy)
-            else:
-                mgmt.send(observer.on_unit_record, record)
-
-        return ship
-
     def _register_units(self, name: str) -> None:
         switch = self.network.switch(name)
         cp = self.control_planes[name]
@@ -272,7 +348,7 @@ class SpeedlightDeployment:
         if not self.config.channel_state:
             return []
         peer, kind = self.network.peer_of_port(switch_name, port)
-        peer_enabled = (kind is NodeKind.SWITCH and peer in self.switch_names)
+        peer_enabled = (kind is NodeKind.SWITCH and peer in self._participants)
         if peer_enabled or self.config.gate_host_channels:
             # One external sub-channel per CoS lane (lane 0 is the
             # classic EXTERNAL_CHANNEL).
@@ -293,6 +369,21 @@ class SpeedlightDeployment:
                        if p_out == port
                        for cos in classes})
 
+    def _register_remote_devices(self) -> None:
+        """Give shard 0's observer the full device census: remote
+        switches appear behind :class:`RemoteControlPlane` proxies with
+        unit sets derived from the full topology (every builder connects
+        every port, so the connected set is ``range(degree)``)."""
+        topo = self.network.topology
+        for name in topo.switches:
+            if name in self.control_planes:
+                continue
+            proxy = RemoteControlPlane(name, self.worker)
+            units = {UnitId(name, port, direction)
+                     for port in range(topo.degree(name))
+                     for direction in (Direction.INGRESS, Direction.EGRESS)}
+            self.observer.register_device(name, proxy, units)
+
     # ------------------------------------------------------------------
     # Aggregation fabric (repro.core.aggregation)
     # ------------------------------------------------------------------
@@ -300,27 +391,39 @@ class SpeedlightDeployment:
         """Wire the hierarchical snapshot fabric, when configured.
 
         Runs after :meth:`_deploy` (agents attach to existing control
-        planes) and installs per-switch record sinks so the already-built
-        shippers route through the fabric from the next record on.  The
-        cross-shard variant overrides the small ``_agg_*`` primitives,
-        not this orchestration.
+        planes) and re-points each control plane's ``ship`` at the
+        fabric, so records route through it from the next one on.
+
+        Every shard builds the *same* tree from the full topology and
+        hosts agents for its own switches only; construction is
+        deterministic, so all shards agree on the tree without
+        exchanging a bit.  Only the observer shard services root
+        messages.
         """
         cfg = self.config.aggregation
         if cfg is None:
             return
-        intake = self._agg_make_intake(cfg)
-        send_root = self._agg_root_sender(intake)
+        intake = None
+        if self.is_observer_shard:
+            intake = RelayChannel(self.network.sim, cfg,
+                                  self.observer.on_aggregate)
+        send_root = self._edge(AGG_OBSERVER_MAILBOX,
+                               intake.deliver if intake is not None else None)
         if cfg.degree == 0:
             # Flat-modeled baseline: unicast initiation, but each record
             # crosses the observer's modeled intake as its own message.
             for name in sorted(self.control_planes):
-                self._record_sinks[name] = _make_flat_sink(
-                    name, self.control_planes[name], send_root)
+                cp = self.control_planes[name]
+                cp.ship = _make_flat_sink(name, cp, send_root)
             self.aggregation = AggregationFabric(config=cfg, tree=None,
                                                  intake=intake)
             return
-        tree = AggregationTree.build(self.network.topology,
-                                     self._agg_participants(), cfg.degree)
+        # The tree spans the whole logical deployment, not this slice
+        # (sharded deployments are always full deployments).
+        tree = AggregationTree.build(
+            self.network.topology,
+            sorted(self.network.topology.switches) if self._sharded
+            else self.switch_names, cfg.degree)
         agents: dict[str, AggregationAgent] = {}
         for name in sorted(self.control_planes):
             cp = self.control_planes[name]
@@ -330,80 +433,54 @@ class SpeedlightDeployment:
             agent.expected_local = 2 * len(
                 self.network.switch(name).connected_ports())
             agents[name] = agent
-            self._record_sinks[name] = agent.on_local_record
+            cp.ship = agent.on_local_record
+
+        # Per relay, the edges into its two ends (upward aggregates into
+        # its channel, downward initiations into its fan-out) — local
+        # where this shard hosts the relay's agent.
+        up_to = {name: self._edge(agg_mailbox(name),
+                                  agents[name].channel.deliver
+                                  if name in agents else None)
+                 for name in tree.order}
+        init_to = {name: self._edge(agg_init_mailbox(name),
+                                    agents[name].on_initiation
+                                    if name in agents else None)
+                   for name in tree.order}
+
+        def forward(device: str, epoch: int, at_wall_ns: int) -> None:
+            init_to[device](epoch, at_wall_ns)
+
         for name in sorted(agents):
-            agent = agents[name]
-            if tree.parent[name] is None:
-                agent.send_up = send_root
-            else:
-                agent.send_up = self._agg_parent_sender(tree.parent[name],
-                                                        agents)
-            agent.forward_init = self._agg_init_forwarder(agents)
+            parent = tree.parent[name]
+            agents[name].send_up = (send_root if parent is None
+                                    else up_to[parent])
+            agents[name].forward_init = forward
         self.aggregation = AggregationFabric(config=cfg, tree=tree,
                                              agents=agents, intake=intake)
-        self._agg_finalize(tree, agents)
-
-    def _agg_participants(self) -> list[str]:
-        """Switches spanned by the tree (every deployed switch)."""
-        return self.switch_names
-
-    def _agg_make_intake(self, cfg: AggregationConfig) -> Optional[RelayChannel]:
-        """The observer-side intake channel servicing root messages."""
-        return RelayChannel(self.network.sim, cfg, self.observer.on_aggregate)
-
-    def _agg_root_sender(self, intake: Optional[RelayChannel]):
-        mgmt = self.network.mgmt
-
-        def send(message: AggregateMessage) -> None:
-            mgmt.send(intake.deliver, message)
-
-        return send
-
-    def _agg_parent_sender(self, parent: str,
-                           agents: dict[str, AggregationAgent]):
-        mgmt = self.network.mgmt
-        channel = agents[parent].channel
-
-        def send(message: AggregateMessage) -> None:
-            mgmt.send(channel.deliver, message)
-
-        return send
-
-    def _agg_init_forwarder(self, agents: dict[str, AggregationAgent]):
-        mgmt = self.network.mgmt
-
-        def forward(child: str, epoch: int, at_wall_ns: int) -> None:
-            mgmt.send(agents[child].on_initiation, epoch, at_wall_ns)
-
-        return forward
-
-    def _agg_finalize(self, tree: AggregationTree,
-                      agents: dict[str, AggregationAgent]) -> None:
-        """Attach the fabric to the observer: fan-out through the root,
-        plus direct per-subtree re-initiation for tree-aware retries
-        (the observer addresses a silent relay's children directly, so a
-        dead relay never sits on its own recovery path)."""
-        mgmt = self.network.mgmt
-        root_agent = agents[tree.root]
-
-        def initiate(epoch: int, at_wall_ns: int) -> None:
-            mgmt.send(root_agent.on_initiation, epoch, at_wall_ns)
-
-        def retry_subtree(device: str, epoch: int, at_wall_ns: int) -> None:
-            mgmt.send(agents[device].on_initiation, epoch, at_wall_ns)
-
-        self.observer.attach_fabric(initiate, tree,
-                                    retry_subtree=retry_subtree)
+        if self.is_observer_shard:
+            # Fan-out through the root, plus direct per-subtree
+            # re-initiation for tree-aware retries (the observer
+            # addresses a silent relay's children directly, so a dead
+            # relay never sits on its own recovery path).
+            self.observer.attach_fabric(init_to[tree.root], tree,
+                                        retry_subtree=forward)
 
     # ------------------------------------------------------------------
     # Convenience passthroughs
     # ------------------------------------------------------------------
+    def _driven_here(self, what: str) -> SnapshotObserver:
+        if not self.is_observer_shard:
+            raise RuntimeError(f"{what} are driven from the observer "
+                               f"shard (shard {OBSERVER_SHARD})")
+        return self.observer
+
     def take_snapshot(self, at_wall_ns: Optional[int] = None) -> int:
-        return self.observer.take_snapshot(at_wall_ns)
+        return self._driven_here("snapshots").take_snapshot(at_wall_ns)
 
     def schedule_campaign(self, count: int, interval_ns: int,
                           start_wall_ns: Optional[int] = None) -> list[int]:
-        return self.observer.schedule_campaign(count, interval_ns, start_wall_ns)
+        return self._driven_here("campaigns").schedule_campaign(
+            count, interval_ns, start_wall_ns)
 
     def inject_probes(self) -> None:
         """Force snapshot-ID propagation on every switch (liveness)."""

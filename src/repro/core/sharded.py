@@ -1,18 +1,19 @@
-"""Speedlight on a sharded network: one deployment slice per shard.
+"""The cross-shard vocabulary of a Speedlight deployment.
 
 The paper's deployment is already space-parallel in spirit — "control
 planes are responsible for their own switch" (§8.2) and the observer is
-just a host.  Sharding the simulator therefore maps cleanly:
+just a host — so there is one deployment class
+(:class:`~repro.core.deployment.SpeedlightDeployment`) whether or not the
+simulation is sharded; a shard cut only changes which control edges
+ride the batch transport.  This module names the far ends of those
+edges:
 
-* every shard deploys counters, agents, and control planes on its own
-  switches, exactly like the single-process
-  :class:`~repro.core.deployment.SpeedlightDeployment`;
-* the **observer lives in shard 0**.  Control planes in other shards
-  ship their :class:`~repro.core.control_plane.UnitSnapshotRecord`\\ s to
-  the ``"observer"`` mailbox over the cross-shard batch transport — the
-  sender samples its usual management-plane latency locally, and the
-  transport adds at least the plan's lookahead on top, so delivery obeys
-  the conservative horizon bound;
+* the **observer lives in shard 0** (:data:`OBSERVER_SHARD`).  Control
+  planes in other shards ship their
+  :class:`~repro.core.control_plane.UnitSnapshotRecord`\\ s to the
+  ``"observer"`` mailbox — the sender samples its usual management-plane
+  latency locally, and the transport adds at least the plan's lookahead
+  on top, so delivery obeys the conservative horizon bound;
 * shard 0 registers every *remote* switch with its observer through a
   :class:`RemoteControlPlane` proxy.  The observer only ever calls
   ``schedule_initiation`` on registered devices
@@ -20,44 +21,41 @@ just a host.  Sharding the simulator therefore maps cleanly:
   forwards ``(epoch, at_wall_ns)`` to the owning shard's ``cp:<switch>``
   mailbox.  Initiation is wall-clock-addressed ("take the snapshot at
   time T"), so the extra transport latency only consumes lead time — it
-  does not skew the snapshot instant.
+  does not skew the snapshot instant;
+* aggregation-tree edges crossing the cut use ``agg:<switch>`` (upward
+  aggregates into that relay's channel), ``agg-init:<switch>`` (downward
+  initiation fan-out) and ``agg-observer`` (the root's messages into
+  shard 0's intake).
 
-Channel state is not supported sharded: in-flight accumulation gates on
-cross-switch Last Seen state whose gating sets the per-shard deployment
-cannot see across the cut.  The clean protocol path (the §8 scaling
-study) is exactly what sharding is for — bigger fabrics, more switches.
+Every mailbox payload is the receiving handler's argument tuple.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from repro.core.aggregation import (AggregateMessage, AggregationAgent,
-                                    AggregationConfig, RelayChannel)
-from repro.core.control_plane import SwitchControlPlane, UnitSnapshotRecord
-from repro.core.deployment import DeploymentConfig, SpeedlightDeployment
 from repro.sim.shard import ShardWorker
-from repro.sim.switch import Direction, UnitId
 
-__all__ = ["OBSERVER_SHARD", "RemoteControlPlane",
-           "ShardedSpeedlightDeployment"]
+__all__ = ["OBSERVER_SHARD", "RemoteControlPlane"]
 
 #: The shard that hosts the snapshot observer.
 OBSERVER_SHARD = 0
 
-#: Mailbox names of the cross-shard control plane.
+#: Unit records from remote control planes (observer shard).
 OBSERVER_MAILBOX = "observer"
 
 #: Cross-shard intake for aggregation-root messages (observer shard).
 AGG_OBSERVER_MAILBOX = "agg-observer"
 
 
-def _cp_mailbox(switch_name: str) -> str:
+def cp_mailbox(switch_name: str) -> str:
     return f"cp:{switch_name}"
 
 
-def _agg_mailbox(switch_name: str) -> str:
+def agg_mailbox(switch_name: str) -> str:
     return f"agg:{switch_name}"
+
+
+def agg_init_mailbox(switch_name: str) -> str:
+    return f"agg-init:{switch_name}"
 
 
 class RemoteControlPlane:
@@ -76,235 +74,9 @@ class RemoteControlPlane:
         self._worker = worker
 
     def schedule_initiation(self, epoch: int, at_wall_ns: int) -> None:
-        self._worker.send_ctrl(_cp_mailbox(self.switch_name),
+        self._worker.send_ctrl(cp_mailbox(self.switch_name),
                                (epoch, at_wall_ns))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RemoteControlPlane({self.switch_name!r} @ shard "
                 f"{self._worker.plan.assignment[self.switch_name]})")
-
-
-def _make_initiation_handler(cp: SwitchControlPlane):
-    def handle(payload: Any) -> None:
-        epoch, at_wall_ns = payload
-        cp.schedule_initiation(epoch, at_wall_ns)
-    return handle
-
-
-def _make_agg_handler(agent: AggregationAgent):
-    """Dispatch one agent's ``agg:<switch>`` mailbox: upward aggregates
-    enter its relay channel, downward ``("init", ...)`` tuples enter the
-    initiation fan-out."""
-    def handle(payload: Any) -> None:
-        if isinstance(payload, AggregateMessage):
-            agent.channel.deliver(payload)
-        else:
-            _tag, epoch, at_wall_ns = payload
-            agent.on_initiation(epoch, at_wall_ns)
-    return handle
-
-
-class ShardedSpeedlightDeployment(SpeedlightDeployment):
-    """The per-shard slice of one logical Speedlight deployment.
-
-    Construct one inside every shard's ``setup`` callable.  On shard 0
-    (:data:`OBSERVER_SHARD`) the deployment's :attr:`observer` is *the*
-    observer — drive campaigns there; on other shards the inherited
-    observer exists but is inert, and :meth:`take_snapshot` /
-    :meth:`schedule_campaign` refuse to run.
-
-    With a one-shard plan this degenerates to the plain deployment —
-    same wiring, same event stream.
-    """
-
-    def __init__(self, worker: ShardWorker,
-                 config: Optional[DeploymentConfig] = None,
-                 **config_kwargs) -> None:
-        if config is None and config_kwargs:
-            config = DeploymentConfig(**config_kwargs)
-            config_kwargs = {}
-        self.worker = worker
-        self.sharded = worker.plan.num_shards > 1
-        self.is_observer_shard = (not self.sharded
-                                  or worker.shard_id == OBSERVER_SHARD)
-        if self.sharded and config is not None:
-            if config.channel_state:
-                raise ValueError(
-                    "channel state is not supported on a sharded "
-                    "deployment (cross-shard gating sets are invisible "
-                    "to the per-shard slices); run shards=1 or disable "
-                    "channel_state")
-            if config.switches is not None:
-                raise ValueError(
-                    "sharded deployments are full deployments; partial "
-                    "deployment (§10) requires shards=1")
-        super().__init__(worker.network, config, **config_kwargs)
-        if not self.sharded:
-            return
-        if self.is_observer_shard:
-            worker.register_mailbox(OBSERVER_MAILBOX,
-                                    self.observer.on_unit_record)
-            self._register_remote_devices()
-        else:
-            for name, cp in self.control_planes.items():
-                worker.register_mailbox(_cp_mailbox(name),
-                                        _make_initiation_handler(cp))
-
-    # ------------------------------------------------------------------
-    # Cross-shard wiring
-    # ------------------------------------------------------------------
-    def _make_shipper(self, name: str):
-        if not getattr(self, "sharded", False) or self.is_observer_shard:
-            return super()._make_shipper(name)
-        worker = self.worker
-        mgmt = self.network.mgmt
-        sinks = self._record_sinks
-
-        def ship(record: UnitSnapshotRecord) -> None:
-            sink = sinks.get(name)
-            if sink is not None:
-                sink(record)  # aggregation fabric (local agent)
-                return
-            # Same management-plane latency a local shipper would pay,
-            # then the batch transport (which enforces >= lookahead).
-            worker.send_ctrl(OBSERVER_MAILBOX, record,
-                             extra_ns=mgmt.one_way_latency_ns())
-
-        return ship
-
-    def _register_remote_devices(self) -> None:
-        """Give shard 0's observer the full device census: remote
-        switches appear behind :class:`RemoteControlPlane` proxies with
-        unit sets derived from the full topology (every builder connects
-        every port, so the connected set is ``range(degree)``)."""
-        plan = self.worker.plan
-        topo = self.network.topology
-        for name in topo.switches:
-            if plan.assignment[name] == self.worker.shard_id:
-                continue
-            proxy = RemoteControlPlane(name, self.worker)
-            units = {UnitId(name, port, direction)
-                     for port in range(topo.degree(name))
-                     for direction in (Direction.INGRESS, Direction.EGRESS)}
-            self.observer.register_device(name, proxy, units)
-
-    # ------------------------------------------------------------------
-    # Aggregation across the cut
-    # ------------------------------------------------------------------
-    # Every shard builds the *same* tree from the full topology and
-    # hosts agents for its own switches only.  Tree edges that stay
-    # inside a shard use the plain management plane; edges crossing the
-    # cut ride the batch transport through ``agg:<switch>`` mailboxes
-    # (upward aggregates and downward initiations alike), and the root's
-    # messages reach shard 0's intake directly or via the
-    # ``agg-observer`` mailbox.  Construction is deterministic, so all
-    # shards agree on the tree without exchanging a bit.
-
-    def _agg_participants(self) -> list[str]:
-        if not self.sharded:
-            return super()._agg_participants()
-        # The tree spans the whole logical deployment, not this slice
-        # (sharded deployments are always full deployments).
-        return sorted(self.network.topology.switches)
-
-    def _agg_make_intake(self, cfg: AggregationConfig):
-        if not self.sharded or self.is_observer_shard:
-            intake = super()._agg_make_intake(cfg)
-            if self.sharded:
-                self.worker.register_mailbox(AGG_OBSERVER_MAILBOX,
-                                             intake.deliver)
-            return intake
-        return None  # only the observer shard services root messages
-
-    def _agg_root_sender(self, intake):
-        if intake is not None:
-            return super()._agg_root_sender(intake)
-        worker = self.worker
-        mgmt = self.network.mgmt
-
-        def send(message: AggregateMessage) -> None:
-            worker.send_ctrl(AGG_OBSERVER_MAILBOX, message,
-                             extra_ns=mgmt.one_way_latency_ns())
-
-        return send
-
-    def _agg_parent_sender(self, parent: str,
-                           agents: dict[str, AggregationAgent]):
-        if parent in agents:
-            return super()._agg_parent_sender(parent, agents)
-        worker = self.worker
-        mgmt = self.network.mgmt
-        mailbox = _agg_mailbox(parent)
-
-        def send(message: AggregateMessage) -> None:
-            worker.send_ctrl(mailbox, message,
-                             extra_ns=mgmt.one_way_latency_ns())
-
-        return send
-
-    def _agg_init_forwarder(self, agents: dict[str, AggregationAgent]):
-        if not self.sharded:
-            return super()._agg_init_forwarder(agents)
-        worker = self.worker
-        mgmt = self.network.mgmt
-
-        def forward(child: str, epoch: int, at_wall_ns: int) -> None:
-            agent = agents.get(child)
-            if agent is not None:
-                mgmt.send(agent.on_initiation, epoch, at_wall_ns)
-            else:
-                worker.send_ctrl(_agg_mailbox(child),
-                                 ("init", epoch, at_wall_ns),
-                                 extra_ns=mgmt.one_way_latency_ns())
-
-        return forward
-
-    def _agg_finalize(self, tree, agents: dict[str, AggregationAgent]) -> None:
-        if not self.sharded:
-            super()._agg_finalize(tree, agents)
-            return
-        for name in sorted(agents):
-            self.worker.register_mailbox(_agg_mailbox(name),
-                                         _make_agg_handler(agents[name]))
-        if not self.is_observer_shard:
-            return
-        root_agent = agents.get(tree.root)
-        mgmt = self.network.mgmt
-        worker = self.worker
-        if root_agent is not None:
-            def initiate(epoch: int, at_wall_ns: int) -> None:
-                mgmt.send(root_agent.on_initiation, epoch, at_wall_ns)
-        else:
-            mailbox = _agg_mailbox(tree.root)
-
-            def initiate(epoch: int, at_wall_ns: int) -> None:
-                worker.send_ctrl(mailbox, ("init", epoch, at_wall_ns),
-                                 extra_ns=mgmt.one_way_latency_ns())
-
-        def retry_subtree(device: str, epoch: int, at_wall_ns: int) -> None:
-            agent = agents.get(device)
-            if agent is not None:
-                mgmt.send(agent.on_initiation, epoch, at_wall_ns)
-            else:
-                worker.send_ctrl(_agg_mailbox(device),
-                                 ("init", epoch, at_wall_ns),
-                                 extra_ns=mgmt.one_way_latency_ns())
-
-        self.observer.attach_fabric(initiate, tree,
-                                    retry_subtree=retry_subtree)
-
-    # ------------------------------------------------------------------
-    # Guard rails
-    # ------------------------------------------------------------------
-    def take_snapshot(self, at_wall_ns: Optional[int] = None) -> int:
-        if not self.is_observer_shard:
-            raise RuntimeError("snapshots are driven from the observer "
-                               f"shard (shard {OBSERVER_SHARD})")
-        return super().take_snapshot(at_wall_ns)
-
-    def schedule_campaign(self, count: int, interval_ns: int,
-                          start_wall_ns: Optional[int] = None) -> list[int]:
-        if not self.is_observer_shard:
-            raise RuntimeError("campaigns are driven from the observer "
-                               f"shard (shard {OBSERVER_SHARD})")
-        return super().schedule_campaign(count, interval_ns, start_wall_ns)

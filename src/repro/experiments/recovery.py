@@ -37,12 +37,11 @@ from repro.core.recovery import RECOVERY_PRESETS
 from repro.core.sharded import OBSERVER_SHARD
 from repro.experiments.campaigns import campaign_window, start_poisson
 from repro.experiments.harness import TextTable, header
-from repro.faults import (FAULT_KINDS, CorrelatedGroup, FaultInjector,
-                          FaultProfile, FaultSchedule, IndependentFaults,
-                          ProfileContext)
+from repro.faults import (CorrelatedGroup, FaultInjector, FaultProfile,
+                          FaultSchedule, IndependentFaults, ProfileContext)
 from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
 from repro.sim.engine import MS
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
 from repro.topology import leaf_spine
 
@@ -186,42 +185,32 @@ def specs(config: RecoveryConfig) -> list[TrialSpec]:
     return result
 
 
-def _shard_fault_slice(schedule: FaultSchedule, assignment: dict,
-                       shard_id: int) -> FaultSchedule:
-    """The events one shard must apply: switch/clock/control-plane
-    targets it owns, link targets with at least one locally-owned
-    endpoint (each direction's egress — including a cut link's boundary
-    stub — lives on the sender's shard).  ``"*"`` stays on every shard;
-    the injector resolves it against that shard's local inventory."""
-    keep = []
-    for event in schedule:
-        if event.target == "*":
-            keep.append(event)
-        elif FAULT_KINDS[event.kind] == "link":
-            ends = event.target.split("-", 1)
-            if any(assignment.get(end) == shard_id for end in ends):
-                keep.append(event)
-        elif assignment.get(event.target) == shard_id:
-            keep.append(event)
-    return FaultSchedule(events=keep)
-
-
-def _sharded_recovery_setup(worker: ShardWorker, policy_json: dict,
-                            schedule_json: list, rounds: int,
-                            interval_ns: int):
-    """Per-shard setup for the sharded recovery sweep (module-level so
-    the process runner can pickle it).  Clean protocol path: sharded
-    deployments cannot see cross-cut gating sets, so channel state stays
-    off and the sweep measures completion + recovery overhead."""
-    deployment = deploy(worker, metric="packet_count",
-                        recovery=RecoveryPolicy.from_jsonable(policy_json))
-    local = _shard_fault_slice(FaultSchedule.from_jsonable(schedule_json),
-                               worker.plan.assignment, worker.shard_id)
-    injector = FaultInjector(worker.network, local, deployment=deployment)
+def setup(worker: ShardWorker, params: dict, seed: int, duration: int):
+    """Per-shard setup of one (policy, profile) cell (module-level so
+    the process runner can pickle it; ``shards=1`` is the one shard that
+    owns everything).  Every shard arms its slice of the compiled
+    schedule; recovery overhead comes back from every shard, completion
+    from the observer shard."""
+    single = worker.plan.num_shards == 1
+    if single:
+        # Sharded deployments cannot see cross-cut gating sets, so only
+        # the one-shard sweep collects channel state — and only it needs
+        # in-flight packets to collect.
+        start_poisson(worker.network, seed=seed + 1,
+                      rate_pps=params["rate_pps"], stop_ns=duration)
+    deployment = deploy(worker, metric="packet_count", channel_state=single,
+                        recovery=RecoveryPolicy.from_jsonable(
+                            params["policy"]))
+    injector = FaultInjector(
+        worker.network,
+        FaultSchedule.from_jsonable(params["schedule"]).restrict(
+            worker.plan.assignment, worker.shard_id),
+        deployment=deployment)
     injector.arm()
     epochs: list[int] = []
     if deployment.is_observer_shard:
-        epochs.extend(deployment.schedule_campaign(rounds, interval_ns))
+        epochs.extend(deployment.schedule_campaign(params["rounds"],
+                                                   params["interval_ns"]))
 
     def finish() -> dict:
         cps = deployment.control_planes.values()
@@ -250,19 +239,16 @@ def _sharded_recovery_setup(worker: ShardWorker, policy_json: dict,
     return finish
 
 
-def _run_recovery_sharded(spec: TrialSpec) -> TrialResult:
-    """The same (policy, profile) cell on a space-parallel simulation:
-    every shard arms its slice of the compiled schedule, the observer
-    shard assembles completion, and recovery overhead is summed across
-    shards."""
+@trial("recovery_sweep")
+def run_recovery_trial(spec: TrialSpec) -> TrialResult:
+    """One (policy, profile) cell: the observer shard assembles
+    completion, and recovery overhead is summed across shards."""
     p = spec.params
     duration = campaign_window(p["rounds"], p["interval_ns"])
     results = run_sharded(
         leaf_spine(hosts_per_leaf=p["hosts_per_leaf"]),
         NetworkConfig(seed=spec.seed), shards=spec.shards,
-        until=duration, setup=_sharded_recovery_setup,
-        setup_args=(p["policy"], p["schedule"], p["rounds"],
-                    p["interval_ns"]))
+        until=duration, setup=setup, setup_args=(p, spec.seed, duration))
     observer = results[OBSERVER_SHARD]
     total = observer["total"]
     reinitiations = sum(r["reinitiations"] for r in results)
@@ -284,60 +270,6 @@ def _run_recovery_sharded(spec: TrialSpec) -> TrialResult:
         "observer_retries": retries,
         "overhead_per_epoch": overhead,
         "faults_applied": sum(r["faults_applied"] for r in results),
-    })
-
-
-@trial("recovery_sweep")
-def run_recovery_trial(spec: TrialSpec) -> TrialResult:
-    if spec.shards > 1:
-        return _run_recovery_sharded(spec)
-    p = spec.params
-    policy = RecoveryPolicy.from_jsonable(p["policy"])
-    schedule = FaultSchedule.from_jsonable(p["schedule"])
-    network = Network(leaf_spine(hosts_per_leaf=p["hosts_per_leaf"]),
-                      NetworkConfig(seed=spec.seed))
-    duration = campaign_window(p["rounds"], p["interval_ns"])
-    start_poisson(network, seed=spec.seed + 1, rate_pps=p["rate_pps"],
-                  stop_ns=duration)
-    deployment = deploy(network, metric="packet_count", channel_state=True,
-                        recovery=policy)
-    injector = FaultInjector(network, schedule, deployment=deployment)
-    injector.arm()
-    epochs = deployment.schedule_campaign(p["rounds"], p["interval_ns"])
-    network.run(until=duration)
-
-    observer = deployment.observer
-    snapshots = [observer.snapshot(epoch) for epoch in epochs]
-    completed = [s for s in snapshots if s.complete]
-    usable = [s for s in completed if s.consistent and not s.excluded_devices]
-    spans = sorted(
-        max(r.read_ns for r in s.records.values())
-        - min(r.captured_ns for r in s.records.values())
-        for s in completed if s.records)
-    median_ttc = spans[len(spans) // 2] if spans else None
-
-    reinitiations = sum(cp.reinitiations_sent
-                        for cp in deployment.control_planes.values())
-    probes = sum(cp.probes_sent
-                 for cp in deployment.control_planes.values())
-    polls = sum(cp.polls_performed
-                for cp in deployment.control_planes.values())
-    retries = sum(s.retries for s in snapshots)
-    overhead = (reinitiations + probes + polls + retries) / len(snapshots)
-    return make_result(spec, {
-        "policy": policy.name,
-        "profile": p["profile_label"],
-        "total": len(snapshots),
-        "completed": len(completed),
-        "completion_rate": len(completed) / len(snapshots),
-        "usable_rate": len(usable) / len(snapshots),
-        "median_ttc_ns": median_ttc,
-        "reinitiations": reinitiations,
-        "probes": probes,
-        "register_polls": polls,
-        "observer_retries": retries,
-        "overhead_per_epoch": overhead,
-        "faults_applied": injector.applied,
     })
 
 

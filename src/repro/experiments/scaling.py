@@ -32,7 +32,7 @@ from repro.experiments.harness import TextTable, header
 from repro.faults import FaultInjector, FaultProfile, ProfileContext
 from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
 from repro.sim.engine import MS
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
 from repro.topology import fat_tree
 
@@ -171,8 +171,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
                            rate_pps=p.get("rate_pps", 5_000.0),
                            shards=spec.shards,
                            agg_degree=spec.agg_degree)
-    measure = _measure_sharded if config.shards > 1 else _measure
-    point = measure(config, p["arity"])
+    point = _measure(config, p["arity"])
     return make_result(spec, {
         "switches": point.switches,
         "units": point.units,
@@ -208,84 +207,46 @@ def run(config: Optional[ScalingConfig] = None,
     return assemble(config, runner.run_batch(specs(config)))
 
 
-def _measure(config: ScalingConfig, arity: int) -> ScalingPoint:
-    topo = fat_tree(k=arity)
-    network = Network(topo, NetworkConfig(seed=config.seed))
-    duration = 30 * MS + config.snapshots * config.interval_ns + 500 * MS
-    injector = None
-    if config.profile is not None:
-        # Same per-target profile, bigger fabric: the compiled schedule
-        # grows with the arity while each target's exposure stays fixed.
-        profile = FaultProfile.from_jsonable(config.profile)
-        context = ProfileContext.for_topology(
-            topo, horizon_ns=config.snapshots * config.interval_ns,
-            start_ns=10 * MS, seed=config.seed)
-        schedule = profile.compile(context)
-        hosts = len(topo.hosts)
-        pairs = max(1, hosts * (hosts - 1))
-        start_poisson(network, seed=config.seed + 1,
-                      rate_pps=config.rate_pps / pairs, stop_ns=duration)
-    deployment = deploy(
-        network, metric="packet_count",
-        channel_state=config.profile is not None,
-        observer=ObserverConfig(lead_time_ns=10 * MS),
-        aggregation=(None if config.agg_degree is None
-                     else AggregationConfig(degree=config.agg_degree)))
-    if config.profile is not None:
-        injector = FaultInjector(network, schedule, deployment=deployment)
-        injector.arm()
-    finish: dict[int, int] = {}
-    deployment.observer.on_complete(
-        lambda snap: finish.setdefault(snap.epoch, network.sim.now))
-    epochs = deployment.schedule_campaign(config.snapshots,
-                                          config.interval_ns)
-    network.run(until=duration)
-    spreads = [deployment.sync_spread_ns(e) for e in epochs]
-    sync = Cdf([s for s in spreads if s is not None])
-    latencies = sorted(
-        finish[e] - deployment.observer.snapshot(e).requested_wall_ns
-        for e in epochs if e in finish)
-    stats = deployment.notification_stats()
-    num_switches = len(network.switches)
-    units = sum(2 * len(network.switch(s).connected_ports())
-                for s in network.switches)
-    inconsistent_fraction = None
-    if injector is not None:
-        snaps = [deployment.observer.snapshot(e) for e in epochs]
-        done = [s for s in snaps if s.complete]
-        flagged = [s for s in done if not s.consistent]
-        inconsistent_fraction = (len(flagged) / len(done)) if done else 0.0
-    return ScalingPoint(
-        switches=num_switches, units=units, sync=sync,
-        completion_latency_ns=(latencies[len(latencies) // 2]
-                               if latencies else float("nan")),
-        completed=len(finish), expected=len(epochs),
-        notifications_per_switch=stats["processed"] / num_switches,
-        inconsistent_fraction=inconsistent_fraction,
-        faults_applied=injector.applied if injector is not None else 0)
-
-
-def _sharded_setup(worker: ShardWorker, snapshots: int, interval_ns: int,
-                   lead_ns: int, agg_degree: Optional[int] = None):
-    """Per-shard setup for the sharded scaling measurement.
+def setup(worker: ShardWorker, config: ScalingConfig, duration: int):
+    """Per-shard setup of one scaling measurement (``shards=1`` is the
+    one shard that owns everything).
 
     Module-level (and with plain-data arguments) so the process runner
     can pickle it.  The returned finish callable ships plain dicts back
     over the pipe: progress samples and notification stats from every
     shard, campaign bookkeeping from the observer shard only.
     """
+    network = worker.network
+    topo = network.topology
+    faulted = config.profile is not None
+    if faulted:
+        # Same per-target profile, bigger fabric: the compiled schedule
+        # grows with the arity while each target's exposure stays fixed.
+        schedule = FaultProfile.from_jsonable(config.profile).compile(
+            ProfileContext.for_topology(
+                topo, horizon_ns=config.snapshots * config.interval_ns,
+                start_ns=10 * MS, seed=config.seed))
+        hosts = len(topo.hosts)
+        pairs = max(1, hosts * (hosts - 1))
+        start_poisson(network, seed=config.seed + 1,
+                      rate_pps=config.rate_pps / pairs, stop_ns=duration)
     deployment = deploy(
-        worker, metric="packet_count",
-        observer=ObserverConfig(lead_time_ns=lead_ns),
-        aggregation=(None if agg_degree is None
-                     else AggregationConfig(degree=agg_degree)))
+        worker, metric="packet_count", channel_state=faulted,
+        observer=ObserverConfig(lead_time_ns=10 * MS),
+        aggregation=(None if config.agg_degree is None
+                     else AggregationConfig(degree=config.agg_degree)))
+    injector = None
+    if faulted:
+        injector = FaultInjector(network, schedule, deployment=deployment)
+        injector.arm()
     finish_times: dict[int, int] = {}
     epochs: list[int] = []
     if deployment.is_observer_shard:
         deployment.observer.on_complete(
             lambda snap: finish_times.setdefault(snap.epoch,
                                                  worker.sim.now))
-        epochs.extend(deployment.schedule_campaign(snapshots, interval_ns))
+        epochs.extend(deployment.schedule_campaign(config.snapshots,
+                                                   config.interval_ns))
 
     def finish() -> dict:
         progress = []
@@ -294,26 +255,30 @@ def _sharded_setup(worker: ShardWorker, snapshots: int, interval_ns: int,
         result: dict = {
             "progress": progress,
             "notifications": deployment.notification_stats(),
-            "events": worker.sim.events_run,
         }
         if deployment.is_observer_shard:
+            snaps = [deployment.observer.snapshot(e) for e in epochs]
             result["epochs"] = list(epochs)
             result["finish"] = dict(finish_times)
-            result["requested"] = {
-                e: deployment.observer.snapshot(e).requested_wall_ns
-                for e in epochs}
+            result["requested"] = {s.epoch: s.requested_wall_ns
+                                   for s in snaps}
+            if injector is not None:
+                done = [s for s in snaps if s.complete]
+                flagged = [s for s in done if not s.consistent]
+                result["inconsistent_fraction"] = (len(flagged) / len(done)
+                                                   if done else 0.0)
+                result["faults_applied"] = injector.applied
         return result
 
     return finish
 
 
-def _measure_sharded(config: ScalingConfig, arity: int) -> ScalingPoint:
-    """The same protocol-scaling measurement on a space-parallel
-    simulation: the fat-tree is partitioned across worker processes,
-    each runs its own Speedlight slice, and the observer (shard 0)
-    coordinates campaigns across the cut (:mod:`repro.core.sharded`).
-    Per-shard results are merged here in shard order."""
-    if config.profile is not None:
+def _measure(config: ScalingConfig, arity: int) -> ScalingPoint:
+    """One protocol-scaling measurement: the fat-tree is partitioned
+    across ``config.shards`` workers, each runs its own Speedlight
+    slice, and the observer (shard 0) coordinates campaigns across the
+    cut.  Per-shard results are merged here in shard order."""
+    if config.profile is not None and config.shards > 1:
         raise ValueError(
             "fault profiles need channel state, which sharded "
             "deployments do not support; run scaling with shards=1")
@@ -321,9 +286,7 @@ def _measure_sharded(config: ScalingConfig, arity: int) -> ScalingPoint:
     duration = 30 * MS + config.snapshots * config.interval_ns + 500 * MS
     results = run_sharded(
         topo, NetworkConfig(seed=config.seed), shards=config.shards,
-        until=duration, setup=_sharded_setup,
-        setup_args=(config.snapshots, config.interval_ns, 10 * MS,
-                    config.agg_degree))
+        until=duration, setup=setup, setup_args=(config, duration))
     observer = results[OBSERVER_SHARD]
     epochs = observer["epochs"]
     finish = observer["finish"]
@@ -340,20 +303,21 @@ def _measure_sharded(config: ScalingConfig, arity: int) -> ScalingPoint:
             spreads.append(max(times) - min(times))
     latencies = sorted(finish[e] - observer["requested"][e]
                        for e in epochs if e in finish)
-    stats = {"received": 0, "processed": 0, "dropped": 0, "backlog": 0}
-    for shard in results:
-        for key in stats:
-            stats[key] += shard["notifications"][key]
+    processed = sum(shard["notifications"]["processed"]
+                    for shard in results)
     num_switches = len(topo.switches)
-    # Builders connect every port, so a switch's unit count is twice its
-    # topological degree — same census _measure takes from the network.
-    units = sum(2 * topo.degree(s) for s in topo.switches)
     return ScalingPoint(
-        switches=num_switches, units=units, sync=Cdf(spreads),
+        switches=num_switches,
+        # Builders connect every port, so a switch's unit count is twice
+        # its topological degree.
+        units=sum(2 * topo.degree(s) for s in topo.switches),
+        sync=Cdf(spreads),
         completion_latency_ns=(latencies[len(latencies) // 2]
                                if latencies else float("nan")),
         completed=len(finish), expected=len(epochs),
-        notifications_per_switch=stats["processed"] / num_switches)
+        notifications_per_switch=processed / num_switches,
+        inconsistent_fraction=observer.get("inconsistent_fraction"),
+        faults_applied=observer.get("faults_applied", 0))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual entry point

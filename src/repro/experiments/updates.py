@@ -45,6 +45,7 @@ from typing import Any, Optional
 from repro.analysis.consistency import ConsistencyChecker
 from repro.analysis.invariants import LinkAudit
 from repro.core import deploy
+from repro.core.sharded import OBSERVER_SHARD
 from repro.experiments.harness import TextTable, header
 from repro.faults import FaultInjector, FaultProfile, FaultSchedule, \
     ProfileContext
@@ -231,14 +232,10 @@ def specs(config: UpdatesConfig) -> list[TrialSpec]:
                 audit=config.audit)
             if faults is not None:
                 params["faults"] = faults
-            if config.shards > 1:
-                # Added only when sharded, so single-process
-                # fingerprints (and their cached results) are
-                # unchanged; verdicts must agree regardless.
-                params["shards"] = config.shards
             out.append(TrialSpec(kind="updates_sweep", params=params,
                                  seed=config.seed,
-                                 label=f"updates/{label}@{sigma}"))
+                                 label=f"updates/{label}@{sigma}",
+                                 shards=config.shards))
     return out
 
 
@@ -261,16 +258,6 @@ def _start_traffic(network: Network, hosts: Sequence[str], gap_ns: int,
                 continue
             host.send_flow(dst, num, sport=9000 + j, dport=7000,
                            gap_ns=gap_ns, start_delay_ns=17 * i)
-
-
-def _arm_faults(network: Network, deployment, params: dict):
-    if "faults" not in params:
-        return None
-    injector = FaultInjector(network,
-                             FaultSchedule.from_jsonable(params["faults"]),
-                             deployment=deployment)
-    injector.arm()
-    return injector
 
 
 def _wave_cuts(observer, wave_epochs: dict[int, int]) -> dict[int, dict]:
@@ -299,114 +286,78 @@ def _render(verifier: UpdateVerifier, cuts: dict[int, dict],
             for wave in verifier.schedule.waves]
 
 
-def _single_cell(spec: TrialSpec, schedule: UpdateSchedule,
-                 verifier: UpdateVerifier) -> dict[str, Any]:
-    p = spec.params
-    topo = _topology()
-    hosts = sorted(topo.hosts)
-    network = Network(topo, NetworkConfig(seed=spec.seed,
-                                          ptp_config=noiseless_ptp()))
-    offsets = inject_clock_error(network, p["sigma_ns"], seed=spec.seed)
-    deployment = deploy(network, metric="fib_version", updates=schedule)
-    injector = _arm_faults(network, deployment, p)
-    wave_epochs = {w: deployment.observer.take_snapshot(at_wall_ns=at)
-                   for w, at in sorted(verifier.snapshot_instants().items())}
-    _start_traffic(network, hosts, p["gap_ns"], p["ttl"])
-    network.run(until=RUN_UNTIL_NS)
+def setup(worker: ShardWorker, params: dict, seed: int,
+          audit: bool = False):
+    """Per-shard setup of one cell (module-level so the process runner
+    can pickle it; ``shards=1`` is the one shard that owns everything).
+    Each worker arms the slices of the update and fault schedules it
+    owns; the observer shard pre-schedules the straddling snapshots;
+    every shard ships its drop log home as plain tuples.
 
-    cuts = _wave_cuts(deployment.observer, wave_epochs)
-    drops = list(deployment.update_driver.drops)
-    data = _fold(verifier, cuts, drops)
-    data["offsets"] = offsets
-    data["updates_applied"] = len(deployment.update_driver.applied)
-    data["faults_applied"] = injector.applied if injector else 0
-    if p.get("audit", True):
-        data.update(_audit_cell(spec, schedule, verifier))
-    return data
-
-
-def _audit_cell(spec: TrialSpec, schedule: UpdateSchedule,
-                verifier: UpdateVerifier) -> dict[str, Any]:
-    """The conservation pass: same cell, ``packet_count`` + channel
-    state, straddling cuts audited against the link non-negativity
-    invariant and the trace-replayed conservation law."""
-    p = spec.params
-    topo = _topology()
-    network = Network(topo, NetworkConfig(seed=spec.seed,
-                                          ptp_config=noiseless_ptp(),
-                                          enable_tracing=True))
-    inject_clock_error(network, p["sigma_ns"], seed=spec.seed)
-    deployment = deploy(network, metric="packet_count", channel_state=True,
-                        updates=schedule)
-    _arm_faults(network, deployment, p)
-    epochs = [deployment.observer.take_snapshot(at_wall_ns=at)
-              for _w, at in sorted(verifier.snapshot_instants().items())]
-    _start_traffic(network, sorted(topo.hosts), p["gap_ns"], p["ttl"])
-    network.run(until=RUN_UNTIL_NS)
-
-    snapshots = [deployment.observer.snapshot(e) for e in epochs]
-    link_audit = LinkAudit(network).audit_completed(snapshots)
-    checker = ConsistencyChecker(deployment.ids, metric="packet_count")
-    checker.ingest(network.trace_log)
-    consistency = checker.audit(snapshots, channel_state=True)
-    return {
-        "audit_ok": link_audit.ok,
-        "audit_summary": str(link_audit),
-        "consistency_ok": consistency.ok,
-        "consistency_summary": str(consistency),
-        "consistency_violations": list(consistency.violations),
-    }
-
-
-def _sharded_setup(worker: ShardWorker, schedule_json: dict, sigma_ns: int,
-                   seed: int, gap_ns: int, ttl: int, hosts: list):
-    """Per-shard setup (module-level so the process runner can pickle
-    it).  Each worker arms the slice of the schedule it owns; the
-    observer shard pre-schedules the straddling snapshots; every shard
-    ships its drop log home as plain tuples."""
-    schedule = UpdateSchedule.from_jsonable(schedule_json)
-    inject_clock_error(worker.network, sigma_ns, seed=seed)
-    local = schedule.restrict(set(worker.network.switches))
-    deployment = deploy(worker, metric="fib_version", updates=local)
+    ``audit`` selects the conservation pass instead of the verdict
+    pass: same cell, ``packet_count`` + channel state (hence one shard
+    only), straddling cuts audited against the link non-negativity
+    invariant and the trace-replayed conservation law.
+    """
+    network = worker.network
+    schedule = UpdateSchedule.from_jsonable(params["schedule"])
+    offsets = inject_clock_error(network, params["sigma_ns"], seed=seed)
+    deployment = deploy(
+        worker, updates=schedule.restrict(network.switches),
+        **(dict(metric="packet_count", channel_state=True) if audit
+           else dict(metric="fib_version")))
+    injector = FaultInjector(
+        network,
+        FaultSchedule.from_jsonable(params.get("faults", ())).restrict(
+            worker.plan.assignment, worker.shard_id),
+        deployment=deployment)
+    injector.arm()
     wave_epochs: dict[int, int] = {}
     if deployment.is_observer_shard:
-        verifier = UpdateVerifier(schedule)
-        for w, at in sorted(verifier.snapshot_instants().items()):
+        instants = UpdateVerifier(schedule).snapshot_instants()
+        for w, at in sorted(instants.items()):
             wave_epochs[w] = deployment.observer.take_snapshot(at_wall_ns=at)
-    _start_traffic(worker.network, hosts, gap_ns, ttl)
+    _start_traffic(network, sorted(network.topology.hosts),
+                   params["gap_ns"], params["ttl"])
 
-    def finish() -> dict:
+    def finish_audit() -> dict[str, Any]:
+        snapshots = [deployment.observer.snapshot(e)
+                     for e in wave_epochs.values()]
+        link_audit = LinkAudit(network).audit_completed(snapshots)
+        checker = ConsistencyChecker(deployment.ids, metric="packet_count")
+        checker.ingest(network.trace_log)
+        consistency = checker.audit(snapshots, channel_state=True)
+        return {
+            "audit_ok": link_audit.ok,
+            "audit_summary": str(link_audit),
+            "consistency_ok": consistency.ok,
+            "consistency_summary": str(consistency),
+            "consistency_violations": list(consistency.violations),
+        }
+
+    def finish() -> dict[str, Any]:
         result: dict[str, Any] = {
             "drops": [(d.time_ns, d.device, d.kind, d.dst)
                       for d in deployment.update_driver.drops],
             "applied": len(deployment.update_driver.applied),
+            "faults_applied": injector.applied,
+            "offsets": offsets,
         }
         if deployment.is_observer_shard:
             result["cuts"] = _wave_cuts(deployment.observer, wave_epochs)
         return result
 
-    return finish
+    return finish_audit if audit else finish
 
 
-def _sharded_cell(spec: TrialSpec, schedule: UpdateSchedule,
-                  verifier: UpdateVerifier) -> dict[str, Any]:
-    from repro.core.sharded import OBSERVER_SHARD
-
-    p = spec.params
-    topo = _topology()
-    results = run_sharded(
-        topo, NetworkConfig(seed=spec.seed, ptp_config=noiseless_ptp()),
-        shards=p["shards"], until=RUN_UNTIL_NS, setup=_sharded_setup,
-        setup_args=(p["schedule"], p["sigma_ns"], spec.seed,
-                    p["gap_ns"], p["ttl"], sorted(topo.hosts)))
-    drops = [DropRecord(*row) for shard in results
-             for row in shard["drops"]]
-    drops.sort(key=lambda d: (d.time_ns, d.device, d.kind, d.dst))
-    cuts = results[OBSERVER_SHARD]["cuts"]
-    data = _fold(verifier, cuts, drops)
-    data["updates_applied"] = sum(shard["applied"] for shard in results)
-    data["faults_applied"] = 0
-    return data
+def _run_pass(spec: TrialSpec, *, audit: bool) -> list[dict[str, Any]]:
+    """One simulation of the cell; the per-shard finish results."""
+    return run_sharded(
+        _topology(),
+        NetworkConfig(seed=spec.seed, ptp_config=noiseless_ptp(),
+                      enable_tracing=audit),
+        shards=spec.shards, until=RUN_UNTIL_NS, setup=setup,
+        setup_args=(spec.params, spec.seed, audit))
 
 
 def _fold(verifier: UpdateVerifier, cuts: dict[int, dict],
@@ -429,12 +380,22 @@ def _fold(verifier: UpdateVerifier, cuts: dict[int, dict],
 
 @trial("updates_sweep")
 def run_updates_trial(spec: TrialSpec) -> TrialResult:
-    schedule = UpdateSchedule.from_jsonable(spec.params["schedule"])
-    verifier = UpdateVerifier(schedule)
-    if spec.params.get("shards", 1) > 1:
-        data = _sharded_cell(spec, schedule, verifier)
-    else:
-        data = _single_cell(spec, schedule, verifier)
+    verifier = UpdateVerifier(
+        UpdateSchedule.from_jsonable(spec.params["schedule"]))
+    results = _run_pass(spec, audit=False)
+    drops = [DropRecord(*row) for shard in results
+             for row in shard["drops"]]
+    drops.sort(key=lambda d: (d.time_ns, d.device, d.kind, d.dst))
+    data = _fold(verifier, results[OBSERVER_SHARD]["cuts"], drops)
+    data["updates_applied"] = sum(shard["applied"] for shard in results)
+    data["faults_applied"] = sum(shard["faults_applied"]
+                                 for shard in results)
+    if spec.shards == 1:
+        # Single-process cells also report the realized offsets and,
+        # when asked, run the conservation pass (it needs channel state).
+        data["offsets"] = results[0]["offsets"]
+        if spec.params.get("audit", True):
+            data.update(_run_pass(spec, audit=True)[0])
     return make_result(spec, data)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 #: Every fault kind the injector understands, with the layer it hooks.
@@ -134,6 +134,32 @@ class FaultSchedule:
         self.events.append(event)
         self._sort()
         return event
+
+    def restrict(self, assignment: Mapping[str, int],
+                 shard_id: int) -> "FaultSchedule":
+        """The events one shard must apply (shard slicing, the sibling
+        of :meth:`repro.updates.plan.UpdateSchedule.restrict`):
+        switch/clock/control-plane targets it owns, link targets with at
+        least one locally-owned endpoint (each direction's egress —
+        including a cut link's boundary stub — lives on the sender's
+        shard).  ``"*"`` stays on every shard; the injector resolves it
+        against that shard's local inventory.  A target no shard owns
+        would silently vanish from every slice, so it raises instead."""
+        keep = []
+        for event in self.events:
+            if event.target != "*":
+                owners = (event.target.split("-", 1)
+                          if event.layer == "link" else [event.target])
+                homes = [assignment.get(owner) for owner in owners]
+                if None in homes:
+                    raise ValueError(
+                        f"{event.kind}: target {event.target!r} names a "
+                        "node no shard owns; the fault cannot be applied "
+                        "on any slice")
+                if shard_id not in homes:
+                    continue
+            keep.append(event)
+        return FaultSchedule(events=keep)
 
     def __len__(self) -> int:
         return len(self.events)

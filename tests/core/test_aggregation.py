@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import (AggregationConfig, AggregationTree, DeploymentConfig,
                         ObserverConfig, SpeedlightDeployment)
-from repro.core.sharded import OBSERVER_SHARD, ShardedSpeedlightDeployment
+from repro.core.sharded import OBSERVER_SHARD
 from repro.core.snapshot import SnapshotStatus
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
@@ -212,7 +212,7 @@ class TestCrashCouplingAndAttribution:
 def _sharded_setup(worker, agg_degree):
     agg = (None if agg_degree is None
            else AggregationConfig(degree=agg_degree))
-    deployment = ShardedSpeedlightDeployment(worker, DeploymentConfig(
+    deployment = SpeedlightDeployment(worker, DeploymentConfig(
         metric="packet_count", aggregation=agg))
     epochs = []
     if deployment.is_observer_shard:

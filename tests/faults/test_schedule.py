@@ -70,3 +70,32 @@ class TestFaultSchedule:
     def test_non_event_rejected(self):
         with pytest.raises(TypeError):
             FaultSchedule(events=["link_down"])
+
+    def test_restrict_slices_by_owner_and_keeps_cut_links_on_both_sides(self):
+        assignment = {"leaf0": 0, "leaf1": 1, "spine0": 0, "server0": 0}
+        schedule = FaultSchedule()
+        schedule.add("cp_slow", 10, target="leaf0", scale=2.0)
+        schedule.add("clock_step", 20, target="leaf1", delta_ns=5)
+        schedule.add("link_delay", 30, target="leaf1-spine0", extra_ns=1)
+        schedule.add("link_down", 40, target="server0-leaf0")
+        schedule.add("queue_squeeze", 50, capacity=4)  # "*": every shard
+        kinds = {shard: [e.kind for e in schedule.restrict(assignment, shard)]
+                 for shard in (0, 1)}
+        assert kinds[0] == ["cp_slow", "link_delay", "link_down",
+                            "queue_squeeze"]
+        assert kinds[1] == ["clock_step", "link_delay", "queue_squeeze"]
+
+    def test_restrict_to_the_only_shard_is_the_whole_schedule(self):
+        schedule = FaultSchedule()
+        schedule.add("link_loss", 5, target="a-b", model="bernoulli", p=0.5)
+        schedule.add("cp_crash", 1, target="a")
+        whole = schedule.restrict({"a": 0, "b": 0}, 0)
+        assert whole.to_jsonable() == schedule.to_jsonable()
+
+    @pytest.mark.parametrize("kind,target", [("cp_crash", "ghost"),
+                                             ("link_delay", "a-ghost")])
+    def test_restrict_refuses_a_target_no_shard_owns(self, kind, target):
+        schedule = FaultSchedule()
+        schedule.add(kind, 0, target=target)
+        with pytest.raises(ValueError, match=f"{kind}.*{target}"):
+            schedule.restrict({"a": 0, "b": 1}, 0)

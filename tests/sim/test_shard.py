@@ -9,7 +9,8 @@ The two load-bearing guarantees:
   event streams do not move by a single event.
 * **Single-shard identity** — ``shards=1`` runs the plain
   single-process path, reproducing the integration suite's golden
-  event trace bit for bit through the sharded entry point.
+  event trace bit for bit through the sharded entry point and
+  ``deploy(worker)``.
 """
 
 import hashlib
@@ -18,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (DeploymentConfig, ShardedSpeedlightDeployment,
-                        SpeedlightDeployment)
+from repro.core import DeploymentConfig, SpeedlightDeployment, deploy
 from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig, cut_links, partition_topology
 from repro.sim.shard import (InProcessShardRunner, ProcessShardRunner,
@@ -47,7 +47,7 @@ def _traffic_setup(worker, rate_pps, stop_ns, snapshots, interval_ns):
     PoissonWorkload(worker.network, PoissonConfig(
         seed=worker.shard_id + 1, rate_pps=rate_pps, stop_ns=stop_ns,
         pairs=pairs, sport_churn=True)).start()
-    deployment = ShardedSpeedlightDeployment(worker, DeploymentConfig(
+    deployment = SpeedlightDeployment(worker, DeploymentConfig(
         metric="packet_count"))
     epochs = (deployment.schedule_campaign(snapshots, interval_ns)
               if deployment.is_observer_shard else [])
@@ -190,8 +190,7 @@ def _golden_setup(worker):
     PoissonWorkload(network, PoissonConfig(rate_pps=10_000,
                                            stop_ns=40 * MS,
                                            sport_churn=True)).start()
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="packet_count", channel_state=True))
+    deployment = deploy(worker, metric="packet_count", channel_state=True)
     deployment.schedule_campaign(count=3, interval_ns=10 * MS)
     digest = hashlib.sha256()
 

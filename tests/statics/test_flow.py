@@ -343,6 +343,7 @@ class TestFlowCli:
         proc = self._run(
             "--flow", "--no-cache", "--forbid-pragmas",
             "src/repro/sim/shard.py", "src/repro/core/sharded.py",
+            "src/repro/core/deployment.py", "src/repro/core/builder.py",
             "src/repro/core/aggregation.py", "src/repro/service")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import deploy
 from repro.core.sharded import OBSERVER_SHARD
-from repro.experiments.updates import _render, _sharded_setup, _wave_cuts
+from repro.experiments.updates import _render, _wave_cuts, setup
 from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import run_sharded
@@ -107,9 +107,9 @@ def _sharded_verdicts(shards):
         UpdateContext.for_topology(topo, horizon_ns=60 * MS))
     results = run_sharded(
         topo, NetworkConfig(seed=7, ptp_config=noiseless_ptp()),
-        shards=shards, until=80 * MS, setup=_sharded_setup,
-        setup_args=(schedule.to_jsonable(), 40_000, 7, 100 * US, 6,
-                    sorted(topo.hosts)),
+        shards=shards, until=80 * MS, setup=setup,
+        setup_args=(dict(schedule=schedule.to_jsonable(), sigma_ns=40_000,
+                         gap_ns=100 * US, ttl=6), 7),
         process=False)
     drops = sorted(row for shard in results for row in shard["drops"])
     cuts = results[OBSERVER_SHARD]["cuts"]
