@@ -3,13 +3,11 @@
 PYTHON ?= python
 # Worker processes for the trial runner (make figures JOBS=4).
 JOBS ?= 1
-# Entry label recorded by `make bench` in BENCH_core.json.
-BENCH_LABEL ?= adhoc
 # Experiment profiled by `make profile` (any name from `experiments --list`).
 PROFILE_EXP ?= fig10
 
 .PHONY: install test lint statics statics-flow typecheck static-checks \
-        bench bench-smoke bench-experiments repo-bench-smoke \
+        bench bench-smoke bench-experiments \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -44,22 +42,11 @@ typecheck:
 # Everything the CI static-checks job runs (statics + flow + types + lint).
 static-checks: statics statics-flow typecheck lint
 
-# Hot-path micro-suite (docs/PERF.md): records a labelled entry in
-# BENCH_core.json and fails on >25% normalized event-loop or
-# sharded-core (shard_smoke) regression against the committed
-# sharded-core baseline.
+# The repo benchmark (BENCHMARK.json, bench/README.md): every workload,
+# each rep in a fresh subprocess, then one traced rep per workload for
+# the per-layer ledger; exits non-zero on any output mismatch.
 bench:
-	$(PYTHON) -m repro.perf.bench --label $(BENCH_LABEL) \
-	    --out BENCH_core.json --check-against BENCH_core.json \
-	    --baseline-label service-hot-path --max-regression 0.25
-
-# CI-sized variant: quick iteration counts, no history rewrite.
-# Includes the 2-shard fat-tree smoke of the space-parallel core
-# (docs/SHARDING.md).
-bench-smoke:
-	$(PYTHON) -m repro.perf.bench --quick --label ci-smoke \
-	    --out bench-smoke.json --check-against BENCH_core.json \
-	    --baseline-label service-hot-path --max-regression 0.25
+	$(PYTHON) bench/run.py
 
 # The repo benchmark's own checks (bench/README.md), CI-sized: its
 # harness tests, one short untraced service_ingest rep and one short
@@ -69,7 +56,7 @@ bench-smoke:
 # the last line fails when a traced entry point no longer resolves
 # (bench.spans_missing > 0), so a refactor that breaks the benchmark is
 # caught before the pipeline runs it.
-repo-bench-smoke:
+bench-smoke:
 	$(PYTHON) -m pytest bench/tests -q
 	$(PYTHON) bench/run.py --workload service_ingest --seconds 2 --trace 0
 	$(PYTHON) bench/run.py --workload service_query --seconds 2 --trace 1
@@ -125,7 +112,7 @@ profile:
 	    --profile profiles
 	@for f in profiles/*.prof; do \
 	    echo "== $$f"; \
-	    $(PYTHON) -m repro.perf.profiles $$f --limit 15; \
+	    $(PYTHON) -m repro.runtime.profiles $$f --limit 15; \
 	done
 
 # Regenerate every table/figure through the shared trial runner: one
@@ -150,5 +137,5 @@ examples:
 
 clean:
 	rm -rf .pytest_cache .hypothesis .repro-cache src/repro.egg-info \
-	       profiles bench-smoke.json
+	       profiles
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -110,7 +110,7 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", metavar="DIR", default=None,
                         help="dump one cProfile .prof file per trial into "
                              "DIR (forces serial, bypasses the cache; "
-                             "inspect with python -m repro.perf.profiles)")
+                             "inspect with python -m repro.runtime.profiles)")
     # Named --fault-profile (not --profile, which already means cProfile
     # output above) — see docs/FAULTS.md.
     parser.add_argument("--fault-profile", metavar="JSON|FILE", default=None,

@@ -35,7 +35,7 @@ latency on the *notification* path).  ``degree=0`` is the flat-modeled
 baseline: no tree, unicast initiation, but every record crosses the
 observer's modeled intake channel as its own message — which is what an
 honest accounting of the paper's observer looks like, and what the
-``agg_knee`` benchmark shows collapsing as the fabric grows.
+``fig10-agg`` experiment shows collapsing as the fabric grows.
 
 Determinism.  Tree construction is a pure function of (topology,
 participating switches, degree) with sorted-name tie-breaks, exactly
@@ -463,7 +463,7 @@ class AggregationFabric:
 
     def stats(self) -> dict[str, int]:
         """Fabric health counters, aggregated across local agents and
-        the intake — the ``agg_knee`` sustained-rate criteria."""
+        the intake — the ``fig10-agg`` sustained-rate criteria."""
         out = {"messages": 0, "dropped": 0, "backlog": 0, "max_backlog": 0,
                "records_forwarded": 0, "records_lost": 0,
                "partial_flushes": 0, "intake_processed": 0,

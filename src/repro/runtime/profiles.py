@@ -1,8 +1,9 @@
 """cProfile helpers shared by ``TrialRunner(profile_dir=...)``, the CLI
 ``--profile`` flag, and ``make profile``.
 
-Deliberately dependency-free (stdlib only) so :mod:`repro.runtime` can
-import it without cycles.
+Stdlib only.  :mod:`repro.runtime.runner` imports it lazily, so
+``python -m repro.runtime.profiles`` is not already in ``sys.modules``
+when it runs as ``__main__``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def print_profile(path: str, limit: int = 25,
 
 
 def main(argv: Optional[list] = None) -> int:
-    """``python -m repro.perf.profiles dump.prof [--limit N] [--sort KEY]``"""
+    """``python -m repro.runtime.profiles dump.prof [--limit N] [--sort KEY]``"""
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -151,7 +151,7 @@ class TrialRunner:
     def _run_profiled(self, miss_specs: Sequence[TrialSpec],
                       stats: BatchStats) -> list[TrialResult]:
         """Serial execution with one cProfile dump per trial."""
-        from repro.perf.profiles import profile_call
+        from repro.runtime.profiles import profile_call
 
         os.makedirs(self.profile_dir, exist_ok=True)
         executed = []

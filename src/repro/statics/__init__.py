@@ -2,7 +2,7 @@
 
 An AST-based rule engine (``repro statics`` / ``make statics``) that
 encodes this repository's determinism contracts as pre-execution checks:
-seeded-RNG-only simulation layers, no wall-clock outside runtime/perf,
+seeded-RNG-only simulation layers, no wall-clock outside runtime,
 no unordered-set iteration in the scheduling core, no
 PYTHONHASHSEED-dependent ordering keys, integer-only simulation time,
 ``__slots__`` integrity, and pure ``@trial`` functions.  See

@@ -32,7 +32,7 @@ DEFAULT_CACHE_DIR = os.path.join(".repro-cache", "statics-flow")
 #: Rules that encode repo-local conventions rather than portable
 #: determinism contracts.  ``--profile external`` drops them: DET002
 #: polices *this* repo's layering (wall-clock reads allowed only in
-#: runtime/perf scopes, which don't exist out-of-tree), and TRIAL001
+#: the runtime scope, which doesn't exist out-of-tree), and TRIAL001
 #: keys off our ``@trial`` decorator.
 EXTERNAL_EXCLUDED = frozenset({"DET002", "TRIAL001"})
 

@@ -7,7 +7,7 @@ relies on dynamically (see docs/DETERMINISM.md for the full rationale):
 ========  ============================================================
 DET001    seeded ``random.Random`` only — no global-RNG calls in the
           simulation layers (``sim``/``core``/``faults``/``workloads``)
-DET002    no wall-clock reads outside the ``runtime``/``perf`` layers
+DET002    no wall-clock reads outside the ``runtime`` layer
 DET003    no iteration over bare ``set``s in ``sim``/``core`` (hash-seed
           dependent order can reach scheduling and serialization)
 DET004    no builtin ``hash()``/``id()`` in ordering keys
@@ -142,13 +142,13 @@ _WALL_DATETIME_FNS = {"now", "utcnow", "today"}
 class WallClockRule(Rule):
     """No wall-clock reads in simulation/analysis code.  Simulated time
     comes from ``Simulator.now``/``Clock``; host time is allowed only in
-    the ``runtime`` (trial timing) and ``perf`` (benchmarks) layers."""
+    the ``runtime`` layer (trial timing, profiling)."""
 
     id = "DET002"
-    title = "no wall-clock outside runtime/perf"
+    title = "no wall-clock outside runtime"
     hint = ("take time from Simulator.now or sim.clock.Clock; wall-clock "
-            "reads belong in the runtime/perf layers only")
-    excluded_scopes = frozenset({"runtime", "perf"})
+            "reads belong in the runtime layer only")
+    excluded_scopes = frozenset({"runtime"})
 
     def check(self, ctx: FileContext) -> list[Finding]:
         imports = ImportMap(ctx.tree)

@@ -62,6 +62,24 @@ class TestFig10:
         assert result.max_rate_hz[64] > 40  # paper: >70 at full search depth
         assert "Figure 10" in result.report()
 
+    # The knees are simulated outputs of the serial control-plane model,
+    # so they are pinned by equality, like bench/reference.json's exact
+    # stats: any model change moves them and must re-record them.
+    @pytest.mark.parametrize("ports, burst, search_iterations, knee_hz", [
+        (16, 25, 7, 295.11407293450105),
+        (8, 15, 6, 638.6321513022225),
+    ])
+    def test_knee_is_pinned(self, ports, burst, search_iterations, knee_hz):
+        config = fig10.Fig10Config(port_counts=[ports], burst=burst,
+                                   search_iterations=search_iterations)
+        assert fig10.run(config).max_rate_hz == {ports: knee_hz}
+
+    def test_aggregation_knee_is_pinned(self):
+        config = fig10.AggKneeConfig(arities=[4], degrees=[0, 4], burst=6,
+                                     search_iterations=6)
+        assert fig10.run_agg(config).max_rate_hz == {
+            (4, 0): 57.7390992344729, (4, 4): 1369.209817132181}
+
 
 class TestFig11:
     def test_sync_grows_slowly_and_stays_bounded(self):

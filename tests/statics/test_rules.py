@@ -77,11 +77,13 @@ class TestRuleBehaviour:
                "x = rng.random()\n")
         assert check_source(src, "x.py", ALL_RULES, scope="sim").ok
 
-    def test_det002_allows_runtime_and_perf(self):
+    def test_det002_allows_runtime_only(self):
         src = "import time\nt = time.perf_counter()\n"
-        for scope in ("runtime", "perf"):
-            assert check_source(src, "x.py", ALL_RULES, scope=scope).ok
-        assert not check_source(src, "x.py", ALL_RULES, scope="sim").ok
+        assert check_source(src, "x.py", ALL_RULES, scope="runtime").ok
+        # No other scope is exempt, ``perf`` included.
+        for scope in ("sim", "perf"):
+            report = check_source(src, "x.py", ALL_RULES, scope=scope)
+            assert {f.rule for f in report.findings} == {"DET002"}
 
     def test_det003_sorted_wrapper_is_clean(self):
         src = "s = {1, 2}\nout = [x for x in sorted(s)]\n"
