@@ -93,6 +93,14 @@ class _Keyed:
                           for key in self.sorted_keys()]
         return doc
 
+    def copy(self) -> "_Keyed":
+        """An independent state over the same (never mutated) row dicts
+        and sorted key order: two dict copies, no per-row work."""
+        twin = _Keyed.__new__(_Keyed)
+        twin.meta, twin.rows = dict(self.meta), dict(self.rows)
+        twin.order = self.sorted_keys()
+        return twin
+
 
 def _keyed(doc: Union[EpochDoc, _Keyed]) -> _Keyed:
     return doc if isinstance(doc, _Keyed) else _Keyed(doc)
@@ -179,13 +187,18 @@ class StoreConfig:
 
 
 class _Entry:
-    __slots__ = ("epoch", "kind", "payload", "size")
+    __slots__ = ("epoch", "keyed", "kind", "payload", "size")
 
-    def __init__(self, epoch: int, kind: str, payload: EpochDoc) -> None:
+    def __init__(self, epoch: int, kind: str, payload: EpochDoc,
+                 keyed: Optional[_Keyed] = None) -> None:
         self.epoch = epoch
         self.kind = kind
         self.payload = payload
         self.size = canonical_bytes(payload)
+        #: A keyframe's payload in keyed form (None on a delta): every
+        #: chain that decodes from it starts from a :meth:`_Keyed.copy`
+        #: instead of keying the document again.
+        self.keyed = keyed
 
 
 class EpochStore:
@@ -224,8 +237,9 @@ class EpochStore:
             raise ValueError(f"epoch {epoch} is already stored")
         if (self._tail is None
                 or self._since_keyframe + 1 >= self.config.keyframe_interval):
-            entry = _Entry(epoch, _KEYFRAME, doc)
-            self._tail = _Keyed(doc)
+            keyed = _Keyed(doc)
+            entry = _Entry(epoch, _KEYFRAME, doc, keyed)
+            self._tail = keyed.copy()
             self._since_keyframe = 0
             self.keyframes += 1
         else:
@@ -250,8 +264,10 @@ class EpochStore:
         self.evicted += 1
         if self._entries and self._entries[0].kind == _DELTA:
             head = self._entries[0]
-            full = apply_delta(oldest.payload, head.payload)
-            promoted = _Entry(head.epoch, _KEYFRAME, full)
+            # ``oldest`` is gone, so its keyed form is ours to advance.
+            assert oldest.keyed is not None
+            state = apply_delta(oldest.keyed, head.payload)
+            promoted = _Entry(head.epoch, _KEYFRAME, state.document(), state)
             self.encoded_bytes += promoted.size - head.size
             self._entries[0] = promoted
             self.promoted += 1
@@ -306,18 +322,21 @@ class EpochStore:
             return
         while entries[first].kind == _DELTA:
             first -= 1
-        base: EpochDoc = {}
-        state: Optional[_Keyed] = None  # None: ``base`` is the document
+        key = entries[first]
+        state: Optional[_Keyed] = None  # None: ``key`` holds the document
         for entry in islice(entries, first, last + 1):
             if entry.kind == _KEYFRAME:
-                base, state = entry.payload, None
+                key, state = entry, None
             else:
-                state = apply_delta(_Keyed(base) if state is None else state,
-                                    entry.payload)
+                if state is None:
+                    assert key.keyed is not None
+                    state = key.keyed.copy()
+                state = apply_delta(state, entry.payload)
             if wanted(entry.epoch):
                 # Always fresh: the generator suspends at yield, and the
                 # caller may mutate the document before the next hop.
-                yield _copy_doc(base) if state is None else state.document()
+                yield (_copy_doc(key.payload) if state is None
+                       else state.document())
 
     def scan_meta(self) -> Iterator[EpochDoc]:
         """The top-level fields (everything but ``records``) of every

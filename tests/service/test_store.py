@@ -408,3 +408,34 @@ class TestSeekCost:
         assert len(hops) <= 63 + 31
         hops.clear()
         assert len(list(store.scan_meta())) == 512 and hops == []
+
+    def test_a_document_is_keyed_once_however_often_it_is_read(
+            self, counted, monkeypatch):
+        """Reads and promotions start from the keyframe's cached keyed
+        form; only a newly appended keyframe is keyed, and reads
+        interleaved with evictions still decode every epoch exactly."""
+        store, _hops = counted
+        keyed = []
+        init = store_module._Keyed.__init__
+
+        def counting(self, doc):
+            keyed.append(doc["epoch"])
+            init(self, doc)
+
+        def full(epoch):
+            return _doc(epoch, [True] * len(UNITS), [epoch] * len(UNITS),
+                        [True] * len(UNITS))
+
+        monkeypatch.setattr(store_module._Keyed, "__init__", counting)
+        for _ in range(2):
+            for epoch in store.epochs():
+                assert _canon(store.get(epoch)) == _canon(full(epoch))
+        assert keyed == []
+        appended = range(700, 780)  # 80 evictions, each promoting a delta
+        for epoch in appended:
+            store.append(full(epoch))
+            oldest = store.min_epoch
+            assert _canon(store.get(oldest + 5)) == _canon(full(oldest + 5))
+        keyframes = [e.epoch for e in store._entries
+                     if e.kind == "key" and e.epoch in appended]
+        assert keyed == keyframes and len(keyframes) in (2, 3)
