@@ -28,23 +28,13 @@ def profile_call(fn: Callable[..., Any], *args: Any, out: str,
 
 
 def top_functions(path: str, limit: int = 25,
-                  sort: str = "cumulative",
-                  strip_dirs: bool = True) -> str:
+                  sort: str = "cumulative") -> str:
     """Render the top ``limit`` functions of a ``.prof`` dump as text —
     what ``make profile`` prints after the run."""
-    stats = pstats.Stats(path, stream=io.StringIO())
-    if strip_dirs:
-        stats.strip_dirs()
     stream = io.StringIO()
-    stats.stream = stream
-    stats.sort_stats(sort).print_stats(limit)
+    stats = pstats.Stats(path, stream=stream)
+    stats.strip_dirs().sort_stats(sort).print_stats(limit)
     return stream.getvalue()
-
-
-def print_profile(path: str, limit: int = 25,
-                  sort: str = "cumulative",
-                  write: Optional[Callable[[str], Any]] = None) -> None:
-    (write or print)(top_functions(path, limit=limit, sort=sort))
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -59,7 +49,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--sort", default="cumulative",
                         help="pstats sort key (cumulative, tottime, calls)")
     args = parser.parse_args(argv)
-    print_profile(args.path, limit=args.limit, sort=args.sort)
+    print(top_functions(args.path, limit=args.limit, sort=args.sort))
     return 0
 
 
