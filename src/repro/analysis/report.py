@@ -113,6 +113,10 @@ def snapshot_to_json(snapshot: GlobalSnapshot, indent: Optional[int] = None) -> 
     return json.dumps(epoch_record(snapshot), indent=indent)
 
 
+def _unit_order(unit: UnitId) -> tuple[str, int, str]:
+    return (unit.device, unit.port, unit.direction.value)
+
+
 @dataclass
 class CampaignSeries:
     """Per-unit time series across a snapshot campaign.
@@ -135,20 +139,22 @@ class CampaignSeries:
             common &= set(snap.records)
         if not common:
             raise ValueError("snapshots share no units")
-        series: dict[UnitId, list[int]] = {u: [] for u in common}
+        # ``series`` is public and ``deltas()`` inherits its order: build
+        # it in ``units()`` order, not the set's hash-seed order.
+        series: dict[UnitId, list[int]] = {
+            u: [] for u in sorted(common, key=_unit_order)}
         for snap in snaps:
-            for unit in common:
+            for unit, values in series.items():
                 record = snap.records[unit]
-                series[unit].append(record.total_value if use_total
-                                    else record.value)
+                values.append(record.total_value if use_total
+                              else record.value)
         return cls(epochs=[s.epoch for s in snaps], series=series)
 
     def __len__(self) -> int:
         return len(self.epochs)
 
     def units(self) -> list[UnitId]:
-        return sorted(self.series, key=lambda u: (u.device, u.port,
-                                                  u.direction.value))
+        return sorted(self.series, key=_unit_order)
 
     def named(self, direction: Optional[Direction] = None) -> dict[str, list[float]]:
         """Series keyed by "device:port" strings (the spearman_matrix

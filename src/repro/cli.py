@@ -26,15 +26,12 @@ Commands:
 ``metrics``
     List the snapshot-capable metrics and whether they support channel
     state.
-``statics [paths] [--json] [--sarif F] [--rules A,B] [--flow] [...]``
+``statics [paths] [--json] [--sarif F] [--rules A,B] [...]``
     Run the determinism & simulation-invariant static analysis pass
     (docs/DETERMINISM.md) over ``src tests`` or the given paths; exits
     non-zero on findings.  CI gates on ``repro statics src tests``.
-    ``--profile external`` audits out-of-tree simulation models with
-    the repo-convention rules (DET002, TRIAL001) dropped.  ``--flow``
-    links the paths into one program and runs the whole-program
-    families (cross-actor races, mailbox dead letters, ordering and
-    float taint feeding cross-boundary sends).
+    The flags are ``repro.statics.cli``'s own: everything after
+    ``statics`` is handed to it unparsed.
 ``serve [--epochs N] [--interval-us U] [--conservation] [...]``
     Snapshot-as-a-service (docs/SERVICE.md): run a continuous epoch
     pipeline under the sustained memcache incast workload — bounded
@@ -291,35 +288,6 @@ def cmd_metrics(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_statics(args: argparse.Namespace) -> int:
-    from repro.statics.cli import main as statics_main
-
-    argv: list[str] = list(args.paths)
-    if args.as_json:
-        argv.append("--json")
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.profile != "default":
-        argv.extend(["--profile", args.profile])
-    if args.flow:
-        argv.append("--flow")
-    if args.graph_dump:
-        argv.append("--graph-dump")
-    if args.sarif:
-        argv.extend(["--sarif", args.sarif])
-    if args.jobs != 1:
-        argv.extend(["--jobs", str(args.jobs)])
-    if args.forbid_pragmas:
-        argv.append("--forbid-pragmas")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.flow_cache_dir:
-        argv.extend(["--cache-dir", args.flow_cache_dir])
-    return statics_main(argv)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     import json
 
@@ -451,49 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("metrics", help="list snapshot-capable metrics")
 
-    statics_parser = sub.add_parser(
+    # Listed for `repro --help` only: main() hands everything after
+    # `statics` to repro.statics.cli, the one declaration of its flags.
+    sub.add_parser(
         "statics",
         help="determinism & simulation-invariant static analysis")
-    statics_parser.add_argument("paths", nargs="*", metavar="PATH",
-                                help="files/directories (default: src tests)")
-    statics_parser.add_argument("--json", action="store_true",
-                                dest="as_json",
-                                help="machine-readable output")
-    statics_parser.add_argument("--rules", metavar="A,B", default=None,
-                                help="run only these rule ids")
-    statics_parser.add_argument("--list-rules", action="store_true",
-                                help="list the rules and exit")
-    statics_parser.add_argument("--profile",
-                                choices=("default", "external"),
-                                default="default",
-                                help="'external' audits out-of-tree "
-                                     "simulation models (drops DET002/"
-                                     "TRIAL001, forces the 'sim' scope, "
-                                     "requires explicit paths)")
-    statics_parser.add_argument("--flow", action="store_true",
-                                help="whole-program analysis "
-                                     "(FLOW001/MSG001/MSG002/DET005)")
-    statics_parser.add_argument("--graph-dump", action="store_true",
-                                dest="graph_dump",
-                                help="with --flow: dump the linked "
-                                     "call/message graphs")
-    statics_parser.add_argument("--sarif", metavar="FILE", default=None,
-                                help="also write SARIF 2.1.0 output")
-    statics_parser.add_argument("--jobs", type=int, default=1,
-                                metavar="N",
-                                help="parallel per-file parse phase")
-    statics_parser.add_argument("--forbid-pragmas", action="store_true",
-                                dest="forbid_pragmas",
-                                help="fail if anything was suppressed "
-                                     "by a pragma")
-    statics_parser.add_argument("--no-cache", action="store_true",
-                                dest="no_cache",
-                                help="with --flow: disable the summary "
-                                     "cache")
-    statics_parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                                dest="flow_cache_dir",
-                                help="with --flow: summary cache root "
-                                     "(default: .repro-cache/statics-flow)")
 
     serve_parser = sub.add_parser(
         "serve",
@@ -558,13 +488,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["statics"]:
+        # Imported here so the other commands never load the AST rules.
+        from repro.statics.cli import main as statics_main
+
+        return statics_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
         "experiments": cmd_experiments,
         "run": cmd_run,
         "metrics": cmd_metrics,
-        "statics": cmd_statics,
         "serve": cmd_serve,
         "demo": cmd_demo,
     }

@@ -146,7 +146,7 @@ class ProfileContext(Window):
         if target != "*" and target not in known and f"{b}-{a}" not in known:
             raise ValueError(
                 f"{kind}: no {FAULT_KINDS[kind]} named {target!r} in the "
-                f"profile context (known: {', '.join(known)})")
+                f"profile context (known: {', '.join(sorted(known))})")
         at = self.clamp(at_ns)
         if kind in INSTANT_KINDS:
             duration = 0

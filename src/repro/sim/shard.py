@@ -336,7 +336,8 @@ def _route(items: list[TransportItem],
             try:
                 dest = mailbox_homes[key]
             except KeyError:
-                raise KeyError(f"no shard registered mailbox {key!r}") from None
+                raise KeyError(f"no shard registered mailbox {key!r} "
+                               f"(sent by shard {src})") from None
         per.setdefault(dest, []).append(item)
     for group in per.values():
         group.sort(key=_merge_key)
@@ -395,8 +396,10 @@ class InProcessShardRunner:
         for worker in self.workers:
             for name in worker.mailboxes:
                 if name in self._mailbox_homes:
-                    raise ValueError(f"mailbox {name!r} registered by "
-                                     "more than one shard")
+                    raise ValueError(
+                        f"mailbox {name!r} registered by more than one "
+                        f"shard ({self._mailbox_homes[name]} and "
+                        f"{worker.shard_id})")
                 self._mailbox_homes[name] = worker.shard_id
         self.rounds = 0
 
@@ -503,8 +506,10 @@ class ProcessShardRunner:
             self._next_times[shard_id] = next_time
             for name in mailboxes:
                 if name in self._mailbox_homes:
-                    raise ValueError(f"mailbox {name!r} registered by "
-                                     "more than one shard")
+                    raise ValueError(
+                        f"mailbox {name!r} registered by more than one "
+                        f"shard ({self._mailbox_homes[name]} and "
+                        f"{shard_id})")
                 self._mailbox_homes[name] = shard_id
         self.rounds = 0
 

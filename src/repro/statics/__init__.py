@@ -3,7 +3,7 @@
 An AST-based rule engine (``repro statics`` / ``make statics``) that
 encodes this repository's determinism contracts as pre-execution checks:
 seeded-RNG-only simulation layers, no wall-clock outside runtime,
-no unordered-set iteration in the scheduling core, no
+no unordered-set iteration anywhere under ``src/repro``, no
 PYTHONHASHSEED-dependent ordering keys, integer-only simulation time,
 ``__slots__`` integrity, and pure ``@trial`` functions.  See
 docs/DETERMINISM.md for the contract and each rule's rationale, and
@@ -14,20 +14,12 @@ from repro.statics.engine import (FileContext, Report, Rule, check_file,
                                   check_source, iter_python_files,
                                   run_paths, scope_of)
 from repro.statics.findings import Finding
-from repro.statics.flow import (FLOW_RULE_IDS, FLOW_RULES, load_program,
-                                run_flow)
-from repro.statics.graphs import Program
 from repro.statics.pragmas import Pragma, PragmaTable, parse_pragmas
 from repro.statics.rules import ALL_RULE_IDS, ALL_RULES
 
 __all__ = [
     "ALL_RULES",
     "ALL_RULE_IDS",
-    "FLOW_RULES",
-    "FLOW_RULE_IDS",
-    "Program",
-    "load_program",
-    "run_flow",
     "FileContext",
     "Finding",
     "Pragma",

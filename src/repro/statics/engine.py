@@ -123,25 +123,23 @@ class Report:
 
 def check_source(source: str, path: str, rules: Sequence[Rule], *,
                  scope: Optional[str] = None,
-                 report_unused_pragmas: bool = True,
-                 known_rules: Optional[set[str]] = None,
-                 active_rules: Optional[set[str]] = None) -> Report:
+                 known_rules: Optional[set[str]] = None) -> Report:
     """Run ``rules`` over one source blob.
 
     ``scope`` overrides path-derived scoping (the unit tests use this to
     exercise scoped rules on in-memory snippets).  ``known_rules`` is
     the id set pragmas may legitimately name — pass the full registry
     when running a ``--rules`` subset, so a pragma for an inactive rule
-    is not misreported as unknown.  ``active_rules`` scopes the
-    unused-pragma audit to rules that actually ran (default: the ids
-    of ``rules``) — a pragma for a rule outside this run is neither
-    used nor unused.  Returns a :class:`Report` for this file alone.
+    is not misreported as unknown.  The unused-pragma audit covers only
+    the rules that actually ran: a pragma for a rule outside this run
+    is neither used nor unused.  Returns a :class:`Report` for this
+    file alone.
     """
     report = Report(files_checked=1)
     lines = source.splitlines()
-    known = ({rule.id for rule in rules} if known_rules is None
-             else known_rules)
-    table: PragmaTable = parse_pragmas(source, path, known)
+    active = {rule.id for rule in rules}
+    table: PragmaTable = parse_pragmas(
+        source, path, active if known_rules is None else known_rules)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -164,26 +162,16 @@ def check_source(source: str, path: str, rules: Sequence[Rule], *,
         else:
             report.findings.append(finding)
     report.findings.extend(table.problems)
-    if report_unused_pragmas:
-        active = ({rule.id for rule in rules} if active_rules is None
-                  else active_rules)
-        report.findings.extend(
-            table.unused_findings(path, active_rules=active))
+    report.findings.extend(table.unused_findings(path, active_rules=active))
     report.findings.sort(key=Finding.sort_key)
     return report
 
 
 def check_file(path: str, rules: Sequence[Rule], *,
-               scope: Optional[str] = None,
-               report_unused_pragmas: bool = True,
-               known_rules: Optional[set[str]] = None,
-               active_rules: Optional[set[str]] = None) -> Report:
+               known_rules: Optional[set[str]] = None) -> Report:
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
-    return check_source(source, path, rules, scope=scope,
-                        report_unused_pragmas=report_unused_pragmas,
-                        known_rules=known_rules,
-                        active_rules=active_rules)
+    return check_source(source, path, rules, known_rules=known_rules)
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -208,33 +196,22 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                     yield os.path.join(dirpath, name)
 
 
-def _check_file_task(task: tuple[str, tuple[str, ...], Optional[str],
-                                 bool, Optional[frozenset[str]],
-                                 Optional[frozenset[str]]]) -> Report:
+def _check_file_task(task: tuple[str, tuple[str, ...],
+                                 Optional[set[str]]]) -> Report:
     """Worker-side unit for the parallel parse phase: rules travel as
     ids (instances reconstructed from the registry) so the task tuple
     pickles under both fork and spawn start methods."""
-    path, rule_ids, scope, report_unused, known, active = task
+    path, rule_ids, known_rules = task
     from repro.statics.rules import ALL_RULES
     by_id = {rule.id: rule for rule in ALL_RULES}
     rules = [by_id[rule_id] for rule_id in rule_ids]
-    return check_file(
-        path, rules, scope=scope, report_unused_pragmas=report_unused,
-        known_rules=set(known) if known is not None else None,
-        active_rules=set(active) if active is not None else None)
+    return check_file(path, rules, known_rules=known_rules)
 
 
 def run_paths(paths: Iterable[str], rules: Sequence[Rule], *,
-              scope: Optional[str] = None,
-              report_unused_pragmas: bool = True,
               known_rules: Optional[set[str]] = None,
-              active_rules: Optional[set[str]] = None,
               jobs: int = 1) -> Report:
     """Check every python file under ``paths``; aggregate one Report.
-
-    ``scope`` forces every file into one scope instead of deriving it
-    per-path — the ``--profile external`` front end uses this to treat
-    an out-of-tree model as simulation-core code.
 
     ``jobs > 1`` fans the per-file parse+check phase out over a process
     pool.  Files are independent and the aggregate is re-sorted, so the
@@ -256,19 +233,12 @@ def run_paths(paths: Iterable[str], rules: Sequence[Rule], *,
             context = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-posix fallback
             context = mp.get_context("spawn")
-        known = frozenset(known_rules) if known_rules is not None else None
-        active = (frozenset(active_rules)
-                  if active_rules is not None else None)
         rule_ids = tuple(rule.id for rule in rules)
-        tasks = [(path, rule_ids, scope, report_unused_pragmas, known,
-                  active) for path in files]
+        tasks = [(path, rule_ids, known_rules) for path in files]
         with context.Pool(processes=min(jobs, len(files))) as pool:
             reports = pool.map(_check_file_task, tasks)
     else:
-        reports = (check_file(path, rules, scope=scope,
-                              report_unused_pragmas=report_unused_pragmas,
-                              known_rules=known_rules,
-                              active_rules=active_rules)
+        reports = (check_file(path, rules, known_rules=known_rules)
                    for path in files)
     for one in reports:
         total.findings.extend(one.findings)

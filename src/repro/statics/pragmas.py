@@ -9,8 +9,8 @@ Syntax (a regular ``#`` comment, anywhere ruff would accept a ``noqa``)::
 A pragma names one or more rule ids and **must** carry a free-text
 reason — an allow without a reason is itself reported (``PRAGMA001``),
 and an allow that suppresses nothing is reported as unused
-(``PRAGMA002``, only when the full default rule set runs, so partial
-``--rules`` invocations do not misreport).
+(``PRAGMA002``, audited per rule that ran, so partial ``--rules``
+invocations do not misreport).
 
 Attribution: a trailing pragma suppresses findings on its own physical
 line; a standalone comment-line pragma suppresses findings on the next
@@ -25,7 +25,6 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from collections.abc import Iterator
-from typing import Optional
 
 from repro.statics.findings import Finding
 
@@ -132,24 +131,19 @@ class PragmaTable:
         return False
 
     def unused_findings(self, path: str,
-                        active_rules: Optional[set[str]] = None
-                        ) -> list[Finding]:
+                        active_rules: set[str]) -> list[Finding]:
         """PRAGMA002 findings for allows that suppressed nothing.
 
         Audited **per rule id**: a multi-rule pragma
         (``allow[DET003,DET004]``) where only DET003 fired is reported
-        unused for DET004 alone, not wholesale.  ``active_rules``
-        restricts the audit to the rules that actually ran — ids
-        outside it *cannot* have fired this run, so reporting them
-        would be noise (this is what lets ``--rules`` subsets and the
-        ``--flow`` pass audit pragmas without misreporting each
-        other's)."""
+        unused for DET004 alone, not wholesale.  ``active_rules`` is the
+        set of rules that actually ran — ids outside it *cannot* have
+        fired this run, so reporting them would be noise (this is what
+        lets a ``--rules`` subset audit pragmas without misreporting
+        the others')."""
         out = []
         for pragma in self.pragmas:
-            candidates = pragma.rules - pragma.used
-            if active_rules is not None:
-                candidates &= active_rules
-            for rule in sorted(candidates):
+            for rule in sorted((pragma.rules - pragma.used) & active_rules):
                 out.append(Finding(
                     rule=PRAGMA_UNUSED, path=path, line=pragma.line, col=1,
                     message=f"unused suppression: allow[{rule}] matched "

@@ -8,8 +8,9 @@ relies on dynamically (see docs/DETERMINISM.md for the full rationale):
 DET001    seeded ``random.Random`` only — no global-RNG calls in the
           simulation layers (``sim``/``core``/``faults``/``workloads``)
 DET002    no wall-clock reads outside the ``runtime`` layer
-DET003    no iteration over bare ``set``s in ``sim``/``core`` (hash-seed
-          dependent order can reach scheduling and serialization)
+DET003    no iteration over bare ``set``s in any ``src/repro`` package
+          (hash-seed dependent order can reach scheduling, messages and
+          serialized reports)
 DET004    no builtin ``hash()``/``id()`` in ordering keys
 SIM001    no float-producing expressions flowing into
           ``schedule()``/``schedule_at()``/``schedule_fast()``/``Event``
@@ -205,28 +206,23 @@ _ORDER_SENSITIVE_CALLS = {"list", "tuple", "iter", "enumerate"}
 
 
 class UnorderedIterationRule(Rule):
-    """No iteration over bare ``set``s in ``sim``/``core``.
+    """No iteration over bare ``set``s in any ``src/repro`` package.
 
     Set iteration order depends on PYTHONHASHSEED and insertion history;
-    when it reaches a ``schedule()`` loop, a serialized report, or a
-    fingerprint, two identical runs diverge.  (``dict``s are
-    insertion-ordered on every supported interpreter, so the rule
-    tracks sets — the genuinely unordered container.)  Wrap the
-    iterable in ``sorted(...)``, or pragma-allow with a reason when the
-    consumer is provably order-insensitive.
+    when it reaches a ``schedule()`` loop, a cross-shard send, a
+    serialized report, or a fingerprint, two identical runs diverge.
+    (``dict``s are insertion-ordered on every supported interpreter, so
+    the rule tracks sets — the genuinely unordered container.)  Wrap
+    the iterable in ``sorted(...)``, or pragma-allow with a reason when
+    the consumer is provably order-insensitive.
     """
 
     id = "DET003"
-    title = "no bare-set iteration in sim/core"
+    title = "no bare-set iteration in src/repro"
     hint = ("wrap the set in sorted(...) (or use an ordered container); "
             "pragma-allow with a reason only for order-insensitive "
             "consumers")
-    scopes = frozenset({"sim", "core"})
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        out: list[Finding] = []
-        self._scan(ctx.tree, ctx, out)
-        return out
+    excluded_scopes = frozenset({"tests", "benchmarks", "examples"})
 
     # -- set-expression classification ---------------------------------
     def _is_set_expr(self, node: ast.AST, env: dict[str, bool]) -> bool:
@@ -257,14 +253,14 @@ class UnorderedIterationRule(Rule):
                 and annotation.id in ("set", "frozenset", "Set",
                                       "FrozenSet", "AbstractSet"))
 
-    def _scan(self, root: ast.AST, ctx: FileContext,
-              out: list[Finding]) -> None:
+    def check(self, ctx: FileContext) -> list[Finding]:
+        out: list[Finding] = []
         # First pass: names bound to set expressions or set annotations
         # anywhere in the file.  (One flat namespace is an approximation
         # — good enough for a local, syntactic rule; a false positive is
         # one reasoned pragma away.)
         local_env: dict[str, bool] = {}
-        for node in ast.walk(root):
+        for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
@@ -278,7 +274,7 @@ class UnorderedIterationRule(Rule):
                 if (node.annotation is not None
                         and self._is_set_annotation(node.annotation)):
                     local_env[node.arg] = True
-        for node in ast.walk(root):
+        for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 if self._is_set_expr(node.iter, local_env):
                     out.append(self.finding(
@@ -310,6 +306,7 @@ class UnorderedIterationRule(Rule):
                         ctx, node,
                         "str.join() serializes a bare set's iteration "
                         "order"))
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -330,14 +327,7 @@ class HashIdOrderingRule(Rule):
 
     def check(self, ctx: FileContext) -> list[Finding]:
         out: list[Finding] = []
-        self._scan(ctx.tree, ctx, out)
-        return out
-
-    def _scan(self, root: ast.AST, ctx: FileContext,
-              out: list[Finding]) -> None:
-        """Scan ``root`` (a file or any subtree — the flow layer reuses
-        this per-function) for hash()/id() inside ordering keys."""
-        for node in ast.walk(root):
+        for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -357,6 +347,7 @@ class HashIdOrderingRule(Rule):
             if heappush and len(node.args) >= 2:
                 out.extend(self._flag_hash_id(ctx, node.args[1],
                                               "heap entry"))
+        return out
 
     def _flag_hash_id(self, ctx: FileContext, subtree: ast.AST,
                       where: str) -> list[Finding]:

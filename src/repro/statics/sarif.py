@@ -64,16 +64,12 @@ def enriched_dict(report: Report) -> dict[str, Any]:
 
 
 def _rule_index(findings: list[Finding]) -> list[dict[str, Any]]:
-    """SARIF rule metadata for every rule that appears in the report,
-    drawn from the per-file and flow registries."""
-    from repro.statics.flow import FLOW_RULES
+    """SARIF rule metadata for every rule that appears in the report."""
     from repro.statics.rules import ALL_RULES
     titles: dict[str, str] = {}
     hints: dict[str, str] = {}
     for rule in ALL_RULES:
         titles[rule.id], hints[rule.id] = rule.title, rule.hint
-    for info in FLOW_RULES:
-        titles[info.id], hints[info.id] = info.title, info.hint
     titles.setdefault("PARSE001", "file does not parse")
     titles.setdefault("PRAGMA001", "malformed allow pragma")
     titles.setdefault("PRAGMA002", "unused allow pragma")

@@ -81,6 +81,18 @@ class TestCampaignSeries:
         assert deltas.series[a] == [15, 20]
         assert deltas.epochs == [2, 3]
 
+    def test_series_order_is_units_order_not_set_order(self):
+        # 24 units: a bare set of them iterates in PYTHONHASHSEED order.
+        units = [_unit(f"sw{d}", port, direction) for d in range(3)
+                 for port in range(4) for direction in Direction]
+        snaps = [_snap(epoch, {u: epoch * i
+                               for i, u in enumerate(reversed(units))})
+                 for epoch in (1, 2)]
+        series = CampaignSeries.from_snapshots(snaps)
+        assert len(series.series) >= 24
+        assert list(series.series) == series.units()
+        assert list(series.deltas().series) == series.units()
+
     def test_deltas_need_two_snapshots(self):
         with pytest.raises(ValueError):
             CampaignSeries.from_snapshots([_snap(1, {_unit(): 1})]).deltas()

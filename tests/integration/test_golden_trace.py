@@ -58,6 +58,9 @@ def _run_golden_scenario(arm_empty_fault_schedule=False, fault_schedule=None):
     digest = hashlib.sha256()
 
     def trace(time: int, seq: int, fn) -> None:
+        # Integer ns on every executed event, schedule_fast (which
+        # skips exact_ns) included.
+        assert type(time) is int
         name = getattr(fn, "__qualname__", None) or repr(fn)
         digest.update(f"{time}:{seq}:{name}\n".encode())
 

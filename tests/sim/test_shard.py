@@ -70,6 +70,9 @@ def _attach_traces(runner):
         digest = hashlib.sha256()
 
         def trace(time, seq, fn, _d=digest):
+            # Integer ns on every executed event, schedule_fast and
+            # inject_at (which skip exact_ns) included.
+            assert type(time) is int
             name = getattr(fn, "__qualname__", None) or repr(fn)
             _d.update(f"{time}:{seq}:{name}\n".encode())
 
@@ -169,6 +172,39 @@ class TestProcessRunner:
             setup=_traffic_setup, setup_args=SETUP_ARGS)
         runner.run(until=2 * MS)  # run() closes on the way out
         runner.close()
+
+
+def _dead_letter_setup(worker):
+    """Shard 1 sends to a mailbox no shard registered."""
+    if worker.shard_id == 1:
+        worker.sim.schedule(1_000, worker.send_ctrl, "nobody-home", "payload")
+
+
+def _duplicate_mailbox_setup(worker):
+    """Every shard registers the same mailbox name."""
+    worker.register_mailbox("observer", print)
+
+
+class TestMailboxRouting:
+    """The transport refuses a misrouted control message loudly and
+    says who sent it — at run time, where the wiring-time ``_edge``
+    mailboxes are visible too."""
+
+    def test_unregistered_mailbox_names_the_mailbox_and_the_sender(self):
+        runner = InProcessShardRunner(
+            leaf_spine(**TOPO_KW), NetworkConfig(seed=11), shards=2,
+            setup=_dead_letter_setup)
+        with pytest.raises(KeyError, match=r"no shard registered mailbox "
+                                           r"'nobody-home' \(sent by shard 1\)"):
+            runner.run(until=UNTIL)
+
+    @pytest.mark.parametrize("runner_cls", [InProcessShardRunner,
+                                            ProcessShardRunner])
+    def test_duplicate_mailbox_names_both_shards(self, runner_cls):
+        with pytest.raises(ValueError, match=r"'observer' registered by more "
+                                             r"than one shard \(0 and 1\)"):
+            runner_cls(leaf_spine(**TOPO_KW), NetworkConfig(seed=11),
+                       shards=2, setup=_duplicate_mailbox_setup)
 
 
 class TestSingleShardIdentity:

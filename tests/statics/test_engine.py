@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,51 @@ class TestSelfRun:
         assert proc.returncode == 1
         assert "DET004" in proc.stdout
 
+    def test_cli_forbid_pragmas_fails_on_suppression(self, tmp_path):
+        allowed = tmp_path / "allowed.py"
+        allowed.write_text(
+            "def f(xs):\n"
+            "    return sorted(xs, key=hash)"
+            "  # statics: allow[DET004] exercises --forbid-pragmas\n")
+        argv = [sys.executable, "-m", "repro", "statics", str(allowed)]
+        env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
+        plain = subprocess.run(argv, cwd=REPO, capture_output=True,
+                               text=True, env=env)
+        assert plain.returncode == 0, plain.stdout + plain.stderr
+        assert "1 suppressed" in plain.stdout
+        strict = subprocess.run(argv + ["--forbid-pragmas"], cwd=REPO,
+                                capture_output=True, text=True, env=env)
+        assert strict.returncode == 1
+        assert "forbid-pragmas" in strict.stderr
+
+    def test_ordering_rules_pragma_free_over_actor_packages(self):
+        # The `make statics` / CI second line: what crosses a shard or
+        # service boundary may not relax DET003/DET004 even by pragma.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "statics",
+             "--rules", "DET003,DET004", "--forbid-pragmas",
+             "src/repro/sim/shard.py", "src/repro/core/sharded.py",
+             "src/repro/core/deployment.py", "src/repro/core/builder.py",
+             "src/repro/core/aggregation.py", "src/repro/service",
+             "src/repro/updates", "src/repro/specs.py"],
+            cwd=REPO, capture_output=True, text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "clean" in proc.stdout and "0 suppressed" in proc.stdout
+
+    def test_both_entry_points_declare_the_same_options(self):
+        env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
+        options = []
+        for module in (["repro", "statics"], ["repro.statics"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", *module, "--help"], cwd=REPO,
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            options.append(sorted(set(re.findall(r"--[a-z][a-z-]*",
+                                                 proc.stdout))))
+        assert options[0] == options[1]
+        assert "--forbid-pragmas" in options[0]
+
     def test_cli_missing_path_is_usage_error(self, tmp_path):
         # A typo'd path must not let the CI gate pass vacuously.
         proc = subprocess.run(
@@ -164,54 +210,3 @@ class TestSelfRun:
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 2
         assert "no such path" in proc.stderr
-
-
-class TestExternalProfile:
-    """``--profile external``: portable rules only, forced 'sim' scope."""
-
-    def _run(self, *argv, cwd=REPO):
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "statics", *argv],
-            cwd=cwd, capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO / "src"),
-                 "PATH": "/usr/bin:/bin"})
-
-    def test_repo_convention_rules_are_dropped(self, tmp_path):
-        # Wall-clock reads (DET002) and trial-global mutation (TRIAL001)
-        # are our layering conventions, not portable contracts.
-        model = tmp_path / "model.py"
-        model.write_text("import time\n"
-                         "def now():\n"
-                         "    return time.time()\n")
-        proc = self._run("--profile", "external", str(model))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "clean" in proc.stdout
-
-    def test_portable_rules_apply_under_forced_sim_scope(self, tmp_path):
-        # Path-derived scoping would put tmp_path files in a no-op
-        # scope; the profile forces 'sim' so DET001 still fires.
-        model = tmp_path / "model.py"
-        model.write_text("import random\n"
-                         "def jitter():\n"
-                         "    return random.random()\n")
-        proc = self._run("--profile", "external", str(model))
-        assert proc.returncode == 1
-        assert "DET001" in proc.stdout
-
-    def test_unused_pragmas_are_not_reported(self, tmp_path):
-        model = tmp_path / "model.py"
-        model.write_text("# statics: allow[DET001] not actually needed\n"
-                         "x = 1\n")
-        proc = self._run("--profile", "external", str(model))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    def test_requires_explicit_paths(self):
-        proc = self._run("--profile", "external")
-        assert proc.returncode == 2
-        assert "explicit paths" in proc.stderr
-
-    def test_rejects_rules_combination(self, tmp_path):
-        proc = self._run("--profile", "external", "--rules", "DET001",
-                         str(tmp_path))
-        assert proc.returncode == 2
-        assert "mutually exclusive" in proc.stderr

@@ -100,6 +100,13 @@ class TestRuleBehaviour:
         report = check_source(src, "x.py", ALL_RULES, scope="core")
         assert {f.rule for f in report.findings} == {"DET003"}
 
+    def test_det003_guards_every_src_package_but_not_tests(self):
+        src = "def f(pending: set):\n    return [x for x in pending]\n"
+        for scope in ("analysis", "service", "experiments"):
+            report = check_source(src, "x.py", ALL_RULES, scope=scope)
+            assert {f.rule for f in report.findings} == {"DET003"}, scope
+        assert check_source(src, "x.py", ALL_RULES, scope="tests").ok
+
     def test_det004_plain_hash_use_is_not_flagged(self):
         # hash() as a cache key is fine; only ordering keys are flagged.
         src = "cache[hash(key)] = value\n"
