@@ -23,6 +23,7 @@ from repro.core import DeploymentConfig, SpeedlightDeployment
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
+from repro.sim.packet import FlowKey, Packet
 from repro.topology import linear
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
@@ -35,13 +36,75 @@ GOLDEN_EVENTS = 38735
 #: The event stream — hash and count above — was bit-identical across
 #: that change; only the snapshot totals shed the probe contributions.
 GOLDEN_TOTALS = [2006, 6008, 10000]
+#: What the scenario *did*, not which events did it (see
+#: :class:`StateRecorder`): recorded before the packet path was fused
+#: and required to survive any rewrite that changes the event stream
+#: above without changing simulated behaviour.
+GOLDEN_STATE_SHA256 = ("da735d4972fdeaa13ec63f9bdf524e76"
+                       "75626260df551196a7affb232e1ff054")
 
 
-def _run_golden_scenario(arm_empty_fault_schedule=False, fault_schedule=None):
+class StateRecorder:
+    """State-level digest of one network's run.
+
+    Hashes, per snapshot unit, the ordered passes ``(time_ns,
+    packet uid, carried_sid, unit_sid_after, channel, is_data)`` from
+    the trace log (build the network with ``enable_tracing=True``); per
+    host the ordered ``(arrival_ns, packet uid)`` list; per link
+    ``(packets_delivered, packets_dropped)``; per egress queue (switch
+    egresses and host NICs) ``(packets_sent, bytes_sent,
+    max_depth_packets)``.  Every history is per unit — the paper's
+    linearizable processing units (§4.1) — so the digest does not see
+    which of two *different* units the engine visited first within one
+    nanosecond, and it sees everything else.  Packet uids are counted
+    from the recorder's construction (the uid counter is process-wide).
+    Attach before the network runs.
+    """
+
+    def __init__(self, network):
+        self.network = network
+        self._uid_base = Packet(flow=FlowKey("", "", 0, 0)).uid + 1
+        self.arrivals = {name: [] for name in network.hosts}
+        for name, host in network.hosts.items():
+            host.on_receive = self._arrival_hook(self.arrivals[name])
+
+    def _arrival_hook(self, log):
+        sim, base = self.network.sim, self._uid_base
+        return lambda packet: log.append((sim.now, packet.uid - base))
+
+    def state(self):
+        network, base = self.network, self._uid_base
+        units = {}
+        for ev in network.trace_log:
+            units.setdefault(str(ev.unit), []).append(
+                (ev.time_ns, ev.packet_uid - base, ev.carried_sid,
+                 ev.unit_sid_after, ev.channel, ev.is_data))
+        queues = {host.name: host._nic for host in network.hosts.values()}
+        for switch in network.switches.values():
+            for port in switch.ports:
+                queues[str(port.egress.unit_id)] = port.egress.queue
+        return {
+            "units": sorted(units.items()),
+            "arrivals": sorted(self.arrivals.items()),
+            "links": [(link.name, link.packets_delivered,
+                       link.packets_dropped) for link in network.links],
+            "queues": sorted(
+                (name, q.packets_sent, q.bytes_sent, q.max_depth_packets)
+                for name, q in queues.items()),
+        }
+
+    def hexdigest(self):
+        return hashlib.sha256(repr(self.state()).encode()).hexdigest()
+
+
+def _run_golden_scenario(arm_empty_fault_schedule=False, fault_schedule=None,
+                         record_state=False):
     """The pinned two-switch scenario; returns (network, deployment,
-    hexdigest)."""
+    hexdigest) — the state-level digest with ``record_state`` (tracing
+    on), else the event-stream digest."""
     network = Network(linear(num_switches=2, hosts_per_switch=2),
-                      NetworkConfig(seed=7))
+                      NetworkConfig(seed=7, enable_tracing=record_state))
+    recorder = StateRecorder(network) if record_state else None
     PoissonWorkload(network, PoissonConfig(rate_pps=10_000,
                                            stop_ns=40 * MS,
                                            sport_churn=True)).start()
@@ -66,6 +129,8 @@ def _run_golden_scenario(arm_empty_fault_schedule=False, fault_schedule=None):
 
     network.sim.trace = trace
     network.run(until=60 * MS)
+    if recorder is not None:
+        return network, deployment, recorder.hexdigest()
     return network, deployment, digest.hexdigest()
 
 
@@ -73,6 +138,16 @@ def test_golden_event_trace_hash():
     network, deployment, digest = _run_golden_scenario()
     assert network.sim.events_run == GOLDEN_EVENTS
     assert digest == GOLDEN_SHA256
+    snaps = [deployment.observer.snapshot(epoch) for epoch in (1, 2, 3)]
+    assert [s.total_value() for s in snaps] == GOLDEN_TOTALS
+
+
+def test_golden_state_digest():
+    """The same scenario pinned by what it did: the rewrite-proof twin
+    of the event-stream hash above."""
+    network, deployment, digest = _run_golden_scenario(record_state=True)
+    assert digest == GOLDEN_STATE_SHA256
+    assert sum(h.packets_received for h in network.hosts.values()) == 4771
     snaps = [deployment.observer.snapshot(epoch) for epoch in (1, 2, 3)]
     assert [s.total_value() for s in snaps] == GOLDEN_TOTALS
 
