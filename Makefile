@@ -7,7 +7,7 @@ JOBS ?= 1
 PROFILE_EXP ?= fig10
 
 .PHONY: install test lint statics typecheck static-checks \
-        bench bench-smoke bench-experiments \
+        bench bench-smoke bench-experiments fused-diff-deep \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -48,8 +48,9 @@ bench:
 
 # The repo benchmark's own checks (bench/README.md), CI-sized: its
 # harness tests, one short untraced service_ingest rep and one short
-# traced rep each of service_query and sharded_fabric (the cross-shard
-# deployment wiring is what the sharded ledger wraps).  Each rep exits
+# traced rep each of service_query, sharded_fabric (the cross-shard
+# deployment wiring is what the sharded ledger wraps) and fabric_forward
+# (the packet-path span points, on the fused path).  Each rep exits
 # non-zero on a wrong answer, an audit violation or a failed operation;
 # the last line fails when a traced entry point no longer resolves
 # (bench.spans_missing > 0), so a refactor that breaks the benchmark is
@@ -59,12 +60,20 @@ bench-smoke:
 	$(PYTHON) bench/run.py --workload service_ingest --seconds 2 --trace 0
 	$(PYTHON) bench/run.py --workload service_query --seconds 2 --trace 1
 	$(PYTHON) bench/run.py --workload sharded_fabric --seconds 2 --trace 1
+	$(PYTHON) bench/run.py --workload fabric_forward --seconds 2 --trace 1
 	$(PYTHON) -c "import json, sys; \
 	missing = {w: json.load(open('bench/out/trace-%s.json' % w)) \
 	    ['metrics']['bench.spans_missing']['value'] \
-	    for w in ('service_query', 'sharded_fabric')}; \
+	    for w in ('service_query', 'sharded_fabric', 'fabric_forward')}; \
 	print('bench.spans_missing =', missing); \
 	sys.exit(1 if any(missing.values()) else 0)"
+
+# The fused-vs-per-finish differential (tests/properties/
+# test_fused_equivalence.py) at a few thousand examples instead of the
+# tier-1 smoke's twenty; a counterexample prints its FaultSchedule as JSON.
+fused-diff-deep:
+	REPRO_FUSED_DIFF_EXAMPLES=3000 $(PYTHON) -m pytest -q \
+	    tests/properties/test_fused_equivalence.py
 
 # The full experiment regeneration benchmarks (pytest-benchmark).
 bench-experiments:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from typing import Optional, Protocol
+from functools import partial
+from typing import Any, Optional, Protocol
 
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -156,6 +157,14 @@ class LinkEndpoint(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
+def _state_attribute(slot: str, doc: str) -> property:
+    """A :class:`Link` attribute whose every assignment is a state change."""
+    def assign(link: "Link", value: Any) -> None:
+        setattr(link, slot, value)
+        link._state_changed()
+    return property(lambda link: getattr(link, slot), assign, doc=doc)
+
+
 class Link:
     """A full-duplex point-to-point link.
 
@@ -169,7 +178,7 @@ class Link:
     def __init__(self, sim: Simulator, bandwidth_bps: int = 25_000_000_000,
                  propagation_ns: int = 500,
                  loss: Optional[LossModel] = None,
-                 name: str = "") -> None:
+                 name: str = "", fused: bool = True) -> None:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         if propagation_ns < 0:
@@ -177,66 +186,76 @@ class Link:
         self.sim = sim
         self.bandwidth_bps = bandwidth_bps
         self.propagation_ns = propagation_ns
-        self._loss = loss or NoLoss()
-        #: Fast-path flag: a NoLoss link skips the loss-model call per
-        #: packet entirely (kept in sync by the ``loss`` setter).
-        self._lossless = isinstance(self._loss, NoLoss)
         self.name = name
-        #: Administrative / physical link state.  A down link drops every
-        #: transmission (counted in ``packets_dropped``); flapped by the
-        #: fault injector (:mod:`repro.faults`).
-        self.up = True
-        #: Extra one-way delay added to ``propagation_ns`` (latency-spike
-        #: faults).  While non-zero — and until in-flight spiked packets
-        #: have drained — delivery goes through a slow path that clamps
-        #: delivery times to stay monotone per direction, preserving the
-        #: FIFO channel property the snapshot algorithm requires (§4.1).
-        self.extra_delay_ns = 0
-        #: id(receiver) -> earliest allowed delivery time for the next
+        #: Decided at wiring, never by a user: boundary stubs and scoped
+        #: networks keep an event per finish instant (docs/SHARDING.md).
+        self._fusable = fused
+        self._loss = loss or NoLoss()
+        self._up = True
+        self._extra_delay_ns = 0
+        #: receiving side -> earliest allowed delivery time for the next
         #: packet in that direction (only populated during/after spikes).
-        self._fifo_floor: dict = {}
+        self._fifo_floor: dict[int, int] = {}
         self._endpoints: list[Optional[LinkEndpoint]] = [None, None]
-        #: id(sender) -> receiver, built once both ends are attached so
-        #: ``transmit`` avoids the identity-check chain per packet.
-        self._peer_cache: dict = {}
+        #: Per side, the endpoint's pre-bound receive callable: its
+        #: ``rx`` attribute, else ``receive_from_link`` bound to this link.
+        self._rx: list[Optional[Callable[[Packet], None]]] = [None, None]
+        #: The attached senders' egress lanes, un-fused on state changes.
+        self._lanes: list[Any] = []
         #: size_bytes -> serialization ns (traffic uses a handful of
         #: fixed sizes, so this is effectively a precomputed multiplier).
-        self._ser_cache: dict = {}
+        self._ser_cache: dict[int, int] = {}
         self.packets_delivered = 0
         self.packets_dropped = 0
+        self._state_changed()
 
-    @property
-    def loss(self) -> LossModel:
-        return self._loss
+    def _state_changed(self) -> None:
+        """Recompute ``_plain`` — on a plain link a lane schedules
+        :meth:`_deliver` itself as serialisation starts (the fused hop,
+        docs/PERF.md) — and un-fuse packets still being serialised: they
+        meet the new state in :meth:`transmit` at their finish instant."""
+        #: Fast-path flag: a NoLoss link skips the loss-model call.
+        self._lossless = isinstance(self._loss, NoLoss)
+        self._plain = (self._fusable and self._up and self._lossless
+                       and not self._extra_delay_ns and not self._fifo_floor)
+        for lane in self._lanes:
+            lane.unfuse()
 
-    @loss.setter
-    def loss(self, model: LossModel) -> None:
-        self._loss = model
-        self._lossless = isinstance(model, NoLoss)
+    loss = _state_attribute("_loss", "The loss model in force.")
+    up = _state_attribute("_up", """
+        Administrative / physical link state.  A down link drops every
+        transmission (counted in ``packets_dropped``); flapped by the
+        fault injector (:mod:`repro.faults`).""")
+    extra_delay_ns = _state_attribute("_extra_delay_ns", """
+        Extra one-way delay (latency-spike faults).  While non-zero —
+        and until in-flight spiked packets have drained — delivery times
+        are clamped monotone per direction, preserving the FIFO channel
+        property the snapshot algorithm requires (§4.1).""")
 
-    def attach(self, endpoint: LinkEndpoint) -> int:
-        """Attach an endpoint; returns its side index (0 or 1)."""
+    def attach(self, endpoint: LinkEndpoint, lane: Any = None) -> int:
+        """Attach an endpoint (and the egress lane it sends through, if
+        it has one); returns its side index (0 or 1)."""
         for side in (0, 1):
             if self._endpoints[side] is None:
                 self._endpoints[side] = endpoint
-                a, b = self._endpoints
-                if a is not None and b is not None:
-                    self._peer_cache = {id(a): b, id(b): a}
+                self._rx[side] = getattr(endpoint, "rx", None) or partial(
+                    endpoint.receive_from_link, link=self)
+                if lane is not None:
+                    self._lanes.append(lane)
                 return side
         raise RuntimeError(f"link {self.name!r} already has two endpoints")
 
+    def _peer_side(self, endpoint: LinkEndpoint) -> int:
+        side = 1 if endpoint is self._endpoints[0] else 0
+        if endpoint is not self._endpoints[1 - side]:
+            raise ValueError(f"{endpoint!r} is not attached to link {self.name!r}")
+        if self._endpoints[side] is None:
+            raise RuntimeError(f"link {self.name!r} has only one endpoint")
+        return side
+
     def peer_of(self, endpoint: LinkEndpoint) -> LinkEndpoint:
         """The endpoint at the other side of the link."""
-        a, b = self._endpoints
-        if endpoint is a:
-            if b is None:
-                raise RuntimeError(f"link {self.name!r} has no second endpoint")
-            return b
-        if endpoint is b:
-            if a is None:
-                raise RuntimeError(f"link {self.name!r} has no first endpoint")
-            return a
-        raise ValueError(f"{endpoint!r} is not attached to link {self.name!r}")
+        return self._endpoints[self._peer_side(endpoint)]  # type: ignore[return-value]
 
     def serialization_ns(self, size_bytes: int) -> int:
         """Time to clock ``size_bytes`` onto the wire at link rate
@@ -247,31 +266,35 @@ class Link:
             self._ser_cache[size_bytes] = ns
         return ns
 
-    def transmit(self, sender: LinkEndpoint, packet: Packet) -> bool:
+    def transmit(self, sender: LinkEndpoint, packet: Packet,
+                 seq: Optional[float] = None) -> bool:
         """Send ``packet`` from ``sender`` to the peer endpoint.
 
         Returns False if the loss model dropped the packet.  Delivery is
         scheduled ``propagation_ns`` in the future; the caller has already
-        accounted for serialisation time.
+        accounted for serialisation time.  An egress lane passes ``seq``,
+        the tie-break position the delivery would have on a fused hop
+        (as if scheduled when serialisation began), so deliveries order
+        alike whichever path sent them.
         """
-        receiver = self._peer_cache.get(id(sender))
-        if receiver is None:
-            receiver = self.peer_of(sender)
-        if not self.up:
+        side = self._peer_side(sender)
+        if not self._up:
             self.packets_dropped += 1
             return False
         if not self._lossless and self._loss.should_drop(packet):
             self.packets_dropped += 1
             return False
-        if self.extra_delay_ns or self._fifo_floor:
-            self._transmit_slow(receiver, packet)
-            return True
-        self.sim.schedule_fast(self.propagation_ns, self._deliver,
-                               receiver, packet)
+        delay = self.propagation_ns
+        if self._extra_delay_ns or self._fifo_floor:
+            delay = self._spiked_delay(side)
+        if seq is None:
+            self.sim.schedule_fast(delay, self._deliver, side, packet)
+        else:
+            self.sim.schedule_fast_at(seq, delay, self._deliver, side, packet)
         return True
 
-    def _transmit_slow(self, receiver: LinkEndpoint, packet: Packet) -> None:
-        """Delivery under (or draining from) a latency spike.
+    def _spiked_delay(self, side: int) -> int:
+        """Delivery delay under (or draining from) a latency spike.
 
         Clamps each delivery to be no earlier than the previous one in
         the same direction: a spike that ends (``extra_delay_ns`` back
@@ -279,25 +302,25 @@ class Link:
         which would break the FIFO-channel assumption.  Equal delivery
         times are fine — the engine's tie-break preserves send order.
         """
-        key = id(receiver)
-        at = self.sim.now + self.propagation_ns + self.extra_delay_ns
-        floor = self._fifo_floor.get(key, 0)
-        if self.extra_delay_ns:
+        at = self.sim.now + self.propagation_ns + self._extra_delay_ns
+        floor = self._fifo_floor.get(side, 0)
+        if self._extra_delay_ns:
             if at < floor:
                 at = floor
-            self._fifo_floor[key] = at
+            self._fifo_floor[side] = at
         elif at >= floor:
-            self._fifo_floor.pop(key, None)  # natural timing caught up
+            if self._fifo_floor.pop(side, None) is not None:
+                self._state_changed()  # natural timing caught up
         else:
             # Still draining: clamp to the last spiked delivery and keep
             # the floor until un-spiked deliveries naturally pass it.
             at = floor
-        self.sim.schedule_at(at, self._deliver, receiver, packet)
+        return at - self.sim.now
 
-    def _deliver(self, receiver: LinkEndpoint, packet: Packet) -> None:
+    def _deliver(self, side: int, packet: Packet) -> None:
         self.packets_delivered += 1
         # statics: allow[SIM003] this IS the modeled delivery site every other path must route through
-        receiver.receive_from_link(packet, self)
+        self._rx[side](packet)  # type: ignore[misc]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = [e.endpoint_name if e else "?" for e in self._endpoints]

@@ -98,14 +98,10 @@ class Event:
         sim = self._sim
         # Events execute in strict (time, seq) order, so the last-fired
         # key tells us exactly whether this one is still in the heap.
-        if (self.time, self.seq) <= (sim._last_time, sim._last_seq):
+        if (self.time, self.seq) <= (sim._last_time, sim.seq_now):
             return  # already fired
         self.cancelled = True
-        cancelled = sim._cancelled
-        cancelled.add(self.seq)
-        if (len(cancelled) >= _COMPACT_MIN_CANCELLED
-                and 2 * len(cancelled) >= len(sim._heap)):
-            sim._compact()
+        sim.cancel(self.seq)
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -131,23 +127,24 @@ class Simulator:
     def __init__(self) -> None:
         self.now: int = 0
         #: Heap of (time, seq, fn, args) tuples.
-        self._heap: list[tuple[int, int, Callable[..., Any],
+        self._heap: list[tuple[int, float, Callable[..., Any],
                                tuple[Any, ...]]] = []
         self._seq: int = 0
         self._events_run: int = 0
         self._running: bool = False
         #: Seqs of cancelled-but-still-heaped events (the side table).
-        self._cancelled: set[int] = set()
+        self._cancelled: set[float] = set()
         self._cancellations: int = 0  # lifetime count, for stats
         self._compactions: int = 0
         #: (time, seq) of the most recently executed event; lets
-        #: ``Event.cancel`` detect fired events exactly.
+        #: ``Event.cancel`` detect fired events exactly.  Inside a
+        #: callback, ``seq_now`` is the running event's own sequence.
         self._last_time: int = -1
-        self._last_seq: int = -1
+        self.seq_now: float = -1
         #: Optional hook called as ``trace(time, seq, fn)`` before every
         #: executed event (golden-trace determinism tests).  Set it
         #: before calling :meth:`run`.
-        self.trace: Optional[Callable[[int, int, Callable[..., Any]], None]] = None
+        self.trace: Optional[Callable[[int, float, Callable[..., Any]], None]] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -183,18 +180,36 @@ class Simulator:
         heappush(self._heap, (time, seq, fn, args))
         return Event(time, seq, fn, self)
 
-    def schedule_fast(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Uncancellable fast-path scheduling for internal machinery.
+    def schedule_fast(self, delay: int, fn: Callable[..., Any], *args: Any) -> int:
+        """Handle-free fast-path scheduling for internal machinery.
 
         Skips validation and handle allocation; ``delay`` must be a
         trusted non-negative ``int``.  Packet forwarding, link delivery
         and queue drain — the per-packet hot paths — use this.  Sequence
         numbers come from the same counter as :meth:`schedule`, so
-        mixing the two preserves deterministic tie-breaking.
+        mixing the two preserves deterministic tie-breaking.  Returns
+        the event's sequence number, which :meth:`cancel` accepts.
         """
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (self.now + delay, seq, fn, args))
+        return seq
+
+    def schedule_fast_at(self, seq: float, delay: int, fn: Callable[..., Any],
+                         *args: Any) -> None:
+        """:meth:`schedule_fast` at a tie-break position the caller owns
+        (each ``(time, seq)`` unique): a fraction just below a sequence
+        number it was handed orders the event as if scheduled before it."""
+        heappush(self._heap, (self.now + delay, seq, fn, args))
+
+    def cancel(self, seq: float) -> None:
+        """Cancel the event with sequence number ``seq``.  The caller
+        vouches that it is still pending (:meth:`Event.cancel` checks)."""
+        cancelled = self._cancelled
+        cancelled.add(seq)
+        if (len(cancelled) >= _COMPACT_MIN_CANCELLED
+                and 2 * len(cancelled) >= len(self._heap)):
+            self._compact()
 
     # ------------------------------------------------------------------
     # Execution
@@ -229,7 +244,7 @@ class Simulator:
                 pop(heap)
                 self.now = time
                 self._last_time = time
-                self._last_seq = entry[1]
+                self.seq_now = entry[1]
                 if trace is not None:
                     trace(time, entry[1], entry[2])
                 entry[2](*entry[3])

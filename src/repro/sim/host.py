@@ -52,8 +52,7 @@ class Host:
         self.sim = sim
         self.name = name
         self.link: Optional[Link] = None
-        self._nic = _EgressQueue(sim, transmit=self._transmit,
-                                 ser_fn=self._serialization_ns)
+        self._nic = _EgressQueue(sim)
         self.received: dict[FlowKey, FlowRecord] = {}
         self.packets_received = 0
         self.bytes_received = 0
@@ -83,7 +82,7 @@ class Host:
         if self.link is not None:
             raise RuntimeError(f"host {self.name} already connected")
         self.link = link
-        link.attach(self)
+        self._nic.bind(link, self)
 
     def receive_from_link(self, packet: Packet, link: Link) -> None:
         if packet.snapshot is not None:
@@ -125,14 +124,6 @@ class Host:
         if packet.ttl is None and self.default_ttl is not None:
             packet.ttl = self.default_ttl
         self._nic.push(packet)
-
-    def _serialization_ns(self, packet: Packet) -> int:
-        ns = self.link.serialization_ns(packet.size_bytes)
-        return ns if ns > 0 else 1
-
-    def _transmit(self, packet: Packet) -> None:
-        assert self.link is not None
-        self.link.transmit(self, packet)
 
     def send_flow(self, dst: str, num_packets: int, *, sport: int, dport: int,
                   size_bytes: int = 1500, gap_ns: int = 0,

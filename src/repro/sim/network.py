@@ -226,7 +226,7 @@ class Network:
                 link = self.scope.boundary_link(self.sim, spec, loss=loss)  # type: ignore[union-attr]
             else:
                 link = Link(self.sim, spec.bandwidth_bps, spec.propagation_ns,
-                            loss=loss, name=f"{spec.a}-{spec.b}")
+                            loss, f"{spec.a}-{spec.b}", fused=scope is None)
             self.links.append(link)
             for node in local_ends:
                 if topo.kind(node) is NodeKind.SWITCH:

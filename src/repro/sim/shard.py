@@ -121,24 +121,24 @@ class BoundaryLink(Link):
     delivery; the coordinator carries the captured batch to the peer
     shard, whose twin stub injects it.  Capture preserves the FIFO
     floor under latency-spike faults, so the cross-shard direction obeys
-    the same monotone-delivery guarantee as :meth:`Link._transmit_slow`.
+    the same monotone-delivery guarantee as :meth:`Link._spiked_delay`.
     """
 
     def __init__(self, sim: Simulator, spec: LinkSpec,
                  loss: Optional[LossModel] = None) -> None:
         super().__init__(sim, spec.bandwidth_bps, spec.propagation_ns,
-                         loss=loss, name=f"{spec.a}-{spec.b}")
+                         loss=loss, name=f"{spec.a}-{spec.b}", fused=False)
         self._outbox: list[tuple[int, Packet]] = []
         self._out_floor = 0
 
-    def transmit(self, sender, packet: Packet) -> bool:
-        if not self.up:
+    def transmit(self, sender, packet: Packet, seq: object = None) -> bool:
+        if not self._up:
             self.packets_dropped += 1
             return False
         if not self._lossless and self._loss.should_drop(packet):
             self.packets_dropped += 1
             return False
-        at = self.sim.now + self.propagation_ns + self.extra_delay_ns
+        at = self.sim.now + self.propagation_ns + self._extra_delay_ns
         if at < self._out_floor:
             at = self._out_floor  # FIFO under a draining latency spike
         self._out_floor = at
@@ -154,11 +154,10 @@ class BoundaryLink(Link):
     def inject(self, deliver_at: int, packet: Packet) -> None:
         """Schedule delivery of an inbound cross-shard packet to the
         local endpoint (called in coordinator-merged order)."""
-        receiver = self._endpoints[0]
-        if receiver is None:
+        if self._rx[0] is None:
             raise RuntimeError(f"boundary link {self.name!r} has no "
                                "local endpoint")
-        self.sim.inject_at(deliver_at, self._deliver, receiver, packet)
+        self.sim.inject_at(deliver_at, self._deliver, 0, packet)
 
 
 class ShardScope:

@@ -28,10 +28,11 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Callable
+from functools import partial
 from typing import Optional, Protocol
 
 from repro.sim.engine import Simulator, US
-from repro.sim.channel import Link
+from repro.sim.channel import Link, LinkEndpoint
 from repro.sim.packet import Packet, PacketType
 
 #: Enum members cached at module level: the per-packet fast path does
@@ -211,11 +212,15 @@ class _EgressQueue:
     sub-channel model, §4.1).  Serialisation delay is computed per
     packet from ``ser_fn``; instantaneous depth in packets and bytes is
     itself a snapshottable metric (the queue-depth counter).
+
+    ``busy``, depth and the sent counters are answered from the packet
+    in service's *finish instant*: on a plain link its delivery is
+    scheduled as serialisation starts (the fused hop, docs/PERF.md).
     """
 
     def __init__(self, sim: Simulator,
-                 transmit: Optional[Callable[[Packet], None]] = None,
-                 ser_fn: Optional[Callable[[Packet], int]] = None,
+                 transmit: Optional[Callable[[Packet, float], object]] = None,
+                 ser_fn: Optional[Callable[[int], int]] = None,
                  num_cos: int = 1,
                  capacity_packets: Optional[int] = None) -> None:
         if num_cos < 1:
@@ -225,31 +230,58 @@ class _EgressQueue:
         self.sim = sim
         self.transmit = transmit
         self.ser_fn = ser_fn
+        #: Set by :meth:`bind`: the link fed, and its receiving side.
+        self._link: Optional[Link] = None
+        self._rx_side = 0
         self.num_cos = num_cos
         self.capacity_packets = capacity_packets
         self._lanes: list[deque[Packet]] = [deque() for _ in range(num_cos)]
-        #: Single-lane fast path: with one CoS (the paper's base model)
-        #: lane selection and strict-priority scanning collapse away.
-        self._only_lane: Optional[deque[Packet]] = (
-            self._lanes[0] if num_cos == 1 else None)
         #: Waiting packets across all lanes (excludes the in-service one);
         #: maintained incrementally so depth checks are O(1).
         self._waiting = 0
         self.queued_bytes = 0
-        self.busy = False
+        #: The packet in service (or last served), its finish instant and,
+        #: while fused, the seq of its delivery.  Events for that instant
+        #: take fractional seqs just below it — an un-fused hand-over
+        #: -0.75, a visit for waiting packets -0.5 — as if scheduled when
+        #: it was; a hand-over's delivery takes its own seq +0.125.  The
+        #: fractional parts all differ, so no two events ever tie.
+        self._serving: Optional[Packet] = None
+        self._finish_at = 0
+        self._fused_seq: Optional[int] = None
+        self._started = 0
+        self._started_bytes = 0
         #: Unit-stall fault flag (:mod:`repro.faults`): while paused the
         #: queue keeps accepting packets (up to capacity) but stops
         #: dequeuing, so latency builds up and tail drops appear — the
         #: "slow / stuck egress" failure mode.
         self.paused = False
-        self.packets_sent = 0
-        self.bytes_sent = 0
         self.packets_dropped = 0
         self.max_depth_packets = 0
 
+    def bind(self, link: Link, sender: LinkEndpoint) -> None:
+        """Attach ``sender`` to ``link`` with this queue as its lane."""
+        self._link = link
+        self._rx_side = 1 - link.attach(sender, self)
+        self.ser_fn = link.serialization_ns
+        self.transmit = partial(link.transmit, sender)
+
+    @property
+    def busy(self) -> bool:
+        return self.sim.now < self._finish_at
+
+    @property
+    def packets_sent(self) -> int:
+        return self._started - (self.sim.now < self._finish_at)
+
+    @property
+    def bytes_sent(self) -> int:
+        return self._started_bytes - (
+            self._serving.size_bytes if self.busy else 0)  # type: ignore[union-attr]
+
     @property
     def depth_packets(self) -> int:
-        return self._waiting + (1 if self.busy else 0)
+        return self._waiting + (self.sim.now < self._finish_at)
 
     @property
     def depth_bytes(self) -> int:
@@ -258,63 +290,80 @@ class _EgressQueue:
     def lane_depth(self, cos: int) -> int:
         return len(self._lanes[cos])
 
-    def _lane_of(self, packet: Packet) -> int:
-        return min(max(packet.cos, 0), self.num_cos - 1)
-
     def push(self, packet: Packet) -> bool:
         """Enqueue a packet on its class's lane.
 
         Returns False on a tail drop (buffer at capacity).
         """
-        depth = self._waiting + (1 if self.busy else 0)
+        now = self.sim.now
+        busy = now < self._finish_at
+        depth = self._waiting + busy
         if (self.capacity_packets is not None
                 and depth >= self.capacity_packets):
             self.packets_dropped += 1
             return False
-        lane = self._only_lane
-        if lane is None:
-            lane = self._lanes[self._lane_of(packet)]
-        lane.append(packet)
-        self._waiting += 1
-        self.queued_bytes += packet.size_bytes
         if depth + 1 > self.max_depth_packets:
             self.max_depth_packets = depth + 1
-        if not self.busy and not self.paused:
-            self._start_next()
+        if not depth and not self.paused:
+            self._serve(packet, now)
+            return True
+        self._lanes[min(max(packet.cos, 0), self.num_cos - 1)].append(packet)
+        self._waiting += 1
+        self.queued_bytes += packet.size_bytes
+        if busy and self._waiting == 1 and self._fused_seq is not None:
+            # First waiter behind a fused packet: nothing is scheduled
+            # for its finish instant yet, so visit it.
+            self.sim.schedule_fast_at(self._fused_seq - 0.5,
+                                      self._finish_at - now, self._finish)
         return True
 
-    def _pop(self) -> Optional[Packet]:
-        lane = self._only_lane
-        if lane is not None:
-            if lane:
-                self._waiting -= 1
-                return lane.popleft()
-            return None
-        # Strict priority: highest class first.
-        for lane in reversed(self._lanes):
-            if lane:
-                self._waiting -= 1
-                return lane.popleft()
-        return None
+    def _serve(self, packet: Packet, now: int) -> None:
+        """Start serialising ``packet`` on the idle lane."""
+        size = packet.size_bytes
+        ser = self.ser_fn(size) or 1  # type: ignore[misc]
+        self._serving = packet
+        self._finish_at = now + ser
+        self._started += 1
+        self._started_bytes += size
+        link = self._link
+        if link is not None and link._plain:
+            seq = self._fused_seq = self.sim.schedule_fast(
+                ser + link.propagation_ns, link._deliver, self._rx_side,
+                packet)
+            if self._waiting:
+                self.sim.schedule_fast_at(seq - 0.5, ser, self._finish)
+        else:
+            self._fused_seq = None
+            self.sim.schedule_fast(ser, self._finish, packet)
 
-    def _start_next(self) -> None:
-        if self.paused:
-            self.busy = False
-            return
-        packet = self._pop()
-        if packet is None:
-            self.busy = False
-            return
-        self.busy = True
-        self.queued_bytes -= packet.size_bytes
-        ser = self.ser_fn(packet)
-        self.sim.schedule_fast(ser if ser > 0 else 1, self._finish, packet)
+    def unfuse(self) -> None:
+        """The link changed state: a fused packet not past its finish
+        instant goes back to ``_finish`` → ``transmit`` there (a change
+        *in* that nanosecond counts as before it), where drops, loss
+        draws and spike clamping are decided."""
+        seq, wait = self._fused_seq, self._finish_at - self.sim.now
+        if seq is not None and (
+                wait > 0 or wait == 0 < self._link.propagation_ns):  # type: ignore[union-attr]
+            self.sim.cancel(seq)
+            self._fused_seq = None
+            self.sim.schedule_fast_at(seq - 0.75, wait, self._finish,
+                                      self._serving)
 
-    def _finish(self, packet: Packet) -> None:
-        self.packets_sent += 1
-        self.bytes_sent += packet.size_bytes
-        self.transmit(packet)
-        self._start_next()
+    def _finish(self, packet: Optional[Packet] = None) -> None:
+        """Visit a finish instant: hand ``packet`` to ``transmit`` (its
+        hop was not fused), then serve the next waiting packet."""
+        if packet is not None:  # always as the event now running
+            self.transmit(packet, self.sim.seq_now + 0.125)  # type: ignore[misc]
+        now = self.sim.now
+        if self.paused or now < self._finish_at:
+            return
+        for lane in reversed(self._lanes):  # strict priority
+            if lane:
+                packet = lane.popleft()
+                self._waiting -= 1
+                self.queued_bytes -= packet.size_bytes
+                self._serve(packet, now)
+                return
 
     def pause(self) -> None:
         """Stall the dequeue side (the in-service packet still completes)."""
@@ -323,8 +372,7 @@ class _EgressQueue:
     def resume(self) -> None:
         """Resume servicing after a stall."""
         self.paused = False
-        if not self.busy:
-            self._start_next()
+        self._finish()
 
 
 class _ProcessingUnit:
@@ -341,25 +389,6 @@ class _ProcessingUnit:
     @property
     def snapshot_enabled(self) -> bool:
         return self.snapshot_agent is not None
-
-    def _run_snapshot(self, packet: Packet, channel_id: int) -> None:
-        """Apply the snapshot agent to the packet's header, if any."""
-        agent = self.snapshot_agent
-        header = packet.snapshot
-        if agent is None or header is None:
-            return
-        now = self.switch.sim.now
-        carried = header.sid
-        new_sid = agent.process_packet(packet, channel_id, now)
-        header.sid = new_sid
-        sink = self.switch.trace_sink
-        if sink is not None:
-            sink(TraceEvent(
-                packet_uid=packet.uid, unit=self.unit_id, time_ns=now,
-                carried_sid=carried, unit_sid_after=new_sid,
-                channel=channel_id,
-                is_data=header.packet_type is _DATA,
-                size_bytes=packet.size_bytes))
 
     def read_counter(self, name: str) -> int:
         return self.counters.read(name)
@@ -378,9 +407,8 @@ class IngressUnit(_ProcessingUnit):
     def handle_packet(self, packet: Packet) -> None:
         self.packets_processed += 1
         sw = self.switch
+        now = sw.sim.now
         snapshot = packet.snapshot
-        is_initiation = (snapshot is not None and
-                         snapshot.packet_type is _INITIATION)
         # Protocol-internal packets (initiations and liveness probes)
         # drive snapshot state but are not measured traffic: they bypass
         # the unit counters, keeping port counters conserved across each
@@ -388,8 +416,11 @@ class IngressUnit(_ProcessingUnit):
         # counting it would break the receiver ⊆ sender invariant that
         # analysis.invariants.LinkAudit checks).
         is_measured = snapshot is None or snapshot.packet_type is _DATA
+        is_initiation = (snapshot is not None and
+                         snapshot.packet_type is _INITIATION)
 
-        if self.snapshot_agent is not None:
+        agent = self.snapshot_agent
+        if agent is not None:
             if snapshot is None:
                 # First snapshot-enabled hop on this packet's path: push a
                 # header carrying our current epoch.  A fresh header never
@@ -397,7 +428,7 @@ class IngressUnit(_ProcessingUnit):
                 # external channel's last-seen entry, which is sound: host
                 # channels carry no tagged in-flight packets, so every
                 # host packet tagged here belongs to the current epoch.
-                packet.push_snapshot_header(sid=self.snapshot_agent.sid)
+                snapshot = packet.push_snapshot_header(sid=agent.sid)
             # Each CoS lane of the external link is its own FIFO logical
             # channel (§4.1); with one lane this reduces to
             # EXTERNAL_CHANNEL == 0.  A probe injected by our *own* CPU
@@ -411,24 +442,27 @@ class IngressUnit(_ProcessingUnit):
                 channel = CPU_CHANNEL
             else:
                 channel = 0 if sw._single_cos else sw.cos_lane(packet)
-            self._run_snapshot(packet, channel)
-        elif is_initiation:
-            # A disabled unit should never see initiations; drop defensively.
-            return
+            carried = snapshot.sid
+            new_sid = snapshot.sid = agent.process_packet(packet, channel,
+                                                          now)
+            if sw.trace_sink is not None:
+                sw.trace_sink(TraceEvent(
+                    packet.uid, self.unit_id, now, carried, new_sid, channel,
+                    is_measured, packet.size_bytes))
 
         if is_measured:
             counters = self.counters._counters
             if counters:
-                now = sw.sim.now
                 for counter in counters.values():
                     counter.update(packet, now)
-
-        if is_initiation:
+        elif is_initiation:
             # Initiation travels CPU → ingress → egress of the *same* port
             # (Figure 6, path 3) and is dropped there after processing.
-            sw.sim.schedule_fast(sw._ingress_fabric_ns,
-                                 sw.ports[self.port_index].egress.handle_packet,
-                                 packet, self.port_index)
+            # A disabled unit should never see one; drop defensively.
+            if agent is not None:
+                sw.sim.schedule_fast(sw._ingress_fabric_ns,
+                                     sw._to_egress[self.port_index],
+                                     packet, self.port_index)
             return
 
         # Hop limit (opt-in: only packets whose sender set a TTL).  The
@@ -441,7 +475,7 @@ class IngressUnit(_ProcessingUnit):
                 sw.packets_ttl_expired += 1
                 monitor = sw.drop_monitor
                 if monitor is not None:
-                    monitor(sw.name, "ttl_expired", packet, sw.sim.now)
+                    monitor(sw.name, "ttl_expired", packet, now)
                 return
             packet.ttl = ttl - 1
 
@@ -461,10 +495,9 @@ class IngressUnit(_ProcessingUnit):
             sw.packets_unroutable += 1
             monitor = sw.drop_monitor
             if monitor is not None:
-                monitor(sw.name, "unroutable", packet, sw.sim.now)
+                monitor(sw.name, "unroutable", packet, now)
             return
-        sw.sim.schedule_fast(sw._ingress_fabric_ns,
-                             sw.ports[out_port].egress.handle_packet,
+        sw.sim.schedule_fast(sw._ingress_fabric_ns, sw._to_egress[out_port],
                              packet, self.port_index)
 
     def _flood(self, packet: Packet, delay: int) -> None:
@@ -485,7 +518,7 @@ class IngressUnit(_ProcessingUnit):
             if packet.snapshot is not None:
                 copy.snapshot = packet.snapshot.copy()
             sw.sim.schedule_fast(delay + sw.config.fabric_latency_ns,
-                                 sw.ports[out_port].egress.handle_packet,
+                                 sw._to_egress[out_port],
                                  copy, self.port_index)
 
 
@@ -500,28 +533,27 @@ class EgressUnit(_ProcessingUnit):
     def __init__(self, switch: "Switch", port: int) -> None:
         super().__init__(switch, port, Direction.EGRESS)
         self.queue = _EgressQueue(
-            switch.sim, transmit=self._transmit,
-            ser_fn=self._serialization_ns,
-            num_cos=switch.config.num_cos,
+            switch.sim, num_cos=switch.config.num_cos,
             capacity_packets=switch.config.queue_capacity_packets)
         #: Set during wiring: True when the link peer cannot parse the
         #: snapshot header (hosts always; disabled switches under partial
         #: deployment).
         self.strip_header_for_peer = True
 
-    def _serialization_ns(self, packet: Packet) -> int:
-        link = self.switch.ports[self.port_index].link
-        ns = link.serialization_ns(packet.size_bytes)
-        return ns if ns > 0 else 1
-
     def handle_packet(self, packet: Packet, from_ingress_port: int) -> None:
         self.packets_processed += 1
         sw = self.switch
+        now = sw.sim.now
         snapshot = packet.snapshot
+        # Probes are protocol-internal, never measured traffic (see the
+        # ingress-side note): they skip the unit counters so per-link
+        # counts stay conserved even when floods die here (TTL exhausted).
+        is_measured = snapshot is None or snapshot.packet_type is _DATA
         is_initiation = (snapshot is not None and
                          snapshot.packet_type is _INITIATION)
 
-        if self.snapshot_agent is not None:
+        agent = self.snapshot_agent
+        if agent is not None and snapshot is not None:
             if is_initiation:
                 channel = CPU_CHANNEL
             elif sw._single_cos:
@@ -529,24 +561,24 @@ class EgressUnit(_ProcessingUnit):
             else:
                 channel = sw.egress_channel_id(from_ingress_port,
                                                sw.cos_lane(packet))
-            self._run_snapshot(packet, channel)
+            carried = snapshot.sid
+            new_sid = snapshot.sid = agent.process_packet(packet, channel,
+                                                          now)
+            if sw.trace_sink is not None:
+                sw.trace_sink(TraceEvent(
+                    packet.uid, self.unit_id, now, carried, new_sid, channel,
+                    is_measured, packet.size_bytes))
 
         if is_initiation:
             # "...the egress unit ... drops the packet after processing" (§6)
             return
-
-        # Probes are protocol-internal, never measured traffic (see the
-        # ingress-side note): skip the unit counters so per-link counts
-        # stay conserved even when floods die here (TTL exhausted).
-        if snapshot is None or snapshot.packet_type is _DATA:
+        if is_measured:
             counters = self.counters._counters
             if counters:
-                now = sw.sim.now
                 for counter in counters.values():
                     counter.update(packet, now)
 
-        link = sw.ports[self.port_index].link
-        if link is None:
+        if self.queue._link is None:
             sw.packets_unroutable += 1
             return
         if packet.flow.dst == BROADCAST_DST:
@@ -559,10 +591,6 @@ class EgressUnit(_ProcessingUnit):
         if self.strip_header_for_peer:
             packet.strip_snapshot_header()
         self.queue.push(packet)
-
-    def _transmit(self, packet: Packet) -> None:
-        port = self.switch.ports[self.port_index]
-        port.link.transmit(port, packet)
 
     # Queue depth is a first-class metric (§1, §2.2 examples).
     @property
@@ -583,6 +611,8 @@ class Port:
         self.ingress = IngressUnit(switch, index)
         self.egress = EgressUnit(switch, index)
         self.link: Optional[Link] = None
+        #: Pre-bound receive callable, what ``Link._deliver`` calls.
+        self.rx = self.ingress.handle_packet
 
     # -- LinkEndpoint protocol -----------------------------------------
     @property
@@ -597,7 +627,7 @@ class Port:
         if self.link is not None:
             raise RuntimeError(f"port {self.endpoint_name} already connected")
         self.link = link
-        link.attach(self)
+        self.egress.queue.bind(link, self)
 
 
 class LoadBalancer(Protocol):
@@ -640,6 +670,8 @@ class Switch:
         #: locally injected probe from one that crossed the wire.
         self._cpu_src = f"{name}-cpu"
         self.ports: list[Port] = [Port(self, i) for i in range(self.config.num_ports)]
+        #: Pre-bound egress handlers by port, what ingress units schedule.
+        self._to_egress = [port.egress.handle_packet for port in self.ports]
         self.routes: dict[str, list[int]] = {}
         self.lb: LoadBalancer = lb or _FirstPortBalancer()
         self.packets_unroutable = 0
@@ -831,10 +863,10 @@ class Switch:
                     if len(candidates) == 1:
                         return candidates[0]
                     return self.lb.select(candidates, packet, self.sim.now)
-        candidates = self.routes.get(packet.dst)
+        candidates = self.routes.get(dst := packet.flow.dst)
         if not candidates:
             return None
-        self.last_matched_version[in_port] = self.route_version[packet.dst]
+        self.last_matched_version[in_port] = self.route_version[dst]
         if len(candidates) == 1:
             return candidates[0]
         return self.lb.select(candidates, packet, self.sim.now)

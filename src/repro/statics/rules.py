@@ -599,13 +599,16 @@ class FifoBypassRule(Rule):
     (docs/SHARDING.md) — assumes packets reach an
     ``IngressUnit``/``Port`` through a FIFO channel with propagation
     delay.  A direct ``something.ingress.handle_packet(pkt)`` (or
-    ``receive_from_link`` call, or scheduling either as a callback)
-    injects a packet that no link carried: it skips FIFO ordering,
-    loss/up state, and the cut-link capture that sharding depends on.
-    The modeled delivery sites (``Link._deliver``,
-    ``Port.receive_from_link``, the control plane's initiation/probe
-    injectors, which model the switch CPU's internal port) carry
-    reasoned pragmas.
+    ``receive_from_link`` call, or a call of an endpoint's pre-bound
+    receive callable — its ``rx``, a link's ``_rx[side]`` — or
+    scheduling any of them as a callback) injects a packet that no link
+    carried: it skips FIFO ordering, loss/up state, and the cut-link
+    capture that sharding depends on.  The modeled delivery sites
+    (``Link._deliver``, ``Port.receive_from_link``, the control plane's
+    initiation/probe injectors, which model the switch CPU's internal
+    port) carry reasoned pragmas; the fused hop (``_EgressQueue._serve``)
+    schedules ``Link._deliver`` itself and hands it the receiving
+    *side*, never the callable, so it needs none.
 
     Light interprocedural coverage: a same-module *function* whose
     parameter is called as ``param.handle_packet(...)`` marks that
@@ -630,6 +633,11 @@ class FifoBypassRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
+            if self._is_rx(func):
+                out.append(self.finding(
+                    ctx, node,
+                    "direct call of a pre-bound receive callable (rx) "
+                    "bypasses the FIFO channel"))
             if isinstance(func, ast.Attribute):
                 if (func.attr == "handle_packet"
                         and self._is_ingress_expr(func.value, tracked)):
@@ -646,6 +654,11 @@ class FifoBypassRule(Rule):
                     else func.id if isinstance(func, ast.Name) else None)
             if name in _CALLBACK_SCHEDULERS and len(node.args) >= 2:
                 callback = node.args[1]
+                if self._is_rx(callback):
+                    out.append(self.finding(
+                        ctx, node,
+                        f"{name}() callback is a pre-bound receive "
+                        "callable (rx), bypassing the FIFO channel"))
                 if isinstance(callback, ast.Attribute):
                     if (callback.attr == "handle_packet"
                             and self._is_ingress_expr(callback.value,
@@ -672,6 +685,14 @@ class FifoBypassRule(Rule):
         return out
 
     # -- ingress-expression classification -----------------------------
+    @staticmethod
+    def _is_rx(node: ast.AST) -> bool:
+        """``<x>.rx`` / ``<x>._rx`` or a subscript of one (``_rx[side]``):
+        the pre-bound receive callables of the fused delivery path."""
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in ("rx", "_rx")
+
     def _is_ingress_expr(self, node: ast.AST, tracked: set[str]) -> bool:
         if isinstance(node, ast.Attribute) and node.attr == "ingress":
             return True

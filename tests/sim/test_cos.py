@@ -21,8 +21,8 @@ class TestPriorityQueue:
     def _queue(self, num_cos=2):
         sim = Simulator()
         sent = []
-        queue = _EgressQueue(sim, transmit=sent.append,
-                             ser_fn=lambda pkt: 100, num_cos=num_cos)
+        queue = _EgressQueue(sim, transmit=lambda p, _seq: sent.append(p),
+                             ser_fn=lambda size: 100, num_cos=num_cos)
         return sim, queue, sent
 
     def test_higher_class_preempts_queue_order(self):
@@ -61,8 +61,9 @@ class TestPriorityQueue:
     def test_per_packet_serialization(self):
         sim = Simulator()
         done = []
-        queue = _EgressQueue(sim, transmit=lambda p: done.append(sim.now),
-                             ser_fn=lambda pkt: pkt.size_bytes)
+        queue = _EgressQueue(
+            sim, transmit=lambda p, _seq: done.append(sim.now),
+            ser_fn=lambda size: size)
         queue.push(_pkt(size=100))
         queue.push(_pkt(size=5000))
         queue.push(_pkt(size=10))

@@ -19,7 +19,7 @@ class TestQueueCapacity:
     def test_tail_drop_beyond_capacity(self):
         sim = Simulator()
         sent = []
-        queue = _EgressQueue(sim, transmit=sent.append,
+        queue = _EgressQueue(sim, transmit=lambda p, _seq: sent.append(p),
                              ser_fn=lambda p: 1000, capacity_packets=3)
         results = [queue.push(_pkt(i)) for i in range(6)]
         # One in service + two queued fit; the rest tail-drop.
@@ -31,7 +31,7 @@ class TestQueueCapacity:
     def test_capacity_frees_as_queue_drains(self):
         sim = Simulator()
         sent = []
-        queue = _EgressQueue(sim, transmit=sent.append,
+        queue = _EgressQueue(sim, transmit=lambda p, _seq: sent.append(p),
                              ser_fn=lambda p: 1000, capacity_packets=2)
         queue.push(_pkt(0))
         queue.push(_pkt(1))
@@ -47,7 +47,7 @@ class TestQueueCapacity:
 
     def test_unbounded_by_default(self):
         sim = Simulator()
-        queue = _EgressQueue(sim, transmit=lambda p: None,
+        queue = _EgressQueue(sim, transmit=lambda p, _seq: None,
                              ser_fn=lambda p: 10**9)
         for i in range(10_000):
             assert queue.push(_pkt(i))
