@@ -27,9 +27,9 @@ from repro.sim.packet import FlowKey, Packet
 from repro.topology import linear
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
-GOLDEN_SHA256 = ("1a3cc758348164a251befa5ae043864d"
-                 "06cb64d9ff2940ce2dced81cc4e3eb13")
-GOLDEN_EVENTS = 38735
+GOLDEN_SHA256 = ("bb5acd33d459758d5fb2f171f3c0b847"
+                 "329f77b2c6e8039f93bafe147f6bf4aa")
+GOLDEN_EVENTS = 26026
 #: Re-recorded when liveness probes became ``PacketType.PROBE`` and
 #: stopped updating unit counters (they are protocol-internal, not
 #: measured traffic; counting them broke per-link count conservation).
