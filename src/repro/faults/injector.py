@@ -28,6 +28,30 @@ from repro.sim.network import Network
 #: control plane, which only exists once a deployment is wired).
 _CP_KINDS = frozenset({"cp_crash", "cp_overflow", "cp_slow"})
 
+#: Numeric overrides: kind -> (parameter, default, what it must be).
+_NUMERIC = {"link_delay": ("extra_ns", 100_000, "> 0"),
+            "queue_squeeze": ("capacity", 8, ">= 1"),
+            "cp_overflow": ("capacity", 8, ">= 1"),
+            "cp_slow": ("scale", 10.0, "> 0")}
+
+
+def _attribute(path: str) -> tuple[Callable, Callable]:
+    """(read, write) of a dotted attribute of a state-bearing object."""
+    *owners, leaf = path.split(".")
+
+    def owner(obj: Any) -> Any:
+        for name in owners:
+            obj = getattr(obj, name)
+        return obj
+    return (lambda obj: getattr(owner(obj), leaf),
+            lambda obj, value: setattr(owner(obj), leaf, value))
+
+
+def _switched(on: Callable, off: Callable) -> tuple[Callable, Callable]:
+    """(read, write) of an on/off fault; its baseline is "off"."""
+    return (lambda obj: False,
+            lambda obj, active: on(obj) if active else off(obj))
+
 
 @dataclass
 class InjectionRecord:
@@ -61,6 +85,24 @@ class FaultInjector:
         self.applied = 0
         self.reverted = 0
         self._armed = False
+        ptp = network.ptp
+        #: Every revertible kind as (read, write) on the objects bearing
+        #: its state (:meth:`_bearers`).
+        self._state: dict[str, tuple[Callable, Callable]] = {
+            "link_down": _attribute("up"),
+            "link_loss": _attribute("loss"),
+            "link_delay": _attribute("extra_delay_ns"),
+            "queue_squeeze": _attribute("capacity_packets"),
+            "unit_stall": _switched(lambda q: q.pause(), lambda q: q.resume()),
+            "cp_crash": _switched(lambda cp: cp.crash(),
+                                  lambda cp: cp.restart()),
+            "cp_overflow": _attribute("channel.capacity"),
+            "cp_slow": _attribute("channel.service_scale"),
+            "clock_holdover": _switched(ptp.hold, ptp.release),
+        }
+        #: (kind, object) -> [[baseline], [override], ...]: the windows
+        #: open on it, oldest first, under the value it had before them.
+        self._active: dict[tuple[str, Any], list[list]] = {}
         #: link name (normalised "a-b") -> Link
         self._links: dict[str, Link] = {}
         for link in network.links:
@@ -147,139 +189,80 @@ class FaultInjector:
     # Apply / revert
     # ------------------------------------------------------------------
     def _apply(self, event: FaultEvent) -> None:
-        revert_fns: list[Callable[[], None]] = []
-        for obj in self._resolve_targets(event):
-            revert = getattr(self, f"_apply_{event.kind}")(obj, event)
-            if revert is not None:
-                revert_fns.append(revert)
+        kind = event.kind
+        held: list[tuple[Any, list, list]] = []
+        for target in self._resolve_targets(event):
+            if kind == "clock_step":
+                # Instantaneous; the next PTP sync removes it.
+                self.network.ptp.clocks[target].step(
+                    int(event.params.get("delta_ns", 50_000)))
+                continue
+            read, write = self._state[kind]
+            for obj in self._bearers(event, target):
+                key = (kind, obj if isinstance(obj, str) else id(obj))
+                stack = self._active.setdefault(key, [])
+                if not stack:
+                    stack.append([read(obj)])  # the baseline
+                entry = [self._override(event)]
+                stack.append(entry)
+                write(obj, entry[0])
+                held.append((obj, stack, entry))
         self.applied += 1
         self.log.append(InjectionRecord(self.sim.now, "apply",
-                                        event.kind, event.target))
-        if event.duration_ns > 0 and revert_fns:
-            self.sim.schedule(event.duration_ns, self._revert,
-                              event, revert_fns)
+                                        kind, event.target))
+        if event.duration_ns > 0 and held:
+            self.sim.schedule(event.duration_ns, self._revert, event, held)
 
     def _revert(self, event: FaultEvent,
-                revert_fns: list[Callable[[], None]]) -> None:
-        for fn in revert_fns:
-            fn()
+                held: list[tuple[Any, list, list]]) -> None:
+        """Close one window: every object goes back to the newest
+        override still open on it, or to its baseline when none is —
+        overlapping windows of one kind nest (docs/FAULTS.md)."""
+        write = self._state[event.kind][1]
+        for obj, stack, entry in held:
+            newest = stack[-1] is entry
+            stack[:] = [e for e in stack if e is not entry]
+            if newest and stack[-1][0] != entry[0]:
+                write(obj, stack[-1][0])
+            if len(stack) == 1:
+                stack.clear()  # re-read the baseline next time
         self.reverted += 1
         self.log.append(InjectionRecord(self.sim.now, "revert",
                                         event.kind, event.target))
 
-    # -- link faults ---------------------------------------------------
-    def _apply_link_down(self, link: Link, event: FaultEvent):
-        link.up = False
+    def _bearers(self, event: FaultEvent, target: Any) -> list[Any]:
+        """The objects that bear a kind's state: the target itself, or
+        for the queue faults the egress queues of the switch."""
+        port = event.params.get("port")
+        if event.kind == "unit_stall" and port is not None:
+            ports = [int(port)]
+        elif event.kind in ("unit_stall", "queue_squeeze"):
+            ports = target.connected_ports()
+        else:
+            return [target]
+        return [target.ports[p].egress.queue for p in ports]
 
-        def revert() -> None:
-            link.up = True
-        return revert
-
-    def _apply_link_loss(self, link: Link, event: FaultEvent):
-        params = event.params
+    def _override(self, event: FaultEvent) -> Any:
+        """The value one window of ``event`` holds an object at."""
+        kind, params = event.kind, event.params
+        if kind in _NUMERIC:
+            name, default, bound = _NUMERIC[kind]
+            value = type(default)(params.get(name, default))
+            if value <= 0:
+                raise ValueError(
+                    f"{kind}: {name} must be {bound}, got {value}")
+            return value
+        if kind != "link_loss":
+            return kind != "link_down"  # on/off kinds; a downed link: up=False
         model_name = params.get("model", "gilbert_elliott")
         assert self.rng is not None
         if model_name == "bernoulli":
-            model = BernoulliLoss(float(params.get("p", 0.01)), self.rng)
-        elif model_name == "gilbert_elliott":
-            model = GilbertElliottLoss(
+            return BernoulliLoss(float(params.get("p", 0.01)), self.rng)
+        if model_name == "gilbert_elliott":
+            return GilbertElliottLoss(
                 self.rng,
                 p_good_to_bad=float(params.get("p_good_to_bad", 0.01)),
                 p_bad_to_good=float(params.get("p_bad_to_good", 0.1)),
                 p_loss_good=float(params.get("p_loss_good", 0.0)),
                 p_loss_bad=float(params.get("p_loss_bad", 0.5)))
-        else:
-            raise ValueError(f"link_loss: unknown model {model_name!r}")
-        previous = link.loss
-        link.loss = model
-
-        def revert() -> None:
-            link.loss = previous
-        return revert
-
-    def _apply_link_delay(self, link: Link, event: FaultEvent):
-        extra = int(event.params.get("extra_ns", 100_000))
-        if extra <= 0:
-            raise ValueError(f"link_delay: extra_ns must be > 0, got {extra}")
-        link.extra_delay_ns = extra
-
-        def revert() -> None:
-            link.extra_delay_ns = 0
-        return revert
-
-    # -- switch faults -------------------------------------------------
-    def _apply_queue_squeeze(self, switch, event: FaultEvent):
-        capacity = int(event.params.get("capacity", 8))
-        if capacity < 1:
-            raise ValueError(
-                f"queue_squeeze: capacity must be >= 1, got {capacity}")
-        queues = [switch.ports[p].egress.queue
-                  for p in switch.connected_ports()]
-        previous = [q.capacity_packets for q in queues]
-        for queue in queues:
-            queue.capacity_packets = capacity
-
-        def revert() -> None:
-            for queue, cap in zip(queues, previous):
-                queue.capacity_packets = cap
-        return revert
-
-    def _apply_unit_stall(self, switch, event: FaultEvent):
-        port = event.params.get("port")
-        if port is None:
-            ports = switch.connected_ports()
-        else:
-            ports = [int(port)]
-        queues = [switch.ports[p].egress.queue for p in ports]
-        for queue in queues:
-            queue.pause()
-
-        def revert() -> None:
-            for queue in queues:
-                queue.resume()
-        return revert
-
-    # -- control-plane faults ------------------------------------------
-    def _apply_cp_crash(self, cp, event: FaultEvent):
-        cp.crash()
-
-        def revert() -> None:
-            cp.restart()
-        return revert
-
-    def _apply_cp_overflow(self, cp, event: FaultEvent):
-        capacity = int(event.params.get("capacity", 8))
-        if capacity < 1:
-            raise ValueError(
-                f"cp_overflow: capacity must be >= 1, got {capacity}")
-        previous = cp.channel.capacity
-        cp.channel.capacity = capacity
-
-        def revert() -> None:
-            cp.channel.capacity = previous
-        return revert
-
-    def _apply_cp_slow(self, cp, event: FaultEvent):
-        scale = float(event.params.get("scale", 10.0))
-        if scale <= 0:
-            raise ValueError(f"cp_slow: scale must be > 0, got {scale}")
-        previous = cp.channel.service_scale
-        cp.channel.service_scale = scale
-
-        def revert() -> None:
-            cp.channel.service_scale = previous
-        return revert
-
-    # -- clock faults --------------------------------------------------
-    def _apply_clock_holdover(self, name: str, event: FaultEvent):
-        ptp = self.network.ptp
-        ptp.hold(name)
-
-        def revert() -> None:
-            ptp.release(name)
-        return revert
-
-    def _apply_clock_step(self, name: str, event: FaultEvent):
-        delta = int(event.params.get("delta_ns", 50_000))
-        self.network.ptp.clocks[name].step(delta)
-        return None  # instantaneous; the next PTP sync removes it
+        raise ValueError(f"link_loss: unknown model {model_name!r}")

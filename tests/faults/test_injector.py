@@ -213,3 +213,89 @@ class TestControlPlaneAndClockFaults:
         network.run(until=1 * MS + 1)
         assert clock.offset_ns == before + 50_000
         assert injector.applied == 1 and injector.reverted == 0
+
+
+class TestOverlappingWindowsNest:
+    """Two windows of one kind on one target: the inner one's revert
+    must not end the outer one, and the later one's revert must not
+    re-install the earlier one's override (docs/FAULTS.md)."""
+
+    def test_link_down_stays_down_until_the_outer_window_closes(self):
+        schedule = FaultSchedule()
+        schedule.add("link_down", 10 * MS, target="sw0-sw1",
+                     duration_ns=20 * MS)
+        schedule.add("link_down", 20 * MS, target="sw0-sw1",
+                     duration_ns=5 * MS)
+        network = _network()
+        _armed(network, schedule)
+        link = _link(network)
+        network.run(until=27 * MS)          # the inner window has closed
+        assert not link.up
+        network.run(until=31 * MS)
+        assert link.up
+
+    def test_link_loss_ends_with_the_last_window_not_the_first_model(self):
+        schedule = FaultSchedule()
+        schedule.add("link_loss", 40 * MS, target="sw0-sw1",
+                     duration_ns=20 * MS, model="bernoulli", p=0.5)
+        schedule.add("link_loss", 50 * MS, target="sw0-sw1",
+                     duration_ns=20 * MS, model="bernoulli", p=0.9)
+        network = _network()
+        _armed(network, schedule)
+        link = _link(network)
+        network.run(until=55 * MS)
+        assert link.loss.probability == 0.9
+        network.run(until=65 * MS)          # the first window has closed
+        assert link.loss.probability == 0.9
+        network.run(until=75 * MS)
+        assert isinstance(link.loss, NoLoss)
+
+    def test_queue_squeeze_restores_the_original_capacity(self):
+        schedule = FaultSchedule()
+        schedule.add("queue_squeeze", 80 * MS, target="sw0",
+                     duration_ns=20 * MS, capacity=8)
+        schedule.add("queue_squeeze", 90 * MS, target="sw0",
+                     duration_ns=20 * MS, capacity=4)
+        network = _network()
+        _armed(network, schedule)
+        switch = network.switch("sw0")
+        queues = [switch.ports[p].egress.queue
+                  for p in switch.connected_ports()]
+        originals = [q.capacity_packets for q in queues]
+        network.run(until=95 * MS)
+        assert all(q.capacity_packets == 4 for q in queues)
+        network.run(until=105 * MS)         # the first window has closed
+        assert all(q.capacity_packets == 4 for q in queues)
+        network.run(until=120 * MS)
+        assert [q.capacity_packets for q in queues] == originals
+
+    def test_inner_window_falls_back_to_the_outer_override(self):
+        schedule = FaultSchedule()
+        schedule.add("link_delay", 1 * MS, target="sw0-sw1",
+                     duration_ns=10 * MS, extra_ns=1_000)
+        schedule.add("link_delay", 2 * MS, target="sw0-sw1",
+                     duration_ns=2 * MS, extra_ns=9_000)
+        schedule.add("unit_stall", 1 * MS, target="sw0", duration_ns=10 * MS)
+        schedule.add("unit_stall", 2 * MS, target="sw0", duration_ns=2 * MS,
+                     port=0)
+        network = _network()
+        injector = _armed(network, schedule)
+        link = _link(network)
+        queue = network.switch("sw0").ports[0].egress.queue
+        network.run(until=3 * MS)
+        assert link.extra_delay_ns == 9_000 and queue.paused
+        network.run(until=5 * MS)
+        assert link.extra_delay_ns == 1_000 and queue.paused
+        network.run(until=12 * MS)
+        assert link.extra_delay_ns == 0 and not queue.paused
+        assert injector.applied == 4 and injector.reverted == 4
+
+    def test_window_over_a_permanent_fault_leaves_it_in_force(self):
+        schedule = FaultSchedule()
+        schedule.add("link_down", 1 * MS, target="sw0-sw1")     # permanent
+        schedule.add("link_down", 2 * MS, target="sw0-sw1",
+                     duration_ns=1 * MS)
+        network = _network()
+        _armed(network, schedule)
+        network.run(until=5 * MS)
+        assert not _link(network).up
