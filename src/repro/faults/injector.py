@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections.abc import Callable
+from operator import attrgetter
 from typing import Any, Optional
 
 from repro.faults.schedule import FAULT_KINDS, FaultEvent, FaultSchedule
@@ -37,13 +38,9 @@ _NUMERIC = {"link_delay": ("extra_ns", 100_000, "> 0"),
 
 def _attribute(path: str) -> tuple[Callable, Callable]:
     """(read, write) of a dotted attribute of a state-bearing object."""
-    *owners, leaf = path.split(".")
-
-    def owner(obj: Any) -> Any:
-        for name in owners:
-            obj = getattr(obj, name)
-        return obj
-    return (lambda obj: getattr(owner(obj), leaf),
+    owners, _, leaf = path.rpartition(".")
+    owner = attrgetter(owners) if owners else (lambda obj: obj)
+    return (attrgetter(path),
             lambda obj, value: setattr(owner(obj), leaf, value))
 
 
@@ -199,6 +196,7 @@ class FaultInjector:
                 continue
             read, write = self._state[kind]
             for obj in self._bearers(event, target):
+                # Clock targets are names; everything else is an object.
                 key = (kind, obj if isinstance(obj, str) else id(obj))
                 stack = self._active.setdefault(key, [])
                 if not stack:
@@ -252,8 +250,10 @@ class FaultInjector:
                 raise ValueError(
                     f"{kind}: {name} must be {bound}, got {value}")
             return value
+        if kind == "link_down":
+            return False  # what ``up`` is held at
         if kind != "link_loss":
-            return kind != "link_down"  # on/off kinds; a downed link: up=False
+            return True  # the on/off kinds: the fault is active
         model_name = params.get("model", "gilbert_elliott")
         assert self.rng is not None
         if model_name == "bernoulli":

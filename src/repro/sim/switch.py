@@ -272,7 +272,7 @@ class _EgressQueue:
 
     @property
     def packets_sent(self) -> int:
-        return self._started - (self.sim.now < self._finish_at)
+        return self._started - self.busy
 
     @property
     def bytes_sent(self) -> int:
@@ -281,7 +281,7 @@ class _EgressQueue:
 
     @property
     def depth_packets(self) -> int:
-        return self._waiting + (self.sim.now < self._finish_at)
+        return self._waiting + self.busy
 
     @property
     def depth_bytes(self) -> int:
@@ -342,8 +342,8 @@ class _EgressQueue:
         *in* that nanosecond counts as before it), where drops, loss
         draws and spike clamping are decided."""
         seq, wait = self._fused_seq, self._finish_at - self.sim.now
-        if seq is not None and (
-                wait > 0 or wait == 0 < self._link.propagation_ns):  # type: ignore[union-attr]
+        if seq is not None and (wait > 0 or (
+                wait == 0 and self._link.propagation_ns)):  # type: ignore[union-attr]
             self.sim.cancel(seq)
             self._fused_seq = None
             self.sim.schedule_fast_at(seq - 0.75, wait, self._finish,
@@ -352,7 +352,7 @@ class _EgressQueue:
     def _finish(self, packet: Optional[Packet] = None) -> None:
         """Visit a finish instant: hand ``packet`` to ``transmit`` (its
         hop was not fused), then serve the next waiting packet."""
-        if packet is not None:  # always as the event now running
+        if packet is not None:  # an event of its own: seq_now is its seq
             self.transmit(packet, self.sim.seq_now + 0.125)  # type: ignore[misc]
         now = self.sim.now
         if self.paused or now < self._finish_at:

@@ -1,20 +1,26 @@
-"""Golden event-trace determinism: the exact event stream is pinned.
+"""Golden determinism pins: the exact event stream, and what it did.
 
-The hot-path optimization of the discrete-event core (docs/PERF.md) is
-required to be *event-for-event* identical to the reference
-implementation: same events, same (time, seq) order, same callbacks.
-This test hashes the full ``(time, seq, fn_qualname)`` stream of a
-seeded two-switch scenario — 38k+ events through hosts, switches,
-links, clocks, the snapshot protocol and the management plane — and
-compares it against the recorded reference digest.
+Two digests over one seeded two-switch scenario — hosts, switches,
+links, clocks, the snapshot protocol and the management plane:
 
-The digest was captured on the pre-optimization engine (plus the
-``Clock.true_time`` floor-asymmetry fix, which legitimately shifts
-initiation times by 1 ns for some negative-drift clocks).  If this
-test fails, a change reordered or perturbed the simulation itself —
-that is a correctness regression, not a formality.  Re-record only for
-a change that *intentionally* alters simulation behaviour, and say so
-in the commit message.
+* ``GOLDEN_SHA256`` / ``GOLDEN_EVENTS`` hash the full ``(time, seq,
+  fn_qualname)`` stream.  It pins the *event structure*: any change
+  that reorders, adds or removes an event fails it.  It was recorded on
+  the pre-optimization engine (plus the ``Clock.true_time``
+  floor-asymmetry fix) and held bit for bit until the fused packet hop
+  (docs/PERF.md), which removes an event per hop and re-recorded it
+  exactly once, 38 735 -> 26 026 events, in a commit of its own.
+* ``GOLDEN_STATE_SHA256`` (:class:`StateRecorder`) hashes what the
+  scenario *did*: every unit's ordered packet passes, every host's
+  ordered arrivals, every link's and egress queue's counters.  It was
+  recorded on the packet path as it was *before* the fused hop and must
+  survive any rewrite of the event structure.
+
+If either fails, a change perturbed the simulation itself — that is a
+correctness regression, not a formality.  Re-record the event-stream
+pin only for a change that *intentionally* alters the event structure,
+in a commit that changes nothing else and says so; the state pin only
+for one that intentionally alters simulated behaviour.
 """
 
 import hashlib

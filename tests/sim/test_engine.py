@@ -276,3 +276,30 @@ def test_property_events_fire_in_nondecreasing_time(delays):
     sim.run()
     assert times == sorted(times)
     assert len(times) == len(delays)
+
+
+class TestSeqHandles:
+    """``schedule_fast`` hands back its seq: cancel by it, or place an
+    event just before it in the tie-break order (the fused hop)."""
+
+    def test_cancel_the_seq_schedule_fast_returned(self):
+        sim = Simulator()
+        fired = []
+        keep = sim.schedule_fast(10, fired.append, "keep")
+        drop = sim.schedule_fast(10, fired.append, "drop")
+        assert drop == keep + 1
+        sim.cancel(drop)
+        assert sim.pending == 1
+        sim.run()
+        assert fired == ["keep"]
+        assert sim.cancelled_count == 0
+
+    def test_schedule_fast_at_orders_before_its_anchor(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_fast(10, fired.append, "earlier")
+        anchor = sim.schedule_fast(20, fired.append, "anchor")
+        sim.schedule_fast(10, fired.append, "later")
+        sim.schedule_fast_at(anchor - 0.5, 10, fired.append, "placed")
+        sim.run()
+        assert fired == ["earlier", "placed", "later", "anchor"]
