@@ -49,8 +49,10 @@ bench:
 # The repo benchmark's own checks (bench/README.md), CI-sized: its
 # harness tests, one short untraced service_ingest rep and one short
 # traced rep each of service_query, sharded_fabric (the cross-shard
-# deployment wiring is what the sharded ledger wraps) and fabric_forward
-# (the packet-path span points, on the fused path).  Each rep exits
+# deployment wiring is what the sharded ledger wraps), fabric_forward
+# (the packet-path span points, on the fused path) and snapshot_storm
+# (the only workload on which the aggregation span points — the relays,
+# their queues, the observer's aggregate intake — are live).  Each rep exits
 # non-zero on a wrong answer, an audit violation or a failed operation;
 # the last line fails when a traced entry point no longer resolves
 # (bench.spans_missing > 0), so a refactor that breaks the benchmark is
@@ -61,10 +63,12 @@ bench-smoke:
 	$(PYTHON) bench/run.py --workload service_query --seconds 2 --trace 1
 	$(PYTHON) bench/run.py --workload sharded_fabric --seconds 2 --trace 1
 	$(PYTHON) bench/run.py --workload fabric_forward --seconds 2 --trace 1
+	$(PYTHON) bench/run.py --workload snapshot_storm --seconds 2 --trace 1
 	$(PYTHON) -c "import json, sys; \
 	missing = {w: json.load(open('bench/out/trace-%s.json' % w)) \
 	    ['metrics']['bench.spans_missing']['value'] \
-	    for w in ('service_query', 'sharded_fabric', 'fabric_forward')}; \
+	    for w in ('service_query', 'sharded_fabric', 'fabric_forward', \
+	              'snapshot_storm')}; \
 	print('bench.spans_missing =', missing); \
 	sys.exit(1 if any(missing.values()) else 0)"
 

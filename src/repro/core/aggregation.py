@@ -213,6 +213,9 @@ class RelayChannel:
         self.sim = sim
         self.config = config
         self.handler = handler
+        #: Told of a message that dies in service (its CPU crashed under
+        #: it), so the owning agent can book the records it carried.
+        self.on_lost: Optional[Callable[[AggregateMessage], None]] = None
         self._queue: deque[AggregateMessage] = deque()
         self._busy = False
         #: Per-instance fault knob (crash coupling flips it).
@@ -234,13 +237,16 @@ class RelayChannel:
             return
         self.records_in += len(message.records)
         self._queue.append(message)
-        self.max_backlog = max(self.max_backlog, self.backlog)
+        backlog = len(self._queue) + (1 if self._busy else 0)
+        if backlog > self.max_backlog:
+            self.max_backlog = backlog
         if not self._busy:
             self._service_next()
 
     def flush_queued(self) -> int:
         """Discard everything queued (crash coupling); returns the count
-        of *records* lost with the queued messages."""
+        of *records* lost with the queued messages.  The message in
+        service dies in :meth:`_finish`, which tells ``on_lost``."""
         lost = sum(len(m.records) for m in self._queue)
         self._queue.clear()
         return lost
@@ -253,12 +259,14 @@ class RelayChannel:
         message = self._queue.popleft()
         cost = (self.config.relay_service_ns +
                 len(message.records) * self.config.relay_per_record_ns)
-        self.sim.schedule(max(1, cost), self._finish, message)
+        self.sim.schedule_fast(max(1, cost), self._finish, message)
 
     def _finish(self, message: AggregateMessage) -> None:
         if not self.online:
             self._busy = False
             self.dropped += 1
+            if self.on_lost is not None:
+                self.on_lost(message)
             return
         self.processed += 1
         self.handler(message)
@@ -287,7 +295,10 @@ class AggregationAgent:
     and sends one combined :class:`AggregateMessage` per epoch to its
     tree parent — as soon as its subtree completes, or in timed partial
     flushes so one silent child never strands its siblings' records.
-    Every record moves upward exactly once.
+    Every record moves upward exactly once or is counted in
+    :attr:`records_lost` where it dies: refused while the relay is down,
+    flushed from its queue or its in-progress combines by a crash, or
+    in service at the relay when the crash came.
     """
 
     def __init__(self, sim: Simulator, config: AggregationConfig,
@@ -309,6 +320,7 @@ class AggregationAgent:
         #: Downward initiation forwarder: ``forward(child, epoch, at)``.
         self.forward_init: Optional[Callable[[str, int, int], None]] = None
         self.channel = RelayChannel(sim, config, self._on_message)
+        self.channel.on_lost = self._on_lost_in_service
         self.online = True
         self.messages_sent = 0
         self.partial_flushes = 0
@@ -364,6 +376,9 @@ class AggregationAgent:
         if message.complete:
             aggregate.children_complete.add(message.source)
         self._after_update(message.epoch, aggregate)
+
+    def _on_lost_in_service(self, message: AggregateMessage) -> None:
+        self.records_lost += len(message.records)
 
     def _aggregate(self, epoch: int) -> _EpochAggregate:
         aggregate = self._epochs.get(epoch)

@@ -64,6 +64,10 @@ from repro.sim.switch import BROADCAST_DST, Switch, UnitId
 class UnitSnapshotRecord:
     """One unit's contribution to a global snapshot, as read by the CP."""
 
+    # ``dataclass(slots=True)`` spelled out: the project floor is 3.9.
+    __slots__ = ("unit", "epoch", "value", "channel_state", "consistent",
+                 "captured_ns", "read_ns")
+
     unit: UnitId
     epoch: int  # unwrapped
     value: int
@@ -172,7 +176,9 @@ class NotificationChannel:
             self.dropped += 1
             return
         self._queue.append(notification)
-        self.max_backlog = max(self.max_backlog, self.backlog)
+        backlog = len(self._queue) + (1 if self._busy else 0)
+        if backlog > self.max_backlog:
+            self.max_backlog = backlog
         if not self._busy:
             self._service_next()
 
@@ -194,7 +200,7 @@ class NotificationChannel:
         cost = max(1, self.config.notification_service_ns + jitter)
         if self.service_scale != 1.0:
             cost = max(1, int(cost * self.service_scale))
-        self.sim.schedule(cost, self._finish, notification)
+        self.sim.schedule_fast(cost, self._finish, notification)
 
     def _finish(self, notification: Notification) -> None:
         if not self.online:
@@ -229,6 +235,9 @@ class DigestChannel:
         self.handler = handler
         self._pending: list[Notification] = []
         self._queue: deque[list[Notification]] = deque()
+        #: Notifications in ``_queue``'s batches, kept as a running count
+        #: so :attr:`backlog` does not walk the queue on every arrival.
+        self._queued = 0
         self._busy = False
         self._flush_event = None
         #: Per-instance fault knobs; see :class:`NotificationChannel`.
@@ -243,16 +252,17 @@ class DigestChannel:
 
     @property
     def backlog(self) -> int:
-        queued = sum(len(batch) for batch in self._queue)
-        return len(self._pending) + queued + (1 if self._busy else 0)
+        return len(self._pending) + self._queued + (1 if self._busy else 0)
 
     def deliver(self, notification: Notification) -> None:
         self.received += 1
-        if not self.online or self.backlog >= self.capacity:
+        backlog = self.backlog
+        if not self.online or backlog >= self.capacity:
             self.dropped += 1
             return
         self._pending.append(notification)
-        self.max_backlog = max(self.max_backlog, self.backlog)
+        if backlog >= self.max_backlog:
+            self.max_backlog = backlog + 1
         if len(self._pending) >= self.config.digest_batch:
             self._ship()
         elif self._flush_event is None:
@@ -269,6 +279,7 @@ class DigestChannel:
             self._flush_event.cancel()
             self._flush_event = None
         self._queue.append(self._pending)
+        self._queued += len(self._pending)
         self._pending = []
         self.digests_shipped += 1
         if not self._busy:
@@ -277,9 +288,10 @@ class DigestChannel:
     def flush_queued(self) -> int:
         """Discard pending and queued digests (crash injection); returns
         the count of notifications lost."""
-        lost = len(self._pending) + sum(len(b) for b in self._queue)
+        lost = len(self._pending) + self._queued
         self._pending = []
         self._queue.clear()
+        self._queued = 0
         if self._flush_event is not None:
             self._flush_event.cancel()
             self._flush_event = None
@@ -291,11 +303,12 @@ class DigestChannel:
             return
         self._busy = True
         batch = self._queue.popleft()
+        self._queued -= len(batch)
         cost = (self.config.digest_service_ns +
                 len(batch) * self.config.digest_per_record_ns)
         if self.service_scale != 1.0:
             cost = int(cost * self.service_scale)
-        self.sim.schedule(max(1, cost), self._finish, batch)
+        self.sim.schedule_fast(max(1, cost), self._finish, batch)
 
     def _finish(self, batch: list[Notification]) -> None:
         if not self.online:
@@ -364,9 +377,12 @@ class SwitchControlPlane:
                 f"{self.config.notification_transport!r} "
                 "(use 'socket' or 'digest')")
         switch.notification_sink = self.channel.deliver
-        #: (epoch, unit, data-plane timestamp) for every processed
-        #: notification — the synchronization measurements of Figure 9.
-        self.progress_log: list[tuple[int, UnitId, int]] = []
+        #: epoch -> [earliest, latest, count] of the data-plane timestamps
+        #: on the processed notifications carrying that epoch — the
+        #: synchronization measurements of Figure 9, folded as they arrive.
+        self.progress: dict[int, list[int]] = {}
+        #: Ports with a registered unit, sorted (None = recompute).
+        self._ports: Optional[list[int]] = None
         #: Epochs initiated locally, with remaining retry budget.
         self._initiated: dict[int, int] = {}
         self.initiations_sent = 0
@@ -400,6 +416,7 @@ class SwitchControlPlane:
         if agent.unit_id in self.trackers:
             raise ValueError(f"unit {agent.unit_id} already registered")
         self.trackers[agent.unit_id] = _UnitTracker(agent, gating_channels)
+        self._ports = None
 
     def exclude_channel(self, unit: UnitId, channel: int) -> None:
         """Operator-configured removal of a non-utilized upstream
@@ -442,7 +459,9 @@ class SwitchControlPlane:
                               self._maybe_reinitiate, epoch)
 
     def _snapshot_ports(self) -> list[int]:
-        return sorted({uid.port for uid in self.trackers})
+        if self._ports is None:
+            self._ports = sorted({uid.port for uid in self.trackers})
+        return self._ports
 
     def _inject_initiation(self, port: int, epoch: int) -> None:
         packet = make_initiation_packet(self.ids.wrap(epoch),
@@ -603,14 +622,27 @@ class SwitchControlPlane:
         tracker = self.trackers.get(n.unit)
         if tracker is None:
             return  # unit not under snapshot management
-        new_sid = self.ids.unwrap_onto(n.new_sid, tracker.ctrl_sid)
-        old_sid = self.ids.unwrap_onto(n.old_sid, tracker.ctrl_sid)
-        if new_sid > tracker.ctrl_sid:
-            # A dropped notification shows as old_sid ahead of our view.
-            drop_suspected = old_sid != tracker.ctrl_sid
-            self._advance_sid(tracker, new_sid, drop_suspected=drop_suspected)
-        self.progress_log.append((max(new_sid, tracker.ctrl_sid), n.unit,
-                                  n.timestamp_ns))
+        ctrl_sid = tracker.ctrl_sid
+        # Both unwrapped whichever branch follows: it range-checks them.
+        new_sid = self.ids.unwrap_onto(n.new_sid, ctrl_sid)
+        old_sid = self.ids.unwrap_onto(n.old_sid, ctrl_sid)
+        if new_sid > ctrl_sid:
+            if self.channel_state:
+                # A dropped notification shows as old_sid ahead of our view.
+                self._advance_sid(tracker, new_sid,
+                                  drop_suspected=old_sid != ctrl_sid)
+            else:
+                tracker.ctrl_sid = new_sid
+            ctrl_sid = new_sid
+        timestamp = n.timestamp_ns
+        span = self.progress.get(ctrl_sid)
+        if span is None:
+            span = self.progress[ctrl_sid] = [timestamp, timestamp, 0]
+        elif timestamp < span[0]:
+            span[0] = timestamp
+        elif timestamp > span[1]:
+            span[1] = timestamp
+        span[2] += 1
         if self.channel_state and n.channel is not None:
             if n.channel in tracker.ctrl_last_seen or n.channel in tracker.gating:
                 current = tracker.ctrl_last_seen.get(n.channel, 0)
@@ -638,11 +670,12 @@ class SwitchControlPlane:
             to_read = min(tracker.gating_min(), tracker.ctrl_sid)
         else:
             to_read = tracker.ctrl_sid
-        if to_read <= tracker.last_read:
+        last_read = tracker.last_read
+        if to_read <= last_read:
             return
         agent = tracker.agent
         if self.channel_state:
-            for epoch in range(tracker.last_read + 1, to_read + 1):
+            for epoch in range(last_read + 1, to_read + 1):
                 slot = agent.read_slot(self.ids.wrap(epoch))
                 consistent = (epoch not in tracker.inconsistent) and slot.valid
                 record = UnitSnapshotRecord(
@@ -654,6 +687,18 @@ class SwitchControlPlane:
                 agent.clear_slot(self.ids.wrap(epoch))
                 tracker.inconsistent.discard(epoch)
                 self._ship(record)
+        elif to_read == last_read + 1:
+            # The campaign keeps up: one epoch, one register, and the
+            # downward scan below has nothing to infer.
+            wrapped = self.ids.wrap(to_read)
+            slot = agent.read_slot(wrapped)
+            valid, value, captured_ns = slot.valid, slot.value, slot.captured_ns
+            agent.clear_slot(wrapped)
+            if valid and self.ship is not None:
+                self.ship(UnitSnapshotRecord(
+                    unit=agent.unit_id, epoch=to_read, value=value,
+                    channel_state=None, consistent=True,
+                    captured_ns=captured_ns, read_ns=now))
         else:
             # Figure 7, OnNotifyNoCS lines 17-22: scan downward, filling
             # skipped (uninitialized) slots from the nearest valid value
@@ -662,7 +707,7 @@ class SwitchControlPlane:
             records: list[UnitSnapshotRecord] = []
             valid_value: Optional[int] = None
             valid_captured = now
-            for epoch in range(to_read, tracker.last_read, -1):
+            for epoch in range(to_read, last_read, -1):
                 slot = agent.read_slot(self.ids.wrap(epoch))
                 if slot.valid:
                     valid_value = slot.value

@@ -141,10 +141,8 @@ class SpeedlightUnit:
 
         if old_sid != self._sid or ls_changed:
             self._emit(Notification(
-                unit=self.unit_id, old_sid=old_sid, new_sid=self._sid,
-                timestamp_ns=now_ns,
-                channel=channel_id if self.channel_state else None,
-                old_last_seen=old_ls, new_last_seen=new_ls))
+                self.unit_id, old_sid, self._sid, now_ns,
+                channel_id if self.channel_state else None, old_ls, new_ls))
         return self._sid
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ behind a mailbox on another shard (:mod:`repro.core.sharded`); on a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import partial
 from typing import Any, Optional, Union
 
@@ -94,6 +94,23 @@ def _make_flat_sink(name: str, cp: SwitchControlPlane, send_root):
             min_finalized=cp.min_finalized_epoch(), complete=False))
 
     return ship
+
+
+def merge_progress(
+        tables: Iterable[dict[int, list[int]]]) -> dict[int, list[int]]:
+    """Fold ``epoch -> [earliest_ns, latest_ns, count]`` tables (one per
+    :attr:`SwitchControlPlane.progress`, or per shard) into one."""
+    merged: dict[int, list[int]] = {}
+    for table in tables:
+        for epoch, (earliest, latest, count) in table.items():
+            span = merged.get(epoch)
+            if span is None:
+                merged[epoch] = [earliest, latest, count]
+            else:
+                span[0] = min(span[0], earliest)
+                span[1] = max(span[1], latest)
+                span[2] += count
+    return merged
 
 
 @dataclass
@@ -491,12 +508,10 @@ class SpeedlightDeployment:
         """Synchronization of one snapshot ID, defined as in §8.1: the
         difference between the earliest and latest data-plane timestamps
         on any notification carrying that ID."""
-        times: list[int] = []
-        for cp in self.control_planes.values():
-            times.extend(t for (e, _u, t) in cp.progress_log if e == epoch)
-        if len(times) < 2:
-            return None
-        return max(times) - min(times)
+        earliest, latest, count = merge_progress(
+            {epoch: cp.progress[epoch]} for cp in self.control_planes.values()
+            if epoch in cp.progress).get(epoch, (0, 0, 0))
+        return latest - earliest if count >= 2 else None
 
     def notification_stats(self) -> dict[str, int]:
         """Aggregate notification-channel health across switches."""

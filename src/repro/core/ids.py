@@ -38,32 +38,31 @@ class IdSpace:
         if max_sid is not None and max_sid < 3:
             raise ValueError("max_sid must be >= 3 (window would be empty)")
         self.max_sid = max_sid
-        # Precomputed mirrors of the ``size``/``window`` properties:
-        # ``cmp`` runs once per packet per snapshot unit.
+        # Computed once: ``cmp`` runs per packet per snapshot unit and
+        # ``unwrap_onto`` twice per notification.  The window is
+        # (size - 1) // 2, or effectively unbounded.
         self._size = None if max_sid is None else max_sid + 1
         self._window = 2**62 if max_sid is None else max_sid // 2
 
     @property
     def size(self) -> Optional[int]:
         """Number of distinct wrapped IDs (None when unbounded)."""
-        return None if self.max_sid is None else self.max_sid + 1
+        return self._size
 
     @property
     def window(self) -> int:
         """Largest spread of concurrently live epochs that compares
         correctly.  The observer must not let snapshots outstanding
         exceed this."""
-        if self.max_sid is None:
-            return 2**62  # effectively unbounded
-        return (self.size - 1) // 2
+        return self._window
 
     def wrap(self, unwrapped: int) -> int:
         """Logical epoch -> register value."""
         if unwrapped < 0:
             raise ValueError(f"epochs are non-negative, got {unwrapped}")
-        if self.max_sid is None:
+        if self._size is None:
             return unwrapped
-        return unwrapped % self.size
+        return unwrapped % self._size
 
     def cmp(self, a: int, b: int) -> int:
         """Circular comparison of wrapped IDs ``a`` and ``b``.
@@ -107,14 +106,17 @@ class IdSpace:
         view of the unit's epoch).  Picks the representative of
         ``wrapped``'s congruence class closest to ``reference``.
         """
-        if self.max_sid is None:
+        size = self._size
+        if size is None:
             return wrapped
-        self._check(wrapped)
-        size = self.size
-        base = reference - (reference % size) + wrapped
-        candidates = (base - size, base, base + size)
-        best = min(candidates, key=lambda c: (abs(c - reference), c))
-        return max(best, 0)
+        if not 0 <= wrapped < size:
+            self._check(wrapped)
+        # The class has one member in [reference, reference + size); it
+        # or the one a lap behind is nearest, the one behind on a tie.
+        ahead = (wrapped - reference) % size
+        if 2 * ahead < size:
+            return reference + ahead
+        return max(reference + ahead - size, 0)
 
     def _check(self, value: int) -> None:
         if not 0 <= value <= self.max_sid:

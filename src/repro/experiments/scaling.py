@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.analysis.stats import Cdf
 from repro.core import AggregationConfig, ObserverConfig, deploy
+from repro.core.deployment import merge_progress
 from repro.core.sharded import OBSERVER_SHARD
 from repro.experiments.campaigns import start_poisson
 from repro.experiments.harness import TextTable, header
@@ -249,11 +250,9 @@ def setup(worker: ShardWorker, config: ScalingConfig, duration: int):
                                                    config.interval_ns))
 
     def finish() -> dict:
-        progress = []
-        for cp in deployment.control_planes.values():
-            progress.extend((e, t) for (e, _u, t) in cp.progress_log)
         result: dict = {
-            "progress": progress,
+            "progress": merge_progress(
+                cp.progress for cp in deployment.control_planes.values()),
             "notifications": deployment.notification_stats(),
         }
         if deployment.is_observer_shard:
@@ -291,16 +290,14 @@ def _measure(config: ScalingConfig, arity: int) -> ScalingPoint:
     epochs = observer["epochs"]
     finish = observer["finish"]
     # §8.1 synchronization, aggregated across shards: every shard
-    # reports its units' data-plane timestamps per epoch.
-    per_epoch: dict[int, list[int]] = {}
-    for shard in results:
-        for epoch, t in shard["progress"]:
-            per_epoch.setdefault(epoch, []).append(t)
+    # reports the earliest and latest data-plane timestamp and the
+    # sample count of its units, per epoch.
+    per_epoch = merge_progress(shard["progress"] for shard in results)
     spreads = []
     for epoch in epochs:
-        times = per_epoch.get(epoch, [])
-        if len(times) >= 2:
-            spreads.append(max(times) - min(times))
+        earliest, latest, count = per_epoch.get(epoch, (0, 0, 0))
+        if count >= 2:
+            spreads.append(latest - earliest)
     latencies = sorted(finish[e] - observer["requested"][e]
                        for e in epochs if e in finish)
     processed = sum(shard["notifications"]["processed"]

@@ -101,7 +101,7 @@ class SnapshotPipeline:
         snapshot = self._queue[0][0]
         cost = (self.config.ingest_service_ns
                 + self.config.ingest_per_record_ns * len(snapshot.records))
-        self.sim.schedule(cost, self._ingest_head)
+        self.sim.schedule_fast(cost, self._ingest_head)
 
     def _ingest_head(self) -> None:
         snapshot, merged = self._queue.popleft()

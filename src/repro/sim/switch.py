@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from collections.abc import Callable
 from functools import partial
-from typing import Optional, Protocol
+from typing import ClassVar, Optional, Protocol
 
 from repro.sim.engine import Simulator, US
 from repro.sim.channel import Link, LinkEndpoint
@@ -73,6 +73,21 @@ class UnitId:
     device: str
     port: int
     direction: Direction
+    #: ``hash()`` of this object once asked for (an instance attribute
+    #: then shadows the None; not a field): the collection path keys its
+    #: dicts by unit, and the generated hash rebuilds a tuple each time.
+    _hash: ClassVar[Optional[int]] = None
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.device, self.port, self.direction))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self) -> tuple[type[UnitId], tuple[str, int, Direction]]:
+        # String hashes differ between processes: pickle the fields only.
+        return UnitId, (self.device, self.port, self.direction)
 
     def __str__(self) -> str:
         return f"{self.device}:{self.port}:{self.direction.value}"

@@ -13,11 +13,14 @@ import pytest
 
 from repro.core import (AggregationConfig, AggregationTree, DeploymentConfig,
                         ObserverConfig, SpeedlightDeployment)
+from repro.core.aggregation import AggregateMessage, AggregationAgent
+from repro.core.control_plane import UnitSnapshotRecord
 from repro.core.sharded import OBSERVER_SHARD
 from repro.core.snapshot import SnapshotStatus
-from repro.sim.engine import MS, S
+from repro.sim.engine import MS, S, US, Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import InProcessShardRunner
+from repro.sim.switch import Direction, UnitId
 from repro.topology import fat_tree, leaf_spine
 
 
@@ -207,6 +210,44 @@ class TestCrashCouplingAndAttribution:
         assert not agent.online and not agent.channel.online
         cp.restart()
         assert agent.online and agent.channel.online
+
+    def test_message_in_service_at_the_crash_is_counted_lost(self):
+        """Every record a relay accepted moves upward exactly once or is
+        in ``records_lost`` — also the records of the message the relay
+        CPU was servicing when it died (they used to vanish: the queued
+        message was counted, the one in service only bumped ``dropped``)."""
+        sim = Simulator()
+        tree = AggregationTree(root="root", parent={"root": None, "kid": "root"},
+                               children={"root": ["kid"], "kid": []},
+                               order=["root", "kid"])
+        agent = AggregationAgent(sim, AggregationConfig(degree=2), "root", tree)
+        sent = []
+        agent.send_up = sent.append
+
+        def message(epoch):
+            records = [UnitSnapshotRecord(
+                unit=UnitId("kid", port, Direction.INGRESS), epoch=epoch,
+                value=port, channel_state=None, consistent=True,
+                captured_ns=0, read_ns=0) for port in range(3)]
+            return AggregateMessage(source="kid", epoch=epoch, records=records,
+                                    min_finalized=epoch, complete=True)
+
+        agent.channel.deliver(message(1))   # goes into service
+        agent.channel.deliver(message(2))   # waits behind it
+        sim.schedule_at(10 * US, agent.set_online, False)
+        sim.run(until=10 * MS)
+        channel = agent.channel
+        assert (channel.received, channel.processed, channel.dropped) == (2, 0, 1)
+        assert channel.records_in == 6 and agent.records_forwarded == 0
+        assert agent.records_lost == 6
+        # Back up, a fresh epoch flows and the books still balance.
+        agent.set_online(True)
+        agent.channel.deliver(message(3))
+        sim.run(until=20 * MS)
+        assert [m.epoch for m in sent] == [3]
+        assert channel.records_in == 9
+        assert channel.records_in == (agent.records_forwarded
+                                      + agent.records_lost) == 3 + 6
 
 
 def _sharded_setup(worker, agg_degree):

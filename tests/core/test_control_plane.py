@@ -117,11 +117,17 @@ class TestNoChannelState:
         assert all(r.value == 7 for r in shipped)
         assert all(r.consistent for r in shipped)
 
-    def test_progress_log_filled(self):
+    def test_progress_folded_per_epoch(self):
         net, cp, agent, _ = _bench()
         agent.process_packet(_pkt(1), 0, now_ns=5)
         net.run(until=1 * MS)
-        assert [(e, u) for (e, u, _t) in cp.progress_log] == [(1, UNIT_A)]
+        assert cp.progress == {1: [5, 5, 1]}
+        # Earliest, latest and count per epoch, whatever the arrival
+        # order: that is all sync_spread_ns and the shard merge read.
+        for stamp in (9, 2, 4):
+            cp.channel.deliver(Notification(UNIT_A, 1, 2, stamp))
+        net.run(until=2 * MS)
+        assert cp.progress == {1: [5, 5, 1], 2: [2, 9, 3]}
 
     def test_rollover_handled_via_unwrap(self):
         net, cp, agent, shipped = _bench(max_sid=7)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DeploymentConfig, SpeedlightDeployment
 from repro.core.dataplane import SpeedlightUnit
+from repro.core.deployment import merge_progress
 from repro.core.ideal import IdealUnit
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
@@ -168,3 +169,24 @@ class TestConvenience:
         dep.take_snapshot()
         net.run(until=200 * MS)
         assert dep.sync_spread_ns(1) >= 0
+
+    def test_sync_spread_is_latest_minus_earliest_capture(self):
+        """§8.1 from the folded per-epoch table: on a campaign without
+        re-initiations every notification is one unit's capture, so the
+        spread is that of the capture timestamps — across control planes,
+        and for every epoch asked without rescanning a log."""
+        net = _net(leaf_spine(num_leaves=2, num_spines=1, hosts_per_leaf=1))
+        dep = SpeedlightDeployment(net, metric="packet_count")
+        epochs = dep.schedule_campaign(3, 10 * MS)
+        net.run(until=200 * MS)
+        for epoch in epochs:
+            captured = [r.captured_ns
+                        for r in dep.observer.snapshot(epoch).records.values()]
+            assert len(captured) > 2
+            assert dep.sync_spread_ns(epoch) == max(captured) - min(captured)
+        assert sum(len(cp.progress) for cp in dep.control_planes.values()) == 9
+
+    def test_merge_progress_folds_tables_without_touching_them(self):
+        tables = [{1: [5, 9, 2]}, {1: [3, 7, 1], 2: [4, 4, 1]}, {}]
+        assert merge_progress(tables) == {1: [3, 9, 3], 2: [4, 4, 1]}
+        assert tables == [{1: [5, 9, 2]}, {1: [3, 7, 1], 2: [4, 4, 1]}, {}]

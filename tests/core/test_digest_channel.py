@@ -78,6 +78,52 @@ class TestBatching:
         assert channel.dropped == 3
 
 
+class TestBacklogCounter:
+    """``backlog`` is a running count (it used to re-sum the queued
+    batches on every arrival, twice); the sum stays here as the oracle."""
+
+    @staticmethod
+    def _brute_force(channel):
+        return (len(channel._pending) + sum(len(b) for b in channel._queue)
+                + (1 if channel._busy else 0))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_counter_equals_the_sum_through_random_histories(self, seed):
+        rng = random.Random(seed)
+        sim, channel, handled = _channel(_config(buffer_capacity=24))
+        peak = accepted = 0
+        for step in range(400):
+            action = rng.choice(["arrive"] * 12 + ["burst", "timer", "service",
+                                                   "crash", "restart"])
+            if action == "arrive" or action == "burst":
+                for _ in range(1 if action == "arrive" else rng.randint(2, 30)):
+                    before, dropped = self._brute_force(channel), channel.dropped
+                    channel.deliver(_notification(step))
+                    if channel.dropped == dropped:
+                        # The high-water mark is read with the arrival
+                        # buffered, before a full digest goes into service.
+                        accepted += 1
+                        peak = max(peak, before + 1)
+                    assert channel.backlog == self._brute_force(channel)
+            elif action == "timer":        # past the 200 us flush timer
+                sim.run(until=sim.now + 250 * US)
+            elif action == "service":      # part of one digest's service
+                sim.run(until=sim.now + rng.randint(1, 120) * US)
+            elif action == "crash" and channel.online:
+                channel.online = False
+                waiting = self._brute_force(channel) - channel._busy
+                assert channel.flush_queued() == waiting
+            elif action == "restart":
+                channel.online = True
+            assert channel.backlog == self._brute_force(channel), (step, action)
+            assert channel.backlog <= 24
+            assert channel.max_backlog == peak
+        channel.online = True
+        sim.run()
+        assert channel.backlog == self._brute_force(channel) == 0
+        assert len(handled) == channel.processed <= accepted
+
+
 class TestTransportSelection:
     def _deploy(self, transport):
         net = Network(single_switch(num_hosts=2), NetworkConfig(seed=1))

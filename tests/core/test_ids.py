@@ -119,3 +119,49 @@ class TestWrappedProperties:
     def test_property_succ_agrees_with_unwrapped_increment(self, max_sid, a):
         ids = IdSpace(max_sid)
         assert ids.succ(ids.wrap(a)) == ids.wrap(a + 1)
+
+
+def _unwrap_onto_three_candidates(max_sid, wrapped, reference):
+    """``IdSpace.unwrap_onto`` as it was before the closed form: build the
+    three nearest members of the congruence class, take the closest, the
+    smaller on a tie.  Kept here as the oracle."""
+    if max_sid is None:
+        return wrapped
+    if not 0 <= wrapped <= max_sid:
+        raise ValueError(f"wrapped ID {wrapped} out of range [0, {max_sid}]")
+    size = max_sid + 1
+    base = reference - (reference % size) + wrapped
+    candidates = (base - size, base, base + size)
+    best = min(candidates, key=lambda c: (abs(c - reference), c))
+    return max(best, 0)
+
+
+class TestUnwrapClosedForm:
+    @pytest.mark.parametrize("max_sid", [*range(3, 17), 255])
+    def test_equals_three_candidate_form_over_three_laps(self, max_sid):
+        ids = IdSpace(max_sid)
+        for reference in range(3 * (max_sid + 1) + 1):
+            for wrapped in range(max_sid + 1):
+                assert (ids.unwrap_onto(wrapped, reference)
+                        == _unwrap_onto_three_candidates(max_sid, wrapped,
+                                                         reference)), \
+                    (wrapped, reference)
+
+    @given(st.integers(min_value=0, max_value=65535),
+           st.integers(min_value=0, max_value=2**40))
+    def test_property_equals_three_candidate_form_16_bit(self, wrapped,
+                                                         reference):
+        assert (IdSpace(65535).unwrap_onto(wrapped, reference)
+                == _unwrap_onto_three_candidates(65535, wrapped, reference))
+
+    @given(st.integers(min_value=0, max_value=2**40),
+           st.integers(min_value=0, max_value=2**40))
+    def test_property_unbounded_is_identity(self, wrapped, reference):
+        assert IdSpace(None).unwrap_onto(wrapped, reference) == wrapped
+
+    @pytest.mark.parametrize("wrapped", [-1, 8, 2**20])
+    def test_out_of_range_still_rejected(self, wrapped):
+        with pytest.raises(ValueError):
+            IdSpace(7).unwrap_onto(wrapped, 100)
+        with pytest.raises(ValueError):
+            _unwrap_onto_three_candidates(7, wrapped, 100)

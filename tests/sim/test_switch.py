@@ -227,3 +227,69 @@ class TestUnitAccess:
         sw = net.switch("sw0")
         assert sw.unit(0, Direction.INGRESS) is sw.ports[0].ingress
         assert sw.unit(1, Direction.EGRESS) is sw.ports[1].egress
+
+
+class TestUnitIdHash:
+    """``UnitId`` computes its hash once per object, lazily; the cached
+    value is the generated one and never leaves the process."""
+
+    def test_equal_objects_hash_equal_before_and_after_caching(self):
+        first = UnitId("sw0", 3, Direction.EGRESS)
+        second = UnitId("sw0", 3, Direction.EGRESS)
+        assert "_hash" not in vars(first)
+        assert hash(first) == hash(("sw0", 3, Direction.EGRESS))
+        # One has cached, its equal has not: same hash, same dict slot.
+        assert "_hash" in vars(first) and "_hash" not in vars(second)
+        assert {first: "found"}[second] == "found"
+        assert hash(first) == hash(second) == hash(first)
+        assert first == second and str(first) == str(second)
+        assert hash(first) != hash(UnitId("sw0", 3, Direction.INGRESS))
+
+    def test_cache_is_not_a_field_and_is_not_copied(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        unit = UnitId("sw0", 3, Direction.EGRESS)
+        hash(unit)
+        assert [f.name for f in dataclasses.fields(unit)] == [
+            "device", "port", "direction"]
+        for clone in (copy.copy(unit), copy.deepcopy(unit),
+                      pickle.loads(pickle.dumps(unit)),
+                      dataclasses.replace(unit)):
+            assert clone == unit and "_hash" not in vars(clone)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            unit.port = 4
+
+    def test_pickled_under_one_hash_seed_found_under_another(self):
+        """String hashes are per process (``PYTHONHASHSEED``): a cached
+        value that crossed a pickle boundary — the ``spawn`` fallback of
+        ``sim/shard.py``, any ``--jobs N`` pool — would miss its own dict
+        entry on the other side."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        def python(seed, code, stdin=None):
+            src = os.path.dirname(os.path.dirname(repro.__file__))
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            return subprocess.run([sys.executable, "-c", code], env=env,
+                                  input=stdin, capture_output=True,
+                                  check=True, timeout=60).stdout
+
+        pickled = python(1, (
+            "import pickle, sys\n"
+            "from repro.sim.switch import Direction, UnitId\n"
+            "unit = UnitId('leaf0', 2, Direction.INGRESS)\n"
+            "assert hash(unit) == vars(unit)['_hash']\n"
+            "sys.stdout.buffer.write(pickle.dumps(unit))\n"))
+        found = python(2, (
+            "import pickle, sys\n"
+            "from repro.sim.switch import Direction, UnitId\n"
+            "table = {UnitId('leaf0', 2, Direction.INGRESS): 'found'}\n"
+            "unit = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(table.get(unit), hash(unit) == hash(next(iter(table))))\n"),
+            stdin=pickled)
+        assert found.decode().split() == ["found", "True"]
