@@ -74,15 +74,16 @@ class UnitId:
     port: int
     direction: Direction
     #: ``hash()`` of this object once asked for (an instance attribute
-    #: then shadows the None; not a field): the collection path keys its
-    #: dicts by unit, and the generated hash rebuilds a tuple each time.
+    #: then shadows the None; not a field).  It is the generated value: an
+    #: enum member hashes as its name, and sparing that Python-level call
+    #: keeps the first hash of a unit built to be used once at its old cost.
     _hash: ClassVar[Optional[int]] = None
 
-    def __hash__(self) -> int:
+    def __hash__(self, _set: Callable[..., None] = object.__setattr__) -> int:
         cached = self._hash
         if cached is None:
-            cached = hash((self.device, self.port, self.direction))
-            object.__setattr__(self, "_hash", cached)
+            cached = hash((self.device, self.port, self.direction._name_))
+            _set(self, "_hash", cached)
         return cached
 
     def __reduce__(self) -> tuple[type[UnitId], tuple[str, int, Direction]]:
