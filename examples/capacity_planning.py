@@ -17,7 +17,7 @@ the same offered load spreads and the hotspot disappears.
 Run:  python examples/capacity_planning.py
 """
 
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.experiments.campaigns import make_balancer_factory
 from repro.lb import flow_hash
 from repro.sim.engine import MS
@@ -60,8 +60,7 @@ def run_study(balancer: str):
         net.host(host).send_flow("server3", 40_000, sport=sport, dport=5001,
                                  size_bytes=1500, gap_ns=0)
 
-    deployment = SpeedlightDeployment(net, DeploymentConfig(
-        metric="queue_depth"))
+    deployment = deploy(net, metric="queue_depth")
     epochs = deployment.schedule_campaign(count=25, interval_ns=1 * MS)
     net.run(until=60 * MS)
 

@@ -16,12 +16,11 @@ synchronized packet-count snapshots expose the loop.
 Run:  python examples/forwarding_loop_detection.py
 """
 
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.analysis import LoopDetector
+from repro.core import deploy
 from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.switch import Direction
 from repro.topology import ring
-from repro.topology.graph import NodeKind
 
 
 def main() -> None:
@@ -39,48 +38,27 @@ def main() -> None:
         port = network.port_toward(name, next_hop)
         network.switch(name).install_route("phantom", [port])
 
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="packet_count"))
+    deployment = deploy(network, metric="packet_count")
 
     # A short burst toward the phantom destination enters at server0.
     network.host("server0").send_flow("phantom", 20, sport=1, dport=2,
                                       gap_ns=10 * US)
 
-    epochs = deployment.schedule_campaign(count=6, interval_ns=3 * MS)
+    deployment.schedule_campaign(count=6, interval_ns=3 * MS)
     network.run(until=200 * MS)
 
-    def ingress_counts(snap):
-        """(packets entering from hosts, packets arriving switch-to-switch)."""
-        from_hosts = transit = 0
-        for unit, record in snap.records.items():
-            if unit.direction is not Direction.INGRESS:
-                continue
-            peer, kind = network.peer_of_port(unit.device, unit.port)
-            if kind is NodeKind.HOST:
-                from_hosts += record.value
-            else:
-                transit += record.value
-        return from_hosts, transit
+    snaps = deployment.observer.completed_snapshots()
+    verdicts = LoopDetector(network).scan(snaps)
 
-    print("epoch | pkts entered from hosts | switch-to-switch arrivals")
-    history = []
-    for epoch in epochs:
-        snap = deployment.observer.snapshot(epoch)
-        if not snap.complete:
-            continue
-        entered, transit = ingress_counts(snap)
-        history.append((epoch, entered, transit))
-        print(f"{epoch:>5} | {entered:>23} | {transit:>25}")
+    print("epochs | growth between the two consistent cuts")
+    for before, after, verdict in zip(snaps, snaps[1:], verdicts):
+        print(f"{before.epoch:>2} -> {after.epoch:<2} | {verdict}")
 
-    (_, e0, t0), (_, e1, t1) = history[0], history[-1]
-    print(f"\nbetween the first and last snapshot: host traffic grew by "
-          f"{e1 - e0}, transit grew by {t1 - t0}.")
-    if t1 - t0 > 4 * max(e1 - e0, 1):
-        print("transit grows without new input — packets are circulating: "
+    if any(verdict.loop_suspected for verdict in verdicts):
+        print("\ntransit grows without new input — packets are circulating: "
               "FORWARDING LOOP detected.")
         print("(each consistent snapshot is a legal cut, so this growth "
               "cannot be an artifact of measurement timing.)")
-
 
 if __name__ == "__main__":
     main()

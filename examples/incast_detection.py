@@ -14,7 +14,7 @@ whole-network queue picture at the worst instant.
 Run:  python examples/incast_detection.py
 """
 
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.sim.engine import MS, S, US
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.switch import Direction
@@ -32,8 +32,8 @@ def main() -> None:
         mean_request_gap_ns=60 * US))
     workload.start()
 
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="queue_depth"))  # a gauge: no channel state needed
+    # A gauge: no channel state needed.
+    deployment = deploy(network, metric="queue_depth")
 
     epochs = deployment.schedule_campaign(count=200, interval_ns=500 * US)
     network.run(until=400 * MS)

@@ -18,7 +18,7 @@ Run:  python examples/loss_localization.py
 """
 
 from repro.analysis import LinkAudit
-from repro.core import ControlPlaneConfig, DeploymentConfig, SpeedlightDeployment
+from repro.core import ControlPlaneConfig, deploy
 from repro.sim.channel import BernoulliLoss, NoLoss
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
@@ -40,9 +40,9 @@ def main() -> None:
     wl = PoissonWorkload(net, PoissonConfig(
         rate_pps=40_000, stop_ns=1 * S, sport_churn=True))
     wl.start()
-    deployment = SpeedlightDeployment(net, DeploymentConfig(
-        metric="packet_count", channel_state=True,
-        control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS)))
+    deployment = deploy(
+        net, metric="packet_count", channel_state=True,
+        control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS))
     epochs = deployment.schedule_campaign(count=6, interval_ns=30 * MS)
     net.run(until=1 * S)
 

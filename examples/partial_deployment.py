@@ -11,7 +11,7 @@ Run:  python examples/partial_deployment.py
 """
 
 from repro.analysis import ConsistencyChecker
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import leaf_spine
@@ -25,9 +25,8 @@ def main() -> None:
         rate_pps=15_000, stop_ns=1 * S, sport_churn=True))
     workload.start()
 
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="packet_count",
-        switches=["leaf0", "leaf1"]))  # spines stay legacy
+    deployment = deploy(network, metric="packet_count",
+                        switches=["leaf0", "leaf1"])  # spines stay legacy
     print("snapshot-enabled devices:", sorted(deployment.control_planes))
 
     epochs = deployment.schedule_campaign(count=8, interval_ns=20 * MS)

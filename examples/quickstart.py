@@ -10,7 +10,7 @@ network-wide packet total it certifies.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import ControlPlaneConfig, DeploymentConfig, SpeedlightDeployment
+from repro.core import ControlPlaneConfig, deploy
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import leaf_spine
@@ -34,9 +34,9 @@ def main() -> None:
     #    Liveness probes are disabled: the churned all-to-all traffic
     #    keeps every channel hot, so snapshots complete from traffic
     #    alone and the sync column shows pure measurement spread.
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="packet_count", channel_state=True,
-        control_plane=ControlPlaneConfig(probe_delay_ns=0)))
+    deployment = deploy(
+        network, metric="packet_count", channel_state=True,
+        control_plane=ControlPlaneConfig(probe_delay_ns=0))
 
     # 4. Schedule a measurement campaign and run the simulation.
     epochs = deployment.schedule_campaign(count=10, interval_ns=20 * MS)

@@ -20,7 +20,6 @@ from repro.analysis.consistency import (
     ConsistencyViolation,
 )
 from repro.analysis.report import (
-    CampaignSeries,
     epoch_from_record,
     epoch_record,
     snapshot_rows,
@@ -40,7 +39,6 @@ __all__ = [
     "LinkReport",
     "LoopDetector",
     "LoopVerdict",
-    "CampaignSeries",
     "epoch_from_record",
     "epoch_record",
     "snapshot_rows",

@@ -55,7 +55,6 @@ from repro.core.recovery import (
     RecoveryPolicy,
     recovery_preset,
 )
-from repro.core.campaign import CampaignConfig, ConsistentCampaign
 from repro.core.snapshot import GlobalSnapshot, SnapshotStatus
 from repro.core.deployment import (
     DeploymentConfig,
@@ -87,8 +86,6 @@ __all__ = [
     "RECOVERY_PRESETS",
     "RecoveryPolicy",
     "recovery_preset",
-    "CampaignConfig",
-    "ConsistentCampaign",
     "GlobalSnapshot",
     "SnapshotStatus",
     "DeploymentConfig",

@@ -78,9 +78,6 @@ class PollRound:
                 return sample.value
         raise KeyError(f"no sample for {target}")
 
-    def values_by_target(self) -> dict[PollTarget, int]:
-        return {s.target: s.value for s in self.samples}
-
 
 @dataclass
 class PollingConfig:

@@ -68,10 +68,6 @@ class Host:
         #: Optional callback invoked on every received packet (used by
         #: request/response workloads such as the memcache generator).
         self.on_receive: Optional[Callable[[Packet], None]] = None
-        #: Destination-port listeners (transport endpoints); a packet
-        #: whose dport has a listener is delivered to it after the
-        #: generic accounting/callback.
-        self._listeners: dict[int, Callable[[Packet], None]] = {}
 
     # -- LinkEndpoint protocol -----------------------------------------
     @property
@@ -96,21 +92,6 @@ class Host:
         record.note(packet, self.sim.now)
         if self.on_receive is not None:
             self.on_receive(packet)
-        listener = self._listeners.get(packet.flow.dport)
-        if listener is not None:
-            listener(packet)
-
-    # ------------------------------------------------------------------
-    # Transport support
-    # ------------------------------------------------------------------
-    def listen(self, dport: int, handler: Callable[[Packet], None]) -> None:
-        """Register a handler for packets addressed to ``dport``."""
-        if dport in self._listeners:
-            raise ValueError(f"{self.name} already listens on {dport}")
-        self._listeners[dport] = handler
-
-    def unlisten(self, dport: int) -> None:
-        self._listeners.pop(dport, None)
 
     # ------------------------------------------------------------------
     # Sending
@@ -151,10 +132,6 @@ class Host:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def nic_queue_depth(self) -> int:
-        return self._nic.depth_packets
-
     def flow_throughput_bps(self, flow: FlowKey) -> float:
         """Average receive throughput of a flow over its lifetime."""
         record = self.received.get(flow)

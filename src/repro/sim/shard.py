@@ -108,9 +108,6 @@ class ShardPlan:
         return {f"{s.a}-{s.b}": (self.assignment[s.a], self.assignment[s.b])
                 for s in self.cut}
 
-    def shard_nodes(self, shard_id: int) -> list[str]:
-        return sorted(n for n, s in self.assignment.items() if s == shard_id)
-
 
 class BoundaryLink(Link):
     """One shard's stub for a cut link.
@@ -505,6 +502,7 @@ class ProcessShardRunner:
             self._next_times[shard_id] = next_time
             for name in mailboxes:
                 if name in self._mailbox_homes:
+                    self.close()
                     raise ValueError(
                         f"mailbox {name!r} registered by more than one "
                         f"shard ({self._mailbox_homes[name]} and "

@@ -173,10 +173,6 @@ class CounterSet:
     def names(self) -> list[str]:
         return sorted(self._counters)
 
-    def update_all(self, packet: Packet, now_ns: int) -> None:
-        for counter in self._counters.values():
-            counter.update(packet, now_ns)
-
     def read(self, name: str) -> int:
         """Read a counter's current value (the control-plane register read
         used by the polling baseline)."""

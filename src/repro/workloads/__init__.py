@@ -18,29 +18,21 @@ the traffic they emit, not on the computation:
   smooth, evenly distributed, µs-scale traffic (Figure 12c's x-axis is in
   µs, two orders finer than Hadoop's).
 
-Generic generators (:class:`PoissonWorkload`, :class:`OnOffWorkload`)
-support tests and custom experiments.
+The generic :class:`PoissonWorkload` supports tests and custom
+experiments.
 """
 
 from repro.workloads.base import Workload, WorkloadConfig
-from repro.workloads.synthetic import PoissonWorkload, OnOffWorkload
+from repro.workloads.synthetic import PoissonWorkload
 from repro.workloads.hadoop import HadoopTerasortWorkload
 from repro.workloads.graphx import GraphXPageRankWorkload
 from repro.workloads.memcache import MemcacheWorkload
-from repro.workloads.replay import (ReplayWorkload, TraceEntry, load_trace,
-                                    record_trace, save_trace)
 
 __all__ = [
     "Workload",
     "WorkloadConfig",
     "PoissonWorkload",
-    "OnOffWorkload",
     "HadoopTerasortWorkload",
     "GraphXPageRankWorkload",
     "MemcacheWorkload",
-    "ReplayWorkload",
-    "TraceEntry",
-    "load_trace",
-    "record_trace",
-    "save_trace",
 ]

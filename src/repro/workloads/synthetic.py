@@ -1,8 +1,8 @@
-"""Generic traffic generators: Poisson and on/off (bursty).
+"""The generic traffic generator: Poisson.
 
-These are the building blocks for tests and for custom measurement
-campaigns; the application-shaped workloads in this package compose the
-same primitives with application-specific structure.
+The building block for tests and for custom measurement campaigns; the
+application-shaped workloads in this package compose the same
+primitives with application-specific structure.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.engine import MS, US
 from repro.workloads.base import Workload, WorkloadConfig
 
 
@@ -62,50 +61,3 @@ class PoissonWorkload(Workload):
                   size_bytes=self.config.size_bytes)
         self.sim.schedule(self.exp_delay(mean_gap), self._tick,
                           src, dst, sport, mean_gap)
-
-
-@dataclass
-class OnOffConfig(WorkloadConfig):
-    """Bursty on/off traffic: exponential on and off periods."""
-
-    mean_on_ns: int = 1 * MS
-    mean_off_ns: int = 4 * MS
-    #: Packet gap while "on" (burst rate).
-    on_gap_ns: int = 10 * US
-    size_bytes: int = 1500
-    pairs: Optional[list[tuple[str, str]]] = None
-
-
-class OnOffWorkload(Workload):
-    """Exponential on/off bursts per pair — microburst-like traffic.
-
-    Bursts shorter than the polling interval are exactly the regime where
-    "even small amounts of unattended asynchronicity can lead to large
-    inaccuracies in measurement" (§2.1).
-    """
-
-    def __init__(self, network, config: Optional[OnOffConfig] = None) -> None:
-        super().__init__(network, config or OnOffConfig())
-        self.config: OnOffConfig
-
-    def _pairs(self) -> list[tuple[str, str]]:
-        if self.config.pairs is not None:
-            return list(self.config.pairs)
-        hosts = self.hosts
-        return [(a, b) for a in hosts for b in hosts if a != b]
-
-    def _begin(self) -> None:
-        for src, dst in self._pairs():
-            self.sim.schedule(self.exp_delay(self.config.mean_off_ns),
-                              self._start_burst, src, dst)
-
-    def _start_burst(self, src: str, dst: str) -> None:
-        if not self.active:
-            return
-        duration = self.exp_delay(self.config.mean_on_ns)
-        num = max(1, duration // max(self.config.on_gap_ns, 1))
-        self.emit_burst(src, dst, sport=self.next_sport(), dport=9001,
-                        num_packets=num, size_bytes=self.config.size_bytes,
-                        gap_ns=self.config.on_gap_ns)
-        self.sim.schedule(duration + self.exp_delay(self.config.mean_off_ns),
-                          self._start_burst, src, dst)

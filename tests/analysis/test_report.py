@@ -1,12 +1,11 @@
-"""Tests for snapshot export and campaign series."""
+"""Tests for snapshot export."""
 
 import json
 
 import pytest
 
-from repro.analysis.report import (CampaignSeries, epoch_from_record,
-                                   epoch_record, snapshot_rows,
-                                   snapshot_to_json)
+from repro.analysis.report import (epoch_from_record, epoch_record,
+                                   snapshot_rows, snapshot_to_json)
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.core.snapshot import GlobalSnapshot, SnapshotStatus
 from repro.sim.switch import Direction, UnitId
@@ -43,66 +42,6 @@ class TestRows:
         assert doc["epoch"] == 2
         assert doc["records"][0]["total"] == 13
         assert doc["consistent"] is True
-
-
-class TestCampaignSeries:
-    def test_series_aligned_across_snapshots(self):
-        a, b = _unit(port=0), _unit(port=1)
-        snaps = [_snap(1, {a: 1, b: 10}), _snap(2, {a: 2, b: 20}),
-                 _snap(3, {a: 3, b: 30})]
-        series = CampaignSeries.from_snapshots(snaps)
-        assert len(series) == 3
-        assert series.series[a] == [1, 2, 3]
-        assert series.series[b] == [10, 20, 30]
-
-    def test_units_missing_somewhere_dropped(self):
-        a, b = _unit(port=0), _unit(port=1)
-        snaps = [_snap(1, {a: 1, b: 10}), _snap(2, {a: 2})]
-        series = CampaignSeries.from_snapshots(snaps)
-        assert list(series.series) == [a]
-
-    def test_total_values_option(self):
-        a = _unit()
-        snaps = [_snap(1, {a: 1}, channel=5)]
-        assert CampaignSeries.from_snapshots(snaps, use_total=True).series[a] \
-            == [6]
-
-    def test_named_filters_direction(self):
-        ingress, egress = _unit(port=0), _unit(port=0, direction=Direction.EGRESS)
-        snaps = [_snap(1, {ingress: 1, egress: 2})]
-        named = CampaignSeries.from_snapshots(snaps).named(Direction.EGRESS)
-        assert list(named) == ["sw0:0"]
-        assert named["sw0:0"] == [2.0]
-
-    def test_deltas(self):
-        a = _unit()
-        snaps = [_snap(1, {a: 10}), _snap(2, {a: 25}), _snap(3, {a: 45})]
-        deltas = CampaignSeries.from_snapshots(snaps).deltas()
-        assert deltas.series[a] == [15, 20]
-        assert deltas.epochs == [2, 3]
-
-    def test_series_order_is_units_order_not_set_order(self):
-        # 24 units: a bare set of them iterates in PYTHONHASHSEED order.
-        units = [_unit(f"sw{d}", port, direction) for d in range(3)
-                 for port in range(4) for direction in Direction]
-        snaps = [_snap(epoch, {u: epoch * i
-                               for i, u in enumerate(reversed(units))})
-                 for epoch in (1, 2)]
-        series = CampaignSeries.from_snapshots(snaps)
-        assert len(series.series) >= 24
-        assert list(series.series) == series.units()
-        assert list(series.deltas().series) == series.units()
-
-    def test_deltas_need_two_snapshots(self):
-        with pytest.raises(ValueError):
-            CampaignSeries.from_snapshots([_snap(1, {_unit(): 1})]).deltas()
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignSeries.from_snapshots([])
-        with pytest.raises(ValueError):
-            CampaignSeries.from_snapshots(
-                [_snap(1, {_unit(port=0): 1}), _snap(2, {_unit(port=1): 1})])
 
 
 class TestEpochRecordRoundTrip:

@@ -1,12 +1,12 @@
 """Long-running and fault-injection integration scenarios."""
 
 
-from repro.analysis import CampaignSeries, ConsistencyChecker
+from repro.analysis import ConsistencyChecker
 from repro.core import (ControlPlaneConfig, DeploymentConfig, ObserverConfig,
                         SnapshotStatus, SpeedlightDeployment)
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.switch import Direction, SwitchConfig
+from repro.sim.switch import SwitchConfig
 from repro.topology import leaf_spine, single_switch
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
@@ -99,24 +99,3 @@ class TestCosPartialDeployment:
         checker = ConsistencyChecker(deployment.ids)
         checker.ingest(net.trace_log)
         checker.check_all(snaps, channel_state=True)
-
-
-class TestCampaignSeriesOverLiveData:
-    def test_series_deltas_reflect_traffic(self):
-        net = Network(single_switch(num_hosts=2), NetworkConfig(seed=12))
-        wl = PoissonWorkload(net, PoissonConfig(
-            seed=13, rate_pps=20_000, stop_ns=1 * S,
-            pairs=[("server0", "server1")]))
-        wl.start()
-        deployment = SpeedlightDeployment(net, metric="packet_count")
-        epochs = deployment.schedule_campaign(count=10, interval_ns=10 * MS)
-        net.run(until=1 * S)
-        snaps = deployment.observer.completed_snapshots()
-        series = CampaignSeries.from_snapshots(snaps)
-        deltas = series.deltas()
-        from repro.sim.switch import UnitId
-        in_port = net.port_toward("sw0", "server0")
-        unit = UnitId("sw0", in_port, Direction.INGRESS)
-        per_interval = deltas.series[unit]
-        # ~200 packets expected per 10 ms interval at 20 kpps.
-        assert all(100 < d < 320 for d in per_interval)

@@ -86,8 +86,8 @@ class TestEventsPerHop:
 @WIRINGS
 class TestLazyObservers:
     """``busy`` / ``depth_packets`` / ``packets_sent`` / ``bytes_sent``
-    (what ``LinkLoadMonitor._tick`` and the queue-depth gauge read) are
-    answered from the finish instant: idle iff ``now >= finish``."""
+    (what the queue-depth gauge and tail drop read) are answered from
+    the finish instant: idle iff ``now >= finish``."""
 
     def test_samples_around_the_finish_instant(self, fused):
         sim = Simulator()

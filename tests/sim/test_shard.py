@@ -14,6 +14,7 @@ The two load-bearing guarantees:
 """
 
 import hashlib
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,8 @@ class TestMailboxRouting:
                                              r"than one shard \(0 and 1\)"):
             runner_cls(leaf_spine(**TOPO_KW), NetworkConfig(seed=11),
                        shards=2, setup=_duplicate_mailbox_setup)
+        # The process runner joins its workers before it raises.
+        assert multiprocessing.active_children() == []
 
 
 class TestSingleShardIdentity:

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.sim.engine import MS, US
+from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import leaf_spine
 from repro.workloads import (GraphXPageRankWorkload, HadoopTerasortWorkload,
-                             MemcacheWorkload, OnOffWorkload, PoissonWorkload)
+                             MemcacheWorkload, PoissonWorkload)
 from repro.workloads.graphx import GraphXConfig
 from repro.workloads.hadoop import HadoopConfig
 from repro.workloads.memcache import MemcacheConfig
-from repro.workloads.synthetic import OnOffConfig, PoissonConfig
+from repro.workloads.synthetic import PoissonConfig
 
 
 def _net():
@@ -66,20 +66,6 @@ class TestPoisson:
         net.run(until=10 * MS)
         # One generator per pair, not two: rate stays ~5 packets.
         assert wl.packets_emitted < 20
-
-
-class TestOnOff:
-    def test_bursty_structure(self):
-        net = _net()
-        wl = OnOffWorkload(net, OnOffConfig(
-            stop_ns=100 * MS, pairs=[("server0", "server3")],
-            mean_on_ns=1 * MS, mean_off_ns=4 * MS, on_gap_ns=20 * US))
-        wl.start()
-        net.run(until=150 * MS)
-        assert wl.packets_emitted > 100
-        # Receiver sees distinct bursts: long gaps exist between packets.
-        record = net.host("server3").received
-        assert record  # at least one flow arrived
 
 
 class TestHadoop:
