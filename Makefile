@@ -7,7 +7,7 @@ JOBS ?= 1
 PROFILE_EXP ?= fig10
 
 .PHONY: install test lint statics typecheck static-checks \
-        bench bench-smoke bench-experiments fused-diff-deep \
+        bench bench-smoke bench-experiments fused-diff-deep jobs-diff-deep \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -79,6 +79,18 @@ fused-diff-deep:
 	REPRO_FUSED_DIFF_EXAMPLES=3000 $(PYTHON) -m pytest -q \
 	    tests/properties/test_fused_equivalence.py
 
+# The --jobs 1 vs --jobs N comparison (tests/runtime/test_runner.py,
+# tier-1: two tiny trials per experiment) over the whole quick suite:
+# every trial serially, then across four workers, stdouts compared byte
+# for byte (~1 min serial).  A difference leaves both outputs behind.
+jobs-diff-deep:
+	mkdir -p .repro-cache
+	$(PYTHON) -m repro experiments --quick --no-cache --jobs 1 \
+	    > .repro-cache/jobs-1.out
+	$(PYTHON) -m repro experiments --quick --no-cache --jobs 4 \
+	    > .repro-cache/jobs-4.out
+	cmp .repro-cache/jobs-1.out .repro-cache/jobs-4.out
+
 # The full experiment regeneration benchmarks (pytest-benchmark).
 bench-experiments:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -115,16 +127,15 @@ chaos-smoke:
 	         and partial.ok and frontiers \
 	         and upd.ordering_ok and upd.all_audits_ok else 1)"
 
-# cProfile one experiment end-to-end: one .prof per trial under
-# profiles/, then print the hottest functions of each.
+# cProfile one experiment end-to-end (serial, uncached) into
+# profiles/<name>.prof, then print its hottest functions.
 profile:
-	rm -rf profiles && mkdir -p profiles
-	$(PYTHON) -m repro run $(PROFILE_EXP) --quick --no-cache \
-	    --profile profiles
-	@for f in profiles/*.prof; do \
-	    echo "== $$f"; \
-	    $(PYTHON) -m repro.runtime.profiles $$f --limit 15; \
-	done
+	mkdir -p profiles
+	$(PYTHON) -m cProfile -o profiles/$(PROFILE_EXP).prof \
+	    -m repro run $(PROFILE_EXP) --quick --no-cache
+	$(PYTHON) -c "import pstats; \
+	pstats.Stats('profiles/$(PROFILE_EXP).prof').strip_dirs() \
+	    .sort_stats('cumulative').print_stats(15)"
 
 # Regenerate every table/figure through the shared trial runner: one
 # combined batch (parallel across experiments with JOBS>1), cached under

@@ -2,19 +2,19 @@
 
 Commands:
 
-``experiments [--list] [--only a,b] [--quick] [--jobs N] [--no-cache]``
+``experiments [NAME ...] [--list] [--only a,b] [--quick] [--jobs N] [--no-cache]``
     Run the full experiment suite through the shared trial runner —
     every experiment's trial specs are submitted as **one** batch, so
     ``--jobs 4`` parallelises across experiments, not just within one.
     ``--list`` prints the available experiments instead of running.
 ``run <name> [--quick] [--jobs N] [--no-cache] [--cache-dir DIR]``
-    Run one experiment (``table1``, ``fig9`` … ``fig13``,
+    ``experiments <name>`` with exactly one name (same handler, same
+    flags): run one experiment (``table1``, ``fig9`` … ``fig13``,
     ``ablation-ideal``, ``sweep-ptp``, ``faults``, ``recovery``,
     ``scaling`` …) and print its report.  The fault-aware experiments
     accept ``--fault-profile <json|file>`` with a serialized
-    :class:`~repro.faults.FaultProfile` (see docs/FAULTS.md; the flag is
-    not called ``--profile`` because that already selects cProfile
-    output).  ``updates`` additionally accepts ``--update-plan
+    :class:`~repro.faults.FaultProfile` (see docs/FAULTS.md).
+    ``updates`` additionally accepts ``--update-plan
     <json|file>`` with a serialized :class:`~repro.updates.UpdatePlan`
     (docs/UPDATES.md).  ``--shards N`` partitions each trial's network
     across N worker processes for experiments that support
@@ -69,11 +69,7 @@ def _make_runner(args: argparse.Namespace):
             print(f"cannot use cache dir {args.cache_dir!r}: {exc}",
                   file=sys.stderr)
             raise SystemExit(2) from exc
-    if args.profile and args.jobs > 1:
-        print("[--profile forces serial execution; ignoring --jobs]",
-              file=sys.stderr)
     return TrialRunner(jobs=args.jobs, cache=cache,
-                       profile_dir=args.profile,
                        progress=lambda msg: print(f"  [{msg}]",
                                                   file=sys.stderr))
 
@@ -104,12 +100,6 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help=f"result cache root (default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--profile", metavar="DIR", default=None,
-                        help="dump one cProfile .prof file per trial into "
-                             "DIR (forces serial, bypasses the cache; "
-                             "inspect with python -m repro.runtime.profiles)")
-    # Named --fault-profile (not --profile, which already means cProfile
-    # output above) — see docs/FAULTS.md.
     parser.add_argument("--fault-profile", metavar="JSON|FILE", default=None,
                         help="serialized FaultProfile (inline JSON or a "
                              "path to a .json file) applied to the "
@@ -137,14 +127,12 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
                              "see docs/AGGREGATION.md")
 
 
-def _apply_overlays(args: argparse.Namespace, configs: dict,
-                    nobody: str) -> bool:
+def _apply_overlays(args: argparse.Namespace, configs: dict) -> bool:
     """Thread the overlay flags (``--fault-profile``, ``--update-plan``,
     ``--shards``, ``--agg-degree``) into every config that understands
     them.  Returns False, after printing the reason, when a spec flag
     does not parse or validate (inline JSON or a file path, checked by
-    round trip) or when none of ``configs`` takes a given flag —
-    ``nobody`` words the latter's subject."""
+    round trip) or when none of ``configs`` takes a given flag."""
     import json
 
     from repro.faults import FaultProfile
@@ -191,6 +179,8 @@ def _apply_overlays(args: argparse.Namespace, configs: dict,
                 setattr(config, attr, value if key is None else {key: value})
                 applied.append(name)
         if not applied:
+            nobody = (f"{next(iter(configs))} does not" if len(configs) == 1
+                      else "none of the selected experiments")
             print(f"{flag}: {nobody} {refusal}", file=sys.stderr)
             return False
         print(f"[{label.format(value)} applied to: {', '.join(applied)}]",
@@ -207,12 +197,13 @@ def cmd_experiments(args: argparse.Namespace) -> int:
             print(f"  {name:<21} {exp.description}")
         return 0
 
-    # Subset selection: positional names (`repro experiments faults`)
-    # and/or the --only list; no selection runs the whole suite.
-    selected = list(args.names or [])
+    # Subset selection: positional names (`repro experiments faults`,
+    # `repro run faults`) and/or the --only list, each name once in
+    # first-seen order; no selection runs the whole suite.
+    selected = list(args.names)
     if args.only:
         selected.extend(n.strip() for n in args.only.split(",") if n.strip())
-    names = selected or list(reg)
+    names = list(dict.fromkeys(selected)) or list(reg)
     unknown = [n for n in names if n not in reg]
     if unknown:
         print(f"unknown experiment(s) {', '.join(unknown)}; run "
@@ -223,8 +214,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     # sees every trial at once, so --jobs fans out across experiments.
     runner = _make_runner(args)
     configs = {name: reg[name].config(quick=args.quick) for name in names}
-    if not _apply_overlays(args, configs,
-                           "none of the selected experiments"):
+    if not _apply_overlays(args, configs):
         return 2
     batches = {name: reg[name].specs(configs[name]) for name in names}
     flat = [spec for name in names for spec in batches[name]]
@@ -251,26 +241,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
             if timed:
                 print(f"  {name:<21} {sum(timed):>8.2f}s "
                       f"({len(timed)} trials)", file=sys.stderr)
-    return 0
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments import registry
-
-    reg = registry()
-    if args.name not in reg:
-        print(f"unknown experiment {args.name!r}; run "
-              "`python -m repro experiments --list`", file=sys.stderr)
-        return 2
-    exp = reg[args.name]
-    runner = _make_runner(args)
-    config = exp.config(quick=args.quick)
-    if not _apply_overlays(args, {args.name: config},
-                           f"{args.name} does not"):
-        return 2
-    result = exp.run(config, runner=runner)
-    print(result.report())
-    print(f"\n[{runner.last_stats.summary()}]", file=sys.stderr)
     return 0
 
 
@@ -413,8 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated subset to run")
     _add_runner_flags(exp_parser)
 
+    # `run NAME` is `experiments NAME`: same handler, same flags.
     run_parser = sub.add_parser("run", help="run one experiment")
-    run_parser.add_argument("name")
+    run_parser.add_argument("names", nargs=1, metavar="NAME")
+    run_parser.set_defaults(list=False, only=None)
     _add_runner_flags(run_parser)
 
     sub.add_parser("metrics", help="list snapshot-capable metrics")
@@ -498,7 +470,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "experiments": cmd_experiments,
-        "run": cmd_run,
+        "run": cmd_experiments,
         "metrics": cmd_metrics,
         "serve": cmd_serve,
         "demo": cmd_demo,

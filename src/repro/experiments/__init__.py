@@ -9,38 +9,29 @@ Every module exposes the same shape:
   independent, picklable trial specs (see :mod:`repro.runtime`);
 * ``assemble(config, results) -> Result`` — folds the per-trial rows
   back into a structured result;
-* ``run(config, runner=None) -> Result`` — convenience wrapper:
-  ``assemble(config, runner.run_batch(specs(config)))``;
+* ``EXPERIMENTS`` — a tuple of :class:`Experiment` values, one per
+  registered name, declared next to the ``specs``/``assemble`` they
+  bind; ``run = EXPERIMENTS[0].run`` is the module's convenience entry
+  (:meth:`Experiment.run`, the one ``specs -> run_batch -> assemble``);
 * ``Result.report() -> str`` — the rows/series the paper reports,
   formatted for the terminal.
 
-Run any experiment directly::
+Run one experiment, or the whole suite as one batch through the shared
+trial runner (parallel, cached)::
 
-    python -m repro.experiments.fig9
-    python -m repro.experiments.table1
-
-or the whole suite through the shared trial runner (parallel, cached)::
-
+    python -m repro run fig9
     python -m repro experiments --jobs 4
 
-Index (see DESIGN.md for the full mapping):
-
-==========  =============================================================
-table1      Tofino resource usage of the three data-plane variants
-fig9        CDF of measurement synchronization: snapshots vs. polling
-fig10       max sustained snapshot rate vs. ports per router
-fig11       average synchronization vs. network size (Monte-Carlo)
-fig12       load-balance stddev CDFs: ECMP vs flowlet x snapshot vs poll
-fig13       pairwise port correlations under GraphX: snapshots vs poll
-ablations   ideal-vs-speedlight data plane; multi- vs single-initiator
-==========  =============================================================
+``python -m repro experiments --list`` is the index of registered names
+(DESIGN.md maps them to the paper's table and figures).
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
-from typing import Optional
+from typing import Any, Optional
 
 from repro.experiments import harness
 from repro.runtime import TrialResult, TrialRunner, TrialSpec
@@ -59,83 +50,38 @@ class Experiment:
     name: str
     description: str
     config_cls: type
-    specs: Callable[[object], list[TrialSpec]]
-    assemble: Callable[[object, Sequence[TrialResult]], object]
+    specs: Callable[[Any], list[TrialSpec]]
+    assemble: Callable[[Any, Sequence[TrialResult]], Any]
 
-    def config(self, quick: bool = False) -> object:
+    def config(self, quick: bool = False) -> Any:
         return self.config_cls.quick() if quick else self.config_cls()
 
-    def run(self, config: object,
-            runner: Optional[TrialRunner] = None) -> object:
+    def run(self, config: Optional[Any] = None,
+            runner: Optional[TrialRunner] = None) -> Any:
+        """``assemble(config, runner.run_batch(specs(config)))`` with the
+        full-size config and a serial, uncached runner as defaults."""
+        config = config or self.config_cls()
         runner = runner or TrialRunner()
         return self.assemble(config, runner.run_batch(self.specs(config)))
 
 
+#: The experiment modules in presentation order — the one list of them.
+#: Each declares its ``EXPERIMENTS`` and registers its trial kinds as an
+#: import side effect.  Names, not imports, so ``import
+#: repro.experiments`` (and light CLI commands like ``metrics``) stay
+#: cheap.
+_MODULES = ("motivation", "table1", "fig9", "fig10", "fig11", "fig12",
+            "fig13", "ablations", "sweeps", "scaling", "faults", "recovery",
+            "updates")
+
+
 def registry() -> dict[str, Experiment]:
-    """All paper experiments, in presentation order.
-
-    Imports lazily so ``import repro.experiments`` (and light CLI
-    commands like ``metrics``) stay cheap.
-    """
-    from repro.experiments import (ablations, faults, fig9, fig10, fig11,
-                                   fig12, fig13, motivation, recovery,
-                                   scaling, sweeps, table1, updates)
-
-    entries = [
-        Experiment("motivation", "Figure 1: balanced vs. alternating queues",
-                   motivation.MotivationConfig, motivation.specs,
-                   motivation.assemble),
-        Experiment("table1", "data-plane resource usage on the Tofino",
-                   table1.Table1Config, table1.specs, table1.assemble),
-        Experiment("fig9", "synchronization CDFs: snapshots vs. polling",
-                   fig9.Fig9Config, fig9.specs, fig9.assemble),
-        Experiment("fig10", "max sustained snapshot rate vs. ports/router",
-                   fig10.Fig10Config, fig10.specs, fig10.assemble),
-        Experiment("fig10-agg",
-                   "whole-fabric snapshot rate vs. aggregation degree",
-                   fig10.AggKneeConfig, fig10.agg_specs,
-                   fig10.agg_assemble),
-        Experiment("fig11", "average synchronization vs. network size",
-                   fig11.Fig11Config, fig11.specs, fig11.assemble),
-        Experiment("fig12", "load-balance stddev: ECMP/flowlet x "
-                   "snapshot/poll", fig12.Fig12Config, fig12.specs,
-                   fig12.assemble),
-        Experiment("fig13", "port correlations under GraphX",
-                   fig13.Fig13Config, fig13.specs, fig13.assemble),
-        Experiment("ablation-ideal",
-                   "idealised vs. hardware-constrained data plane",
-                   ablations.IdealVsSpeedlightConfig, ablations.ideal_specs,
-                   ablations.ideal_assemble),
-        Experiment("ablation-initiation", "multi- vs. single-initiator",
-                   ablations.InitiationConfig, ablations.initiation_specs,
-                   ablations.initiation_assemble),
-        Experiment("ablation-transport",
-                   "raw-socket vs. digest notifications",
-                   ablations.TransportConfig, ablations.transport_specs,
-                   ablations.transport_assemble),
-        Experiment("sweep-service-cost",
-                   "Fig 10 knee vs. per-notification CPU cost",
-                   sweeps.ServiceCostSweepConfig, sweeps.service_cost_specs,
-                   sweeps.service_cost_assemble),
-        Experiment("sweep-ptp", "snapshot sync vs. clock quality (PTP->NTP)",
-                   sweeps.PtpSweepConfig, sweeps.ptp_specs,
-                   sweeps.ptp_assemble),
-        Experiment("sweep-rate", "channel-state sync vs. traffic rate",
-                   sweeps.RateSweepConfig, sweeps.rate_specs,
-                   sweeps.rate_assemble),
-        Experiment("scaling", "full protocol on growing fat-trees",
-                   scaling.ScalingConfig, scaling.specs, scaling.assemble),
-        Experiment("faults", "snapshot health vs. fault intensity (chaos)",
-                   faults.FaultsConfig, faults.specs, faults.assemble),
-        Experiment("recovery",
-                   "completion-vs-overhead frontier of recovery policies",
-                   recovery.RecoveryConfig, recovery.specs,
-                   recovery.assemble),
-        Experiment("updates",
-                   "coordinated-update verdicts vs. injected clock error",
-                   updates.UpdatesConfig, updates.specs, updates.assemble),
-    ]
-    return {e.name: e for e in entries}
+    """All paper experiments, in presentation order.  Importing them is
+    also what registers every trial kind, so
+    :func:`repro.runtime.resolve` calls this on a miss."""
+    modules = (importlib.import_module(f"{__name__}.{name}")
+               for name in _MODULES)
+    return {exp.name: exp for module in modules for exp in module.EXPERIMENTS}
 
 
 __all__ = ["Experiment", "harness", "registry"]

@@ -27,9 +27,10 @@ from typing import Optional
 
 from repro.analysis.stats import Cdf
 from repro.core import ControlPlaneConfig, ObserverConfig, deploy
+from repro.experiments import Experiment
 from repro.experiments.campaigns import start_poisson
 from repro.experiments.harness import TextTable, header
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import leaf_spine, single_switch
@@ -143,12 +144,10 @@ def ideal_assemble(config: IdealVsSpeedlightConfig,
         outcomes={r.params["kind"]: dict(r.data) for r in results})
 
 
-def run_ideal_vs_speedlight(
-        config: Optional[IdealVsSpeedlightConfig] = None,
-        runner: Optional[TrialRunner] = None) -> IdealVsSpeedlightResult:
-    config = config or IdealVsSpeedlightConfig()
-    runner = runner or TrialRunner()
-    return ideal_assemble(config, runner.run_batch(ideal_specs(config)))
+_IDEAL = Experiment("ablation-ideal",
+                    "idealised vs. hardware-constrained data plane",
+                    IdealVsSpeedlightConfig, ideal_specs, ideal_assemble)
+run_ideal_vs_speedlight = _IDEAL.run
 
 
 # ----------------------------------------------------------------------
@@ -234,13 +233,10 @@ def initiation_assemble(config: InitiationConfig,
                             sync_single=Cdf(samples["single"]))
 
 
-def run_initiation_strategies(
-        config: Optional[InitiationConfig] = None,
-        runner: Optional[TrialRunner] = None) -> InitiationResult:
-    config = config or InitiationConfig()
-    runner = runner or TrialRunner()
-    return initiation_assemble(config,
-                               runner.run_batch(initiation_specs(config)))
+_INITIATION = Experiment("ablation-initiation", "multi- vs. single-initiator",
+                         InitiationConfig, initiation_specs,
+                         initiation_assemble)
+run_initiation_strategies = _INITIATION.run
 
 
 # ----------------------------------------------------------------------
@@ -363,18 +359,10 @@ def transport_assemble(config: TransportConfig,
                            completion_ns=completion_ns)
 
 
-def run_notification_transports(
-        config: Optional[TransportConfig] = None,
-        runner: Optional[TrialRunner] = None) -> TransportResult:
-    config = config or TransportConfig()
-    runner = runner or TrialRunner()
-    return transport_assemble(config,
-                              runner.run_batch(transport_specs(config)))
+_TRANSPORT = Experiment("ablation-transport",
+                        "raw-socket vs. digest notifications",
+                        TransportConfig, transport_specs, transport_assemble)
+run_notification_transports = _TRANSPORT.run
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run_ideal_vs_speedlight(IdealVsSpeedlightConfig.quick()).report())
-    print()
-    print(run_initiation_strategies(InitiationConfig.quick()).report())
-    print()
-    print(run_notification_transports(TransportConfig.quick()).report())
+EXPERIMENTS = (_IDEAL, _INITIATION, _TRANSPORT)

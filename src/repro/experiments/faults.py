@@ -42,6 +42,7 @@ from typing import Any, Optional
 from repro.analysis.consistency import ConsistencyChecker
 from repro.analysis.invariants import LinkAudit
 from repro.core import deploy
+from repro.experiments import Experiment
 from repro.experiments.campaigns import campaign_window, start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.faults import (CorrelatedGroup, FaultInjector, FaultProfile,
@@ -54,6 +55,7 @@ from repro.topology import leaf_spine
 __all__ = [
     "DATAPLANE_KINDS",
     "DEFAULT_KINDS",
+    "EXPERIMENTS",
     "FaultsConfig",
     "FaultsResult",
     "PartialInvariance",
@@ -327,11 +329,11 @@ def assemble(config: FaultsConfig,
                               for r in results})
 
 
-def run(config: Optional[FaultsConfig] = None,
-        runner: Optional[TrialRunner] = None) -> FaultsResult:
-    config = config or FaultsConfig()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
+EXPERIMENTS = (
+    Experiment("faults", "snapshot health vs. fault intensity (chaos)",
+               FaultsConfig, specs, assemble),
+)
+run = EXPERIMENTS[0].run
 
 
 @dataclass
@@ -387,7 +389,3 @@ def partial_invariance(
                for label, row in result.rows.items() if label != "iid-0"}
     return PartialInvariance(result=result, baseline_flagged=baseline,
                              flagged_by_scenario=faulted)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(FaultsConfig.quick()).report())

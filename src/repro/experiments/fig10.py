@@ -25,8 +25,9 @@ from typing import Optional
 
 from repro.core import (AggregationConfig, ControlPlaneConfig,
                         ObserverConfig, deploy)
+from repro.experiments import Experiment
 from repro.experiments.harness import TextTable, header
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import fat_tree, single_switch
@@ -99,11 +100,9 @@ def assemble(config: Fig10Config,
                                     for r in results})
 
 
-def run(config: Optional[Fig10Config] = None,
-        runner: Optional[TrialRunner] = None) -> Fig10Result:
-    config = config or Fig10Config()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
+_FIG10 = Experiment("fig10", "max sustained snapshot rate vs. ports/router",
+                    Fig10Config, specs, assemble)
+run = _FIG10.run
 
 
 # ----------------------------------------------------------------------
@@ -261,11 +260,10 @@ def agg_assemble(config: AggKneeConfig,
                      r.data["max_rate_hz"] for r in results})
 
 
-def run_agg(config: Optional[AggKneeConfig] = None,
-            runner: Optional[TrialRunner] = None) -> AggKneeResult:
-    config = config or AggKneeConfig()
-    runner = runner or TrialRunner()
-    return agg_assemble(config, runner.run_batch(agg_specs(config)))
+_AGG = Experiment("fig10-agg",
+                  "whole-fabric snapshot rate vs. aggregation degree",
+                  AggKneeConfig, agg_specs, agg_assemble)
+run_agg = _AGG.run
 
 
 def _agg_sustained(arity: int, degree: int, rate_hz: float,
@@ -320,5 +318,4 @@ def _agg_max_rate(arity: int, degree: int, config: AggKneeConfig) -> float:
     return lo
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().report())
+EXPERIMENTS = (_FIG10, _AGG)

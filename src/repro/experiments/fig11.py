@@ -35,12 +35,12 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
-from typing import Optional
 
 from repro.core.control_plane import ControlPlaneConfig
+from repro.experiments import Experiment
 from repro.experiments.harness import TextTable, header
-from repro.runtime import (TrialResult, TrialRunner, TrialSpec, derive_seed,
-                           make_result, trial)
+from repro.runtime import (TrialResult, TrialSpec, derive_seed, make_result,
+                           trial)
 from repro.sim.clock import PTPConfig
 
 
@@ -113,11 +113,11 @@ def assemble(config: Fig11Config,
                                     for r in results})
 
 
-def run(config: Optional[Fig11Config] = None,
-        runner: Optional[TrialRunner] = None) -> Fig11Result:
-    config = config or Fig11Config()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
+EXPERIMENTS = (
+    Experiment("fig11", "average synchronization vs. network size",
+               Fig11Config, specs, assemble),
+)
+run = EXPERIMENTS[0].run
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +161,3 @@ def _trial_sync_ns(rng: random.Random, config: Fig11Config,
         earliest = lo if earliest is None else min(earliest, lo)
         latest = hi if latest is None else max(latest, hi)
     return latest - earliest
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().report())

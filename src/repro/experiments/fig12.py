@@ -25,15 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Optional
 
 from repro.analysis.stats import Cdf, balance_stddevs
+from repro.experiments import Experiment
 from repro.experiments.campaigns import (CampaignSpec, polling_campaign,
                                          rounds_to_balance_input,
                                          snapshot_campaign,
                                          uplink_egress_targets)
 from repro.experiments.harness import TextTable, ascii_cdf, header
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS
 
 WORKLOADS = ("hadoop", "graphx", "memcache")
@@ -128,12 +128,8 @@ def assemble(config: Fig12Config,
     return Fig12Result(config=config, cdfs=cdfs)
 
 
-def run(config: Optional[Fig12Config] = None,
-        runner: Optional[TrialRunner] = None) -> Fig12Result:
-    config = config or Fig12Config()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().report())
+EXPERIMENTS = (
+    Experiment("fig12", "load-balance stddev: ECMP/flowlet x snapshot/poll",
+               Fig12Config, specs, assemble),
+)
+run = EXPERIMENTS[0].run

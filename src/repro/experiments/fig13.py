@@ -22,15 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Optional
 
 from repro.analysis.stats import (CorrelationResult, significant_fraction,
                                   spearman_matrix)
+from repro.experiments import Experiment
 from repro.experiments.campaigns import (CampaignSpec, Round,
                                          all_egress_targets,
                                          polling_campaign, snapshot_campaign)
 from repro.experiments.harness import TextTable, header
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import leaf_spine
 
@@ -162,11 +162,11 @@ def assemble(config: Fig13Config,
         uplink_pairs=uplink_pairs)
 
 
-def run(config: Optional[Fig13Config] = None,
-        runner: Optional[TrialRunner] = None) -> Fig13Result:
-    config = config or Fig13Config()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
+EXPERIMENTS = (
+    Experiment("fig13", "port correlations under GraphX",
+               Fig13Config, specs, assemble),
+)
+run = EXPERIMENTS[0].run
 
 
 def _series_from_rounds(rounds: list[Round]) -> dict[str, list[float]]:
@@ -200,7 +200,3 @@ def _context(config: Fig13Config) -> tuple[str, list[tuple[str, str]]]:
             for j in range(i + 1, len(uplinks)):
                 pairs.append((f"{leaf}:{uplinks[i]}", f"{leaf}:{uplinks[j]}"))
     return f"{master_leaf}:{master_port}", pairs
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().report())

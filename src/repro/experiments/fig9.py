@@ -26,16 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Optional
 
 from repro.analysis.stats import Cdf
 from repro.core import ControlPlaneConfig, deploy
+from repro.experiments import Experiment
 from repro.experiments.campaigns import (campaign_window, poisson_network,
                                          start_poisson)
 from repro.experiments.harness import (TextTable, ascii_cdf, drain_campaign,
                                        header)
 from repro.polling import PollTarget, PollingConfig, PollingObserver
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS, US
 from repro.sim.switch import Direction
 
@@ -134,11 +134,11 @@ def assemble(config: Fig9Config,
                       sync_cs=cdfs["channel_state"], polling=cdfs["polling"])
 
 
-def run(config: Optional[Fig9Config] = None,
-        runner: Optional[TrialRunner] = None) -> Fig9Result:
-    config = config or Fig9Config()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
+EXPERIMENTS = (
+    Experiment("fig9", "synchronization CDFs: snapshots vs. polling",
+               Fig9Config, specs, assemble),
+)
+run = EXPERIMENTS[0].run
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +186,3 @@ def _polling_series(config: Fig9Config, seed_offset: int) -> list[int]:
     if not rounds:
         raise RuntimeError("no polling round completed")
     return [r.spread_ns for r in rounds]
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().report())

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Optional
 
 import numpy as np
 
 from repro.core import ObserverConfig, deploy
+from repro.experiments import Experiment
 from repro.experiments.harness import TextTable, header
 from repro.polling import PollTarget, PollingConfig, PollingObserver
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.switch import Direction
@@ -233,12 +233,8 @@ def assemble(config: MotivationConfig,
                             mean_total=mean_total)
 
 
-def run(config: Optional[MotivationConfig] = None,
-        runner: Optional[TrialRunner] = None) -> MotivationResult:
-    config = config or MotivationConfig()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().report())
+EXPERIMENTS = (
+    Experiment("motivation", "Figure 1: balanced vs. alternating queues",
+               MotivationConfig, specs, assemble),
+)
+run = EXPERIMENTS[0].run

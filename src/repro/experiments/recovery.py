@@ -30,22 +30,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from typing import Any, Optional
+from typing import Any
 
 from repro.core import RecoveryPolicy, deploy
 from repro.core.recovery import RECOVERY_PRESETS
 from repro.core.sharded import OBSERVER_SHARD
+from repro.experiments import Experiment
 from repro.experiments.campaigns import campaign_window, start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.faults import (CorrelatedGroup, FaultInjector, FaultProfile,
                           FaultSchedule, IndependentFaults, ProfileContext)
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
 from repro.topology import leaf_spine
 
 __all__ = [
+    "EXPERIMENTS",
     "RecoveryConfig",
     "RecoveryResult",
     "assemble",
@@ -281,12 +283,9 @@ def assemble(config: RecoveryConfig,
               for r in results})
 
 
-def run(config: Optional[RecoveryConfig] = None,
-        runner: Optional[TrialRunner] = None) -> RecoveryResult:
-    config = config or RecoveryConfig()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(RecoveryConfig.quick()).report())
+EXPERIMENTS = (
+    Experiment("recovery",
+               "completion-vs-overhead frontier of recovery policies",
+               RecoveryConfig, specs, assemble),
+)
+run = EXPERIMENTS[0].run

@@ -28,16 +28,18 @@ from repro.analysis.stats import Cdf
 from repro.core import AggregationConfig, ObserverConfig, deploy
 from repro.core.deployment import merge_progress
 from repro.core.sharded import OBSERVER_SHARD
+from repro.experiments import Experiment
 from repro.experiments.campaigns import start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.faults import FaultInjector, FaultProfile, ProfileContext
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
 from repro.topology import fat_tree
 
 __all__ = [
+    "EXPERIMENTS",
     "ScalingConfig",
     "ScalingPoint",
     "ScalingResult",
@@ -201,11 +203,11 @@ def assemble(config: ScalingConfig,
     return ScalingResult(config=config, points=points)
 
 
-def run(config: Optional[ScalingConfig] = None,
-        runner: Optional[TrialRunner] = None) -> ScalingResult:
-    config = config or ScalingConfig()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
+EXPERIMENTS = (
+    Experiment("scaling", "full protocol on growing fat-trees",
+               ScalingConfig, specs, assemble),
+)
+run = EXPERIMENTS[0].run
 
 
 def setup(worker: ShardWorker, config: ScalingConfig, duration: int):
@@ -315,7 +317,3 @@ def _measure(config: ScalingConfig, arity: int) -> ScalingPoint:
         notifications_per_switch=processed / num_switches,
         inconsistent_fraction=observer.get("inconsistent_fraction"),
         faults_applied=observer.get("faults_applied", 0))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().report())

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from typing import Optional
 
 from repro.core import ControlPlaneConfig, deploy
+from repro.experiments import Experiment
 from repro.experiments.campaigns import poisson_network, start_poisson
 from repro.experiments.harness import TextTable, header
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.clock import PTPConfig
 from repro.sim.engine import MS, US
 
@@ -111,13 +111,11 @@ def service_cost_assemble(
                      for r in results})
 
 
-def run_service_cost_sweep(
-        config: Optional[ServiceCostSweepConfig] = None,
-        runner: Optional[TrialRunner] = None) -> ServiceCostSweepResult:
-    config = config or ServiceCostSweepConfig()
-    runner = runner or TrialRunner()
-    return service_cost_assemble(config,
-                                 runner.run_batch(service_cost_specs(config)))
+_SERVICE_COST = Experiment("sweep-service-cost",
+                           "Fig 10 knee vs. per-notification CPU cost",
+                           ServiceCostSweepConfig, service_cost_specs,
+                           service_cost_assemble)
+run_service_cost_sweep = _SERVICE_COST.run
 
 
 # ----------------------------------------------------------------------
@@ -188,11 +186,9 @@ def ptp_assemble(config: PtpSweepConfig,
                         for r in results})
 
 
-def run_ptp_sweep(config: Optional[PtpSweepConfig] = None,
-                  runner: Optional[TrialRunner] = None) -> PtpSweepResult:
-    config = config or PtpSweepConfig()
-    runner = runner or TrialRunner()
-    return ptp_assemble(config, runner.run_batch(ptp_specs(config)))
+_PTP = Experiment("sweep-ptp", "snapshot sync vs. clock quality (PTP->NTP)",
+                  PtpSweepConfig, ptp_specs, ptp_assemble)
+run_ptp_sweep = _PTP.run
 
 
 # ----------------------------------------------------------------------
@@ -265,16 +261,9 @@ def rate_assemble(config: RateSweepConfig,
                         for r in results})
 
 
-def run_rate_sweep(config: Optional[RateSweepConfig] = None,
-                   runner: Optional[TrialRunner] = None) -> RateSweepResult:
-    config = config or RateSweepConfig()
-    runner = runner or TrialRunner()
-    return rate_assemble(config, runner.run_batch(rate_specs(config)))
+_RATE = Experiment("sweep-rate", "channel-state sync vs. traffic rate",
+                   RateSweepConfig, rate_specs, rate_assemble)
+run_rate_sweep = _RATE.run
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run_service_cost_sweep(ServiceCostSweepConfig.quick()).report())
-    print()
-    print(run_ptp_sweep(PtpSweepConfig.quick()).report())
-    print()
-    print(run_rate_sweep(RateSweepConfig.quick()).report())
+EXPERIMENTS = (_SERVICE_COST, _PTP, _RATE)

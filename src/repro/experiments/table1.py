@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from collections.abc import Sequence
-from typing import Optional
 
+from repro.experiments import Experiment
 from repro.experiments.harness import TextTable, header
 from repro.resources import TOFINO_1, ResourceReport, Variant, estimate
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 
 #: The published Table 1 numbers (64-port configuration), used by the
 #: report to show paper-vs-model side by side and by the test suite to
@@ -125,12 +125,8 @@ def assemble(config: Table1Config,
         report_14port=_report_from_data(result.data["report_14port"]))
 
 
-def run(config: Optional[Table1Config] = None,
-        runner: Optional[TrialRunner] = None) -> Table1Result:
-    config = config or Table1Config()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run().report())
+EXPERIMENTS = (
+    Experiment("table1", "data-plane resource usage on the Tofino",
+               Table1Config, specs, assemble),
+)
+run = EXPERIMENTS[0].run

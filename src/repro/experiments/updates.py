@@ -46,11 +46,11 @@ from repro.analysis.consistency import ConsistencyChecker
 from repro.analysis.invariants import LinkAudit
 from repro.core import deploy
 from repro.core.sharded import OBSERVER_SHARD
+from repro.experiments import Experiment
 from repro.experiments.harness import TextTable, header
 from repro.faults import FaultInjector, FaultProfile, FaultSchedule, \
     ProfileContext
-from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, \
-    trial
+from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
@@ -61,6 +61,7 @@ from repro.updates import (DropRecord, PhasedUpdate, TimedSwap,
                            inject_clock_error, noiseless_ptp)
 
 __all__ = [
+    "EXPERIMENTS",
     "STRATEGIES",
     "UpdatesConfig",
     "UpdatesResult",
@@ -476,12 +477,9 @@ def assemble(config: UpdatesConfig,
               for r in results})
 
 
-def run(config: Optional[UpdatesConfig] = None,
-        runner: Optional[TrialRunner] = None) -> UpdatesResult:
-    config = config or UpdatesConfig()
-    runner = runner or TrialRunner()
-    return assemble(config, runner.run_batch(specs(config)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(UpdatesConfig.quick()).report())
+EXPERIMENTS = (
+    Experiment("updates",
+               "coordinated-update verdicts vs. injected clock error",
+               UpdatesConfig, specs, assemble),
+)
+run = EXPERIMENTS[0].run

@@ -10,11 +10,11 @@ docs/API.md for usage.
 """
 
 from repro.runtime.cache import DEFAULT_CACHE_DIR, TrialCache, code_version
-from repro.runtime.registry import registered_kinds, resolve, trial
+from repro.runtime.registry import resolve, trial
 from repro.runtime.result import TrialResult, make_result
 from repro.runtime.runner import BatchStats, TrialRunner, execute_spec
 from repro.runtime.spec import (TrialSpec, canonical, canonical_json,
-                                derive_seed, spec_batch)
+                                derive_seed)
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -29,8 +29,6 @@ __all__ = [
     "derive_seed",
     "execute_spec",
     "make_result",
-    "registered_kinds",
     "resolve",
-    "spec_batch",
     "trial",
 ]

@@ -63,16 +63,13 @@ class TrialCache:
     def get(self, fingerprint: str) -> Optional[TrialResult]:
         """The cached result for ``fingerprint``, or None on a miss
         (absent, unreadable, or produced by different code)."""
-        path = self._path(fingerprint)
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if doc.get("code_version") != self.version:
-            return None
-        try:
+            doc = json.loads(self._path(fingerprint).read_text())
+            if doc["code_version"] != self.version:
+                return None
             return TrialResult.from_json(json.dumps(doc["result"]))
-        except (KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
+            # TypeError: valid JSON that is not an object ([], null).
             return None
 
     def put(self, result: TrialResult) -> None:

@@ -9,14 +9,15 @@ register theirs at import time with the :func:`trial` decorator::
     def run_trial(spec: TrialSpec) -> TrialResult:
         ...
 
-Worker processes resolve kinds through :func:`resolve`, which lazily
-imports the experiment modules, so a freshly spawned interpreter can
-execute any spec that the parent enqueued.
+Worker processes resolve kinds through :func:`resolve`, which on a
+miss imports every registered experiment
+(:func:`repro.experiments.registry`, the one list of them), so a
+freshly spawned interpreter can execute any spec that the parent
+enqueued.
 """
 
 from __future__ import annotations
 
-import importlib
 from collections.abc import Callable
 
 from repro.runtime.result import TrialResult
@@ -25,23 +26,6 @@ from repro.runtime.spec import TrialSpec
 TrialFn = Callable[[TrialSpec], TrialResult]
 
 _REGISTRY: dict[str, TrialFn] = {}
-
-#: Modules that register trial kinds as an import side effect.  Kept as
-#: import paths (not imports) so ``repro.runtime`` stays import-light
-#: and cycle-free; workers import on first resolve.
-_TRIAL_MODULES = (
-    "repro.experiments.motivation",
-    "repro.experiments.table1",
-    "repro.experiments.fig9",
-    "repro.experiments.fig10",
-    "repro.experiments.fig11",
-    "repro.experiments.fig12",
-    "repro.experiments.fig13",
-    "repro.experiments.ablations",
-    "repro.experiments.sweeps",
-    "repro.experiments.scaling",
-    "repro.experiments.faults",
-)
 
 
 def trial(kind: str) -> Callable[[TrialFn], TrialFn]:
@@ -57,18 +41,16 @@ def trial(kind: str) -> Callable[[TrialFn], TrialFn]:
 
 
 def resolve(kind: str) -> TrialFn:
-    """Look up the trial function for ``kind``, importing the standard
-    experiment modules on a miss (fresh worker processes start empty)."""
+    """Look up the trial function for ``kind``, importing the registered
+    experiments on a miss (fresh worker processes start empty)."""
     fn = _REGISTRY.get(kind)
     if fn is None:
-        for module in _TRIAL_MODULES:
-            importlib.import_module(module)
+        # Imported here: repro.experiments imports repro.runtime.
+        from repro.experiments import registry
+
+        registry()
         fn = _REGISTRY.get(kind)
     if fn is None:
         raise KeyError(f"no trial function registered for kind {kind!r}; "
                        f"known kinds: {sorted(_REGISTRY)}")
     return fn
-
-
-def registered_kinds() -> list[str]:
-    return sorted(_REGISTRY)

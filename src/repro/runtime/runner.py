@@ -15,8 +15,6 @@ exactly the changed trials.
 
 from __future__ import annotations
 
-import os
-import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -70,32 +68,20 @@ def _execute_timed(spec: TrialSpec) -> "tuple[TrialResult, float]":
     return result, time.perf_counter() - started
 
 
-def _profile_path(profile_dir: str, spec: TrialSpec) -> str:
-    name = spec.label or f"{spec.kind}-{spec.fingerprint()[:12]}"
-    return os.path.join(profile_dir, re.sub(r"[^A-Za-z0-9._-]+", "_", name)
-                        + ".prof")
-
-
 class TrialRunner:
     """Executes spec batches with optional fan-out and caching.
 
     ``jobs`` is the worker process count; 1 means run in-process (no
     pool, easiest to debug).  ``cache=None`` disables caching entirely.
-    ``profile_dir`` dumps one cProfile stats file per executed trial
-    into that directory (forces serial execution so profiles are not
-    polluted by pool plumbing, and bypasses the cache so every trial
-    actually runs).
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[TrialCache] = None,
-                 progress: Optional[Callable[[str], None]] = None,
-                 profile_dir: Optional[str] = None) -> None:
+                 progress: Optional[Callable[[str], None]] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
         self.progress = progress
-        self.profile_dir = profile_dir
         self.last_stats = BatchStats()
 
     def _note(self, message: str) -> None:
@@ -109,8 +95,7 @@ class TrialRunner:
         misses: list[int] = []
         for index, spec in enumerate(specs):
             hit = (self.cache.get(spec.fingerprint())
-                   if self.cache is not None and self.profile_dir is None
-                   else None)
+                   if self.cache is not None else None)
             if hit is not None:
                 results[index] = hit
             else:
@@ -119,9 +104,7 @@ class TrialRunner:
 
         if misses:
             miss_specs = [specs[i] for i in misses]
-            if self.profile_dir is not None:
-                executed = self._run_profiled(miss_specs, stats)
-            elif self.jobs == 1 or len(misses) == 1:
+            if self.jobs == 1 or len(misses) == 1:
                 executed = []
                 for spec in miss_specs:
                     self._note(f"running {spec.describe()}")
@@ -147,22 +130,6 @@ class TrialRunner:
         stats.elapsed_s = time.monotonic() - started
         self.last_stats = stats
         return [r for r in results if r is not None]
-
-    def _run_profiled(self, miss_specs: Sequence[TrialSpec],
-                      stats: BatchStats) -> list[TrialResult]:
-        """Serial execution with one cProfile dump per trial."""
-        from repro.runtime.profiles import profile_call
-
-        os.makedirs(self.profile_dir, exist_ok=True)
-        executed = []
-        for spec in miss_specs:
-            out = _profile_path(self.profile_dir, spec)
-            self._note(f"profiling {spec.describe()} -> {out}")
-            started = time.perf_counter()
-            executed.append(profile_call(execute_spec, spec, out=out))
-            stats.trial_seconds[spec.describe()] = (time.perf_counter()
-                                                    - started)
-        return executed
 
     def run(self, spec: TrialSpec) -> TrialResult:
         return self.run_batch([spec])[0]

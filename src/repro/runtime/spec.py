@@ -126,15 +126,3 @@ class TrialSpec:
 
     def describe(self) -> str:
         return self.label or f"{self.kind}[{self.fingerprint()[:8]}]"
-
-
-def spec_batch(kind: str, param_sets: list[Mapping[str, Any]], *,
-               seed: int, label_key: str = "") -> list[TrialSpec]:
-    """Convenience constructor for sweep-shaped batches: one spec per
-    parameter set, labelled by ``label_key`` when given."""
-    out: list[TrialSpec] = []
-    for params in param_sets:
-        label = f"{kind}/{params[label_key]}" if label_key else ""
-        out.append(TrialSpec(kind=kind, params=params, seed=seed,
-                             label=label))
-    return out

@@ -16,7 +16,7 @@ from typing import Any
 class Finding:
     """One rule violation at ``path:line:col``.
 
-    ``rule`` is the rule id (``DET001`` … ``TRIAL001``, or the engine's
+    ``rule`` is the rule id (``DET001`` … ``SIM003``, or the engine's
     own ``PARSE001`` / ``PRAGMA001`` / ``PRAGMA002``); ``message`` states
     the specific violation; ``hint`` states the repo-approved fix.
     """

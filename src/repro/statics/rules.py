@@ -19,7 +19,6 @@ SIM002    ``__slots__`` classes must not assign undeclared attributes
 SIM003    packets enter units through links — no direct
           ``ingress.handle_packet()``/``receive_from_link()`` calls
           outside the modeled delivery sites
-TRIAL001  ``@trial`` functions must not mutate module-level state
 ========  ============================================================
 
 Rules are deliberately syntactic and local — no cross-module inference.
@@ -69,13 +68,6 @@ class ImportMap:
         if entry is not None and entry[0] == module:
             return entry[1]
         return None
-
-
-def _root_name(node: ast.AST) -> Optional[str]:
-    """Peel attribute/subscript chains down to the base ``Name``."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
 
 
 # ----------------------------------------------------------------------
@@ -731,103 +723,6 @@ class FifoBypassRule(Rule):
         return handlers
 
 
-# ----------------------------------------------------------------------
-# TRIAL001 — @trial functions must not mutate module globals
-# ----------------------------------------------------------------------
-
-_MUTATORS = {"append", "extend", "insert", "add", "update", "remove",
-             "discard", "pop", "popitem", "clear", "setdefault", "sort",
-             "reverse", "appendleft", "extendleft"}
-
-
-class TrialGlobalMutationRule(Rule):
-    """``@trial``-registered functions must be pure: under ``--jobs N``
-    they run in worker processes, so a module-global mutation is
-    invisible to the parent (and to cached replays) — results would
-    silently depend on the execution mode.  Flags ``global``
-    declarations, stores through module-level names, and mutating method
-    calls on module-level names inside any ``@trial`` function."""
-
-    id = "TRIAL001"
-    title = "@trial functions do not mutate module-level state"
-    hint = ("return data via TrialResult and thread inputs through the "
-            "spec; module state does not survive worker boundaries")
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        module_names = self._module_level_names(ctx.tree)
-        out: list[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and self._is_trial(node)):
-                self._check_fn(ctx, node, module_names, out)
-        return out
-
-    def _module_level_names(self, tree: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for stmt in getattr(tree, "body", []):
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif (isinstance(stmt, ast.AnnAssign)
-                  and isinstance(stmt.target, ast.Name)):
-                names.add(stmt.target.id)
-        return names
-
-    def _is_trial(self, fn: ast.AST) -> bool:
-        for deco in getattr(fn, "decorator_list", []):
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            if isinstance(target, ast.Name) and target.id == "trial":
-                return True
-            if isinstance(target, ast.Attribute) and target.attr == "trial":
-                return True
-        return False
-
-    def _check_fn(self, ctx: FileContext, fn: ast.AST,
-                  module_names: set[str], out: list[Finding]) -> None:
-        local_names = {arg.arg for arg in fn.args.args
-                       + fn.args.kwonlyargs + fn.args.posonlyargs}
-        if fn.args.vararg:
-            local_names.add(fn.args.vararg.arg)
-        if fn.args.kwarg:
-            local_names.add(fn.args.kwarg.arg)
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                local_names.add(node.id)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                for target in ast.walk(node.target):
-                    if isinstance(target, ast.Name):
-                        local_names.add(target.id)
-        shadowed = module_names - local_names
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Global):
-                out.append(self.finding(
-                    ctx, node,
-                    f"@trial function declares global "
-                    f"{', '.join(node.names)}"))
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        root = _root_name(target)
-                        if root in shadowed:
-                            out.append(self.finding(
-                                ctx, target,
-                                f"@trial function stores into "
-                                f"module-level {root!r}"))
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in _MUTATORS):
-                    root = _root_name(func.value)
-                    if root in shadowed:
-                        out.append(self.finding(
-                            ctx, node,
-                            f"@trial function mutates module-level "
-                            f"{root!r} via .{func.attr}()"))
-
-
 #: The default rule set, in documentation order.
 ALL_RULES: tuple[Rule, ...] = (
     GlobalRandomRule(),
@@ -837,7 +732,6 @@ ALL_RULES: tuple[Rule, ...] = (
     FloatTimeRule(),
     SlotsIntegrityRule(),
     FifoBypassRule(),
-    TrialGlobalMutationRule(),
 )
 
 ALL_RULE_IDS: tuple[str, ...] = tuple(rule.id for rule in ALL_RULES)

@@ -1,5 +1,7 @@
 """On-disk result cache: hits, version invalidation, atomicity."""
 
+import pytest
+
 from repro.runtime import TrialCache, TrialSpec, code_version, make_result
 
 
@@ -35,11 +37,13 @@ class TestCache:
         assert TrialCache(tmp_path / "c",
                           version="v1").get(spec.fingerprint()) is not None
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", "[]", "null"],
+                             ids=["truncated", "list", "null"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, text):
         cache = TrialCache(tmp_path / "c", version="v1")
         spec, result = _result()
         cache.put(result)
-        cache._path(spec.fingerprint()).write_text("{not json")
+        cache._path(spec.fingerprint()).write_text(text)
         assert cache.get(spec.fingerprint()) is None
 
     def test_overwrite_replaces_entry(self, tmp_path):

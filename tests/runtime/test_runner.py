@@ -1,27 +1,63 @@
 """TrialRunner: serial/parallel determinism and cache interaction.
 
-The determinism tests use the real ``fig11`` trial kind (cheap
-Monte-Carlo) so worker processes resolve it through the standard
-registry exactly as the CLI does.
+The runner tests use the real ``fig11`` trial kind (cheap Monte-Carlo)
+so worker processes resolve it through the standard registry exactly as
+the CLI does; the serial-vs-parallel comparison covers every registered
+experiment.
 """
 
+import dataclasses
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import pytest
 
-from repro.experiments import fig11
-from repro.runtime import (TrialCache, TrialRunner, TrialSpec, make_result,
-                           registered_kinds, resolve, trial)
+from repro.experiments import fig11, registry
+from repro.runtime import (TrialCache, TrialRunner, TrialSpec, execute_spec,
+                           make_result, resolve, trial)
+
+#: Overrides on top of ``config(quick=True)`` that keep the comparison
+#: below at a second or so per experiment; the rest are cheap as they are.
+_TINY = {
+    "motivation": dict(rounds=10),
+    "fig9": dict(rounds=4, rate_pps=20_000.0),
+    "fig12": dict(rounds=3),
+    "fig13": dict(rounds=4),
+    "ablation-ideal": dict(snapshots=6),
+    "ablation-initiation": dict(snapshots=4),
+    "sweep-rate": dict(rounds=5, rates_pps=[10_000.0, 30_000.0]),
+    "updates": dict(clock_error_ns=[0, 15_000], gap_ns=48_000),
+}
 
 
 def _fig11_specs(counts: list[int]) -> list[TrialSpec]:
     return fig11.specs(fig11.Fig11Config(router_counts=counts, trials=5))
 
 
+@pytest.fixture(scope="module")
+def fresh_interpreters():
+    """Two worker processes that inherit nothing the parent imported or
+    registered (``spawn``), shared by every case of the comparison."""
+    with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
+        yield pool
+
+
 class TestDeterminism:
-    def test_parallel_results_byte_identical_to_serial(self):
-        specs = _fig11_specs([5, 10, 20, 40])
-        serial = TrialRunner(jobs=1).run_batch(specs)
-        parallel = TrialRunner(jobs=4).run_batch(specs)
+    @pytest.mark.parametrize("name", list(registry()))
+    def test_parallel_results_byte_identical_to_serial(
+            self, name, fresh_interpreters):
+        """Equivalence-matrix cell 3 (``--jobs 1`` vs ``--jobs N``): the
+        first two trials of every registered experiment, in order in
+        this process and again in fresh interpreters, byte for byte.  A
+        trial that reads or leaves module state behind, or a kind a
+        fresh worker cannot resolve, fails here."""
+        exp = registry()[name]
+        config = dataclasses.replace(exp.config(quick=True),
+                                     **_TINY.get(name, {}))
+        specs = exp.specs(config)[:2]
+        # Submitted first, so the workers run beside the in-process pass.
+        parallel = fresh_interpreters.map(execute_spec, specs)
+        serial = [execute_spec(spec) for spec in specs]
         assert [r.to_json() for r in serial] == \
             [r.to_json() for r in parallel]
 
@@ -60,18 +96,6 @@ class TestDeterminism:
         stats = runner.last_stats
         assert set(stats.trial_seconds) == {s.describe() for s in specs}
         assert all(seconds >= 0 for seconds in stats.trial_seconds.values())
-
-    def test_profile_dir_dumps_one_prof_per_trial(self, tmp_path):
-        specs = _fig11_specs([5, 10])
-        profile_dir = tmp_path / "profs"
-        cache = TrialCache(tmp_path / "cache", version="v1")
-        TrialRunner(cache=cache).run_batch(specs)  # warm the cache
-        runner = TrialRunner(cache=cache, profile_dir=str(profile_dir))
-        results = runner.run_batch(specs)
-        # Profiling bypasses the cache (a cache hit profiles nothing).
-        assert runner.last_stats.executed == len(specs)
-        assert len(results) == len(specs)
-        assert len(list(profile_dir.glob("*.prof"))) == len(specs)
 
 
 class TestCacheInteraction:
@@ -134,12 +158,9 @@ class TestRegistry:
             resolve("_no_such_kind")
 
     def test_standard_kinds_resolve(self):
-        for kind in ("fig9", "fig10", "fig11", "fig12", "fig13", "table1",
-                     "motivation", "scaling", "sweep_ptp", "sweep_rate",
-                     "sweep_service_cost", "ablation_ideal",
-                     "ablation_initiation", "ablation_transport"):
-            assert resolve(kind) is not None
-            assert kind in registered_kinds()
+        for exp in registry().values():
+            for spec in exp.specs(exp.config(quick=True)):
+                assert resolve(spec.kind) is not None
 
     def test_duplicate_registration_rejected(self):
         @trial("_runner_test_dup")
@@ -152,8 +173,6 @@ class TestRegistry:
                 return make_result(spec, {})
 
     def test_mismatched_result_fingerprint_rejected(self):
-        from repro.runtime import execute_spec
-
         @trial("_runner_test_mismatch")
         def mismatched(spec):
             other = TrialSpec(kind="_runner_test_mismatch",

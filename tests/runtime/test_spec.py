@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import (TrialSpec, canonical, canonical_json, derive_seed,
-                           make_result, spec_batch)
+                           make_result)
 
 
 class TestCanonical:
@@ -124,11 +124,3 @@ class TestMakeResult:
         result = make_result(spec, {"v": 3.5})
         text = result.to_json()
         assert TrialResult.from_json(text).to_json() == text
-
-
-class TestSpecBatch:
-    def test_batch_builds_labels_and_params(self):
-        specs = spec_batch("k", [{"n": 1}, {"n": 2}], seed=9, label_key="n")
-        assert [s.params["n"] for s in specs] == [1, 2]
-        assert all(s.seed == 9 for s in specs)
-        assert specs[0].label == "k/1"

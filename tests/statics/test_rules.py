@@ -186,30 +186,6 @@ class TestRuleBehaviour:
                "port.ingress.handle_packet(packet)\n")
         assert check_source(src, "x.py", ALL_RULES, scope="sim").ok
 
-    def test_trial001_local_shadow_is_clean(self):
-        src = ("from repro.runtime import trial\n"
-               "CACHE = {}\n"
-               "@trial('x')\n"
-               "def f(spec):\n"
-               "    CACHE = {}\n"
-               "    CACHE['k'] = 1\n"
-               "    return CACHE\n")
-        assert check_source(src, "x.py", ALL_RULES, scope="experiments").ok
-
-    def test_trial001_undecorated_function_ignored(self):
-        src = ("STATE = {}\n"
-               "def helper(spec):\n"
-               "    STATE['k'] = 1\n")
-        assert check_source(src, "x.py", ALL_RULES, scope="experiments").ok
-
-    def test_trial001_reads_are_clean(self):
-        src = ("from repro.runtime import trial\n"
-               "DEFAULTS = {'a': 1}\n"
-               "@trial('x')\n"
-               "def f(spec):\n"
-               "    return DEFAULTS['a']\n")
-        assert check_source(src, "x.py", ALL_RULES, scope="experiments").ok
-
 
 class TestAggregationModuleIsClean:
     """The hierarchical snapshot fabric against the real rule set.

@@ -12,12 +12,10 @@ class TestParser:
 
     def test_experiments_list_names_all(self, capsys):
         assert main(["experiments", "--list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("table1", "fig9", "fig10", "fig11", "fig12", "fig13",
-                     "ablation-ideal", "ablation-initiation",
-                     "ablation-transport", "sweep-service-cost", "sweep-ptp",
-                     "sweep-rate", "scaling", "motivation"):
-            assert name in out
+        from repro.experiments import registry
+
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(registry())
 
     def test_metrics_lists_registry(self, capsys):
         assert main(["metrics"]) == 0
@@ -66,6 +64,10 @@ class TestRun:
         assert main(["experiments", "--only", "table1,fig11", "--quick",
                      "--cache-dir", cache_dir]) == 0
         assert "0 executed, 5 from cache" in capsys.readouterr().err
+        # A name selected twice (positional and --only) runs once.
+        assert main(["experiments", "table1", "--only", "table1",
+                     "--cache-dir", cache_dir]) == 0
+        assert "1 trials: 0 executed, 1 from cache" in capsys.readouterr().err
 
 
 class TestFaultProfileFlag:
