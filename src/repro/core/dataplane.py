@@ -29,7 +29,6 @@ snapshot).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable
 from typing import Optional
 
@@ -42,7 +41,6 @@ from repro.sim.switch import UnitId
 _DATA = PacketType.DATA
 
 
-@dataclass
 class SnapshotSlot:
     """One entry of the Snapshot Value register array.
 
@@ -50,12 +48,20 @@ class SnapshotSlot:
     after reading so a slot reused post-wraparound is distinguishable
     from a stale one.  ``channel_state`` accumulates in-flight credits
     (metric-specific; packet counts by default).
+
+    Slotted by hand (no ``__dict__`` on each of a unit's 256 entries):
+    ``dataclass(slots=True)`` needs Python 3.10, and a dataclass cannot
+    combine ``__slots__`` with defaults.
     """
 
-    valid: bool = False
-    value: int = 0
-    channel_state: int = 0
-    captured_ns: int = 0
+    __slots__ = ("valid", "value", "channel_state", "captured_ns")
+
+    def __init__(self, valid: bool = False, value: int = 0,
+                 channel_state: int = 0, captured_ns: int = 0) -> None:
+        self.valid = valid
+        self.value = value
+        self.channel_state = channel_state
+        self.captured_ns = captured_ns
 
     def clear(self) -> None:
         self.valid = False

@@ -293,19 +293,8 @@ class Network:
         the paper's "removal of non-utilized upstream neighbors" (§6),
         derived here from the routing function instead of hand-configured.
         """
-        import networkx as nx
-
         topo = self.topology
-        graph = topo.to_networkx()
         switch = self.switches[switch_name]
-        dist_cache: dict[str, dict[str, int]] = {}
-
-        def dist(a: str, b: str) -> Optional[int]:
-            lengths = dist_cache.get(a)
-            if lengths is None:
-                lengths = dist_cache[a] = nx.single_source_shortest_path_length(graph, a)
-            return lengths.get(b)
-
         pairs: set[tuple[int, int]] = set()
         for neighbor, in_port in self.port_map[switch_name].items():
             from_host = topo.kind(neighbor) is NodeKind.HOST
@@ -313,9 +302,11 @@ class Network:
                 if dst == neighbor:
                     continue
                 if not from_host:
-                    d_nbr = dist(neighbor, dst)
-                    d_here = dist(switch_name, dst)
-                    if d_nbr is None or d_here is None or d_nbr != d_here + 1:
+                    # A route to a name the topology does not know (an
+                    # injected misconfiguration) is on no shortest path.
+                    hops = topo.hops_to(dst) if dst in self.port_map else {}
+                    here = hops.get(switch_name)
+                    if here is None or hops.get(neighbor) != here + 1:
                         continue  # S is not on a shortest path from X to dst
                 for out_port in out_ports:
                     if out_port != in_port:

@@ -9,7 +9,9 @@ same topology can be instantiated many times with different seeds.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 import networkx as nx
@@ -45,6 +47,14 @@ class Topology:
         self._kinds: dict[str, NodeKind] = {}
         self._links: list[LinkSpec] = []
         self._graph = nx.Graph()
+        #: Derived state, dropped by every mutation and left out of the
+        #: pickle: sorted name lists per kind (None = all nodes) and, per
+        #: destination host, the hop distance of every switch to it.
+        self._sorted: dict[Optional[NodeKind], list[str]] = {}
+        self._hops: dict[str, Mapping[str, int]] = {}
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "_sorted": {}, "_hops": {}}
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,6 +72,8 @@ class Topology:
             raise ValueError(f"node {name!r} already exists")
         self._kinds[name] = kind
         self._graph.add_node(name, kind=kind)
+        self._sorted.clear()
+        self._hops.clear()
 
     def add_link(self, a: str, b: str, bandwidth_bps: int = 25_000_000_000,
                  propagation_ns: int = 500) -> LinkSpec:
@@ -75,22 +87,30 @@ class Topology:
         spec = LinkSpec(a, b, bandwidth_bps, propagation_ns)
         self._links.append(spec)
         self._graph.add_edge(a, b, spec=spec)
+        self._hops.clear()
         return spec
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _names(self, kind: Optional[NodeKind]) -> list[str]:
+        names = self._sorted.get(kind)
+        if names is None:
+            names = self._sorted[kind] = sorted(
+                n for n, k in self._kinds.items() if kind is None or k is kind)
+        return list(names)
+
     @property
     def nodes(self) -> list[str]:
-        return sorted(self._kinds)
+        return self._names(None)
 
     @property
     def switches(self) -> list[str]:
-        return sorted(n for n, k in self._kinds.items() if k is NodeKind.SWITCH)
+        return self._names(NodeKind.SWITCH)
 
     @property
     def hosts(self) -> list[str]:
-        return sorted(n for n, k in self._kinds.items() if k is NodeKind.HOST)
+        return self._names(NodeKind.HOST)
 
     @property
     def links(self) -> list[LinkSpec]:
@@ -115,6 +135,36 @@ class Topology:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
+    def hops_to(self, dst_host: str) -> Mapping[str, int]:
+        """Hop distance to ``dst_host`` of every switch that can reach it
+        (and 0 for the host itself), read-only.  One search per host,
+        from the host, kept until the topology changes.  Only switches
+        are expanded: hosts never transit traffic.
+        """
+        if self._kinds.get(dst_host) is not NodeKind.HOST:
+            raise ValueError(f"{dst_host!r} is not a host")
+        hops = self._hops.get(dst_host)
+        if hops is None:
+            hops = self._hops[dst_host] = MappingProxyType(
+                self._search(dst_host))
+        return hops
+
+    def _search(self, source: str) -> dict[str, int]:
+        """The one graph search: breadth-first from ``source``, expanding
+        switches only (tests/topology/test_route_table.py counts calls)."""
+        kinds, adj = self._kinds, self._graph.adj
+        hops = {source: 0}
+        frontier = [source]
+        while frontier:
+            reached = []
+            for node in frontier:
+                for neighbor in adj[node]:
+                    if neighbor not in hops and kinds[neighbor] is NodeKind.SWITCH:
+                        hops[neighbor] = hops[node] + 1
+                        reached.append(neighbor)
+            frontier = reached
+        return hops
+
     def ecmp_next_hops(self, switch: str, dst_host: str) -> list[str]:
         """All equal-cost next hops from ``switch`` toward ``dst_host``.
 
@@ -123,32 +173,12 @@ class Topology:
         """
         if self._kinds.get(switch) is not NodeKind.SWITCH:
             raise ValueError(f"{switch!r} is not a switch")
-        if self._kinds.get(dst_host) is not NodeKind.HOST:
-            raise ValueError(f"{dst_host!r} is not a host")
-        if switch == dst_host:
-            raise ValueError("switch cannot be its own destination")
-        try:
-            dist = nx.shortest_path_length(self._graph, switch, dst_host)
-        except nx.NetworkXNoPath:
+        hops = self.hops_to(dst_host)
+        here = hops.get(switch)
+        if here is None:
             return []
-        next_hops = []
-        for neighbor in self._graph.neighbors(switch):
-            if neighbor == dst_host:
-                next_hops.append(neighbor)
-                continue
-            if self._kinds[neighbor] is NodeKind.HOST:
-                continue  # hosts never transit traffic
-            try:
-                d = nx.shortest_path_length(self._graph, neighbor, dst_host)
-            except nx.NetworkXNoPath:
-                continue
-            if d == dist - 1:
-                next_hops.append(neighbor)
-        return sorted(next_hops)
-
-    def to_networkx(self) -> nx.Graph:
-        """A copy of the underlying graph (for analysis/plotting)."""
-        return self._graph.copy()
+        return sorted(n for n in self._graph.adj[switch]
+                      if hops.get(n) == here - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Topology({self.name!r}, switches={len(self.switches)}, "

@@ -108,6 +108,23 @@ class TestEcmpNextHops:
         topo.add_link("s1", "h1")
         assert topo.ecmp_next_hops("s0", "h1") == ["s1"]
 
+    def test_distance_is_not_measured_through_a_host(self):
+        # s1-s2-s3-s4 with h on s1 and s4: the graph's shortest path from
+        # s1 to d runs s1-h-s4-d, which no packet can take.  Measured
+        # over switches only, s1 is four hops out and s2 is its next hop
+        # (the pairwise search returned [] and s1 got no route to d).
+        topo = Topology()
+        for name in ("s1", "s2", "s3", "s4"):
+            topo.add_switch(name)
+        topo.add_host("h")
+        topo.add_host("d")
+        for a, b in (("s1", "s2"), ("s2", "s3"), ("s3", "s4"),
+                     ("s1", "h"), ("s4", "h"), ("s4", "d")):
+            topo.add_link(a, b)
+        assert topo.ecmp_next_hops("s1", "d") == ["s2"]
+        assert topo.ecmp_next_hops("s4", "d") == ["d"]
+        assert topo.hops_to("d") == {"d": 0, "s4": 1, "s3": 2, "s2": 3, "s1": 4}
+
     def test_unreachable_destination(self):
         topo = _two_switch()
         topo.add_switch("island")
