@@ -14,6 +14,10 @@ selector — stay perfectly correlated across salts.  Real ASICs avoid
 this by seeding the hash state or selecting different polynomials per
 switch; we apply a murmur-style avalanche finalizer over (CRC, salt),
 which decorrelates member choices across hops the same way.
+
+The CRC depends on the flow alone, so it is computed once per
+:class:`~repro.sim.packet.FlowKey` and kept on the key; every later hop,
+sketch row or flowlet lookup pays only the salted avalanche.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from repro.sim.packet import FlowKey, Packet
 
 def flow_hash(flow: FlowKey, salt: int = 0) -> int:
     """Deterministic, salt-decorrelated hash of the 5-tuple."""
-    key = f"{flow.src}|{flow.dst}|{flow.sport}|{flow.dport}|{flow.proto}"
-    h = zlib.crc32(key.encode("ascii"))
+    h = flow._crc
+    if h is None:
+        key = f"{flow.src}|{flow.dst}|{flow.sport}|{flow.dport}|{flow.proto}"
+        h = flow._crc = zlib.crc32(key.encode("utf-8"))
     h ^= (salt * 0x9E3779B9) & 0xFFFFFFFF
     h = (h * 0x85EBCA6B) & 0xFFFFFFFF
     h ^= h >> 13

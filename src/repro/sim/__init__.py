@@ -30,7 +30,7 @@ from repro.sim.switch import (
     UnitId,
     Direction,
 )
-from repro.sim.host import Host, FlowRecord
+from repro.sim.host import Host
 from repro.sim.network import Network, NetworkConfig, partition_topology
 from repro.sim.mgmt import ManagementPlane
 from repro.sim.shard import (
@@ -68,7 +68,6 @@ __all__ = [
     "UnitId",
     "Direction",
     "Host",
-    "FlowRecord",
     "Network",
     "NetworkConfig",
     "ManagementPlane",

@@ -5,8 +5,8 @@ Hosts are deliberately simple — the paper's workloads exercise the
 A host can:
 
 * send packets or whole flows (open-loop, paced at its NIC rate),
-* receive packets and keep per-flow accounting that workloads and tests
-  inspect,
+* receive packets, counting them and their bytes and handing each to an
+  optional ``on_receive`` callback (it keeps no per-flow state),
 * host the snapshot observer / polling observer processes (those live in
   :mod:`repro.core.observer` and :mod:`repro.polling` and merely use the
   host's name as their vantage point).
@@ -17,7 +17,6 @@ pops the header before the packet reaches the host link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable
 from typing import Optional
 
@@ -25,24 +24,6 @@ from repro.sim.engine import Simulator, exact_ns
 from repro.sim.channel import Link
 from repro.sim.packet import FlowKey, Packet
 from repro.sim.switch import _EgressQueue
-
-
-@dataclass
-class FlowRecord:
-    """Receiver-side accounting for one flow."""
-
-    flow: FlowKey
-    packets: int = 0
-    bytes: int = 0
-    first_arrival_ns: Optional[int] = None
-    last_arrival_ns: Optional[int] = None
-
-    def note(self, packet: Packet, now_ns: int) -> None:
-        self.packets += 1
-        self.bytes += packet.size_bytes
-        if self.first_arrival_ns is None:
-            self.first_arrival_ns = now_ns
-        self.last_arrival_ns = now_ns
 
 
 class Host:
@@ -53,7 +34,6 @@ class Host:
         self.name = name
         self.link: Optional[Link] = None
         self._nic = _EgressQueue(sim)
-        self.received: dict[FlowKey, FlowRecord] = {}
         self.packets_received = 0
         self.bytes_received = 0
         self.packets_sent = 0
@@ -65,8 +45,8 @@ class Host:
         #: limit to turn transient forwarding loops into countable
         #: ``packets_ttl_expired`` drops (:mod:`repro.updates`).
         self.default_ttl: Optional[int] = None
-        #: Optional callback invoked on every received packet (used by
-        #: request/response workloads such as the memcache generator).
+        #: Optional callback invoked on every received packet: the one
+        #: place to keep receiver-side per-flow state, if a caller needs it.
         self.on_receive: Optional[Callable[[Packet], None]] = None
 
     # -- LinkEndpoint protocol -----------------------------------------
@@ -86,10 +66,6 @@ class Host:
             packet.strip_snapshot_header()
         self.packets_received += 1
         self.bytes_received += packet.size_bytes
-        record = self.received.get(packet.flow)
-        if record is None:
-            record = self.received[packet.flow] = FlowRecord(packet.flow)
-        record.note(packet, self.sim.now)
         if self.on_receive is not None:
             self.on_receive(packet)
 
@@ -112,7 +88,8 @@ class Host:
         """Send ``num_packets`` packets of a flow, ``gap_ns`` apart.
 
         With ``gap_ns=0`` the NIC paces the flow at line rate.  Returns
-        the flow key so callers can look up receiver-side records.
+        the flow key (the receiver keeps no per-flow state; an
+        ``on_receive`` callback can).
         """
         flow = FlowKey(self.name, dst, sport, dport, proto)
 
@@ -128,19 +105,6 @@ class Host:
         if num_packets > 0:
             self.sim.schedule(start_delay_ns, emit, 0)
         return flow
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def flow_throughput_bps(self, flow: FlowKey) -> float:
-        """Average receive throughput of a flow over its lifetime."""
-        record = self.received.get(flow)
-        if record is None or record.first_arrival_ns is None:
-            return 0.0
-        duration = record.last_arrival_ns - record.first_arrival_ns
-        if duration <= 0:
-            return 0.0
-        return record.bytes * 8 * 1e9 / duration
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Host({self.name})"

@@ -22,7 +22,7 @@ from repro.sim.clock import PTPConfig, PTPService
 from repro.sim.channel import Link, LossModel
 from repro.sim.host import Host
 from repro.sim.mgmt import ManagementPlane
-from repro.sim.switch import Switch, SwitchConfig, TraceEvent
+from repro.sim.switch import BROADCAST_DST, Switch, SwitchConfig, TraceEvent
 from repro.topology.graph import LinkSpec, NodeKind, Topology
 
 
@@ -199,6 +199,11 @@ class Network:
                                          lb=lb_factory(index))
             self.ptp.attach(name)
         for name in topo.hosts:
+            if name == BROADCAST_DST:
+                # Switches flood packets to this address as probes and
+                # never deliver them: a host by that name is unreachable.
+                raise ValueError(f"host name {name!r} is reserved for "
+                                 "snapshot-propagation probes")
             if scope is not None and not scope.owns(name):
                 continue
             self.hosts[name] = Host(self.sim, name)

@@ -18,10 +18,10 @@ deployment, at the last snapshot-enabled device on the path).
 Performance notes (docs/PERF.md): these are the most-allocated objects
 in any trial, so all three types are ``__slots__`` classes with
 hand-written constructors.  :class:`FlowKey` instances are interned —
-equal keys are usually the *same* object with a precomputed hash, which
-makes the per-packet flow-table lookups in hosts and load balancers
-cheap.  Stripped snapshot headers are recycled through a small free
-list (:func:`release_header`) instead of round-tripping the allocator.
+equal keys are usually the *same* object with a precomputed hash, and
+share the CRC the ECMP hash keeps on the key (:mod:`repro.lb.ecmp`).
+Stripped snapshot headers are recycled through a small free list
+(:func:`release_header`) instead of round-tripping the allocator.
 """
 
 from __future__ import annotations
@@ -116,9 +116,12 @@ class FlowKey:
     same 5-tuple twice usually yields the same object, with the hash
     precomputed once.  (The intern table is bounded; past the bound,
     construction falls back to ordinary allocation and value equality.)
+    ``_crc`` is the CRC32 of the canonical key, filled in by
+    :func:`repro.lb.ecmp.flow_hash` on first use and never pickled.
     """
 
-    __slots__ = ("src", "dst", "sport", "dport", "proto", "_hash")
+    __slots__ = ("src", "dst", "sport", "dport", "proto", "_hash", "_crc")
+    _crc: Optional[int]
 
     _intern: ClassVar[dict[tuple[str, str, int, int, int], "FlowKey"]] = {}
     _INTERN_MAX = 65536
@@ -136,6 +139,7 @@ class FlowKey:
             self.dport = dport
             self.proto = proto
             self._hash = hash(key)
+            self._crc = None
             if len(cache) < cls._INTERN_MAX:
                 cache[key] = self
         return self

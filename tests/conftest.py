@@ -2,11 +2,53 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
+from repro.sim.packet import FlowKey, Packet
 from repro.topology import leaf_spine, single_switch
+
+
+class Arrivals:
+    """One flow's packets, bytes and first / last arrival at one host."""
+
+    def __init__(self) -> None:
+        self.packets = 0
+        self.bytes = 0
+        self.first_ns = -1
+        self.last_ns = -1
+
+
+ReceiveLog = dict[str, dict[FlowKey, Arrivals]]
+
+
+def _record_arrivals(net: Network) -> ReceiveLog:
+    """Per-host, per-flow arrivals from now on, kept through every
+    host's ``on_receive`` (hosts keep no per-flow state themselves)."""
+    log: ReceiveLog = {}
+    for name, host in net.hosts.items():
+        flows = log[name] = {}
+
+        def note(packet: Packet, flows: dict[FlowKey, Arrivals] = flows
+                 ) -> None:
+            entry = flows.get(packet.flow)
+            if entry is None:
+                entry = flows[packet.flow] = Arrivals()
+                entry.first_ns = net.sim.now
+            entry.packets += 1
+            entry.bytes += packet.size_bytes
+            entry.last_ns = net.sim.now
+
+        host.on_receive = note
+    return log
+
+
+@pytest.fixture
+def record_arrivals() -> Callable[[Network], ReceiveLog]:
+    return _record_arrivals
 
 
 @pytest.fixture

@@ -13,14 +13,14 @@ from repro.sim.packet import FlowKey, Packet
 class FakeEndpoint:
     def __init__(self, name):
         self.name = name
-        self.received = []
+        self.arrived = []
 
     @property
     def endpoint_name(self):
         return self.name
 
     def receive_from_link(self, packet, link):
-        self.received.append(packet)
+        self.arrived.append(packet)
 
 
 def _pkt(seq=0):
@@ -41,7 +41,7 @@ class TestLink:
         link, a, b = _wired_link(sim, propagation_ns=250)
         link.transmit(a, _pkt())
         sim.run()
-        assert len(b.received) == 1
+        assert len(b.arrived) == 1
         assert sim.now == 250
 
     def test_duplex_both_directions(self):
@@ -50,8 +50,8 @@ class TestLink:
         link.transmit(a, _pkt(1))
         link.transmit(b, _pkt(2))
         sim.run()
-        assert len(a.received) == 1
-        assert len(b.received) == 1
+        assert len(a.arrived) == 1
+        assert len(b.arrived) == 1
 
     def test_fifo_order_preserved(self):
         sim = Simulator()
@@ -59,7 +59,7 @@ class TestLink:
         for seq in range(10):
             link.transmit(a, _pkt(seq))
         sim.run()
-        assert [p.seq for p in b.received] == list(range(10))
+        assert [p.seq for p in b.arrived] == list(range(10))
 
     def test_third_endpoint_rejected(self):
         sim = Simulator()
@@ -131,7 +131,7 @@ class TestLossModels:
         link, a, b = _wired_link(sim, loss=BernoulliLoss(1.0, random.Random(1)))
         assert link.transmit(a, _pkt()) is False
         sim.run()
-        assert b.received == []
+        assert b.arrived == []
         assert link.packets_dropped == 1
 
 
@@ -197,12 +197,12 @@ class TestLinkFaultSurface:
         link.up = False
         assert link.transmit(a, _pkt()) is False
         sim.run()
-        assert b.received == []
+        assert b.arrived == []
         assert link.packets_dropped == 1
         link.up = True
         assert link.transmit(a, _pkt(1)) is True
         sim.run()
-        assert len(b.received) == 1
+        assert len(b.arrived) == 1
 
     def test_latency_spike_delays_delivery(self):
         sim = Simulator()
@@ -222,9 +222,9 @@ class TestLinkFaultSurface:
         link.extra_delay_ns = 0
         link.transmit(a, _pkt(seq=1))          # natural 100 -> clamped
         sim.run(until=999)
-        assert b.received == []                # neither overtook the spike
+        assert b.arrived == []                # neither overtook the spike
         sim.run()
-        assert [p.seq for p in b.received] == [0, 1]
+        assert [p.seq for p in b.arrived] == [0, 1]
 
     def test_fifo_floor_expires_once_natural_timing_catches_up(self):
         sim = Simulator()
@@ -239,8 +239,8 @@ class TestLinkFaultSurface:
 
         sim.schedule_at(700, late_send)
         sim.run()
-        assert [p.seq for p in b.received] == [0, 1]
+        assert [p.seq for p in b.arrived] == [0, 1]
         assert not link._fifo_floor             # back on the fast path
         link.transmit(a, _pkt(seq=2))
         sim.run()
-        assert sim.now == b.received[-1].created_ns + 100 or len(b.received) == 3
+        assert sim.now == b.arrived[-1].created_ns + 100 or len(b.arrived) == 3

@@ -5,7 +5,8 @@ import pytest
 from repro.lb import FlowletBalancer
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
-from repro.topology import fat_tree, leaf_spine
+from repro.sim.switch import BROADCAST_DST
+from repro.topology import Topology, fat_tree, leaf_spine
 from repro.topology.graph import NodeKind
 
 
@@ -28,6 +29,16 @@ class TestAssembly:
     def test_uplink_ports(self, leaf_spine_net):
         assert leaf_spine_net.uplink_ports("leaf0") == [3, 4]
         assert leaf_spine_net.uplink_ports("spine0") == [0, 1]
+
+    def test_the_probe_broadcast_address_is_not_a_host_name(self):
+        # Switches flood packets to it as probes and never deliver them.
+        topo = Topology()
+        topo.add_switch("sw0")
+        for host in ("server0", BROADCAST_DST):
+            topo.add_host(host)
+            topo.add_link("sw0", host)
+        with pytest.raises(ValueError, match=BROADCAST_DST):
+            Network(topo)
 
     def test_peer_of_port(self, leaf_spine_net):
         name, kind = leaf_spine_net.peer_of_port("leaf0", 0)
@@ -71,8 +82,9 @@ class TestRouting:
         assert all(p > 0 for p in spine_pkts)
         assert sum(spine_pkts) == 40
 
-    def test_all_pairs_reachable(self, leaf_spine_net):
+    def test_all_pairs_reachable(self, leaf_spine_net, record_arrivals):
         net = leaf_spine_net
+        log = record_arrivals(net)
         hosts = sorted(net.hosts)
         flows = []
         for i, src in enumerate(hosts):
@@ -82,13 +94,14 @@ class TestRouting:
                         dst, 1, sport=5000 + i, dport=80)))
         net.run(until=5 * MS)
         for dst, flow in flows:
-            assert net.host(dst).received[flow].packets == 1
+            assert log[dst][flow].packets == 1
 
-    def test_fat_tree_reachability(self):
+    def test_fat_tree_reachability(self, record_arrivals):
         net = Network(fat_tree(k=4), NetworkConfig(seed=2))
+        log = record_arrivals(net)
         flow = net.host("server0").send_flow("server15", 2, sport=1, dport=2)
         net.run(until=5 * MS)
-        assert net.host("server15").received[flow].packets == 2
+        assert log["server15"][flow].packets == 2
 
 
 class TestFeasibleChannels:

@@ -48,14 +48,15 @@ class TestPoisson:
         # Every host should have received something.
         assert all(h.packets_received > 0 for h in net.hosts.values())
 
-    def test_sport_churn_creates_many_flows(self):
+    def test_sport_churn_creates_many_flows(self, record_arrivals):
         net = _net()
+        log = record_arrivals(net)
         wl = PoissonWorkload(net, PoissonConfig(
             rate_pps=20_000, stop_ns=20 * MS, sport_churn=True,
             pairs=[("server0", "server3")]))
         wl.start()
         net.run(until=40 * MS)
-        assert len(net.host("server3").received) > 50
+        assert len(log["server3"]) > 50
 
     def test_start_is_idempotent(self):
         net = _net()
@@ -96,19 +97,18 @@ class TestHadoop:
 
 
 class TestGraphX:
-    def test_master_moves_no_bulk_data(self):
+    def test_master_moves_no_bulk_data(self, record_arrivals):
         net = _net()
+        log = record_arrivals(net)
         wl = GraphXPageRankWorkload(net, GraphXConfig(stop_ns=60 * MS))
         wl.start()
         net.run(until=100 * MS)
         bulk_from_master = [
-            flow for host in net.hosts.values()
-            for flow in host.received
+            flow for flows in log.values() for flow in flows
             if flow.src == "server0" and flow.dport == 7337]
         assert bulk_from_master == []
         # But the master does send small control messages.
-        control = [flow for host in net.hosts.values()
-                   for flow in host.received
+        control = [flow for flows in log.values() for flow in flows
                    if flow.src == "server0" and flow.dport == 7077]
         assert control
 
@@ -128,39 +128,39 @@ class TestGraphX:
             wl.start()
             net.run(until=1 * MS)
 
-    def test_workers_exchange_all_to_all(self):
+    def test_workers_exchange_all_to_all(self, record_arrivals):
         net = _net()
+        log = record_arrivals(net)
         wl = GraphXPageRankWorkload(net, GraphXConfig(stop_ns=30 * MS,
                                                       chatter_pps=0))
         wl.start()
         net.run(until=60 * MS)
         workers = set(wl.workers)
         for dst in workers:
-            senders = {flow.src for flow in net.host(dst).received.keys()
-                       if flow.dport == 7337}
+            senders = {flow.src for flow in log[dst] if flow.dport == 7337}
             assert senders == workers - {dst}
 
 
 class TestMemcache:
-    def test_request_response_pattern(self):
+    def test_request_response_pattern(self, record_arrivals):
         net = _net()
+        log = record_arrivals(net)
         wl = MemcacheWorkload(net, MemcacheConfig(stop_ns=20 * MS))
         wl.start()
         net.run(until=40 * MS)
         assert wl.requests_sent > 50
-        client = net.host("server0")
         # Responses from every server reached the client.
-        responders = {flow.src for flow in client.received}
+        responders = {flow.src for flow in log["server0"]}
         assert responders == set(wl.servers)
 
-    def test_servers_receive_requests(self):
+    def test_servers_receive_requests(self, record_arrivals):
         net = _net()
+        log = record_arrivals(net)
         wl = MemcacheWorkload(net, MemcacheConfig(stop_ns=20 * MS))
         wl.start()
         net.run(until=40 * MS)
         for server in wl.servers:
-            requests = [f for f in net.host(server).received
-                        if f.dport == 11211]
+            requests = [f for f in log[server] if f.dport == 11211]
             assert requests
 
     def test_needs_a_server(self):
