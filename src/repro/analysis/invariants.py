@@ -24,9 +24,10 @@ only hold on legal cuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import Optional
 
+from repro.analysis.report import _unit
 from repro.core.snapshot import GlobalSnapshot
 from repro.sim.network import Network
 from repro.sim.switch import Direction, UnitId
@@ -53,6 +54,7 @@ class LinkAudit:
 
     def __init__(self, network: Network) -> None:
         self.network = network
+        # Decoded epochs' units, so ``records.get`` hits by identity.
         self._links: list[tuple[UnitId, UnitId]] = []
         for name in sorted(network.switches):
             for neighbor, port in sorted(network.port_map[name].items()):
@@ -60,31 +62,31 @@ class LinkAudit:
                     continue
                 peer_port = network.port_map[neighbor][name]
                 self._links.append(
-                    (UnitId(name, port, Direction.EGRESS),
-                     UnitId(neighbor, peer_port, Direction.INGRESS)))
+                    (_unit(name, port, Direction.EGRESS.value),
+                     _unit(neighbor, peer_port, Direction.INGRESS.value)))
+
+    def _totals(self, snapshot: GlobalSnapshot) -> Iterator[tuple[UnitId, UnitId, int, int]]:
+        records = snapshot.records
+        for sender, receiver in self._links:
+            sent, received = records.get(sender), records.get(receiver)
+            if sent is not None and received is not None:
+                yield sender, receiver, sent.total_value, received.total_value
 
     def audit(self, snapshot: GlobalSnapshot) -> list[LinkReport]:
         """Per-link reports for every link both of whose units appear in
         the snapshot (partial deployments audit the enabled core)."""
-        reports = []
-        for sender, receiver in self._links:
-            sent_rec = snapshot.records.get(sender)
-            recv_rec = snapshot.records.get(receiver)
-            if sent_rec is None or recv_rec is None:
-                continue
-            reports.append(LinkReport(
-                sender=sender, receiver=receiver,
-                sent=sent_rec.total_value, received=recv_rec.total_value))
-        return reports
+        return [LinkReport(*link) for link in self._totals(snapshot)]
 
     def violations(self, snapshot: GlobalSnapshot) -> list[LinkReport]:
         """Links whose receiver counted more than the sender emitted —
-        impossible on a consistent cut."""
+        impossible on a consistent cut.  A clean link costs no report."""
         if not snapshot.consistent:
             raise ValueError(
                 "link auditing requires a consistent snapshot; this one "
                 "is marked inconsistent")
-        return [r for r in self.audit(snapshot) if r.discrepancy < 0]
+        return [LinkReport(sender, receiver, sent, received)
+                for sender, receiver, sent, received in self._totals(snapshot)
+                if received > sent]
 
     def audit_completed(self, snapshots: Sequence[GlobalSnapshot]) -> "AuditSummary":
         """Audit every completed snapshot of a campaign (fault runs).

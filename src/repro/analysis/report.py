@@ -6,6 +6,7 @@ rows/dicts (for JSON/CSV export or ad-hoc analysis) and back.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Optional
 
@@ -35,13 +36,11 @@ def snapshot_rows(snapshot: GlobalSnapshot) -> list[dict[str, object]]:
     return rows
 
 
-def _unit_name(unit: UnitId) -> str:
-    return f"{unit.device}:{unit.port}:{unit.direction.value}"
-
-
-def _parse_unit(name: str) -> UnitId:
-    device, port, direction = name.rsplit(":", 2)
-    return UnitId(device, int(port), Direction(direction))
+@functools.lru_cache(maxsize=4096)
+def _unit(device: str, port: int, direction: str) -> UnitId:
+    """The one bounded table decoded epochs and ``LinkAudit`` share units
+    through (a fabric's are fixed at deploy time); a dropped one is rebuilt."""
+    return UnitId(device, port, Direction(direction))
 
 
 def epoch_record(snapshot: GlobalSnapshot) -> dict[str, object]:
@@ -65,8 +64,7 @@ def epoch_record(snapshot: GlobalSnapshot) -> dict[str, object]:
         "excluded_devices": sorted(snapshot.excluded_devices),
         "exclusion_reasons": {d: snapshot.exclusion_reasons[d]
                               for d in sorted(snapshot.exclusion_reasons)},
-        "missing_units": sorted(_unit_name(u)
-                                for u in snapshot.missing_units),
+        "missing_units": sorted(map(str, snapshot.missing_units)),
         "records": snapshot_rows(snapshot),
     }
 
@@ -75,21 +73,16 @@ def epoch_from_record(doc: dict[str, object]) -> GlobalSnapshot:
     """Rebuild a :class:`GlobalSnapshot` from its :func:`epoch_record`
     document (the derived fields — ``consistent``,
     ``capture_spread_ns`` — are recomputed from the records, not
-    trusted from the document)."""
+    trusted from the document; row fields are taken as they are)."""
     epoch = int(doc["epoch"])  # type: ignore[arg-type]
     records: dict[UnitId, UnitSnapshotRecord] = {}
     for row in doc["records"]:  # type: ignore[union-attr]
-        unit = UnitId(row["device"], int(row["port"]),
-                      Direction(row["direction"]))
+        unit = _unit(row["device"], row["port"], row["direction"])
         records[unit] = UnitSnapshotRecord(
-            unit=unit, epoch=epoch, value=int(row["value"]),
-            channel_state=(None if row["channel_state"] is None
-                           else int(row["channel_state"])),
-            consistent=bool(row["consistent"]),
-            captured_ns=int(row["captured_ns"]),
-            read_ns=int(row["read_ns"]))
-    missing = {_parse_unit(name)
-               for name in doc["missing_units"]}  # type: ignore[union-attr]
+            unit, epoch, row["value"], row["channel_state"],
+            row["consistent"], row["captured_ns"], row["read_ns"])
+    missing = {_unit(device, int(port), direction) for device, port, direction
+               in (n.rsplit(":", 2) for n in doc["missing_units"])}  # type: ignore[union-attr]
     return GlobalSnapshot(
         epoch=epoch,
         requested_wall_ns=int(doc["requested_wall_ns"]),  # type: ignore[arg-type]

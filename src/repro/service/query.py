@@ -108,7 +108,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def heavy_hitters(self, epoch: Optional[int] = None,
                       top: int = 5) -> dict[str, object]:
-        """The ``top`` heaviest units of one epoch (default: newest).
+        """The ``top`` heaviest units of one epoch (default: the largest).
 
         Stored records locate the load — which switch, port, and
         direction carry the heaviest flow estimates.  When a live

@@ -217,6 +217,8 @@ class EpochStore:
         self._index: dict[int, int] = {}
         self._tail: Optional[_Keyed] = None  # newest document, keyed
         self._since_keyframe = 0
+        #: Neighbouring entries out of epoch order (0: ascending ring).
+        self._descents = 0
         #: Lifetime counters (monotonic; eviction does not reset them).
         self.appended = 0
         self.evicted = 0
@@ -246,6 +248,8 @@ class EpochStore:
             entry = _Entry(epoch, _DELTA, encode_delta(self._tail, doc))
             apply_delta(self._tail, entry.payload)
             self._since_keyframe += 1
+        if self._entries and self._entries[-1].epoch > epoch:
+            self._descents += 1
         self._entries.append(entry)
         self._index[epoch] = self.appended
         self.appended += 1
@@ -262,6 +266,8 @@ class EpochStore:
         del self._index[oldest.epoch]
         self.encoded_bytes -= oldest.size
         self.evicted += 1
+        if self._entries and self._entries[0].epoch < oldest.epoch:
+            self._descents -= 1
         if self._entries and self._entries[0].kind == _DELTA:
             head = self._entries[0]
             # ``oldest`` is gone, so its keyed form is ours to advance.
@@ -283,10 +289,16 @@ class EpochStore:
 
     @property
     def min_epoch(self) -> Optional[int]:
+        """The smallest stored epoch (O(1) while the ring is ascending)."""
+        if self._descents:
+            return min(self._index)
         return self._entries[0].epoch if self._entries else None
 
     @property
     def max_epoch(self) -> Optional[int]:
+        """The largest stored epoch (O(1) while the ring is ascending)."""
+        if self._descents:
+            return max(self._index)
         return self._entries[-1].epoch if self._entries else None
 
     def epochs(self) -> list[int]:
@@ -296,22 +308,23 @@ class EpochStore:
     def scan(self, start: Optional[int] = None,
              end: Optional[int] = None) -> Iterator[EpochDoc]:
         """Decode stored documents in storage (resolution) order,
-        yielding those with ``start <= epoch <= end``.  Yielded
-        documents are fresh copies — callers may mutate them.
+        yielding those with ``start <= epoch <= end``; an open bound is
+        the smallest or largest stored epoch.  Yielded documents are
+        fresh copies — callers may mutate them.
 
         Decoding starts at the keyframe nearest before the first match
         (at most ``keyframe_interval - 1`` hops away) and stops at the
         last match; the newest entry is served from the decoded tail.
         """
-        def wanted(epoch: int) -> bool:
-            return ((start is None or epoch >= start)
-                    and (end is None or epoch <= end))
-
         index = self._index
-        if start is not None and end is not None and end - start < len(index):
-            hits = [index[e] for e in range(start, end + 1) if e in index]
+        lo = self.min_epoch if start is None else start
+        hi = self.max_epoch if end is None else end
+        if lo is None or hi is None:  # an empty store
+            return
+        if hi - lo < len(index):
+            hits = [index[e] for e in range(lo, hi + 1) if e in index]
         else:
-            hits = [n for e, n in index.items() if wanted(e)]
+            hits = [n for e, n in index.items() if lo <= e <= hi]
         if not hits:
             return
         entries = self._entries
@@ -332,7 +345,7 @@ class EpochStore:
                     assert key.keyed is not None
                     state = key.keyed.copy()
                 state = apply_delta(state, entry.payload)
-            if wanted(entry.epoch):
+            if lo <= entry.epoch <= hi:
                 # Always fresh: the generator suspends at yield, and the
                 # caller may mutate the document before the next hop.
                 yield (_copy_doc(key.payload) if state is None

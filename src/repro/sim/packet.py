@@ -17,9 +17,8 @@ deployment, at the last snapshot-enabled device on the path).
 
 Performance notes (docs/PERF.md): these are the most-allocated objects
 in any trial, so all three types are ``__slots__`` classes with
-hand-written constructors.  :class:`FlowKey` instances are interned —
-equal keys are usually the *same* object with a precomputed hash, and
-share the CRC the ECMP hash keeps on the key (:mod:`repro.lb.ecmp`).
+hand-written constructors.  A :class:`FlowKey` precomputes its hash and
+keeps the CRC the ECMP hash computes for it (:mod:`repro.lb.ecmp`).
 Stripped snapshot headers are recycled through a small free list
 (:func:`release_header`) instead of round-tripping the allocator.
 """
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, ClassVar, Optional
+from typing import Any, Optional
 
 
 class PacketType(enum.IntEnum):
@@ -112,37 +111,24 @@ def release_header(header: Optional[SnapshotHeader]) -> None:
 class FlowKey:
     """A 5-tuple identifying a flow, used by the load balancers.
 
-    Instances are immutable by convention and interned: constructing the
-    same 5-tuple twice usually yields the same object, with the hash
-    precomputed once.  (The intern table is bounded; past the bound,
-    construction falls back to ordinary allocation and value equality.)
-    ``_crc`` is the CRC32 of the canonical key, filled in by
+    Instances are immutable by convention; equal keys compare and hash
+    equal, with the hash computed once at construction.  ``_crc`` is
+    the CRC32 of the canonical key, filled in on each key object by
     :func:`repro.lb.ecmp.flow_hash` on first use and never pickled.
     """
 
     __slots__ = ("src", "dst", "sport", "dport", "proto", "_hash", "_crc")
     _crc: Optional[int]
 
-    _intern: ClassVar[dict[tuple[str, str, int, int, int], "FlowKey"]] = {}
-    _INTERN_MAX = 65536
-
-    def __new__(cls, src: str, dst: str, sport: int, dport: int,
-                proto: int = 6) -> "FlowKey":
-        key = (src, dst, sport, dport, proto)
-        cache = cls._intern
-        self = cache.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            self.src = src
-            self.dst = dst
-            self.sport = sport
-            self.dport = dport
-            self.proto = proto
-            self._hash = hash(key)
-            self._crc = None
-            if len(cache) < cls._INTERN_MAX:
-                cache[key] = self
-        return self
+    def __init__(self, src: str, dst: str, sport: int, dport: int,
+                 proto: int = 6) -> None:
+        self.src = src
+        self.dst = dst
+        self.sport = sport
+        self.dport = dport
+        self.proto = proto
+        self._hash = hash((src, dst, sport, dport, proto))
+        self._crc = None
 
     def reversed(self) -> "FlowKey":
         return FlowKey(self.dst, self.src, self.dport, self.sport, self.proto)
@@ -160,8 +146,8 @@ class FlowKey:
                 and self.proto == other.proto)
 
     def __reduce__(self) -> tuple[type, tuple[str, str, int, int, int]]:
-        # Re-intern on unpickle (the default __slots__ path would bypass
-        # __new__'s required arguments).
+        # Rebuild from the five fields on unpickle: string hashes differ
+        # between processes, and the CRC is not shipped.
         return (FlowKey, (self.src, self.dst, self.sport, self.dport,
                           self.proto))
 
@@ -242,14 +228,16 @@ class Packet:
                 f"seq={self.seq} {self.size_bytes}B{snap})")
 
 
+_INITIATION_FLOW = FlowKey(src="cpu", dst="cpu", sport=0, dport=0, proto=0)
+
+
 def make_initiation_packet(sid: int, created_ns: int = 0) -> Packet:
     """Build a control-plane snapshot initiation message (§6).
 
     Initiation packets travel CPU → ingress → egress of each port and are
     dropped after processing.  They are never counted by metric counters
-    and never treated as in-flight channel state.
+    and never treated as in-flight channel state; all share one flow key.
     """
-    flow = FlowKey(src="cpu", dst="cpu", sport=0, dport=0, proto=0)
-    pkt = Packet(flow=flow, size_bytes=64, created_ns=created_ns)
+    pkt = Packet(flow=_INITIATION_FLOW, size_bytes=64, created_ns=created_ns)
     pkt.snapshot = new_header(sid, INITIATION)
     return pkt

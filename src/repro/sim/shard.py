@@ -39,6 +39,7 @@ See docs/SHARDING.md for the full contract.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -431,11 +432,13 @@ def _shard_worker_main(conn, topology: Topology,
                        shard_id: int, setup: Optional[Callable[..., Any]],
                        setup_args: Sequence[Any]) -> None:
     """Worker-process loop: build the shard, then serve coordinator
-    rounds over the pipe until the ``finish`` message."""
+    rounds over the pipe until the ``finish`` or ``stop`` message."""
     worker = ShardWorker(topology, config, plan, shard_id, setup, setup_args)
     conn.send(("ready", worker.next_time(), sorted(worker.mailboxes)))
     while True:
         msg = conn.recv()
+        if msg[0] == "stop":
+            return
         if msg[0] == "step":
             _tag, horizon, items = msg
             worker.inject(items)
@@ -542,12 +545,12 @@ class ProcessShardRunner:
             self.close()
 
     def close(self) -> None:
-        """Tear down worker processes (idempotent)."""
+        """Stop and reap worker processes (idempotent).  Closing our
+        ends is no EOF: forked workers hold copies of them."""
         for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+            with contextlib.suppress(OSError):  # a finished worker closed its end
+                conn.send(("stop",))
+            conn.close()
         for proc in self._procs:
             proc.join(timeout=5)
             if proc.is_alive():  # pragma: no cover - hung worker

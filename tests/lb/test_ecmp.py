@@ -139,17 +139,24 @@ class TestCrcKeptOnTheKey:
             assert flow_hash(key, salt) == _uncached_flow_hash(key, salt)
 
     @given(st.lists(_keys, min_size=1, max_size=12))
-    def test_keys_built_past_the_intern_bound(self, fields):
-        with mock.patch.object(FlowKey, "_INTERN_MAX", 0), \
-                mock.patch.object(FlowKey, "_intern", {}):
+    def test_equal_keys_built_twice_each_keep_their_own_crc(self, fields):
+        payloads = []
+
+        def counting_crc32(data):
+            payloads.append(data)
+            return zlib.crc32(data)
+
+        with mock.patch.object(ecmp, "zlib",
+                               SimpleNamespace(crc32=counting_crc32)):
             first = [FlowKey(*f) for f in fields]
-            for key in first:
-                flow_hash(key)
             again = [FlowKey(*f) for f in fields]
-            assert all(a is not b for a, b in zip(first, again))
-            for a, b in zip(first, again):
-                assert flow_hash(b, 9) == flow_hash(a, 9) \
-                    == _uncached_flow_hash(b, 9)
+            assert all(a is not b and a == b and hash(a) == hash(b)
+                       for a, b in zip(first, again))
+            for _ in range(2):
+                for a, b in zip(first, again):
+                    assert flow_hash(b, 9) == flow_hash(a, 9) \
+                        == _uncached_flow_hash(b, 9)
+        assert len(payloads) == len(first) + len(again)
 
     @given(_keys, st.integers(min_value=0, max_value=2**16))
     def test_pickled_round_trip(self, fields, salt):
@@ -157,9 +164,9 @@ class TestCrcKeptOnTheKey:
         before = pickle.dumps(key)
         flow_hash(key, salt)
         assert pickle.dumps(key) == before     # the CRC is not pickled
-        with mock.patch.object(FlowKey, "_intern", {}):
-            copy = pickle.loads(before)
-        assert copy is not key and copy == key
+        copy = pickle.loads(before)
+        assert copy is not key and copy == key and hash(copy) == hash(key)
+        assert copy._crc is None
         assert flow_hash(copy, salt) == _uncached_flow_hash(key, salt)
 
     @settings(max_examples=30)
@@ -172,22 +179,28 @@ class TestCrcKeptOnTheKey:
         assert _consumer_outputs(flows) == expected   # CRCs filled here
         assert _consumer_outputs(flows) == expected   # and read back here
 
-    def test_one_crc_per_distinct_key_on_a_churned_fat_tree(self):
+    def test_one_crc_per_key_object_on_a_churned_fat_tree(self):
         payloads = []
+        hashed = {}
+        real_flow_hash = ecmp.flow_hash
 
         def counting_crc32(data):
             payloads.append(data)
             return zlib.crc32(data)
 
-        with mock.patch.object(FlowKey, "_intern", {}), \
-                mock.patch.object(ecmp, "zlib",
-                                  SimpleNamespace(crc32=counting_crc32)):
+        def recording_flow_hash(flow, salt=0):
+            hashed[id(flow)] = flow    # kept alive: ids stay distinct
+            return real_flow_hash(flow, salt)
+
+        with mock.patch.object(ecmp, "zlib",
+                               SimpleNamespace(crc32=counting_crc32)), \
+                mock.patch.object(ecmp, "flow_hash", recording_flow_hash):
             net = Network(fat_tree(k=4), NetworkConfig(seed=4))
             PoissonWorkload(net, PoissonConfig(
                 rate_pps=2_000, stop_ns=2 * MS, sport_churn=True)).start()
             net.run(until=3 * MS)
         decisions = sum(sw.lb.decisions for sw in net.switches.values())
-        assert len(payloads) == len(set(payloads)) > 500
+        assert len(payloads) == len(hashed) > 500
         # Up to two ECMP choices per packet on a fat tree (edge and
         # aggregation uplinks); each used to compute its own CRC.
         assert decisions > 1.5 * len(payloads)

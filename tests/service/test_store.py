@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.service import store as store_module
+from repro.service.query import QueryEngine
 from repro.service.store import (EpochStore, StoreConfig, apply_delta,
                                  canonical_bytes, encode_delta)
 
@@ -206,6 +207,29 @@ class TestStoreBasics:
         assert store.get(3)["records"][0]["value"] == 3
         assert store.epochs() == [3, 4, 7, 9]
 
+    def test_bounds_are_the_smallest_and_largest_epoch_in_any_order(self):
+        store = EpochStore(retention=3, keyframe_interval=2)
+        engine = QueryEngine(store)
+
+        def bounds():
+            summary = engine.summary()
+            assert (summary["min_epoch"], summary["max_epoch"]) == (
+                store.min_epoch, store.max_epoch)
+            return store.min_epoch, store.max_epoch
+
+        for epoch in (1, 3, 2):
+            store.append(_doc(epoch, [True] * len(UNITS),
+                              [epoch] * len(UNITS), [True] * len(UNITS)))
+        assert bounds() == (1, 3)
+        assert engine.heavy_hitters()["epoch"] == 3
+        for epoch, want in ((0, (0, 3)), (5, (0, 5)), (6, (0, 6)),
+                            (7, (5, 7))):   # evicts 1, then 3, 2, 0
+            store.append(_doc(epoch, [True] * len(UNITS),
+                              [epoch] * len(UNITS), [True] * len(UNITS)))
+            assert bounds() == want
+        assert [d["epoch"] for d in store.scan(6, None)] == [6, 7]
+        assert [d["epoch"] for d in store.scan(None, 5)] == [5]
+
 
 # ----------------------------------------------------------------------
 # The seekable store against a naive reference
@@ -348,8 +372,11 @@ class TestSeekableStoreEqualsNaiveReference:
             store.append(doc)
             naive.append(json.loads(json.dumps(doc)))
             assert store.stats() == naive.stats()
-            assert (_canon(store.get(store.max_epoch))
+            assert (_canon(store.get(epoch))  # the newest, from the tail
                     == _canon(list(naive.scan())[-1]))
+            held = [d["epoch"] for d in naive.scan()]
+            assert (store.min_epoch, store.max_epoch) == (min(held),
+                                                          max(held))
         for start, end in [(None, None), *probes]:
             assert ([_canon(d) for d in store.scan(start, end)]
                     == [_canon(d) for d in naive.scan(start, end)])
@@ -408,6 +435,34 @@ class TestSeekCost:
         assert len(hops) <= 63 + 31
         hops.clear()
         assert len(list(store.scan_meta())) == 512 and hops == []
+
+    def test_an_open_end_takes_the_indexed_path(self, counted):
+        """``scan(start, None)`` — the query engine's "last N" — looks
+        up the epochs from ``start`` to the largest one instead of
+        testing every stored epoch."""
+        store, _hops = counted
+
+        class CountingIndex(dict):
+            visits = 0
+
+            def __contains__(self, epoch):
+                self.visits += 1
+                return super().__contains__(epoch)
+
+            def __iter__(self):
+                self.visits += len(self)
+                return super().__iter__()
+
+            def items(self):
+                self.visits += len(self)
+                return super().items()
+
+        store._index = index = CountingIndex(store._index)
+        newest = store.max_epoch
+        docs = list(store.scan(start=newest - 31, end=None))
+        assert [d["epoch"] for d in docs] == list(range(newest - 31,
+                                                        newest + 1))
+        assert index.visits == 32
 
     def test_a_document_is_keyed_once_however_often_it_is_read(
             self, counted, monkeypatch):

@@ -1,7 +1,6 @@
 """Tests for end hosts."""
 
 import gc
-from unittest import mock
 
 import pytest
 
@@ -82,23 +81,22 @@ class TestReceiving:
         assert host.packets_received == 1
 
     def test_churned_traffic_leaves_no_state_behind(self):
-        # Every packet is a new flow.  Once the (here tiny) intern table
-        # is full, the live heap must stop growing with the packets
-        # delivered: nothing on the receive path keeps a flow.
-        with mock.patch.object(FlowKey, "_intern", {}), \
-                mock.patch.object(FlowKey, "_INTERN_MAX", 64):
-            net = Network(fat_tree(k=4), NetworkConfig(seed=6))
-            PoissonWorkload(net, PoissonConfig(
-                rate_pps=2_000, stop_ns=20 * MS, sport_churn=True)).start()
+        # Every packet is a new flow, yet the live heap must not grow
+        # with the packets delivered: nothing on the send or receive
+        # path keeps a flow or its key.
+        net = Network(fat_tree(k=4), NetworkConfig(seed=6))
+        PoissonWorkload(net, PoissonConfig(
+            rate_pps=2_000, stop_ns=20 * MS, sport_churn=True)).start()
 
-            def live_after(until_ns):
-                net.run(until=until_ns)
-                gc.collect()
-                return (len(gc.get_objects()),
-                        sum(h.packets_received for h in net.hosts.values()))
+        def live_after(until_ns):
+            net.run(until=until_ns)
+            gc.collect()
+            return (len(gc.get_objects()),
+                    sum(h.packets_received for h in net.hosts.values()))
 
-            objects_t, delivered_t = live_after(3 * MS)
-            objects_2t, delivered_2t = live_after(6 * MS)
-        delivered = delivered_2t - delivered_t
-        assert delivered > 1000
-        assert objects_2t - objects_t < delivered // 10
+        samples = [live_after(t * MS) for t in (3, 6, 9)]
+        objects = [count for count, _delivered in samples]
+        assert samples[-1][1] - samples[0][1] > 2000
+        # A few objects of slack for allocator-level wobble; an intern
+        # table of flow keys grew it by one per delivered packet.
+        assert max(objects) - min(objects) < 40

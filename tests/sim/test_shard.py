@@ -210,6 +210,43 @@ class TestMailboxRouting:
         assert multiprocessing.active_children() == []
 
 
+class TestProcessRunnerShutdown:
+    """Every way out of a process run stops its workers with a message:
+    none is left to ``join``'s timeout and ``terminate()``."""
+
+    @pytest.fixture
+    def terminations(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate",
+                            lambda proc: calls.append(proc.pid))
+        return calls
+
+    def _runner(self, setup):
+        return ProcessShardRunner(leaf_spine(**TOPO_KW),
+                                  NetworkConfig(seed=11), shards=2,
+                                  setup=setup)
+
+    def test_refused_at_construction(self, terminations):
+        with pytest.raises(ValueError, match="registered by more than one"):
+            self._runner(_duplicate_mailbox_setup)
+        assert terminations == []
+        assert multiprocessing.active_children() == []
+
+    def test_refused_mid_run(self, terminations):
+        runner = self._runner(_dead_letter_setup)
+        with pytest.raises(KeyError, match="nobody-home"):
+            runner.run(until=UNTIL)
+        assert terminations == []
+        assert multiprocessing.active_children() == []
+
+    def test_finished_run_then_close_again(self, terminations):
+        runner = self._runner(None)
+        assert len(runner.run(until=2 * MS)) == 2
+        runner.close()
+        assert terminations == []
+        assert multiprocessing.active_children() == []
+
+
 class TestSingleShardIdentity:
     def test_golden_trace_through_the_sharded_entry_point(self):
         results = run_sharded(
