@@ -42,16 +42,17 @@ _DATA = PacketType.DATA
 
 
 class SnapshotSlot:
-    """One entry of the Snapshot Value register array.
+    """One entry of the Snapshot Value register array, as a register
+    read returns it: a copy, so writing to it does not change the
+    register.
 
     ``valid`` models the hardware valid bit: the control plane clears it
     after reading so a slot reused post-wraparound is distinguishable
     from a stale one.  ``channel_state`` accumulates in-flight credits
     (metric-specific; packet counts by default).
 
-    Slotted by hand (no ``__dict__`` on each of a unit's 256 entries):
-    ``dataclass(slots=True)`` needs Python 3.10, and a dataclass cannot
-    combine ``__slots__`` with defaults.
+    Slotted by hand: ``dataclass(slots=True)`` needs Python 3.10, and a
+    dataclass cannot combine ``__slots__`` with defaults.
     """
 
     __slots__ = ("valid", "value", "channel_state", "captured_ns")
@@ -62,12 +63,6 @@ class SnapshotSlot:
         self.value = value
         self.channel_state = channel_state
         self.captured_ns = captured_ns
-
-    def clear(self) -> None:
-        self.valid = False
-        self.value = 0
-        self.channel_state = 0
-        self.captured_ns = 0
 
 
 class SpeedlightUnit:
@@ -91,11 +86,13 @@ class SpeedlightUnit:
 
         self._sid = 0  # wrapped; registers power up at zero (§6)
         self.last_seen: dict[int, int] = {}
-        if id_space.size is not None:
-            self._slots: dict[int, SnapshotSlot] = {
-                i: SnapshotSlot() for i in range(id_space.size)}
-        else:
-            self._slots = {}
+        # The Snapshot Value register array, keyed by wrapped ID and
+        # filled on first write; a slot is valid iff it has a value.
+        # Keep them int-only: CPython never tracks such dicts, so the
+        # cyclic collector never walks a unit's registers.
+        self._values: dict[int, int] = {}
+        self._channel: dict[int, int] = {}
+        self._captured_ns: dict[int, int] = {}
         self.packets_seen = 0
         self.notifications_emitted = 0
 
@@ -128,8 +125,9 @@ class SpeedlightUnit:
                 # In-flight packet: one register op credits the current
                 # slot.  (Initiations are "never considered an in-flight
                 # packet", §6.)
-                slot = self._slot(old_sid)
-                slot.channel_state += self.in_flight_value_fn(packet)
+                channel = self._channel
+                channel[old_sid] = (channel.get(old_sid, 0)
+                                    + self.in_flight_value_fn(packet))
 
         old_ls: Optional[int] = None
         new_ls: Optional[int] = None
@@ -154,18 +152,10 @@ class SpeedlightUnit:
     # ------------------------------------------------------------------
     # Register plumbing
     # ------------------------------------------------------------------
-    def _slot(self, wrapped_sid: int) -> SnapshotSlot:
-        slot = self._slots.get(wrapped_sid)
-        if slot is None:  # unbounded spaces allocate lazily
-            slot = self._slots[wrapped_sid] = SnapshotSlot()
-        return slot
-
     def _capture(self, wrapped_sid: int, now_ns: int) -> None:
-        slot = self._slot(wrapped_sid)
-        slot.valid = True
-        slot.value = self.value_fn()
-        slot.channel_state = 0
-        slot.captured_ns = now_ns
+        self._values[wrapped_sid] = self.value_fn()
+        self._channel[wrapped_sid] = 0
+        self._captured_ns[wrapped_sid] = now_ns
 
     def _emit(self, notification: Notification) -> None:
         self.notifications_emitted += 1
@@ -176,13 +166,20 @@ class SpeedlightUnit:
     # Control-plane register access
     # ------------------------------------------------------------------
     def read_slot(self, wrapped_sid: int) -> SnapshotSlot:
-        """Register read of one Snapshot Value entry (PCIe access)."""
-        return self._slot(wrapped_sid)
+        """Register read of one Snapshot Value entry (PCIe access); a slot
+        never written reads as the powered-up zeros."""
+        value = self._values.get(wrapped_sid)
+        if value is None:  # may still hold an in-flight credit
+            return SnapshotSlot(False, 0, self._channel.get(wrapped_sid, 0))
+        return SnapshotSlot(True, value, self._channel[wrapped_sid],
+                            self._captured_ns[wrapped_sid])
 
     def clear_slot(self, wrapped_sid: int) -> None:
         """Reset a slot's valid bit after the control plane consumed it,
         making the slot safe for reuse after ID wraparound."""
-        self._slot(wrapped_sid).clear()
+        self._values.pop(wrapped_sid, None)
+        self._channel.pop(wrapped_sid, None)
+        self._captured_ns.pop(wrapped_sid, None)
 
     def read_last_seen(self, channel_id: int) -> int:
         return self.last_seen.get(channel_id, 0)

@@ -178,6 +178,15 @@ class TestRegisterAccess:
         assert state["sid"] == 2
         assert state["last_seen[1]"] == 2
 
+    def test_read_slot_returns_a_copy(self):
+        unit = _unit(value=lambda: 42)
+        unit.process_packet(_pkt(1), 0, 10)
+        slot = unit.read_slot(1)
+        slot.valid, slot.value = False, 0
+        assert (unit.read_slot(1).valid, unit.read_slot(1).value) == (True, 42)
+        unit.clear_slot(1)
+        assert slot.captured_ns == 10  # the copy outlives the clear
+
     def test_headerless_packet_asserts(self):
         unit = _unit()
         with pytest.raises(AssertionError):
