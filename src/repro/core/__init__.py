@@ -21,8 +21,9 @@ Layering (mirroring §4–§6 of the paper):
 * :mod:`~repro.core.sharded` — the cross-shard vocabulary: mailbox
   names, the observer's home shard, the remote-control-plane proxy.
 
-Most users only need :func:`deploy` (sugar over
-:class:`SpeedlightDeployment`, which stays the primitive)::
+A deployment has one constructor, :func:`deploy`; its keywords are the
+fields of :class:`DeploymentConfig` (which, like
+:class:`SpeedlightDeployment`, is exported as a type only)::
 
     net = Network(leaf_spine())
     sl = deploy(net, metric="packet_count", channel_state=True)

@@ -1,13 +1,10 @@
-"""One-call deployment builder: :func:`repro.core.deploy`.
+"""The one deployment constructor: :func:`repro.core.deploy`.
 
-Every experiment used to spell out the same two lines::
-
-    deployment = SpeedlightDeployment(
-        network, DeploymentConfig(metric="packet_count", channel_state=True))
-
-:func:`deploy` collapses that boilerplate — and is the single place
-where the optional overlays (recovery policies, the aggregation fabric,
-coordinated update plans) compose::
+A deployment is one value, :class:`~repro.core.deployment.DeploymentConfig`
+— each field, its default and its doc live there and nowhere else.
+:func:`deploy` takes those fields as keywords, wires the deployment, and
+is the single place where the optional overlays (recovery policies, the
+aggregation fabric, coordinated update plans) compose::
 
     deployment = deploy(network, metric="packet_count", channel_state=True,
                         recovery=recovery_preset("paper"),
@@ -16,24 +13,26 @@ coordinated update plans) compose::
 
 Passing a :class:`~repro.sim.shard.ShardWorker` instead of a
 :class:`~repro.sim.network.Network` wires that shard's slice — same
-class, same surface.  The constructor remains the primitive —
-``deploy`` is sugar plus update wiring, nothing else — so existing code
-keeps working unchanged.
+call, same surface.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.core.deployment import DeploymentConfig, SpeedlightDeployment
 from repro.sim.network import Network
+from repro.sim.shard import ShardWorker
+
+if TYPE_CHECKING:
+    from repro.updates.plan import UpdateSchedule
 
 __all__ = ["deploy"]
 
 
 def _compile_updates(network: Network, updates: Any,
                      update_horizon_ns: Optional[int],
-                     update_seed: int):
+                     update_seed: int) -> UpdateSchedule:
     """Normalize the ``updates`` argument into an armed-ready schedule."""
     from repro.updates.plan import UpdateContext, UpdatePlan, UpdateSchedule
 
@@ -53,23 +52,16 @@ def _compile_updates(network: Network, updates: Any,
     return updates.compile(ctx)
 
 
-def deploy(target, *, metric: str = "packet_count",
-           channel_state: bool = False, max_sid: Optional[int] = 255,
-           switches: Optional[list] = None, ideal_units: bool = False,
-           gate_host_channels: bool = False,
-           cos_classes: Optional[list] = None,
-           control_plane=None, observer=None, aggregation=None,
-           recovery=None, updates=None,
-           update_horizon_ns: Optional[int] = None,
-           update_seed: int = 0) -> SpeedlightDeployment:
+def deploy(target: Union[Network, ShardWorker], *, updates: Any = None,
+           update_horizon_ns: Optional[int] = None, update_seed: int = 0,
+           **fields: Any) -> SpeedlightDeployment:
     """Wire a Speedlight deployment onto ``target`` in one call.
 
     ``target`` is a :class:`~repro.sim.network.Network` (single-process)
     or a :class:`~repro.sim.shard.ShardWorker` (space-parallel; wires
-    that shard's slice).  Keyword arguments mirror
-    :class:`~repro.core.deployment.DeploymentConfig` field-for-field;
-    ``control_plane``/``observer`` default to the config's defaults when
-    None.
+    that shard's slice).  ``fields`` are the fields of
+    :class:`~repro.core.deployment.DeploymentConfig`; an unknown name is
+    a ``TypeError``.
 
     ``updates`` accepts an :class:`~repro.updates.plan.UpdatePlan`, its
     JSON form, or a pre-compiled
@@ -82,17 +74,7 @@ def deploy(target, *, metric: str = "packet_count",
     :meth:`~repro.updates.plan.UpdateSchedule.restrict` and pass the
     slice).
     """
-    config_kwargs: dict[str, Any] = dict(
-        metric=metric, channel_state=channel_state, max_sid=max_sid,
-        switches=switches, ideal_units=ideal_units,
-        gate_host_channels=gate_host_channels, cos_classes=cos_classes,
-        aggregation=aggregation, recovery=recovery)
-    if control_plane is not None:
-        config_kwargs["control_plane"] = control_plane
-    if observer is not None:
-        config_kwargs["observer"] = observer
-    deployment = SpeedlightDeployment(target,
-                                      DeploymentConfig(**config_kwargs))
+    deployment = SpeedlightDeployment(target, DeploymentConfig(**fields))
 
     if updates is not None:
         from repro.updates.driver import UpdateDriver

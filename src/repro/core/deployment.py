@@ -1,4 +1,4 @@
-"""Deployment builder: enable Speedlight on a simulated network.
+"""Deployment wiring: enable Speedlight on a simulated network.
 
 :class:`SpeedlightDeployment` performs the wiring an operator (plus the
 P4 compiler) performs on a real network:
@@ -113,9 +113,42 @@ def merge_progress(
     return merged
 
 
+def _checked_switches(network: Network, switches: list[str]) -> list[str]:
+    """The partial-deployment subset, refused unless it names each
+    switch of ``network`` at most once and at least one of them."""
+    if not switches:
+        raise ValueError("switches=[] deploys nothing; pass None for a "
+                         "full deployment")
+    seen: set[str] = set()
+    for name in switches:
+        if name in seen:
+            raise ValueError(f"switches: {name!r} is listed twice")
+        if name not in network.switches:
+            what = "a host" if name in network.hosts else "unknown"
+            raise ValueError(f"switches: {name!r} is {what}, not a switch")
+        seen.add(name)
+    return list(switches)
+
+
+def _check_cos_classes(classes: list[int], switch: Switch) -> None:
+    """Refuse a gating class list with a class outside the switch's
+    lanes (it would gate on nothing) or a class listed twice."""
+    num_cos = switch.config.num_cos
+    seen: set[int] = set()
+    for cos in classes:
+        if cos in seen:
+            raise ValueError(f"cos_classes: class {cos} is listed twice")
+        if not 0 <= cos < num_cos:
+            raise ValueError(
+                f"cos_classes: class {cos} is not a lane of switch "
+                f"{switch.name!r} (num_cos={num_cos})")
+        seen.add(cos)
+
+
 @dataclass
 class DeploymentConfig:
-    """Configuration of a Speedlight deployment."""
+    """The fields of a Speedlight deployment — the keywords of
+    :func:`repro.core.deploy`, which is the one place it is built."""
 
     #: Metric name from :data:`repro.counters.COUNTER_REGISTRY`.
     metric: str = "packet_count"
@@ -126,6 +159,7 @@ class DeploymentConfig:
     #: plain "Packet Count" variant).
     max_sid: Optional[int] = 255
     #: Participating switches; None means all (partial deployment, §10).
+    #: A list names each switch once and is never empty.
     switches: Optional[list[str]] = None
     #: Use the idealised Figure 3 units instead of Speedlight's
     #: hardware-constrained ones (ablation only; forces unbounded IDs).
@@ -138,8 +172,11 @@ class DeploymentConfig:
     #: stall channel-state completion until probes or re-initiation cover
     #: them, so operators running traffic in a subset of classes should
     #: list that subset here (§6's neighbor-exclusion knob, per class).
+    #: Each class is listed once and must be a lane of every switch.
     cos_classes: Optional[list[int]] = None
+    #: Per-switch control-plane knobs (probes, re-initiation, transport).
     control_plane: ControlPlaneConfig = field(default_factory=ControlPlaneConfig)
+    #: Observer knobs (lead time, retries).
     observer: ObserverConfig = field(default_factory=ObserverConfig)
     #: Hierarchical snapshot fabric (repro.core.aggregation).  None — the
     #: default — wires nothing and keeps the flat unicast event stream
@@ -155,7 +192,8 @@ class DeploymentConfig:
 
 class SpeedlightDeployment:
     """A fully wired Speedlight instance on a simulated network — or the
-    per-shard slice of one.
+    per-shard slice of one.  Build it with :func:`repro.core.deploy`,
+    the one constructor.
 
     ``target`` is a :class:`~repro.sim.network.Network` or, inside a
     shard's ``setup`` callable, its :class:`~repro.sim.shard.ShardWorker`.
@@ -166,12 +204,7 @@ class SpeedlightDeployment:
     """
 
     def __init__(self, target: Union[Network, ShardWorker],
-                 config: Optional[DeploymentConfig] = None,
-                 **config_kwargs) -> None:
-        if config is None:
-            config = DeploymentConfig(**config_kwargs)
-        elif config_kwargs:
-            raise TypeError("pass either a DeploymentConfig or kwargs, not both")
+                 config: DeploymentConfig) -> None:
         #: The shard worker hosting this slice (None on a plain Network).
         self.worker = None if isinstance(target, Network) else target
         network = target if self.worker is None else self.worker.network
@@ -214,17 +247,20 @@ class SpeedlightDeployment:
             raise ValueError(
                 f"metric {config.metric!r} has no in-flight contribution "
                 "rule; register one or disable channel state")
+        #: The switches this deployment wires, in wiring order: the
+        #: configured subset (partial deployment, §10) or every switch of
+        #: the target — on a shard, that shard's own.
+        self.switch_names: list[str] = (
+            _checked_switches(network, config.switches)
+            if config.switches is not None else sorted(network.switches))
+        if config.cos_classes is not None:
+            for name in self.switch_names:
+                _check_cos_classes(config.cos_classes, network.switch(name))
         self.ids = IdSpace(None if config.ideal_units else config.max_sid)
         self.agents: dict[UnitId, object] = {}
         self.control_planes: dict[str, SwitchControlPlane] = {}
         self.observer = SnapshotObserver(network.sim, network.mgmt, self.ids,
                                          config.observer)
-        #: The switches this deployment wires, in wiring order: the
-        #: configured subset (partial deployment, §10) or every switch of
-        #: the target — on a shard, that shard's own.
-        self.switch_names: list[str] = (
-            list(config.switches) if config.switches is not None
-            else sorted(network.switches))
         self._participants = frozenset(self.switch_names)
         self.aggregation: Optional[AggregationFabric] = None
         #: Armed update driver (:mod:`repro.updates.driver`), attached by
@@ -357,8 +393,7 @@ class SpeedlightDeployment:
 
     def _cos_classes(self, switch: Switch) -> list[int]:
         if self.config.cos_classes is not None:
-            return [c for c in self.config.cos_classes
-                    if 0 <= c < switch.config.num_cos]
+            return list(self.config.cos_classes)
         return list(range(switch.config.num_cos))
 
     def _ingress_gating(self, switch_name: str, port: int) -> list[int]:

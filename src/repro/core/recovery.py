@@ -8,8 +8,8 @@ retry/device timeouts) used to be hard-coded fields scattered across
 gathers exactly those knobs into one frozen, JSON-round-trippable spec
 that can be
 
-* handed to :class:`~repro.core.deployment.DeploymentConfig` via its
-  ``recovery`` field (the deployment derives the CP/observer configs),
+* handed to :func:`repro.core.deploy` as its ``recovery`` field (the
+  deployment derives the CP/observer configs),
 * swept by :mod:`repro.experiments.recovery` against
   :class:`~repro.faults.FaultProfile`\\ s to map the
   completion-vs-overhead frontier, and

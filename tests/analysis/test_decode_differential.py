@@ -17,8 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import ConsistencyChecker, LinkAudit
 from repro.analysis.report import _unit, epoch_from_record, epoch_record
-from repro.core import ControlPlaneConfig, DeploymentConfig, \
-    SpeedlightDeployment
+from repro.core import ControlPlaneConfig, deploy
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.core.snapshot import GlobalSnapshot, SnapshotStatus
 from repro.service import query as query_module
@@ -189,10 +188,10 @@ class TestDecodeEqualsTheOracle:
         epochs, excluded devices, missing units)."""
         network = Network(leaf_spine(hosts_per_leaf=1),
                           NetworkConfig(seed=5, enable_tracing=True))
-        deployment = SpeedlightDeployment(network, DeploymentConfig(
-            metric="packet_count", channel_state=True,
+        deployment = deploy(
+            network, metric="packet_count", channel_state=True,
             control_plane=ControlPlaneConfig(probe_delay_ns=0,
-                                             reinitiation_timeout_ns=0)))
+                                             reinitiation_timeout_ns=0))
         PoissonWorkload(network, PoissonConfig(
             seed=5, rate_pps=20_000.0, stop_ns=500 * MS,
             sport_churn=True)).start()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import LinkAudit, LoopDetector
-from repro.core import ControlPlaneConfig, DeploymentConfig, SpeedlightDeployment
+from repro.core import ControlPlaneConfig, deploy
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.core.snapshot import GlobalSnapshot
 from repro.sim.channel import BernoulliLoss
@@ -16,9 +16,9 @@ from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
 def _campaign(net, count=4, interval=5 * MS, channel_state=True,
               until=1 * S):
-    deployment = SpeedlightDeployment(net, DeploymentConfig(
-        metric="packet_count", channel_state=channel_state,
-        control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS)))
+    deployment = deploy(
+        net, metric="packet_count", channel_state=channel_state,
+        control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS))
     deployment.schedule_campaign(count=count, interval_ns=interval)
     net.run(until=until)
     return deployment
@@ -103,8 +103,7 @@ class TestLoopDetector:
 
     def test_loop_flagged(self):
         net = self._looped_ring()
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count"))
+        deployment = deploy(net, metric="packet_count")
         net.host("server0").send_flow("phantom", 20, sport=1, dport=2,
                                       gap_ns=10 * US)
         epochs = deployment.schedule_campaign(count=4, interval_ns=5 * MS)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (AggregationConfig, AggregationTree, DeploymentConfig,
-                        ObserverConfig, SpeedlightDeployment)
+from repro.core import (AggregationConfig, AggregationTree, ObserverConfig,
+                        deploy)
 from repro.core.aggregation import AggregateMessage, AggregationAgent
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.core.sharded import OBSERVER_SHARD
@@ -26,8 +26,8 @@ from repro.topology import fat_tree, leaf_spine
 
 def _deploy(agg, seed=7, topo=None, **config_kwargs):
     network = Network(topo or fat_tree(k=4), NetworkConfig(seed=seed))
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="packet_count", aggregation=agg, **config_kwargs))
+    deployment = deploy(
+        network, metric="packet_count", aggregation=agg, **config_kwargs)
     return network, deployment
 
 
@@ -253,8 +253,7 @@ class TestCrashCouplingAndAttribution:
 def _sharded_setup(worker, agg_degree):
     agg = (None if agg_degree is None
            else AggregationConfig(degree=agg_degree))
-    deployment = SpeedlightDeployment(worker, DeploymentConfig(
-        metric="packet_count", aggregation=agg))
+    deployment = deploy(worker, metric="packet_count", aggregation=agg)
     epochs = []
     if deployment.is_observer_shard:
         epochs.extend(deployment.schedule_campaign(3, 10 * MS))

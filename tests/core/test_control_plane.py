@@ -254,9 +254,8 @@ class TestDropRecovery:
 class TestInitiation:
     def test_initiation_reaches_units_and_ships_records(self):
         net = Network(single_switch(num_hosts=2), NetworkConfig(seed=1))
-        from repro.core import DeploymentConfig, SpeedlightDeployment
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=False))
+        from repro.core import deploy
+        deployment = deploy(net, metric="packet_count", channel_state=False)
         cp = deployment.control_planes["sw0"]
         cp.schedule_initiation(epoch=1, at_wall_ns=1 * MS)
         net.run(until=50 * MS)
@@ -284,12 +283,12 @@ class TestInitiation:
 
     def test_reinitiation_after_timeout(self):
         net = Network(single_switch(num_hosts=2), NetworkConfig(seed=1))
-        from repro.core import DeploymentConfig, SpeedlightDeployment
+        from repro.core import deploy
         from repro.core import ControlPlaneConfig
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=False,
+        deployment = deploy(
+            net, metric="packet_count", channel_state=False,
             control_plane=ControlPlaneConfig(
-                reinitiation_timeout_ns=5 * MS, max_reinitiations=2)))
+                reinitiation_timeout_ns=5 * MS, max_reinitiations=2))
         cp = deployment.control_planes["sw0"]
         # Sabotage: disconnect the notification sink so completion is
         # never observed locally -> retries must fire.
@@ -318,12 +317,12 @@ class TestCrashRecovery:
     """Crash/restart semantics used by the fault injector (repro.faults)."""
 
     def _two_switch(self, channel_state=True):
-        from repro.core import DeploymentConfig, SpeedlightDeployment
+        from repro.core import deploy
         from repro.topology import linear
         net = Network(linear(num_switches=2, hosts_per_switch=1),
                       NetworkConfig(seed=5))
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=channel_state))
+        deployment = deploy(
+            net, metric="packet_count", channel_state=channel_state)
         return net, deployment
 
     def test_crash_is_idempotent_and_goes_offline(self):
@@ -378,12 +377,11 @@ class TestProbeLiveness:
     links — without spoofing the external channel's Last Seen."""
 
     def _idle_two_switch(self):
-        from repro.core import DeploymentConfig, SpeedlightDeployment
+        from repro.core import deploy
         from repro.topology import linear
         net = Network(linear(num_switches=2, hosts_per_switch=1),
                       NetworkConfig(seed=5))
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True))
+        deployment = deploy(net, metric="packet_count", channel_state=True)
         return net, deployment
 
     def test_idle_link_snapshot_completes_via_probes(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.core.dataplane import SpeedlightUnit
 from repro.core.deployment import merge_progress
 from repro.core.ideal import IdealUnit
@@ -19,7 +19,7 @@ def _net(topo=None, seed=1):
 class TestWiring:
     def test_agents_on_every_connected_unit(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count")
+        dep = deploy(net, metric="packet_count")
         expected = sum(2 * len(sw.connected_ports())
                        for sw in net.switches.values())
         assert len(dep.agents) == expected
@@ -27,21 +27,30 @@ class TestWiring:
 
     def test_counters_installed_under_metric_name(self):
         net = _net()
-        SpeedlightDeployment(net, metric="byte_count")
+        deploy(net, metric="byte_count")
         for sw in net.switches.values():
             for port_index in sw.connected_ports():
                 assert "byte_count" in sw.ports[port_index].ingress.counters
 
-    def test_config_and_kwargs_mutually_exclusive(self):
+    @pytest.mark.parametrize("fields, error, match", [
+        ({"switches": ["leaf0", "nope"]}, ValueError, "'nope' is unknown"),
+        ({"switches": ["server0"]}, ValueError, "'server0' is a host"),
+        ({"switches": ["leaf0", "leaf0"]}, ValueError,
+         "'leaf0' is listed twice"),
+        ({"switches": []}, ValueError, r"switches=\[\] deploys nothing"),
+        # A misspelt field is refused, not dropped.
+        ({"chanel_state": True}, TypeError, "chanel_state"),
+    ])
+    def test_bad_fields_rejected(self, fields, error, match):
         net = _net()
-        with pytest.raises(TypeError):
-            SpeedlightDeployment(net, DeploymentConfig(), metric="byte_count")
+        with pytest.raises(error, match=match):
+            deploy(net, metric="packet_count", **fields)
+        assert all(sw.snapshot_units() == [] for sw in net.switches.values())
 
     def test_gauge_metric_rejects_channel_state(self):
         net = _net()
         with pytest.raises(ValueError, match="gauge"):
-            SpeedlightDeployment(net, metric="queue_depth",
-                                 channel_state=True)
+            deploy(net, metric="queue_depth", channel_state=True)
 
     def test_unknown_in_flight_rule_rejected(self):
         net = _net()
@@ -52,19 +61,17 @@ class TestWiring:
         except ValueError:
             pass
         with pytest.raises(ValueError, match="in-flight"):
-            SpeedlightDeployment(net, metric="custom_metric",
-                                 channel_state=True)
+            deploy(net, metric="custom_metric", channel_state=True)
 
     def test_ideal_units_selected(self):
         net = _net()
-        dep = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", ideal_units=True))
+        dep = deploy(net, metric="packet_count", ideal_units=True)
         assert all(isinstance(a, IdealUnit) for a in dep.agents.values())
         assert dep.ids.max_sid is None
 
     def test_queue_depth_binds_egress_gauge(self):
         net = _net(single_switch(num_hosts=2))
-        dep = SpeedlightDeployment(net, metric="queue_depth")
+        dep = deploy(net, metric="queue_depth")
         sw = net.switch("sw0")
         ingress = sw.ports[0].ingress.counters.get("queue_depth")
         assert ingress.read() == 0  # ingress units have no queue
@@ -73,16 +80,14 @@ class TestWiring:
 class TestGating:
     def test_no_gating_without_channel_state(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count",
-                                   channel_state=False)
+        dep = deploy(net, metric="packet_count", channel_state=False)
         for cp in dep.control_planes.values():
             for tracker in cp.trackers.values():
                 assert tracker.gating == []
 
     def test_host_facing_ingress_not_gated(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count",
-                                   channel_state=True)
+        dep = deploy(net, metric="packet_count", channel_state=True)
         cp = dep.control_planes["leaf0"]
         host_port = net.port_toward("leaf0", "server0")
         tracker = cp.trackers[UnitId("leaf0", host_port, Direction.INGRESS)]
@@ -90,8 +95,7 @@ class TestGating:
 
     def test_switch_facing_ingress_gated_on_external(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count",
-                                   channel_state=True)
+        dep = deploy(net, metric="packet_count", channel_state=True)
         cp = dep.control_planes["leaf0"]
         uplink = net.port_toward("leaf0", "spine0")
         tracker = cp.trackers[UnitId("leaf0", uplink, Direction.INGRESS)]
@@ -99,8 +103,7 @@ class TestGating:
 
     def test_egress_gating_excludes_infeasible_channels(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count",
-                                   channel_state=True)
+        dep = deploy(net, metric="packet_count", channel_state=True)
         cp = dep.control_planes["leaf0"]
         spine0_port = net.port_toward("leaf0", "spine0")
         spine1_port = net.port_toward("leaf0", "spine1")
@@ -111,9 +114,9 @@ class TestGating:
 
     def test_gate_host_channels_opt_in(self):
         net = _net()
-        dep = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True,
-            gate_host_channels=True))
+        dep = deploy(
+            net, metric="packet_count", channel_state=True,
+            gate_host_channels=True)
         cp = dep.control_planes["leaf0"]
         host_port = net.port_toward("leaf0", "server0")
         tracker = cp.trackers[UnitId("leaf0", host_port, Direction.INGRESS)]
@@ -123,8 +126,7 @@ class TestGating:
 class TestPartialDeployment:
     def test_only_selected_switches_enabled(self):
         net = _net()
-        dep = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", switches=["leaf0", "leaf1"]))
+        dep = deploy(net, metric="packet_count", switches=["leaf0", "leaf1"])
         assert set(dep.control_planes) == {"leaf0", "leaf1"}
         assert all(u.device in ("leaf0", "leaf1") for u in dep.agents)
         for spine in ("spine0", "spine1"):
@@ -132,8 +134,7 @@ class TestPartialDeployment:
 
     def test_boundary_stripping_set(self):
         net = _net()
-        SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", switches=["leaf0", "spine0"]))
+        deploy(net, metric="packet_count", switches=["leaf0", "spine0"])
         leaf0 = net.switch("leaf0")
         to_spine0 = net.port_toward("leaf0", "spine0")
         to_spine1 = net.port_toward("leaf0", "spine1")
@@ -142,8 +143,7 @@ class TestPartialDeployment:
 
     def test_partial_deployment_end_to_end(self):
         net = _net()
-        dep = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", switches=["leaf0", "leaf1"]))
+        dep = deploy(net, metric="packet_count", switches=["leaf0", "leaf1"])
         epoch = dep.take_snapshot()
         net.run(until=200 * MS)
         snap = dep.observer.snapshot(epoch)
@@ -154,7 +154,7 @@ class TestPartialDeployment:
 class TestConvenience:
     def test_notification_stats_aggregates(self):
         net = _net(single_switch(num_hosts=2))
-        dep = SpeedlightDeployment(net, metric="packet_count")
+        dep = deploy(net, metric="packet_count")
         dep.take_snapshot()
         net.run(until=200 * MS)
         stats = dep.notification_stats()
@@ -164,7 +164,7 @@ class TestConvenience:
 
     def test_sync_spread_requires_two_timestamps(self):
         net = _net(single_switch(num_hosts=2))
-        dep = SpeedlightDeployment(net, metric="packet_count")
+        dep = deploy(net, metric="packet_count")
         assert dep.sync_spread_ns(1) is None
         dep.take_snapshot()
         net.run(until=200 * MS)
@@ -176,7 +176,7 @@ class TestConvenience:
         spread is that of the capture timestamps — across control planes,
         and for every epoch asked without rescanning a log."""
         net = _net(leaf_spine(num_leaves=2, num_spines=1, hosts_per_leaf=1))
-        dep = SpeedlightDeployment(net, metric="packet_count")
+        dep = deploy(net, metric="packet_count")
         epochs = dep.schedule_campaign(3, 10 * MS)
         net.run(until=200 * MS)
         for epoch in epochs:

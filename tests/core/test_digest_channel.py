@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import ControlPlaneConfig, DeploymentConfig, SpeedlightDeployment
+from repro.core import ControlPlaneConfig, deploy
 from repro.core.control_plane import DigestChannel
 from repro.core.notifications import Notification
 from repro.sim.engine import MS, Simulator, US
@@ -127,10 +127,10 @@ class TestBacklogCounter:
 class TestTransportSelection:
     def _deploy(self, transport):
         net = Network(single_switch(num_hosts=2), NetworkConfig(seed=1))
-        dep = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count",
+        dep = deploy(
+            net, metric="packet_count",
             control_plane=ControlPlaneConfig(
-                notification_transport=transport)))
+                notification_transport=transport))
         return net, dep
 
     def test_digest_transport_completes_snapshots(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SpeedlightDeployment
+from repro.core import deploy
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.switch import Direction
@@ -47,7 +47,7 @@ class TestFibVersionRegisters:
 class TestFibVersionSnapshots:
     def test_snapshot_captures_versions(self):
         net = _net()
-        deployment = SpeedlightDeployment(net, metric="fib_version")
+        deployment = deploy(net, metric="fib_version")
         net.host("server0").send_flow("server1", 5, sport=1, dport=2)
         net.run(until=1 * MS)
         epoch = deployment.take_snapshot()
@@ -61,15 +61,14 @@ class TestFibVersionSnapshots:
     def test_channel_state_rejected_for_fib_version(self):
         net = _net()
         with pytest.raises(ValueError, match="gauge"):
-            SpeedlightDeployment(net, metric="fib_version",
-                                 channel_state=True)
+            deploy(net, metric="fib_version", channel_state=True)
 
     def test_mid_propagation_update_visible_across_switches(self):
         """A route update applied to one leaf but not yet the other shows
         up as mixed generations in one consistent snapshot — the §2.2 Q4
         'impossible state' made observable."""
         net = _net(leaf_spine(hosts_per_leaf=1))
-        deployment = SpeedlightDeployment(net, metric="fib_version")
+        deployment = deploy(net, metric="fib_version")
         # Steady traffic keeps the registers fresh.
         net.host("server0").send_flow("server1", 2000, sport=1, dport=2,
                                       gap_ns=50_000)

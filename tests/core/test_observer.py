@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from repro.core import (DeploymentConfig, ObserverConfig, SpeedlightDeployment,
-                        SnapshotStatus)
+from repro.core import ObserverConfig, SnapshotStatus, deploy
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
@@ -16,7 +15,7 @@ from repro.topology import leaf_spine, single_switch
 def _deploy(topo=None, seed=1, **dep_kwargs):
     net = Network(topo or single_switch(num_hosts=2), NetworkConfig(seed=seed))
     dep_kwargs.setdefault("metric", "packet_count")
-    deployment = SpeedlightDeployment(net, DeploymentConfig(**dep_kwargs))
+    deployment = deploy(net, **dep_kwargs)
     return net, deployment
 
 
@@ -139,9 +138,9 @@ class TestNodeAttachment:
     def test_device_registered_later_joins_next_snapshot(self):
         net = Network(leaf_spine(hosts_per_leaf=1), NetworkConfig(seed=1))
         # Deploy on three of the four switches initially.
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count",
-            switches=["leaf0", "spine0", "spine1"]))
+        deployment = deploy(
+            net, metric="packet_count",
+            switches=["leaf0", "spine0", "spine1"])
         first = deployment.take_snapshot()
         net.run(until=150 * MS)
         assert deployment.observer.snapshot(first).complete
@@ -150,8 +149,7 @@ class TestNodeAttachment:
         # Attach leaf1 at runtime: build a deployment over the remaining
         # switch via the public API, then point its shipping at the
         # original observer.
-        extra = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", switches=["leaf1"]))
+        extra = deploy(net, metric="packet_count", switches=["leaf1"])
         # Merge: the new device reports to the original observer.
         cp = extra.control_planes["leaf1"]
         cp.ship = lambda record: net.mgmt.send(

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import (RECOVERY_PRESETS, DeploymentConfig, RecoveryPolicy,
-                        SpeedlightDeployment, recovery_preset)
+from repro.core import (RECOVERY_PRESETS, RecoveryPolicy, recovery_preset,
+                        deploy)
 from repro.core.control_plane import ControlPlaneConfig
 from repro.core.observer import ObserverConfig
 from repro.sim.engine import MS, US
@@ -63,8 +63,7 @@ class TestDeploymentThreading:
     def _deploy(self, **kwargs):
         network = Network(linear(num_switches=2, hosts_per_switch=1),
                           NetworkConfig(seed=1))
-        return network, SpeedlightDeployment(
-            network, DeploymentConfig(metric="packet_count", **kwargs))
+        return network, deploy(network, metric="packet_count", **kwargs)
 
     def test_policy_threads_into_both_configs(self):
         policy = recovery_preset("eager")

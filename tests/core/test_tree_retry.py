@@ -9,8 +9,7 @@ legacy sweep must be untouched (golden traces depend on it).
 
 from __future__ import annotations
 
-from repro.core import (AggregationConfig, DeploymentConfig, ObserverConfig,
-                        SpeedlightDeployment)
+from repro.core import AggregationConfig, ObserverConfig, deploy
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import fat_tree, leaf_spine
@@ -18,8 +17,8 @@ from repro.topology import fat_tree, leaf_spine
 
 def _deploy(agg, seed=7, topo=None, **config_kwargs):
     network = Network(topo or fat_tree(k=4), NetworkConfig(seed=seed))
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="packet_count", aggregation=agg, **config_kwargs))
+    deployment = deploy(
+        network, metric="packet_count", aggregation=agg, **config_kwargs)
     return network, deployment
 
 

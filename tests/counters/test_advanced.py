@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.counters import ActiveFlowEstimator, QueueHighWatermark
-from repro.core import SpeedlightDeployment
+from repro.core import deploy
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import FlowKey, Packet
@@ -42,7 +42,7 @@ class TestQueueHighWatermark:
 
     def test_deployment_binds_egress(self):
         net = Network(single_switch(num_hosts=2), NetworkConfig(seed=1))
-        dep = SpeedlightDeployment(net, metric="queue_watermark")
+        dep = deploy(net, metric="queue_watermark")
         net.host("server0").send_flow("server1", 50, sport=1, dport=2)
         epoch = dep.take_snapshot(at_wall_ns=1 * MS)
         net.run(until=200 * MS)
@@ -52,8 +52,7 @@ class TestQueueHighWatermark:
     def test_channel_state_rejected(self):
         net = Network(single_switch(num_hosts=2), NetworkConfig(seed=1))
         with pytest.raises(ValueError, match="gauge"):
-            SpeedlightDeployment(net, metric="queue_watermark",
-                                 channel_state=True)
+            deploy(net, metric="queue_watermark", channel_state=True)
 
 
 class TestActiveFlowEstimator:

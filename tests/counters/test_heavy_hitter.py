@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import SpeedlightDeployment
+from repro.core import deploy
 from repro.counters import CountMinSketch, HeavyHitterCounter
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
@@ -95,7 +95,7 @@ class TestHeavyHitterCounter:
 
     def test_snapshot_deployment_integration(self):
         net = Network(single_switch(num_hosts=3), NetworkConfig(seed=1))
-        dep = SpeedlightDeployment(net, metric="heavy_hitter")
+        dep = deploy(net, metric="heavy_hitter")
         # An elephant from server0 and a mouse from server1.
         net.host("server0").send_flow("server2", 200, sport=42, dport=80)
         net.host("server1").send_flow("server2", 5, sport=43, dport=80)

@@ -83,7 +83,7 @@ class TestAttributeEpochs:
     def _snapshots(self):
         # Two real campaign epochs from a faulted leaf-spine run keep
         # this honest without hand-building GlobalSnapshot internals.
-        from repro.core import DeploymentConfig, SpeedlightDeployment
+        from repro.core import deploy
         from repro.faults import CorrelatedGroup, FaultInjector, \
             ProfileContext
         from repro.sim.network import Network, NetworkConfig
@@ -99,8 +99,7 @@ class TestAttributeEpochs:
         stop_ns = 150 * MS
         PoissonWorkload(network, PoissonConfig(
             seed=12, rate_pps=5_000.0, stop_ns=stop_ns)).start()
-        deployment = SpeedlightDeployment(network, DeploymentConfig(
-            metric="packet_count", channel_state=True))
+        deployment = deploy(network, metric="packet_count", channel_state=True)
         injector = FaultInjector(network, schedule, deployment=deployment)
         injector.arm()
         epochs = deployment.schedule_campaign(4, 5 * MS)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.channel import GilbertElliottLoss, NoLoss
 from repro.sim.engine import MS
@@ -162,8 +162,7 @@ class TestSwitchFaults:
 class TestControlPlaneAndClockFaults:
     def _deployed(self, schedule):
         network = _network()
-        deployment = SpeedlightDeployment(network, DeploymentConfig(
-            metric="packet_count"))
+        deployment = deploy(network, metric="packet_count")
         injector = _armed(network, schedule, deployment=deployment)
         return network, deployment, injector
 

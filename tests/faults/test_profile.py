@@ -236,7 +236,7 @@ class TestCorrelatedGroup:
         """The acceptance criterion: a compiled rack-loss group takes
         down all fabric links + the CP of one switch inside the *same*
         campaign epoch, visible in the per-epoch attribution."""
-        from repro.core import DeploymentConfig, SpeedlightDeployment
+        from repro.core import deploy
         from repro.sim.network import Network, NetworkConfig
         from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
@@ -253,8 +253,7 @@ class TestCorrelatedGroup:
         stop_ns = horizon + 120 * MS
         PoissonWorkload(network, PoissonConfig(
             seed=4, rate_pps=5_000.0, stop_ns=stop_ns)).start()
-        deployment = SpeedlightDeployment(network, DeploymentConfig(
-            metric="packet_count", channel_state=True))
+        deployment = deploy(network, metric="packet_count", channel_state=True)
         injector = FaultInjector(network, schedule, deployment=deployment)
         injector.arm()
         epochs = deployment.schedule_campaign(rounds, interval)

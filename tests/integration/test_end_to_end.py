@@ -4,8 +4,7 @@ ground-truth consistency checker."""
 import pytest
 
 from repro.analysis import ConsistencyChecker
-from repro.core import (ControlPlaneConfig, DeploymentConfig,
-                        SpeedlightDeployment)
+from repro.core import ControlPlaneConfig, deploy
 from repro.sim.channel import BernoulliLoss
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
@@ -33,7 +32,7 @@ class TestNoChannelState:
     def test_campaign_completes_and_conserves(self, traced_net):
         net = traced_net
         _traffic(net, 1 * S)
-        deployment = SpeedlightDeployment(net, metric="packet_count")
+        deployment = deploy(net, metric="packet_count")
         epochs = _run_campaign(net, deployment)
         snaps = deployment.observer.completed_snapshots()
         assert len(snaps) == len(epochs)
@@ -44,7 +43,7 @@ class TestNoChannelState:
     def test_byte_count_metric(self, traced_net):
         net = traced_net
         _traffic(net, 1 * S)
-        deployment = SpeedlightDeployment(net, metric="byte_count")
+        deployment = deploy(net, metric="byte_count")
         _run_campaign(net, deployment, count=5)
         snaps = deployment.observer.completed_snapshots()
         assert len(snaps) == 5
@@ -55,7 +54,7 @@ class TestNoChannelState:
     def test_monotone_totals_across_epochs(self, small_net):
         net = small_net
         _traffic(net, 1 * S)
-        deployment = SpeedlightDeployment(net, metric="packet_count")
+        deployment = deploy(net, metric="packet_count")
         _run_campaign(net, deployment, count=6)
         totals = [s.total_value()
                   for s in deployment.observer.completed_snapshots()]
@@ -67,9 +66,9 @@ class TestChannelState:
     def test_campaign_consistent_and_conserves(self, traced_net):
         net = traced_net
         _traffic(net, 1 * S)
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True,
-            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS)))
+        deployment = deploy(
+            net, metric="packet_count", channel_state=True,
+            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS))
         epochs = _run_campaign(net, deployment)
         snaps = deployment.observer.completed_snapshots()
         assert len(snaps) == len(epochs)
@@ -84,8 +83,7 @@ class TestChannelState:
         net = Network(leaf_spine(hosts_per_leaf=1),
                       NetworkConfig(seed=3, enable_tracing=True))
         _traffic(net, 1 * S)
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="byte_count", channel_state=True))
+        deployment = deploy(net, metric="byte_count", channel_state=True)
         _run_campaign(net, deployment, count=5)
         snaps = deployment.observer.completed_snapshots()
         checker = ConsistencyChecker(deployment.ids, metric="byte_count")
@@ -99,10 +97,10 @@ class TestChannelState:
         net = Network(leaf_spine(hosts_per_leaf=1),
                       NetworkConfig(seed=5, enable_tracing=True))
         _traffic(net, 2 * S, rate=10_000)
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True,
+        deployment = deploy(
+            net, metric="packet_count", channel_state=True,
             control_plane=ControlPlaneConfig(probe_delay_ns=0,
-                                             reinitiation_timeout_ns=0)))
+                                             reinitiation_timeout_ns=0))
         devices = sorted(deployment.control_planes)
         epochs = []
         for i in range(10):
@@ -129,9 +127,9 @@ class TestFaultTolerance:
                           loss_factory=lambda spec, rng:
                           BernoulliLoss(0.005, rng)))
         _traffic(net, 2 * S)
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True,
-            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS)))
+        deployment = deploy(
+            net, metric="packet_count", channel_state=True,
+            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS))
         epochs = _run_campaign(net, deployment, count=6, settle_ns=800 * MS)
         snaps = deployment.observer.completed_snapshots()
         assert len(snaps) >= 5
@@ -142,9 +140,9 @@ class TestFaultTolerance:
     def test_notification_buffer_overflow_recovered_by_polling(self):
         net = Network(leaf_spine(hosts_per_leaf=1), NetworkConfig(seed=9))
         _traffic(net, 1 * S)
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count",
-            control_plane=ControlPlaneConfig(buffer_capacity=2)))
+        deployment = deploy(
+            net, metric="packet_count",
+            control_plane=ControlPlaneConfig(buffer_capacity=2))
         epochs = _run_campaign(net, deployment, count=10, interval_ns=2 * MS)
         if deployment.notification_stats()["dropped"] == 0:
             pytest.skip("buffer never overflowed at this seed")
@@ -159,7 +157,7 @@ class TestOtherTopologies:
     def test_fat_tree_snapshot(self):
         net = Network(fat_tree(k=4), NetworkConfig(seed=4))
         _traffic(net, 500 * MS, rate=300)
-        deployment = SpeedlightDeployment(net, metric="packet_count")
+        deployment = deploy(net, metric="packet_count")
         epoch = deployment.take_snapshot()
         net.run(until=500 * MS)
         snap = deployment.observer.snapshot(epoch)
@@ -172,9 +170,9 @@ class TestOtherTopologies:
         net = Network(ring(num_switches=4, hosts_per_switch=1),
                       NetworkConfig(seed=6, enable_tracing=True))
         _traffic(net, 1 * S, rate=10_000)
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True,
-            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS)))
+        deployment = deploy(
+            net, metric="packet_count", channel_state=True,
+            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS))
         _run_campaign(net, deployment, count=4, settle_ns=500 * MS)
         snaps = deployment.observer.completed_snapshots()
         assert len(snaps) == 4

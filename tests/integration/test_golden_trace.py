@@ -25,7 +25,7 @@ for one that intentionally alters simulated behaviour.
 
 import hashlib
 
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
@@ -114,8 +114,7 @@ def _run_golden_scenario(arm_empty_fault_schedule=False, fault_schedule=None,
     PoissonWorkload(network, PoissonConfig(rate_pps=10_000,
                                            stop_ns=40 * MS,
                                            sport_churn=True)).start()
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="packet_count", channel_state=True))
+    deployment = deploy(network, metric="packet_count", channel_state=True)
     if arm_empty_fault_schedule:
         fault_schedule = FaultSchedule()
     if fault_schedule is not None:

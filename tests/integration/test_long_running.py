@@ -2,8 +2,8 @@
 
 
 from repro.analysis import ConsistencyChecker
-from repro.core import (ControlPlaneConfig, DeploymentConfig, ObserverConfig,
-                        SnapshotStatus, SpeedlightDeployment)
+from repro.core import (ControlPlaneConfig, ObserverConfig, SnapshotStatus,
+                        deploy)
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.switch import SwitchConfig
@@ -21,8 +21,7 @@ class TestWraparoundCampaign:
             seed=5, rate_pps=10_000, stop_ns=2 * S, sport_churn=True,
             pairs=[("server0", "server1"), ("server1", "server0")]))
         wl.start()
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", max_sid=15))
+        deployment = deploy(net, metric="packet_count", max_sid=15)
         epochs = deployment.schedule_campaign(count=40, interval_ns=8 * MS)
         net.run(until=2 * S)
         snaps = deployment.observer.completed_snapshots()
@@ -39,9 +38,9 @@ class TestWraparoundCampaign:
         wl = PoissonWorkload(net, PoissonConfig(
             seed=7, rate_pps=20_000, stop_ns=2 * S, sport_churn=True))
         wl.start()
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True, max_sid=31,
-            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS)))
+        deployment = deploy(
+            net, metric="packet_count", channel_state=True, max_sid=31,
+            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS))
         epochs = deployment.schedule_campaign(count=25, interval_ns=10 * MS)
         net.run(until=2 * S)
         snaps = deployment.observer.completed_snapshots()
@@ -57,10 +56,10 @@ class TestDeviceFailureMidCampaign:
         wl = PoissonWorkload(net, PoissonConfig(
             seed=9, rate_pps=10_000, stop_ns=2 * S, sport_churn=True))
         wl.start()
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count",
+        deployment = deploy(
+            net, metric="packet_count",
             observer=ObserverConfig(retry_timeout_ns=30 * MS,
-                                    max_retries=1)))
+                                    max_retries=1))
         # spine1's control-plane CPU dies 100 ms in.
         def kill_spine1():
             net.switch("spine1").notification_sink = lambda n: None
@@ -88,10 +87,10 @@ class TestCosPartialDeployment:
         wl = PoissonWorkload(net, PoissonConfig(
             seed=11, rate_pps=15_000, stop_ns=1 * S, sport_churn=True))
         wl.start()
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True,
+        deployment = deploy(
+            net, metric="packet_count", channel_state=True,
             switches=["leaf0", "leaf1"],
-            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS)))
+            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS))
         epochs = deployment.schedule_campaign(count=5, interval_ns=15 * MS)
         net.run(until=1 * S)
         snaps = deployment.observer.completed_snapshots()

@@ -12,8 +12,7 @@ of everything else the repository implements.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import ConsistencyChecker
-from repro.core import (ControlPlaneConfig, DeploymentConfig,
-                        SpeedlightDeployment)
+from repro.core import ControlPlaneConfig, deploy
 from repro.sim.channel import BernoulliLoss
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
@@ -60,10 +59,10 @@ def test_conservation_on_random_scenarios(params):
         seed=params["seed"] + 1, rate_pps=params["rate_pps"],
         stop_ns=duration, sport_churn=True))
     workload.start()
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="packet_count", channel_state=params["channel_state"],
+    deployment = deploy(
+        network, metric="packet_count", channel_state=params["channel_state"],
         control_plane=ControlPlaneConfig(
-            probe_delay_ns=2 * MS if params["channel_state"] else 0)))
+            probe_delay_ns=2 * MS if params["channel_state"] else 0))
     deployment.schedule_campaign(params["snapshots"],
                                  params["interval_ms"] * MS)
     network.run(until=duration)

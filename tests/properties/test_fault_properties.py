@@ -14,7 +14,7 @@ the ground-truth conservation law.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import ConsistencyChecker, LinkAudit
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.faults import FaultInjector, IndependentFaults, ProfileContext
 from repro.sim.channel import BernoulliLoss, GilbertElliottLoss, ScriptedLoss
 from repro.sim.engine import MS
@@ -61,8 +61,7 @@ def test_link_audit_non_negative_under_arbitrary_loss(params):
     PoissonWorkload(network, PoissonConfig(seed=params["seed"] + 1,
                                            rate_pps=params["rate_pps"],
                                            stop_ns=stop_ns)).start()
-    deployment = SpeedlightDeployment(network, DeploymentConfig(
-        metric="packet_count", channel_state=True))
+    deployment = deploy(network, metric="packet_count", channel_state=True)
 
     if params["fault_intensity"]:
         context = ProfileContext.for_topology(

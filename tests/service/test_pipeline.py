@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.core.snapshot import SnapshotStatus
 from repro.service.pipeline import (ContinuousCampaign, PipelineConfig,
                                     SnapshotPipeline)
@@ -22,8 +22,7 @@ from repro.topology import single_switch
 
 def _deploy(seed=3):
     network = Network(single_switch(num_hosts=2), NetworkConfig(seed=seed))
-    deployment = SpeedlightDeployment(
-        network, DeploymentConfig(metric="packet_count"))
+    deployment = deploy(network, metric="packet_count")
     return network, deployment
 
 

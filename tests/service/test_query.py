@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import ConsistencyChecker, epoch_record
 from repro.analysis.invariants import LinkAudit
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.service.pipeline import ContinuousCampaign, PipelineConfig, \
     SnapshotPipeline
 from repro.service.query import QueryEngine
@@ -32,8 +32,7 @@ def _canon(doc):
 def _service_run(metric="packet_count", seed=5, ticks=8, tracing=True):
     network = Network(leaf_spine(hosts_per_leaf=1),
                       NetworkConfig(seed=seed, enable_tracing=tracing))
-    deployment = SpeedlightDeployment(network,
-                                      DeploymentConfig(metric=metric))
+    deployment = deploy(network, metric=metric)
     PoissonWorkload(network, PoissonConfig(
         seed=seed, rate_pps=20_000.0, stop_ns=ticks * 5 * MS,
         sport_churn=True)).start()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import ConsistencyChecker
-from repro.core import ControlPlaneConfig, DeploymentConfig, SpeedlightDeployment
+from repro.core import ControlPlaneConfig, deploy
 from repro.sim.engine import MS, US, Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import FlowKey, Packet
@@ -127,9 +127,9 @@ class TestCosChannels:
         wl_high.emit = emit_high
         wl_high.start()
 
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True,
-            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS)))
+        deployment = deploy(
+            net, metric="packet_count", channel_state=True,
+            control_plane=ControlPlaneConfig(probe_delay_ns=2 * MS))
         epochs = deployment.schedule_campaign(count=5, interval_ns=15 * MS)
         net.run(until=duration)
         snaps = deployment.observer.completed_snapshots()
@@ -140,18 +140,29 @@ class TestCosChannels:
 
     def test_gating_covers_both_classes(self):
         net = self._cos_net()
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True))
+        deployment = deploy(net, metric="packet_count", channel_state=True)
         cp = deployment.control_planes["leaf0"]
         from repro.sim.switch import Direction, UnitId
         uplink = net.port_toward("leaf0", "spine0")
         tracker = cp.trackers[UnitId("leaf0", uplink, Direction.INGRESS)]
         assert tracker.gating == [0, 1]  # one sub-channel per class
 
+    @pytest.mark.parametrize("classes, match", [
+        ([99], r"class 99 is not a lane of switch 'leaf0' \(num_cos=2\)"),
+        ([-1], "class -1 is not a lane"),
+        ([1, 0, 1], "class 1 is listed twice"),
+    ])
+    def test_bad_cos_classes_rejected(self, classes, match):
+        """An out-of-lane class would gate every unit on no channel."""
+        net = self._cos_net()
+        with pytest.raises(ValueError, match=match):
+            deploy(net, metric="packet_count", channel_state=True,
+                   cos_classes=classes)
+
     def test_cos_classes_config_restricts_gating(self):
         net = self._cos_net()
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True, cos_classes=[0]))
+        deployment = deploy(
+            net, metric="packet_count", channel_state=True, cos_classes=[0])
         cp = deployment.control_planes["leaf0"]
         from repro.sim.switch import Direction, UnitId
         uplink = net.port_toward("leaf0", "spine0")

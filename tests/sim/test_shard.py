@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DeploymentConfig, SpeedlightDeployment, deploy
+from repro.core import deploy
 from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig, cut_links, partition_topology
 from repro.sim.shard import (InProcessShardRunner, ProcessShardRunner,
@@ -48,8 +48,7 @@ def _traffic_setup(worker, rate_pps, stop_ns, snapshots, interval_ns):
     PoissonWorkload(worker.network, PoissonConfig(
         seed=worker.shard_id + 1, rate_pps=rate_pps, stop_ns=stop_ns,
         pairs=pairs, sport_churn=True)).start()
-    deployment = SpeedlightDeployment(worker, DeploymentConfig(
-        metric="packet_count"))
+    deployment = deploy(worker, metric="packet_count")
     epochs = (deployment.schedule_campaign(snapshots, interval_ns)
               if deployment.is_observer_shard else [])
 

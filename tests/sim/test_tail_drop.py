@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import ConsistencyChecker
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import deploy
 from repro.sim.engine import MS, Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import FlowKey, Packet
@@ -79,8 +79,7 @@ class TestNetworkWithBoundedBuffers:
         net = Network(single_switch(num_hosts=3), cfg)
         net.host("server0").send_flow("server2", 3000, sport=1, dport=2)
         net.host("server1").send_flow("server2", 3000, sport=3, dport=4)
-        deployment = SpeedlightDeployment(net, DeploymentConfig(
-            metric="packet_count", channel_state=True))
+        deployment = deploy(net, metric="packet_count", channel_state=True)
         epochs = deployment.schedule_campaign(count=4, interval_ns=2 * MS)
         net.run(until=500 * MS)
         snaps = deployment.observer.completed_snapshots()
