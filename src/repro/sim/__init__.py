@@ -35,9 +35,8 @@ from repro.sim.network import Network, NetworkConfig, partition_topology
 from repro.sim.mgmt import ManagementPlane
 from repro.sim.shard import (
     BoundaryLink,
-    InProcessShardRunner,
-    ProcessShardRunner,
     ShardPlan,
+    ShardRunner,
     ShardScope,
     ShardWorker,
     run_sharded,
@@ -73,9 +72,8 @@ __all__ = [
     "ManagementPlane",
     "partition_topology",
     "BoundaryLink",
-    "InProcessShardRunner",
-    "ProcessShardRunner",
     "ShardPlan",
+    "ShardRunner",
     "ShardScope",
     "ShardWorker",
     "run_sharded",

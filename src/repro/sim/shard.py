@@ -6,8 +6,11 @@ A large fabric is split at link boundaries into *shards*
 :class:`~repro.sim.engine.Simulator` inside a scoped
 :class:`~repro.sim.network.Network`.  Cut links are replaced by
 :class:`BoundaryLink` stubs that capture transmissions as timestamped
-items instead of delivering them locally; a coordinator runs the shards
-in conservative time-windowed rounds and exchanges the captured batches.
+items instead of delivering them locally; one coordinator,
+:class:`ShardRunner`, runs the shards in conservative time-windowed
+rounds and exchanges the captured batches through one handle per shard
+— the :class:`ShardWorker` itself, or a pipe to a worker process — that
+takes the same ``step`` and ``finish_run`` calls.
 
 **Why this is safe** — the paper's system model (§4.1) is FIFO channels
 with fixed propagation delay, which is exactly the classic conservative
@@ -41,8 +44,12 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import pickle
+import traceback
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from multiprocessing.connection import Connection
+from multiprocessing.context import BaseContext
 from typing import Any, Optional
 
 from repro.sim.channel import Link, LossModel
@@ -54,9 +61,8 @@ from repro.topology.graph import LinkSpec, Topology
 
 __all__ = [
     "BoundaryLink",
-    "InProcessShardRunner",
-    "ProcessShardRunner",
     "ShardPlan",
+    "ShardRunner",
     "ShardScope",
     "ShardWorker",
     "run_sharded",
@@ -69,7 +75,7 @@ _CTRL = "ctrl"
 
 #: A transport item: (kind, key, deliver_at, src_shard, src_seq, payload)
 #: where key is a cut-link name (_PKT) or a mailbox name (_CTRL).
-TransportItem = tuple
+TransportItem = tuple[str, str, int, int, int, Any]
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,8 @@ class BoundaryLink(Link):
         self._outbox: list[tuple[int, Packet]] = []
         self._out_floor = 0
 
-    def transmit(self, sender, packet: Packet, seq: object = None) -> bool:
+    def transmit(self, sender: object, packet: Packet,
+                 seq: object = None) -> bool:
         if not self._up:
             self.packets_dropped += 1
             return False
@@ -195,8 +202,8 @@ class ShardWorker:
     ``setup`` (if given) runs at construction with the worker as first
     argument; it installs workloads/deployments, registers control-plane
     mailboxes, and may return a zero-argument *finish* callable whose
-    result :meth:`finish` returns after the run (this is what the
-    process runner ships back over the pipe, so it must be picklable).
+    result :meth:`finish_run` returns after the run (a process shard
+    ships it back over the pipe, so it must be picklable).
     """
 
     def __init__(self, topology: Topology, config: Optional[NetworkConfig],
@@ -295,17 +302,31 @@ class ShardWorker:
         """Inject coordinator-merged inbound items, in the given order
         (the order *is* the deterministic tie-break)."""
         sim = self.sim
-        for kind, key, at, _src, _seq, payload in items:
+        for kind, key, at, src, _seq, payload in items:
             if at < sim.now:
-                at = sim.now  # defensive; the lookahead bound prevents this
+                raise RuntimeError(
+                    f"lookahead violated: {kind} item {key!r} from shard "
+                    f"{src} due at {at}, shard {self.shard_id} is at "
+                    f"{sim.now}")
             if kind == _PKT:
                 assert self.scope is not None
                 self.scope.boundary_links[key].inject(at, payload)
             else:
                 sim.inject_at(at, self.mailboxes[key], payload)
 
-    def finish(self) -> Any:
-        return self._finish()
+    def step(self, horizon: int, items: Iterable[TransportItem]
+             ) -> tuple[list[TransportItem], Optional[int]]:
+        """One round: inject, run to ``horizon``, drain; -> (batch, next)."""
+        self.inject(items)
+        self.run_horizon(horizon)
+        return self.drain(), self.next_time()
+
+    def finish_run(self, until: int, items: Iterable[TransportItem]
+                   ) -> tuple[Any, Optional[int]]:
+        """The finish pass: inject, run to ``until``; -> (finish(), next)."""
+        self.inject(items)
+        self.network.run(until=until)
+        return self._finish(), self.next_time()
 
 
 # ----------------------------------------------------------------------
@@ -357,122 +378,86 @@ def _effective_min(next_times: Sequence[Optional[int]],
 
 
 # ----------------------------------------------------------------------
-# Runners
+# The coordinator
 # ----------------------------------------------------------------------
 
-class InProcessShardRunner:
-    """All shards in one process, stepped round-robin.
-
-    Functionally identical to :class:`ProcessShardRunner` minus the
-    pipes — used by tests (the merge-order property test permutes
-    ``order``, the sequence in which workers are stepped within each
-    round, and asserts the composed execution does not change) and
-    wherever process startup is not worth it.
-    """
-
-    def __init__(self, topology: Topology,
-                 config: Optional[NetworkConfig] = None, *,
-                 shards: int = 2,
-                 setup: Optional[Callable[..., Any]] = None,
-                 setup_args: Sequence[Any] = (),
-                 plan: Optional[ShardPlan] = None,
-                 order: Optional[Sequence[int]] = None,
-                 busy_clock: Optional[Callable[[], float]] = None) -> None:
-        self.plan = plan or ShardPlan.for_topology(topology, shards)
-        self.workers = [ShardWorker(topology, config, self.plan, shard_id,
-                                    setup, setup_args,
-                                    busy_clock=busy_clock)
-                        for shard_id in range(self.plan.num_shards)]
-        self._order = (list(order) if order is not None
-                       else list(range(self.plan.num_shards)))
-        if sorted(self._order) != list(range(self.plan.num_shards)):
-            raise ValueError(f"order must be a permutation of "
-                             f"0..{self.plan.num_shards - 1}")
-        self._link_shards = self.plan.link_shards()
-        self._mailbox_homes: dict[str, int] = {}
-        for worker in self.workers:
-            for name in worker.mailboxes:
-                if name in self._mailbox_homes:
-                    raise ValueError(
-                        f"mailbox {name!r} registered by more than one "
-                        f"shard ({self._mailbox_homes[name]} and "
-                        f"{worker.shard_id})")
-                self._mailbox_homes[name] = worker.shard_id
-        self.rounds = 0
-
-    def run(self, until: int) -> list[Any]:
-        plan = self.plan
-        workers = self.workers
-        if plan.num_shards == 1:
-            workers[0].network.run(until=until)
-            return [workers[0].finish()]
-        pending: dict[int, list[TransportItem]] = {}
-        while True:
-            for i in self._order:
-                workers[i].inject(pending.pop(i, []))
-            next_times = [w.next_time() for w in workers]
-            min_next = _effective_min(next_times, pending)
-            if min_next is None or min_next > until:
-                break
-            horizon = min(min_next + plan.lookahead_ns, until + 1)
-            outbound: list[TransportItem] = []
-            for i in self._order:
-                workers[i].run_horizon(horizon)
-                outbound.extend(workers[i].drain())
-            pending = _route(outbound, self._link_shards,
-                             self._mailbox_homes)
-            self.rounds += 1
-        for i in self._order:
-            workers[i].network.run(until=until)
-        return [w.finish() for w in workers]
+def _shard_worker_main(conn: Connection, *args: Any) -> None:
+    """Worker-process loop: build the :class:`ShardWorker` from ``args``,
+    then serve ``step`` / ``finish_run`` until ``stop``.  An exception
+    ends the worker as an ``("error", exc)`` reply (a :class:`RuntimeError`
+    with its traceback text if it does not pickle)."""
+    try:
+        worker = ShardWorker(*args)
+        conn.send(("ok", (sorted(worker.mailboxes), worker.next_time())))
+        calls = {"step": worker.step, "finish_run": worker.finish_run}
+        while (msg := conn.recv())[0] != "stop":
+            conn.send(("ok", calls[msg[0]](*msg[1:])))
+    except Exception as exc:
+        error = exc
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:
+            error = RuntimeError(repr(exc) + "\n" + "".join(
+                traceback.format_exception(type(exc), exc,
+                                           exc.__traceback__)))
+        with contextlib.suppress(OSError):  # the coordinator is gone
+            conn.send(("error", error))
 
 
-def _shard_worker_main(conn, topology: Topology,
-                       config: Optional[NetworkConfig], plan: ShardPlan,
-                       shard_id: int, setup: Optional[Callable[..., Any]],
-                       setup_args: Sequence[Any]) -> None:
-    """Worker-process loop: build the shard, then serve coordinator
-    rounds over the pipe until the ``finish`` or ``stop`` message."""
-    worker = ShardWorker(topology, config, plan, shard_id, setup, setup_args)
-    conn.send(("ready", worker.next_time(), sorted(worker.mailboxes)))
-    while True:
-        msg = conn.recv()
-        if msg[0] == "stop":
-            return
-        if msg[0] == "step":
-            _tag, horizon, items = msg
-            worker.inject(items)
-            worker.run_horizon(horizon)
-            conn.send((worker.drain(), worker.next_time()))
-        elif msg[0] == "finish":
-            _tag, until, items = msg
-            worker.inject(items)
-            worker.network.run(until=until)
-            conn.send(("done", worker.finish()))
-            conn.close()
-            return
-        else:  # pragma: no cover - protocol error
-            raise RuntimeError(f"unknown coordinator message {msg[0]!r}")
-
-
-def _default_context():
-    # fork keeps worker startup cheap and inherits the built topology
-    # object's page cache; determinism is unaffected either way because
-    # the composed execution depends only on merged item order, which
-    # the coordinator fixes.  spawn is the fallback where fork does not
-    # exist (or is unreliable).
+def _default_context() -> BaseContext:
+    # fork: cheap startup that inherits the built topology; spawn where
+    # fork does not exist.  Determinism holds either way: the composed
+    # execution depends only on the merged item order the coordinator fixes.
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context("spawn")
 
 
-class ProcessShardRunner:
-    """Shards in worker processes, batches over pipes.
+class _PipeShard:
+    """A shard in a worker process: a call only sends it down the pipe;
+    :meth:`reply` collects the result or raises the worker's error."""
 
-    ``setup``/``setup_args`` must be picklable (a module-level function
-    plus plain-data arguments); each worker's ``finish`` return value is
-    shipped back over the pipe and must be picklable too.
+    def __init__(self, ctx: BaseContext, args: tuple[Any, ...]) -> None:
+        self._conn, child = ctx.Pipe()
+        self._proc = ctx.Process(target=_shard_worker_main,
+                                 args=(child, *args), daemon=True)
+        self._proc.start()
+        child.close()
+
+    def step(self, horizon: int, items: list[TransportItem]) -> None:
+        self._conn.send(("step", horizon, items))
+
+    def finish_run(self, until: int, items: list[TransportItem]) -> None:
+        self._conn.send(("finish_run", until, items))
+
+    def reply(self) -> Any:
+        tag, value = self._conn.recv()
+        if tag == "error":
+            raise value
+        return value
+
+    def close(self) -> None:
+        # A message, not EOF: forked siblings hold copies of our end.
+        with contextlib.suppress(OSError):  # the worker already exited
+            self._conn.send(("stop",))
+        self._conn.close()
+        self._proc.join(timeout=5)
+        if self._proc.is_alive():  # pragma: no cover - hung worker
+            self._proc.terminate()
+            self._proc.join(timeout=5)
+
+
+class ShardRunner:
+    """The coordinator: one round loop over one handle per shard.
+
+    A handle is the :class:`ShardWorker` itself (all shards in this
+    process, stepped in ``order``, which the merge-order property test
+    permutes) or, with ``process=True``, a pipe to a worker process
+    (``setup``, ``setup_args`` and each ``finish`` result must then
+    pickle).  :meth:`run` may be repeated with a later ``until``; local
+    workers may be scheduled into between runs.  Any exception closes
+    the workers.
     """
 
     def __init__(self, topology: Topology,
@@ -480,84 +465,99 @@ class ProcessShardRunner:
                  shards: int = 2,
                  setup: Optional[Callable[..., Any]] = None,
                  setup_args: Sequence[Any] = (),
-                 plan: Optional[ShardPlan] = None,
-                 mp_context=None) -> None:
-        self.plan = plan or ShardPlan.for_topology(topology, shards)
-        ctx = mp_context or _default_context()
-        self._conns = []
-        self._procs = []
-        for shard_id in range(self.plan.num_shards):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(child, topology, config, self.plan, shard_id,
-                      setup, setup_args),
-                daemon=True)
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
-        self._link_shards = self.plan.link_shards()
-        self._next_times: list[Optional[int]] = [None] * self.plan.num_shards
+                 process: bool = False,
+                 order: Optional[Sequence[int]] = None,
+                 busy_clock: Optional[Callable[[], float]] = None) -> None:
+        if process and (order is not None or busy_clock is not None):
+            raise ValueError("order= and busy_clock= apply to local shards "
+                             "only, not with process=True")
+        self.plan = plan = ShardPlan.for_topology(topology, shards)
+        self._order = list(range(plan.num_shards) if order is None else order)
+        if sorted(self._order) != list(range(plan.num_shards)):
+            raise ValueError(f"order must be a permutation of "
+                             f"0..{plan.num_shards - 1}")
+        self._link_shards = plan.link_shards()
+        self.workers: list[ShardWorker] = []  # local handles only
+        self._pipes: list[_PipeShard] = []
         self._mailbox_homes: dict[str, int] = {}
-        for shard_id, conn in enumerate(self._conns):
-            _tag, next_time, mailboxes = conn.recv()
-            self._next_times[shard_id] = next_time
-            for name in mailboxes:
-                if name in self._mailbox_homes:
-                    self.close()
-                    raise ValueError(
-                        f"mailbox {name!r} registered by more than one "
-                        f"shard ({self._mailbox_homes[name]} and "
-                        f"{shard_id})")
-                self._mailbox_homes[name] = shard_id
         self.rounds = 0
+        try:
+            if process:
+                ctx = _default_context()
+                for shard_id in range(plan.num_shards):
+                    self._pipes.append(_PipeShard(ctx, (
+                        topology, config, plan, shard_id, setup, setup_args)))
+                self._handles: Sequence[Any] = self._pipes
+                ready = [pipe.reply() for pipe in self._pipes]
+            else:
+                self.workers = [ShardWorker(topology, config, plan, shard_id,
+                                            setup, setup_args, busy_clock)
+                                for shard_id in range(plan.num_shards)]
+                self._handles = self.workers
+                ready = [(w.mailboxes, w.next_time()) for w in self.workers]
+            for shard_id, (mailboxes, _next) in enumerate(ready):
+                for name in mailboxes:
+                    if name in self._mailbox_homes:
+                        raise ValueError(
+                            f"mailbox {name!r} registered by more than one "
+                            f"shard ({self._mailbox_homes[name]} and "
+                            f"{shard_id})")
+                    self._mailbox_homes[name] = shard_id
+        except BaseException:
+            self.close()
+            raise
+        self._next_times: list[Optional[int]] = [t for _m, t in ready]
+
+    def _call(self, method: str, arg: int,
+              pending: dict[int, list[TransportItem]]) -> list[Any]:
+        """``method(arg, items)`` on every shard, in ``order``.  All are
+        sent before any reply is collected, so process shards run in
+        parallel; a local worker does its work at send time."""
+        replies: list[Any] = [None] * len(self._handles)
+        for shard_id in self._order:
+            replies[shard_id] = getattr(self._handles[shard_id], method)(
+                arg, pending.pop(shard_id, []))
+        if self._pipes:
+            replies = [pipe.reply() for pipe in self._pipes]
+        return replies
 
     def run(self, until: int) -> list[Any]:
-        plan = self.plan
+        """Run every shard to ``until``; returns the per-shard ``finish``
+        results in shard order."""
         pending: dict[int, list[TransportItem]] = {}
+        if self.workers:  # the caller may have scheduled into them
+            self._next_times = [w.next_time() for w in self.workers]
         try:
-            if plan.num_shards > 1:
-                while True:
-                    min_next = _effective_min(self._next_times, pending)
-                    if min_next is None or min_next > until:
-                        break
-                    horizon = min(min_next + plan.lookahead_ns, until + 1)
-                    for shard_id, conn in enumerate(self._conns):
-                        conn.send(("step", horizon,
-                                   pending.pop(shard_id, [])))
-                    outbound: list[TransportItem] = []
-                    for shard_id, conn in enumerate(self._conns):
-                        out, next_time = conn.recv()
-                        self._next_times[shard_id] = next_time
-                        outbound.extend(out)
-                    pending = _route(outbound, self._link_shards,
-                                     self._mailbox_homes)
-                    self.rounds += 1
-            for shard_id, conn in enumerate(self._conns):
-                conn.send(("finish", until, pending.pop(shard_id, [])))
-            results: list[Any] = []
-            for conn in self._conns:
-                _tag, result = conn.recv()
-                results.append(result)
-            return results
-        finally:
+            while self.plan.num_shards > 1:
+                min_next = _effective_min(self._next_times, pending)
+                if min_next is None or min_next > until:
+                    break
+                horizon = min(min_next + self.plan.lookahead_ns, until + 1)
+                outbound: list[TransportItem] = []
+                for shard_id, (drained, next_time) in enumerate(
+                        self._call("step", horizon, pending)):
+                    self._next_times[shard_id] = next_time
+                    outbound.extend(drained)
+                pending = _route(outbound, self._link_shards,
+                                 self._mailbox_homes)
+                self.rounds += 1
+            finished = self._call("finish_run", until, pending)
+            self._next_times = [next_time for _r, next_time in finished]
+            return [result for result, _t in finished]
+        except BaseException:
             self.close()
+            raise
 
     def close(self) -> None:
-        """Stop and reap worker processes (idempotent).  Closing our
-        ends is no EOF: forked workers hold copies of them."""
-        for conn in self._conns:
-            with contextlib.suppress(OSError):  # a finished worker closed its end
-                conn.send(("stop",))
-            conn.close()
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5)
-        self._procs = []
-        self._conns = []
+        """Stop and reap process workers (idempotent; local workers hold
+        nothing to release)."""
+        pipes, self._pipes = self._pipes, []
+        for pipe in pipes:
+            pipe.close()
+
+
+# bench/ constructs this name and spans vars(InProcessShardRunner)["run"].
+InProcessShardRunner = ShardRunner
 
 
 def run_sharded(topology: Topology, config: Optional[NetworkConfig], *,
@@ -565,14 +565,13 @@ def run_sharded(topology: Topology, config: Optional[NetworkConfig], *,
                 setup: Optional[Callable[..., Any]] = None,
                 setup_args: Sequence[Any] = (),
                 process: bool = True) -> list[Any]:
-    """Run one sharded simulation end to end; returns the per-shard
-    ``finish`` results in shard order.  ``shards=1`` runs the plain
-    single-process path (in process, regardless of ``process``)."""
-    if shards == 1 or not process:
-        runner: Any = InProcessShardRunner(topology, config, shards=shards,
-                                           setup=setup,
-                                           setup_args=setup_args)
-    else:
-        runner = ProcessShardRunner(topology, config, shards=shards,
-                                    setup=setup, setup_args=setup_args)
-    return runner.run(until)
+    """One :class:`ShardRunner` run to ``until``, closed on the way out;
+    returns the per-shard ``finish`` results in shard order.  ``shards=1``
+    runs the plain single-process path (in process, whatever ``process``)."""
+    runner = ShardRunner(topology, config, shards=shards, setup=setup,
+                         setup_args=setup_args,
+                         process=process and shards > 1)
+    try:
+        return runner.run(until)
+    finally:
+        runner.close()

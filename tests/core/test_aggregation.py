@@ -19,7 +19,7 @@ from repro.core.sharded import OBSERVER_SHARD
 from repro.core.snapshot import SnapshotStatus
 from repro.sim.engine import MS, S, US, Simulator
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.shard import InProcessShardRunner
+from repro.sim.shard import ShardRunner
 from repro.sim.switch import Direction, UnitId
 from repro.topology import fat_tree, leaf_spine
 
@@ -277,7 +277,7 @@ class TestShardedComposition:
     def test_sharded_matches_single_process(self, degree):
         results = {}
         for shards in (1, 3):
-            runner = InProcessShardRunner(
+            runner = ShardRunner(
                 fat_tree(k=4), NetworkConfig(seed=7), shards=shards,
                 setup=_sharded_setup, setup_args=(degree,))
             out = runner.run(until=1 * S)
@@ -286,7 +286,7 @@ class TestShardedComposition:
         assert results[1]["values"] == results[3]["values"]
 
     def test_tree_collapses_cross_shard_intake_too(self):
-        runner = InProcessShardRunner(
+        runner = ShardRunner(
             fat_tree(k=4), NetworkConfig(seed=7), shards=3,
             setup=_sharded_setup, setup_args=(4,))
         out = runner.run(until=1 * S)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core import deploy
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.shard import InProcessShardRunner
+from repro.sim.shard import ShardRunner
 from repro.topology import (fat_tree, leaf_spine, linear, ring,
                             single_switch)
 from repro.topology.graph import NodeKind, Topology
@@ -200,7 +200,7 @@ class TestSearchCount:
 
     def test_shards_share_one_table(self, searches):
         topo = fat_tree(k=4)
-        runner = InProcessShardRunner(topo, NetworkConfig(seed=1), shards=2)
+        runner = ShardRunner(topo, NetworkConfig(seed=1), shards=2)
         assert len(runner.workers) == 2
         assert sorted(searches) == topo.hosts
 
