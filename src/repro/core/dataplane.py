@@ -85,6 +85,10 @@ class SpeedlightUnit:
         self.in_flight_value_fn = in_flight_value_fn or (lambda pkt: 1)
 
         self._sid = 0  # wrapped; registers power up at zero (§6)
+        #: Follows ``_sid`` without channel state: a packet carrying the
+        #: current ID then changes nothing but ``packets_seen``, so the
+        #: switch counts that pass itself (``SnapshotAgent.quiet_sid``).
+        self.quiet_sid: Optional[int] = None if channel_state else 0
         self.last_seen: dict[int, int] = {}
         # The Snapshot Value register array, keyed by wrapped ID and
         # filled on first write; a slot is valid iff it has a value.
@@ -121,6 +125,8 @@ class SpeedlightUnit:
                 # slots.
                 self._capture(header_sid, now_ns)
                 self._sid = header_sid
+                if self.quiet_sid is not None:
+                    self.quiet_sid = header_sid
             elif self.channel_state and header.packet_type is _DATA:
                 # In-flight packet: one register op credits the current
                 # slot.  (Initiations are "never considered an in-flight

@@ -67,6 +67,8 @@ class IdealUnit:
         self.notify = notify
         self.in_flight_value_fn = in_flight_value_fn or (lambda pkt: 1)
         self._sid = 0
+        #: Follows ``_sid`` without channel state (``SnapshotAgent.quiet_sid``).
+        self.quiet_sid: Optional[int] = None if channel_state else 0
         self.snaps: dict[int, IdealSlot] = {}
         self.last_seen: dict[int, int] = {}
         self.packets_seen = 0
@@ -91,6 +93,8 @@ class IdealUnit:
                 self.snaps[i] = IdealSlot(value=self.value_fn(),
                                           captured_ns=now_ns)
             self._sid = header.sid
+            if self.quiet_sid is not None:
+                self.quiet_sid = header.sid
         elif (header.sid < self._sid and self.channel_state
               and header.packet_type is PacketType.DATA):
             # In-flight packet: update the channel state of every epoch

@@ -259,9 +259,14 @@ class Link:
 
     def serialization_ns(self, size_bytes: int) -> int:
         """Time to clock ``size_bytes`` onto the wire at link rate
-        (memoized per size)."""
+        (memoized per size: an egress lane reads the memo itself and
+        calls this only on a miss)."""
         ns = self._ser_cache.get(size_bytes)
         if ns is None:
+            if size_bytes < 0:
+                raise ValueError(
+                    f"link {self.name!r}: packet size {size_bytes} B is "
+                    "negative")
             ns = (size_bytes * 8 * 1_000_000_000) // self.bandwidth_bps
             self._ser_cache[size_bytes] = ns
         return ns

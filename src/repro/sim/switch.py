@@ -121,7 +121,18 @@ class SnapshotAgent(Protocol):
 
     Implemented by :class:`repro.core.dataplane.SpeedlightUnit` and
     :class:`repro.core.ideal.IdealUnit`.
+
+    ``quiet_sid`` is the header ID for which a pass changes nothing but
+    ``packets_seen``: the unit's own current ID, when the agent keeps no
+    channel state.  A unit whose packet carries it skips
+    :meth:`process_packet` and counts the pass in ``packets_seen``
+    itself (the Speedlight pipeline's common case, sid equality, §5).
+    ``None`` means every packet must be processed: channel state is on
+    (Last Seen moves), or the agent does not opt in.
     """
+
+    quiet_sid: Optional[int]
+    packets_seen: int
 
     def process_packet(self, packet: Packet, channel_id: int,
                        now_ns: int) -> int:
@@ -158,11 +169,15 @@ class CounterSet:
 
     def __init__(self) -> None:
         self._counters: dict[str, "CounterLike"] = {}
+        #: The counters' bound ``update`` methods, in attach order: what
+        #: a unit calls for every measured packet.
+        self.updates: tuple[Callable[[Packet, int], None], ...] = ()
 
     def add(self, name: str, counter: "CounterLike") -> None:
         if name in self._counters:
             raise ValueError(f"counter {name!r} already attached")
         self._counters[name] = counter
+        self.updates += (counter.update,)
 
     def get(self, name: str) -> "CounterLike":
         return self._counters[name]
@@ -222,8 +237,9 @@ class _EgressQueue:
     One queue per egress unit, with ``num_cos`` strict-priority lanes
     (higher class first; within a class, FIFO — the paper's CoS
     sub-channel model, §4.1).  Serialisation delay is computed per
-    packet from ``ser_fn``; instantaneous depth in packets and bytes is
-    itself a snapshottable metric (the queue-depth counter).
+    packet from the bound link's serialisation table, ``ser_fn`` on a
+    miss; instantaneous depth in packets and bytes is itself a
+    snapshottable metric (the queue-depth counter).
 
     ``busy``, depth and the sent counters are answered from the packet
     in service's *finish instant*: on a plain link its delivery is
@@ -245,6 +261,9 @@ class _EgressQueue:
         #: Set by :meth:`bind`: the link fed, and its receiving side.
         self._link: Optional[Link] = None
         self._rx_side = 0
+        #: size_bytes -> serialisation ns: the bound link's memo, which
+        #: ``ser_fn`` fills on a miss.
+        self._ser_table: dict[int, int] = {}
         self.num_cos = num_cos
         self.capacity_packets = capacity_packets
         self._lanes: list[deque[Packet]] = [deque() for _ in range(num_cos)]
@@ -276,6 +295,7 @@ class _EgressQueue:
         self._link = link
         self._rx_side = 1 - link.attach(sender, self)
         self.ser_fn = link.serialization_ns
+        self._ser_table = link._ser_cache
         self.transmit = partial(link.transmit, sender)
 
     @property
@@ -332,7 +352,7 @@ class _EgressQueue:
     def _serve(self, packet: Packet, now: int) -> None:
         """Start serialising ``packet`` on the idle lane."""
         size = packet.size_bytes
-        ser = self.ser_fn(size) or 1  # type: ignore[misc]
+        ser = self._ser_table.get(size) or self.ser_fn(size) or 1  # type: ignore[misc]
         self._serving = packet
         self._finish_at = now + ser
         self._started += 1
@@ -396,7 +416,6 @@ class _ProcessingUnit:
         self.unit_id = UnitId(switch.name, port, direction)
         self.counters = CounterSet()
         self.snapshot_agent: Optional[SnapshotAgent] = None
-        self.packets_processed = 0
 
     @property
     def snapshot_enabled(self) -> bool:
@@ -417,7 +436,6 @@ class IngressUnit(_ProcessingUnit):
         super().__init__(switch, port, Direction.INGRESS)
 
     def handle_packet(self, packet: Packet) -> None:
-        self.packets_processed += 1
         sw = self.switch
         now = sw.sim.now
         snapshot = packet.snapshot
@@ -455,18 +473,22 @@ class IngressUnit(_ProcessingUnit):
             else:
                 channel = 0 if sw._single_cos else sw.cos_lane(packet)
             carried = snapshot.sid
-            new_sid = snapshot.sid = agent.process_packet(packet, channel,
-                                                          now)
+            if carried == agent.quiet_sid:
+                # The unit's own epoch, nothing to snapshot: only the
+                # pass counter moves.
+                agent.packets_seen += 1
+                new_sid = carried
+            else:
+                new_sid = snapshot.sid = agent.process_packet(
+                    packet, channel, now)
             if sw.trace_sink is not None:
                 sw.trace_sink(TraceEvent(
                     packet.uid, self.unit_id, now, carried, new_sid, channel,
                     is_measured, packet.size_bytes))
 
         if is_measured:
-            counters = self.counters._counters
-            if counters:
-                for counter in counters.values():
-                    counter.update(packet, now)
+            for update in self.counters.updates:
+                update(packet, now)
         elif is_initiation:
             # Initiation travels CPU → ingress → egress of the *same* port
             # (Figure 6, path 3) and is dropped there after processing.
@@ -498,17 +520,30 @@ class IngressUnit(_ProcessingUnit):
             if stamp is not None:
                 packet.route_tag = stamp
 
-        if packet.flow.dst == BROADCAST_DST:
+        dst = packet.flow.dst
+        if dst == BROADCAST_DST:
             self._flood(packet, sw.config.ingress_latency_ns)
             return
 
-        out_port = sw.forward(packet, self.port_index)
+        # Forwarding lookup: a tagged packet tries the staged rules
+        # first (:meth:`Switch.forward`), every other one the base FIB.
+        # The matched rule's version tag goes into the per-ingress
+        # ``last_matched_version`` register (the §10 forwarding-state
+        # snapshot target); the load balancer picks within an ECMP group.
+        out_port = None
+        if packet.route_tag is not None and sw.staged_routes:
+            out_port = sw.forward(packet, self.port_index)
         if out_port is None:
-            sw.packets_unroutable += 1
-            monitor = sw.drop_monitor
-            if monitor is not None:
-                monitor(sw.name, "unroutable", packet, now)
-            return
+            candidates = sw.routes.get(dst)
+            if not candidates:
+                sw.packets_unroutable += 1
+                monitor = sw.drop_monitor
+                if monitor is not None:
+                    monitor(sw.name, "unroutable", packet, now)
+                return
+            sw.last_matched_version[self.port_index] = sw.route_version[dst]
+            out_port = (candidates[0] if len(candidates) == 1
+                        else sw.lb.select(candidates, packet, now))
         sw.sim.schedule_fast(sw._ingress_fabric_ns, sw._to_egress[out_port],
                              packet, self.port_index)
 
@@ -553,7 +588,6 @@ class EgressUnit(_ProcessingUnit):
         self.strip_header_for_peer = True
 
     def handle_packet(self, packet: Packet, from_ingress_port: int) -> None:
-        self.packets_processed += 1
         sw = self.switch
         now = sw.sim.now
         snapshot = packet.snapshot
@@ -574,8 +608,14 @@ class EgressUnit(_ProcessingUnit):
                 channel = sw.egress_channel_id(from_ingress_port,
                                                sw.cos_lane(packet))
             carried = snapshot.sid
-            new_sid = snapshot.sid = agent.process_packet(packet, channel,
-                                                          now)
+            if carried == agent.quiet_sid:
+                # The unit's own epoch, nothing to snapshot: only the
+                # pass counter moves.
+                agent.packets_seen += 1
+                new_sid = carried
+            else:
+                new_sid = snapshot.sid = agent.process_packet(
+                    packet, channel, now)
             if sw.trace_sink is not None:
                 sw.trace_sink(TraceEvent(
                     packet.uid, self.unit_id, now, carried, new_sid, channel,
@@ -585,10 +625,8 @@ class EgressUnit(_ProcessingUnit):
             # "...the egress unit ... drops the packet after processing" (§6)
             return
         if is_measured:
-            counters = self.counters._counters
-            if counters:
-                for counter in counters.values():
-                    counter.update(packet, now)
+            for update in self.counters.updates:
+                update(packet, now)
 
         if self.queue._link is None:
             sw.packets_unroutable += 1
@@ -857,28 +895,22 @@ class Switch:
             self.ingress_stamps[port] = tag
 
     def forward(self, packet: Packet, in_port: int) -> Optional[int]:
-        """Forwarding lookup + load-balancer selection.
+        """Staged-rule lookup + load-balancer selection for a packet
+        carrying a ``route_tag``.
 
-        Stores the matched rule's version tag into the per-ingress
-        ``last_matched_version`` register (the §10 forwarding-state
-        snapshot target).  A packet carrying a ``route_tag`` with a
-        matching staged rule set uses it in preference to the base FIB;
-        staged rules are tagged with the generation they will commit as.
+        A matching staged rule set is used in preference to the base
+        FIB; staged rules are tagged with the generation they will
+        commit as, and the match stores that tag into the per-ingress
+        ``last_matched_version`` register.  Returns None when no staged
+        rule matches: the ingress unit then looks up the base FIB.
         """
-        tag = packet.route_tag
-        if tag is not None and self.staged_routes:
-            staged = self.staged_routes.get(tag)
-            if staged is not None:
-                candidates = staged.get(packet.dst)
-                if candidates is not None:
-                    self.last_matched_version[in_port] = self.fib_generation + 1
-                    if len(candidates) == 1:
-                        return candidates[0]
-                    return self.lb.select(candidates, packet, self.sim.now)
-        candidates = self.routes.get(dst := packet.flow.dst)
-        if not candidates:
+        staged = self.staged_routes.get(packet.route_tag)  # type: ignore[arg-type]
+        if staged is None:
             return None
-        self.last_matched_version[in_port] = self.route_version[dst]
+        candidates = staged.get(packet.dst)
+        if candidates is None:
+            return None
+        self.last_matched_version[in_port] = self.fib_generation + 1
         if len(candidates) == 1:
             return candidates[0]
         return self.lb.select(candidates, packet, self.sim.now)

@@ -7,6 +7,7 @@ primitives with application-specific structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +27,14 @@ class PoissonConfig(WorkloadConfig):
     #: spreads each pair's traffic over all equal-cost members (models
     #: connection churn; without it each pair pins one member).
     sport_churn: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0 < self.rate_pps < math.inf:
+            raise ValueError(f"rate_pps must be positive and finite, "
+                             f"got {self.rate_pps!r}")
+        if self.size_bytes <= 0:
+            raise ValueError(f"size_bytes must be positive, "
+                             f"got {self.size_bytes!r}")
 
 
 class PoissonWorkload(Workload):
@@ -59,5 +68,6 @@ class PoissonWorkload(Workload):
             sport = self.next_sport()
         self.emit(src, dst, sport=sport, dport=9000,
                   size_bytes=self.config.size_bytes)
-        self.sim.schedule(self.exp_delay(mean_gap), self._tick,
-                          src, dst, sport, mean_gap)
+        # exp_delay is a positive int, and nothing cancels a tick.
+        self.sim.schedule_fast(self.exp_delay(mean_gap), self._tick,
+                               src, dst, sport, mean_gap)

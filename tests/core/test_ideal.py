@@ -39,6 +39,14 @@ class TestIdealCapture:
         assert unit.snaps[3].channel_state == 1
         assert unit.snaps[1].channel_state == 0
 
+    def test_quiet_sid_follows_sid_only_without_channel_state(self):
+        for channel_state in (False, True):
+            unit = _ideal(channel_state=channel_state)
+            unit.process_packet(_pkt(3), 0, 10)
+            unit.process_packet(_pkt(1), 0, 20)
+            assert unit.sid == 3
+            assert unit.quiet_sid == (None if channel_state else 3)
+
     def test_initiation_not_in_flight(self):
         unit = _ideal()
         unit.process_packet(_pkt(2), 0, 10)

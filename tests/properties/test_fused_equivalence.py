@@ -3,8 +3,10 @@ matrix (ROADMAP, docs/PERF.md "The fused hop").
 
 Hypothesis draws a small network, Poisson traffic with a 64 B / 1500 B
 size mix (so serialisation times differ and short packets queue behind
-long ones), one or three CoS lanes and a :class:`FaultSchedule` over
-the five data-path fault kinds, overlapping windows included.  The same
+long ones), one or three CoS lanes, channel state on or off (off, a
+unit pass that carries the unit's own epoch takes the quiet pass,
+``SnapshotAgent.quiet_sid``) and a :class:`FaultSchedule` over the five
+data-path fault kinds, overlapping windows included.  The same
 scenario then runs twice — links wired fused, and links wired the way
 every scoped (multi-shard) network wires them, one event per finish
 instant — and must reach the same state-level digest
@@ -85,7 +87,8 @@ def run_scenario(case, schedule, scope):
         stop_ns=TRAFFIC_NS, sport_churn=True))
     workload.num_cos = case["num_cos"]
     workload.start()
-    deployment = deploy(network, metric="packet_count", channel_state=True)
+    deployment = deploy(network, metric="packet_count",
+                        channel_state=case["channel_state"])
     FaultInjector(network, schedule, deployment=deployment).arm()
     deployment.schedule_campaign(count=2, interval_ns=150 * US)
     network.run(until=UNTIL_NS)
@@ -119,6 +122,7 @@ def cases(draw):
         "seed": draw(st.integers(min_value=0, max_value=10_000)),
         "num_cos": draw(st.sampled_from([1, 3])),
         "rate_pps": draw(st.sampled_from([100_000.0, 400_000.0])),
+        "channel_state": draw(st.booleans()),
     }
     events = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):

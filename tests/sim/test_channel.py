@@ -79,6 +79,12 @@ class TestLink:
         # 1250 bytes = 10000 bits at 10 Gbps -> 1000 ns
         assert link.serialization_ns(1250) == 1000
 
+    def test_negative_size_raises_naming_link_and_size(self):
+        link = Link(Simulator(), name="leaf0->spine1")
+        with pytest.raises(ValueError, match=r"'leaf0->spine1'.* -20000 B"):
+            link.serialization_ns(-20000)
+        assert link.serialization_ns(0) == 0
+
     def test_invalid_parameters(self):
         sim = Simulator()
         with pytest.raises(ValueError):

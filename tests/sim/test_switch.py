@@ -15,6 +15,8 @@ from repro.topology import linear, single_switch
 class RecordingAgent:
     """Minimal SnapshotAgent capturing calls."""
 
+    quiet_sid = None
+
     def __init__(self, sid=0):
         self._sid = sid
         self.calls = []
@@ -78,6 +80,15 @@ class TestQueueing:
         net.run(until=5 * MS)
         assert net.host("server1").packets_received == 100
 
+    def test_negative_packet_size_raises_before_time_moves(self):
+        """Serialising it would schedule into the past: the lane's
+        serialisation-table miss raises instead."""
+        net = _single_net()
+        with pytest.raises(ValueError, match="-20000 B"):
+            _send(net, "server0", "server1", size=-20000)
+            net.run(until=1 * MS)
+        assert net.host("server1").packets_received == 0
+
     def test_queue_depth_visible_under_fanin(self):
         net = _single_net(hosts=3)
         # Two senders converge on one 25G host link at line rate each.
@@ -124,6 +135,46 @@ class TestSnapshotPlumbing:
         assert egress_agent.calls[0][1] == in_port
         # Host received the packet with the header removed.
         assert log["server1"][flow].packets == 1
+
+    def test_quiet_pass_skips_the_agent_but_counts_and_traces(self):
+        """A packet carrying the agent's ``quiet_sid`` is not handed to
+        it: the unit counts the pass in ``packets_seen``, updates its
+        counters and traces it; any other ID is still processed."""
+        class QuietAgent(RecordingAgent):
+            def __init__(self, sid):
+                super().__init__(sid)
+                self.quiet_sid = sid
+                self.packets_seen = 0
+
+        net = _single_net()
+        sw = net.switch("sw0")
+        events = []
+        sw.trace_sink = events.append
+        in_port = net.port_toward("sw0", "server0")
+        out_port = net.port_toward("sw0", "server1")
+        ingress, egress = sw.ports[in_port].ingress, sw.ports[out_port].egress
+        for unit in (ingress, egress):
+            unit.snapshot_agent = QuietAgent(sid=4)
+        counter = PacketCounter()
+        ingress.counters.add("pkts", counter)
+        net.refresh_header_stripping()
+        _send(net, "server0", "server1", n=3)
+        net.run(until=1 * MS)
+        for unit in (ingress, egress):
+            assert unit.snapshot_agent.calls == []
+            assert unit.snapshot_agent.packets_seen == 3
+        assert counter.read() == 3
+        assert net.host("server1").packets_received == 3
+        rows = [(e.unit, e.carried_sid, e.unit_sid_after, e.channel)
+                for e in events]
+        for row in ((ingress.unit_id, 4, 4, EXTERNAL_CHANNEL),
+                    (egress.unit_id, 4, 4, in_port)):
+            assert rows.count(row) == 3
+        assert len(rows) == 6
+        ingress.handle_packet(make_initiation_packet(9))
+        assert ingress.snapshot_agent.calls == [
+            (9, CPU_CHANNEL, net.sim.now, PacketType.INITIATION)]
+        assert ingress.snapshot_agent.packets_seen == 3
 
     def test_counters_updated_for_data_not_initiation(self):
         net = _single_net()

@@ -48,6 +48,14 @@ class TestPoisson:
         # Every host should have received something.
         assert all(h.packets_received > 0 for h in net.hosts.values())
 
+    @pytest.mark.parametrize("field, value", [
+        ("rate_pps", 0), ("rate_pps", -100), ("rate_pps", float("inf")),
+        ("rate_pps", float("nan")), ("size_bytes", 0),
+        ("size_bytes", -20000)])
+    def test_config_rejects_non_positive_rate_and_size(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PoissonConfig(**{field: value})
+
     def test_sport_churn_creates_many_flows(self, record_arrivals):
         net = _net()
         log = record_arrivals(net)
