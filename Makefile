@@ -8,6 +8,7 @@ PROFILE_EXP ?= fig10
 
 .PHONY: install test lint statics typecheck static-checks \
         bench bench-smoke bench-experiments fused-diff-deep jobs-diff-deep \
+        matrix-deep \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -79,6 +80,14 @@ bench-smoke:
 fused-diff-deep:
 	REPRO_FUSED_DIFF_EXAMPLES=3000 $(PYTHON) -m pytest -q \
 	    tests/properties/test_fused_equivalence.py
+
+# The equivalence matrix (tests/properties/test_equivalence_matrix.py;
+# docs/SHARDING.md) at a thousand drawn deployments instead of the
+# tier-1 smoke's twenty, fat-tree k=4 added at a reduced rate (~7 min);
+# a counterexample prints as a dict that @example(...) pins.
+matrix-deep:
+	REPRO_MATRIX_EXAMPLES=1000 REPRO_MATRIX_DEEP=1 $(PYTHON) -m pytest -q \
+	    tests/properties/test_equivalence_matrix.py
 
 # The --jobs 1 vs --jobs N comparison (tests/runtime/test_runner.py,
 # tier-1: two tiny trials per experiment) over the whole quick suite:

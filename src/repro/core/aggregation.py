@@ -53,7 +53,8 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Optional
 
-from repro.core.control_plane import SwitchControlPlane, UnitSnapshotRecord
+from repro.core.control_plane import (SwitchControlPlane, UnitSnapshotRecord,
+                                      check_minimums)
 from repro.sim.engine import Simulator, US, MS
 from repro.topology.graph import NodeKind, Topology
 
@@ -93,8 +94,9 @@ class AggregationConfig:
     buffer_capacity: int = 4096
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        check_minimums(self, {"degree": 0, "relay_service_ns": 0,
+                              "relay_per_record_ns": 0, "flush_timeout_ns": 0,
+                              "buffer_capacity": 1})
 
 
 @dataclass

@@ -60,6 +60,16 @@ from repro.sim.packet import Packet, PacketType, SnapshotHeader, FlowKey, make_i
 from repro.sim.switch import BROADCAST_DST, Switch, UnitId
 
 
+def check_minimums(config: object, minimums: dict[str, float]) -> None:
+    """Refuse any field of ``config`` below its minimum, naming it —
+    each deployment config checks its own fields at construction."""
+    for name, least in minimums.items():
+        value = getattr(config, name)
+        if value < least:
+            raise ValueError(f"{type(config).__name__}.{name} must be "
+                             f">= {least}, got {value!r}")
+
+
 @dataclass
 class UnitSnapshotRecord:
     """One unit's contribution to a global snapshot, as read by the CP."""
@@ -139,6 +149,23 @@ class ControlPlaneConfig:
     #: :class:`~repro.core.recovery.RecoveryPolicy`.
     register_poll_interval_ns: int = 0
     seed: int = 11
+
+    def __post_init__(self) -> None:
+        if self.notification_transport not in ("socket", "digest"):
+            raise ValueError(
+                f"ControlPlaneConfig.notification_transport: unknown "
+                f"transport {self.notification_transport!r} (use 'socket' "
+                "or 'digest')")
+        check_minimums(self, {
+            "notification_service_ns": 0, "notification_jitter_ns": 0,
+            "buffer_capacity": 1, "digest_batch": 1, "digest_timeout_ns": 0,
+            "digest_service_ns": 0, "digest_per_record_ns": 0,
+            "initiation_cpu_ns": 0, "initiation_jitter_ns": 0,
+            "wakeup_median_ns": 1, "wakeup_sigma": 0,
+            "wakeup_tail_probability": 0, "wakeup_tail_max_ns": 0,
+            "wakeup_max_ns": 0, "reinitiation_timeout_ns": 0,
+            "max_reinitiations": 0, "probe_delay_ns": 0,
+            "register_poll_interval_ns": 0})
 
 
 class NotificationChannel:
@@ -364,18 +391,11 @@ class SwitchControlPlane:
         #: (installed by the deployment; routed over the mgmt plane).
         self.ship = ship
         self.trackers: dict[UnitId, _UnitTracker] = {}
-        if self.config.notification_transport == "digest":
-            self.channel = DigestChannel(self.sim, self.rng, self.config,
-                                         self._on_notification)
-        elif self.config.notification_transport == "socket":
-            self.channel = NotificationChannel(self.sim, self.rng,
-                                               self.config,
-                                               self._on_notification)
-        else:
-            raise ValueError(
-                f"unknown notification transport "
-                f"{self.config.notification_transport!r} "
-                "(use 'socket' or 'digest')")
+        channel = (DigestChannel
+                   if self.config.notification_transport == "digest"
+                   else NotificationChannel)
+        self.channel = channel(self.sim, self.rng, self.config,
+                               self._on_notification)
         switch.notification_sink = self.channel.deliver
         #: epoch -> [earliest, latest, count] of the data-plane timestamps
         #: on the processed notifications carrying that epoch — the

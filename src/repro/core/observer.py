@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from collections.abc import Callable
 from typing import Optional, Protocol, TYPE_CHECKING
 
-from repro.core.control_plane import UnitSnapshotRecord
+from repro.core.control_plane import UnitSnapshotRecord, check_minimums
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.aggregation import AggregateMessage, AggregationTree
@@ -52,6 +52,12 @@ class ObserverConfig:
     max_retries: int = 2
     #: Give up and exclude silent devices after this long.
     device_timeout_ns: int = 250 * MS
+
+    def __post_init__(self) -> None:
+        # A zero retry timeout would spend every retry at the initiation
+        # instant itself.
+        check_minimums(self, {"lead_time_ns": 0, "retry_timeout_ns": 1,
+                              "max_retries": 0, "device_timeout_ns": 0})
 
 
 class InitiationTarget(Protocol):

@@ -29,7 +29,7 @@ from typing import Any, Optional
 
 from repro.core.control_plane import ControlPlaneConfig
 from repro.core.observer import ObserverConfig
-from repro.sim.engine import MS, US
+from repro.sim.engine import MS
 
 __all__ = ["RECOVERY_PRESETS", "RecoveryPolicy", "recovery_preset"]
 
@@ -38,47 +38,32 @@ __all__ = ["RECOVERY_PRESETS", "RecoveryPolicy", "recovery_preset"]
 class RecoveryPolicy:
     """Every §6 recovery/liveness tunable, in one declarative object.
 
-    The defaults reproduce the paper-calibrated values that were
-    previously hard-coded, so ``RecoveryPolicy()`` is behaviourally
-    neutral.
+    Each default is read from the config the field overlays, so
+    ``RecoveryPolicy()`` is behaviourally neutral and the paper's values
+    live in one place; each value is checked by building both configs.
     """
 
     name: str = "paper-default"
     #: Control plane: re-send initiations for locally incomplete epochs.
-    reinitiation_timeout_ns: int = 20 * MS
-    max_reinitiations: int = 3
+    reinitiation_timeout_ns: int = ControlPlaneConfig.reinitiation_timeout_ns
+    max_reinitiations: int = ControlPlaneConfig.max_reinitiations
     #: Control plane: idle-channel probe injection after each initiation
     #: (0 disables; liveness then rides on re-initiation alone).
-    probe_delay_ns: int = 2 * MS
+    probe_delay_ns: int = ControlPlaneConfig.probe_delay_ns
     #: Control plane: periodic proactive register polls (0 disables) —
     #: recovers from dropped notifications without waiting for timeouts.
-    register_poll_interval_ns: int = 0
+    register_poll_interval_ns: int = ControlPlaneConfig.register_poll_interval_ns
     #: Control plane (digest transport only): flush timer.
-    digest_timeout_ns: int = 500 * US
+    digest_timeout_ns: int = ControlPlaneConfig.digest_timeout_ns
     #: Observer: re-register initiations for incomplete snapshots.
-    retry_timeout_ns: int = 50 * MS
-    max_retries: int = 2
+    retry_timeout_ns: int = ObserverConfig.retry_timeout_ns
+    max_retries: int = ObserverConfig.max_retries
     #: Observer: exclude silent devices only after this grace period.
-    device_timeout_ns: int = 250 * MS
+    device_timeout_ns: int = ObserverConfig.device_timeout_ns
 
     def __post_init__(self) -> None:
-        for field_name in ("reinitiation_timeout_ns", "probe_delay_ns",
-                           "register_poll_interval_ns", "digest_timeout_ns",
-                           "retry_timeout_ns", "device_timeout_ns"):
-            if getattr(self, field_name) < 0:
-                raise ValueError(
-                    f"{field_name} must be >= 0, "
-                    f"got {getattr(self, field_name)}")
-        if self.max_reinitiations < 0:
-            raise ValueError(
-                f"max_reinitiations must be >= 0, "
-                f"got {self.max_reinitiations}")
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_timeout_ns <= 0:
-            raise ValueError(
-                f"retry_timeout_ns must be > 0, got {self.retry_timeout_ns}")
+        self.control_plane_config()
+        self.observer_config()
 
     # ------------------------------------------------------------------
     # Threading into the core configs

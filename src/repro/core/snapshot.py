@@ -70,8 +70,10 @@ class GlobalSnapshot:
         # ``records`` only ever holds expected units (``add_record``
         # rejects others, ``exclude_device`` filters both), so a length
         # check avoids rebuilding a UnitId set per arriving record — a
-        # top-ten hotspot in notification-heavy trials.
-        return len(self.records) >= len(self.expected_units)
+        # top-ten hotspot in notification-heavy trials.  A snapshot left
+        # with no records (every device excluded) is not complete.
+        records = self.records
+        return len(records) >= len(self.expected_units) and bool(records)
 
     @property
     def consistent(self) -> bool:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import ObserverConfig, SnapshotStatus, deploy
 from repro.core.control_plane import UnitSnapshotRecord
+from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.switch import Direction, UnitId
@@ -104,6 +105,23 @@ class TestRetriesAndExclusion:
         assert "leaf1" in snap.excluded_devices
         assert snap.status is SnapshotStatus.COMPLETE  # of remaining devices
         assert all(u.device != "leaf1" for u in snap.records)
+
+    def test_snapshot_with_every_device_excluded_is_partial(self):
+        """Every control plane crashes before the campaign: each epoch
+        ends with no records at all, which is not a complete cut."""
+        net, dep = _deploy(topo=leaf_spine(hosts_per_leaf=2))
+        schedule = FaultSchedule()
+        schedule.add("cp_crash", 1 * MS)
+        FaultInjector(net, schedule, deployment=dep).arm()
+        epochs = dep.schedule_campaign(count=3, interval_ns=5 * MS)
+        net.run(until=1 * S)
+        for epoch in epochs:
+            snap = dep.observer.snapshot(epoch)
+            assert snap.records == {}
+            assert len(snap.excluded_devices) == 4
+            assert not snap.complete
+            assert snap.status is SnapshotStatus.PARTIAL
+        assert dep.observer.completed_snapshots(require_consistent=True) == []
 
     def test_retry_resends_initiations(self):
         net, dep = _deploy(

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import (RECOVERY_PRESETS, RecoveryPolicy, recovery_preset,
-                        deploy)
+from repro.core import (RECOVERY_PRESETS, AggregationConfig, RecoveryPolicy,
+                        deploy, recovery_preset)
 from repro.core.control_plane import ControlPlaneConfig
 from repro.core.observer import ObserverConfig
 from repro.sim.engine import MS, US
@@ -30,6 +30,25 @@ class TestRecoveryPolicy:
             RecoveryPolicy(max_retries=-1)
         with pytest.raises(ValueError, match="retry_timeout_ns"):
             RecoveryPolicy(retry_timeout_ns=0)
+
+    @pytest.mark.parametrize("config, field, value", [
+        # Each of these once switched collection off silently, spent
+        # every retry at the initiation instant, or failed late at the
+        # first notification with no field named.
+        (ControlPlaneConfig, "buffer_capacity", 0),
+        (AggregationConfig, "buffer_capacity", 0),
+        (ObserverConfig, "retry_timeout_ns", 0),
+        (ControlPlaneConfig, "notification_jitter_ns", -1),
+        (ControlPlaneConfig, "digest_timeout_ns", -1),
+        (ControlPlaneConfig, "digest_batch", 0),
+        (ControlPlaneConfig, "notification_transport", "pigeon"),
+        # The policy validates by building both configs.
+        (RecoveryPolicy, "digest_timeout_ns", -1),
+        (RecoveryPolicy, "device_timeout_ns", -1),
+    ])
+    def test_each_config_names_its_bad_field(self, config, field, value):
+        with pytest.raises(ValueError, match=field):
+            config(**{field: value})
 
     def test_overlay_preserves_non_recovery_fields(self):
         policy = recovery_preset("eager")

@@ -4,17 +4,15 @@
 Same seed, same simulation: every answer the query engine computes from
 the delta store must equal what batch analysis computes directly from
 the observer's in-memory snapshots — the store and the one canonical
-serializer may not change a single bit of the records.
+serializer may not change a single bit of the records (stored docs and
+conservation over drawn deployments: test_equivalence_matrix.py).
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.analysis import ConsistencyChecker, epoch_record
-from repro.analysis.invariants import LinkAudit
+from repro.analysis import epoch_record
 from repro.core import deploy
 from repro.service.pipeline import ContinuousCampaign, PipelineConfig, \
     SnapshotPipeline
@@ -25,13 +23,8 @@ from repro.topology import leaf_spine
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
 
-def _canon(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _service_run(metric="packet_count", seed=5, ticks=8, tracing=True):
-    network = Network(leaf_spine(hosts_per_leaf=1),
-                      NetworkConfig(seed=seed, enable_tracing=tracing))
+def _service_run(metric="packet_count", seed=5, ticks=8):
+    network = Network(leaf_spine(hosts_per_leaf=1), NetworkConfig(seed=seed))
     deployment = deploy(network, metric=metric)
     PoissonWorkload(network, PoissonConfig(
         seed=seed, rate_pps=20_000.0, stop_ns=ticks * 5 * MS,
@@ -46,16 +39,6 @@ def _service_run(metric="packet_count", seed=5, ticks=8, tracing=True):
 
 
 class TestStoredDocsMatchBatch:
-    def test_every_stored_doc_equals_batch_serialization(self):
-        network, deployment, pipeline = _service_run()
-        engine = QueryEngine(pipeline.store)
-        docs = engine.range()
-        assert docs, "service stored nothing"
-        for doc in docs:
-            batch = epoch_record(deployment.observer.snapshot(doc["epoch"]))
-            batch["merged_epochs"] = 0  # uncongested run: nothing merged
-            assert _canon(doc) == _canon(batch)
-
     def test_range_bounds_are_inclusive(self):
         network, deployment, pipeline = _service_run()
         engine = QueryEngine(pipeline.store)
@@ -76,32 +59,15 @@ class TestStoredDocsMatchBatch:
 
 
 class TestConservation:
-    def test_matches_batch_checker_on_same_seed(self):
-        network, deployment, pipeline = _service_run()
-        checker = ConsistencyChecker(deployment.ids)
-        checker.ingest(network.trace_log)
-        engine = QueryEngine(pipeline.store, checker=checker,
-                             link_audit=LinkAudit(network))
-        result = engine.conservation()
-        assert result["checked"] > 0
-        assert result["violations"] == {}
-        assert result["violating_epochs"] == []
-        # Ground truth: the batch path over the very same snapshots.
-        for epoch in engine.epochs():
-            snapshot = deployment.observer.snapshot(epoch)
-            if snapshot.records and snapshot.consistent:
-                assert checker.violations_of(snapshot, False) == []
-
     def test_requires_a_law_to_check(self):
-        network, deployment, pipeline = _service_run(tracing=False)
+        network, deployment, pipeline = _service_run()
         with pytest.raises(ValueError):
             QueryEngine(pipeline.store).conservation()
 
 
 class TestHeavyHitters:
     def test_drilldown_matches_batch_ordering(self):
-        network, deployment, pipeline = _service_run(metric="heavy_hitter",
-                                                     tracing=False)
+        network, deployment, pipeline = _service_run(metric="heavy_hitter")
         engine = QueryEngine(pipeline.store)
         answer = engine.heavy_hitters(top=4)
         assert answer["epoch"] == pipeline.store.max_epoch
@@ -119,8 +85,7 @@ class TestHeavyHitters:
         assert got == want
 
     def test_live_flow_resolver_pins_flows(self):
-        network, deployment, pipeline = _service_run(metric="heavy_hitter",
-                                                     tracing=False)
+        network, deployment, pipeline = _service_run(metric="heavy_hitter")
 
         def resolver(device):
             switch = network.switches[device]

@@ -152,16 +152,20 @@ class TestDeployIntegration:
 
     def test_deploy_arms_plan(self):
         net = _net()
-        deployment = deploy(net, metric="fib_version",
-                            updates=TimedSwap(at_ns=20 * MS, routes=ROUTES),
-                            update_horizon_ns=100 * MS)
+        schedule = TimedSwap(at_ns=20 * MS, routes=ROUTES).compile(
+            UpdateContext.for_topology(net.topology, horizon_ns=100 * MS))
+        deployment = deploy(net, metric="fib_version", updates=schedule)
         assert deployment.update_driver is not None
         assert deployment.update_driver.armed
         net.run(until=40 * MS)
         assert len(deployment.update_driver.applied) == 2
 
     def test_deploy_plan_requires_horizon(self):
+        """A plan is compiled over a horizon by its caller; deploy
+        refuses one that was not."""
         net = _net()
-        with pytest.raises(ValueError):
-            deploy(net, metric="fib_version",
-                   updates=TimedSwap(at_ns=20 * MS, routes=ROUTES))
+        plan = TimedSwap(at_ns=20 * MS, routes=ROUTES)
+        with pytest.raises(TypeError, match="horizon_ns"):
+            plan.compile(UpdateContext.for_topology(net.topology))
+        with pytest.raises(TypeError, match="compiled UpdateSchedule"):
+            deploy(net, metric="fib_version", updates=plan)
