@@ -8,7 +8,7 @@ PROFILE_EXP ?= fig10
 
 .PHONY: install test lint statics typecheck static-checks \
         bench bench-smoke bench-experiments fused-diff-deep jobs-diff-deep \
-        matrix-deep \
+        matrix-deep store-diff-deep \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -88,6 +88,15 @@ fused-diff-deep:
 matrix-deep:
 	REPRO_MATRIX_EXAMPLES=1000 REPRO_MATRIX_DEEP=1 $(PYTHON) -m pytest -q \
 	    tests/properties/test_equivalence_matrix.py
+
+# The store's write-path differentials (tests/service/test_store.py:
+# canonical_bytes against the sorted json.dumps length over drawn JSON
+# values, the exact encoded_bytes sum over drawn document sequences, and
+# snapshot_rows against the old key-lambda order) at two thousand
+# examples each instead of the tier-1 smoke's forty (~1 min).
+store-diff-deep:
+	REPRO_STORE_DIFF_EXAMPLES=2000 $(PYTHON) -m pytest -q \
+	    tests/service/test_store.py -k TestWritePathDifferentials
 
 # The --jobs 1 vs --jobs N comparison (tests/runtime/test_runner.py,
 # tier-1: two tiny trials per experiment) over the whole quick suite:

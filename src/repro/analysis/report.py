@@ -17,23 +17,22 @@ from repro.sim.switch import Direction, UnitId
 
 def snapshot_rows(snapshot: GlobalSnapshot) -> list[dict[str, object]]:
     """One flat dict per unit record (stable ordering)."""
-    rows = []
-    for unit, record in sorted(snapshot.records.items(),
-                               key=lambda kv: (kv[0].device, kv[0].port,
-                                               kv[0].direction.value)):
-        rows.append({
-            "epoch": snapshot.epoch,
-            "device": unit.device,
-            "port": unit.port,
-            "direction": unit.direction.value,
-            "value": record.value,
-            "channel_state": record.channel_state,
-            "total": record.total_value,
-            "consistent": record.consistent,
-            "captured_ns": record.captured_ns,
-            "read_ns": record.read_ns,
-        })
-    return rows
+    # Units are unique, so the sort never reaches (or compares) a record.
+    epoch = snapshot.epoch
+    return [{
+        "epoch": epoch,
+        "device": device,
+        "port": port,
+        "direction": direction,
+        "value": record.value,
+        "channel_state": record.channel_state,
+        "total": record.total_value,
+        "consistent": record.consistent,
+        "captured_ns": record.captured_ns,
+        "read_ns": record.read_ns,
+    } for device, port, direction, record in sorted(
+        [(u.device, u.port, u.direction.value, r)
+         for u, r in snapshot.records.items()])]
 
 
 @functools.lru_cache(maxsize=4096)

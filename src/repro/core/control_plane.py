@@ -469,14 +469,15 @@ class SwitchControlPlane:
             jitter = self.rng.randint(-self.config.initiation_jitter_ns,
                                       self.config.initiation_jitter_ns)
             delay = wakeup + (k + 1) * self.config.initiation_cpu_ns + jitter
-            self.sim.schedule(max(delay, 1), self._inject_initiation,
-                              port, epoch)
+            self.sim.schedule_fast(max(delay, 1), self._inject_initiation,
+                                   port, epoch)
         self.initiations_sent += 1
         if self.channel_state and self.config.probe_delay_ns > 0:
-            self.sim.schedule(self.config.probe_delay_ns, self.inject_probes)
+            self.sim.schedule_fast(self.config.probe_delay_ns,
+                                   self.inject_probes)
         if self.config.reinitiation_timeout_ns > 0:
-            self.sim.schedule(self.config.reinitiation_timeout_ns,
-                              self._maybe_reinitiate, epoch)
+            self.sim.schedule_fast(self.config.reinitiation_timeout_ns,
+                                   self._maybe_reinitiate, epoch)
 
     def _snapshot_ports(self) -> list[int]:
         if self._ports is None:
@@ -489,9 +490,9 @@ class SwitchControlPlane:
         # The message crosses the CPU→ASIC channel, then enters the
         # ingress unit like any packet (Figure 6, path 3).
         # statics: allow[SIM003] models the switch-internal CPU port: the CPU→ASIC channel is inside one switch, not a network link
-        self.sim.schedule(self.switch.config.asic_cpu_latency_ns,
-                          self.switch.ports[port].ingress.handle_packet,
-                          packet)
+        self.sim.schedule_fast(self.switch.config.asic_cpu_latency_ns,
+                               self.switch.ports[port].ingress.handle_packet,
+                               packet)
 
     def _sample_wakeup_ns(self) -> int:
         cfg = self.config

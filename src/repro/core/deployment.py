@@ -380,16 +380,18 @@ class SpeedlightDeployment:
         connected = switch.connected_ports()
         feasible = (self.network.feasible_channels(name)
                     if self.config.channel_state else set())
+        units: set[UnitId] = set()
         for port_index in connected:
             port = switch.ports[port_index]
-            cp.register_unit(port.ingress.snapshot_agent,
-                             self._ingress_gating(name, port_index))
-            cp.register_unit(port.egress.snapshot_agent,
+            ingress = port.ingress.snapshot_agent
+            egress = port.egress.snapshot_agent
+            cp.register_unit(ingress, self._ingress_gating(name, port_index))
+            cp.register_unit(egress,
                              self._egress_gating(switch, feasible, port_index))
-        self.observer.register_device(
-            name, cp,
-            {UnitId(name, p, d) for p in connected
-             for d in (Direction.INGRESS, Direction.EGRESS)})
+            # The agents' own unit objects: a record's unit then matches
+            # the observer's expected set by identity.
+            units.update((ingress.unit_id, egress.unit_id))
+        self.observer.register_device(name, cp, units)
 
     def _cos_classes(self, switch: Switch) -> list[int]:
         if self.config.cos_classes is not None:

@@ -63,6 +63,9 @@ class GlobalSnapshot:
 
     @property
     def missing_units(self) -> set[UnitId]:
+        # ``records`` holds expected units only (see ``complete``).
+        if len(self.records) >= len(self.expected_units):
+            return set()
         return self.expected_units - set(self.records)
 
     @property

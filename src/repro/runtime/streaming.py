@@ -23,6 +23,7 @@ from typing import Callable, Optional
 from repro.analysis.invariants import LinkAudit
 from repro.core.aggregation import AggregationConfig
 from repro.core.builder import deploy
+from repro.core.control_plane import check_minimums
 from repro.service.pipeline import (ContinuousCampaign, PipelineConfig,
                                     SnapshotPipeline)
 from repro.service.query import FlowResolver, QueryEngine
@@ -54,6 +55,13 @@ class ServiceSpec:
     #: Simulation-time chunk per stepping iteration.
     chunk_ns: int = 50 * MS
 
+    def __post_init__(self) -> None:
+        # A zero chunk would step the simulation to where it already is,
+        # forever.
+        check_minimums(self, {"num_leaves": 1, "num_spines": 1,
+                              "hosts_per_leaf": 1, "interval_ns": 1,
+                              "mean_request_gap_ns": 0, "chunk_ns": 1})
+
 
 @dataclass
 class ServiceReport:
@@ -82,12 +90,8 @@ class ServiceReport:
 class ServiceRun:
     """A wired, steppable snapshot service instance."""
 
-    def __init__(self, spec: Optional[ServiceSpec] = None, **kwargs) -> None:
-        if spec is None:
-            spec = ServiceSpec(**kwargs)
-        elif kwargs:
-            raise ValueError("pass spec or kwargs, not both")
-        self.spec = spec
+    def __init__(self, spec: Optional[ServiceSpec] = None) -> None:
+        self.spec = spec = spec or ServiceSpec()
         topo = leaf_spine(num_leaves=spec.num_leaves,
                           num_spines=spec.num_spines,
                           hosts_per_leaf=spec.hosts_per_leaf)

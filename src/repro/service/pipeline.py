@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.report import epoch_record
+from repro.core.control_plane import check_minimums
 from repro.core.observer import SnapshotObserver
 from repro.core.snapshot import GlobalSnapshot
 from repro.service.store import EpochStore, StoreConfig
@@ -49,8 +50,10 @@ class PipelineConfig:
     ingest_per_record_ns: int = 2 * US
 
     def __post_init__(self) -> None:
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
+        # A negative cost would schedule the ingest in the past.
+        check_minimums(self, {"retention": 1, "keyframe_interval": 1,
+                              "queue_capacity": 1, "ingest_service_ns": 0,
+                              "ingest_per_record_ns": 0})
 
 
 class SnapshotPipeline:

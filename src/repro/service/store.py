@@ -32,12 +32,14 @@ EpochDoc = dict[str, object]
 
 _KEYFRAME = "key"
 _DELTA = "delta"
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def canonical_bytes(payload: object) -> int:
     """Exact size of ``payload`` as canonical (sorted, separator-free)
-    JSON — the store's unit of memory accounting."""
-    return len(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    JSON — the store's unit of memory accounting.  Key order never
+    changes a JSON text's length, so the keys are left unsorted."""
+    return len(_ENCODER.encode(payload))
 
 
 def _row_key(row: EpochDoc) -> str:
@@ -204,13 +206,8 @@ class _Entry:
 class EpochStore:
     """Bounded, delta-encoded history of epoch records."""
 
-    def __init__(self, config: Optional[StoreConfig] = None,
-                 **config_kwargs) -> None:
-        if config is None:
-            config = StoreConfig(**config_kwargs)
-        elif config_kwargs:
-            raise ValueError("pass config or kwargs, not both")
-        self.config = config
+    def __init__(self, config: Optional[StoreConfig] = None) -> None:
+        self.config = config or StoreConfig()
         self._entries: deque[_Entry] = deque()
         #: epoch -> lifetime append number; the entry sits at ring
         #: position ``number - self.evicted``.

@@ -18,7 +18,7 @@ import random
 from collections.abc import Callable
 from typing import Any
 
-from repro.sim.engine import Simulator, US
+from repro.sim.engine import Simulator, US, exact_ns
 
 
 class ManagementPlane:
@@ -31,7 +31,8 @@ class ManagementPlane:
             raise ValueError("latencies must be non-negative")
         self.sim = sim
         self.rng = rng
-        self.base_latency_ns = base_latency_ns
+        # An exact int, so send() may skip the engine's checks.
+        self.base_latency_ns = exact_ns(base_latency_ns, "base_latency_ns")
         self.jitter_ns = jitter_ns
         self.messages_sent = 0
         #: Jitter draws batched ahead of use (this RNG stream has no
@@ -54,7 +55,7 @@ class ManagementPlane:
     def send(self, deliver: Callable[..., Any], *args: Any) -> None:
         """Deliver ``deliver(*args)`` after one sampled one-way latency."""
         self.messages_sent += 1
-        self.sim.schedule(self.one_way_latency_ns(), deliver, *args)
+        self.sim.schedule_fast(self.one_way_latency_ns(), deliver, *args)
 
     def request(self, handler: Callable[..., Any], reply: Callable[..., Any],
                 *args: Any) -> None:

@@ -24,7 +24,7 @@ from repro.service import query as query_module
 from repro.service.pipeline import ContinuousCampaign, PipelineConfig, \
     SnapshotPipeline
 from repro.service.query import QueryEngine
-from repro.service.store import EpochStore
+from repro.service.store import EpochStore, StoreConfig
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.switch import Direction, UnitId
@@ -175,7 +175,7 @@ class TestDecodeEqualsTheOracle:
            st.one_of(st.none(), st.integers(min_value=0, max_value=50)),
            st.one_of(st.none(), st.integers(min_value=0, max_value=50)))
     def test_conservation_over_a_drawn_history(self, docs, start, end):
-        store = EpochStore(retention=6, keyframe_interval=3)
+        store = EpochStore(StoreConfig(retention=6, keyframe_interval=3))
         for doc in {d["epoch"]: d for d in docs}.values():
             store.append(doc)
         engine = QueryEngine(store, link_audit=AUDIT)
@@ -237,7 +237,7 @@ def _wide_doc(epoch: int, rows: int) -> dict[str, object]:
 class TestUnitTable:
     def test_a_point_read_keeps_one_object_per_row(self):
         rows = 160
-        store = EpochStore(retention=8, keyframe_interval=4)
+        store = EpochStore(StoreConfig(retention=8, keyframe_interval=4))
         for epoch in range(1, 6):
             store.append(_wide_doc(epoch, rows))
         engine = QueryEngine(store)

@@ -73,11 +73,25 @@ class TestServiceRun:
         assert answer["units"]
         assert answer["flows"], "heavy_hitter serve must drill to flows"
 
-    def test_spec_kwargs_shorthand(self):
-        run = ServiceRun(seed=3, interval_ns=2 * MS)
-        assert run.spec.seed == 3
-        with pytest.raises(ValueError):
-            ServiceRun(ServiceSpec(), seed=3)
+    def test_spec_is_the_one_constructor_form(self):
+        assert ServiceRun(_spec(seed=3)).spec.seed == 3
+        with pytest.raises(TypeError):
+            ServiceRun(seed=3)  # type: ignore[call-arg]
+
+    @pytest.mark.parametrize("field", ["num_leaves", "num_spines",
+                                       "hosts_per_leaf", "interval_ns",
+                                       "chunk_ns"])
+    def test_spec_refuses_a_zero_field(self, field):
+        # chunk_ns=0 used to step the simulation to where it already
+        # was, forever: 0 epochs stored, sim.now still 0.
+        with pytest.raises(ValueError, match=f"ServiceSpec.{field} "):
+            ServiceSpec(**{field: 0})
+
+    def test_spec_refuses_a_negative_request_gap(self):
+        assert ServiceSpec(mean_request_gap_ns=0).mean_request_gap_ns == 0
+        with pytest.raises(ValueError,
+                           match="ServiceSpec.mean_request_gap_ns "):
+            ServiceSpec(mean_request_gap_ns=-1)
 
     def test_epochs_validated(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,15 @@ class TestBackpressure:
         with pytest.raises(ValueError):
             PipelineConfig(queue_capacity=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ingest_service_ns", -1), ("ingest_per_record_ns", -1),
+        ("retention", 0), ("keyframe_interval", 0), ("queue_capacity", 0)])
+    def test_config_refuses_each_field_below_its_minimum(self, field, value):
+        # A negative ingest cost used to schedule the ingest in the past.
+        with pytest.raises(ValueError, match=f"PipelineConfig.{field} "):
+            PipelineConfig(**{field: value})
+        PipelineConfig(**{field: value + 1})  # the minimum itself is fine
+
 
 class TestContinuousCampaign:
     def test_ticks_until_stopped(self):

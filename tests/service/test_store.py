@@ -11,14 +11,23 @@ length, and the byte accounting is exact, not estimated.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.report import snapshot_rows
+from repro.core.control_plane import UnitSnapshotRecord
+from repro.core.snapshot import GlobalSnapshot
 from repro.service import store as store_module
 from repro.service.query import QueryEngine
 from repro.service.store import (EpochStore, StoreConfig, apply_delta,
                                  canonical_bytes, encode_delta)
+from repro.sim.switch import Direction, UnitId
+
+#: Examples per write-path differential (``make store-diff-deep`` sets
+#: ``REPRO_STORE_DIFF_EXAMPLES=2000``).
+DIFF_EXAMPLES = int(os.environ.get("REPRO_STORE_DIFF_EXAMPLES", "40"))
 
 #: A small fixed unit universe; presence masks make units come and go.
 UNITS = [("sw0", 0, "ingress"), ("sw0", 0, "egress"),
@@ -31,11 +40,11 @@ def _canon(doc):
 
 
 def _doc(epoch, present, values, consistent_flags, status="complete",
-         retries=0, merged=None):
+         retries=0, merged=None, units=UNITS):
     rows = []
     missing = []
     for (device, port, direction), here, value, ok in sorted(
-            zip(UNITS, present, values, consistent_flags)):
+            zip(units, present, values, consistent_flags)):
         if here:
             rows.append({"epoch": epoch, "device": device, "port": port,
                          "direction": direction, "value": value,
@@ -97,8 +106,8 @@ class TestDeltaCodecProperty:
            st.integers(min_value=1, max_value=7))
     def test_store_scan_reproduces_every_document(self, steps, interval):
         docs = _docs(steps)
-        store = EpochStore(retention=len(docs) + 1,
-                           keyframe_interval=interval)
+        store = EpochStore(StoreConfig(retention=len(docs) + 1,
+                                       keyframe_interval=interval))
         for doc in docs:
             store.append(doc)
         decoded = list(store.scan())
@@ -111,7 +120,8 @@ class TestDeltaCodecProperty:
     def test_eviction_preserves_the_surviving_tail(self, steps, retention,
                                                    interval):
         docs = _docs(steps)
-        store = EpochStore(retention=retention, keyframe_interval=interval)
+        store = EpochStore(StoreConfig(retention=retention,
+                                       keyframe_interval=interval))
         for doc in docs:
             store.append(doc)
         survivors = docs[-min(retention, len(docs)):]
@@ -119,11 +129,77 @@ class TestDeltaCodecProperty:
                 == [_canon(d) for d in survivors])
 
 
+#: Strings an encoder must escape or widen: quotes, backslashes, control
+#: characters, DEL, a line separator, non-ASCII and astral code points.
+_TEXT = st.text(st.one_of(st.characters(),
+                          st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9'
+                                          '\U0001f600')),
+                max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+    | st.sampled_from([-0.0, 1e300, -1e-300, 5e-324]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+_UNIT_SET = st.lists(
+    st.tuples(_TEXT, st.integers(min_value=0, max_value=3),
+              st.sampled_from(list(Direction))),
+    min_size=1, max_size=6, unique=True)
+
+
+class TestWritePathDifferentials:
+    """The write path sizes and orders without the sorted encoder and
+    the per-unit key lambda; both old forms are the oracles."""
+
+    @settings(max_examples=DIFF_EXAMPLES, deadline=None)
+    @given(_JSON)
+    def test_canonical_bytes_is_the_sorted_json_length(self, value):
+        assert canonical_bytes(value) == len(_canon(value))
+
+    @settings(max_examples=DIFF_EXAMPLES, deadline=None)
+    @given(_UNIT_SET, st.data(), st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=4))
+    def test_encoded_bytes_is_the_sum_over_stored_payloads(
+            self, units, data, retention, interval):
+        units = [(device, port, d.value) for device, port, d in units]
+        store = EpochStore(StoreConfig(retention=retention,
+                                       keyframe_interval=interval))
+        flags = st.lists(st.booleans(), min_size=len(units),
+                         max_size=len(units))
+        for epoch in range(1, data.draw(st.integers(2, 9)) + 1):
+            values = data.draw(st.lists(st.integers(0, 2 ** 40),
+                                        min_size=len(units),
+                                        max_size=len(units)))
+            store.append(_doc(epoch, data.draw(flags), values,
+                              data.draw(flags), units=units))
+            assert store.encoded_bytes == sum(
+                len(_canon(e.payload)) for e in store._entries)
+
+    @settings(max_examples=DIFF_EXAMPLES, deadline=None)
+    @given(_UNIT_SET, st.randoms(use_true_random=False))
+    def test_snapshot_rows_keep_the_key_sorted_order(self, units, rng):
+        units = [UnitId(*u) for u in units]
+        rng.shuffle(units)  # records arrive in any order
+        snapshot = GlobalSnapshot(epoch=7, requested_wall_ns=0,
+                                  expected_units=set(units))
+        for n, unit in enumerate(units):
+            snapshot.add_record(UnitSnapshotRecord(
+                unit=unit, epoch=7, value=n, channel_state=None,
+                consistent=True, captured_ns=n, read_ns=n + 1))
+        old_order = sorted(snapshot.records.items(),
+                           key=lambda kv: (kv[0].device, kv[0].port,
+                                           kv[0].direction.value))
+        assert ([(r["device"], r["port"], r["direction"], r["value"])
+                 for r in snapshot_rows(snapshot)]
+                == [(u.device, u.port, u.direction.value, rec.value)
+                    for u, rec in old_order])
+
+
 class TestBoundedMemory:
     def test_ring_is_flat_after_retention(self):
         """The bounded-memory satellite: identical per-epoch content at
         ever-higher epochs keeps the exact byte accounting constant."""
-        store = EpochStore(retention=16, keyframe_interval=4)
+        store = EpochStore(StoreConfig(retention=16, keyframe_interval=4))
         sizes = []
         for epoch in range(1, 200):
             values = [100 + (epoch % 3)] * len(UNITS)
@@ -136,7 +212,7 @@ class TestBoundedMemory:
         assert store.evicted == store.appended - 16
 
     def test_byte_accounting_is_exact(self):
-        store = EpochStore(retention=8, keyframe_interval=3)
+        store = EpochStore(StoreConfig(retention=8, keyframe_interval=3))
         for epoch in range(1, 40):
             store.append(_doc(epoch, [True] * len(UNITS),
                               [epoch * 10] * len(UNITS),
@@ -145,7 +221,7 @@ class TestBoundedMemory:
                 canonical_bytes(e.payload) for e in store._entries)
 
     def test_eviction_promotes_orphaned_delta_to_keyframe(self):
-        store = EpochStore(retention=4, keyframe_interval=10)
+        store = EpochStore(StoreConfig(retention=4, keyframe_interval=10))
         for epoch in range(1, 8):
             store.append(_doc(epoch, [True] * len(UNITS),
                               [epoch] * len(UNITS), [True] * len(UNITS)))
@@ -162,11 +238,11 @@ class TestStoreBasics:
             StoreConfig(retention=0)
         with pytest.raises(ValueError):
             StoreConfig(keyframe_interval=0)
-        with pytest.raises(ValueError):
-            EpochStore(StoreConfig(), retention=4)
+        with pytest.raises(TypeError):  # the config is the one form
+            EpochStore(retention=4)  # type: ignore[call-arg]
 
     def test_get_and_bounds(self):
-        store = EpochStore(retention=8, keyframe_interval=2)
+        store = EpochStore(StoreConfig(retention=8, keyframe_interval=2))
         assert store.min_epoch is None and store.max_epoch is None
         for epoch in (2, 5, 9):
             store.append(_doc(epoch, [True] * len(UNITS),
@@ -177,7 +253,7 @@ class TestStoreBasics:
         assert store.get(4) is None
 
     def test_scan_yields_copies(self):
-        store = EpochStore(retention=8, keyframe_interval=2)
+        store = EpochStore(StoreConfig(retention=8, keyframe_interval=2))
         for epoch in (1, 2, 3):
             store.append(_doc(epoch, [True] * len(UNITS),
                               [epoch] * len(UNITS), [True] * len(UNITS)))
@@ -189,7 +265,7 @@ class TestStoreBasics:
         assert all(d["records"] for d in store.scan())
 
     def test_duplicate_epoch_fails_loudly(self):
-        store = EpochStore(retention=8, keyframe_interval=3)
+        store = EpochStore(StoreConfig(retention=8, keyframe_interval=3))
         doc = _doc(5, [True] * len(UNITS), [5] * len(UNITS),
                    [True] * len(UNITS))
         store.append(doc)
@@ -198,7 +274,7 @@ class TestStoreBasics:
         assert len(store) == 1 and store.appended == 1
 
     def test_out_of_order_distinct_epochs_are_legal(self):
-        store = EpochStore(retention=8, keyframe_interval=3)
+        store = EpochStore(StoreConfig(retention=8, keyframe_interval=3))
         for epoch in (7, 3, 9, 4):  # storage order is resolution order
             store.append(_doc(epoch, [True] * len(UNITS),
                               [epoch] * len(UNITS), [True] * len(UNITS)))
@@ -208,7 +284,7 @@ class TestStoreBasics:
         assert store.epochs() == [3, 4, 7, 9]
 
     def test_bounds_are_the_smallest_and_largest_epoch_in_any_order(self):
-        store = EpochStore(retention=3, keyframe_interval=2)
+        store = EpochStore(StoreConfig(retention=3, keyframe_interval=2))
         engine = QueryEngine(store)
 
         def bounds():
@@ -360,7 +436,8 @@ class TestSeekableStoreEqualsNaiveReference:
            st.lists(st.tuples(_bound, _bound), max_size=6))
     def test_documents_order_and_counters_agree(self, epochs, data,
                                                 retention, interval, probes):
-        store = EpochStore(retention=retention, keyframe_interval=interval)
+        store = EpochStore(StoreConfig(retention=retention,
+                                       keyframe_interval=interval))
         naive = _NaiveStore(retention, interval)
         for epoch in epochs:  # unique, in arbitrary (resolution) order
             step = data.draw(_churn)
@@ -403,7 +480,7 @@ class TestSeekCost:
             return kernel(prev, delta)
 
         monkeypatch.setattr(store_module, "apply_delta", counting)
-        store = EpochStore(retention=512, keyframe_interval=32)
+        store = EpochStore(StoreConfig(retention=512, keyframe_interval=32))
         for epoch in range(1, 700):  # full ring, evicting and promoting
             store.append(_doc(epoch, [True] * len(UNITS),
                               [epoch] * len(UNITS), [True] * len(UNITS)))

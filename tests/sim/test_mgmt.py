@@ -40,6 +40,19 @@ class TestSend:
         with pytest.raises(ValueError):
             ManagementPlane(sim, random.Random(1), base_latency_ns=-1)
 
+    def test_base_latency_is_an_exact_int(self):
+        # send() schedules without the engine's checks, so the base
+        # latency is made exact (or refused) at construction.
+        sim = Simulator()
+        mgmt = ManagementPlane(sim, random.Random(1), base_latency_ns=5e4,
+                               jitter_ns=0)
+        assert type(mgmt.base_latency_ns) is int
+        mgmt.send(lambda: None)
+        sim.run()
+        assert sim.now == 50 * US and type(sim.now) is int
+        with pytest.raises(ValueError):
+            ManagementPlane(sim, random.Random(1), base_latency_ns=0.5)
+
 
 class TestRequest:
     def test_round_trip(self):
