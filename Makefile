@@ -8,7 +8,7 @@ PROFILE_EXP ?= fig10
 
 .PHONY: install test lint statics typecheck static-checks \
         bench bench-smoke bench-experiments fused-diff-deep jobs-diff-deep \
-        matrix-deep store-diff-deep \
+        matrix-deep store-diff-deep draw-diff-deep \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -97,6 +97,14 @@ matrix-deep:
 store-diff-deep:
 	REPRO_STORE_DIFF_EXAMPLES=2000 $(PYTHON) -m pytest -q \
 	    tests/service/test_store.py -k TestWritePathDifferentials
+
+# The control plane's jitter sampler against random.Random.randint
+# (tests/core/test_control_plane.py: the same values and the same RNG
+# state after the draws, over drawn seeds and jitters up to 2**20) at
+# five thousand examples instead of the tier-1 smoke's hundred (~10 s).
+draw-diff-deep:
+	REPRO_DRAW_DIFF_EXAMPLES=5000 $(PYTHON) -m pytest -q \
+	    tests/core/test_control_plane.py -k TestUniformJitter
 
 # The --jobs 1 vs --jobs N comparison (tests/runtime/test_runner.py,
 # tier-1: two tiny trials per experiment) over the whole quick suite:

@@ -150,9 +150,11 @@ class SpeedlightUnit:
                 new_ls = old_ls
 
         if old_sid != self._sid or ls_changed:
-            self._emit(Notification(
-                self.unit_id, old_sid, self._sid, now_ns,
-                channel_id if self.channel_state else None, old_ls, new_ls))
+            self.notifications_emitted += 1
+            if self.notify is not None:
+                self.notify(Notification(
+                    self.unit_id, old_sid, self._sid, now_ns,
+                    channel_id if self.channel_state else None, old_ls, new_ls))
         return self._sid
 
     # ------------------------------------------------------------------
@@ -162,11 +164,6 @@ class SpeedlightUnit:
         self._values[wrapped_sid] = self.value_fn()
         self._channel[wrapped_sid] = 0
         self._captured_ns[wrapped_sid] = now_ns
-
-    def _emit(self, notification: Notification) -> None:
-        self.notifications_emitted += 1
-        if self.notify is not None:
-            self.notify(notification)
 
     # ------------------------------------------------------------------
     # Control-plane register access
@@ -179,6 +176,14 @@ class SpeedlightUnit:
             return SnapshotSlot(False, 0, self._channel.get(wrapped_sid, 0))
         return SnapshotSlot(True, value, self._channel[wrapped_sid],
                             self._captured_ns[wrapped_sid])
+
+    def take_slot(self, wrapped_sid: int) -> Optional[tuple[int, int]]:
+        """:meth:`read_slot` then :meth:`clear_slot` in one call: the
+        slot's ``(value, captured_ns)``, or None if it was not valid."""
+        value = self._values.pop(wrapped_sid, None)
+        self._channel.pop(wrapped_sid, None)
+        captured_ns = self._captured_ns.pop(wrapped_sid, 0)
+        return None if value is None else (value, captured_ns)
 
     def clear_slot(self, wrapped_sid: int) -> None:
         """Reset a slot's valid bit after the control plane consumed it,

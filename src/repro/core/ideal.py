@@ -148,6 +148,10 @@ class IdealUnit:
     def clear_slot(self, epoch: int) -> None:
         self.snaps.pop(epoch, None)
 
+    def take_slot(self, epoch: int) -> Optional[tuple[int, int]]:
+        slot = self.snaps.pop(epoch, None)
+        return None if slot is None else (slot.value, slot.captured_ns)
+
     def read_last_seen(self, channel_id: int) -> int:
         return self.last_seen.get(channel_id, 0)
 

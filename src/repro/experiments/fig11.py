@@ -31,12 +31,12 @@ without reordering any random stream.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
-from repro.core.control_plane import ControlPlaneConfig
+from repro.core.control_plane import (ControlPlaneConfig, sample_wakeup_ns,
+                                      uniform_jitter)
 from repro.experiments import Experiment
 from repro.experiments.harness import TextTable, header
 from repro.runtime import (TrialResult, TrialSpec, derive_seed, make_result,
@@ -134,29 +134,17 @@ def _sample_clock_error(rng: random.Random, ptp: PTPConfig) -> int:
     return int(magnitude) if rng.random() < 0.5 else -int(magnitude)
 
 
-def _sample_wakeup(rng: random.Random, cp: ControlPlaneConfig) -> int:
-    if rng.random() < cp.wakeup_tail_probability:
-        value = rng.uniform(cp.wakeup_tail_max_ns / 3, cp.wakeup_tail_max_ns)
-    else:
-        value = rng.lognormvariate(math.log(cp.wakeup_median_ns),
-                                   cp.wakeup_sigma)
-    return min(int(value), cp.wakeup_max_ns)
-
-
 def _trial_sync_ns(rng: random.Random, config: Fig11Config,
                    num_routers: int) -> int:
     earliest = None
     latest = None
     sweep = config.ports_per_router * config.cp.initiation_cpu_ns
+    jitter = uniform_jitter(rng, config.cp.initiation_jitter_ns)
     for _ in range(num_routers):
         base = (_sample_clock_error(rng, config.ptp) +
-                _sample_wakeup(rng, config.cp))
-        first = base + config.cp.initiation_cpu_ns + \
-            rng.randint(-config.cp.initiation_jitter_ns,
-                        config.cp.initiation_jitter_ns)
-        last = base + sweep + \
-            rng.randint(-config.cp.initiation_jitter_ns,
-                        config.cp.initiation_jitter_ns)
+                sample_wakeup_ns(rng, config.cp))
+        first = base + config.cp.initiation_cpu_ns + jitter()
+        last = base + sweep + jitter()
         lo, hi = min(first, last), max(first, last)
         earliest = lo if earliest is None else min(earliest, lo)
         latest = hi if latest is None else max(latest, hi)

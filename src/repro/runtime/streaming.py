@@ -23,11 +23,10 @@ from typing import Callable, Optional
 from repro.analysis.invariants import LinkAudit
 from repro.core.aggregation import AggregationConfig
 from repro.core.builder import deploy
-from repro.core.control_plane import check_minimums
 from repro.service.pipeline import (ContinuousCampaign, PipelineConfig,
                                     SnapshotPipeline)
 from repro.service.query import FlowResolver, QueryEngine
-from repro.sim.engine import MS, US
+from repro.sim.engine import MS, US, check_minimums
 from repro.sim.network import Network, NetworkConfig
 from repro.topology.builders import leaf_spine
 from repro.workloads.memcache import MemcacheConfig, MemcacheWorkload

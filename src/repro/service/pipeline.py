@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.report import epoch_record
-from repro.core.control_plane import check_minimums
 from repro.core.observer import SnapshotObserver
 from repro.core.snapshot import GlobalSnapshot
 from repro.service.store import EpochStore, StoreConfig
 from repro.service.stream import SnapshotStream
-from repro.sim.engine import Simulator, US
+from repro.sim.engine import Simulator, US, check_minimums
 
 
 @dataclass

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.engine import Simulator, S
+from repro.sim.engine import Simulator, S, check_minimums
 
 
 class Clock:
@@ -118,6 +118,17 @@ class PTPConfig:
     #: Range of per-clock frequency drift assigned at attach time.
     drift_ppb_min: int = -40_000
     drift_ppb_max: int = 40_000
+
+    def __post_init__(self) -> None:
+        check_minimums(self, {"sync_interval_ns": 1, "residual_sigma_ns": 0,
+                              "residual_max_ns": 0, "tail_probability": 0})
+        if self.tail_probability > 1:
+            raise ValueError("PTPConfig.tail_probability must be <= 1, got "
+                             f"{self.tail_probability!r}")
+        if self.drift_ppb_min > self.drift_ppb_max:
+            raise ValueError(
+                f"PTPConfig.drift_ppb_min ({self.drift_ppb_min}) must be <= "
+                f"PTPConfig.drift_ppb_max ({self.drift_ppb_max})")
 
 
 class PTPService:

@@ -31,7 +31,7 @@ from collections.abc import Callable
 from functools import partial
 from typing import ClassVar, Optional, Protocol
 
-from repro.sim.engine import Simulator, US
+from repro.sim.engine import Simulator, US, check_minimums
 from repro.sim.channel import Link, LinkEndpoint
 from repro.sim.packet import Packet, PacketType
 
@@ -229,6 +229,16 @@ class SwitchConfig:
     #: Record per-packet traces through snapshot units (memory-hungry;
     #: enabled by consistency tests, off for the big experiments).
     enable_tracing: bool = False
+
+    def __post_init__(self) -> None:
+        check_minimums(self, {
+            "num_ports": 0, "ingress_latency_ns": 0, "egress_latency_ns": 0,
+            "fabric_latency_ns": 0, "asic_cpu_latency_ns": 0, "num_cos": 1})
+        if (self.queue_capacity_packets is not None
+                and self.queue_capacity_packets < 1):
+            raise ValueError("SwitchConfig.queue_capacity_packets must be "
+                             f"None or >= 1, got "
+                             f"{self.queue_capacity_packets!r}")
 
 
 class _EgressQueue:

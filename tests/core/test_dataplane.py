@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dataplane import SpeedlightUnit
+from repro.core.ideal import IdealUnit
 from repro.core.ids import IdSpace
 from repro.sim.packet import FlowKey, Packet, PacketType, SnapshotHeader
 from repro.sim.switch import Direction, UnitId
@@ -186,6 +187,32 @@ class TestRegisterAccess:
         assert (unit.read_slot(1).valid, unit.read_slot(1).value) == (True, 42)
         unit.clear_slot(1)
         assert slot.captured_ns == 10  # the copy outlives the clear
+
+    @pytest.mark.parametrize("kind", ["speedlight", "ideal"])
+    def test_take_slot_is_a_read_then_a_clear(self, kind):
+        def build():
+            values = iter(range(100, 200))
+            if kind == "ideal":
+                return IdealUnit(UNIT, lambda: next(values), channel_state=True)
+            return _unit(value=lambda: next(values), channel_state=True,
+                         max_sid=7)
+
+        def register(unit, slot_id):
+            slot = unit.read_slot(slot_id)
+            return slot.valid, slot.value, slot.channel_state, slot.captured_ns
+
+        taker, reader = build(), build()
+        # Skips, in-flight credits and a stale packet.
+        for step, sid in enumerate((1, 3, 2, 5, 4, 4, 6)):
+            for unit in (taker, reader):
+                unit.process_packet(_pkt(sid), channel_id=0, now_ns=10 * step)
+        for slot_id in range(8):
+            slot = reader.read_slot(slot_id)
+            expected = (slot.value, slot.captured_ns) if slot.valid else None
+            reader.clear_slot(slot_id)
+            assert taker.take_slot(slot_id) == expected
+            assert register(taker, slot_id) == register(reader, slot_id)
+            assert taker.take_slot(slot_id) is None
 
     def test_headerless_packet_asserts(self):
         unit = _unit()

@@ -172,6 +172,15 @@ class _ReplacedUnit:
         making the slot safe for reuse after ID wraparound."""
         self._slot(wrapped_sid).clear()
 
+    def take_slot(self, wrapped_sid: int) -> Optional[tuple[int, int]]:
+        """The control plane's one-call read and clear, composed from the
+        two calls above (the register API grew it after this unit was
+        replaced)."""
+        slot = self.read_slot(wrapped_sid)
+        taken = (slot.value, slot.captured_ns) if slot.valid else None
+        self.clear_slot(wrapped_sid)
+        return taken
+
     def read_last_seen(self, channel_id: int) -> int:
         return self.last_seen.get(channel_id, 0)
 

@@ -123,3 +123,17 @@ class TestPTPService:
         ptp.attach("a", Clock(offset_ns=10))
         ptp.attach("b", Clock(offset_ns=-15))
         assert ptp.pairwise_spread_ns() == 25
+
+
+class TestPTPConfig:
+    @pytest.mark.parametrize("field, bad, good", [
+        ("sync_interval_ns", 0, 1), ("residual_sigma_ns", -1, 0),
+        ("residual_max_ns", -1, 0), ("tail_probability", -0.01, 0.0),
+        ("tail_probability", 1.01, 1.0), ("drift_ppb_min", 40_001, 40_000),
+        ("drift_ppb_max", -40_001, -40_000)])
+    def test_refuses_each_bad_field(self, field, bad, good):
+        # sync_interval_ns=0 used to hang Network.run at t=0; a drift
+        # range with min > max failed deep inside the build.
+        with pytest.raises(ValueError, match=f"PTPConfig.{field}"):
+            PTPConfig(**{field: bad})
+        PTPConfig(**{field: good})

@@ -153,6 +153,23 @@ class TestRunLimits:
         assert sim.run(max_events=3) == 3
         assert fired == [0, 1, 2]
 
+    def test_max_events_leaves_now_behind_pending_events(self, sim):
+        # A run stopped by ``max_events`` with events at or before
+        # ``until`` still pending must not move ``now`` to ``until``: the
+        # rest would then run with time going backwards, and a new event
+        # would land behind them.
+        fired, times = [], []
+        for time in (10, 20, 30, 40):
+            sim.schedule_at(time, fired.append, time)
+        assert sim.run(until=100, max_events=2) == 2
+        assert sim.now == 20
+        sim.schedule(5, fired.append, 25)
+        sim.trace = lambda time, seq, fn: times.append(time)
+        sim.run(until=100)
+        assert fired == [10, 20, 25, 30, 40]
+        assert times == [25, 30, 40]
+        assert sim.now == 100
+
     def test_step(self, sim):
         fired = []
         sim.schedule(1, fired.append, "a")

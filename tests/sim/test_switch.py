@@ -8,7 +8,7 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import (FlowKey, Packet, PacketType, SnapshotHeader,
                               make_initiation_packet)
 from repro.sim.switch import (BROADCAST_DST, CPU_CHANNEL, Direction,
-                              EXTERNAL_CHANNEL, UnitId)
+                              EXTERNAL_CHANNEL, SwitchConfig, UnitId)
 from repro.topology import linear, single_switch
 
 
@@ -347,3 +347,17 @@ class TestUnitIdHash:
             "print(table.get(unit), hash(unit) == hash(next(iter(table))))\n"),
             stdin=pickled)
         assert found.decode().split() == ["found", "True"]
+
+
+class TestSwitchConfig:
+    @pytest.mark.parametrize("field, least", [
+        ("num_ports", 0), ("ingress_latency_ns", 0), ("egress_latency_ns", 0),
+        ("fabric_latency_ns", 0), ("asic_cpu_latency_ns", 0), ("num_cos", 1),
+        ("queue_capacity_packets", 1)])
+    def test_refuses_each_field_below_its_minimum(self, field, least):
+        # A negative latency used to run events before the one that
+        # scheduled them.
+        with pytest.raises(ValueError, match=f"SwitchConfig.{field} "):
+            SwitchConfig(**{field: least - 1})
+        # The minimum itself is fine: a switch without links has no ports.
+        SwitchConfig(**{field: least})
