@@ -270,6 +270,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         return smoke_main()
 
+    try:
+        pipeline = PipelineConfig(retention=args.retention,
+                                  keyframe_interval=args.keyframe_interval,
+                                  queue_capacity=args.queue_capacity)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     spec = ServiceSpec(
         seed=args.seed,
         num_leaves=args.leaves,
@@ -278,9 +285,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         interval_ns=args.interval_us * US,
         metric=args.metric,
         agg_degree=args.agg_degree,
-        pipeline=PipelineConfig(retention=args.retention,
-                                keyframe_interval=args.keyframe_interval,
-                                queue_capacity=args.queue_capacity))
+        pipeline=pipeline)
     run = ServiceRun(spec)
 
     def progress(r: ServiceRun) -> None:
@@ -432,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: 64)")
     serve_parser.add_argument("--queue-capacity", type=_positive_int,
                               default=64,
-                              help="ingest queue bound; overflow coalesces "
-                                   "epochs (default: 64)")
+                              help="ingest queue bound, at least 2; overflow "
+                                   "coalesces epochs (default: 64)")
     serve_parser.add_argument("--query-range", type=int, nargs=2,
                               metavar=("START", "END"),
                               help="print stored epochs in [START, END]")

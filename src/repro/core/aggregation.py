@@ -55,6 +55,7 @@ from typing import Optional
 
 from repro.core.control_plane import SwitchControlPlane, UnitSnapshotRecord
 from repro.sim.engine import Simulator, US, MS, check_minimums
+from repro.sim.server import SerialServer
 from repro.topology.graph import NodeKind, Topology
 
 __all__ = [
@@ -199,7 +200,7 @@ class AggregationTree:
                 f"nodes={len(self.order)}, depth={self.depth()})")
 
 
-class RelayChannel:
+class RelayChannel(SerialServer[AggregateMessage]):
     """A bounded, serially-serviced aggregate-message queue.
 
     The relay CPU analogue of the control plane's
@@ -211,67 +212,22 @@ class RelayChannel:
 
     def __init__(self, sim: Simulator, config: AggregationConfig,
                  handler: Callable[[AggregateMessage], None]) -> None:
-        self.sim = sim
+        super().__init__(sim, config.buffer_capacity, handler)
         self.config = config
-        self.handler = handler
-        #: Told of a message that dies in service (its CPU crashed under
-        #: it), so the owning agent can book the records it carried.
-        self.on_lost: Optional[Callable[[AggregateMessage], None]] = None
-        self._queue: deque[AggregateMessage] = deque()
-        self._busy = False
-        #: Per-instance fault knob (crash coupling flips it).
-        self.online = True
-        self.received = 0
-        self.processed = 0
-        self.dropped = 0
         self.records_in = 0
-        self.max_backlog = 0
 
-    @property
-    def backlog(self) -> int:
-        return len(self._queue) + (1 if self._busy else 0)
+    def deliver(self, message: AggregateMessage) -> bool:
+        admitted = super().deliver(message)
+        if admitted:
+            self.records_in += len(message.records)
+        return admitted
 
-    def deliver(self, message: AggregateMessage) -> None:
-        self.received += 1
-        if not self.online or len(self._queue) >= self.config.buffer_capacity:
-            self.dropped += 1
-            return
-        self.records_in += len(message.records)
-        self._queue.append(message)
-        backlog = len(self._queue) + (1 if self._busy else 0)
-        if backlog > self.max_backlog:
-            self.max_backlog = backlog
-        if not self._busy:
-            self._service_next()
+    # Spelled out here: the benchmark's tracer resolves span points by vars().
+    _finish = SerialServer._finish
 
-    def flush_queued(self) -> int:
-        """Discard everything queued (crash coupling); returns the count
-        of *records* lost with the queued messages.  The message in
-        service dies in :meth:`_finish`, which tells ``on_lost``."""
-        lost = sum(len(m.records) for m in self._queue)
-        self._queue.clear()
-        return lost
-
-    def _service_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        message = self._queue.popleft()
-        cost = (self.config.relay_service_ns +
-                len(message.records) * self.config.relay_per_record_ns)
-        self.sim.schedule_fast(max(1, cost), self._finish, message)
-
-    def _finish(self, message: AggregateMessage) -> None:
-        if not self.online:
-            self._busy = False
-            self.dropped += 1
-            if self.on_lost is not None:
-                self.on_lost(message)
-            return
-        self.processed += 1
-        self.handler(message)
-        self._service_next()
+    def _begin(self, message: AggregateMessage) -> int:
+        return max(1, self.config.relay_service_ns +
+                   len(message.records) * self.config.relay_per_record_ns)
 
 
 class _EpochAggregate:
@@ -453,7 +409,8 @@ class AggregationAgent:
         self.online = online
         self.channel.online = online
         if not online:
-            self.records_lost += self.channel.flush_queued()
+            self.records_lost += sum(len(message.records) for message
+                                     in self.channel.flush_queued())
             for aggregate in self._epochs.values():
                 self.records_lost += len(aggregate.records)
                 if aggregate.flush_event is not None:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from collections.abc import Callable
 from typing import Optional
@@ -57,6 +56,7 @@ from repro.core.notifications import Notification
 from repro.sim.clock import Clock
 from repro.sim.engine import Simulator, US, MS, check_minimums
 from repro.sim.packet import Packet, PacketType, SnapshotHeader, FlowKey, make_initiation_packet
+from repro.sim.server import SerialServer
 from repro.sim.switch import BROADCAST_DST, Switch, UnitId
 
 
@@ -190,79 +190,26 @@ class ControlPlaneConfig:
             "register_poll_interval_ns": 0})
 
 
-class NotificationChannel:
-    """The bounded, serially-serviced CPU notification queue."""
+class NotificationChannel(SerialServer[Notification]):
+    """The bounded, serially-serviced CPU notification queue; the jitter
+    is drawn as a read starts (docs/PERF.md "Three dead ends")."""
 
     def __init__(self, sim: Simulator, rng: random.Random,
                  config: ControlPlaneConfig,
                  handler: Callable[[Notification], None]) -> None:
-        self.sim = sim
-        self.rng = rng
+        super().__init__(sim, config.buffer_capacity, handler)
         self.config = config
-        self.handler = handler
         self._jitter = uniform_jitter(rng, config.notification_jitter_ns)
-        self._queue: deque[Notification] = deque()
-        self._busy = False
-        #: Per-instance copies of the shared config's capacity, and the
-        #: fault knobs (:mod:`repro.faults` mutates these per switch; the
-        #: ControlPlaneConfig object is shared deployment-wide and must
-        #: stay immutable at runtime).
-        self.capacity = config.buffer_capacity
-        self.service_scale = 1.0
-        self.online = True
-        self.received = 0
-        self.processed = 0
-        self.dropped = 0
-        self.max_backlog = 0
 
-    @property
-    def backlog(self) -> int:
-        return len(self._queue) + (1 if self._busy else 0)
+    # Spelled out here: the benchmark's tracer resolves span points by vars().
+    deliver = SerialServer.deliver
+    _finish = SerialServer._finish
 
-    def deliver(self, notification: Notification) -> None:
-        """Called by the switch after the ASIC→CPU latency."""
-        self.received += 1
-        if not self.online or len(self._queue) >= self.capacity:
-            self.dropped += 1
-            return
-        self._queue.append(notification)
-        backlog = len(self._queue) + (1 if self._busy else 0)
-        if backlog > self.max_backlog:
-            self.max_backlog = backlog
-        if not self._busy:
-            self._service_next()
-
-    def flush_queued(self) -> int:
-        """Discard everything queued (crash injection); returns the count
-        of notifications lost.  The in-service one dies in :meth:`_finish`."""
-        lost = len(self._queue)
-        self._queue.clear()
-        return lost
-
-    def _service_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        notification = self._queue.popleft()
-        cost = max(1, self.config.notification_service_ns + self._jitter())
-        if self.service_scale != 1.0:
-            cost = max(1, int(cost * self.service_scale))
-        self.sim.schedule_fast(cost, self._finish, notification)
-
-    def _finish(self, notification: Notification) -> None:
-        if not self.online:
-            # The CP process died mid-service: the notification is lost
-            # and servicing stops until restart.
-            self._busy = False
-            self.dropped += 1
-            return
-        self.processed += 1
-        self.handler(notification)
-        self._service_next()
+    def _begin(self, notification: Notification) -> int:
+        return max(1, self.config.notification_service_ns + self._jitter())
 
 
-class DigestChannel:
+class DigestChannel(SerialServer[list[Notification]]):
     """The P4 digest-stream notification transport (§7.2's alternative).
 
     The ASIC accumulates notifications into a digest buffer that is
@@ -271,43 +218,33 @@ class DigestChannel:
     per-record decode cost — cheaper per notification under load, but
     every record is delayed by up to the batching window, which is why
     the paper found raw sockets "offered significantly better
-    performance" for snapshot progress tracking.
+    performance" for snapshot progress tracking.  The server's items
+    are digests; its counters and ``capacity`` count notifications.
     """
 
     def __init__(self, sim: Simulator, rng: random.Random,
                  config: ControlPlaneConfig,
                  handler: Callable[[Notification], None]) -> None:
-        self.sim = sim
-        self.rng = rng
+        super().__init__(sim, config.buffer_capacity, self._read_digest)
         self.config = config
-        self.handler = handler
+        self._read_notification = handler
         self._pending: list[Notification] = []
-        self._queue: deque[list[Notification]] = deque()
         #: Notifications in ``_queue``'s batches, kept as a running count
         #: so :attr:`backlog` does not walk the queue on every arrival.
         self._queued = 0
-        self._busy = False
         self._flush_event = None
-        #: Per-instance fault knobs; see :class:`NotificationChannel`.
-        self.capacity = config.buffer_capacity
-        self.service_scale = 1.0
-        self.online = True
-        self.received = 0
-        self.processed = 0
-        self.dropped = 0
-        self.max_backlog = 0
         self.digests_shipped = 0
 
     @property
     def backlog(self) -> int:
-        return len(self._pending) + self._queued + (1 if self._busy else 0)
+        return len(self._pending) + self._queued + self._busy
 
-    def deliver(self, notification: Notification) -> None:
+    def deliver(self, notification: Notification) -> bool:  # type: ignore[override]
         self.received += 1
         backlog = self.backlog
-        if not self.online or backlog >= self.capacity:
+        if not self._online or backlog >= self.capacity:
             self.dropped += 1
-            return
+            return False
         self._pending.append(notification)
         if backlog >= self.max_backlog:
             self.max_backlog = backlog + 1
@@ -316,6 +253,7 @@ class DigestChannel:
         elif self._flush_event is None:
             self._flush_event = self.sim.schedule(
                 self.config.digest_timeout_ns, self._flush)
+        return True
 
     def _flush(self) -> None:
         self._flush_event = None
@@ -333,40 +271,31 @@ class DigestChannel:
         if not self._busy:
             self._service_next()
 
-    def flush_queued(self) -> int:
+    def flush_queued(self) -> list[Notification]:  # type: ignore[override]
         """Discard pending and queued digests (crash injection); returns
-        the count of notifications lost."""
-        lost = len(self._pending) + self._queued
+        the notifications lost."""
+        lost = [n for batch in super().flush_queued() for n in batch]
+        lost += self._pending
         self._pending = []
-        self._queue.clear()
         self._queued = 0
         if self._flush_event is not None:
             self._flush_event.cancel()
             self._flush_event = None
         return lost
 
-    def _service_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        batch = self._queue.popleft()
+    def _begin(self, batch: list[Notification]) -> int:
         self._queued -= len(batch)
-        cost = (self.config.digest_service_ns +
-                len(batch) * self.config.digest_per_record_ns)
-        if self.service_scale != 1.0:
-            cost = int(cost * self.service_scale)
-        self.sim.schedule_fast(max(1, cost), self._finish, batch)
+        return max(1, self.config.digest_service_ns +
+                   len(batch) * self.config.digest_per_record_ns)
 
-    def _finish(self, batch: list[Notification]) -> None:
-        if not self.online:
-            self._busy = False
-            self.dropped += len(batch)
-            return
+    def _read_digest(self, batch: list[Notification]) -> None:
+        # The server counted the digest once; count its notifications.
+        self.processed += len(batch) - 1
         for notification in batch:
-            self.processed += 1
-            self.handler(notification)
-        self._service_next()
+            self._read_notification(notification)
+
+    def _lose(self, batch: list[Notification]) -> None:
+        self.dropped += len(batch)
 
 
 class _UnitTracker:
@@ -617,7 +546,7 @@ class SwitchControlPlane:
         self._crashed = True
         self.crashes += 1
         self.channel.online = False
-        self.notifications_lost_to_crash += self.channel.flush_queued()
+        self.notifications_lost_to_crash += len(self.channel.flush_queued())
         if self.agg_agent is not None:
             # The aggregation relay runs in the same CPU process: its
             # queue and in-progress combines die with the CP.

@@ -7,10 +7,10 @@ explicitly *bounded* ingest path:
   ``interval_ns`` forever (each tick schedules the next, so the horizon
   is open-ended — no pre-scheduled campaign array);
 * resolved epochs queue at the ingest server, which serializes them one
-  at a time at a modeled cost (base + per-record), the same shape as the
-  relay/notification servers elsewhere in the model;
+  at a time at a modeled cost (base + per-record), the same
+  :class:`~repro.sim.server.SerialServer` as the relay and CPU queues;
 * when the queue is full the pipeline **coalesces** instead of growing:
-  the newest queued epoch is merged into the arriving one (the metrics
+  the newest waiting epoch is merged into the arriving one (the metrics
   are cumulative counters, so the newer snapshot subsumes the older
   view) and the loss is counted, per epoch and in aggregate, as
   ``merged_epochs`` on the stored document.
@@ -21,7 +21,6 @@ Nothing here reads a wall clock — throughput measurement lives in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +30,7 @@ from repro.core.snapshot import GlobalSnapshot
 from repro.service.store import EpochStore, StoreConfig
 from repro.service.stream import SnapshotStream
 from repro.sim.engine import Simulator, US, check_minimums
+from repro.sim.server import SerialServer
 
 
 @dataclass
@@ -41,7 +41,8 @@ class PipelineConfig:
     retention: int = 1024
     #: Store keyframe cadence (entries between full documents).
     keyframe_interval: int = 64
-    #: Ingest queue bound; arrivals past it coalesce, never queue.
+    #: Ingest queue bound, the epoch in service included (so >= 2);
+    #: arrivals past it coalesce into the newest waiting one, never queue.
     queue_capacity: int = 64
     #: Serial ingest cost per epoch: encode + index + store bookkeeping.
     ingest_service_ns: int = 120 * US
@@ -51,29 +52,31 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         # A negative cost would schedule the ingest in the past.
         check_minimums(self, {"retention": 1, "keyframe_interval": 1,
-                              "queue_capacity": 1, "ingest_service_ns": 0,
+                              "queue_capacity": 2, "ingest_service_ns": 0,
                               "ingest_per_record_ns": 0})
 
 
-class SnapshotPipeline:
-    """Continuous epoch intake with backpressure, feeding a delta store."""
+class SnapshotPipeline(SerialServer[list]):
+    """Continuous epoch intake with backpressure, feeding a delta store;
+    the ingest server's items are ``[snapshot, merged_count]``."""
 
     def __init__(self, sim: Simulator, observer: SnapshotObserver,
                  config: Optional[PipelineConfig] = None,
                  store: Optional[EpochStore] = None) -> None:
-        self.sim = sim
         self.config = config or PipelineConfig()
+        super().__init__(sim, self.config.queue_capacity, self._ingest_head)
         self.store = store or EpochStore(StoreConfig(
             retention=self.config.retention,
             keyframe_interval=self.config.keyframe_interval))
         self.stream = SnapshotStream(observer)
         self.stream.subscribe(self._pump)
-        #: FIFO of [snapshot, merged_count] awaiting the ingest server.
-        self._queue: deque[list] = deque()
-        self._busy = False
-        #: Epochs stored / merged away under backpressure, lifetime.
-        self.ingested = 0
+        #: Epochs merged away under backpressure, lifetime.
         self.coalesced_epochs = 0
+
+    @property
+    def ingested(self) -> int:
+        """Epochs stored, lifetime."""
+        return self.processed
 
     # ------------------------------------------------------------------
     # Intake
@@ -83,36 +86,27 @@ class SnapshotPipeline:
             self._enqueue(snapshot)
 
     def _enqueue(self, snapshot: GlobalSnapshot) -> None:
-        if len(self._queue) >= self.config.queue_capacity:
-            # Backpressure: fold the newest queued epoch into this one.
+        if len(self._queue) + self._busy >= self.capacity:
+            # Backpressure: fold the newest waiting epoch into this one.
             # Cumulative counters mean the newer snapshot subsumes the
             # older network view; what is lost is temporal resolution,
             # and that loss is counted — never an unbounded queue.
-            displaced = self._queue.pop()
-            merged = displaced[1] + 1
+            newest = self._queue[-1]
+            newest[0] = snapshot
+            newest[1] += 1
             self.coalesced_epochs += 1
-            self._queue.append([snapshot, merged])
         else:
-            self._queue.append([snapshot, 0])
-        self._service()
+            self.deliver([snapshot, 0])
 
-    def _service(self) -> None:
-        if self._busy or not self._queue:
-            return
-        self._busy = True
-        snapshot = self._queue[0][0]
-        cost = (self.config.ingest_service_ns
-                + self.config.ingest_per_record_ns * len(snapshot.records))
-        self.sim.schedule_fast(cost, self._ingest_head)
+    def _begin(self, item: list) -> int:
+        return (self.config.ingest_service_ns
+                + self.config.ingest_per_record_ns * len(item[0].records))
 
-    def _ingest_head(self) -> None:
-        snapshot, merged = self._queue.popleft()
+    def _ingest_head(self, item: list) -> None:
+        snapshot, merged = item
         doc = epoch_record(snapshot)
         doc["merged_epochs"] = merged
         self.store.append(doc)
-        self.ingested += 1
-        self._busy = False
-        self._service()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -120,7 +114,7 @@ class SnapshotPipeline:
     @property
     def backlog(self) -> int:
         """Epochs resolved but not yet stored."""
-        return len(self._queue) + self.stream.pending
+        return super().backlog + self.stream.pending
 
     def stats(self) -> dict[str, int]:
         out = {

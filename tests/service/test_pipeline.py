@@ -92,7 +92,10 @@ class TestBackpressure:
 
         def probe():
             nonlocal highwater
-            highwater = max(highwater, len(pipeline._queue))
+            # The server's own backlog: epochs waiting plus the one in
+            # service.
+            highwater = max(highwater,
+                            len(pipeline._queue) + pipeline._busy)
             network.sim.schedule(100 * US, probe)
 
         network.sim.schedule(0, probe)
@@ -114,7 +117,7 @@ class TestBackpressure:
 
     @pytest.mark.parametrize("field, value", [
         ("ingest_service_ns", -1), ("ingest_per_record_ns", -1),
-        ("retention", 0), ("keyframe_interval", 0), ("queue_capacity", 0)])
+        ("retention", 0), ("keyframe_interval", 0), ("queue_capacity", 1)])
     def test_config_refuses_each_field_below_its_minimum(self, field, value):
         # A negative ingest cost used to schedule the ingest in the past.
         with pytest.raises(ValueError, match=f"PipelineConfig.{field} "):

@@ -200,6 +200,11 @@ class TestServe:
         assert doc["summary"]["epochs_stored"] == 8  # retention ring held
         assert "units" in doc["heavy_hitters"]
 
+    def test_serve_refuses_a_queue_capacity_below_two(self, capsys):
+        # Coalescing folds into a waiting epoch, never the one in service.
+        assert main(["serve", "--epochs", "5", "--queue-capacity", "1"]) == 2
+        assert "PipelineConfig.queue_capacity" in capsys.readouterr().err
+
     def test_serve_human_readable(self, capsys):
         assert main(["serve", "--epochs", "5", "--interval-us", "1000",
                      "--seed", "3"]) == 0
