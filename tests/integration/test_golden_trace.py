@@ -9,7 +9,13 @@ links, clocks, the snapshot protocol and the management plane:
   the pre-optimization engine (plus the ``Clock.true_time``
   floor-asymmetry fix) and held bit for bit until the fused packet hop
   (docs/PERF.md), which removes an event per hop and re-recorded it
-  exactly once, 38 735 -> 26 026 events, in a commit of its own.
+  once, 38 735 -> 26 026 events, in a commit of its own.  It was
+  re-recorded a second time, events unchanged, when the CPU queues
+  became one ``SerialServer``: two callbacks are now named
+  ``SerialServer.deliver`` and ``SerialServer._finish`` instead of
+  ``NotificationChannel.deliver`` and ``NotificationChannel._finish``.
+  Mapping those names back reproduces the previous hash
+  (``bb5acd33…f6bf4aa``) exactly.
 * ``GOLDEN_STATE_SHA256`` (:class:`StateRecorder`) hashes what the
   scenario *did*: every unit's ordered packet passes, every host's
   ordered arrivals, every link's and egress queue's counters.  It was
@@ -33,8 +39,8 @@ from repro.sim.packet import FlowKey, Packet
 from repro.topology import linear
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
-GOLDEN_SHA256 = ("bb5acd33d459758d5fb2f171f3c0b847"
-                 "329f77b2c6e8039f93bafe147f6bf4aa")
+GOLDEN_SHA256 = ("2bf543cfd1e909913ee677a2ce0a664e"
+                 "5e5a2a2e0b83d13c9cce1886ec6c15ea")
 GOLDEN_EVENTS = 26026
 #: Re-recorded when liveness probes became ``PacketType.PROBE`` and
 #: stopped updating unit counters (they are protocol-internal, not
