@@ -1,19 +1,14 @@
 """Statistics and verification tools for snapshot measurements.
 
 * :mod:`~repro.analysis.stats` — CDFs, balance metrics, and the Spearman
-  correlation analysis of Figure 13;
+  correlation analysis of Figure 13 (import it from there: it needs
+  numpy and scipy, which nothing else in the package loads);
 * :mod:`~repro.analysis.consistency` — the ground-truth causal-consistency
   checker: replays data-plane trace events and verifies that every
   snapshot the system declared consistent is in fact a closed cut with
   conserved flow counts.
 """
 
-from repro.analysis.stats import (
-    Cdf,
-    spearman_matrix,
-    significant_fraction,
-    balance_stddevs,
-)
 from repro.analysis.consistency import (
     ConsistencyAudit,
     ConsistencyChecker,
@@ -43,10 +38,6 @@ __all__ = [
     "epoch_record",
     "snapshot_rows",
     "snapshot_to_json",
-    "Cdf",
-    "spearman_matrix",
-    "significant_fraction",
-    "balance_stddevs",
     "ConsistencyAudit",
     "ConsistencyChecker",
     "ConsistencyViolation",

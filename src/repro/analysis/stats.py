@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 class Cdf:
@@ -141,6 +140,9 @@ def spearman_matrix(series: dict[str, Sequence[float]]) -> CorrelationResult:
                               for name in names])
     constant = np.all(matrix == matrix[0, :], axis=0)
     import warnings
+    # scipy is Figure 13's alone: loading it here keeps it out of every
+    # other experiment's process.
+    from scipy import stats as sps
     with warnings.catch_warnings():
         # Constant columns are legal input here (idle ports); they are
         # masked out below rather than warned about.

@@ -5,7 +5,9 @@ The §8 management applications — "is the network losing packets?",
 delta store.  Every query decodes epoch documents through the one
 canonical serializer (:func:`repro.analysis.report.epoch_from_record`),
 so answers are computed on exactly the records batch reports would
-show.
+show.  Only :meth:`QueryEngine.range` hands documents out, so only it
+asks the store for copies; the other queries read the store's own rows
+(:meth:`repro.service.store.EpochStore.views`).
 
 Conservation checks reuse the existing analysis layer: per-flow cut
 conservation via :class:`repro.analysis.consistency.ConsistencyChecker`
@@ -16,6 +18,7 @@ which needs only the snapshots themselves.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import Callable, Optional
 
 from repro.analysis.consistency import ConsistencyChecker
@@ -27,6 +30,10 @@ from repro.service.store import EpochDoc, EpochStore
 #: Resolves one device name to live heavy-flow evidence:
 #: ``(unit name, flow 5-tuple string, estimated packets)`` triples.
 FlowResolver = Callable[[str], list[tuple[str, str, int]]]
+
+
+def _by_epoch(docs: Iterator[EpochDoc]) -> list[EpochDoc]:
+    return sorted(docs, key=lambda d: d["epoch"])  # type: ignore[arg-type,return-value]
 
 
 class QueryEngine:
@@ -52,13 +59,11 @@ class QueryEngine:
     def range(self, start: Optional[int] = None,
               end: Optional[int] = None) -> list[EpochDoc]:
         """Stored documents with ``start <= epoch <= end``, by epoch."""
-        docs = list(self.store.scan(start=start, end=end))
-        docs.sort(key=lambda d: d["epoch"])  # type: ignore[arg-type,return-value]
-        return docs
+        return _by_epoch(self.store.scan(start=start, end=end))
 
     def snapshot(self, epoch: int) -> Optional[GlobalSnapshot]:
         """One epoch rebuilt as a :class:`GlobalSnapshot`."""
-        doc = self.store.get(epoch)
+        doc = self.store.view(epoch)
         return None if doc is None else epoch_from_record(doc)
 
     # ------------------------------------------------------------------
@@ -79,7 +84,7 @@ class QueryEngine:
         checked = 0
         skipped = 0
         violations: dict[int, list[str]] = {}
-        for doc in self.range(start, end):
+        for doc in _by_epoch(self.store.views(start=start, end=end)):
             snapshot = epoch_from_record(doc)
             if not snapshot.records or not snapshot.consistent:
                 skipped += 1
@@ -120,7 +125,7 @@ class QueryEngine:
             epoch = self.store.max_epoch
         if epoch is None:
             return {"epoch": None, "units": [], "flows": []}
-        doc = self.store.get(epoch)
+        doc = self.store.view(epoch)
         if doc is None:
             return {"epoch": epoch, "units": [], "flows": []}
         rows = sorted(

@@ -95,6 +95,14 @@ class _Keyed:
                           for key in self.sorted_keys()]
         return doc
 
+    def view(self) -> EpochDoc:
+        """The document without per-row copies: a fresh top level and
+        ``records`` list over the shared, epoch-stripped row dicts."""
+        doc = dict(self.meta)
+        rows = self.rows
+        doc["records"] = [rows[key] for key in self.sorted_keys()]
+        return doc
+
     def copy(self) -> "_Keyed":
         """An independent state over the same (never mutated) row dicts
         and sorted key order: two dict copies, no per-row work."""
@@ -308,6 +316,34 @@ class EpochStore:
         yielding those with ``start <= epoch <= end``; an open bound is
         the smallest or largest stored epoch.  Yielded documents are
         fresh copies — callers may mutate them.
+        """
+        for found in self._walk(start, end):
+            # Always fresh: the generator suspends at yield, and the
+            # caller may mutate the document before the next hop.
+            yield (found.document() if isinstance(found, _Keyed)
+                   else _copy_doc(found))
+
+    def views(self, start: Optional[int] = None,
+              end: Optional[int] = None) -> Iterator[EpochDoc]:
+        """:meth:`scan` without the copies, for readers that only look.
+
+        Each document shares the store's row dicts: it is a keyframe's
+        stored payload, or a fresh top level and ``records`` list over
+        the decoded rows, which then carry no ``epoch`` field.  Callers
+        must not mutate a view or anything in it.
+        """
+        for found in self._walk(start, end):
+            yield found.view() if isinstance(found, _Keyed) else found
+
+    def view(self, epoch: int) -> Optional[EpochDoc]:
+        """:meth:`get` without the copies (see :meth:`views`)."""
+        return next(self.views(start=epoch, end=epoch), None)
+
+    def _walk(self, start: Optional[int],
+              end: Optional[int]) -> Iterator[Union[EpochDoc, _Keyed]]:
+        """The one delta-chain walk behind every read.  Yields each match
+        as the store's own state: a keyframe's stored payload, or the
+        decode cursor, which the next step advances in place.
 
         Decoding starts at the keyframe nearest before the first match
         (at most ``keyframe_interval - 1`` hops away) and stops at the
@@ -328,7 +364,7 @@ class EpochStore:
         first, last = min(hits) - self.evicted, max(hits) - self.evicted
         if first == len(entries) - 1 and entries[first].kind == _DELTA:
             assert self._tail is not None
-            yield self._tail.document()
+            yield self._tail
             return
         while entries[first].kind == _DELTA:
             first -= 1
@@ -343,10 +379,7 @@ class EpochStore:
                     state = key.keyed.copy()
                 state = apply_delta(state, entry.payload)
             if lo <= entry.epoch <= hi:
-                # Always fresh: the generator suspends at yield, and the
-                # caller may mutate the document before the next hop.
-                yield (_copy_doc(key.payload) if state is None
-                       else state.document())
+                yield key.payload if state is None else state
 
     def scan_meta(self) -> Iterator[EpochDoc]:
         """The top-level fields (everything but ``records``) of every

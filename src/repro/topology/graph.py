@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional
 
-import networkx as nx
-
 
 class NodeKind(enum.Enum):
     SWITCH = "switch"
@@ -46,7 +44,9 @@ class Topology:
         self.name = name
         self._kinds: dict[str, NodeKind] = {}
         self._links: list[LinkSpec] = []
-        self._graph = nx.Graph()
+        #: Adjacency: node -> {neighbour: the link between them}, in
+        #: insertion order (the searches below expand in that order).
+        self._adj: dict[str, dict[str, LinkSpec]] = {}
         #: Derived state, dropped by every mutation and left out of the
         #: pickle: sorted name lists per kind (None = all nodes) and, per
         #: destination host, the hop distance of every switch to it.
@@ -71,7 +71,7 @@ class Topology:
         if name in self._kinds:
             raise ValueError(f"node {name!r} already exists")
         self._kinds[name] = kind
-        self._graph.add_node(name, kind=kind)
+        self._adj[name] = {}
         self._sorted.clear()
         self._hops.clear()
 
@@ -82,11 +82,13 @@ class Topology:
                 raise ValueError(f"unknown node {node!r}")
         if self._kinds[a] is NodeKind.HOST and self._kinds[b] is NodeKind.HOST:
             raise ValueError("host-to-host links are not supported")
-        if self._graph.has_edge(a, b):
+        if a == b:
+            raise ValueError(f"link {a!r}-{b!r} joins a node to itself")
+        if b in self._adj[a]:
             raise ValueError(f"link {a!r}-{b!r} already exists")
         spec = LinkSpec(a, b, bandwidth_bps, propagation_ns)
         self._links.append(spec)
-        self._graph.add_edge(a, b, spec=spec)
+        self._adj[a][b] = self._adj[b][a] = spec
         self._hops.clear()
         return spec
 
@@ -119,18 +121,34 @@ class Topology:
     def kind(self, name: str) -> NodeKind:
         return self._kinds[name]
 
+    def _links_of(self, name: str) -> dict[str, LinkSpec]:
+        links = self._adj.get(name)
+        if links is None:
+            raise ValueError(f"unknown node {name!r}")
+        return links
+
     def neighbors(self, name: str) -> list[str]:
-        return sorted(self._graph.neighbors(name))
+        return sorted(self._links_of(name))
 
     def degree(self, name: str) -> int:
-        return self._graph.degree(name)
+        return len(self._links_of(name))
 
     def link_between(self, a: str, b: str) -> Optional[LinkSpec]:
-        data = self._graph.get_edge_data(a, b)
-        return data["spec"] if data else None
+        return self._adj.get(a, {}).get(b)
 
     def is_connected(self) -> bool:
-        return len(self._kinds) > 0 and nx.is_connected(self._graph)
+        """Whether every node reaches every other (hosts included); an
+        empty topology is not connected."""
+        if not self._adj:
+            return False
+        start = next(iter(self._adj))
+        seen, stack = {start}, [start]
+        while stack:
+            for neighbor in self._adj[stack.pop()]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+        return len(seen) == len(self._adj)
 
     # ------------------------------------------------------------------
     # Routing
@@ -152,7 +170,7 @@ class Topology:
     def _search(self, source: str) -> dict[str, int]:
         """The one graph search: breadth-first from ``source``, expanding
         switches only (tests/topology/test_route_table.py counts calls)."""
-        kinds, adj = self._kinds, self._graph.adj
+        kinds, adj = self._kinds, self._adj
         hops = {source: 0}
         frontier = [source]
         while frontier:
@@ -177,7 +195,7 @@ class Topology:
         here = hops.get(switch)
         if here is None:
             return []
-        return sorted(n for n in self._graph.adj[switch]
+        return sorted(n for n in self._adj[switch]
                       if hops.get(n) == here - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import epoch_record
+from repro.analysis import LinkAudit, epoch_record
 from repro.core import deploy
 from repro.service.pipeline import ContinuousCampaign, PipelineConfig, \
     SnapshotPipeline
@@ -122,3 +122,53 @@ class TestSummary:
         assert summary["merged_epochs"] == 0
         assert 0 < summary["usable_epochs"] <= summary["epochs_stored"]
         assert summary["entries"] == pipeline.ingested
+
+
+class TestCopyFreeReads:
+    """``snapshot``, ``heavy_hitters`` and ``conservation`` read the
+    store's own rows (``EpochStore.views``); the copying reads they
+    replaced are the oracle, and no answer may mutate the store."""
+
+    def test_answers_equal_the_copying_reads(self):
+        network, deployment, pipeline = _service_run(metric="heavy_hitter")
+        store = pipeline.store
+        before = list(store.scan())
+
+        def answers(engine):
+            out = []
+            for epoch in engine.epochs():
+                snapshot = engine.snapshot(epoch)
+                out.append((epoch_record(snapshot),
+                            list(snapshot.records.items()),
+                            engine.heavy_hitters(epoch=epoch, top=3)))
+            lo = engine.epochs()[2]
+            out.append(engine.conservation())
+            out.append(engine.conservation(lo, lo + 5))
+            return out
+
+        audit = LinkAudit(network)
+        copy_free = answers(QueryEngine(store, link_audit=audit))
+        copying = EpochStoreWithCopies(store)
+        assert answers(QueryEngine(copying, link_audit=audit)) == copy_free
+        assert copying.copies > 0
+        assert list(store.scan()) == before
+
+
+class EpochStoreWithCopies:
+    """The store, with its copy-free reads routed through the copying
+    ones (``get``/``scan``) the query engine used before."""
+
+    def __init__(self, store):
+        self._store = store
+        self.copies = 0
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def view(self, epoch):
+        self.copies += 1
+        return self._store.get(epoch)
+
+    def views(self, start=None, end=None):
+        self.copies += 1
+        return self._store.scan(start=start, end=end)

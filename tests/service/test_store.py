@@ -39,6 +39,14 @@ def _canon(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _unstamped(doc):
+    """``_canon`` with the rows' ``epoch`` field dropped (a view's
+    decoded rows leave it to the document)."""
+    return _canon({**doc, "records": [{k: v for k, v in row.items()
+                                       if k != "epoch"}
+                                      for row in doc["records"]]})
+
+
 def _doc(epoch, present, values, consistent_flags, status="complete",
          retries=0, merged=None, units=UNITS):
     rows = []
@@ -264,6 +272,22 @@ class TestStoreBasics:
         assert [d["epoch"] for d in store.scan()] == [1, 2, 3]
         assert all(d["records"] for d in store.scan())
 
+    def test_views_share_the_stored_rows(self):
+        store = EpochStore(StoreConfig(retention=8, keyframe_interval=3))
+        docs = [_doc(epoch, [True] * len(UNITS), [epoch] * len(UNITS),
+                     [True] * len(UNITS)) for epoch in (1, 2, 3, 4)]
+        for doc in docs:
+            store.append(doc)
+        assert store.view(1) is docs[0]  # a keyframe: its stored payload
+        for epoch in (2, 3):  # decoded: fresh lists over the same rows
+            once, twice = store.view(epoch), store.view(epoch)
+            assert once is not twice and once["records"] is not twice["records"]
+            assert all(a is b for a, b in zip(once["records"],
+                                              twice["records"]))
+            assert "epoch" not in once["records"][0]
+        assert [d["epoch"] for d in store.views(2, None)] == [2, 3, 4]
+        assert store.view(9) is None
+
     def test_duplicate_epoch_fails_loudly(self):
         store = EpochStore(StoreConfig(retention=8, keyframe_interval=3))
         doc = _doc(5, [True] * len(UNITS), [5] * len(UNITS),
@@ -457,11 +481,16 @@ class TestSeekableStoreEqualsNaiveReference:
         for start, end in [(None, None), *probes]:
             assert ([_canon(d) for d in store.scan(start, end)]
                     == [_canon(d) for d in naive.scan(start, end)])
+            assert ([_unstamped(d) for d in store.views(start, end)]
+                    == [_unstamped(d) for d in naive.scan(start, end)])
         stored = {e: d for d in naive.scan() for e in [d["epoch"]]}
         for epoch in range(0, 42):
             got = store.get(epoch)
             assert (None if got is None else _canon(got)) == (
                 _canon(stored[epoch]) if epoch in stored else None)
+            seen = store.view(epoch)
+            assert (None if seen is None else _unstamped(seen)) == (
+                _unstamped(stored[epoch]) if epoch in stored else None)
         assert ([{k: v for k, v in d.items() if k != "records"}
                  for d in naive.scan()] == list(store.scan_meta()))
         assert store.stats() == naive.stats()  # reads change nothing

@@ -41,6 +41,14 @@ class TestConstruction:
         topo = _two_switch()
         with pytest.raises(ValueError):
             topo.add_link("s0", "s1")
+        with pytest.raises(ValueError):
+            topo.add_link("s1", "s0")
+
+    def test_self_link_rejected(self):
+        topo = _two_switch()
+        with pytest.raises(ValueError, match="itself"):
+            topo.add_link("s0", "s0")
+        assert topo.degree("s0") == 2
 
     def test_linkspec_other(self):
         spec = LinkSpec("a", "b")
@@ -63,10 +71,20 @@ class TestQueries:
         assert topo.neighbors("s0") == ["h0", "s1"]
         assert topo.degree("s0") == 2
 
+    def test_unknown_node_fails_loudly(self):
+        topo = _two_switch()
+        with pytest.raises(ValueError, match="'nope'"):
+            topo.neighbors("nope")
+        with pytest.raises(ValueError, match="'nope'"):
+            topo.degree("nope")
+
     def test_link_between(self):
         topo = _two_switch()
-        assert topo.link_between("s0", "s1") is not None
+        spec = topo.link_between("s0", "s1")
+        assert spec == LinkSpec("s0", "s1")
+        assert topo.link_between("s1", "s0") is spec
         assert topo.link_between("s0", "h1") is None
+        assert topo.link_between("nope", "s0") is None
 
     def test_connectivity(self):
         topo = _two_switch()

@@ -34,8 +34,18 @@ from repro.topology.graph import NodeKind, Topology
 # ----------------------------------------------------------------------
 # Oracles: the bodies this table replaced
 # ----------------------------------------------------------------------
+def oracle_graph(topo):
+    """A networkx graph built from the public description only, so the
+    oracles share nothing with the adjacency they check."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topo.nodes)
+    graph.add_edges_from((link.a, link.b) for link in topo.links)
+    return graph
+
+
 def pairwise_next_hops(topo, switch, dst_host):
-    graph, kinds = topo._graph, topo._kinds
+    graph = oracle_graph(topo)
+    kinds = {name: topo.kind(name) for name in topo.nodes}
     try:
         dist = nx.shortest_path_length(graph, switch, dst_host)
     except nx.NetworkXNoPath:
@@ -58,7 +68,7 @@ def pairwise_next_hops(topo, switch, dst_host):
 
 def pairwise_feasible_channels(net, switch_name):
     topo = net.topology
-    graph = topo._graph.copy()
+    graph = oracle_graph(topo)
     switch = net.switches[switch_name]
     dist_cache = {}
 
@@ -140,6 +150,22 @@ class TestDifferential:
     @settings(max_examples=60, deadline=None)
     def test_drawn_graphs_match_the_pairwise_oracles(self, topo):
         assert_matches_oracles(topo)
+
+    @given(switch_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_is_connected_agrees_with_networkx(self, topo):
+        assert topo.is_connected() == nx.is_connected(oracle_graph(topo))
+
+    def test_is_connected_on_the_edge_cases(self):
+        topo = Topology("empty")
+        assert not topo.is_connected()  # networkx refuses the null graph
+        topo.add_switch("s0")
+        assert topo.is_connected()
+        topo.add_host("lonely")
+        assert not topo.is_connected()
+        assert not nx.is_connected(oracle_graph(topo))
+        topo.add_link("s0", "lonely")
+        assert topo.is_connected()
 
     def test_route_to_an_unknown_name_gates_like_the_oracle(self):
         # tests/analysis and examples/ inject a "phantom" destination to
