@@ -36,6 +36,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.ids import IdSpace
 from repro.core.snapshot import GlobalSnapshot
+from repro.counters import METRICS
 from repro.sim.switch import TraceEvent, UnitId
 
 
@@ -84,11 +85,13 @@ class ConsistencyChecker:
     """Replays trace events and validates snapshot cuts."""
 
     def __init__(self, id_space: IdSpace, metric: str = "packet_count") -> None:
-        if metric not in ("packet_count", "byte_count"):
+        in_flight = METRICS[metric].in_flight if metric in METRICS else None
+        if in_flight is None:
             raise ValueError(
                 "conservation checking only applies to accumulator metrics")
         self.ids = id_space
         self.metric = metric
+        self._weight = in_flight
         self._history: dict[UnitId, _UnitHistory] = {}
 
     # ------------------------------------------------------------------
@@ -108,8 +111,7 @@ class ConsistencyChecker:
             carried = min(carried, after)  # a send epoch never exceeds ours
             history.carried.append(carried)
             history.after.append(after)
-            history.weight.append(
-                event.size_bytes if self.metric == "byte_count" else 1)
+            history.weight.append(self._weight(event))
 
     # ------------------------------------------------------------------
     # Checking

@@ -53,8 +53,6 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.core.deployment import GAUGE_METRICS
-
 
 def _make_runner(args: argparse.Namespace):
     """Build the TrialRunner the flags describe (progress on stderr)."""
@@ -245,15 +243,13 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(_args: argparse.Namespace) -> int:
-    from repro.counters import COUNTER_REGISTRY
+    from repro.counters import METRICS
 
-    names = sorted(set(COUNTER_REGISTRY) |
-                   {"queue_depth", "queue_watermark", "fib_version"})
     print(f"{'metric':<20} {'kind':<12} channel state")
-    for name in names:
-        kind = "gauge" if name in GAUGE_METRICS else "accumulator"
-        cs = "no (gauge)" if name in GAUGE_METRICS else (
-            "yes" if name in ("packet_count", "byte_count") else "no rule")
+    for name, metric in sorted(METRICS.items()):
+        kind = "gauge" if metric.gauge else "accumulator"
+        cs = "no (gauge)" if metric.gauge else (
+            "yes" if metric.in_flight else "no rule")
         print(f"{name:<20} {kind:<12} {cs}")
     return 0
 

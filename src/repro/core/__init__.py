@@ -60,7 +60,6 @@ from repro.core.snapshot import GlobalSnapshot, SnapshotStatus
 from repro.core.deployment import (
     DeploymentConfig,
     SpeedlightDeployment,
-    GAUGE_METRICS,
 )
 from repro.core.builder import deploy
 from repro.core.sharded import RemoteControlPlane
@@ -91,7 +90,6 @@ __all__ = [
     "SnapshotStatus",
     "DeploymentConfig",
     "SpeedlightDeployment",
-    "GAUGE_METRICS",
     "deploy",
     "RemoteControlPlane",
 ]

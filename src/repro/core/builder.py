@@ -3,13 +3,16 @@
 A deployment is one value, :class:`~repro.core.deployment.DeploymentConfig`
 — each field, its default and its doc live there and nowhere else.
 :func:`deploy` takes those fields as keywords, wires the deployment, and
-is the single place where the optional overlays (recovery policies, the
-aggregation fabric, a compiled routing-update schedule) compose::
+is the single place where the optional overlays (the aggregation
+fabric, a compiled routing-update schedule) compose; a recovery policy
+is applied by passing the two configs it builds::
 
     schedule = plan.compile(UpdateContext.for_topology(
         network.topology, horizon_ns=100 * MS))
+    policy = recovery_preset("eager")
     deployment = deploy(network, metric="packet_count", channel_state=True,
-                        recovery=recovery_preset("eager"),
+                        control_plane=policy.control_plane_config(),
+                        observer=policy.observer_config(),
                         aggregation=AggregationConfig(degree=4),
                         updates=schedule)
 

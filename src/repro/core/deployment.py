@@ -19,12 +19,14 @@ P4 compiler) performs on a real network:
   configure header stripping at deployment boundaries (partial
   deployment, §10).
 
-Gating defaults: an ingress unit gates on its external channel only when
-the link peer is a snapshot-enabled switch (host channels carry no
-tagged in-flight packets, so they are excluded — the §6 "removal of
-non-utilized upstream neighbors" knob, applied automatically); an egress
-unit gates on every connected ingress port of its switch except its own
-(a packet never hairpins out the port it arrived on).
+Gating: an ingress unit gates on its external channel, one sub-channel
+per CoS lane, only when the link peer is a snapshot-enabled switch (host
+channels carry no tagged in-flight packets, so they are excluded — the
+§6 "removal of non-utilized upstream neighbors" knob, applied
+automatically); an egress unit gates on every (feasible ingress port,
+lane) pair of its switch (a packet never hairpins out the port it
+arrived on).  An operator drops a further channel with
+:meth:`~repro.core.control_plane.SwitchControlPlane.exclude_channel`.
 
 The same class wires a :class:`~repro.sim.network.Network` and one
 shard's slice of a space-parallel run (a
@@ -38,7 +40,7 @@ behind a mailbox on another shard (:mod:`repro.core.sharded`); on a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
 from functools import partial
 from typing import Any, Optional, Union
@@ -52,30 +54,14 @@ from repro.core.dataplane import SpeedlightUnit
 from repro.core.ideal import IdealUnit
 from repro.core.ids import IdSpace
 from repro.core.observer import ObserverConfig, SnapshotObserver
-from repro.core.recovery import RecoveryPolicy
 from repro.core.sharded import (AGG_OBSERVER_MAILBOX, OBSERVER_MAILBOX,
                                 OBSERVER_SHARD, RemoteControlPlane,
                                 agg_init_mailbox, agg_mailbox, cp_mailbox)
-from repro.counters import (FibVersionCounter, QueueDepthCounter,
-                            QueueHighWatermark, make_counter)
+from repro.counters import metric
 from repro.sim.network import Network
-from repro.sim.packet import Packet
 from repro.sim.shard import ShardWorker
 from repro.sim.switch import Direction, Switch, UnitId
 from repro.topology.graph import NodeKind
-
-#: Metrics that are gauges: channel state (in-flight accumulation) has
-#: no meaning for them and the deployment rejects the combination.
-GAUGE_METRICS = frozenset({"queue_depth", "queue_watermark",
-                           "ewma_interarrival", "ewma_packet_rate",
-                           "fib_version"})
-
-#: Per-metric contribution of one in-flight packet to channel state.
-_IN_FLIGHT_FNS: dict[str, Callable[[Packet], int]] = {
-    "packet_count": lambda pkt: 1,
-    "byte_count": lambda pkt: pkt.size_bytes,
-}
-
 
 def _unpacked(handler: Callable[..., Any]) -> Callable[[tuple], None]:
     """A mailbox handler takes one payload; on the deployment's
@@ -130,27 +116,12 @@ def _checked_switches(network: Network, switches: list[str]) -> list[str]:
     return list(switches)
 
 
-def _check_cos_classes(classes: list[int], switch: Switch) -> None:
-    """Refuse a gating class list with a class outside the switch's
-    lanes (it would gate on nothing) or a class listed twice."""
-    num_cos = switch.config.num_cos
-    seen: set[int] = set()
-    for cos in classes:
-        if cos in seen:
-            raise ValueError(f"cos_classes: class {cos} is listed twice")
-        if not 0 <= cos < num_cos:
-            raise ValueError(
-                f"cos_classes: class {cos} is not a lane of switch "
-                f"{switch.name!r} (num_cos={num_cos})")
-        seen.add(cos)
-
-
 @dataclass
 class DeploymentConfig:
     """The fields of a Speedlight deployment — the keywords of
     :func:`repro.core.deploy`, which is the one place it is built."""
 
-    #: Metric name from :data:`repro.counters.COUNTER_REGISTRY`.
+    #: Metric name from :data:`repro.counters.METRICS`.
     metric: str = "packet_count"
     #: Collect channel state (in-flight packets)?  Requires an
     #: accumulator metric.
@@ -164,16 +135,6 @@ class DeploymentConfig:
     #: Use the idealised Figure 3 units instead of Speedlight's
     #: hardware-constrained ones (ablation only; forces unbounded IDs).
     ideal_units: bool = False
-    #: Gate ingress completion on host-facing channels too (needs
-    #: host-driven traffic on every such port to complete).
-    gate_host_channels: bool = False
-    #: CoS classes whose sub-channels gate completion (None = all lanes
-    #: the switches are configured with).  Classes that carry no traffic
-    #: stall channel-state completion until probes or re-initiation cover
-    #: them, so operators running traffic in a subset of classes should
-    #: list that subset here (§6's neighbor-exclusion knob, per class).
-    #: Each class is listed once and must be a lane of every switch.
-    cos_classes: Optional[list[int]] = None
     #: Per-switch control-plane knobs (probes, re-initiation, transport).
     control_plane: ControlPlaneConfig = field(default_factory=ControlPlaneConfig)
     #: Observer knobs (lead time, retries).
@@ -184,10 +145,6 @@ class DeploymentConfig:
     #: baseline (observer intake pays per-record service), ``degree>=1``
     #: builds the aggregation tree.
     aggregation: Optional[AggregationConfig] = None
-    #: Recovery policy overlay: when set, its §6 recovery fields are
-    #: applied over ``control_plane``/``observer`` (which keep supplying
-    #: every non-recovery field, e.g. transport or lead time).
-    recovery: Optional[RecoveryPolicy] = None
 
 
 class SpeedlightDeployment:
@@ -205,6 +162,7 @@ class SpeedlightDeployment:
 
     def __init__(self, target: Union[Network, ShardWorker],
                  config: DeploymentConfig) -> None:
+        self.metric = metric(config.metric)
         #: The shard worker hosting this slice (None on a plain Network).
         self.worker = None if isinstance(target, Network) else target
         network = target if self.worker is None else self.worker.network
@@ -230,32 +188,24 @@ class SpeedlightDeployment:
                 raise ValueError(
                     "sharded deployments are full deployments; partial "
                     "deployment (§10) requires shards=1")
-        if config.recovery is not None:
-            config = replace(
-                config,
-                control_plane=config.recovery.control_plane_config(
-                    config.control_plane),
-                observer=config.recovery.observer_config(config.observer))
         self.network = network
         self.config = config
-        if config.channel_state and config.metric in GAUGE_METRICS:
+        if config.channel_state and self.metric.gauge:
             raise ValueError(
                 f"metric {config.metric!r} is a gauge; channel state is "
                 "meaningless for gauges — snapshot it without channel state "
                 "(the paper's queue-depth example, §4.2)")
-        if config.channel_state and config.metric not in _IN_FLIGHT_FNS:
+        if config.channel_state and self.metric.in_flight is None:
             raise ValueError(
                 f"metric {config.metric!r} has no in-flight contribution "
-                "rule; register one or disable channel state")
+                "rule; add one to its METRICS entry or disable channel "
+                "state")
         #: The switches this deployment wires, in wiring order: the
         #: configured subset (partial deployment, §10) or every switch of
         #: the target — on a shard, that shard's own.
         self.switch_names: list[str] = (
             _checked_switches(network, config.switches)
             if config.switches is not None else sorted(network.switches))
-        if config.cos_classes is not None:
-            for name in self.switch_names:
-                _check_cos_classes(config.cos_classes, network.switch(name))
         self.ids = IdSpace(None if config.ideal_units else config.max_sid)
         self.agents: dict[UnitId, object] = {}
         self.control_planes: dict[str, SwitchControlPlane] = {}
@@ -335,29 +285,11 @@ class SpeedlightDeployment:
         for port_index in switch.connected_ports():
             port = switch.ports[port_index]
             for unit in (port.ingress, port.egress):
-                counter = self._make_counter(unit)
+                counter = self.metric.counter(unit)
                 unit.counters.add(self.config.metric, counter)
                 agent = self._make_agent(unit, counter)
                 unit.snapshot_agent = agent
                 self.agents[unit.unit_id] = agent
-
-    def _make_counter(self, unit):
-        if self.config.metric == "queue_depth":
-            if unit.unit_id.direction is Direction.EGRESS:
-                return QueueDepthCounter.for_egress_unit(unit)
-            # Ingress units have no queue; a constant-zero gauge keeps
-            # the record schema uniform across directions.
-            return QueueDepthCounter(lambda: 0)
-        if self.config.metric == "queue_watermark":
-            if unit.unit_id.direction is Direction.EGRESS:
-                return QueueHighWatermark.for_egress_unit(unit)
-            return QueueHighWatermark(lambda: 0)
-        if self.config.metric == "fib_version":
-            if unit.unit_id.direction is Direction.INGRESS:
-                return FibVersionCounter.for_ingress_unit(unit)
-            # Forwarding decisions happen at ingress only.
-            return FibVersionCounter(lambda: 0)
-        return make_counter(self.config.metric)
 
     def _make_agent(self, unit, counter):
         switch = unit.switch
@@ -365,14 +297,11 @@ class SpeedlightDeployment:
             return IdealUnit(unit.unit_id, counter.read,
                              channel_state=self.config.channel_state,
                              notify=switch.send_notification,
-                             in_flight_value_fn=self._in_flight_fn())
+                             in_flight_value_fn=self.metric.in_flight)
         return SpeedlightUnit(unit.unit_id, self.ids, counter.read,
                               channel_state=self.config.channel_state,
                               notify=switch.send_notification,
-                              in_flight_value_fn=self._in_flight_fn())
-
-    def _in_flight_fn(self) -> Optional[Callable[[Packet], int]]:
-        return _IN_FLIGHT_FNS.get(self.config.metric)
+                              in_flight_value_fn=self.metric.in_flight)
 
     def _register_units(self, name: str) -> None:
         switch = self.network.switch(name)
@@ -393,35 +322,28 @@ class SpeedlightDeployment:
             units.update((ingress.unit_id, egress.unit_id))
         self.observer.register_device(name, cp, units)
 
-    def _cos_classes(self, switch: Switch) -> list[int]:
-        if self.config.cos_classes is not None:
-            return list(self.config.cos_classes)
-        return list(range(switch.config.num_cos))
-
     def _ingress_gating(self, switch_name: str, port: int) -> list[int]:
         if not self.config.channel_state:
             return []
         peer, kind = self.network.peer_of_port(switch_name, port)
-        peer_enabled = (kind is NodeKind.SWITCH and peer in self._participants)
-        if peer_enabled or self.config.gate_host_channels:
-            # One external sub-channel per CoS lane (lane 0 is the
-            # classic EXTERNAL_CHANNEL).
-            return self._cos_classes(self.network.switch(switch_name))
-        return []
+        if kind is not NodeKind.SWITCH or peer not in self._participants:
+            return []
+        # One external sub-channel per CoS lane (lane 0 is the classic
+        # EXTERNAL_CHANNEL).
+        return list(range(self.network.switch(switch_name).config.num_cos))
 
     def _egress_gating(self, switch: Switch, feasible_channels,
                        port: int) -> list[int]:
         """Channels whose Last Seen gates this egress's completion: every
-        (feasible ingress port, configured CoS class) pair — derived from
-        the routing function so completion never gates on structurally
-        idle channels (§6)."""
+        (feasible ingress port, CoS lane) pair — derived from the routing
+        function so completion never gates on structurally idle channels
+        (§6)."""
         if not self.config.channel_state:
             return []
-        classes = self._cos_classes(switch)
         return sorted({switch.egress_channel_id(p_in, cos)
                        for (p_in, p_out) in feasible_channels
                        if p_out == port
-                       for cos in classes})
+                       for cos in range(switch.config.num_cos)})
 
     def _register_remote_devices(self) -> None:
         """Give shard 0's observer the full device census: remote

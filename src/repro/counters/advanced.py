@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from repro.counters.base import Counter, register_counter
+from repro.counters.base import Counter
 from repro.lb.ecmp import flow_hash
 from repro.sim.packet import Packet
 
@@ -36,11 +36,6 @@ class QueueHighWatermark(Counter):
         self._depth_fn = depth_fn
         self.clear_on_read = clear_on_read
         self._watermark = 0
-
-    @classmethod
-    def for_egress_unit(cls, egress_unit,
-                        clear_on_read: bool = True) -> "QueueHighWatermark":
-        return cls(lambda: egress_unit.queue_depth_packets, clear_on_read)
 
     def update(self, packet: Packet, now_ns: int) -> None:
         depth = self._depth_fn()
@@ -91,6 +86,3 @@ class ActiveFlowEstimator(Counter):
     def reset(self) -> None:
         self._bitmap = bytearray(self.bits)
         self._set_bits = 0
-
-
-register_counter("active_flows", ActiveFlowEstimator)

@@ -13,15 +13,13 @@ shared state to be re-expressed as per-unit state (§4.2).  The framework
 enforces nothing — it is a convention — but all bundled counters follow
 it.
 
-``COUNTER_REGISTRY`` maps metric names (as used in snapshot requests,
-e.g. ``"packet_count"``) to factories, so deployments can be configured
-with a string.
+Which counter backs which metric name lives in one table,
+:data:`repro.counters.METRICS`.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
 
 from repro.sim.packet import Packet
 
@@ -39,25 +37,3 @@ class Counter(abc.ABC):
 
     def reset(self) -> None:
         """Zero the registers.  Subclasses override as needed."""
-
-
-#: Metric name -> factory.  Factories take no arguments; per-unit context
-#: (e.g. which queue a depth counter watches) is bound by the deployment.
-COUNTER_REGISTRY: dict[str, Callable[[], Counter]] = {}
-
-
-def register_counter(name: str, factory: Callable[[], Counter]) -> None:
-    """Register a counter factory under a metric name."""
-    if name in COUNTER_REGISTRY:
-        raise ValueError(f"counter {name!r} already registered")
-    COUNTER_REGISTRY[name] = factory
-
-
-def make_counter(name: str) -> Counter:
-    """Instantiate a registered counter by metric name."""
-    try:
-        factory = COUNTER_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(COUNTER_REGISTRY))
-        raise KeyError(f"unknown metric {name!r}; known metrics: {known}") from None
-    return factory()

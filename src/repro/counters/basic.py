@@ -8,7 +8,7 @@ channel of the snapshot epoch they were sent in (§4.2).
 
 from __future__ import annotations
 
-from repro.counters.base import Counter, register_counter
+from repro.counters.base import Counter
 from repro.sim.packet import Packet
 
 
@@ -42,7 +42,3 @@ class ByteCounter(Counter):
 
     def reset(self) -> None:
         self.value = 0
-
-
-register_counter("packet_count", PacketCounter)
-register_counter("byte_count", ByteCounter)

@@ -30,7 +30,7 @@ same four registers (``last_ts``, ``packet_count``, ``temp_ewma``,
 
 from __future__ import annotations
 
-from repro.counters.base import Counter, register_counter
+from repro.counters.base import Counter
 from repro.sim.packet import Packet
 
 
@@ -101,7 +101,3 @@ class EwmaPacketRate(Counter):
 
     def reset(self) -> None:
         self._interarrival.reset()
-
-
-register_counter("ewma_interarrival", EwmaInterarrival)
-register_counter("ewma_packet_rate", EwmaPacketRate)

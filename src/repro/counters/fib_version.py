@@ -27,12 +27,6 @@ class FibVersionCounter(Counter):
     def __init__(self, version_fn: Callable[[], int]) -> None:
         self._version_fn = version_fn
 
-    @classmethod
-    def for_ingress_unit(cls, ingress_unit) -> "FibVersionCounter":
-        switch = ingress_unit.switch
-        port = ingress_unit.port_index
-        return cls(lambda: switch.last_matched_version[port])
-
     def update(self, packet: Packet, now_ns: int) -> None:
         # The register is written by the forwarding lookup itself; the
         # counter is a pure gauge over it.

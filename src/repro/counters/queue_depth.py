@@ -20,21 +20,11 @@ from repro.sim.packet import Packet
 
 
 class QueueDepthCounter(Counter):
-    """Reads a queue-occupancy gauge.
-
-    ``depth_fn`` returns the current depth; ``in_bytes`` selects bytes
-    vs. packets.  Bind it to an egress unit with :meth:`for_egress_unit`.
-    """
+    """Reads a queue-occupancy gauge; ``depth_fn`` returns the current
+    depth."""
 
     def __init__(self, depth_fn: Callable[[], int]) -> None:
         self._depth_fn = depth_fn
-
-    @classmethod
-    def for_egress_unit(cls, egress_unit, in_bytes: bool = False) -> "QueueDepthCounter":
-        """Create a depth counter watching ``egress_unit``'s output queue."""
-        if in_bytes:
-            return cls(lambda: egress_unit.queue_depth_bytes)
-        return cls(lambda: egress_unit.queue_depth_packets)
 
     def update(self, packet: Packet, now_ns: int) -> None:
         # A gauge: nothing to accumulate per packet.

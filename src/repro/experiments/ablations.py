@@ -289,13 +289,13 @@ def _transport_cp_config(transport: str) -> ControlPlaneConfig:
 
 def _transport_max_rate(config: TransportConfig, transport: str) -> float:
     # Reuse Fig 10's knee search with the transport's control-plane
-    # configuration swapped in (no monkeypatching: _max_rate takes it).
-    from repro.experiments.fig10 import Fig10Config, _max_rate
+    # configuration swapped in (no monkeypatching: _sustained takes it).
+    from repro.experiments.fig10 import Fig10Config, _knee, _sustained
 
-    return _max_rate(config.ports,
-                     Fig10Config(seed=config.seed, burst=25,
-                                 search_iterations=7),
-                     control_plane=_transport_cp_config(transport))
+    fig10 = Fig10Config(seed=config.seed, burst=25, search_iterations=7)
+    control_plane = _transport_cp_config(transport)
+    return _knee(lambda rate: _sustained(config.ports, rate, fig10,
+                                         control_plane), fig10)
 
 
 def _transport_completion(config: TransportConfig, transport: str) -> float:

@@ -20,8 +20,8 @@ result).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
-from typing import Optional
+from collections.abc import Callable, Sequence
+from typing import Optional, Union
 
 from repro.core import (AggregationConfig, ControlPlaneConfig,
                         ObserverConfig, deploy)
@@ -90,7 +90,8 @@ def run_trial(spec: TrialSpec) -> TrialResult:
                          search_iterations=p["search_iterations"],
                          rate_floor_hz=p["rate_floor_hz"],
                          rate_ceiling_hz=p["rate_ceiling_hz"])
-    return make_result(spec, {"max_rate_hz": _max_rate(p["ports"], config)})
+    return make_result(spec, {"max_rate_hz": _knee(
+        lambda rate: _sustained(p["ports"], rate, config), config)})
 
 
 def assemble(config: Fig10Config,
@@ -141,16 +142,19 @@ def _sustained(ports: int, rate_hz: float, config: Fig10Config,
     return cp.channel.max_backlog <= 2.5 * per_snapshot
 
 
-def _max_rate(ports: int, config: Fig10Config,
-              control_plane: Optional[ControlPlaneConfig] = None) -> float:
+def _knee(sustained: Callable[[float], bool],
+          config: Union[Fig10Config, AggKneeConfig]) -> float:
+    """The highest rate ``sustained`` holds at, by geometric search
+    between the config's floor and ceiling (0.0 if even the floor
+    fails)."""
     lo, hi = config.rate_floor_hz, config.rate_ceiling_hz
-    if not _sustained(ports, lo, config, control_plane):
+    if not sustained(lo):
         return 0.0
-    if _sustained(ports, hi, config, control_plane):
+    if sustained(hi):
         return hi
     for _ in range(config.search_iterations):
         mid = (lo * hi) ** 0.5  # geometric: the plot is log-log
-        if _sustained(ports, mid, config, control_plane):
+        if sustained(mid):
             lo = mid
         else:
             hi = mid
@@ -248,8 +252,9 @@ def run_agg_trial(spec: TrialSpec) -> TrialResult:
                            search_iterations=p["search_iterations"],
                            rate_floor_hz=p["rate_floor_hz"],
                            rate_ceiling_hz=p["rate_ceiling_hz"])
-    return make_result(spec, {
-        "max_rate_hz": _agg_max_rate(p["arity"], p["degree"], config)})
+    return make_result(spec, {"max_rate_hz": _knee(
+        lambda rate: _agg_sustained(p["arity"], p["degree"], rate, config),
+        config)})
 
 
 def agg_assemble(config: AggKneeConfig,
@@ -301,21 +306,6 @@ def _agg_sustained(arity: int, degree: int, rate_hz: float,
                 for s in deployment.switch_names)
     per_epoch = units if degree == 0 else 2 + degree
     return agg["intake_max_backlog"] <= 2.5 * per_epoch
-
-
-def _agg_max_rate(arity: int, degree: int, config: AggKneeConfig) -> float:
-    lo, hi = config.rate_floor_hz, config.rate_ceiling_hz
-    if not _agg_sustained(arity, degree, lo, config):
-        return 0.0
-    if _agg_sustained(arity, degree, hi, config):
-        return hi
-    for _ in range(config.search_iterations):
-        mid = (lo * hi) ** 0.5  # geometric: the plot is log-log
-        if _agg_sustained(arity, degree, mid, config):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 EXPERIMENTS = (_FIG10, _AGG)

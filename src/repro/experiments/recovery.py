@@ -200,9 +200,10 @@ def setup(worker: ShardWorker, params: dict, seed: int, duration: int):
         # in-flight packets to collect.
         start_poisson(worker.network, seed=seed + 1,
                       rate_pps=params["rate_pps"], stop_ns=duration)
+    policy = RecoveryPolicy.from_jsonable(params["policy"])
     deployment = deploy(worker, metric="packet_count", channel_state=single,
-                        recovery=RecoveryPolicy.from_jsonable(
-                            params["policy"]))
+                        control_plane=policy.control_plane_config(),
+                        observer=policy.observer_config())
     injector = FaultInjector(
         worker.network,
         FaultSchedule.from_jsonable(params["schedule"]).restrict(

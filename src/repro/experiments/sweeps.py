@@ -88,17 +88,17 @@ def service_cost_specs(config: ServiceCostSweepConfig) -> list[TrialSpec]:
 
 @trial("sweep_service_cost")
 def run_service_cost_trial(spec: TrialSpec) -> TrialResult:
-    from repro.experiments.fig10 import Fig10Config, _max_rate
+    from repro.experiments.fig10 import Fig10Config, _knee, _sustained
 
     p = spec.params
-    rate = _max_rate(
-        p["ports"],
-        Fig10Config(seed=spec.seed, burst=p["burst"],
-                    search_iterations=p["search_iterations"]),
-        control_plane=ControlPlaneConfig(
-            notification_service_ns=p["cost_ns"],
-            reinitiation_timeout_ns=0,  # retries would double the load
-            probe_delay_ns=0))
+    config = Fig10Config(seed=spec.seed, burst=p["burst"],
+                         search_iterations=p["search_iterations"])
+    control_plane = ControlPlaneConfig(
+        notification_service_ns=p["cost_ns"],
+        reinitiation_timeout_ns=0,  # retries would double the load
+        probe_delay_ns=0)
+    rate = _knee(lambda rate_hz: _sustained(p["ports"], rate_hz, config,
+                                            control_plane), config)
     return make_result(spec, {"max_rate_hz": rate})
 
 

@@ -657,10 +657,6 @@ class EgressUnit(_ProcessingUnit):
     def queue_depth_packets(self) -> int:
         return self.queue.depth_packets
 
-    @property
-    def queue_depth_bytes(self) -> int:
-        return self.queue.depth_bytes
-
 
 class Port:
     """One front-panel port: an ingress unit, an egress unit, and a link."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import deploy
+from repro.core import deploy, recovery_preset
 from repro.core.dataplane import SpeedlightUnit
 from repro.core.deployment import merge_progress
 from repro.core.ideal import IdealUnit
@@ -40,12 +40,24 @@ class TestWiring:
         ({"switches": []}, ValueError, r"switches=\[\] deploys nothing"),
         # A misspelt field is refused, not dropped.
         ({"chanel_state": True}, TypeError, "chanel_state"),
+        # Removed fields are refused by name: a recovery policy is applied
+        # by passing the two configs it builds; gating is the topology's.
+        ({"recovery": recovery_preset("eager")}, TypeError, "recovery"),
+        ({"gate_host_channels": True}, TypeError, "gate_host_channels"),
+        ({"cos_classes": [0]}, TypeError, "cos_classes"),
+        # An unknown metric fails before any switch is touched, naming
+        # every metric there is.
+        ({"metric": "nope"}, KeyError,
+         "unknown metric 'nope'; known metrics: active_flows, byte_count, "
+         "ewma_interarrival, ewma_packet_rate, fib_version, heavy_hitter, "
+         "packet_count, queue_depth, queue_watermark"),
     ])
     def test_bad_fields_rejected(self, fields, error, match):
         net = _net()
         with pytest.raises(error, match=match):
-            deploy(net, metric="packet_count", **fields)
-        assert all(sw.snapshot_units() == [] for sw in net.switches.values())
+            deploy(net, **{"metric": "packet_count", **fields})
+        assert all(sw.snapshot_units() == [] and sw.notification_sink is None
+                   for sw in net.switches.values())
 
     def test_gauge_metric_rejects_channel_state(self):
         net = _net()
@@ -54,14 +66,8 @@ class TestWiring:
 
     def test_unknown_in_flight_rule_rejected(self):
         net = _net()
-        from repro.counters.base import register_counter
-        from repro.counters.basic import PacketCounter
-        try:
-            register_counter("custom_metric", PacketCounter)
-        except ValueError:
-            pass
         with pytest.raises(ValueError, match="in-flight"):
-            deploy(net, metric="custom_metric", channel_state=True)
+            deploy(net, metric="heavy_hitter", channel_state=True)
 
     def test_ideal_units_selected(self):
         net = _net()
@@ -111,16 +117,6 @@ class TestGating:
         # Valley channel spine1 -> spine0 can never carry routed traffic.
         assert spine1_port not in tracker.gating
         assert 0 in tracker.gating  # server0's ingress can
-
-    def test_gate_host_channels_opt_in(self):
-        net = _net()
-        dep = deploy(
-            net, metric="packet_count", channel_state=True,
-            gate_host_channels=True)
-        cp = dep.control_planes["leaf0"]
-        host_port = net.port_toward("leaf0", "server0")
-        tracker = cp.trackers[UnitId("leaf0", host_port, Direction.INGRESS)]
-        assert tracker.gating == [EXTERNAL_CHANNEL]
 
 
 class TestPartialDeployment:

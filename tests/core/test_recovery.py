@@ -79,14 +79,18 @@ class TestRecoveryPolicy:
 
 
 class TestDeploymentThreading:
-    def _deploy(self, **kwargs):
+    def _deploy(self, policy=None):
+        """A policy is applied by passing the two configs it builds."""
         network = Network(linear(num_switches=2, hosts_per_switch=1),
                           NetworkConfig(seed=1))
-        return network, deploy(network, metric="packet_count", **kwargs)
+        configs = {} if policy is None else {
+            "control_plane": policy.control_plane_config(),
+            "observer": policy.observer_config()}
+        return network, deploy(network, metric="packet_count", **configs)
 
     def test_policy_threads_into_both_configs(self):
         policy = recovery_preset("eager")
-        _, deployment = self._deploy(recovery=policy)
+        _, deployment = self._deploy(policy)
         assert (deployment.config.control_plane
                 == policy.control_plane_config(ControlPlaneConfig()))
         assert (deployment.config.observer
@@ -106,13 +110,13 @@ class TestDeploymentThreading:
         rounds, interval = 2, 5 * MS
         horizon = rounds * interval + 120 * MS
 
-        network, silent = self._deploy(recovery=RecoveryPolicy())
+        network, silent = self._deploy(RecoveryPolicy())
         silent.schedule_campaign(rounds, interval)
         network.run(until=horizon)
         assert all(cp.polls_performed == 0
                    for cp in silent.control_planes.values())
 
-        network, polling = self._deploy(recovery=recovery_preset("polling"))
+        network, polling = self._deploy(recovery_preset("polling"))
         polling.schedule_campaign(rounds, interval)
         network.run(until=horizon)
         assert any(cp.polls_performed > 0
@@ -122,7 +126,7 @@ class TestDeploymentThreading:
         """A silent device is excluded only after the policy's device
         timeout — the grace period keeps slow devices in the epoch."""
         def run_with(policy, until_ns):
-            network, deployment = self._deploy(recovery=policy)
+            network, deployment = self._deploy(policy)
             # sw1's CPU never hears from its ASIC: it will never ship.
             network.switch("sw1").notification_sink = lambda n: None
             epoch = deployment.take_snapshot()

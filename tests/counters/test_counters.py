@@ -1,9 +1,14 @@
 """Tests for the counter framework and the basic counters."""
 
+import ast
+import inspect
+from types import SimpleNamespace
+
 import pytest
 
-from repro.counters import (ByteCounter, PacketCounter, QueueDepthCounter,
-                            COUNTER_REGISTRY, make_counter, register_counter)
+import repro.counters
+from repro.counters import (METRICS, ByteCounter, PacketCounter,
+                            QueueDepthCounter, metric)
 from repro.sim.packet import FlowKey, Packet
 
 
@@ -13,24 +18,39 @@ def _pkt(size=1000):
 
 class TestRegistry:
     def test_known_metrics_registered(self):
-        for name in ("packet_count", "byte_count", "ewma_interarrival",
-                     "ewma_packet_rate"):
-            assert name in COUNTER_REGISTRY
+        assert sorted(METRICS) == [
+            "active_flows", "byte_count", "ewma_interarrival",
+            "ewma_packet_rate", "fib_version", "heavy_hitter",
+            "packet_count", "queue_depth", "queue_watermark"]
+        # Only the two accumulators whose in-flight packets are countable
+        # have a channel-state rule; no gauge has one (§4.2).
+        pkt = _pkt(300)
+        assert {name: m.in_flight(pkt) for name, m in METRICS.items()
+                if m.in_flight is not None} == {"packet_count": 1,
+                                                "byte_count": 300}
+        assert not any(m.gauge and m.in_flight for m in METRICS.values())
 
-    def test_make_counter_instantiates_fresh_objects(self):
-        a = make_counter("packet_count")
-        b = make_counter("packet_count")
+    def test_make_counter_instantiates_fresh_objects(self, single_switch_net):
+        unit = single_switch_net.switch("sw0").ports[0].ingress
+        a = metric("packet_count").counter(unit)
+        b = metric("packet_count").counter(unit)
         a.update(_pkt(), 0)
         assert a.read() == 1
         assert b.read() == 0
 
     def test_unknown_metric_raises_with_known_list(self):
         with pytest.raises(KeyError, match="packet_count"):
-            make_counter("no_such_metric")
+            metric("no_such_metric")
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_counter("packet_count", PacketCounter)
+        """A dict literal keeps the last of two equal keys without a word,
+        so the table's source must name each metric once."""
+        module = ast.parse(inspect.getsource(repro.counters))
+        table = next(node.value for node in module.body
+                     if isinstance(node, ast.AnnAssign)
+                     and node.target.id == "METRICS")
+        names = [key.value for key in table.keys]
+        assert len(names) == len(set(names)) == len(METRICS)
 
 
 class TestPacketCounter:
@@ -75,8 +95,11 @@ class TestQueueDepthCounter:
         assert counter.read() == 1
 
     def test_for_egress_unit(self, single_switch_net):
-        egress = single_switch_net.switch("sw0").ports[0].egress
-        pkts = QueueDepthCounter.for_egress_unit(egress)
-        in_bytes = QueueDepthCounter.for_egress_unit(egress, in_bytes=True)
-        assert pkts.read() == 0
-        assert in_bytes.read() == 0
+        port = single_switch_net.switch("sw0").ports[0]
+        depth = METRICS["queue_depth"].counter(port.egress)
+        assert isinstance(depth, QueueDepthCounter)
+        assert depth.read() == 0
+        port.egress.queue = SimpleNamespace(depth_packets=3)
+        assert depth.read() == 3  # the live queue, read at each call
+        # Ingress units have no queue: a constant-zero gauge.
+        assert METRICS["queue_depth"].counter(port.ingress).read() == 0

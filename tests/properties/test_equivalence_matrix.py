@@ -39,37 +39,40 @@ if os.environ.get("REPRO_MATRIX_DEEP") == "1":
 ACCUMULATORS = ("packet_count", "byte_count")
 UNTIL_NS = 600 * MS  # past the slowest preset's retries and device timeout
 
-#: One strategy per DeploymentConfig field, given the draw's switches and
-#: CoS lane count; the guard test holds its keys to the dataclass.
+
+def _recovered(base, config_of):
+    """``base`` with a drawn recovery preset, or none, applied over it
+    (``config_of`` is one of the two RecoveryPolicy config builders)."""
+    presets = [RECOVERY_PRESETS[name] for name in sorted(RECOVERY_PRESETS)]
+    return st.tuples(base, st.none() | st.sampled_from(presets)).map(
+        lambda drawn: drawn[0] if drawn[1] is None
+        else config_of(drawn[1], drawn[0]))
+
+
+#: One strategy per DeploymentConfig field, given the draw's switches;
+#: the guard test holds its keys to the dataclass.
 FIELDS = {
     # Accumulators twice: only they are held to the conservation laws.
-    "metric": lambda sws, cos: st.sampled_from(
+    "metric": lambda sws: st.sampled_from(
         ACCUMULATORS * 2 + ("queue_depth", "heavy_hitter")),
-    "channel_state": lambda sws, cos: st.booleans(),
-    "max_sid": lambda sws, cos: st.sampled_from([255, None, 3, 7]),
-    "switches": lambda sws, cos: st.none() | st.lists(
+    "channel_state": lambda sws: st.booleans(),
+    "max_sid": lambda sws: st.sampled_from([255, None, 3, 7]),
+    "switches": lambda sws: st.none() | st.lists(
         st.sampled_from(sws), min_size=1, unique=True).map(sorted),
-    "ideal_units": lambda sws, cos: st.booleans(),
-    "gate_host_channels": lambda sws, cos: st.booleans(),
-    "cos_classes": lambda sws, cos: st.none() | st.lists(
-        st.integers(0, cos - 1), min_size=1, unique=True).map(sorted),
-    "control_plane": lambda sws, cos: st.builds(
+    "ideal_units": lambda sws: st.booleans(),
+    "control_plane": lambda sws: _recovered(st.builds(
         ControlPlaneConfig, probe_delay_ns=st.sampled_from([2 * MS, 0]),
         notification_transport=st.sampled_from(["socket", "digest"])),
-    "observer": lambda sws, cos: st.builds(
+        RecoveryPolicy.control_plane_config),
+    "observer": lambda sws: _recovered(st.builds(
         ObserverConfig, lead_time_ns=st.sampled_from([5 * MS, 10 * MS])),
-    "aggregation": lambda sws, cos: st.none() | st.builds(
+        RecoveryPolicy.observer_config),
+    "aggregation": lambda sws: st.none() | st.builds(
         AggregationConfig, degree=st.integers(0, 4)),
-    "recovery": lambda sws, cos: st.none() | st.sampled_from(
-        [RECOVERY_PRESETS[name] for name in sorted(RECOVERY_PRESETS)]),
 }
 
 #: Draws with no liveness promise, by name: checked for safety only.
 CARVE_OUTS = {
-    # Hosts send in class 0 only, and probes cross switch links only, so
-    # a gated host-facing channel in class 1 never advances Last Seen.
-    "idle gated host class": lambda case, c: c.channel_state
-    and c.gate_host_channels and max(c.cos_classes or [case["cos"] - 1]) > 0,
     # An epoch still pending when a window's worth of later epochs
     # initiate is abandoned (the no-lapping rule, §5.3).
     "ID window shorter than the campaign": lambda case, c: not c.ideal_units
@@ -90,7 +93,7 @@ def cases(draw):
         loss=draw(st.sampled_from([0.0, 0.005])),
         snapshots=draw(st.integers(2, 4)), interval=draw(st.integers(3, 10)),
         config=draw(st.builds(DeploymentConfig, **{
-            name: field(switches, cos) for name, field in FIELDS.items()})),
+            name: field(switches) for name, field in FIELDS.items()})),
         shards=shards, order=draw(st.permutations(range(shards))))
 
 
