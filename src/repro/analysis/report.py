@@ -17,22 +17,26 @@ from repro.sim.switch import Direction, UnitId
 
 def snapshot_rows(snapshot: GlobalSnapshot) -> list[dict[str, object]]:
     """One flat dict per unit record (stable ordering)."""
-    # Units are unique, so the sort never reaches (or compares) a record.
+    # Units are unique, so the sort never reaches a value.  A frozen
+    # snapshot's rows come straight from its columns.
     epoch = snapshot.epoch
     return [{
         "epoch": epoch,
         "device": device,
         "port": port,
         "direction": direction,
-        "value": record.value,
-        "channel_state": record.channel_state,
-        "total": record.total_value,
-        "consistent": record.consistent,
-        "captured_ns": record.captured_ns,
-        "read_ns": record.read_ns,
-    } for device, port, direction, record in sorted(
-        [(u.device, u.port, u.direction.value, r)
-         for u, r in snapshot.records.items()])]
+        "value": value,
+        "channel_state": channel_state,
+        "total": value if channel_state is None else value + channel_state,
+        "consistent": consistent,
+        "captured_ns": captured_ns,
+        "read_ns": read_ns,
+    } for device, port, direction, value, channel_state, consistent,
+        captured_ns, read_ns in sorted(
+        [(u.device, u.port, u.direction.value, value, channel_state,
+          consistent, captured_ns, read_ns)
+         for u, value, channel_state, consistent, captured_ns, read_ns
+         in snapshot.rows()])]
 
 
 @functools.lru_cache(maxsize=4096)

@@ -187,13 +187,13 @@ def _apply_overlays(args: argparse.Namespace, configs: dict) -> bool:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import registry
+    from repro.experiments import LISTING, registry
 
-    reg = registry()
     if args.list:
-        for name, exp in reg.items():
-            print(f"  {name:<21} {exp.description}")
+        for name, description in LISTING:
+            print(f"  {name:<21} {description}")
         return 0
+    reg = registry()
 
     # Subset selection: positional names (`repro experiments faults`,
     # `repro run faults`) and/or the --only list, each name once in

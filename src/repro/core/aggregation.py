@@ -285,7 +285,10 @@ class AggregationAgent:
         self.records_lost = 0
         self._child_min: dict[str, int] = {c: 0 for c in self.children}
         self._epochs: dict[int, _EpochAggregate] = {}
+        #: Epochs this agent claimed complete, down to ``_completed_floor``
+        #: (exclusive): below it the observer has settled every epoch.
         self._completed: set[int] = set()
+        self._completed_floor = 0
 
     # ------------------------------------------------------------------
     # Initiation fan-out (observer -> root -> ... -> leaves)
@@ -320,10 +323,13 @@ class AggregationAgent:
         current = self._child_min.get(message.source, 0)
         if message.min_finalized > current:
             self._child_min[message.source] = message.min_finalized
-        if message.epoch in self._completed:
+        if message.epoch in self._completed or (
+                message.epoch <= self._completed_floor
+                and message.epoch not in self._epochs):
             # Straggler after our own completion claim (e.g. a child
-            # restarted mid-epoch): pass the records through so nothing
-            # is ever stranded at an intermediate hop.
+            # restarted mid-epoch), or for an epoch the ID window has
+            # left behind: pass the records through so nothing is ever
+            # stranded at an intermediate hop.
             if message.records:
                 self._send(message.epoch, list(message.records),
                            complete=False)
@@ -350,13 +356,26 @@ class AggregationAgent:
                 aggregate.flush_event.cancel()
             records = aggregate.records
             del self._epochs[epoch]
-            self._completed.add(epoch)
+            self._note_completed(epoch)
             self._send(epoch, records, complete=True)
             return
         if (aggregate.records and aggregate.flush_event is None
                 and self.config.flush_timeout_ns > 0):
             aggregate.flush_event = self.sim.schedule(
                 self.config.flush_timeout_ns, self._flush, epoch)
+
+    def _note_completed(self, epoch: int) -> None:
+        """Remember a completion claim; past two ID windows of them, drop
+        those a window behind the newest (amortised O(1) per epoch)."""
+        completed = self._completed
+        completed.add(epoch)
+        if self.control_plane is None:
+            return
+        window = self.control_plane.ids.window
+        if len(completed) > 2 * window:
+            floor = max(completed) - window
+            self._completed = {e for e in completed if e > floor}
+            self._completed_floor = max(self._completed_floor, floor)
 
     def _flush(self, epoch: int) -> None:
         """Partial-aggregate liveness: forward what has accumulated even

@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Mapping
 from typing import Optional
 
 from repro.core.dataplane import SpeedlightUnit
@@ -298,6 +299,62 @@ class DigestChannel(SerialServer[list[Notification]]):
         self.dropped += len(batch)
 
 
+class EpochProgress(Mapping[int, list[int]]):
+    """epoch -> ``[earliest, latest, count]`` of the data-plane timestamps
+    on the processed notifications carrying that epoch.
+
+    Three int64 columns indexed by epoch (a count of 0 is an epoch never
+    seen), so a run's history costs 24 bytes per epoch, not a list and
+    its ints.  Read as a mapping; a looked-up span is a fresh list.
+    """
+
+    __slots__ = ("_earliest", "_latest", "_count")
+
+    def __init__(self) -> None:
+        self._earliest = array("q")
+        self._latest = array("q")
+        self._count = array("q")
+
+    def note(self, epoch: int, timestamp: int) -> None:
+        """Fold one notification's timestamp into ``epoch``'s span."""
+        count = self._count
+        if epoch >= len(count):
+            self._grow(epoch)
+        seen = count[epoch]
+        if not seen:
+            self._earliest[epoch] = self._latest[epoch] = timestamp
+        elif timestamp < self._earliest[epoch]:
+            self._earliest[epoch] = timestamp
+        elif timestamp > self._latest[epoch]:
+            self._latest[epoch] = timestamp
+        count[epoch] = seen + 1
+
+    def _grow(self, epoch: int) -> None:
+        size = len(self._count)
+        zeros = bytes(8 * max(epoch + 1 - size, size // 2, 64))
+        for column in (self._earliest, self._latest, self._count):
+            column.frombytes(zeros)
+
+    def __getitem__(self, epoch: int) -> list[int]:
+        if 0 <= epoch < len(self._count) and self._count[epoch]:
+            return [self._earliest[epoch], self._latest[epoch],
+                    self._count[epoch]]
+        raise KeyError(epoch)
+
+    def __contains__(self, epoch: object) -> bool:
+        return (isinstance(epoch, int) and 0 <= epoch < len(self._count)
+                and self._count[epoch] > 0)
+
+    def __iter__(self) -> Iterator[int]:
+        return (epoch for epoch, seen in enumerate(self._count) if seen)
+
+    def __len__(self) -> int:
+        return len(self._count) - self._count.count(0)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EpochProgress({dict(self.items())!r})"
+
+
 class _UnitTracker:
     """Control-plane view of one data-plane unit (Figure 7 state)."""
 
@@ -352,10 +409,12 @@ class SwitchControlPlane:
         #: epoch -> [earliest, latest, count] of the data-plane timestamps
         #: on the processed notifications carrying that epoch — the
         #: synchronization measurements of Figure 9, folded as they arrive.
-        self.progress: dict[int, list[int]] = {}
+        self.progress = EpochProgress()
         #: Ports with a registered unit, sorted (None = recompute).
         self._ports: Optional[list[int]] = None
-        #: Epochs initiated locally, with remaining retry budget.
+        #: Epochs initiated locally, with remaining retry budget (kept only
+        #: while re-initiation is on); an epoch goes when its retry check
+        #: finds it locally complete.
         self._initiated: dict[int, int] = {}
         self.initiations_sent = 0
         self.reinitiations_sent = 0
@@ -407,7 +466,8 @@ class SwitchControlPlane:
         error between switches is precisely the initiation skew that PTP
         bounds."""
         true_ns = self.clock.true_time(at_wall_ns)
-        self._initiated.setdefault(epoch, self.config.max_reinitiations)
+        if self.config.reinitiation_timeout_ns > 0:
+            self._initiated.setdefault(epoch, self.config.max_reinitiations)
         self.sim.schedule_at(max(true_ns, self.sim.now),
                              self._fire_initiation, epoch)
 
@@ -448,10 +508,15 @@ class SwitchControlPlane:
     def _maybe_reinitiate(self, epoch: int) -> None:
         if self._crashed:
             return
-        retries = self._initiated.get(epoch, 0)
-        if retries <= 0 or self.local_epoch_complete(epoch):
+        initiated = self._initiated
+        if self.local_epoch_complete(epoch):
+            # Done for good: ``last_read`` never falls.
+            initiated.pop(epoch, None)
             return
-        self._initiated[epoch] = retries - 1
+        retries = initiated.get(epoch, 0)
+        if retries <= 0:
+            return
+        initiated[epoch] = retries - 1
         self.reinitiations_sent += 1
         # "Speedlight control planes will resend initiations for
         # incomplete snapshots after a timeout.  This is safe as
@@ -596,15 +661,7 @@ class SwitchControlPlane:
             else:
                 tracker.ctrl_sid = new_sid
             ctrl_sid = new_sid
-        timestamp = n.timestamp_ns
-        span = self.progress.get(ctrl_sid)
-        if span is None:
-            span = self.progress[ctrl_sid] = [timestamp, timestamp, 0]
-        elif timestamp < span[0]:
-            span[0] = timestamp
-        elif timestamp > span[1]:
-            span[1] = timestamp
-        span[2] += 1
+        self.progress.note(ctrl_sid, n.timestamp_ns)
         if self.channel_state and n.channel is not None:
             if n.channel in tracker.ctrl_last_seen or n.channel in tracker.gating:
                 current = tracker.ctrl_last_seen.get(n.channel, 0)

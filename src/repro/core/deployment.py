@@ -41,7 +41,7 @@ behind a mailbox on another shard (:mod:`repro.core.sharded`); on a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from functools import partial
 from typing import Any, Optional, Union
 
@@ -83,7 +83,7 @@ def _make_flat_sink(name: str, cp: SwitchControlPlane, send_root):
 
 
 def merge_progress(
-        tables: Iterable[dict[int, list[int]]]) -> dict[int, list[int]]:
+        tables: Iterable[Mapping[int, list[int]]]) -> dict[int, list[int]]:
     """Fold ``epoch -> [earliest_ns, latest_ns, count]`` tables (one per
     :attr:`SwitchControlPlane.progress`, or per shard) into one."""
     merged: dict[int, list[int]] = {}
@@ -309,7 +309,7 @@ class SpeedlightDeployment:
         connected = switch.connected_ports()
         feasible = (self.network.feasible_channels(name)
                     if self.config.channel_state else set())
-        units: set[UnitId] = set()
+        units: list[UnitId] = []
         for port_index in connected:
             port = switch.ports[port_index]
             ingress = port.ingress.snapshot_agent
@@ -319,7 +319,7 @@ class SpeedlightDeployment:
                              self._egress_gating(switch, feasible, port_index))
             # The agents' own unit objects: a record's unit then matches
             # the observer's expected set by identity.
-            units.update((ingress.unit_id, egress.unit_id))
+            units += (ingress.unit_id, egress.unit_id)
         self.observer.register_device(name, cp, units)
 
     def _ingress_gating(self, switch_name: str, port: int) -> list[int]:
@@ -355,9 +355,9 @@ class SpeedlightDeployment:
             if name in self.control_planes:
                 continue
             proxy = RemoteControlPlane(name, self.worker)
-            units = {UnitId(name, port, direction)
+            units = [UnitId(name, port, direction)
                      for port in range(topo.degree(name))
-                     for direction in (Direction.INGRESS, Direction.EGRESS)}
+                     for direction in (Direction.INGRESS, Direction.EGRESS)]
             self.observer.register_device(name, proxy, units)
 
     # ------------------------------------------------------------------

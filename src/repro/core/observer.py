@@ -25,7 +25,7 @@ Responsibilities implemented here (§6):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from typing import Optional, Protocol, TYPE_CHECKING
 
 from repro.core.control_plane import UnitSnapshotRecord
@@ -33,7 +33,7 @@ from repro.core.control_plane import UnitSnapshotRecord
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.aggregation import AggregateMessage, AggregationTree
 from repro.core.ids import IdSpace
-from repro.core.snapshot import GlobalSnapshot, SnapshotStatus
+from repro.core.snapshot import GlobalSnapshot, SnapshotStatus, UnitTable
 from repro.sim.engine import Simulator, MS, check_minimums
 from repro.sim.mgmt import ManagementPlane
 from repro.sim.switch import UnitId
@@ -87,7 +87,12 @@ class SnapshotObserver:
         #: snapshots taken while the device set is unchanged (nothing
         #: mutates an expected set in place); None = rebuild on next use.
         self._expected_units: Optional[set[UnitId]] = None
+        #: Every unit ever registered, numbered once: the index resolved
+        #: snapshots keep their records' columns over.
+        self.units = UnitTable()
         self.snapshots: dict[int, GlobalSnapshot] = {}
+        #: Records applied to a snapshot already COMPLETE or PARTIAL.
+        self.late_records = 0
         self._next_epoch = 1  # epoch 0 is the power-on state, never taken
         #: Every epoch below this has been through no-lapping
         #: enforcement and can never be PENDING again.
@@ -115,14 +120,16 @@ class SnapshotObserver:
     # Device registration (including live node attachment, §6)
     # ------------------------------------------------------------------
     def register_device(self, name: str, control_plane: InitiationTarget,
-                        units: set[UnitId]) -> None:
+                        units: Collection[UnitId]) -> None:
         """Add a device to the active set.  Devices registered after a
-        snapshot was initiated join from the *next* snapshot on."""
+        snapshot was initiated join from the *next* snapshot on.  Units
+        not seen before are numbered in the order given."""
         if name in self.control_planes:
             raise ValueError(f"device {name!r} already registered")
         self.control_planes[name] = control_plane
         self._device_units[name] = set(units)
         self._expected_units = None
+        self.units.extend(units)
 
     def remove_device(self, name: str) -> None:
         self.control_planes.pop(name, None)
@@ -143,7 +150,8 @@ class SnapshotObserver:
 
     def _resolve(self, snapshot: GlobalSnapshot,
                  status: SnapshotStatus) -> None:
-        """Move ``snapshot`` to a terminal ``status`` and fire hooks.
+        """Move ``snapshot`` to a terminal ``status``, fire hooks, then
+        freeze its records into columns (callbacks see the live dict).
 
         Pure-Python callbacks: nothing here schedules events, so wiring
         (or not wiring) consumers leaves the event stream byte-identical.
@@ -154,6 +162,7 @@ class SnapshotObserver:
                 callback(snapshot)
         for callback in self._resolution_callbacks:
             callback(snapshot)
+        snapshot.freeze(self.units)
 
     def attach_fabric(self, initiate: Optional[Callable[[int, int], None]],
                       tree: Optional["AggregationTree"],
@@ -263,11 +272,14 @@ class SnapshotObserver:
         snapshot = self.snapshots.get(record.epoch)
         if snapshot is None:
             return  # epoch predates this observer or was never scheduled
-        if snapshot.status in (SnapshotStatus.ABANDONED,):
-            return
-        accepted = snapshot.add_record(record)
-        if accepted and snapshot.complete and snapshot.status is SnapshotStatus.PENDING:
-            self._resolve(snapshot, SnapshotStatus.COMPLETE)
+        status = snapshot.status
+        if status is SnapshotStatus.PENDING:
+            if snapshot.add_record(record) and snapshot.complete:
+                self._resolve(snapshot, SnapshotStatus.COMPLETE)
+        elif status is not SnapshotStatus.ABANDONED:
+            # Applied as to a pending snapshot, and counted.
+            if snapshot.add_record(record):
+                self.late_records += 1
 
     def on_aggregate(self, message: "AggregateMessage") -> None:
         """Entry point for tree-aggregated messages (the fabric intake's

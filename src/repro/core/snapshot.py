@@ -5,15 +5,29 @@ device control planes and assembles them into
 :class:`GlobalSnapshot` objects — "a set of local measurements that
 together provide a coherent image of the entire network data plane at
 nearly a single point in time" (§1).
+
+A resolved snapshot is *frozen*: its per-unit records collapse into a
+few int64 columns (:class:`UnitColumns`) over the observer's
+:class:`UnitTable`, about a seventh of what the record objects cost.
+``records`` stays readable — a resolved snapshot rebuilds the mapping
+on each access — and the derived fields and the export rows read the
+columns directly.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Collection, Iterable, Iterator
+from itertools import repeat
+from typing import Optional, Union
 
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.sim.switch import Direction, UnitId
+
+#: One unit's row: ``(unit, value, channel_state, consistent,
+#: captured_ns, read_ns)``.
+UnitRow = tuple[UnitId, int, Optional[int], bool, int, int]
 
 
 class SnapshotStatus(enum.Enum):
@@ -25,22 +39,191 @@ class SnapshotStatus(enum.Enum):
     ABANDONED = "abandoned"    # evicted to preserve the no-lapping window
 
 
-@dataclass
+class UnitTable:
+    """Numbers units once, in the order they are first seen; a number
+    never changes and is never reused (removed devices keep theirs)."""
+
+    __slots__ = ("units", "numbers", "_by_id")
+
+    def __init__(self) -> None:
+        self.units: list[UnitId] = []
+        self.numbers: dict[UnitId, int] = {}
+        #: ``id()`` of each unit object in :attr:`units` (the table keeps
+        #: them alive, so an id is never reused) -> its number: records
+        #: that carry the registered objects are numbered without a
+        #: Python-level ``UnitId.__hash__`` per unit.
+        self._by_id: dict[int, int] = {}
+
+    def extend(self, units: Iterable[UnitId]) -> None:
+        """Number each unit not yet numbered, in the order given."""
+        numbers, listed, by_id = self.numbers, self.units, self._by_id
+        for unit in units:
+            fresh = len(listed)
+            if numbers.setdefault(unit, fresh) == fresh:
+                by_id[id(unit)] = fresh
+                listed.append(unit)
+
+    def number_all(self, units: Collection[UnitId]) -> list[int]:
+        """The numbers of ``units``, numbering any not seen before."""
+        try:
+            return list(map(self._by_id.__getitem__, map(id, units)))
+        except KeyError:  # a unit object the table does not hold
+            self.extend(units)
+            return list(map(self.numbers.__getitem__, units))
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+
+class UnitColumns:
+    """A resolved snapshot's records as columns, in the records' order.
+
+    ``unit`` holds :class:`UnitTable` numbers; ``value``, ``captured_ns``
+    and ``read_ns`` are int64 arrays; ``consistent`` is one byte per
+    record; ``channel_state`` is None when every record's is None, an
+    int64 array when none is, and a tuple otherwise.
+    """
+
+    __slots__ = ("table", "unit", "value", "channel_state", "consistent",
+                 "captured_ns", "read_ns")
+
+    def __init__(self, epoch: int, records: dict[UnitId, UnitSnapshotRecord],
+                 table: UnitTable) -> None:
+        self.table = table
+        listed = list(records.values())
+        numbers = table.number_all(records)
+        self.unit = array("H" if len(table) <= 1 << 16 else "I", numbers)
+        self.consistent = bytes([r.consistent for r in listed])
+        states = [r.channel_state for r in listed]
+        nones = states.count(None)
+        self.channel_state: Union[None, array[int], tuple[Optional[int], ...]]
+        try:
+            self.value = array("q", [r.value for r in listed])
+            self.captured_ns = array("q", [r.captured_ns for r in listed])
+            self.read_ns = array("q", [r.read_ns for r in listed])
+            self.channel_state = (None if nones == len(states)
+                                  else array("q", states) if nones == 0
+                                  else tuple(states))
+        except (OverflowError, TypeError) as error:
+            raise _unfit(epoch, listed, error) from error
+
+    def __len__(self) -> int:
+        return len(self.unit)
+
+    def units(self) -> list[UnitId]:
+        return list(map(self.table.units.__getitem__, self.unit))
+
+    def rows(self) -> Iterator[UnitRow]:
+        states: Iterable[Optional[int]] = (
+            repeat(None) if self.channel_state is None else self.channel_state)
+        return zip(self.units(), self.value, states,
+                   map(bool, self.consistent), self.captured_ns, self.read_ns)
+
+    def records(self, epoch: int) -> dict[UnitId, UnitSnapshotRecord]:
+        return {unit: UnitSnapshotRecord(unit, epoch, value, state, consistent,
+                                         captured_ns, read_ns)
+                for unit, value, state, consistent, captured_ns, read_ns
+                in self.rows()}
+
+
+def _unfit(epoch: int, records: list[UnitSnapshotRecord],
+           error: Exception) -> Exception:
+    """Name the epoch, unit and field that do not fit an int64 column."""
+    for record in records:
+        for name in ("value", "captured_ns", "read_ns", "channel_state"):
+            field = getattr(record, name)
+            if field is None and name == "channel_state":
+                continue
+            try:
+                array("q", [field])
+            except (OverflowError, TypeError):
+                return type(error)(
+                    f"epoch {epoch}, unit {record.unit}: {name} {field!r} "
+                    "does not fit an int64 column")
+    return error  # pragma: no cover - the bulk build failed, so one row does
+
+
 class GlobalSnapshot:
     """All per-unit records for one snapshot epoch."""
 
-    epoch: int
-    requested_wall_ns: int
-    expected_units: set[UnitId]
-    records: dict[UnitId, UnitSnapshotRecord] = field(default_factory=dict)
-    excluded_devices: set[str] = field(default_factory=set)
-    #: device -> why it was excluded: ``"silent"`` for a device that
-    #: never reported, ``"relay:<name>"`` when its records were lost
-    #: behind a silent aggregation-tree ancestor (the attribution the
-    #: observer computes at timeout; see repro.core.aggregation).
-    exclusion_reasons: dict[str, str] = field(default_factory=dict)
-    status: SnapshotStatus = SnapshotStatus.PENDING
-    retries: int = 0
+    __slots__ = ("epoch", "requested_wall_ns", "expected_units", "_records",
+                 "_columns", "excluded_devices", "exclusion_reasons",
+                 "status", "retries")
+
+    def __init__(self, epoch: int, requested_wall_ns: int,
+                 expected_units: set[UnitId],
+                 records: Optional[dict[UnitId, UnitSnapshotRecord]] = None,
+                 excluded_devices: Optional[set[str]] = None,
+                 exclusion_reasons: Optional[dict[str, str]] = None,
+                 status: SnapshotStatus = SnapshotStatus.PENDING,
+                 retries: int = 0) -> None:
+        self.epoch = epoch
+        self.requested_wall_ns = requested_wall_ns
+        self.expected_units = expected_units
+        #: The records while they can change; None once frozen.
+        self._records: Optional[dict[UnitId, UnitSnapshotRecord]] = (
+            {} if records is None else records)
+        self._columns: Optional[UnitColumns] = None
+        self.excluded_devices: set[str] = (
+            set() if excluded_devices is None else excluded_devices)
+        #: device -> why it was excluded: ``"silent"`` for a device that
+        #: never reported, ``"relay:<name>"`` when its records were lost
+        #: behind a silent aggregation-tree ancestor (the attribution the
+        #: observer computes at timeout; see repro.core.aggregation).
+        self.exclusion_reasons: dict[str, str] = (
+            {} if exclusion_reasons is None else exclusion_reasons)
+        self.status = status
+        self.retries = retries
+
+    # ------------------------------------------------------------------
+    # Records: a dict while assembling, columns once frozen
+    # ------------------------------------------------------------------
+    @property
+    def records(self) -> dict[UnitId, UnitSnapshotRecord]:
+        """Unit -> record, in arrival order.  A frozen snapshot rebuilds
+        the mapping on each access, so mutating it changes nothing."""
+        records = self._records
+        if records is None:
+            assert self._columns is not None
+            return self._columns.records(self.epoch)
+        return records
+
+    @property
+    def frozen(self) -> bool:
+        return self._records is None
+
+    def freeze(self, table: UnitTable) -> None:
+        """Keep the records as columns over ``table`` (the observer does
+        this once a resolved snapshot's callbacks have run).  Every
+        record's epoch is the snapshot's: the observer files each record
+        under its own epoch."""
+        records = self._records
+        if records is not None:
+            self._columns = UnitColumns(self.epoch, records, table)
+            self._records = None
+
+    def _thaw(self) -> Optional[UnitTable]:
+        """Back to a dict; returns the table to refreeze over, if any."""
+        columns = self._columns
+        if columns is None:
+            return None
+        self._records = columns.records(self.epoch)
+        self._columns = None
+        return columns.table
+
+    def rows(self) -> Iterator[UnitRow]:
+        """One :data:`UnitRow` per record, in ``records`` order, without
+        building records for a frozen snapshot."""
+        columns = self._columns
+        if columns is not None:
+            return columns.rows()
+        return ((u, r.value, r.channel_state, r.consistent, r.captured_ns,
+                 r.read_ns) for u, r in self.records.items())
+
+    @property
+    def record_count(self) -> int:
+        columns = self._columns
+        return len(self.records) if columns is None else len(columns)
 
     # ------------------------------------------------------------------
     # Assembly
@@ -49,24 +232,36 @@ class GlobalSnapshot:
         """Incorporate one unit record; returns True if it was expected."""
         if record.unit not in self.expected_units:
             return False  # spurious completion (e.g. a just-attached node)
-        self.records[record.unit] = record
+        try:
+            self._records[record.unit] = record  # type: ignore[index]
+        except TypeError:
+            # Frozen (a late record): applied as to the dict, in place.
+            table = self._thaw()
+            assert self._records is not None and table is not None
+            self._records[record.unit] = record
+            self.freeze(table)
         return True
 
     def exclude_device(self, device: str, reason: str = "silent") -> None:
         """Drop a failed device from the snapshot (observer timeout, §6)."""
+        table = self._thaw()
         self.excluded_devices.add(device)
         self.exclusion_reasons[device] = reason
         self.expected_units = {u for u in self.expected_units
                                if u.device != device}
-        self.records = {u: r for u, r in self.records.items()
-                        if u.device != device}
+        self._records = {u: r for u, r in self.records.items()
+                         if u.device != device}
+        if table is not None:
+            self.freeze(table)
 
     @property
     def missing_units(self) -> set[UnitId]:
         # ``records`` holds expected units only (see ``complete``).
-        if len(self.records) >= len(self.expected_units):
+        if self.record_count >= len(self.expected_units):
             return set()
-        return self.expected_units - set(self.records)
+        columns = self._columns
+        return self.expected_units - set(
+            self.records if columns is None else columns.units())
 
     @property
     def complete(self) -> bool:
@@ -75,13 +270,19 @@ class GlobalSnapshot:
         # check avoids rebuilding a UnitId set per arriving record — a
         # top-ten hotspot in notification-heavy trials.  A snapshot left
         # with no records (every device excluded) is not complete.
-        records = self.records
-        return len(records) >= len(self.expected_units) and bool(records)
+        try:
+            count = len(self._records)  # type: ignore[arg-type]
+        except TypeError:  # frozen
+            count = len(self._columns)  # type: ignore[arg-type]
+        return count >= len(self.expected_units) and count > 0
 
     @property
     def consistent(self) -> bool:
         """True when every reported record is marked consistent — only
         then do the values form a causally consistent cut."""
+        columns = self._columns
+        if columns is not None:
+            return 0 not in columns.consistent
         return all(r.consistent for r in self.records.values())
 
     @property
@@ -95,9 +296,12 @@ class GlobalSnapshot:
     def capture_spread_ns(self) -> int:
         """Max minus min data-plane capture timestamp across records —
         the realized synchronization of this snapshot."""
-        if not self.records:
+        columns = self._columns
+        times: Iterable[int] = (
+            columns.captured_ns if columns is not None
+            else [r.captured_ns for r in self.records.values()])
+        if not times:
             return 0
-        times = [r.captured_ns for r in self.records.values()]
         return max(times) - min(times)
 
     def total_value(self, include_channel_state: bool = True) -> int:
@@ -122,5 +326,5 @@ class GlobalSnapshot:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"GlobalSnapshot(epoch={self.epoch}, {self.status.value}, "
-                f"{len(self.records)}/{len(self.expected_units)} records, "
+                f"{self.record_count}/{len(self.expected_units)} records, "
                 f"consistent={self.consistent})")

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import Any, Optional
 
-from repro.experiments import harness
 from repro.runtime import TrialResult, TrialRunner, TrialSpec
 
 
@@ -74,6 +73,31 @@ _MODULES = ("motivation", "table1", "fig9", "fig10", "fig11", "fig12",
             "fig13", "ablations", "sweeps", "scaling", "faults", "recovery",
             "updates")
 
+#: ``(name, description)`` of every registered experiment, in
+#: :func:`registry` order: what ``repro experiments --list`` prints
+#: without importing a module (and, through them, numpy).
+#: tests/test_cli.py pins it to the registry.
+LISTING = (
+    ("motivation", "Figure 1: balanced vs. alternating queues"),
+    ("table1", "data-plane resource usage on the Tofino"),
+    ("fig9", "synchronization CDFs: snapshots vs. polling"),
+    ("fig10", "max sustained snapshot rate vs. ports/router"),
+    ("fig10-agg", "whole-fabric snapshot rate vs. aggregation degree"),
+    ("fig11", "average synchronization vs. network size"),
+    ("fig12", "load-balance stddev: ECMP/flowlet x snapshot/poll"),
+    ("fig13", "port correlations under GraphX"),
+    ("ablation-ideal", "idealised vs. hardware-constrained data plane"),
+    ("ablation-initiation", "multi- vs. single-initiator"),
+    ("ablation-transport", "raw-socket vs. digest notifications"),
+    ("sweep-service-cost", "Fig 10 knee vs. per-notification CPU cost"),
+    ("sweep-ptp", "snapshot sync vs. clock quality (PTP->NTP)"),
+    ("sweep-rate", "channel-state sync vs. traffic rate"),
+    ("scaling", "full protocol on growing fat-trees"),
+    ("faults", "snapshot health vs. fault intensity (chaos)"),
+    ("recovery", "completion-vs-overhead frontier of recovery policies"),
+    ("updates", "coordinated-update verdicts vs. injected clock error"),
+)
+
 
 def registry() -> dict[str, Experiment]:
     """All paper experiments, in presentation order.  Importing them is
@@ -84,4 +108,4 @@ def registry() -> dict[str, Experiment]:
     return {exp.name: exp for module in modules for exp in module.EXPERIMENTS}
 
 
-__all__ = ["Experiment", "harness", "registry"]
+__all__ = ["Experiment", "LISTING", "registry"]

@@ -100,7 +100,7 @@ class SnapshotPipeline(SerialServer[list]):
 
     def _begin(self, item: list) -> int:
         return (self.config.ingest_service_ns
-                + self.config.ingest_per_record_ns * len(item[0].records))
+                + self.config.ingest_per_record_ns * item[0].record_count)
 
     def _ingest_head(self, item: list) -> None:
         snapshot, merged = item

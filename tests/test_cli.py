@@ -17,6 +17,14 @@ class TestParser:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == list(registry())
 
+    def test_static_listing_is_the_registry(self):
+        # --list prints the static table; it may not drift from what the
+        # modules declare.
+        from repro.experiments import LISTING, registry
+
+        assert LISTING == tuple((name, exp.description)
+                                for name, exp in registry().items())
+
     def test_metrics_lists_registry(self, capsys):
         assert main(["metrics"]) == 0
         out = capsys.readouterr().out

@@ -29,3 +29,19 @@ def test_runtime_packages_load_no_heavy_library():
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True, timeout=60).stdout
     assert loaded.split() == []
+
+
+def test_experiment_listing_loads_no_heavy_library():
+    """``repro experiments --list`` prints a static table: it imports no
+    experiment module, so it runs where numpy is missing."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = ("import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['experiments', '--list']) == 0\n"
+            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules),"
+            " file=sys.stderr)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=60)
+    assert done.stderr.split() == []
+    assert len(done.stdout.splitlines()) == 18
