@@ -141,38 +141,47 @@ class ConsistencyChecker:
         is the flag's purpose).  Non-raising so fault experiments can
         audit whole campaigns and report, not abort.
         """
+        return self._check(snapshot, channel_state)[1]
+
+    def _check(self, snapshot: GlobalSnapshot,
+               channel_state: bool) -> tuple[int, list[str]]:
+        """One walk over the rows: (records flagged, violations)."""
+        epoch = snapshot.epoch
+        flagged = 0
         problems: list[str] = []
-        for unit, record in sorted(snapshot.records.items(), key=lambda kv: str(kv[0])):
-            if not record.consistent:
+        for unit, value, state, consistent, *_ in sorted(
+                snapshot.rows(), key=lambda row: str(row[0])):
+            if not consistent:
+                flagged += 1
                 continue
             if channel_state:
-                expected = self.expected_with_channel_state(unit, record.epoch)
-                actual = record.value + (record.channel_state or 0)
+                expected = self.expected_with_channel_state(unit, epoch)
+                actual = value + (state or 0)
                 law = "value+channel == pre-epoch sends"
             else:
-                expected = self.expected_without_channel_state(unit, record.epoch)
-                actual = record.value
+                expected = self.expected_without_channel_state(unit, epoch)
+                actual = value
                 law = "value == pre-capture arrivals"
             if actual != expected:
                 problems.append(
-                    f"epoch {record.epoch} at {unit}: {law} violated "
+                    f"epoch {epoch} at {unit}: {law} violated "
                     f"(snapshot says {actual}, ground truth {expected})")
-        return problems
+        return flagged, problems
 
     def check_snapshot(self, snapshot: GlobalSnapshot,
                        channel_state: bool) -> None:
         """Validate one complete snapshot; raises on violation."""
-        problems = self.violations_of(snapshot, channel_state)
-        if problems:
-            raise ConsistencyViolation(problems[0])
+        self.check_all([snapshot], channel_state)
 
     def check_all(self, snapshots: Sequence[GlobalSnapshot],
                   channel_state: bool) -> int:
         """Check a batch; returns the number of records validated."""
         checked = 0
         for snapshot in snapshots:
-            self.check_snapshot(snapshot, channel_state)
-            checked += sum(1 for r in snapshot.records.values() if r.consistent)
+            flagged, problems = self._check(snapshot, channel_state)
+            if problems:
+                raise ConsistencyViolation(problems[0])
+            checked += snapshot.record_count - flagged
         return checked
 
     def audit(self, snapshots: Sequence[GlobalSnapshot],
@@ -191,12 +200,10 @@ class ConsistencyChecker:
                 report.incomplete += 1
                 continue
             report.snapshots_checked += 1
-            flagged = sum(1 for r in snapshot.records.values()
-                          if not r.consistent)
+            flagged, problems = self._check(snapshot, channel_state)
             report.records_flagged += flagged
-            report.records_checked += len(snapshot.records) - flagged
-            report.violations.extend(
-                self.violations_of(snapshot, channel_state))
+            report.records_checked += snapshot.record_count - flagged
+            report.violations.extend(problems)
         return report
 
     def marking_precision(self, snapshots: Sequence[GlobalSnapshot]) -> dict[str, int]:
@@ -205,12 +212,12 @@ class ConsistencyChecker:
         records are in fact fine; this quantifies the over-marking."""
         stats = {"marked": 0, "actually_wrong": 0}
         for snapshot in snapshots:
-            for unit, record in snapshot.records.items():
-                if record.consistent:
+            for unit, value, state, consistent, *_ in snapshot.rows():
+                if consistent:
                     continue
                 stats["marked"] += 1
-                expected = self.expected_with_channel_state(unit, record.epoch)
-                actual = record.value + (record.channel_state or 0)
+                expected = self.expected_with_channel_state(unit, snapshot.epoch)
+                actual = value + (state or 0)
                 if actual != expected:
                     stats["actually_wrong"] += 1
         return stats

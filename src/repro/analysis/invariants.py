@@ -23,7 +23,7 @@ only hold on legal cuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 from typing import Optional
 
@@ -64,18 +64,25 @@ class LinkAudit:
                 self._links.append(
                     (_unit(name, port, Direction.EGRESS.value),
                      _unit(neighbor, peer_port, Direction.INGRESS.value)))
+        #: Every link's sender, then every link's receiver.
+        self._units = ([sender for sender, _ in self._links]
+                       + [receiver for _, receiver in self._links])
 
-    def _totals(self, snapshot: GlobalSnapshot) -> Iterator[tuple[UnitId, UnitId, int, int]]:
-        records = snapshot.records
-        for sender, receiver in self._links:
-            sent, received = records.get(sender), records.get(receiver)
-            if sent is not None and received is not None:
-                yield sender, receiver, sent.total_value, received.total_value
+    def _totals(self, snapshot: GlobalSnapshot) -> Iterator[
+            tuple[UnitId, UnitId, Optional[int], Optional[int]]]:
+        """``(sender, receiver, sent, received)`` per link; a side is None
+        when the snapshot holds no record of its unit."""
+        units = self._units
+        half = len(units) // 2
+        totals = snapshot.totals_of(units)
+        return zip(units, units[half:], totals, totals[half:])
 
     def audit(self, snapshot: GlobalSnapshot) -> list[LinkReport]:
         """Per-link reports for every link both of whose units appear in
         the snapshot (partial deployments audit the enabled core)."""
-        return [LinkReport(*link) for link in self._totals(snapshot)]
+        return [LinkReport(sender, receiver, sent, received)
+                for sender, receiver, sent, received in self._totals(snapshot)
+                if sent is not None and received is not None]
 
     def violations(self, snapshot: GlobalSnapshot) -> list[LinkReport]:
         """Links whose receiver counted more than the sender emitted —
@@ -86,7 +93,7 @@ class LinkAudit:
                 "is marked inconsistent")
         return [LinkReport(sender, receiver, sent, received)
                 for sender, receiver, sent, received in self._totals(snapshot)
-                if received > sent]
+                if sent is not None and received is not None and received > sent]
 
     def audit_completed(self, snapshots: Sequence[GlobalSnapshot]) -> "AuditSummary":
         """Audit every completed snapshot of a campaign (fault runs).
@@ -124,11 +131,8 @@ class AuditSummary:
     links_checked: int = 0
     skipped_inconsistent: int = 0
     skipped_incomplete: int = 0
-    negative_discrepancies: list[tuple[int, LinkReport]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.negative_discrepancies is None:
-            self.negative_discrepancies = []
+    negative_discrepancies: list[tuple[int, LinkReport]] = field(
+        default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -178,14 +182,14 @@ class LoopDetector:
 
     def _ingress_totals(self, snapshot: GlobalSnapshot) -> tuple[int, int]:
         edge = transit = 0
-        for unit, record in snapshot.records.items():
+        for unit, value, *_ in snapshot.rows():
             if unit.direction is not Direction.INGRESS:
                 continue
             peer, kind = self.network.peer_of_port(unit.device, unit.port)
             if kind is NodeKind.HOST:
-                edge += record.value
+                edge += value
             else:
-                transit += record.value
+                transit += value
         return edge, transit
 
     def compare(self, before: GlobalSnapshot,

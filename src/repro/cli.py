@@ -37,7 +37,6 @@ Commands:
     pipeline under the sustained memcache incast workload — bounded
     delta store, coalescing backpressure — then answer epoch-range,
     conservation, and heavy-hitter queries from the stored history.
-    ``--fault-smoke`` runs the chaos-smoke crash scenario instead.
 ``demo``
     A 30-second tour: build the testbed, take snapshots, print results.
 
@@ -261,11 +260,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.sim.engine import US
     from repro.runtime.streaming import ServiceRun, ServiceSpec
 
-    if args.fault_smoke:
-        from repro.service.smoke import main as smoke_main
-
-        return smoke_main()
-
     try:
         pipeline = PipelineConfig(retention=args.retention,
                                   keyframe_interval=args.keyframe_interval,
@@ -451,10 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="machine-readable report")
     serve_parser.add_argument("--verbose", action="store_true",
                               help="per-chunk progress on stderr")
-    serve_parser.add_argument("--fault-smoke", action="store_true",
-                              help="run the service-under-faults smoke "
-                                   "check instead (CP crash mid-stream; "
-                                   "exit 0 iff the store stays queryable)")
 
     sub.add_parser("demo", help="a 30-second end-to-end tour")
     return parser

@@ -91,13 +91,13 @@ class SnapshotObserver:
         #: snapshots keep their records' columns over.
         self.units = UnitTable()
         self.snapshots: dict[int, GlobalSnapshot] = {}
-        #: Records applied to a snapshot already COMPLETE or PARTIAL.
+        #: Records that reached a snapshot already COMPLETE or PARTIAL:
+        #: counted and dropped, since a resolved snapshot is final.
         self.late_records = 0
         self._next_epoch = 1  # epoch 0 is the power-on state, never taken
         #: Every epoch below this has been through no-lapping
         #: enforcement and can never be PENDING again.
         self._settled_below = 1
-        self._completion_callbacks: list[Callable[[GlobalSnapshot], None]] = []
         self._resolution_callbacks: list[Callable[[GlobalSnapshot], None]] = []
         #: Retry-round accounting (exposed for the tree-aware retry
         #: cost analysis): messages sent per mechanism across all rounds.
@@ -136,30 +136,25 @@ class SnapshotObserver:
         self._device_units.pop(name, None)
         self._expected_units = None
 
-    def on_complete(self, callback: Callable[[GlobalSnapshot], None]) -> None:
-        """Run ``callback`` whenever a snapshot reaches COMPLETE."""
-        self._completion_callbacks.append(callback)
-
     def on_resolved(self, callback: Callable[[GlobalSnapshot], None]) -> None:
         """Run ``callback`` once per snapshot when it leaves PENDING —
         COMPLETE, PARTIAL, and ABANDONED alike.  This is the streaming
         intake hook: a continuous consumer hears about every epoch's
         final disposition exactly once, in resolution order, without
-        polling :attr:`snapshots` at end of run."""
+        polling :attr:`snapshots` at end of run.  The one resolution hook:
+        a consumer of COMPLETE snapshots only checks ``status``."""
         self._resolution_callbacks.append(callback)
 
     def _resolve(self, snapshot: GlobalSnapshot,
                  status: SnapshotStatus) -> None:
         """Move ``snapshot`` to a terminal ``status``, fire hooks, then
-        freeze its records into columns (callbacks see the live dict).
+        freeze its records into columns (callbacks see the live dict):
+        the last write the snapshot takes.
 
         Pure-Python callbacks: nothing here schedules events, so wiring
         (or not wiring) consumers leaves the event stream byte-identical.
         """
         snapshot.status = status
-        if status is SnapshotStatus.COMPLETE:
-            for callback in self._completion_callbacks:
-                callback(snapshot)
         for callback in self._resolution_callbacks:
             callback(snapshot)
         snapshot.freeze(self.units)
@@ -277,9 +272,7 @@ class SnapshotObserver:
             if snapshot.add_record(record) and snapshot.complete:
                 self._resolve(snapshot, SnapshotStatus.COMPLETE)
         elif status is not SnapshotStatus.ABANDONED:
-            # Applied as to a pending snapshot, and counted.
-            if snapshot.add_record(record):
-                self.late_records += 1
+            self.late_records += 1  # resolved: final, so counted, not applied
 
     def on_aggregate(self, message: "AggregateMessage") -> None:
         """Entry point for tree-aggregated messages (the fabric intake's

@@ -8,8 +8,9 @@ retry/device timeouts) used to be hard-coded fields scattered across
 gathers exactly those knobs into one frozen, JSON-round-trippable spec
 that can be
 
-* handed to :func:`repro.core.deploy` as its ``recovery`` field (the
-  deployment derives the CP/observer configs),
+* applied by passing the two configs it builds to
+  :func:`repro.core.deploy`: ``control_plane=policy.control_plane_config()``
+  and ``observer=policy.observer_config()``,
 * swept by :mod:`repro.experiments.recovery` against
   :class:`~repro.faults.FaultProfile`\\ s to map the
   completion-vs-overhead frontier, and

@@ -6,20 +6,21 @@ device control planes and assembles them into
 together provide a coherent image of the entire network data plane at
 nearly a single point in time" (§1).
 
-A resolved snapshot is *frozen*: its per-unit records collapse into a
-few int64 columns (:class:`UnitColumns`) over the observer's
-:class:`UnitTable`, about a seventh of what the record objects cost.
-``records`` stays readable — a resolved snapshot rebuilds the mapping
-on each access — and the derived fields and the export rows read the
-columns directly.
+A resolved snapshot is final and *frozen*: its per-unit records
+collapse into a few int64 columns (:class:`UnitColumns`) over the
+observer's :class:`UnitTable`, about a seventh of what the record
+objects cost, and neither mutator accepts it any more.  Every reader
+here answers from the columns; ``records`` stays as a compatibility
+view that a resolved snapshot rebuilds on each access.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import repeat
+from operator import attrgetter
 from typing import Optional, Union
 
 from repro.core.control_plane import UnitSnapshotRecord
@@ -202,15 +203,6 @@ class GlobalSnapshot:
             self._columns = UnitColumns(self.epoch, records, table)
             self._records = None
 
-    def _thaw(self) -> Optional[UnitTable]:
-        """Back to a dict; returns the table to refreeze over, if any."""
-        columns = self._columns
-        if columns is None:
-            return None
-        self._records = columns.records(self.epoch)
-        self._columns = None
-        return columns.table
-
     def rows(self) -> Iterator[UnitRow]:
         """One :data:`UnitRow` per record, in ``records`` order, without
         building records for a frozen snapshot."""
@@ -225,34 +217,42 @@ class GlobalSnapshot:
         columns = self._columns
         return len(self.records) if columns is None else len(columns)
 
+    def _times(self, field: str) -> Sequence[int]:
+        """One int field (``captured_ns`` or ``read_ns``) of every record."""
+        columns = self._columns
+        if columns is not None:
+            return getattr(columns, field)
+        return list(map(attrgetter(field), self.records.values()))
+
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
+    def _live(self) -> dict[UnitId, UnitSnapshotRecord]:
+        """The records, while the snapshot can still change."""
+        if self._records is None:
+            raise RuntimeError(f"snapshot {self.epoch} is resolved and final; "
+                               "its records cannot change")
+        return self._records
+
     def add_record(self, record: UnitSnapshotRecord) -> bool:
-        """Incorporate one unit record; returns True if it was expected."""
+        """Incorporate one unit record; returns True if it was expected.
+        Raises on a frozen snapshot."""
+        records = self._live()
         if record.unit not in self.expected_units:
             return False  # spurious completion (e.g. a just-attached node)
-        try:
-            self._records[record.unit] = record  # type: ignore[index]
-        except TypeError:
-            # Frozen (a late record): applied as to the dict, in place.
-            table = self._thaw()
-            assert self._records is not None and table is not None
-            self._records[record.unit] = record
-            self.freeze(table)
+        records[record.unit] = record
         return True
 
     def exclude_device(self, device: str, reason: str = "silent") -> None:
-        """Drop a failed device from the snapshot (observer timeout, §6)."""
-        table = self._thaw()
+        """Drop a failed device from the snapshot (observer timeout, §6).
+        Raises on a frozen snapshot."""
+        records = self._live()
         self.excluded_devices.add(device)
         self.exclusion_reasons[device] = reason
         self.expected_units = {u for u in self.expected_units
                                if u.device != device}
-        self._records = {u: r for u, r in self.records.items()
+        self._records = {u: r for u, r in records.items()
                          if u.device != device}
-        if table is not None:
-            self.freeze(table)
 
     @property
     def missing_units(self) -> set[UnitId]:
@@ -296,27 +296,51 @@ class GlobalSnapshot:
     def capture_spread_ns(self) -> int:
         """Max minus min data-plane capture timestamp across records —
         the realized synchronization of this snapshot."""
-        columns = self._columns
-        times: Iterable[int] = (
-            columns.captured_ns if columns is not None
-            else [r.captured_ns for r in self.records.values()])
-        if not times:
-            return 0
-        return max(times) - min(times)
+        times = self._times("captured_ns")
+        return max(times) - min(times) if times else 0
+
+    @property
+    def last_read_ns(self) -> Optional[int]:
+        """When the last record was read by its control plane; None
+        before any record arrived."""
+        reads = self._times("read_ns")
+        return max(reads) if reads else None
+
+    @property
+    def capture_to_read_ns(self) -> int:
+        """First data-plane capture to last control-plane read: the time
+        the snapshot took to collect (0 without records)."""
+        last = self.last_read_ns
+        return 0 if last is None else last - min(self._times("captured_ns"))
 
     def total_value(self, include_channel_state: bool = True) -> int:
         """Sum of all unit values (network-wide total for accumulator
         metrics such as packet counts)."""
-        if include_channel_state:
-            return sum(r.total_value for r in self.records.values())
-        return sum(r.value for r in self.records.values())
+        return sum(value + (state or 0) if include_channel_state else value
+                   for _unit, value, state, *_ in self.rows())
+
+    def totals_of(self, units: Iterable[UnitId]) -> list[Optional[int]]:
+        """Each unit's value plus channel state, in the order given; None
+        for a unit the snapshot holds no record of."""
+        columns = self._columns
+        if columns is not None:
+            states = columns.channel_state
+            totals = (columns.value if states is None else
+                      [v + (s or 0) for v, s in zip(columns.value, states)])
+            by_number = dict(zip(columns.unit, totals))
+            return list(map(by_number.get, map(columns.table.numbers.get, units)))
+        return [None if r is None else r.value + (r.channel_state or 0)
+                for r in map(self.records.get, units)]
 
     def value_of(self, device: str, port: int, direction: Direction) -> int:
-        record = self.records[UnitId(device, port, direction)]
-        return record.value
-
-    def values_by_unit(self) -> dict[UnitId, int]:
-        return {u: r.value for u, r in self.records.items()}
+        unit = UnitId(device, port, direction)
+        columns = self._columns
+        if columns is None:
+            return self.records[unit].value
+        try:
+            return columns.value[columns.unit.index(columns.table.numbers[unit])]
+        except ValueError:  # numbered, but not in this snapshot
+            raise KeyError(unit) from None
 
     def device_records(self, device: str) -> list[UnitSnapshotRecord]:
         return [r for u, r in sorted(self.records.items(),

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from typing import Optional
 
 from repro.analysis.stats import Cdf
-from repro.core import ControlPlaneConfig, ObserverConfig, deploy
+from repro.core import ControlPlaneConfig, ObserverConfig, SnapshotStatus, deploy
 from repro.experiments import Experiment
 from repro.experiments.campaigns import start_poisson
 from repro.experiments.harness import TextTable, header
@@ -305,9 +305,9 @@ def _transport_completion(config: TransportConfig, transport: str) -> float:
                       NetworkConfig(seed=config.seed))
     deployment = deploy(network, metric="packet_count", channel_state=False,
                         control_plane=_transport_cp_config(transport))
-    finish_times: dict[int, int] = {}
-    deployment.observer.on_complete(
-        lambda snap: finish_times.setdefault(snap.epoch, network.sim.now))
+    resolved_at: dict[int, int] = {}
+    deployment.observer.on_resolved(
+        lambda snap: resolved_at.setdefault(snap.epoch, network.sim.now))
     epochs = deployment.schedule_campaign(config.snapshots,
                                           config.interval_ns)
     network.run(until=20 * MS + config.snapshots * config.interval_ns
@@ -315,8 +315,8 @@ def _transport_completion(config: TransportConfig, transport: str) -> float:
     latencies = []
     for epoch in epochs:
         snap = deployment.observer.snapshot(epoch)
-        if epoch in finish_times:
-            latencies.append(finish_times[epoch] - snap.requested_wall_ns)
+        if snap.status is SnapshotStatus.COMPLETE:
+            latencies.append(resolved_at[epoch] - snap.requested_wall_ns)
     if not latencies:
         raise RuntimeError(f"no snapshot completed under {transport}")
     latencies.sort()

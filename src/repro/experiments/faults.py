@@ -281,10 +281,7 @@ def run_faults_trial(spec: TrialSpec) -> TrialResult:
     snapshots = [observer.snapshot(epoch) for epoch in epochs]
     completed = [s for s in snapshots if s.complete]
     inconsistent = [s for s in completed if not s.consistent]
-    spans = sorted(
-        max(r.read_ns for r in s.records.values())
-        - min(r.captured_ns for r in s.records.values())
-        for s in completed)
+    spans = sorted(s.capture_to_read_ns for s in completed)
     median_ttc = spans[len(spans) // 2] if spans else None
 
     # Per-epoch attribution: which fault spans overlapped which epoch.

@@ -226,12 +226,8 @@ def setup(worker: ShardWorker, params: dict, seed: int, duration: int):
         if deployment.is_observer_shard:
             snapshots = [deployment.observer.snapshot(e) for e in epochs]
             completed = [s for s in snapshots if s.complete]
-            usable = [s for s in completed
-                      if s.consistent and not s.excluded_devices]
-            spans = sorted(
-                max(r.read_ns for r in s.records.values())
-                - min(r.captured_ns for r in s.records.values())
-                for s in completed if s.records)
+            usable = [s for s in completed if s.usable]
+            spans = sorted(s.capture_to_read_ns for s in completed)
             result.update(
                 total=len(snapshots), completed=len(completed),
                 usable=len(usable),

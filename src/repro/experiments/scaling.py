@@ -25,7 +25,8 @@ from collections.abc import Sequence
 from typing import Optional
 
 from repro.analysis.stats import Cdf
-from repro.core import AggregationConfig, ObserverConfig, deploy
+from repro.core import (AggregationConfig, GlobalSnapshot, ObserverConfig,
+                        SnapshotStatus, deploy)
 from repro.core.deployment import merge_progress
 from repro.core.sharded import OBSERVER_SHARD
 from repro.experiments import Experiment
@@ -245,9 +246,11 @@ def setup(worker: ShardWorker, config: ScalingConfig, duration: int):
     finish_times: dict[int, int] = {}
     epochs: list[int] = []
     if deployment.is_observer_shard:
-        deployment.observer.on_complete(
-            lambda snap: finish_times.setdefault(snap.epoch,
-                                                 worker.sim.now))
+        def finished(snap: GlobalSnapshot) -> None:
+            if snap.status is SnapshotStatus.COMPLETE:
+                finish_times[snap.epoch] = worker.sim.now
+
+        deployment.observer.on_resolved(finished)
         epochs.extend(deployment.schedule_campaign(config.snapshots,
                                                    config.interval_ns))
 

@@ -135,11 +135,8 @@ def attribute_epochs(log: Iterable[InjectionRecord],
     result: list[EpochAttribution] = []
     for snap in sorted(snapshots, key=lambda s: s.epoch):
         start = snap.requested_wall_ns
-        if snap.records:
-            end = max(r.read_ns for r in snap.records.values())
-        else:
-            end = horizon_ns
-        end = max(end, start)
+        last_read = snap.last_read_ns
+        end = max(horizon_ns if last_read is None else last_read, start)
         overlapping = tuple(s for s in spans if s.overlaps(start, end))
         result.append(EpochAttribution(
             epoch=snap.epoch, window_start_ns=start, window_end_ns=end,

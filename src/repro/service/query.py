@@ -86,7 +86,7 @@ class QueryEngine:
         violations: dict[int, list[str]] = {}
         for doc in _by_epoch(self.store.views(start=start, end=end)):
             snapshot = epoch_from_record(doc)
-            if not snapshot.records or not snapshot.consistent:
+            if not snapshot.record_count or not snapshot.consistent:
                 skipped += 1
                 continue
             checked += 1

@@ -16,15 +16,9 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.analysis.invariants import LinkAudit
-from repro.core.builder import deploy
-from repro.service.pipeline import (ContinuousCampaign, PipelineConfig,
-                                    SnapshotPipeline)
-from repro.service.query import QueryEngine
-from repro.sim.engine import MS, US
-from repro.sim.network import Network, NetworkConfig
-from repro.topology.builders import leaf_spine
-from repro.workloads.memcache import MemcacheConfig, MemcacheWorkload
+from repro.runtime.streaming import ServiceRun, ServiceSpec
+from repro.service.pipeline import PipelineConfig
+from repro.sim.engine import MS
 
 
 def run_fault_smoke(seed: int = 42, epochs: int = 120,
@@ -36,20 +30,14 @@ def run_fault_smoke(seed: int = 42, epochs: int = 120,
     ``ok`` is True iff every liveness invariant held; ``problems``
     lists the ones that did not.
     """
-    network = Network(
-        leaf_spine(num_leaves=2, num_spines=1, hosts_per_leaf=2),
-        NetworkConfig(seed=seed))
-    sim = network.sim
-    deployment = deploy(network, metric="packet_count")
-    workload = MemcacheWorkload(network, MemcacheConfig(
-        seed=seed, stop_ns=2**62, mean_request_gap_ns=400 * US))
-    workload.start()
-    pipeline = SnapshotPipeline(sim, deployment.observer,
-                                config=PipelineConfig(
-                                    retention=96, keyframe_interval=8,
-                                    queue_capacity=8))
-    campaign = ContinuousCampaign(sim, deployment.observer, interval_ns)
-    campaign.start(max_ticks=epochs)
+    run = ServiceRun(ServiceSpec(
+        seed=seed, interval_ns=interval_ns,
+        pipeline=PipelineConfig(retention=96, keyframe_interval=8,
+                                queue_capacity=8)))
+    sim, deployment, pipeline = run.sim, run.deployment, run.pipeline
+    assert run.workload is not None
+    run.workload.start()
+    run.campaign.start(max_ticks=epochs)
 
     victim = sorted(deployment.control_planes)[0]
     cp = deployment.control_planes[victim]
@@ -62,7 +50,7 @@ def run_fault_smoke(seed: int = 42, epochs: int = 120,
     sim.run(until=epochs * interval_ns
             + deployment.config.observer.device_timeout_ns + 500 * MS)
 
-    engine = QueryEngine(pipeline.store, link_audit=LinkAudit(network))
+    engine = run.query_engine()
     summary = engine.summary()
     docs = engine.range()
     problems: list[str] = []

@@ -331,9 +331,6 @@ class Simulator:
         """Number of not-yet-cancelled events still queued."""
         return len(self._heap) - len(self._cancelled)
 
-    #: Alias with the stats-style name (see also ``cancelled_count``).
-    pending_count = pending
-
     @property
     def cancelled_count(self) -> int:
         """Cancelled events still occupying heap slots (drops to zero

@@ -105,12 +105,12 @@ class UpdateVerifier:
         decisions happen at ingress only, so the egress ``fib_version``
         rows are constant zero by construction."""
         gens: dict[str, int] = {}
-        for unit, record in snapshot.records.items():
+        for unit, value, *_ in snapshot.rows():
             if unit.direction is not Direction.INGRESS:
                 continue
             current = gens.get(unit.device)
-            if current is None or record.value < current:
-                gens[unit.device] = record.value
+            if current is None or value < current:
+                gens[unit.device] = value
         return gens
 
     def expected_generations(self, wave_index: int) -> dict[str, int]:

@@ -110,7 +110,7 @@ class TestRecordConservation:
             network, deployment = _deploy(AggregationConfig(degree=4))
             snaps = _campaign(network, deployment)
             runs.append((network.sim.events_run,
-                         [s.values_by_unit() for s in snaps],
+                         [list(s.rows()) for s in snaps],
                          deployment.aggregation.stats()))
         assert runs[0] == runs[1]
 

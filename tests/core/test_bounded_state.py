@@ -17,6 +17,7 @@ from repro.core import ControlPlaneConfig, ObserverConfig, SnapshotStatus, deplo
 from repro.core.aggregation import AggregationConfig
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.core.snapshot import GlobalSnapshot, UnitTable
+from repro.service.pipeline import SnapshotPipeline
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.switch import Direction, UnitId
@@ -175,15 +176,104 @@ class TestFrozenSnapshot:
         assert list(snap.records.values()) == records
         assert snap.total_value() == 14
 
-    def test_late_record_applied_in_place_and_refrozen(self):
+    def test_mutators_raise(self):
         records = [self._record(0), self._record(1)]
         snap, _ = self._frozen(records)
-        late = self._record(0, value=9)
-        assert snap.add_record(late)
-        assert snap.frozen
-        assert list(snap.records.values()) == [late, records[1]]
+        with pytest.raises(RuntimeError, match="snapshot 3 is resolved"):
+            snap.add_record(self._record(0, value=9))
+        with pytest.raises(RuntimeError, match="snapshot 3 is resolved"):
+            snap.exclude_device("sw0")
+        assert list(snap.records.values()) == records
+        assert snap.expected_units == {r.unit for r in records}
+        assert not snap.excluded_devices
+
+    def test_readers_answer_alike_live_and_frozen(self):
+        records = [self._record(0, value=5, channel_state=4),
+                   self._record(1, value=7)]
+        frozen, table = self._frozen(records)
+        live = GlobalSnapshot(epoch=3, requested_wall_ns=0,
+                              expected_units={r.unit for r in records},
+                              records={r.unit: r for r in records})
+        table.extend([UnitId("sw0", 2, Direction.INGRESS)])  # not recorded
+        units = [r.unit for r in records]
+        absent = UnitId("sw1", 0, Direction.INGRESS)
+        for snap in (live, frozen):
+            assert snap.totals_of((units[1], absent, units[0])) == [7, None, 9]
+            assert snap.value_of("sw0", 1, Direction.INGRESS) == 7
+            for port in (2, 3):
+                with pytest.raises(KeyError):
+                    snap.value_of("sw0", port, Direction.INGRESS)
+            assert snap.total_value() == 16
+            assert snap.total_value(include_channel_state=False) == 12
+            assert snap.last_read_ns == 99
+            assert snap.capture_to_read_ns == 99 - 10
+        empty = GlobalSnapshot(epoch=4, requested_wall_ns=0, expected_units=set())
+        assert empty.last_read_ns is None and empty.capture_to_read_ns == 0
 
     def test_mutating_records_changes_nothing(self):
         snap, _ = self._frozen([self._record(0)])
         snap.records.clear()
         assert snap.record_count == 1 and snap.complete
+
+
+class TestResolvedSnapshotIsFinal:
+    """A record that reaches a COMPLETE or PARTIAL snapshot is counted in
+    ``late_records`` and dropped: the stored document is the one the
+    snapshot rendered at resolution, even when the record lands before
+    the ingest server has stored it."""
+
+    def _late_records_after_resolution(self, net, dep, late_for):
+        pipeline = SnapshotPipeline(net.sim, dep.observer)
+        rendered = {}
+        sent = []
+
+        def on_resolved(snap):
+            rendered[snap.epoch] = epoch_record(snap)
+            late = late_for(snap)
+            sent.append(late)
+            net.sim.schedule(0, dep.observer.on_unit_record, late)
+
+        dep.observer.on_resolved(on_resolved)
+        dep.schedule_campaign(3, 5 * MS)
+        net.run(until=1 * S)
+        assert dep.observer.late_records == len(sent) == 3
+        assert pipeline.ingested == 3
+        for epoch, doc in rendered.items():
+            stored = pipeline.store.get(epoch)
+            assert stored.pop("merged_epochs") == 0
+            assert stored == doc == epoch_record(dep.observer.snapshot(epoch))
+        return rendered
+
+    def test_late_record_for_a_complete_snapshot(self):
+        net = Network(leaf_spine(hosts_per_leaf=1), NetworkConfig(seed=1))
+        dep = deploy(net)
+
+        def late_for(snap):
+            unit, record = next(iter(snap.records.items()))
+            return UnitSnapshotRecord(unit, snap.epoch, record.value + 1000,
+                                      None, True, record.captured_ns,
+                                      record.read_ns + 1)
+
+        rendered = self._late_records_after_resolution(net, dep, late_for)
+        assert {doc["status"] for doc in rendered.values()} == {"complete"}
+
+    def test_late_record_for_a_partial_snapshot(self):
+        net = Network(leaf_spine(hosts_per_leaf=1), NetworkConfig(seed=1))
+        dep = deploy(net, observer=ObserverConfig(retry_timeout_ns=10 * MS,
+                                                  max_retries=1))
+        # leaf1 loses port 0's records: it reports, stays short, and the
+        # snapshot times out PARTIAL still expecting those units.
+        leaf1 = net.switch("leaf1")
+        deliver = leaf1.notification_sink
+        leaf1.notification_sink = (
+            lambda n: deliver(n) if n.unit.port != 0 else None)
+
+        def late_for(snap):
+            unit = sorted(snap.missing_units, key=str)[0]
+            return UnitSnapshotRecord(unit, snap.epoch, 1, None, True,
+                                      snap.requested_wall_ns,
+                                      net.sim.now)
+
+        rendered = self._late_records_after_resolution(net, dep, late_for)
+        assert {doc["status"] for doc in rendered.values()} == {"partial"}
+        assert all(doc["missing_units"] for doc in rendered.values())

@@ -51,10 +51,11 @@ class TestBasicOperation:
     def test_completion_callback_fires(self):
         net, dep = _deploy()
         seen = []
-        dep.observer.on_complete(lambda snap: seen.append(snap.epoch))
+        dep.observer.on_resolved(lambda snap: seen.append(
+            (snap.epoch, snap.status)))
         epoch = dep.take_snapshot()
         net.run(until=200 * MS)
-        assert seen == [epoch]
+        assert seen == [(epoch, SnapshotStatus.COMPLETE)]
 
     def test_completed_snapshots_ordered_and_filtered(self):
         net, dep = _deploy()

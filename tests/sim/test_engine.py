@@ -205,11 +205,11 @@ class TestCancellationBookkeeping:
 
     def test_pending_count_and_cancelled_count(self, sim):
         handles = [sim.schedule(i + 1, lambda: None) for i in range(10)]
-        assert sim.pending == sim.pending_count == 10
+        assert sim.pending == 10
         assert sim.cancelled_count == 0
         handles[0].cancel()
         handles[5].cancel()
-        assert sim.pending == sim.pending_count == 8
+        assert sim.pending == 8
         assert sim.cancelled_count == 2
 
     def test_cancel_after_fire_does_not_pollute_side_table(self, sim):
