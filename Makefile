@@ -8,7 +8,7 @@ PROFILE_EXP ?= fig10
 
 .PHONY: install test lint statics typecheck static-checks \
         bench bench-smoke bench-experiments fused-diff-deep jobs-diff-deep \
-        matrix-deep store-diff-deep draw-diff-deep \
+        matrix-deep store-diff-deep draw-diff-deep intake-diff-deep \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -107,6 +107,16 @@ store-diff-deep:
 draw-diff-deep:
 	REPRO_DRAW_DIFF_EXAMPLES=5000 $(PYTHON) -m pytest -q \
 	    tests/core/test_control_plane.py -k TestUniformJitter
+
+# The observer's one-step relay-message intake against its per-record
+# intake (tests/core/test_intake_differential.py: drawn message sequences
+# with duplicate, stranger and late records over pending, complete,
+# partial, abandoned and unknown epochs give the same records, statuses,
+# counts and resolution order) at five thousand examples instead of the
+# tier-1 smoke's sixty (~1 min).
+intake-diff-deep:
+	REPRO_INTAKE_DIFF_EXAMPLES=5000 $(PYTHON) -m pytest -q \
+	    tests/core/test_intake_differential.py
 
 # The --jobs 1 vs --jobs N comparison (tests/runtime/test_runner.py,
 # tier-1: two tiny trials per experiment) over the whole quick suite:

@@ -54,7 +54,6 @@ class LinkAudit:
 
     def __init__(self, network: Network) -> None:
         self.network = network
-        # Decoded epochs' units, so ``records.get`` hits by identity.
         self._links: list[tuple[UnitId, UnitId]] = []
         for name in sorted(network.switches):
             for neighbor, port in sorted(network.port_map[name].items()):

@@ -41,8 +41,9 @@ def snapshot_rows(snapshot: GlobalSnapshot) -> list[dict[str, object]]:
 
 @functools.lru_cache(maxsize=4096)
 def _unit(device: str, port: int, direction: str) -> UnitId:
-    """The one bounded table decoded epochs and ``LinkAudit`` share units
-    through (a fabric's are fixed at deploy time); a dropped one is rebuilt."""
+    """A decoded row's unit, cached: a fabric's units are fixed at deploy
+    time, so a hit spares the ``Direction(...)`` lookup and the tuple
+    build per row; a dropped one is rebuilt."""
     return UnitId(device, port, Direction(direction))
 
 

@@ -106,7 +106,8 @@ class AggregateMessage:
     #: Sending agent's switch (``tree.parent[source]`` receives it).
     source: str
     epoch: int
-    #: Records from ``source``'s subtree not yet forwarded upward.
+    #: Records from ``source``'s subtree not yet forwarded upward, all
+    #: of ``epoch``.
     records: list[UnitSnapshotRecord]
     #: MIN over the subtree of each control plane's finalized epoch —
     #: the gating-min progress floor, reduced at every hop.

@@ -387,6 +387,7 @@ class SwitchControlPlane:
         self.sim = switch.sim
         self.clock = clock
         self.ids = id_space
+        self._id_size = id_space.size
         self.channel_state = channel_state
         #: True when driving the idealised Figure 3 units, which loop over
         #: skipped epochs in the data plane — no inconsistency marking is
@@ -650,12 +651,22 @@ class SwitchControlPlane:
         if tracker is None:
             return  # unit not under snapshot management
         ctrl_sid = tracker.ctrl_sid
-        # Both unwrapped whichever branch follows: it range-checks them.
-        new_sid = self.ids.unwrap_onto(n.new_sid, ctrl_sid)
-        old_sid = self.ids.unwrap_onto(n.old_sid, ctrl_sid)
+        new_sid = n.new_sid
+        size = self._id_size
+        if size is not None:
+            # Both range-checked whichever branch follows (the method
+            # raises), then ``IdSpace.unwrap_onto(new_sid, ctrl_sid)``
+            # inlined: a call per notification (docs/PERF.md).
+            if not (0 <= new_sid < size and 0 <= n.old_sid < size):
+                for wrapped in (new_sid, n.old_sid):
+                    self.ids.unwrap_onto(wrapped, ctrl_sid)  # raises
+            ahead = (new_sid - ctrl_sid) % size
+            new_sid = (ctrl_sid + ahead if 2 * ahead < size
+                       else max(ctrl_sid + ahead - size, 0))
         if new_sid > ctrl_sid:
             if self.channel_state:
                 # A dropped notification shows as old_sid ahead of our view.
+                old_sid = self.ids.unwrap_onto(n.old_sid, ctrl_sid)
                 self._advance_sid(tracker, new_sid,
                                   drop_suspected=old_sid != ctrl_sid)
             else:
@@ -709,7 +720,8 @@ class SwitchControlPlane:
         elif to_read == last_read + 1:
             # The campaign keeps up: one epoch, one register, and the
             # downward scan below has nothing to infer.
-            taken = agent.take_slot(self.ids.wrap(to_read))
+            size = self._id_size
+            taken = agent.take_slot(to_read if size is None else to_read % size)
             if taken is not None and self.ship is not None:
                 # Positional: keywords would build a dict per record.
                 self.ship(UnitSnapshotRecord(

@@ -317,8 +317,6 @@ class SpeedlightDeployment:
             cp.register_unit(ingress, self._ingress_gating(name, port_index))
             cp.register_unit(egress,
                              self._egress_gating(switch, feasible, port_index))
-            # The agents' own unit objects: a record's unit then matches
-            # the observer's expected set by identity.
             units += (ingress.unit_id, egress.unit_id)
         self.observer.register_device(name, cp, units)
 

@@ -94,6 +94,8 @@ class SnapshotObserver:
         #: Records that reached a snapshot already COMPLETE or PARTIAL:
         #: counted and dropped, since a resolved snapshot is final.
         self.late_records = 0
+        #: Records offered to the intake, alone or in a relay message.
+        self.records_in = 0
         self._next_epoch = 1  # epoch 0 is the power-on state, never taken
         #: Every epoch below this has been through no-lapping
         #: enforcement and can never be PENDING again.
@@ -264,6 +266,7 @@ class SnapshotObserver:
     def on_unit_record(self, record: UnitSnapshotRecord) -> None:
         """Entry point for records shipped by control planes (wired by
         the deployment through the management plane)."""
+        self.records_in += 1
         snapshot = self.snapshots.get(record.epoch)
         if snapshot is None:
             return  # epoch predates this observer or was never scheduled
@@ -276,11 +279,21 @@ class SnapshotObserver:
 
     def on_aggregate(self, message: "AggregateMessage") -> None:
         """Entry point for tree-aggregated messages (the fabric intake's
-        handler): unpack the batched unit records and fold the subtree's
-        gating-min progress floor into the fabric-wide view."""
+        handler): take the batched unit records, in one step when
+        :meth:`GlobalSnapshot.add_records` can, else one by one, and fold
+        the subtree's gating-min progress floor into the fabric-wide view."""
         if message.min_finalized > self.fabric_min_epoch:
             self.fabric_min_epoch = message.min_finalized
-        for record in message.records:
+        records = message.records
+        snapshot = self.snapshots.get(message.epoch)
+        if (records and snapshot is not None
+                and snapshot.status is SnapshotStatus.PENDING
+                and snapshot.add_records(records)):
+            self.records_in += len(records)
+            if snapshot.complete:
+                self._resolve(snapshot, SnapshotStatus.COMPLETE)
+            return
+        for record in records:
             self.on_unit_record(record)
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from array import array
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import attrgetter
 from typing import Optional, Union
@@ -29,6 +29,8 @@ from repro.sim.switch import Direction, UnitId
 #: One unit's row: ``(unit, value, channel_state, consistent,
 #: captured_ns, read_ns)``.
 UnitRow = tuple[UnitId, int, Optional[int], bool, int, int]
+
+_unit_of = attrgetter("unit")
 
 
 class SnapshotStatus(enum.Enum):
@@ -44,33 +46,19 @@ class UnitTable:
     """Numbers units once, in the order they are first seen; a number
     never changes and is never reused (removed devices keep theirs)."""
 
-    __slots__ = ("units", "numbers", "_by_id")
+    __slots__ = ("units", "numbers")
 
     def __init__(self) -> None:
         self.units: list[UnitId] = []
         self.numbers: dict[UnitId, int] = {}
-        #: ``id()`` of each unit object in :attr:`units` (the table keeps
-        #: them alive, so an id is never reused) -> its number: records
-        #: that carry the registered objects are numbered without a
-        #: Python-level ``UnitId.__hash__`` per unit.
-        self._by_id: dict[int, int] = {}
 
     def extend(self, units: Iterable[UnitId]) -> None:
         """Number each unit not yet numbered, in the order given."""
-        numbers, listed, by_id = self.numbers, self.units, self._by_id
+        numbers, listed = self.numbers, self.units
         for unit in units:
             fresh = len(listed)
             if numbers.setdefault(unit, fresh) == fresh:
-                by_id[id(unit)] = fresh
                 listed.append(unit)
-
-    def number_all(self, units: Collection[UnitId]) -> list[int]:
-        """The numbers of ``units``, numbering any not seen before."""
-        try:
-            return list(map(self._by_id.__getitem__, map(id, units)))
-        except KeyError:  # a unit object the table does not hold
-            self.extend(units)
-            return list(map(self.numbers.__getitem__, units))
 
     def __len__(self) -> int:
         return len(self.units)
@@ -92,8 +80,9 @@ class UnitColumns:
                  table: UnitTable) -> None:
         self.table = table
         listed = list(records.values())
-        numbers = table.number_all(records)
-        self.unit = array("H" if len(table) <= 1 << 16 else "I", numbers)
+        table.extend(records)
+        self.unit = array("H" if len(table) <= 1 << 16 else "I",
+                          map(table.numbers.__getitem__, records))
         self.consistent = bytes([r.consistent for r in listed])
         states = [r.channel_state for r in listed]
         nones = states.count(None)
@@ -243,6 +232,21 @@ class GlobalSnapshot:
         records[record.unit] = record
         return True
 
+    def add_records(self, records: Sequence[UnitSnapshotRecord]) -> bool:
+        """Incorporate ``records`` in one step, as :meth:`add_record` one
+        at a time would; or change nothing and return False when that
+        could differ: a unit not expected, or more records than units
+        still missing (a record past the completing one would be late).
+        Raises on a frozen snapshot."""
+        records_now, expected = self._live(), self.expected_units
+        if len(records_now) + len(records) > len(expected):
+            return False
+        batch = dict(zip(map(_unit_of, records), records))
+        if not expected.issuperset(batch):
+            return False
+        records_now.update(batch)
+        return True
+
     def exclude_device(self, device: str, reason: str = "silent") -> None:
         """Drop a failed device from the snapshot (observer timeout, §6).
         Raises on a frozen snapshot."""
@@ -266,14 +270,12 @@ class GlobalSnapshot:
     @property
     def complete(self) -> bool:
         # ``records`` only ever holds expected units (``add_record``
-        # rejects others, ``exclude_device`` filters both), so a length
-        # check avoids rebuilding a UnitId set per arriving record — a
-        # top-ten hotspot in notification-heavy trials.  A snapshot left
-        # with no records (every device excluded) is not complete.
-        try:
-            count = len(self._records)  # type: ignore[arg-type]
-        except TypeError:  # frozen
-            count = len(self._columns)  # type: ignore[arg-type]
+        # rejects others, ``exclude_device`` filters both), so a count
+        # will do.  A snapshot left with no records (every device
+        # excluded) is not complete.
+        records = self._records
+        count = len(records if records is not None
+                    else self._columns)  # type: ignore[arg-type]
         return count >= len(self.expected_units) and count > 0
 
     @property

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from collections.abc import Callable
 from functools import partial
-from typing import ClassVar, Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from repro.sim.engine import Simulator, US, check_minimums
 from repro.sim.channel import Link, LinkEndpoint
@@ -65,30 +65,19 @@ class Direction(enum.Enum):
     INGRESS = "ingress"
     EGRESS = "egress"
 
+    #: Members are singletons, so identity hashing is exact, and it runs
+    #: in C: a :class:`UnitId` then hashes with no Python-level call.
+    #: (``Enum.__hash__`` hashed the name string, no less process-bound.)
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class UnitId:
-    """Globally unique name of a processing unit."""
+
+class UnitId(NamedTuple):
+    """Globally unique name of a processing unit: a plain tuple, so it
+    hashes and compares in C, and pickles as its fields."""
 
     device: str
     port: int
     direction: Direction
-    #: ``hash()`` of this object once asked for (an instance attribute
-    #: then shadows the None; not a field).  It is the generated value: an
-    #: enum member hashes as its name, and sparing that Python-level call
-    #: keeps the first hash of a unit built to be used once at its old cost.
-    _hash: ClassVar[Optional[int]] = None
-
-    def __hash__(self, _set: Callable[..., None] = object.__setattr__) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash((self.device, self.port, self.direction._name_))
-            _set(self, "_hash", cached)
-        return cached
-
-    def __reduce__(self) -> tuple[type[UnitId], tuple[str, int, Direction]]:
-        # String hashes differ between processes: pickle the fields only.
-        return UnitId, (self.device, self.port, self.direction)
 
     def __str__(self) -> str:
         return f"{self.device}:{self.port}:{self.direction.value}"
