@@ -26,8 +26,10 @@ lint:
 # second line keeps the ordering rules pragma-free over what crosses a
 # shard or service boundary (the sharded actor packages, the serial
 # server the relay and the service share, the service, the update
-# verifier, the spec kernel and the metric table): there DET003/DET004
-# may not be relaxed at all, not even with a reasoned pragma.
+# verifier, the spec kernel and the metric table) and over the modules
+# that own unit order and resolution order (the analysis package, the
+# unit name, snapshot assembly, the observer): there DET003/DET004 may
+# not be relaxed at all, not even with a reasoned pragma.
 statics:
 	$(PYTHON) -m repro statics src tests
 	$(PYTHON) -m repro statics --rules DET003,DET004 --forbid-pragmas \
@@ -35,7 +37,8 @@ statics:
 	    src/repro/core/deployment.py src/repro/core/builder.py \
 	    src/repro/core/aggregation.py src/repro/sim/server.py \
 	    src/repro/service src/repro/updates src/repro/specs.py \
-	    src/repro/counters
+	    src/repro/counters src/repro/analysis src/repro/sim/switch.py \
+	    src/repro/core/snapshot.py src/repro/core/observer.py
 
 typecheck:
 	mypy

@@ -52,7 +52,7 @@ def main() -> None:
     print("whole-network egress queue depths at that instant:")
     for device in sorted(deployment.control_planes):
         depths = [r.value for r in worst.device_records(device)
-                  if r.unit.direction is Direction.EGRESS]
+                  if r.unit.direction == Direction.EGRESS]
         print(f"  {device:>8}: {depths}")
 
     hot = [s for s in snaps if client_queue_depth(s) >= 5]

@@ -61,8 +61,8 @@ class LinkAudit:
                     continue
                 peer_port = network.port_map[neighbor][name]
                 self._links.append(
-                    (_unit(name, port, Direction.EGRESS.value),
-                     _unit(neighbor, peer_port, Direction.INGRESS.value)))
+                    (_unit(name, port, Direction.EGRESS),
+                     _unit(neighbor, peer_port, Direction.INGRESS)))
         #: Every link's sender, then every link's receiver.
         self._units = ([sender for sender, _ in self._links]
                        + [receiver for _, receiver in self._links])
@@ -182,7 +182,7 @@ class LoopDetector:
     def _ingress_totals(self, snapshot: GlobalSnapshot) -> tuple[int, int]:
         edge = transit = 0
         for unit, value, *_ in snapshot.rows():
-            if unit.direction is not Direction.INGRESS:
+            if unit.direction != Direction.INGRESS:
                 continue
             peer, kind = self.network.peer_of_port(unit.device, unit.port)
             if kind is NodeKind.HOST:

@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import functools
 import json
+from operator import itemgetter
 from typing import Optional
 
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.core.snapshot import GlobalSnapshot, SnapshotStatus
-from repro.sim.switch import Direction, UnitId
+from repro.sim.switch import UnitId, parse_unit_key
 
 
 def snapshot_rows(snapshot: GlobalSnapshot) -> list[dict[str, object]]:
-    """One flat dict per unit record (stable ordering)."""
-    # Units are unique, so the sort never reaches a value.  A frozen
-    # snapshot's rows come straight from its columns.
+    """One flat dict per unit record, in unit order; a frozen snapshot's
+    rows come straight from its columns."""
     epoch = snapshot.epoch
     return [{
         "epoch": epoch,
@@ -31,20 +31,16 @@ def snapshot_rows(snapshot: GlobalSnapshot) -> list[dict[str, object]]:
         "consistent": consistent,
         "captured_ns": captured_ns,
         "read_ns": read_ns,
-    } for device, port, direction, value, channel_state, consistent,
-        captured_ns, read_ns in sorted(
-        [(u.device, u.port, u.direction.value, value, channel_state,
-          consistent, captured_ns, read_ns)
-         for u, value, channel_state, consistent, captured_ns, read_ns
-         in snapshot.rows()])]
+    } for (device, port, direction), value, channel_state, consistent,
+        captured_ns, read_ns in sorted(snapshot.rows(), key=itemgetter(0))]
 
 
 @functools.lru_cache(maxsize=4096)
 def _unit(device: str, port: int, direction: str) -> UnitId:
     """A decoded row's unit, cached: a fabric's units are fixed at deploy
-    time, so a hit spares the ``Direction(...)`` lookup and the tuple
-    build per row; a dropped one is rebuilt."""
-    return UnitId(device, port, Direction(direction))
+    time, so a hit spares the tuple build per row and shares one
+    :class:`UnitId` per unit; a dropped one is rebuilt."""
+    return UnitId(device, port, direction)
 
 
 def epoch_record(snapshot: GlobalSnapshot) -> dict[str, object]:
@@ -85,8 +81,8 @@ def epoch_from_record(doc: dict[str, object]) -> GlobalSnapshot:
         records[unit] = UnitSnapshotRecord(
             unit, epoch, row["value"], row["channel_state"],
             row["consistent"], row["captured_ns"], row["read_ns"])
-    missing = {_unit(device, int(port), direction) for device, port, direction
-               in (n.rsplit(":", 2) for n in doc["missing_units"])}  # type: ignore[union-attr]
+    missing = {_unit(*parse_unit_key(name))
+               for name in doc["missing_units"]}  # type: ignore[union-attr]
     return GlobalSnapshot(
         epoch=epoch,
         requested_wall_ns=int(doc["requested_wall_ns"]),  # type: ignore[arg-type]

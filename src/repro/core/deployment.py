@@ -436,8 +436,7 @@ class SpeedlightDeployment:
             # re-initiation for tree-aware retries (the observer
             # addresses a silent relay's children directly, so a dead
             # relay never sits on its own recovery path).
-            self.observer.attach_fabric(init_to[tree.root], tree,
-                                        retry_subtree=forward)
+            self.observer.attach_fabric(tree, forward)
 
     # ------------------------------------------------------------------
     # Convenience passthroughs

@@ -107,13 +107,12 @@ class SnapshotObserver:
         self.retry_unicasts = 0
         self.retry_fabric_sends = 0
         self.retry_subtree_sends = 0
-        #: Aggregation-fabric hooks (installed by the deployment when an
-        #: aggregation tree is wired; see :meth:`attach_fabric`).  All
-        #: None/0 means the flat unicast design — byte-identical event
-        #: stream to the pre-aggregation observer.
-        self.initiate_via_fabric: Optional[Callable[[int, int], None]] = None
+        #: The aggregation fabric (wired by the deployment when an
+        #: aggregation tree is; see :meth:`attach_fabric`).  None means
+        #: the flat unicast design — byte-identical event stream to the
+        #: pre-aggregation observer.
         self.relay_tree: Optional["AggregationTree"] = None
-        self.retry_subtree: Optional[Callable[[str, int, int], None]] = None
+        self.forward_init: Optional[Callable[[str, int, int], None]] = None
         #: Latest fabric-wide gating-min progress floor (MIN over every
         #: control plane's finalized epoch, reduced bottom-up).
         self.fabric_min_epoch = 0
@@ -161,23 +160,20 @@ class SnapshotObserver:
             callback(snapshot)
         snapshot.freeze(self.units)
 
-    def attach_fabric(self, initiate: Optional[Callable[[int, int], None]],
-                      tree: Optional["AggregationTree"],
-                      retry_subtree: Optional[
-                          Callable[[str, int, int], None]] = None) -> None:
+    def attach_fabric(self, tree: "AggregationTree",
+                      forward: Callable[[str, int, int], None]) -> None:
         """Wire the aggregation fabric (deployment-installed).
 
-        ``initiate(epoch, at_wall_ns)`` replaces the N-unicast initiation
-        loop with one send to the tree root; ``tree`` lets the timeout
-        path attribute a silent subtree to its silent relay ancestor.
-        ``retry_subtree(device, epoch, at_wall_ns)`` re-initiates one
-        device's fabric subtree directly (bypassing its ancestors) —
-        when present, retry rounds route around silent relays at
-        O(fan-out) cost instead of unicasting to O(devices).
+        ``forward(device, epoch, at_wall_ns)`` initiates ``device``'s
+        fabric subtree directly.  Sent to ``tree.root`` it replaces the
+        N-unicast initiation loop; sent to a silent relay's children it
+        lets retry rounds route around that relay at O(fan-out) cost
+        instead of unicasting to O(devices).  ``tree`` also lets the
+        timeout path attribute a silent subtree to its silent relay
+        ancestor.
         """
-        self.initiate_via_fabric = initiate
         self.relay_tree = tree
-        self.retry_subtree = retry_subtree
+        self.forward_init = forward
 
     # ------------------------------------------------------------------
     # Taking snapshots
@@ -206,11 +202,13 @@ class SnapshotObserver:
         snapshot = GlobalSnapshot(epoch=epoch, requested_wall_ns=at_wall,
                                   expected_units=expected)
         self.snapshots[epoch] = snapshot
-        if initiators is None and self.initiate_via_fabric is not None:
+        tree, forward = self.relay_tree, self.forward_init
+        if initiators is None and tree is not None:
             # Aggregation fan-out: one send to the tree root; relays
             # forward down their children.  Explicit initiator subsets
             # (the Chandy-Lamport ablation) keep the unicast path.
-            self.initiate_via_fabric(epoch, at_wall)
+            assert forward is not None  # wired with the tree
+            forward(tree.root, epoch, at_wall)
         else:
             targets = (self.control_planes if initiators is None
                        else {n: self.control_planes[n] for n in initiators})
@@ -363,10 +361,10 @@ class SnapshotObserver:
         bypassing the dead relay on the way down.  Cost per round is
         1 + culprits x (1 + fan-out) instead of O(devices).
         """
-        tree = self.relay_tree
-        if (tree is None or self.initiate_via_fabric is None
-                or self.retry_subtree is None):
+        tree, forward = self.relay_tree, self.forward_init
+        if tree is None:
             return False
+        assert forward is not None  # wired with the tree
         reported = {u.device for u in snapshot.records}
         silent_devices = sorted({u.device for u in snapshot.missing_units}
                                 - reported)
@@ -376,7 +374,7 @@ class SnapshotObserver:
             # may be down): no subtree to route around — unicast.
             return False
         silent_set = set(silent_devices)
-        self.initiate_via_fabric(snapshot.epoch, at_wall_ns)
+        forward(tree.root, snapshot.epoch, at_wall_ns)
         self.retry_fabric_sends += 1
         for device in silent_devices:
             if any(a in silent_set for a in tree.ancestors(device)):
@@ -387,7 +385,7 @@ class SnapshotObserver:
                                snapshot.epoch, at_wall_ns)
                 self.retry_unicasts += 1
             for child in tree.children.get(device, ()):
-                self.retry_subtree(child, snapshot.epoch, at_wall_ns)
+                forward(child, snapshot.epoch, at_wall_ns)
                 self.retry_subtree_sends += 1
         return True
 

@@ -24,7 +24,7 @@ from operator import attrgetter
 from typing import Optional, Union
 
 from repro.core.control_plane import UnitSnapshotRecord
-from repro.sim.switch import Direction, UnitId
+from repro.sim.switch import UnitId
 
 #: One unit's row: ``(unit, value, channel_state, consistent,
 #: captured_ns, read_ns)``.
@@ -334,7 +334,7 @@ class GlobalSnapshot:
         return [None if r is None else r.value + (r.channel_state or 0)
                 for r in map(self.records.get, units)]
 
-    def value_of(self, device: str, port: int, direction: Direction) -> int:
+    def value_of(self, device: str, port: int, direction: str) -> int:
         unit = UnitId(device, port, direction)
         columns = self._columns
         if columns is None:
@@ -345,10 +345,8 @@ class GlobalSnapshot:
             raise KeyError(unit) from None
 
     def device_records(self, device: str) -> list[UnitSnapshotRecord]:
-        return [r for u, r in sorted(self.records.items(),
-                                     key=lambda kv: (kv[0].device, kv[0].port,
-                                                     kv[0].direction.value))
-                if u.device == device]
+        records = self.records
+        return [records[u] for u in sorted(records) if u.device == device]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"GlobalSnapshot(epoch={self.epoch}, {self.status.value}, "

@@ -28,14 +28,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional, Protocol, Union
 
-from repro.counters.base import Counter
 from repro.counters.basic import PacketCounter, ByteCounter
 from repro.counters.queue_depth import QueueDepthCounter
 from repro.counters.ewma import EwmaInterarrival, EwmaPacketRate
 from repro.counters.fib_version import FibVersionCounter
 from repro.counters.advanced import ActiveFlowEstimator, QueueHighWatermark
 from repro.counters.heavy_hitter import CountMinSketch, HeavyHitterCounter
-from repro.sim.switch import EgressUnit, IngressUnit
+from repro.sim.switch import CounterLike, EgressUnit, IngressUnit
 
 #: The processing unit a counter is built for.
 _Unit = Union[IngressUnit, EgressUnit]
@@ -53,7 +52,7 @@ class Metric:
     """One deployable metric."""
 
     #: The counter one processing unit runs, built from that unit.
-    counter: Callable[[_Unit], Counter]
+    counter: Callable[[_Unit], CounterLike]
     #: A gauge (a level, not a running count): channel state has no
     #: meaning for it (§4.2), so the deployment refuses the combination.
     gauge: bool = False
@@ -114,7 +113,6 @@ __all__ = [
     "QueueHighWatermark",
     "CountMinSketch",
     "HeavyHitterCounter",
-    "Counter",
     "METRICS",
     "Metric",
     "metric",

@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from repro.counters.base import Counter
 from repro.lb.ecmp import flow_hash
 from repro.sim.packet import Packet
 
 
-class QueueHighWatermark(Counter):
+class QueueHighWatermark:
     """Max-depth-since-last-read gauge over an egress queue."""
 
     def __init__(self, depth_fn: Callable[[], int],
@@ -48,11 +47,8 @@ class QueueHighWatermark(Counter):
             self._watermark = self._depth_fn()
         return value
 
-    def reset(self) -> None:
-        self._watermark = 0
 
-
-class ActiveFlowEstimator(Counter):
+class ActiveFlowEstimator:
     """Linear-counting sketch of distinct flows since the last clear."""
 
     def __init__(self, bits: int = 1024, salt: int = 0) -> None:
@@ -82,7 +78,3 @@ class ActiveFlowEstimator(Counter):
     @property
     def saturated(self) -> bool:
         return self._set_bits == self.bits
-
-    def reset(self) -> None:
-        self._bitmap = bytearray(self.bits)
-        self._set_bits = 0

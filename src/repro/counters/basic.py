@@ -8,11 +8,10 @@ channel of the snapshot epoch they were sent in (§4.2).
 
 from __future__ import annotations
 
-from repro.counters.base import Counter
 from repro.sim.packet import Packet
 
 
-class PacketCounter(Counter):
+class PacketCounter:
     """Counts data packets traversing the owning unit."""
 
     def __init__(self) -> None:
@@ -24,11 +23,8 @@ class PacketCounter(Counter):
     def read(self) -> int:
         return self.value
 
-    def reset(self) -> None:
-        self.value = 0
 
-
-class ByteCounter(Counter):
+class ByteCounter:
     """Counts bytes of data packets traversing the owning unit."""
 
     def __init__(self) -> None:
@@ -39,6 +35,3 @@ class ByteCounter(Counter):
 
     def read(self) -> int:
         return self.value
-
-    def reset(self) -> None:
-        self.value = 0

@@ -30,11 +30,10 @@ same four registers (``last_ts``, ``packet_count``, ``temp_ewma``,
 
 from __future__ import annotations
 
-from repro.counters.base import Counter
 from repro.sim.packet import Packet
 
 
-class EwmaInterarrival(Counter):
+class EwmaInterarrival:
     """Two-phase register implementation of the interarrival EWMA (ns)."""
 
     def __init__(self) -> None:
@@ -72,15 +71,8 @@ class EwmaInterarrival(Counter):
         """Current EWMA of interarrival time, in nanoseconds."""
         return self.ewma
 
-    def reset(self) -> None:
-        self.last_ts = 0
-        self.packet_count = 0
-        self.temp_ewma = 0
-        self.ewma = 0
-        self._seeded = False
 
-
-class EwmaPacketRate(Counter):
+class EwmaPacketRate:
     """EWMA of packet *rate* (packets/second), used in Figure 13.
 
     Derived from the interarrival EWMA: rate = 1e9 / interarrival_ns.
@@ -98,6 +90,3 @@ class EwmaPacketRate(Counter):
         if ewma_ns <= 0:
             return 0
         return 1_000_000_000 // ewma_ns
-
-    def reset(self) -> None:
-        self._interarrival.reset()

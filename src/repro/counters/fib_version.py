@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.counters.base import Counter
 from repro.sim.packet import Packet
 
 
-class FibVersionCounter(Counter):
+class FibVersionCounter:
     """Reads the last-matched FIB rule version at one ingress unit."""
 
     def __init__(self, version_fn: Callable[[], int]) -> None:

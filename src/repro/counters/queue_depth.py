@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.counters.base import Counter
 from repro.sim.packet import Packet
 
 
-class QueueDepthCounter(Counter):
+class QueueDepthCounter:
     """Reads a queue-occupancy gauge; ``depth_fn`` returns the current
     depth."""
 

@@ -37,7 +37,7 @@ from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
 #: Target = (switch, port, direction); a measurement round maps each
 #: target to the metric value observed for it.
-Target = tuple[str, int, Direction]
+Target = tuple[str, int, str]
 Round = dict[Target, int]
 
 

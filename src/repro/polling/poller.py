@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.sim.engine import US
 from repro.sim.network import Network
-from repro.sim.switch import Direction
+from repro.sim.switch import unit_key
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,11 @@ class PollTarget:
 
     switch: str
     port: int
-    direction: Direction
+    direction: str
     counter: str
 
     def __str__(self) -> str:
-        return f"{self.switch}:{self.port}:{self.direction.value}:{self.counter}"
+        return f"{unit_key(self.switch, self.port, self.direction)}:{self.counter}"
 
 
 @dataclass

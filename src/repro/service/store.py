@@ -26,6 +26,8 @@ from itertools import islice
 from collections.abc import Iterator
 from typing import Optional, Union, overload
 
+from repro.sim.switch import parse_unit_key, unit_key
+
 #: An epoch-record document (``repro.analysis.report.epoch_record``
 #: output, possibly with service annotations such as ``merged_epochs``).
 EpochDoc = dict[str, object]
@@ -42,17 +44,14 @@ def canonical_bytes(payload: object) -> int:
     return len(_ENCODER.encode(payload))
 
 
-def _row_key(row: EpochDoc) -> str:
-    return f"{row['device']}:{row['port']}:{row['direction']}"
-
-
-def _row_sort_key(name: str) -> tuple[str, int, str]:
-    device, port, direction = name.rsplit(":", 2)
-    return (device, int(port), direction)
-
-
 def _strip_epoch(row: EpochDoc) -> EpochDoc:
     return {k: v for k, v in row.items() if k != "epoch"}
+
+
+def _keyed_rows(doc: EpochDoc) -> dict[str, EpochDoc]:
+    """A document's epoch-stripped unit rows by :func:`unit_key`."""
+    return {unit_key(r["device"], r["port"], r["direction"]): _strip_epoch(r)
+            for r in doc["records"]}  # type: ignore[union-attr]
 
 
 def _meta_of(doc: EpochDoc) -> EpochDoc:
@@ -78,13 +77,12 @@ class _Keyed:
 
     def __init__(self, doc: EpochDoc) -> None:
         self.meta = _meta_of(doc)
-        self.rows = {_row_key(r): _strip_epoch(r)
-                     for r in doc["records"]}  # type: ignore[union-attr]
+        self.rows = _keyed_rows(doc)
         self.order: Optional[list[str]] = None
 
     def sorted_keys(self) -> list[str]:
         if self.order is None:
-            self.order = sorted(self.rows, key=_row_sort_key)
+            self.order = sorted(self.rows, key=parse_unit_key)
         return self.order
 
     def document(self) -> EpochDoc:
@@ -127,13 +125,12 @@ def encode_delta(prev: Union[EpochDoc, _Keyed], doc: EpochDoc) -> EpochDoc:
     """
     state = _keyed(prev)
     old_meta, old_rows = state.meta, state.rows
-    new_rows = {_row_key(r): _strip_epoch(r)
-                for r in doc["records"]}  # type: ignore[union-attr]
+    new_rows = _keyed_rows(doc)
     removed: list[str] = []
     if new_rows.keys() == old_rows.keys():
         order = state.sorted_keys()
     else:
-        order = sorted(new_rows, key=_row_sort_key)
+        order = sorted(new_rows, key=parse_unit_key)
         removed = [k for k in state.sorted_keys() if k not in new_rows]
     changed = {k: new_rows[k] for k in order
                if old_rows.get(k) != new_rows[k]}

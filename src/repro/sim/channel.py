@@ -35,9 +35,6 @@ class LossModel:
     def should_drop(self, packet: Packet) -> bool:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Reset any internal state (optional)."""
-
 
 class NoLoss(LossModel):
     """A lossless channel (the default)."""
@@ -62,9 +59,6 @@ class BernoulliLoss(LossModel):
             self.dropped += 1
             return True
         return False
-
-    def reset(self) -> None:
-        self.dropped = 0
 
 
 class GilbertElliottLoss(LossModel):
@@ -115,11 +109,6 @@ class GilbertElliottLoss(LossModel):
             return True
         return False
 
-    def reset(self) -> None:
-        self.in_bad_state = False
-        self.dropped = 0
-        self.bursts_entered = 0
-
 
 class ScriptedLoss(LossModel):
     """Drop exactly the packets whose uid is in ``drop_uids``.
@@ -141,9 +130,6 @@ class ScriptedLoss(LossModel):
         if drop:
             self.dropped.append(packet)
         return drop
-
-    def reset(self) -> None:
-        self.dropped = []
 
 
 class LinkEndpoint(Protocol):

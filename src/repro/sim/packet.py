@@ -20,7 +20,8 @@ in any trial, so all three types are ``__slots__`` classes with
 hand-written constructors.  A :class:`FlowKey` precomputes its hash and
 keeps the CRC the ECMP hash computes for it (:mod:`repro.lb.ecmp`).
 Stripped snapshot headers are recycled through a small free list
-(:func:`release_header`) instead of round-tripping the allocator.
+(:meth:`Packet.strip_snapshot_header`) instead of round-tripping the
+allocator.
 """
 
 from __future__ import annotations
@@ -94,18 +95,6 @@ def new_header(sid: int = 0, packet_type: PacketType = DATA,
         header.channel_id = channel_id
         return header
     return SnapshotHeader(sid, packet_type, channel_id)
-
-
-def release_header(header: Optional[SnapshotHeader]) -> None:
-    """Return a header to the free list.
-
-    Only for internal strip paths where the header is provably dead
-    (host delivery, egress stripping for a header-blind peer); callers
-    of the public :meth:`Packet.pop_snapshot_header` own the returned
-    header and must *not* release it.
-    """
-    if header is not None and len(_HEADER_POOL) < _HEADER_POOL_MAX:
-        _HEADER_POOL.append(header)
 
 
 class FlowKey:

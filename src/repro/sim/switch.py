@@ -24,7 +24,6 @@ deployment story of §10.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Callable
@@ -59,28 +58,42 @@ CPU_CHANNEL = -1
 BROADCAST_DST = "__broadcast__"
 
 
-class Direction(enum.Enum):
-    """Which side of the port a processing unit sits on."""
+class Direction:
+    """Which side of the port a processing unit sits on: two plain
+    strings, so a :class:`UnitId` is a tuple of plain values that hashes,
+    compares and sorts in C."""
 
     INGRESS = "ingress"
     EGRESS = "egress"
 
-    #: Members are singletons, so identity hashing is exact, and it runs
-    #: in C: a :class:`UnitId` then hashes with no Python-level call.
-    #: (``Enum.__hash__`` hashed the name string, no less process-bound.)
-    __hash__ = object.__hash__
-
 
 class UnitId(NamedTuple):
     """Globally unique name of a processing unit: a plain tuple, so it
-    hashes and compares in C, and pickles as its fields."""
+    hashes, compares and sorts in C (by device, port, then direction, the
+    order :func:`parse_unit_key` gives its name), and pickles as its
+    fields."""
 
     device: str
     port: int
-    direction: Direction
+    direction: str
 
     def __str__(self) -> str:
-        return f"{self.device}:{self.port}:{self.direction.value}"
+        return unit_key(*self)
+
+
+def unit_key(device: str, port: int, direction: str) -> str:
+    """The ``device:port:direction`` name of a unit: ``str(UnitId)``,
+    the store's row key and an epoch record's ``missing_units`` entry."""
+    return f"{device}:{port}:{direction}"
+
+
+def parse_unit_key(key: str) -> tuple[str, int, str]:
+    """Invert :func:`unit_key` into a plain ``(device, port, direction)``
+    tuple (a device name may itself contain ``:``).  Plain, not a
+    :class:`UnitId`: as a sort key it orders names as their units order,
+    without a Python-level constructor per name."""
+    device, port, direction = key.rsplit(":", 2)
+    return (device, int(port), direction)
 
 
 @dataclass(frozen=True)
@@ -184,12 +197,18 @@ class CounterSet:
 
 
 class CounterLike(Protocol):
-    """Minimal counter interface (see :mod:`repro.counters`)."""
+    """The counter contract, which every counter in :mod:`repro.counters`
+    satisfies.  A counter holds only its unit's *local* state: the paper
+    re-expresses switch-wide shared state as per-unit state (§4.2)."""
 
     def update(self, packet: Packet, now_ns: int) -> None:
+        """Process one data packet inline (the "Update Counter" stage of
+        Figures 4 and 5)."""
         ...  # pragma: no cover - protocol definition
 
     def read(self) -> int:
+        """The current register value, an integer as hardware registers
+        are: what a snapshot captures and a poll reads."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -409,7 +428,7 @@ class _EgressQueue:
 class _ProcessingUnit:
     """State shared by ingress and egress units."""
 
-    def __init__(self, switch: "Switch", port: int, direction: Direction) -> None:
+    def __init__(self, switch: "Switch", port: int, direction: str) -> None:
         self.switch = switch
         self.port_index = port
         self.unit_id = UnitId(switch.name, port, direction)
@@ -927,9 +946,9 @@ class Switch:
     # ------------------------------------------------------------------
     # Unit access helpers
     # ------------------------------------------------------------------
-    def unit(self, port: int, direction: Direction) -> _ProcessingUnit:
+    def unit(self, port: int, direction: str) -> _ProcessingUnit:
         p = self.ports[port]
-        return p.ingress if direction is Direction.INGRESS else p.egress
+        return p.ingress if direction == Direction.INGRESS else p.egress
 
     def all_units(self) -> list[_ProcessingUnit]:
         units: list[_ProcessingUnit] = []

@@ -106,7 +106,7 @@ class UpdateVerifier:
         rows are constant zero by construction."""
         gens: dict[str, int] = {}
         for unit, value, *_ in snapshot.rows():
-            if unit.direction is not Direction.INGRESS:
+            if unit.direction != Direction.INGRESS:
                 continue
             current = gens.get(unit.device)
             if current is None or value < current:

@@ -36,7 +36,7 @@ from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
 def _oracle_parse_unit(name: str) -> UnitId:
     device, port, direction = name.rsplit(":", 2)
-    return UnitId(device, int(port), Direction(direction))
+    return UnitId(device, int(port), direction)
 
 
 def _oracle_epoch_from_record(doc: dict[str, object]) -> GlobalSnapshot:
@@ -47,8 +47,7 @@ def _oracle_epoch_from_record(doc: dict[str, object]) -> GlobalSnapshot:
     epoch = int(doc["epoch"])  # type: ignore[arg-type]
     records: dict[UnitId, UnitSnapshotRecord] = {}
     for row in doc["records"]:  # type: ignore[union-attr]
-        unit = UnitId(row["device"], int(row["port"]),
-                      Direction(row["direction"]))
+        unit = UnitId(row["device"], int(row["port"]), row["direction"])
         records[unit] = UnitSnapshotRecord(
             unit=unit, epoch=epoch, value=int(row["value"]),
             channel_state=(None if row["channel_state"] is None
@@ -90,7 +89,7 @@ AUDIT = LinkAudit(NETWORK)
 UNITS = [UnitId(name, port, direction)
          for name in sorted(NETWORK.switches)
          for port in sorted(NETWORK.port_map[name].values())
-         for direction in Direction]
+         for direction in (Direction.INGRESS, Direction.EGRESS)]
 DEVICES = sorted(NETWORK.switches)
 
 _ns = st.integers(min_value=0, max_value=2**40)
@@ -225,7 +224,8 @@ class TestDecodeEqualsTheOracle:
 
 
 def _wide_doc(epoch: int, rows: int) -> dict[str, object]:
-    units = [UnitId(f"sw{i // 8}", i % 8 // 2, list(Direction)[i % 2])
+    units = [UnitId(f"sw{i // 8}", i % 8 // 2,
+                    (Direction.INGRESS, Direction.EGRESS)[i % 2])
              for i in range(rows)]
     return epoch_record(GlobalSnapshot(
         epoch=epoch, requested_wall_ns=epoch, expected_units=set(units),

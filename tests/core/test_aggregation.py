@@ -101,8 +101,8 @@ class TestRecordConservation:
     def test_aggregation_off_wires_nothing(self):
         _, deployment = _deploy(None)
         assert deployment.aggregation is None
-        assert deployment.observer.initiate_via_fabric is None
         assert deployment.observer.relay_tree is None
+        assert deployment.observer.forward_init is None
 
     def test_tree_run_is_deterministic(self):
         runs = []

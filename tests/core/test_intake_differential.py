@@ -29,7 +29,8 @@ INTAKE_DIFF_EXAMPLES = int(os.environ.get("REPRO_INTAKE_DIFF_EXAMPLES", "60"))
 
 #: Two registered devices, two units each: every snapshot expects four.
 EXPECTED = [UnitId(device, 0, direction)
-            for device in ("d0", "d1") for direction in Direction]
+            for device in ("d0", "d1")
+            for direction in (Direction.INGRESS, Direction.EGRESS)]
 #: A unit no snapshot expects (a device attached after initiation).
 STRANGER = UnitId("late", 0, Direction.EGRESS)
 POOL = EXPECTED + [STRANGER]

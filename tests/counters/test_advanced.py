@@ -34,12 +34,6 @@ class TestQueueHighWatermark:
         assert counter.read() == 9
         assert counter.read() == 2  # watermark restarted from live depth
 
-    def test_reset(self):
-        counter = QueueHighWatermark(lambda: 0, clear_on_read=False)
-        counter._watermark = 4
-        counter.reset()
-        assert counter.read() == 0
-
     def test_deployment_binds_egress(self):
         net = Network(single_switch(num_hosts=2), NetworkConfig(seed=1))
         dep = deploy(net, metric="queue_watermark")
@@ -77,13 +71,6 @@ class TestActiveFlowEstimator:
             counter.update(_pkt(sport=sport), 0)
         assert counter.saturated
         assert counter.read() == 8 * 8
-
-    def test_reset(self):
-        counter = ActiveFlowEstimator()
-        counter.update(_pkt(), 0)
-        counter.reset()
-        assert counter.read() == 0
-        assert not counter.saturated
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):

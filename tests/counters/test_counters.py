@@ -60,12 +60,6 @@ class TestPacketCounter:
             counter.update(_pkt(), 0)
         assert counter.read() == 5
 
-    def test_reset(self):
-        counter = PacketCounter()
-        counter.update(_pkt(), 0)
-        counter.reset()
-        assert counter.read() == 0
-
 
 class TestByteCounter:
     def test_counts_bytes(self):
@@ -73,12 +67,6 @@ class TestByteCounter:
         counter.update(_pkt(100), 0)
         counter.update(_pkt(250), 0)
         assert counter.read() == 350
-
-    def test_reset(self):
-        counter = ByteCounter()
-        counter.update(_pkt(), 0)
-        counter.reset()
-        assert counter.read() == 0
 
 
 class TestQueueDepthCounter:

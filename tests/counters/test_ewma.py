@@ -51,13 +51,6 @@ class TestEwmaInterarrival:
         assert counter.packet_count == 1
         assert counter.temp_ewma == 100
 
-    def test_reset(self):
-        counter = EwmaInterarrival()
-        _feed(counter, [0, 100, 200, 300])
-        counter.reset()
-        assert counter.read() == 0
-        assert counter.packet_count == 0
-
     @given(st.lists(st.integers(min_value=1, max_value=10**6),
                     min_size=4, max_size=60))
     def test_property_ewma_within_interarrival_range(self, gaps):
@@ -103,10 +96,3 @@ class TestEwmaPacketRate:
             slow.update(_pkt(), i * 10_000)
             fast.update(_pkt(), i * 1_000)
         assert fast.read() > slow.read()
-
-    def test_reset(self):
-        counter = EwmaPacketRate()
-        for i in range(10):
-            counter.update(_pkt(), i * 1000)
-        counter.reset()
-        assert counter.read() == 0

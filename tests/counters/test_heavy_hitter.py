@@ -44,13 +44,6 @@ class TestCountMinSketch:
             sketch.update(_flow(sport))
         assert sketch.estimate(_flow(99_999)) <= 2
 
-    def test_reset(self):
-        sketch = CountMinSketch()
-        sketch.update(_flow(1))
-        sketch.reset()
-        assert sketch.estimate(_flow(1)) == 0
-        assert sketch.updates == 0
-
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             CountMinSketch(depth=0)
@@ -85,13 +78,6 @@ class TestHeavyHitterCounter:
         for _ in range(7):
             counter.update(_pkt(1), 0)
         assert counter.read() >= 7
-
-    def test_reset(self):
-        counter = HeavyHitterCounter()
-        counter.update(_pkt(1), 0)
-        counter.reset()
-        assert counter.read() == 0
-        assert counter.heavy_flow is None
 
     def test_snapshot_deployment_integration(self):
         net = Network(single_switch(num_hosts=3), NetworkConfig(seed=1))

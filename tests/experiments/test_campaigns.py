@@ -49,7 +49,7 @@ class TestTargets:
         targets = uplink_egress_targets(net)
         assert len(targets) == 4  # 2 leaves x 2 spines
         assert all(sw.startswith("leaf") for sw, _p, _d in targets)
-        assert all(d is Direction.EGRESS for _sw, _p, d in targets)
+        assert all(d == Direction.EGRESS for _sw, _p, d in targets)
 
     def test_all_egress_targets_cover_leaf_ports(self):
         net = build_network(CampaignSpec(workload="memcache"))

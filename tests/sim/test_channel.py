@@ -188,13 +188,6 @@ class TestGilbertElliottLoss:
         assert ([a.should_drop(p) for p in packets]
                 == [b.should_drop(p) for p in packets])
 
-    def test_reset_restores_good_state(self):
-        model = self._model(p_good_to_bad=1.0, p_loss_bad=1.0)
-        model.should_drop(_pkt())
-        model.reset()
-        assert not model.in_bad_state
-        assert model.dropped == 0 and model.bursts_entered == 0
-
 
 class TestLinkFaultSurface:
     def test_down_link_drops_everything(self):

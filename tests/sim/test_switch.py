@@ -320,7 +320,7 @@ class TestUnitIdHash:
         for clone in (copy.copy(unit), copy.deepcopy(unit),
                       pickle.loads(pickle.dumps(unit))):
             assert clone == unit and hash(clone) == hash(unit)
-            assert type(clone) is UnitId and clone.direction is unit.direction
+            assert type(clone) is UnitId and clone.direction == unit.direction
             assert {unit: "found"}[clone] == "found"
 
     def test_fields_cannot_be_assigned(self):
