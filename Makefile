@@ -9,6 +9,7 @@ PROFILE_EXP ?= fig10
 .PHONY: install test lint statics typecheck static-checks \
         bench bench-smoke bench-experiments fused-diff-deep jobs-diff-deep \
         matrix-deep store-diff-deep draw-diff-deep intake-diff-deep \
+        config-fuzz-deep \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -120,6 +121,15 @@ draw-diff-deep:
 intake-diff-deep:
 	REPRO_INTAKE_DIFF_EXAMPLES=5000 $(PYTHON) -m pytest -q \
 	    tests/core/test_intake_differential.py
+
+# The config contract (tests/test_config_contract.py: every numeric
+# field of every config and spec, found by introspection, set to 0, -1,
+# 1, 2**62, 0.5, NaN or ±inf is refused by name or runs a bounded smoke
+# rig) at a thousand examples instead of the tier-1 smoke's three; each
+# example draws a value for every field (~6 min).
+config-fuzz-deep:
+	REPRO_CONFIG_FUZZ_EXAMPLES=1000 $(PYTHON) -m pytest -q \
+	    tests/test_config_contract.py
 
 # The --jobs 1 vs --jobs N comparison (tests/runtime/test_runner.py,
 # tier-1: two tiny trials per experiment) over the whole quick suite:

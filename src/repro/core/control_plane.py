@@ -179,13 +179,15 @@ class ControlPlaneConfig:
                 f"ControlPlaneConfig.notification_transport: unknown "
                 f"transport {self.notification_transport!r} (use 'socket' "
                 "or 'digest')")
+        # exp() overflows past 709.8; with sigma <= 75, a draw within 8.5
+        # deviations stays below it for any 64-bit median.
         check_minimums(self, {
             "notification_service_ns": 0, "notification_jitter_ns": 0,
             "buffer_capacity": 1, "digest_batch": 1, "digest_timeout_ns": 0,
             "digest_service_ns": 0, "digest_per_record_ns": 0,
             "initiation_cpu_ns": 0, "initiation_jitter_ns": 0,
-            "wakeup_median_ns": 1, "wakeup_sigma": 0,
-            "wakeup_tail_probability": 0, "wakeup_tail_max_ns": 0,
+            "wakeup_median_ns": 1, "wakeup_sigma": (0.0, 75.0),
+            "wakeup_tail_probability": (0.0, 1.0), "wakeup_tail_max_ns": 0,
             "wakeup_max_ns": 0, "reinitiation_timeout_ns": 0,
             "max_reinitiations": 0, "probe_delay_ns": 0,
             "register_poll_interval_ns": 0})

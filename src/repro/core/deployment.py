@@ -58,6 +58,7 @@ from repro.core.sharded import (AGG_OBSERVER_MAILBOX, OBSERVER_MAILBOX,
                                 OBSERVER_SHARD, RemoteControlPlane,
                                 agg_init_mailbox, agg_mailbox, cp_mailbox)
 from repro.counters import metric
+from repro.sim.engine import check_minimums
 from repro.sim.network import Network
 from repro.sim.shard import ShardWorker
 from repro.sim.switch import Direction, Switch, UnitId
@@ -145,6 +146,10 @@ class DeploymentConfig:
     #: baseline (observer intake pays per-record service), ``degree>=1``
     #: builds the aggregation tree.
     aggregation: Optional[AggregationConfig] = None
+
+    def __post_init__(self) -> None:
+        # Three IDs is the least a wrapped window holds (IdSpace).
+        check_minimums(self, {"max_sid": 3}, optional=("max_sid",))
 
 
 class SpeedlightDeployment:

@@ -34,6 +34,18 @@ from collections.abc import Callable, Sequence
 from typing import Any, Optional
 
 from repro.runtime import TrialResult, TrialRunner, TrialSpec
+from repro.sim.engine import check_minimums
+
+
+@dataclass
+class ExperimentConfig:
+    """Base of an experiment's config: its seed seeds every trial, so it
+    is an integer >= 0 (:class:`~repro.runtime.TrialSpec`)."""
+
+    seed: int = 42
+
+    def __post_init__(self) -> None:
+        check_minimums(self, {"seed": 0})
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.analysis.stats import Cdf
 from repro.core import ControlPlaneConfig, ObserverConfig, SnapshotStatus, deploy
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
@@ -41,8 +41,7 @@ from repro.topology import leaf_spine, single_switch
 # ----------------------------------------------------------------------
 
 @dataclass
-class IdealVsSpeedlightConfig:
-    seed: int = 42
+class IdealVsSpeedlightConfig(ExperimentConfig):
     snapshots: int = 30
     interval_ns: int = 4 * MS
     rate_pps: float = 20_000.0
@@ -155,8 +154,7 @@ run_ideal_vs_speedlight = _IDEAL.run
 # ----------------------------------------------------------------------
 
 @dataclass
-class InitiationConfig:
-    seed: int = 42
+class InitiationConfig(ExperimentConfig):
     snapshots: int = 30
     interval_ns: int = 8 * MS
     rate_pps: float = 20_000.0
@@ -244,8 +242,7 @@ run_initiation_strategies = _INITIATION.run
 # ----------------------------------------------------------------------
 
 @dataclass
-class TransportConfig:
-    seed: int = 42
+class TransportConfig(ExperimentConfig):
     ports: int = 32
     #: Snapshots for the completion-latency measurement.
     snapshots: int = 20

@@ -24,7 +24,7 @@ from repro.core import ObserverConfig, deploy
 from repro.lb import EcmpBalancer, FlowletBalancer
 from repro.polling import PollTarget, PollingConfig, PollingObserver
 from repro.sim.clock import PTPConfig
-from repro.sim.engine import MS, US
+from repro.sim.engine import MS, US, check_minimums
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.switch import Direction
 from repro.topology import leaf_spine
@@ -39,6 +39,12 @@ from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 #: target to the metric value observed for it.
 Target = tuple[str, int, str]
 Round = dict[Target, int]
+
+#: Most rounds one campaign may take (:class:`CampaignSpec` and the
+#: experiment configs whose rounds become one).  The observer schedules
+#: every round up front, 1.8–2.6 kB each on a two- to four-leaf fabric,
+#: so 400 000 rounds hold ~1 GB before the first one runs.
+MAX_ROUNDS = 400_000
 
 
 # ----------------------------------------------------------------------
@@ -137,6 +143,11 @@ class CampaignSpec:
     #: ports of different switches at the same instant, which is not how
     #: a single polling observer behaves).
     poll_parallel_switches: bool = True
+
+    def __post_init__(self) -> None:
+        check_minimums(self, {"rounds": (1, MAX_ROUNDS), "interval_ns": 1,
+                              "hosts_per_leaf": (1, 256), "settle_ns": 0,
+                              "warmup_ns": 0})
 
     @property
     def duration_ns(self) -> int:

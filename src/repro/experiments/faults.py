@@ -42,13 +42,14 @@ from typing import Any, Optional
 from repro.analysis.consistency import ConsistencyChecker
 from repro.analysis.invariants import LinkAudit
 from repro.core import deploy
-from repro.experiments import Experiment
-from repro.experiments.campaigns import campaign_window, start_poisson
+from repro.experiments import Experiment, ExperimentConfig
+from repro.experiments.campaigns import (MAX_ROUNDS, campaign_window,
+                                         start_poisson)
 from repro.experiments.harness import TextTable, header
 from repro.faults import (CorrelatedGroup, FaultInjector, FaultProfile,
                           FaultSchedule, IndependentFaults, ProfileContext)
 from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
-from repro.sim.engine import MS
+from repro.sim.engine import MS, check_minimums
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import leaf_spine
 
@@ -80,8 +81,7 @@ DATAPLANE_KINDS = ["link_down", "link_loss", "link_delay", "queue_squeeze",
 
 
 @dataclass
-class FaultsConfig:
-    seed: int = 42
+class FaultsConfig(ExperimentConfig):
     #: Expected fault events per (kind, target) over the campaign window
     #: (the default IndependentFaults sweep; ignored when ``profile`` is
     #: set).
@@ -103,6 +103,12 @@ class FaultsConfig:
     #: members only, link faults on fabric links with a member endpoint.
     #: None = the full inventory.
     fault_switches: Optional[list[str]] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_minimums(self, {"rounds": (1, MAX_ROUNDS), "interval_ns": 1,
+                              "hosts_per_leaf": (1, 256),
+                              "mean_fault_duration_ns": 1})
 
     @classmethod
     def quick(cls) -> "FaultsConfig":

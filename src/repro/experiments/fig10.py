@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from repro.core import (AggregationConfig, ControlPlaneConfig,
                         ObserverConfig, deploy)
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.harness import TextTable, header
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS, S
@@ -34,8 +34,7 @@ from repro.topology import fat_tree, single_switch
 
 
 @dataclass
-class Fig10Config:
-    seed: int = 42
+class Fig10Config(ExperimentConfig):
     port_counts: list[int] = field(default_factory=lambda: [4, 8, 16, 32, 64])
     #: Snapshots per probe burst (long enough for backlog growth to show).
     burst: int = 40
@@ -174,8 +173,7 @@ def _knee(sustained: Callable[[float], bool],
 # intake — so the degree sweep isolates exactly what the tree buys.
 
 @dataclass
-class AggKneeConfig:
-    seed: int = 42
+class AggKneeConfig(ExperimentConfig):
     #: Fat-tree arities to sweep (k=4 -> 20 switches, k=8 -> 80).
     arities: list[int] = field(default_factory=lambda: [4, 8])
     #: Tree fan-outs to sweep; 0 is the flat-modeled observer intake.

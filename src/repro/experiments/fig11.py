@@ -37,7 +37,7 @@ from collections.abc import Sequence
 
 from repro.core.control_plane import (ControlPlaneConfig, sample_wakeup_ns,
                                       uniform_jitter)
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.harness import TextTable, header
 from repro.runtime import (TrialResult, TrialSpec, derive_seed, make_result,
                            trial)
@@ -45,8 +45,7 @@ from repro.sim.clock import PTPConfig
 
 
 @dataclass
-class Fig11Config:
-    seed: int = 42
+class Fig11Config(ExperimentConfig):
     router_counts: list[int] = field(
         default_factory=lambda: [10, 30, 100, 300, 1000, 3000, 10000])
     ports_per_router: int = 64

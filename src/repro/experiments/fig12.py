@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.analysis.stats import Cdf, balance_stddevs
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import (CampaignSpec, polling_campaign,
                                          rounds_to_balance_input,
                                          snapshot_campaign,
@@ -42,8 +42,7 @@ METHODS = ("snapshots", "polling")
 
 
 @dataclass
-class Fig12Config:
-    seed: int = 42
+class Fig12Config(ExperimentConfig):
     rounds: int = 60
     interval_ns: int = 5 * MS
     workloads: tuple[str, ...] = WORKLOADS

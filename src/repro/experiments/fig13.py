@@ -25,7 +25,7 @@ from collections.abc import Sequence
 
 from repro.analysis.stats import (CorrelationResult, significant_fraction,
                                   spearman_matrix)
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import (CampaignSpec, Round,
                                          all_egress_targets,
                                          polling_campaign, snapshot_campaign)
@@ -36,8 +36,7 @@ from repro.topology import leaf_spine
 
 
 @dataclass
-class Fig13Config:
-    seed: int = 42
+class Fig13Config(ExperimentConfig):
     rounds: int = 100
     #: Cadence deliberately co-prime with the 10 ms GraphX iteration so
     #: successive rounds sample rotating superstep phases (the paper's

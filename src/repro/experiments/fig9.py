@@ -29,7 +29,7 @@ from collections.abc import Sequence
 
 from repro.analysis.stats import Cdf
 from repro.core import ControlPlaneConfig, deploy
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import (campaign_window, poisson_network,
                                          start_poisson)
 from repro.experiments.harness import (TextTable, ascii_cdf, drain_campaign,
@@ -45,8 +45,7 @@ SERIES = (("switch_state", 0), ("channel_state", 10), ("polling", 20))
 
 
 @dataclass
-class Fig9Config:
-    seed: int = 42
+class Fig9Config(ExperimentConfig):
     #: Snapshots (and polling rounds) per series.
     rounds: int = 100
     #: Cadence of the measurement campaign.

@@ -32,7 +32,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core import ObserverConfig, deploy
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.harness import TextTable, header
 from repro.polling import PollTarget, PollingConfig, PollingObserver
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
@@ -46,8 +46,7 @@ METHODS = ("snapshots", "polling")
 
 
 @dataclass
-class MotivationConfig:
-    seed: int = 42
+class MotivationConfig(ExperimentConfig):
     rounds: int = 120
     #: Measurement cadence; deliberately co-prime-ish with the burst
     #: period so rounds rotate through phases.

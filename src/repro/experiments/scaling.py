@@ -29,12 +29,12 @@ from repro.core import (AggregationConfig, GlobalSnapshot, ObserverConfig,
                         SnapshotStatus, deploy)
 from repro.core.deployment import merge_progress
 from repro.core.sharded import OBSERVER_SHARD
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.faults import FaultInjector, FaultProfile, ProfileContext
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
-from repro.sim.engine import MS
+from repro.sim.engine import MS, check_minimums
 from repro.sim.network import NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
 from repro.topology import fat_tree
@@ -52,8 +52,7 @@ __all__ = [
 
 
 @dataclass
-class ScalingConfig:
-    seed: int = 42
+class ScalingConfig(ExperimentConfig):
     #: Fat-tree arities to instantiate (k=4 -> 20 switches, k=6 -> 45,
     #: k=8 -> 80).
     arities: list[int] = field(default_factory=lambda: [4, 6, 8])
@@ -82,6 +81,11 @@ class ScalingConfig:
     #: a flat observer intake; >= 1 routes records through a spanning
     #: relay tree of that degree (docs/AGGREGATION.md).
     agg_degree: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_minimums(self, {"shards": 1, "agg_degree": 0},
+                       optional=("agg_degree",))
 
     @classmethod
     def quick(cls) -> "ScalingConfig":

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from repro.core import ControlPlaneConfig, deploy
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import poisson_network, start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
@@ -40,8 +40,7 @@ from repro.sim.engine import MS, US
 # ----------------------------------------------------------------------
 
 @dataclass
-class ServiceCostSweepConfig:
-    seed: int = 42
+class ServiceCostSweepConfig(ExperimentConfig):
     ports: int = 16
     service_costs_ns: list[int] = field(
         default_factory=lambda: [55 * US, 110 * US, 220 * US, 440 * US])
@@ -123,8 +122,7 @@ run_service_cost_sweep = _SERVICE_COST.run
 # ----------------------------------------------------------------------
 
 @dataclass
-class PtpSweepConfig:
-    seed: int = 42
+class PtpSweepConfig(ExperimentConfig):
     rounds: int = 30
     interval_ns: int = 2 * MS
     #: From datacenter PTP (1.5 us) up to LAN NTP (1 ms), §2.1's range.
@@ -196,8 +194,7 @@ run_ptp_sweep = _PTP.run
 # ----------------------------------------------------------------------
 
 @dataclass
-class RateSweepConfig:
-    seed: int = 42
+class RateSweepConfig(ExperimentConfig):
     rounds: int = 25
     interval_ns: int = 2 * MS
     rates_pps: list[float] = field(

@@ -46,12 +46,12 @@ from repro.analysis.consistency import ConsistencyChecker
 from repro.analysis.invariants import LinkAudit
 from repro.core import deploy
 from repro.core.sharded import OBSERVER_SHARD
-from repro.experiments import Experiment
+from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.harness import TextTable, header
 from repro.faults import FaultInjector, FaultProfile, FaultSchedule, \
     ProfileContext
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
-from repro.sim.engine import MS, US
+from repro.sim.engine import MS, US, check_minimums
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
 from repro.topology import leaf_spine
@@ -145,7 +145,7 @@ def canonical_plan(strategy: str) -> UpdatePlan:
 
 
 @dataclass
-class UpdatesConfig:
+class UpdatesConfig(ExperimentConfig):
     seed: int = 69
     #: Injected PTP error levels: per-switch clock offsets are drawn
     #: once per level from a content-keyed Gaussian with this sigma
@@ -173,6 +173,10 @@ class UpdatesConfig:
     #: Space-parallel shards per trial (``--shards``); verdicts must
     #: not depend on the shard count.
     shards: int = 1
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_minimums(self, {"shards": 1})
 
     @classmethod
     def quick(cls) -> "UpdatesConfig":

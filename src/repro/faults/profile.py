@@ -43,7 +43,7 @@ from typing import Any, ClassVar, Optional
 
 from repro.faults.schedule import (FAULT_KINDS, INSTANT_KINDS, FaultSchedule,
                                    _default_params, _poisson)
-from repro.sim.engine import MS
+from repro.sim.engine import MS, check_minimums
 from repro.specs import Composite, Spec, Window
 
 __all__ = [
@@ -202,12 +202,10 @@ class IndependentFaults(FaultProfile):
     def __post_init__(self) -> None:
         if self.kinds is not None and not isinstance(self.kinds, tuple):
             object.__setattr__(self, "kinds", tuple(self.kinds))
-        if self.intensity < 0:
-            raise ValueError(
-                f"intensity must be >= 0, got {self.intensity}")
-        if self.mean_duration_ns <= 0:
-            raise ValueError(
-                f"mean_duration_ns must be > 0, got {self.mean_duration_ns}")
+        # Knuth's Poisson sampler (``_poisson``) compares against
+        # exp(-intensity), a normal float only below 708.
+        check_minimums(self, {"intensity": (0.0, 700.0),
+                              "mean_duration_ns": 1})
         if self.kinds is not None:
             _check_kinds(self.kinds)
 
@@ -258,11 +256,8 @@ class CorrelatedGroup(FaultProfile):
     stream: str = "rack"
 
     def __post_init__(self) -> None:
-        if self.duration_ns < 0:
-            raise ValueError(
-                f"duration_ns must be >= 0, got {self.duration_ns}")
-        if self.jitter_ns < 0:
-            raise ValueError(f"jitter_ns must be >= 0, got {self.jitter_ns}")
+        check_minimums(self, {"at_ns": 0, "duration_ns": 0, "jitter_ns": 0},
+                       optional=("at_ns",))
         _check_kinds((self.link_kind, self.switch_kind))
         if FAULT_KINDS[self.link_kind] != "link":
             raise ValueError(f"link_kind must be a link fault, "
@@ -316,14 +311,8 @@ class MaintenanceWindow(FaultProfile):
         if not isinstance(self.targets, tuple):
             object.__setattr__(self, "targets", tuple(self.targets))
         _check_kinds((self.kind,))
-        if self.offset_ns < 0:
-            raise ValueError(f"offset_ns must be >= 0, got {self.offset_ns}")
-        if self.duration_ns < 0:
-            raise ValueError(
-                f"duration_ns must be >= 0, got {self.duration_ns}")
-        if self.stagger_ns < 0:
-            raise ValueError(
-                f"stagger_ns must be >= 0, got {self.stagger_ns}")
+        check_minimums(self, {"offset_ns": 0, "duration_ns": 0,
+                              "stagger_ns": 0})
 
     def compile(self, ctx: ProfileContext) -> FaultSchedule:
         schedule = FaultSchedule()
@@ -360,17 +349,9 @@ class Cascade(FaultProfile):
     stream: str = "cascade"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(
-                f"probability must be in [0, 1], got {self.probability}")
-        if self.spread_delay_ns <= 0:
-            raise ValueError(
-                f"spread_delay_ns must be > 0, got {self.spread_delay_ns}")
-        if self.duration_ns < 0:
-            raise ValueError(
-                f"duration_ns must be >= 0, got {self.duration_ns}")
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        check_minimums(self, {
+            "probability": (0.0, 1.0), "spread_delay_ns": 1, "duration_ns": 0,
+            "max_depth": 0, "at_ns": 0}, optional=("at_ns",))
 
     def compile(self, ctx: ProfileContext) -> FaultSchedule:
         schedule = FaultSchedule()

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 from typing import Any
 
+from repro.sim.engine import check_minimums
+
 #: Every fault kind the injector understands, with the layer it hooks.
 FAULT_KINDS = {
     # sim.channel
@@ -76,11 +78,7 @@ class FaultEvent:
             raise ValueError(
                 f"unknown fault kind {self.kind!r} "
                 f"(known: {', '.join(sorted(FAULT_KINDS))})")
-        if self.at_ns < 0:
-            raise ValueError(f"at_ns must be >= 0, got {self.at_ns}")
-        if self.duration_ns < 0:
-            raise ValueError(
-                f"duration_ns must be >= 0, got {self.duration_ns}")
+        check_minimums(self, {"at_ns": 0, "duration_ns": 0})
         if self.kind in INSTANT_KINDS and self.duration_ns:
             raise ValueError(
                 f"{self.kind} is instantaneous; duration_ns must be 0")

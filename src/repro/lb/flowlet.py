@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.lb.ecmp import flow_hash
-from repro.sim.engine import US
+from repro.sim.engine import US, check_minimums
 from repro.sim.packet import Packet
 
 
@@ -38,6 +38,11 @@ class FlowletConfig:
     table_size: int = 4096
     salt: int = 0
 
+    def __post_init__(self) -> None:
+        # The table is allocated up front: a hardware flowlet table holds
+        # tens of thousands of entries, not billions.
+        check_minimums(self, {"timeout_ns": 0, "table_size": (1, 1 << 20)})
+
 
 class _TableEntry:
     __slots__ = ("last_seen_ns", "port")
@@ -52,10 +57,6 @@ class FlowletBalancer:
 
     def __init__(self, config: Optional[FlowletConfig] = None) -> None:
         self.config = config or FlowletConfig()
-        if self.config.table_size < 1:
-            raise ValueError("table_size must be positive")
-        if self.config.timeout_ns < 0:
-            raise ValueError("timeout must be non-negative")
         self._table = [_TableEntry() for _ in range(self.config.table_size)]
         self._next_member = 0
         self.decisions = 0

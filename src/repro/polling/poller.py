@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Optional
 
-from repro.sim.engine import US
+from repro.sim.engine import US, check_minimums
 from repro.sim.network import Network
 from repro.sim.switch import unit_key
 
@@ -92,6 +92,9 @@ class PollingConfig:
     #: Whether distinct switches poll concurrently (one CP agent each).
     parallel_across_switches: bool = True
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        check_minimums(self, {"per_read_ns": 0, "read_jitter_ns": 0})
 
 
 class PollingObserver:

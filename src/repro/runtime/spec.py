@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import Any
 
+from repro.sim.engine import check_minimums
+
 
 def canonical(obj: Any) -> Any:
     """Normalise ``obj`` into plain JSON types (dict/list/str/int/float/
@@ -103,11 +105,8 @@ class TrialSpec:
         # Normalise eagerly so a malformed spec fails at construction,
         # near the code that built it, not inside a worker process.
         object.__setattr__(self, "params", canonical(self.params))
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.agg_degree is not None and self.agg_degree < 0:
-            raise ValueError(
-                f"agg_degree must be >= 0, got {self.agg_degree}")
+        check_minimums(self, {"seed": 0, "shards": 1, "agg_degree": 0},
+                       optional=("agg_degree",))
 
     def fingerprint(self) -> str:
         """Stable content hash of ``(kind, params, seed)`` — plus

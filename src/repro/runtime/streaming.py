@@ -56,10 +56,11 @@ class ServiceSpec:
 
     def __post_init__(self) -> None:
         # A zero chunk would step the simulation to where it already is,
-        # forever.
-        check_minimums(self, {"num_leaves": 1, "num_spines": 1,
-                              "hosts_per_leaf": 1, "interval_ns": 1,
-                              "mean_request_gap_ns": 0, "chunk_ns": 1})
+        # forever.  A switch has at most 256 ports (Tofino 2's lanes).
+        check_minimums(self, {"num_leaves": (1, 256), "num_spines": (1, 256),
+                              "hosts_per_leaf": (1, 256), "interval_ns": 1,
+                              "agg_degree": 0, "mean_request_gap_ns": 0,
+                              "chunk_ns": 1}, optional=("agg_degree",))
 
 
 @dataclass

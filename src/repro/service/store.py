@@ -26,6 +26,7 @@ from itertools import islice
 from collections.abc import Iterator
 from typing import Optional, Union, overload
 
+from repro.sim.engine import check_minimums
 from repro.sim.switch import parse_unit_key, unit_key
 
 #: An epoch-record document (``repro.analysis.report.epoch_record``
@@ -187,10 +188,7 @@ class StoreConfig:
     keyframe_interval: int = 64
 
     def __post_init__(self) -> None:
-        if self.retention < 1:
-            raise ValueError("retention must be >= 1")
-        if self.keyframe_interval < 1:
-            raise ValueError("keyframe_interval must be >= 1")
+        check_minimums(self, {"retention": 1, "keyframe_interval": 1})
 
 
 class _Entry:

@@ -120,11 +120,12 @@ class PTPConfig:
     drift_ppb_max: int = 40_000
 
     def __post_init__(self) -> None:
-        check_minimums(self, {"sync_interval_ns": 1, "residual_sigma_ns": 0,
-                              "residual_max_ns": 0, "tail_probability": 0})
-        if self.tail_probability > 1:
-            raise ValueError("PTPConfig.tail_probability must be <= 1, got "
-                             f"{self.tail_probability!r}")
+        # A drift of -1e9 ppb stops the clock (Clock.true_time divides by
+        # its rate).
+        check_minimums(self, {
+            "sync_interval_ns": 1, "residual_sigma_ns": 0, "residual_max_ns": 0,
+            "tail_probability": (0.0, 1.0), "drift_ppb_min": 1 - 10**9,
+            "drift_ppb_max": 1 - 10**9})
         if self.drift_ppb_min > self.drift_ppb_max:
             raise ValueError(
                 f"PTPConfig.drift_ppb_min ({self.drift_ppb_min}) must be <= "

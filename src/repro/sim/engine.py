@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numbers
 from heapq import heapify, heappop, heappush
-from collections.abc import Callable
+from collections.abc import Callable, Collection, Mapping
 from typing import Any, Optional
 
 #: One nanosecond, the base time unit.
@@ -48,6 +48,8 @@ S = 1_000_000_000
 #: not thrash and huge heaps do not accumulate unbounded garbage).
 _COMPACT_MIN_CANCELLED = 64
 
+_INF = float("inf")
+
 
 def exact_ns(value: Any, what: str = "time") -> int:
     """Coerce ``value`` to an exact integer nanosecond count.
@@ -60,9 +62,8 @@ def exact_ns(value: Any, what: str = "time") -> int:
     if isinstance(value, numbers.Integral):
         return int(value)
     if isinstance(value, numbers.Real):
-        as_int = int(value)
-        if as_int == value:
-            return as_int
+        if -_INF < value < _INF and int(value) == value:
+            return int(value)
         raise ValueError(
             f"{what}={value!r} is not an integral nanosecond count; round "
             "explicitly at the call site if sub-ns precision is intended")
@@ -70,14 +71,38 @@ def exact_ns(value: Any, what: str = "time") -> int:
                     f"got {type(value).__name__}")
 
 
-def check_minimums(config: object, minimums: dict[str, float]) -> None:
-    """Refuse any field of ``config`` below its minimum, naming it —
-    each config checks its own fields at construction."""
-    for name, least in minimums.items():
+def check_minimums(config: object, bounds: Mapping[str, Any],
+                   optional: Collection[str] = ()) -> None:
+    """Refuse any field of ``config`` outside its bound, naming it: the
+    one range check of every config and spec (docs/API.md, "Config
+    contract").  A bound is the least value or ``(least, most)``, both
+    inclusive; an ``int`` least admits integral values only, a ``float``
+    least any real.  As in :func:`exact_ns`, a whole float such as
+    ``2e6`` in an integer field is taken as the int it equals, and the
+    field is set to that int.  NaN and ±inf are refused, None only for a
+    field named in ``optional``."""
+    for name, bound in bounds.items():
         value = getattr(config, name)
-        if value < least:
-            raise ValueError(f"{type(config).__name__}.{name} must be "
-                             f">= {least}, got {value!r}")
+        if type(value) is int and (  # the common case, before unpacking
+                bound <= value if type(bound) is int
+                else type(bound) is tuple and bound[0] <= value <= bound[1]):
+            continue
+        if value is None and name in optional:
+            continue
+        least, most = bound if type(bound) is tuple else (bound, _INF)
+        whole = type(least) is int
+        real = type(value) in (int, float) or isinstance(value, numbers.Real)
+        if real and least <= value <= most and value != _INF:
+            if not whole or isinstance(value, numbers.Integral):
+                continue
+            if int(value) == value:
+                object.__setattr__(config, name, int(value))
+                continue
+        span = f">= {least}" if most == _INF else f"in [{least}, {most}]"
+        raise (ValueError if real else TypeError)(
+            f"{type(config).__name__}.{name} must be "
+            f"{'an integer' if whole else 'a finite number'} {span}"
+            f"{' or None' if name in optional else ''}, got {value!r}")
 
 
 class Event:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Optional, Protocol
 
-from repro.sim.engine import Simulator, US
+from repro.sim.engine import Simulator, US, check_minimums
 from repro.sim.clock import PTPConfig, PTPService
 from repro.sim.channel import Link, LossModel
 from repro.sim.host import Host
@@ -119,6 +119,9 @@ class NetworkConfig:
     lb_factory: Optional[Callable[[int], object]] = None
     #: Record packet traces through snapshot units (consistency checks).
     enable_tracing: bool = False
+
+    def __post_init__(self) -> None:
+        check_minimums(self, {"mgmt_base_latency_ns": 0, "mgmt_jitter_ns": 0})
 
 
 class NetworkScope(Protocol):

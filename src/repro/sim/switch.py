@@ -239,14 +239,12 @@ class SwitchConfig:
     enable_tracing: bool = False
 
     def __post_init__(self) -> None:
+        # At most Tofino 2's 256 ports, and 802.1p's eight classes.
         check_minimums(self, {
-            "num_ports": 0, "ingress_latency_ns": 0, "egress_latency_ns": 0,
-            "fabric_latency_ns": 0, "asic_cpu_latency_ns": 0, "num_cos": 1})
-        if (self.queue_capacity_packets is not None
-                and self.queue_capacity_packets < 1):
-            raise ValueError("SwitchConfig.queue_capacity_packets must be "
-                             f"None or >= 1, got "
-                             f"{self.queue_capacity_packets!r}")
+            "num_ports": (0, 256), "ingress_latency_ns": 0,
+            "egress_latency_ns": 0, "fabric_latency_ns": 0,
+            "asic_cpu_latency_ns": 0, "num_cos": (1, 8),
+            "queue_capacity_packets": 1}, optional=("queue_capacity_packets",))
 
 
 class _EgressQueue:
@@ -269,10 +267,6 @@ class _EgressQueue:
                  ser_fn: Optional[Callable[[int], int]] = None,
                  num_cos: int = 1,
                  capacity_packets: Optional[int] = None) -> None:
-        if num_cos < 1:
-            raise ValueError("need at least one CoS lane")
-        if capacity_packets is not None and capacity_packets < 1:
-            raise ValueError("capacity must be positive (or None)")
         self.sim = sim
         self.transmit = transmit
         self.ser_fn = ser_fn

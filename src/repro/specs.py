@@ -26,6 +26,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, TypeVar
 
+from repro.sim.engine import check_minimums
+
 __all__ = ["Composite", "Spec", "Window", "load_spec"]
 
 _S = TypeVar("_S", bound="Spec")
@@ -142,10 +144,7 @@ class Window:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon_ns <= 0:
-            raise ValueError(f"horizon_ns must be > 0, got {self.horizon_ns}")
-        if self.start_ns < 0:
-            raise ValueError(f"start_ns must be >= 0, got {self.start_ns}")
+        check_minimums(self, {"horizon_ns": 1, "start_ns": 0})
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, list):

@@ -29,6 +29,11 @@ class LinkSpec:
     bandwidth_bps: int = 25_000_000_000
     propagation_ns: int = 500
 
+    def __post_init__(self) -> None:
+        # Imported here: repro.sim imports this module.
+        from repro.sim.engine import check_minimums
+        check_minimums(self, {"bandwidth_bps": 1, "propagation_ns": 0})
+
     def other(self, node: str) -> str:
         if node == self.a:
             return self.b

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 from typing import Any, ClassVar, Optional
 
-from repro.sim.engine import MS
+from repro.sim.engine import MS, check_minimums
 from repro.specs import Composite, Spec, Window
 
 __all__ = [
@@ -320,8 +320,7 @@ class TimedSwap(UpdatePlan):
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.at_ns < 0:
-            raise ValueError(f"at_ns must be >= 0, got {self.at_ns}")
+        check_minimums(self, {"at_ns": 0})
         object.__setattr__(self, "routes", _normalize_routes(self.routes))
 
     def compile_into(self, ctx: UpdateContext,
@@ -360,10 +359,7 @@ class PhasedUpdate(UpdatePlan):
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.at_ns < 0:
-            raise ValueError(f"at_ns must be >= 0, got {self.at_ns}")
-        if self.gap_ns <= 0:
-            raise ValueError(f"gap_ns must be > 0, got {self.gap_ns}")
+        check_minimums(self, {"at_ns": 0, "gap_ns": 1})
         object.__setattr__(self, "routes", _normalize_routes(self.routes))
         if not isinstance(self.order, tuple):
             object.__setattr__(self, "order", tuple(self.order))
@@ -430,12 +426,7 @@ class TwoPhaseVersioned(UpdatePlan):
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.at_ns < 0:
-            raise ValueError(f"at_ns must be >= 0, got {self.at_ns}")
-        if self.lead_ns <= 0:
-            raise ValueError(f"lead_ns must be > 0, got {self.lead_ns}")
-        if self.drain_ns <= 0:
-            raise ValueError(f"drain_ns must be > 0, got {self.drain_ns}")
+        check_minimums(self, {"at_ns": 0, "lead_ns": 1, "drain_ns": 1})
         object.__setattr__(self, "routes", _normalize_routes(self.routes))
 
     def compile_into(self, ctx: UpdateContext,

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.engine import S, Simulator
+from repro.sim.engine import S, Simulator, check_minimums
 from repro.sim.network import Network
 from repro.sim.packet import FlowKey, Packet
 
@@ -35,6 +35,9 @@ class WorkloadConfig:
     stop_ns: int = 1 * S
     #: Hosts participating; None means every host in the network.
     hosts: Optional[list[str]] = None
+
+    def __post_init__(self) -> None:
+        check_minimums(self, {"start_ns": 0, "stop_ns": 0})
 
 
 class Workload(abc.ABC):

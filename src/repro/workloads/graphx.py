@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.engine import MS, US
+from repro.sim.engine import MS, US, check_minimums
 from repro.workloads.base import Workload, WorkloadConfig
 
 
@@ -61,6 +61,17 @@ class GraphXConfig(WorkloadConfig):
     #: ACKs, block-manager heartbeats, executor liveness.
     chatter_pps: float = 300.0
     chatter_size_bytes: int = 150
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # A zero period would loop at one instant; a lognormal sigma past
+        # 75 can overflow its float draw (ControlPlaneConfig).
+        check_minimums(self, {
+            "iteration_ns": 1, "max_jitter_ns": 0, "burst_packets": 0,
+            "burst_gap_ns": 0, "modulation_period_ns": 1,
+            "intensity_sigma": (0.0, 75.0), "size_bytes": 1,
+            "control_size_bytes": 1, "chatter_pps": 0.0,
+            "chatter_size_bytes": 1})
 
 
 class GraphXPageRankWorkload(Workload):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.engine import MS, US
+from repro.sim.engine import MS, US, check_minimums
 from repro.workloads.base import Workload, WorkloadConfig
 
 
@@ -37,6 +37,15 @@ class HadoopConfig(WorkloadConfig):
     #: 1500 B / 10 µs).
     burst_gap_ns: int = 10 * US
     size_bytes: int = 1500
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # Every mapper-to-reducer transfer is listed and scheduled at the
+        # start, ~380 bytes each: 1 600 x 1 600 of them hold ~1 GB.
+        check_minimums(self, {
+            "num_mappers": (0, 1600), "num_reducers": (0, 1600),
+            "mean_burst_ns": 1, "mean_pause_ns": 1, "burst_gap_ns": 0,
+            "size_bytes": 1})
 
 
 class HadoopTerasortWorkload(Workload):

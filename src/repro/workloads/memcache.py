@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.engine import US
+from repro.sim.engine import US, check_minimums
 from repro.workloads.base import Workload, WorkloadConfig
 
 
@@ -38,6 +38,15 @@ class MemcacheConfig(WorkloadConfig):
     value_size_bytes: int = 400
     #: Server-side lookup time before the response leaves.
     server_think_ns: int = 2 * US
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # Each server emits its share of a multi-get's responses, one per
+        # ten keys, in one event, ~300 bytes each: 2**25 keys hold ~1 GB.
+        check_minimums(self, {
+            "keys_per_multiget": (1, 1 << 25), "mean_request_gap_ns": 1,
+            "request_size_bytes": 1, "value_size_bytes": 1,
+            "server_think_ns": 0})
 
 
 class MemcacheWorkload(Workload):

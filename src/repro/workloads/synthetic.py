@@ -7,10 +7,10 @@ primitives with application-specific structure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.sim.engine import check_minimums
 from repro.workloads.base import Workload, WorkloadConfig
 
 
@@ -29,12 +29,10 @@ class PoissonConfig(WorkloadConfig):
     sport_churn: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.rate_pps < math.inf:
-            raise ValueError(f"rate_pps must be positive and finite, "
-                             f"got {self.rate_pps!r}")
-        if self.size_bytes <= 0:
-            raise ValueError(f"size_bytes must be positive, "
-                             f"got {self.size_bytes!r}")
+        super().__post_init__()
+        # At 1e-9 pps the mean gap, 1e18 ns, still fits a signed 64-bit
+        # nanosecond count.
+        check_minimums(self, {"rate_pps": 1e-9, "size_bytes": 1})
 
 
 class PoissonWorkload(Workload):

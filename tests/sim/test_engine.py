@@ -75,6 +75,16 @@ class TestScheduling:
         with pytest.raises(ValueError, match="integral nanosecond"):
             sim.schedule_at(10.5, lambda: None)  # statics: allow[SIM001] exercises exact_ns fractional rejection
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_nan_and_infinite_delays_rejected_by_name(self, sim, value):
+        # int(nan) used to raise an unnamed ValueError, int(inf) an
+        # OverflowError.
+        with pytest.raises(ValueError, match="delay=.*integral nanosecond"):
+            sim.schedule(value, lambda: None)
+        with pytest.raises(ValueError, match="time=.*integral nanosecond"):
+            sim.schedule_at(value, lambda: None)
+
     def test_integral_float_schedule_at_exact(self, sim):
         seen = []
         sim.schedule_at(1e9, lambda: seen.append(sim.now))  # statics: allow[SIM001] exercises exact_ns integral-float acceptance

@@ -42,8 +42,11 @@ class TestQueueCapacity:
         assert [p.seq for p in sent] == [0, 1, 3]
 
     def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            _EgressQueue(Simulator(), capacity_packets=0)
+        # The capacity is checked once, by the config a queue is built
+        # from.
+        with pytest.raises(ValueError,
+                           match="SwitchConfig.queue_capacity_packets "):
+            SwitchConfig(queue_capacity_packets=0)
 
     def test_unbounded_by_default(self):
         sim = Simulator()

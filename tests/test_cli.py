@@ -121,18 +121,22 @@ class TestSpecFlagsRejectBadInput:
 
     FLAGS = {
         "--fault-profile": ("faults", "fault profile",
-                            {"type": "independent", "intensity": "high"}),
+                            {"type": "independent", "intensity": "high"},
+                            {"type": "independent", "intensity": -1}),
         "--update-plan": ("updates", "update plan",
-                          {"type": "timed_swap", "at_ns": "soon"}),
+                          {"type": "timed_swap", "at_ns": "soon"},
+                          {"type": "timed_swap", "at_ns": -1}),
     }
 
     @pytest.mark.parametrize("flag", FLAGS)
     @pytest.mark.parametrize("case", ["directory", "bad-json", "unknown-type",
-                                      "wrong-typed-field", "nested-unknown"])
+                                      "wrong-typed-field", "nested-unknown",
+                                      "out-of-range-field"])
     def test_one_line_and_exit_2(self, flag, case, capsys, tmp_path):
         import json
 
-        experiment, noun, wrong_typed = self.FLAGS[flag]
+        experiment, noun, wrong_typed, out_of_range = self.FLAGS[flag]
+        field = next(key for key in out_of_range if key != "type")
         text, expected = {
             "directory": (str(tmp_path), f"{flag} is neither a file nor "
                                          "valid JSON"),
@@ -146,11 +150,16 @@ class TestSpecFlagsRejectBadInput:
             "nested-unknown": (json.dumps({"type": "compose", "parts": [
                 {"type": wrong_typed["type"], "bogus": 1}]}),
                 f"invalid {noun}: unknown field(s) bogus"),
+            # The spec's own bounds refuse it, naming the field.
+            "out-of-range-field": (json.dumps(out_of_range),
+                                   f"invalid {noun}: "),
         }[case]
         assert main(["run", experiment, "--quick", "--no-cache",
                      flag, text]) == 2
         err = capsys.readouterr().err
         assert err.startswith(expected) and err.count("\n") == 1
+        if case == "out-of-range-field":
+            assert field in err
 
 
 class TestShardsFlag:

@@ -1,0 +1,391 @@
+"""Every config refuses an impossible value by name, or runs with it.
+
+The configs and specs are found by introspection, not from a list: every
+dataclass defined under ``repro`` whose name ends in ``Config``, ``Spec``
+or ``Policy``, every member of a :class:`repro.specs.Spec` family and
+every compile context (:class:`repro.specs.Window`).  For each numeric
+field a draw sets that one field to 0, -1, 1, 2**62, 0.5, NaN, +inf or
+-inf (an ``Optional`` field also to None) on an otherwise valid instance.
+The oracle: construction raises ``ValueError`` or ``TypeError`` naming
+``Class.field`` (an overlay such as ``RecoveryPolicy`` may name the
+config the value lands in), or a bounded smoke run finishes:
+
+* a runtime config drives a tiny leaf-spine rig, cut off after a fixed
+  number of events (``Simulator.run`` is capped for the smoke);
+* a ``Spec`` family member compiles against a small context, and a
+  context compiles every default member of its family;
+* an experiment config builds its trial specs.
+
+A smoke run must also finish inside a wall-clock guard and an address
+space guard, so a hang or a runaway allocation fails the draw instead of
+the machine.  A config nested in another (``DeploymentConfig.observer``)
+runs through its parent; a new config nobody nests needs one line in
+``_SMOKES``, and the test says so until it has it.
+
+Each example draws one bad value for every field of every class.
+Hypothesis tries the simplest draw, every field at 0, first; tier-1 runs
+three examples, and ``make config-fuzz-deep`` a thousand
+(``REPRO_CONFIG_FUZZ_EXAMPLES``), which covers every (field, value) pair.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import importlib
+import math
+import os
+import pkgutil
+import resource
+import signal
+import types
+import typing
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from typing import Any, Optional, Union
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+
+import repro
+from repro.core import ControlPlaneConfig, ObserverConfig, deploy
+from repro.faults import IndependentFaults
+from repro.experiments import registry
+from repro.experiments.campaigns import (CampaignSpec, snapshot_campaign,
+                                         uplink_egress_targets)
+from repro.lb.flowlet import FlowletBalancer
+from repro.polling.poller import PollingConfig, PollingObserver, PollTarget
+from repro.runtime import TrialRunner, TrialSpec
+from repro.runtime.streaming import ServiceRun, ServiceSpec
+from repro.service.pipeline import SnapshotPipeline
+from repro.service.store import EpochStore, StoreConfig
+from repro.sim.engine import MS, Simulator
+from repro.sim.network import Network, NetworkConfig
+from repro.specs import Composite, Spec, Window
+from repro.topology import Topology, leaf_spine
+from repro.topology.graph import LinkSpec
+from repro.workloads.base import Workload, WorkloadConfig
+from repro.workloads.memcache import MemcacheConfig
+from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
+
+EXAMPLES = int(os.environ.get("REPRO_CONFIG_FUZZ_EXAMPLES", "3"))
+
+BAD_VALUES = (0, -1, 1, 2**62, 0.5, math.nan, math.inf, -math.inf)
+#: Events a smoke run may execute before it counts as finished (the
+#: default rig runs all of its 20 ms, three snapshots, in ~540).
+EVENTS = 1000
+#: Seconds a smoke run may take; a hang fails the draw.
+GUARD_S = 2.0
+#: Address space a smoke run may add to the process.
+GUARD_BYTES = 1 << 30
+
+
+class _Spent(BaseException):
+    """The smoke run used its event budget: bounded, and finished."""
+
+
+class _Hung(BaseException):
+    """The smoke run outlived its wall-clock guard."""
+
+
+@contextmanager
+def _guarded(events: int = EVENTS) -> Iterator[None]:
+    """Cap every ``Simulator.run`` at one shared event budget, and arm
+    the wall-clock and address-space guards."""
+    real = Simulator.run
+    left = [events]
+
+    def capped(self: Simulator, until: Optional[int] = None,
+               max_events: Optional[int] = None) -> int:
+        # A call spends budget by running events or moving the clock; a
+        # loop that does neither never finishes, and the guard fires.
+        cap = left[0] if max_events is None else min(max_events, left[0])
+        before = self.now
+        done = real(self, until=until, max_events=cap)
+        left[0] -= done or self.now > before
+        if left[0] <= 0:
+            raise _Spent
+        return done
+
+    def hung(signum: int, frame: Any) -> None:
+        raise _Hung(f"smoke run took longer than {GUARD_S} s")
+
+    with open("/proc/self/statm") as statm:
+        in_use = int(statm.read().split()[0]) * resource.getpagesize()
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    ceiling = in_use + GUARD_BYTES
+    if limits[1] != resource.RLIM_INFINITY:
+        ceiling = min(ceiling, limits[1])
+    previous = signal.signal(signal.SIGALRM, hung)
+    resource.setrlimit(resource.RLIMIT_AS, (ceiling, limits[1]))
+    signal.setitimer(signal.ITIMER_REAL, GUARD_S)
+    try:
+        with mock.patch.object(Simulator, "run", capped):
+            yield
+    except _Spent:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# ----------------------------------------------------------------------
+# The smoke runs
+# ----------------------------------------------------------------------
+def _topology() -> Topology:
+    return leaf_spine(num_leaves=2, num_spines=1, hosts_per_leaf=1)
+
+
+def _rig(network: Optional[NetworkConfig] = None,
+         workload: Callable[[Network], Workload] = (
+             lambda net: PoissonWorkload(net, PoissonConfig(
+                 rate_pps=2_000.0, stop_ns=10 * MS))),
+         topology: Optional[Topology] = None, **fields: Any) -> Network:
+    """A two-leaf fabric with traffic and a three-snapshot campaign,
+    run for at most 20 ms (and the event budget)."""
+    net = Network(topology or _topology(), network or NetworkConfig())
+    deployment = deploy(net, **fields)
+    workload(net).start()
+    deployment.schedule_campaign(3, 2 * MS)
+    net.run(until=20 * MS)
+    return net
+
+
+def _poll(config: PollingConfig) -> None:
+    net = Network(_topology())
+    deploy(net)
+    PollingObserver(net, [PollTarget("leaf0", 0, "egress", "packet_count")],
+                    config).run_campaign(3, 1 * MS)
+    net.run(until=20 * MS)
+
+
+def _store(config: StoreConfig) -> None:
+    run = ServiceRun(ServiceSpec(chunk_ns=2 * MS))
+    run.pipeline = SnapshotPipeline(run.sim, run.deployment.observer,
+                                    config=run.spec.pipeline,
+                                    store=EpochStore(config))
+    run.run(epochs=3)
+
+
+def _link(spec: Any) -> None:
+    topology = _topology()
+    topology.add_switch("leaf2")
+    topology.add_link("spine0", "leaf2", spec.bandwidth_bps,
+                      spec.propagation_ns)
+    _rig(topology=topology)
+
+
+#: The smoke run of each config nothing else nests.
+_SMOKES: dict[str, Callable[[Any], None]] = {
+    "ServiceSpec": lambda spec: ServiceRun(spec).run(epochs=3),
+    "DeploymentConfig": lambda config: _rig(**{
+        f.name: getattr(config, f.name) for f in dataclasses.fields(config)}),
+    "NetworkConfig": lambda config: _rig(network=config),
+    "FlowletConfig": lambda config: _rig(network=NetworkConfig(
+        lb_factory=lambda salt: FlowletBalancer(config))),
+    "PollingConfig": _poll,
+    "StoreConfig": _store,
+    "RecoveryPolicy": lambda policy: _rig(
+        control_plane=policy.control_plane_config(),
+        observer=policy.observer_config()),
+    "CampaignSpec": lambda spec: snapshot_campaign(spec,
+                                                   uplink_egress_targets),
+    "TrialSpec": lambda spec: TrialRunner().run_batch([spec]),
+    "LinkSpec": _link,
+}
+
+#: A valid instance of each class whose fields have no defaults.
+_BASES: dict[str, Callable[[], Any]] = {
+    "CampaignSpec": lambda: CampaignSpec(workload="memcache", rounds=3,
+                                         interval_ns=2 * MS),
+    "TrialSpec": lambda: TrialSpec(kind="table1", params={"ports": 8}),
+    "LinkSpec": lambda: LinkSpec("a", "b"),
+}
+
+
+def _discover() -> list[type]:
+    found: dict[str, type] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj)
+                    and (name.endswith(("Config", "Spec", "Policy"))
+                         or issubclass(obj, (Spec, Window)))):
+                found[f"{obj.__module__}.{name}"] = obj
+    return [found[key] for key in sorted(found)]
+
+
+#: ``Optional[int]`` and ``int | None``.
+_UNIONS = (Union, getattr(types, "UnionType", Union))
+
+
+@functools.cache
+def _numeric(cls: type) -> dict[str, bool]:
+    """Each numeric init field of ``cls`` -> whether it is Optional."""
+    hints = typing.get_type_hints(cls)
+    out: dict[str, bool] = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        args = set(typing.get_args(hint))
+        optional = (typing.get_origin(hint) in _UNIONS and type(None) in args)
+        if f.init and (hint in (int, float)
+                       or (optional and args - {type(None)} <= {int, float})):
+            out[f.name] = optional
+    return out
+
+
+@functools.cache
+def _nesting(cls: type) -> Optional[tuple[type, str]]:
+    """A covered class with a field of type ``cls`` (or Optional of it)."""
+    for parent in CLASSES:
+        for name, hint in typing.get_type_hints(parent).items():
+            if hint is cls or cls in typing.get_args(hint):
+                return parent, name
+    return None
+
+
+def _family_context(member: type) -> Window:
+    ctx_cls = typing.get_type_hints(member._root.compile)["ctx"]
+    return ctx_cls.for_topology(_topology(), horizon_ns=20 * MS)
+
+
+def _base(cls: type) -> Any:
+    if cls.__name__ in _BASES:
+        return _BASES[cls.__name__]()
+    if cls in _experiments():
+        return cls.quick()
+    if issubclass(cls, Window):
+        return cls.for_topology(_topology(), horizon_ns=20 * MS)
+    return cls()
+
+
+@functools.cache
+def _experiments() -> dict[type, Any]:
+    return {exp.config_cls: exp for exp in registry().values()}
+
+
+def _smoke(instance: Any) -> None:
+    cls = type(instance)
+    if cls in _experiments():
+        _experiments()[cls].specs(instance)
+    elif cls.__name__ in _SMOKES:
+        _SMOKES[cls.__name__](instance)
+    elif issubclass(cls, Spec):
+        instance.compile(_family_context(cls))
+    elif issubclass(cls, Window):
+        for member in _members_of(cls):
+            member().compile(instance)
+    elif issubclass(cls, WorkloadConfig):
+        _rig(workload=lambda net: _workload_for(cls)(net, instance))
+    else:
+        nest = _nesting(cls)
+        assert nest is not None, (
+            f"no smoke run takes {cls.__name__}: nest it in a covered "
+            "config or add it to _SMOKES")
+        parent, name = nest
+        _smoke(dataclasses.replace(_base(parent), **{name: instance}))
+
+
+def _members_of(ctx_cls: type) -> list[type]:
+    return [member for member in CLASSES
+            if issubclass(member, Spec) and member.spec_type
+            and typing.get_type_hints(member._root.compile)["ctx"] is ctx_cls
+            and not issubclass(member, Composite)]
+
+
+def _workload_for(config_cls: type) -> type:
+    stack = list(Workload.__subclasses__())
+    while stack:
+        workload = stack.pop()
+        stack += workload.__subclasses__()
+        hint = typing.get_type_hints(workload.__init__).get("config")
+        if config_cls in typing.get_args(hint):
+            return workload
+    raise AssertionError(f"no workload takes {config_cls.__name__}")
+
+
+CLASSES = _discover()
+#: The classes with something to draw; a base class whose fields are all
+#: drawn through a covered subclass needs no draw of its own.
+DRAWN = [cls for cls in CLASSES if _numeric(cls) and not any(
+    other is not cls and issubclass(other, cls) for other in CLASSES)]
+
+
+def test_discovery_finds_the_known_configs():
+    names = {cls.__name__ for cls in DRAWN}
+    assert {"ServiceSpec", "TrialSpec", "ControlPlaneConfig", "SwitchConfig",
+            "IndependentFaults", "TimedSwap", "ProfileContext",
+            "Fig9Config", "MemcacheConfig", "RecoveryPolicy"} <= names
+
+
+# No shrink phase: the failure already names the field and value, and a
+# hang would cost the wall-clock guard once per shrink step.
+@settings(max_examples=EXAMPLES, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate),
+          suppress_health_check=list(HealthCheck))
+@given(st.fixed_dictionaries({
+    cls: st.fixed_dictionaries({
+        name: st.sampled_from(BAD_VALUES + ((None,) if optional else ()))
+        for name, optional in _numeric(cls).items()})
+    for cls in DRAWN}))
+def test_a_bad_field_is_refused_by_name_or_runs(draw):
+    """Each example draws one bad value for every field of every class,
+    and tries each field on its own."""
+    for cls, values in draw.items():
+        for name, value in values.items():
+            try:
+                instance = dataclasses.replace(_base(cls), **{name: value})
+            except (ValueError, TypeError) as exc:
+                assert f".{name} " in str(exc), (
+                    f"{cls.__name__}({name}={value!r}) refused without "
+                    f"naming the field: {exc!r}")
+                continue
+            try:
+                with _guarded():
+                    _smoke(instance)
+            except (Exception, _Hung) as exc:
+                raise AssertionError(
+                    f"{cls.__name__}({name}={value!r}) was accepted, and its "
+                    f"smoke run failed: {exc!r}") from exc
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    # Each was accepted, then failed inside the simulator or ran silently.
+    (ObserverConfig, "retry_timeout_ns", math.inf),  # OverflowError in run
+    (ControlPlaneConfig, "wakeup_sigma", math.inf),  # OverflowError in run
+    (ObserverConfig, "lead_time_ns", math.nan),  # unnamed ValueError in run
+    (MemcacheConfig, "mean_request_gap_ns", 0),  # ZeroDivisionError
+    (ControlPlaneConfig, "notification_service_ns", 1.5),  # TypeError: read_ns
+    (ControlPlaneConfig, "wakeup_tail_probability", 2.0),  # accepted
+    (PollingConfig, "per_read_ns", -1),  # accepted
+])
+def test_a_probed_defect_is_refused_by_name(cls, field, value):
+    with pytest.raises((ValueError, TypeError),
+                       match=rf"^{cls.__name__}\.{field} must be "):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (ObserverConfig, "lead_time_ns", 2e6),
+    # Kept as a float, it failed the run at freeze: "read_ns ... does not
+    # fit an int64 column".
+    (ControlPlaneConfig, "notification_service_ns", 55e3),
+    (IndependentFaults, "mean_duration_ns", 5e6),  # a frozen spec
+])
+def test_a_whole_float_is_the_integer_it_equals(cls, field, value):
+    # Config arithmetic such as 2.5 * MS gives 2500000.0; as in exact_ns,
+    # an integer field takes it as that int, and refuses a fraction.
+    config = cls(**{field: value})
+    assert type(getattr(config, field)) is int
+    assert getattr(config, field) == value
+    with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} must "
+                                         r"be an integer >= \d+, got "):
+        cls(**{field: value + 0.5})
+    if cls is ControlPlaneConfig:
+        with _guarded():
+            _rig(control_plane=config)
