@@ -88,9 +88,10 @@ fused-diff-deep:
 	    tests/properties/test_fused_equivalence.py
 
 # The equivalence matrix (tests/properties/test_equivalence_matrix.py;
-# docs/SHARDING.md) at a thousand drawn deployments instead of the
-# tier-1 smoke's twenty, fat-tree k=4 added at a reduced rate (~7 min);
-# a counterexample prints as a dict that @example(...) pins.
+# docs/SHARDING.md) at a thousand drawn deployments, faults drawn too,
+# instead of the tier-1 smoke's twenty, fat-tree k=4 added at a reduced
+# rate (~5.5 min); a counterexample prints as a dict that @example(...)
+# pins.
 matrix-deep:
 	REPRO_MATRIX_EXAMPLES=1000 REPRO_MATRIX_DEEP=1 $(PYTHON) -m pytest -q \
 	    tests/properties/test_equivalence_matrix.py

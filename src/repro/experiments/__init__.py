@@ -37,15 +37,50 @@ from repro.runtime import TrialResult, TrialRunner, TrialSpec
 from repro.sim.engine import check_minimums
 
 
+#: Most rounds one campaign may take (:class:`CampaignSpec` and the
+#: experiment configs whose rounds become one).  The observer schedules
+#: every round up front, 1.8–2.6 kB each on a two- to four-leaf fabric,
+#: so 400 000 rounds hold ~1 GB before the first one runs.
+MAX_ROUNDS = 400_000
+
+#: The bound of each numeric field an experiment config hands to its
+#: trials, by name; where a runtime config takes the field, that
+#: config's own bound.  Any experiment config's field of one of these
+#: names is held to it at construction, not first inside a worker's
+#: trial.
+FIELD_BOUNDS: dict[str, Any] = {
+    "seed": 0, "shards": 1, "agg_degree": 0,     # TrialSpec
+    "rounds": (1, MAX_ROUNDS),                   # CampaignSpec.rounds
+    "snapshots": (1, MAX_ROUNDS),                # a campaign's count
+    "burst": (1, MAX_ROUNDS),                    # a campaign's count
+    "interval_ns": 1,                            # CampaignSpec.interval_ns
+    "rate_pps": 1e-9,                            # PoissonConfig.rate_pps
+    "hosts_per_leaf": (1, 256),                  # CampaignSpec
+    "poll_read_ns": 0,                           # PollingConfig.per_read_ns
+    "host_bw_bps": 1,                            # LinkSpec.bandwidth_bps
+    "mean_fault_duration_ns": 1,                 # IndependentFaults
+    # Rates whose period 1e9 / rate is a campaign interval.
+    "rate_floor_hz": (1e-9, 1e9), "rate_ceiling_hz": (1e-9, 1e9),
+    "burst_gap_ns": 1, "gap_ns": 1, "phase_ns": 1,  # schedule periods
+    "ports": 1, "ports_per_router": 1, "ttl": 1, "trials": 1,
+    "starvation_period": 1, "search_iterations": 0,
+    "alpha": (0.0, 1.0),                         # a significance level
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Base of an experiment's config: its seed seeds every trial, so it
-    is an integer >= 0 (:class:`~repro.runtime.TrialSpec`)."""
+    """Base of an experiment's config: each field named in
+    :data:`FIELD_BOUNDS` is held to its bound (the seed seeds every
+    trial, so it is an integer >= 0)."""
 
     seed: int = 42
 
     def __post_init__(self) -> None:
-        check_minimums(self, {"seed": 0})
+        check_minimums(self, {name: bound
+                              for name, bound in FIELD_BOUNDS.items()
+                              if hasattr(self, name)},
+                       optional=("agg_degree",))
 
 
 @dataclass(frozen=True)

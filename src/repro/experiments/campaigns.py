@@ -21,6 +21,7 @@ from collections.abc import Callable
 from typing import Optional
 
 from repro.core import ObserverConfig, deploy
+from repro.experiments import MAX_ROUNDS
 from repro.lb import EcmpBalancer, FlowletBalancer
 from repro.polling import PollTarget, PollingConfig, PollingObserver
 from repro.sim.clock import PTPConfig
@@ -39,12 +40,6 @@ from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 #: target to the metric value observed for it.
 Target = tuple[str, int, str]
 Round = dict[Target, int]
-
-#: Most rounds one campaign may take (:class:`CampaignSpec` and the
-#: experiment configs whose rounds become one).  The observer schedules
-#: every round up front, 1.8–2.6 kB each on a two- to four-leaf fabric,
-#: so 400 000 rounds hold ~1 GB before the first one runs.
-MAX_ROUNDS = 400_000
 
 
 # ----------------------------------------------------------------------

@@ -43,13 +43,12 @@ from repro.analysis.consistency import ConsistencyChecker
 from repro.analysis.invariants import LinkAudit
 from repro.core import deploy
 from repro.experiments import Experiment, ExperimentConfig
-from repro.experiments.campaigns import (MAX_ROUNDS, campaign_window,
-                                         start_poisson)
+from repro.experiments.campaigns import campaign_window, start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.faults import (CorrelatedGroup, FaultInjector, FaultProfile,
                           FaultSchedule, IndependentFaults, ProfileContext)
 from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
-from repro.sim.engine import MS, check_minimums
+from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import leaf_spine
 
@@ -103,12 +102,6 @@ class FaultsConfig(ExperimentConfig):
     #: members only, link faults on fabric links with a member endpoint.
     #: None = the full inventory.
     fault_switches: Optional[list[str]] = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_minimums(self, {"rounds": (1, MAX_ROUNDS), "interval_ns": 1,
-                              "hosts_per_leaf": (1, 256),
-                              "mean_fault_duration_ns": 1})
 
     @classmethod
     def quick(cls) -> "FaultsConfig":

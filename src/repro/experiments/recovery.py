@@ -36,13 +36,12 @@ from repro.core import RecoveryPolicy, deploy
 from repro.core.recovery import RECOVERY_PRESETS
 from repro.core.sharded import OBSERVER_SHARD
 from repro.experiments import Experiment, ExperimentConfig
-from repro.experiments.campaigns import (MAX_ROUNDS, campaign_window,
-                                         start_poisson)
+from repro.experiments.campaigns import campaign_window, start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.faults import (CorrelatedGroup, FaultInjector, FaultProfile,
                           FaultSchedule, IndependentFaults, ProfileContext)
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
-from repro.sim.engine import MS, check_minimums
+from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
 from repro.topology import leaf_spine
@@ -97,11 +96,6 @@ class RecoveryConfig(ExperimentConfig):
     #: consistency flags only) — overheads and completion remain
     #: directly comparable across policies.
     shards: int = 1
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_minimums(self, {"rounds": (1, MAX_ROUNDS), "interval_ns": 1,
-                              "hosts_per_leaf": (1, 256), "shards": 1})
 
     @classmethod
     def quick(cls) -> "RecoveryConfig":

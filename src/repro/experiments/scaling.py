@@ -34,7 +34,7 @@ from repro.experiments.campaigns import start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.faults import FaultInjector, FaultProfile, ProfileContext
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
-from repro.sim.engine import MS, check_minimums
+from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
 from repro.topology import fat_tree
@@ -81,11 +81,6 @@ class ScalingConfig(ExperimentConfig):
     #: a flat observer intake; >= 1 routes records through a spanning
     #: relay tree of that degree (docs/AGGREGATION.md).
     agg_degree: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_minimums(self, {"shards": 1, "agg_degree": 0},
-                       optional=("agg_degree",))
 
     @classmethod
     def quick(cls) -> "ScalingConfig":

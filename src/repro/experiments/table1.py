@@ -15,6 +15,7 @@ from repro.experiments import Experiment
 from repro.experiments.harness import TextTable, header
 from repro.resources import TOFINO_1, ResourceReport, Variant, estimate
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
+from repro.sim.engine import check_minimums
 
 #: The published Table 1 numbers (64-port configuration), used by the
 #: report to show paper-vs-model side by side and by the test suite to
@@ -38,6 +39,9 @@ PAPER_14PORT = dict(sram_kb=638, tcam_kb=90)
 @dataclass
 class Table1Config:
     ports: int = 64
+
+    def __post_init__(self) -> None:
+        check_minimums(self, {"ports": 1})
 
     @classmethod
     def quick(cls) -> "Table1Config":

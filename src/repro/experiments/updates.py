@@ -51,7 +51,7 @@ from repro.experiments.harness import TextTable, header
 from repro.faults import FaultInjector, FaultProfile, FaultSchedule, \
     ProfileContext
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
-from repro.sim.engine import MS, US, check_minimums
+from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
 from repro.topology import leaf_spine
@@ -173,10 +173,6 @@ class UpdatesConfig(ExperimentConfig):
     #: Space-parallel shards per trial (``--shards``); verdicts must
     #: not depend on the shard count.
     shards: int = 1
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_minimums(self, {"shards": 1})
 
     @classmethod
     def quick(cls) -> "UpdatesConfig":

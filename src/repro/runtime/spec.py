@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from collections.abc import Mapping
@@ -30,30 +31,35 @@ from typing import Any
 from repro.sim.engine import check_minimums
 
 
-def canonical(obj: Any) -> Any:
+def canonical(obj: Any, path: str = "value") -> Any:
     """Normalise ``obj`` into plain JSON types (dict/list/str/int/float/
     bool/None) with deterministic structure.
 
     Tuples become lists; numpy scalars collapse to int/float; dict keys
     must be strings.  Raises ``TypeError`` for anything that would not
-    survive a JSON round trip (sets, arbitrary objects), because a spec
-    that cannot round-trip cannot be cached or shipped to a worker.
+    survive a JSON round trip (sets, arbitrary objects), and
+    ``ValueError`` naming its key path under ``path`` for NaN or ±inf,
+    because a spec that cannot round-trip cannot be cached or shipped to
+    a worker.
     """
     if obj is None or isinstance(obj, (str, bool)):
         return obj
     if isinstance(obj, numbers.Integral):
         return int(obj)
     if isinstance(obj, numbers.Real):
+        if not math.isfinite(obj):
+            raise ValueError(f"{path} must be a finite number, got {obj!r}")
         return float(obj)
     if isinstance(obj, Mapping):
         out: dict[str, Any] = {}
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"spec dict keys must be str, got {key!r}")
-            out[key] = canonical(obj[key])
+            out[key] = canonical(obj[key], f"{path}[{key!r}]")
         return out
     if isinstance(obj, (list, tuple)):
-        return [canonical(item) for item in obj]
+        return [canonical(item, f"{path}[{index}]")
+                for index, item in enumerate(obj)]
     raise TypeError(f"not JSON-serializable for a trial spec: {obj!r} "
                     f"({type(obj).__name__})")
 
@@ -104,7 +110,8 @@ class TrialSpec:
     def __post_init__(self) -> None:
         # Normalise eagerly so a malformed spec fails at construction,
         # near the code that built it, not inside a worker process.
-        object.__setattr__(self, "params", canonical(self.params))
+        object.__setattr__(self, "params",
+                           canonical(self.params, "TrialSpec.params"))
         check_minimums(self, {"seed": 0, "shards": 1, "agg_degree": 0},
                        optional=("agg_degree",))
 

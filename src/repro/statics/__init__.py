@@ -5,7 +5,7 @@ encodes this repository's determinism contracts as pre-execution checks:
 seeded-RNG-only simulation layers, no wall-clock outside runtime,
 no unordered-set iteration anywhere under ``src/repro``, no
 PYTHONHASHSEED-dependent ordering keys, integer-only simulation time,
-``__slots__`` integrity, and link-only packet delivery.  See
+and link-only packet delivery.  See
 docs/DETERMINISM.md for the contract and each rule's rationale, and
 ``# statics: allow[RULE] reason`` for the suppression syntax.
 """

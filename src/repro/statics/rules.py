@@ -15,7 +15,6 @@ DET004    no builtin ``hash()``/``id()`` in ordering keys
 SIM001    no float-producing expressions flowing into
           ``schedule()``/``schedule_at()``/``schedule_fast()``/``Event``
           time arguments (static complement of ``exact_ns``)
-SIM002    ``__slots__`` classes must not assign undeclared attributes
 SIM003    packets enter units through links — no direct
           ``ingress.handle_packet()``/``receive_from_link()`` calls
           outside the modeled delivery sites
@@ -31,7 +30,6 @@ at the call site.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator, Sequence
 from typing import Optional
 
 from repro.statics.engine import FileContext, Rule
@@ -423,157 +421,6 @@ class FloatTimeRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# SIM002 — __slots__ integrity
-# ----------------------------------------------------------------------
-
-
-def _walk_pruning_classes(root: ast.AST) -> Iterator[ast.AST]:
-    """Like ``ast.walk`` but does not descend into nested ClassDefs
-    (their methods answer to their *own* __slots__, not the outer
-    class's)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, ast.ClassDef):
-                stack.append(child)
-
-
-class SlotsIntegrityRule(Rule):
-    """``__slots__`` classes must not assign attributes they do not
-    declare.  On a slotted class such an assignment raises
-    ``AttributeError`` only when the code path finally runs — in a
-    simulation, possibly hours in; this rule finds it at review time.
-    Only classes whose full base chain is resolvable in the same module
-    (or ``object``) are enforced — an imported base may contribute a
-    ``__dict__``, which makes the assignment legal."""
-
-    id = "SIM002"
-    title = "__slots__ classes assign only declared attributes"
-    hint = "declare the attribute in __slots__ (or drop the assignment)"
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        classes: dict[str, ast.ClassDef] = {
-            node.name: node for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.ClassDef)}
-        out: list[Finding] = []
-        for cls in classes.values():
-            slots = self._literal_slots(cls)
-            if slots is None:
-                continue
-            allowed = self._resolve_chain(cls, classes)
-            if allowed is None:     # unresolvable base: may have __dict__
-                continue
-            self._check_class(ctx, cls, slots, allowed, out)
-        return out
-
-    def _literal_slots(self, cls: ast.ClassDef) -> Optional[set[str]]:
-        """The class's own literal __slots__ declaration, if any."""
-        for stmt in cls.body:
-            targets = []
-            value = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == "__slots__":
-                    names: set[str] = set()
-                    elements: Sequence[ast.expr]
-                    if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                        elements = value.elts
-                    elif (isinstance(value, ast.Constant)
-                          and isinstance(value.value, str)):
-                        elements = [value]
-                    else:
-                        return None       # computed __slots__: skip class
-                    for element in elements:
-                        if (isinstance(element, ast.Constant)
-                                and isinstance(element.value, str)):
-                            names.add(element.value)
-                        else:
-                            return None
-                    return names
-        return None
-
-    def _resolve_chain(self, cls: ast.ClassDef,
-                       classes: dict[str, ast.ClassDef]
-                       ) -> Optional[set[str]]:
-        """Union of slots plus property-setter names over the same-module
-        base chain; None when any base is unresolvable."""
-        allowed: set[str] = set()
-        stack = [cls]
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if node.name in seen:
-                return None               # inheritance cycle: bail out
-            seen.add(node.name)
-            slots = self._literal_slots(node)
-            if slots is None:
-                return None               # un-slotted base contributes __dict__
-            allowed |= slots
-            allowed |= self._setter_names(node)
-            for base in node.bases:
-                if isinstance(base, ast.Name) and base.id == "object":
-                    continue
-                if isinstance(base, ast.Name) and base.id in classes:
-                    stack.append(classes[base.id])
-                else:
-                    return None           # imported / dynamic base
-        return allowed
-
-    def _setter_names(self, cls: ast.ClassDef) -> set[str]:
-        names = set()
-        for stmt in cls.body:
-            if isinstance(stmt, ast.FunctionDef):
-                for deco in stmt.decorator_list:
-                    if (isinstance(deco, ast.Attribute)
-                            and deco.attr == "setter"):
-                        names.add(stmt.name)
-        return names
-
-    def _check_class(self, ctx: FileContext, cls: ast.ClassDef,
-                     slots: set[str], allowed: set[str],
-                     out: list[Finding]) -> None:
-        for stmt in cls.body:
-            # Class-level name colliding with a slot → ValueError at
-            # class creation time.
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if (isinstance(target, ast.Name)
-                            and target.id in slots):
-                        out.append(self.finding(
-                            ctx, target,
-                            f"class attribute {target.id!r} collides with "
-                            f"its own __slots__ entry",
-                            hint="a name cannot be both a slot and a "
-                                 "class attribute"))
-            if not isinstance(stmt, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            if any(isinstance(deco, ast.Name)
-                   and deco.id in ("classmethod", "staticmethod")
-                   for deco in stmt.decorator_list):
-                continue          # no instance receiver to check
-            if not stmt.args.args:
-                continue
-            self_name = stmt.args.args[0].arg
-            for node in _walk_pruning_classes(stmt):
-                if (isinstance(node, ast.Attribute)
-                        and isinstance(node.ctx, ast.Store)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == self_name
-                        and node.attr not in allowed):
-                    out.append(self.finding(
-                        ctx, node,
-                        f"assignment to {self_name}.{node.attr} is not "
-                        f"declared in __slots__ of {cls.name} (raises "
-                        "AttributeError at runtime)"))
-
-
-# ----------------------------------------------------------------------
 # SIM003 — FIFO bypass: direct unit delivery
 # ----------------------------------------------------------------------
 
@@ -730,7 +577,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UnorderedIterationRule(),
     HashIdOrderingRule(),
     FloatTimeRule(),
-    SlotsIntegrityRule(),
     FifoBypassRule(),
 )
 

@@ -72,6 +72,11 @@ class GraphXConfig(WorkloadConfig):
             "intensity_sigma": (0.0, 75.0), "size_bytes": 1,
             "control_size_bytes": 1, "chatter_pps": 0.0,
             "chatter_size_bytes": 1})
+        # 0 switches the chatter off; below PoissonConfig's rate floor the
+        # mean gap 1e9 / chatter_pps overflows to inf.
+        if 0 < self.chatter_pps < 1e-9:
+            raise ValueError("GraphXConfig.chatter_pps must be 0 or >= 1e-09, "
+                             f"got {self.chatter_pps!r}")
 
 
 class GraphXPageRankWorkload(Workload):

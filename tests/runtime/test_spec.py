@@ -25,6 +25,17 @@ class TestCanonical:
         with pytest.raises(TypeError):
             canonical({1: "a"})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf"), np.float64("nan")])
+    def test_non_finite_floats_rejected_by_key_path(self, bad: float) -> None:
+        # A NaN used to construct, and fingerprint() then raised an
+        # unnamed "Out of range float values" error.
+        path = r"^TrialSpec\.params\['interval_ns'\] must be a finite number"
+        with pytest.raises(ValueError, match=path):
+            TrialSpec(kind="fig12", params={"interval_ns": bad})
+        with pytest.raises(ValueError, match=r"^value\['a'\]\[1\] must be "):
+            canonical({"a": [0.5, bad]})
+
     def test_json_is_key_order_independent(self):
         assert canonical_json({"b": 1, "a": 2}) == \
             canonical_json({"a": 2, "b": 1})

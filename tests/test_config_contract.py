@@ -54,6 +54,8 @@ from repro.faults import IndependentFaults
 from repro.experiments import registry
 from repro.experiments.campaigns import (CampaignSpec, snapshot_campaign,
                                          uplink_egress_targets)
+from repro.experiments.fig9 import Fig9Config
+from repro.experiments.fig12 import Fig12Config
 from repro.lb.flowlet import FlowletBalancer
 from repro.polling.poller import PollingConfig, PollingObserver, PollTarget
 from repro.runtime import TrialRunner, TrialSpec
@@ -66,6 +68,7 @@ from repro.specs import Composite, Spec, Window
 from repro.topology import Topology, leaf_spine
 from repro.topology.graph import LinkSpec
 from repro.workloads.base import Workload, WorkloadConfig
+from repro.workloads.graphx import GraphXConfig
 from repro.workloads.memcache import MemcacheConfig
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
@@ -363,6 +366,10 @@ def test_a_bad_field_is_refused_by_name_or_runs(draw):
     (ControlPlaneConfig, "notification_service_ns", 1.5),  # TypeError: read_ns
     (ControlPlaneConfig, "wakeup_tail_probability", 2.0),  # accepted
     (PollingConfig, "per_read_ns", -1),  # accepted
+    (GraphXConfig, "chatter_pps", 1e-320),  # ZeroDivisionError in run
+    # Accepted with their trial specs; refused only in a worker's trial.
+    (Fig9Config, "rate_pps", math.nan),
+    (Fig12Config, "interval_ns", math.nan),
 ])
 def test_a_probed_defect_is_refused_by_name(cls, field, value):
     with pytest.raises((ValueError, TypeError),
