@@ -82,7 +82,7 @@ bench-smoke:
 # The fused-vs-per-finish differential (tests/properties/
 # test_fused_equivalence.py) at a few thousand examples instead of the
 # tier-1 smoke's twenty, channel state drawn on or off (off, the units'
-# quiet pass runs); a counterexample prints its FaultSchedule as JSON.
+# quiet pass runs); a counterexample prints its FaultSchedule's repr.
 fused-diff-deep:
 	REPRO_FUSED_DIFF_EXAMPLES=3000 $(PYTHON) -m pytest -q \
 	    tests/properties/test_fused_equivalence.py

@@ -168,11 +168,6 @@ class ConsistencyChecker:
                     f"(snapshot says {actual}, ground truth {expected})")
         return flagged, problems
 
-    def check_snapshot(self, snapshot: GlobalSnapshot,
-                       channel_state: bool) -> None:
-        """Validate one complete snapshot; raises on violation."""
-        self.check_all([snapshot], channel_state)
-
     def check_all(self, snapshots: Sequence[GlobalSnapshot],
                   channel_state: bool) -> int:
         """Check a batch; returns the number of records validated."""

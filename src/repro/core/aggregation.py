@@ -252,7 +252,9 @@ class AggregationAgent:
     CPU), services child aggregates through its :class:`RelayChannel`,
     and sends one combined :class:`AggregateMessage` per epoch to its
     tree parent — as soon as its subtree completes, or in timed partial
-    flushes so one silent child never strands its siblings' records.
+    flushes so one silent child never strands its siblings' records
+    (a child's partial flush passes straight up: one timeout in all,
+    not one per hop).
     Every record moves upward exactly once or is counted in
     :attr:`records_lost` where it dies: refused while the relay is down,
     flushed from its queue or its in-progress combines by a crash, or
@@ -324,12 +326,14 @@ class AggregationAgent:
         current = self._child_min.get(message.source, 0)
         if message.min_finalized > current:
             self._child_min[message.source] = message.min_finalized
-        if message.epoch in self._completed or (
+        if not message.complete or message.epoch in self._completed or (
                 message.epoch <= self._completed_floor
                 and message.epoch not in self._epochs):
-            # Straggler after our own completion claim (e.g. a child
-            # restarted mid-epoch), or for an epoch the ID window has
-            # left behind: pass the records through so nothing is ever
+            # A child's partial aggregate (it waited out one flush
+            # timeout already), a straggler after our own completion
+            # claim (e.g. a child restarted mid-epoch), or one for an
+            # epoch the ID window has left behind: pass the records
+            # straight up, so nothing waits a timeout per hop or is
             # stranded at an intermediate hop.
             if message.records:
                 self._send(message.epoch, list(message.records),

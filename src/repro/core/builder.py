@@ -50,10 +50,8 @@ def deploy(target: Union[Network, ShardWorker], *,
     (``plan.compile(UpdateContext.for_topology(...))``), armed through an
     :class:`~repro.updates.driver.UpdateDriver` exposed as
     ``deployment.update_driver`` — with no schedule the driver is absent
-    and the event stream stays bit-identical (sharded callers pre-slice
-    the schedule with
-    :meth:`~repro.updates.plan.UpdateSchedule.restrict` and pass the
-    slice).
+    and the event stream stays bit-identical.  A shard takes the whole
+    schedule; its driver arms the commands of the devices it owns.
     """
     deployment = SpeedlightDeployment(target, DeploymentConfig(**fields))
     if updates is not None:

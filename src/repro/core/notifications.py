@@ -41,12 +41,3 @@ class Notification(NamedTuple):
     channel: Optional[int] = None
     old_last_seen: Optional[int] = None
     new_last_seen: Optional[int] = None
-
-    @property
-    def sid_changed(self) -> bool:
-        return self.old_sid != self.new_sid
-
-    @property
-    def last_seen_changed(self) -> bool:
-        return (self.channel is not None and
-                self.old_last_seen != self.new_last_seen)

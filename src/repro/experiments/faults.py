@@ -28,9 +28,10 @@ Reported per scenario:
   (:class:`~repro.analysis.consistency.ConsistencyChecker`).  Faults may
   stall or degrade snapshots; they must never make one silently wrong.
 
-The fault profile and its compiled schedule are embedded in each
-TrialSpec's params (their JSON forms), so they participate in the cache
-fingerprint: change the scenario, invalidate the cache.
+The fault profile is embedded in each TrialSpec's params (its JSON
+form), so it participates in the cache fingerprint: change the
+scenario, invalidate the cache.  The trial compiles it against the
+same context :func:`specs` checked it on.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import campaign_window, start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.faults import (CorrelatedGroup, FaultInjector, FaultProfile,
-                          FaultSchedule, IndependentFaults, ProfileContext)
+                          IndependentFaults, ProfileContext)
 from repro.runtime import TrialResult, TrialRunner, TrialSpec, make_result, trial
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
@@ -234,23 +235,24 @@ class FaultsResult:
 
 
 def specs(config: FaultsConfig) -> list[TrialSpec]:
-    """One spec per fault scenario; profile and compiled schedule both
-    ride in the params, so the scenario is part of the cache
-    fingerprint."""
+    """One spec per fault scenario; the profile rides in the params, so
+    the scenario is part of the cache fingerprint.  Each profile is
+    compiled here once, so a bad target fails before any trial runs."""
     context = _context_for(config)
     specs_out = []
     for label, profile in scenarios(config):
+        profile.compile(context)
         params = dict(scenario=label,
                       profile=profile.to_jsonable(),
-                      schedule=profile.compile(context).to_jsonable(),
                       rounds=config.rounds,
                       interval_ns=config.interval_ns,
                       rate_pps=config.rate_pps,
                       hosts_per_leaf=config.hosts_per_leaf)
+        # Present only for a partial deployment or narrowed targets.
         if config.deploy_switches is not None:
-            # Added only when partial, so full-deployment fingerprints
-            # (and their cached results) are unchanged.
             params["deploy"] = sorted(config.deploy_switches)
+        if config.fault_switches is not None:
+            params["fault_switches"] = sorted(config.fault_switches)
         specs_out.append(TrialSpec(kind="faults_sweep", params=params,
                                    seed=config.seed,
                                    label=f"faults/{label}"))
@@ -260,7 +262,11 @@ def specs(config: FaultsConfig) -> list[TrialSpec]:
 @trial("faults_sweep")
 def run_faults_trial(spec: TrialSpec) -> TrialResult:
     p = spec.params
-    schedule = FaultSchedule.from_jsonable(p["schedule"])
+    schedule = FaultProfile.from_jsonable(p["profile"]).compile(
+        _context_for(FaultsConfig(
+            seed=spec.seed, rounds=p["rounds"], interval_ns=p["interval_ns"],
+            hosts_per_leaf=p["hosts_per_leaf"],
+            fault_switches=p.get("fault_switches"))))
     # Tracing on: the consistency audit replays ground truth from the
     # trace (campaigns.poisson_network has no tracing knob, so build
     # the leaf-spine network directly).

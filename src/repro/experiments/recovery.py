@@ -29,7 +29,7 @@ overhead) — the completion-vs-overhead frontier the ROADMAP asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.core import RecoveryPolicy, deploy
@@ -39,7 +39,7 @@ from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import campaign_window, start_poisson
 from repro.experiments.harness import TextTable, header
 from repro.faults import (CorrelatedGroup, FaultInjector, FaultProfile,
-                          FaultSchedule, IndependentFaults, ProfileContext)
+                          IndependentFaults, ProfileContext)
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig
@@ -89,7 +89,7 @@ class RecoveryConfig(ExperimentConfig):
     hosts_per_leaf: int = 1
     #: Space-parallel simulation shards (:mod:`repro.sim.shard`).  With
     #: ``shards > 1`` each cell partitions the testbed across worker
-    #: processes, every shard arms its slice of the fault schedule, and
+    #: processes, every shard arms the fault events it owns, and
     #: the recovery machinery runs across the cut.  Sharded deployments
     #: cannot collect channel state, so the sharded sweep exercises the
     #: clean-protocol recovery path (no Poisson workload; per-unit
@@ -159,27 +159,37 @@ class RecoveryResult:
         ])
 
 
+def _context_for(params: Mapping[str, Any], seed: int) -> ProfileContext:
+    """The compile context of a cell: the leaf-spine testbed over the
+    campaign window, its lead-in left fault-free."""
+    return ProfileContext.for_topology(
+        leaf_spine(hosts_per_leaf=params["hosts_per_leaf"]),
+        horizon_ns=params["rounds"] * params["interval_ns"],
+        start_ns=10 * MS, seed=seed)
+
+
 def specs(config: RecoveryConfig) -> list[TrialSpec]:
     """One spec per (policy, profile) cell; both specs ride in the
-    params, so policy and profile are part of the cache fingerprint."""
-    topo = leaf_spine(hosts_per_leaf=config.hosts_per_leaf)
-    context = ProfileContext.for_topology(
-        topo, horizon_ns=config.rounds * config.interval_ns,
-        start_ns=10 * MS, seed=config.seed)
+    params, so policy and profile are part of the cache fingerprint.
+    Each profile is compiled here once, so a bad target fails before
+    any trial runs."""
+    base = dict(rounds=config.rounds, interval_ns=config.interval_ns,
+                rate_pps=config.rate_pps,
+                hosts_per_leaf=config.hosts_per_leaf)
+    context = _context_for(base, config.seed)
+    profiles = {label: FaultProfile.from_jsonable(profile_json)
+                for label, profile_json in sorted(config.profiles.items())}
+    for profile in profiles.values():
+        profile.compile(context)
     result = []
     for policy_json in config.policies:
         policy = RecoveryPolicy.from_jsonable(policy_json)
-        for label, profile_json in sorted(config.profiles.items()):
-            profile = FaultProfile.from_jsonable(profile_json)
+        for label, profile in profiles.items():
             result.append(TrialSpec(
                 kind="recovery_sweep",
-                params=dict(policy=policy.to_jsonable(),
+                params=dict(base, policy=policy.to_jsonable(),
                             profile_label=label,
-                            schedule=profile.compile(context).to_jsonable(),
-                            rounds=config.rounds,
-                            interval_ns=config.interval_ns,
-                            rate_pps=config.rate_pps,
-                            hosts_per_leaf=config.hosts_per_leaf),
+                            profile=profile.to_jsonable()),
                 seed=config.seed,
                 label=f"recovery/{policy.name}/{label}",
                 shards=config.shards))
@@ -189,8 +199,8 @@ def specs(config: RecoveryConfig) -> list[TrialSpec]:
 def setup(worker: ShardWorker, params: dict, seed: int, duration: int):
     """Per-shard setup of one (policy, profile) cell (module-level so
     the process runner can pickle it; ``shards=1`` is the one shard that
-    owns everything).  Every shard arms its slice of the compiled
-    schedule; recovery overhead comes back from every shard, completion
+    owns everything).  Every shard compiles the profile and arms its own
+    events; recovery overhead comes back from every shard, completion
     from the observer shard."""
     single = worker.plan.num_shards == 1
     if single:
@@ -205,8 +215,8 @@ def setup(worker: ShardWorker, params: dict, seed: int, duration: int):
                         observer=policy.observer_config())
     injector = FaultInjector(
         worker.network,
-        FaultSchedule.from_jsonable(params["schedule"]).restrict(
-            worker.plan.assignment, worker.shard_id),
+        FaultProfile.from_jsonable(params["profile"]).compile(
+            _context_for(params, seed)),
         deployment=deployment)
     injector.arm()
     epochs: list[int] = []

@@ -29,9 +29,10 @@ straddling cuts against :class:`~repro.analysis.invariants.LinkAudit`
 and the ground-truth conservation law — updates may drop packets in
 mixed windows; they must never corrupt a snapshot.
 
-The plan and its compiled schedule ride in each TrialSpec's params
-(JSON forms, same contract as the fault experiments — docs/SPECS.md),
-so scenarios participate in the cache fingerprint.  ``--fault-profile``
+The plan (and fault profile) ride in each TrialSpec's params (JSON
+forms, same contract as the fault experiments — docs/SPECS.md), so
+scenarios participate in the cache fingerprint; the trial and each
+shard compile them where they arm them.  ``--fault-profile``
 composes chaos on top; ``--update-plan`` swaps in a serialized plan;
 ``--shards N`` space-partitions each cell (verdicts must not change).
 """
@@ -39,7 +40,7 @@ composes chaos on top; ``--update-plan`` swaps in a serialized plan;
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from typing import Any, Optional
 
 from repro.analysis.consistency import ConsistencyChecker
@@ -54,7 +55,7 @@ from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import ShardWorker, run_sharded
-from repro.topology import leaf_spine
+from repro.topology import Topology, leaf_spine
 from repro.updates import (DropRecord, PhasedUpdate, TimedSwap,
                            TwoPhaseVersioned, UpdateContext, UpdatePlan,
                            UpdateSchedule, UpdateVerifier,
@@ -204,36 +205,45 @@ def _topology():
     return leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=1)
 
 
-def _fault_schedule(config: UpdatesConfig) -> Optional[dict]:
-    if config.profile is None:
-        return None
-    profile = FaultProfile.from_jsonable(config.profile)
-    context = ProfileContext.for_topology(
-        _topology(), horizon_ns=HORIZON_NS, start_ns=10 * MS,
-        seed=config.seed)
-    return profile.compile(context).to_jsonable()
+def _update_schedule(params: Mapping[str, Any], topology: Topology,
+                     seed: int) -> UpdateSchedule:
+    """A cell's plan compiled against ``topology`` over the horizon."""
+    return UpdatePlan.from_jsonable(params["plan"]).compile(
+        UpdateContext.for_topology(topology, horizon_ns=HORIZON_NS,
+                                   seed=seed))
+
+
+def _fault_schedule(params: Mapping[str, Any], topology: Topology,
+                    seed: int) -> FaultSchedule:
+    """A cell's fault profile compiled against ``topology`` (empty
+    without one)."""
+    if "profile" not in params:
+        return FaultSchedule()
+    return FaultProfile.from_jsonable(params["profile"]).compile(
+        ProfileContext.for_topology(topology, horizon_ns=HORIZON_NS,
+                                    start_ns=10 * MS, seed=seed))
 
 
 def specs(config: UpdatesConfig) -> list[TrialSpec]:
-    """One spec per (strategy, clock-error) cell; the plan and its
-    compiled schedule ride in the params, so the scenario is part of
-    the cache fingerprint."""
-    context = UpdateContext.for_topology(_topology(),
-                                         horizon_ns=HORIZON_NS,
-                                         seed=config.seed)
-    faults = _fault_schedule(config)
+    """One spec per (strategy, clock-error) cell; the plan and the
+    fault profile ride in the params, so the scenario is part of the
+    cache fingerprint.  Each is compiled here once, so a bad device or
+    target fails before any trial runs."""
+    topology = _topology()
+    faults: dict[str, Any] = {}
+    if config.profile is not None:
+        faults["profile"] = FaultProfile.from_jsonable(
+            config.profile).to_jsonable()
+    _fault_schedule(faults, topology, config.seed)
     out = []
     for label, plan in scenarios(config):
-        schedule = plan.compile(context).to_jsonable()
+        cell: dict[str, Any] = dict(
+            scenario=label, plan=plan.to_jsonable(), gap_ns=config.gap_ns,
+            ttl=config.ttl, audit=config.audit, **faults)
+        _update_schedule(cell, topology, config.seed)
         for sigma in config.clock_error_ns:
-            params: dict[str, Any] = dict(
-                scenario=label, sigma_ns=sigma,
-                plan=plan.to_jsonable(), schedule=schedule,
-                gap_ns=config.gap_ns, ttl=config.ttl,
-                audit=config.audit)
-            if faults is not None:
-                params["faults"] = faults
-            out.append(TrialSpec(kind="updates_sweep", params=params,
+            out.append(TrialSpec(kind="updates_sweep",
+                                 params=dict(cell, sigma_ns=sigma),
                                  seed=config.seed,
                                  label=f"updates/{label}@{sigma}",
                                  shards=config.shards))
@@ -291,9 +301,10 @@ def setup(worker: ShardWorker, params: dict, seed: int,
           audit: bool = False):
     """Per-shard setup of one cell (module-level so the process runner
     can pickle it; ``shards=1`` is the one shard that owns everything).
-    Each worker arms the slices of the update and fault schedules it
-    owns; the observer shard pre-schedules the straddling snapshots;
-    every shard ships its drop log home as plain tuples.
+    Each worker compiles the plan and the fault profile and arms the
+    commands and events it owns; the observer shard pre-schedules the
+    straddling snapshots; every shard ships its drop log home as plain
+    tuples.
 
     ``audit`` selects the conservation pass instead of the verdict
     pass: same cell, ``packet_count`` + channel state (hence one shard
@@ -301,16 +312,14 @@ def setup(worker: ShardWorker, params: dict, seed: int,
     invariant and the trace-replayed conservation law.
     """
     network = worker.network
-    schedule = UpdateSchedule.from_jsonable(params["schedule"])
+    schedule = _update_schedule(params, network.topology, seed)
     offsets = inject_clock_error(network, params["sigma_ns"], seed=seed)
     deployment = deploy(
-        worker, updates=schedule.restrict(network.switches),
+        worker, updates=schedule,
         **(dict(metric="packet_count", channel_state=True) if audit
            else dict(metric="fib_version")))
     injector = FaultInjector(
-        network,
-        FaultSchedule.from_jsonable(params.get("faults", ())).restrict(
-            worker.plan.assignment, worker.shard_id),
+        network, _fault_schedule(params, network.topology, seed),
         deployment=deployment)
     injector.arm()
     wave_epochs: dict[int, int] = {}
@@ -382,7 +391,7 @@ def _fold(verifier: UpdateVerifier, cuts: dict[int, dict],
 @trial("updates_sweep")
 def run_updates_trial(spec: TrialSpec) -> TrialResult:
     verifier = UpdateVerifier(
-        UpdateSchedule.from_jsonable(spec.params["schedule"]))
+        _update_schedule(spec.params, _topology(), spec.seed))
     results = _run_pass(spec, audit=False)
     drops = [DropRecord(*row) for shard in results
              for row in shard["drops"]]

@@ -13,15 +13,16 @@ through a spec → compile → inject pipeline:
   a concrete schedule.  Parts draw from content-keyed seeded streams, so
   composing or reordering profiles never reshuffles another part's
   events.
-* :class:`~repro.faults.schedule.FaultSchedule` — a declarative,
-  JSON-serialisable list of timed :class:`~repro.faults.schedule.FaultEvent`\\ s
+* :class:`~repro.faults.schedule.FaultSchedule` — a declarative list
+  of timed :class:`~repro.faults.schedule.FaultEvent`\\ s
   (link flaps, bursty loss, latency spikes, buffer squeezes, unit
   stalls, control-plane crashes/overflows/slowdowns, clock holdover and
   steps).
 * :class:`~repro.faults.injector.FaultInjector` — binds a schedule to a
   live :class:`~repro.sim.network.Network` (and optionally a
   :class:`~repro.core.deployment.SpeedlightDeployment`), scheduling the
-  apply/revert callbacks on the event engine.
+  apply/revert callbacks on the event engine (on a shard, for the
+  events whose targets live there).
 * :mod:`~repro.faults.attribution` — maps the injector's log back onto
   snapshot epochs: which fault overlapped which epoch, and how the epoch
   fared.

@@ -9,7 +9,9 @@ and control-plane streams are untouched, so the *only* way a fault run
 diverges from the fault-free golden trace is through the faults
 themselves.
 
-Arming an **empty** schedule is a strict no-op: no events scheduled, no
+On a shard (``network.scope``) the injector arms only the events whose
+target lives there: a cut link on both sides, ``"*"`` on every shard.
+Arming an **empty** share is a strict no-op: no events scheduled, no
 RNG constructed, no object touched.
 """
 
@@ -112,21 +114,38 @@ class FaultInjector:
     # Arming
     # ------------------------------------------------------------------
     def arm(self) -> int:
-        """Validate targets and schedule every event; returns the number
-        of events armed.  An empty schedule arms nothing and touches
-        nothing (the determinism guard depends on this)."""
+        """Validate targets and schedule every event this network owns;
+        returns the number of events armed.  An empty share arms nothing
+        and touches nothing (the determinism guard depends on this)."""
         if self._armed:
             raise RuntimeError("injector already armed")
         self._armed = True
-        if not self.schedule:
+        events = [event for event in self.schedule if self._owned(event)]
+        if not events:
             return 0
         self.rng = self.network._child_rng("faults")
-        for event in self.schedule:
+        for event in events:
             self._resolve_targets(event)  # raise now, not mid-run
-        for event in self.schedule:
+        for event in events:
             self.sim.schedule_at(max(event.at_ns, self.sim.now),
                                  self._apply, event)
-        return len(self.schedule)
+        return len(events)
+
+    def _owned(self, event: FaultEvent) -> bool:
+        """Whether this network arms ``event``: ``"*"`` on every shard
+        (resolved against the local inventory), a named target where it
+        lives — a link where either endpoint does, since each
+        direction's egress, a cut link's boundary stub included, lives
+        on the sender's shard."""
+        if event.target == "*":
+            return True
+        owners = (event.target.split("-", 1) if event.layer == "link"
+                  else [event.target])
+        try:
+            return any([self.network.owns(owner) for owner in owners])
+        except ValueError as error:
+            raise ValueError(f"{event.kind}: target {event.target!r}: "
+                             f"{error}") from None
 
     # ------------------------------------------------------------------
     # Attribution

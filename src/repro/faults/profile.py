@@ -5,9 +5,10 @@ naming concrete targets or times; compiling it against a
 :class:`ProfileContext` (the target inventory plus the time window and
 seed) deterministically yields a concrete
 :class:`~repro.faults.schedule.FaultSchedule`.  Profiles are plain,
-frozen, JSON-round-trippable dataclasses, so they ride inside trial
-params (and therefore cache fingerprints) exactly like schedules do —
-and they compose::
+frozen, JSON-round-trippable dataclasses, so a profile (not the
+schedule it compiles to) rides inside trial params and therefore cache
+fingerprints; the trial recompiles it against the same context where
+it arms the schedule.  Profiles compose::
 
     profile = (IndependentFaults(intensity=0.5)
                | CorrelatedGroup(switch="leaf0")          # rack power loss

@@ -1,11 +1,13 @@
 """Declarative fault schedules.
 
 A :class:`FaultSchedule` is a validated list of :class:`FaultEvent`\\ s —
-*what* goes wrong, *where*, *when*, and for *how long*.  Schedules are
-plain data: JSON-serialisable (so a fault profile participates in the
-TrialSpec cache fingerprint) and entirely decoupled from the simulation
-objects they will act on (the :class:`~repro.faults.injector.FaultInjector`
-binds them to a live network at arm time).
+*what* goes wrong, *where*, *when*, and for *how long*.  A schedule is
+compiled from a :class:`~repro.faults.profile.FaultProfile` where it is
+armed and is never serialised: the profile's JSON is what rides in a
+TrialSpec and its cache fingerprint.  Schedules are entirely decoupled
+from the simulation objects they will act on (the
+:class:`~repro.faults.injector.FaultInjector` binds them to a live
+network at arm time, and on a shard arms only that shard's events).
 
 Determinism contract
 --------------------
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
 from typing import Any
 
 from repro.sim.engine import check_minimums
@@ -89,21 +90,6 @@ class FaultEvent:
     def layer(self) -> str:
         return FAULT_KINDS[self.kind]
 
-    def to_jsonable(self) -> dict[str, Any]:
-        data: dict[str, Any] = {"at_ns": self.at_ns, "kind": self.kind,
-                                "target": self.target,
-                                "duration_ns": self.duration_ns}
-        if self.params:
-            data["params"] = {k: self.params[k] for k in sorted(self.params)}
-        return data
-
-    @classmethod
-    def from_jsonable(cls, data: dict[str, Any]) -> "FaultEvent":
-        return cls(at_ns=int(data["at_ns"]), kind=str(data["kind"]),
-                   target=str(data.get("target", "*")),
-                   duration_ns=int(data.get("duration_ns", 0)),
-                   params=dict(data.get("params", {})))
-
 
 @dataclass
 class FaultSchedule:
@@ -133,32 +119,6 @@ class FaultSchedule:
         self._sort()
         return event
 
-    def restrict(self, assignment: Mapping[str, int],
-                 shard_id: int) -> "FaultSchedule":
-        """The events one shard must apply (shard slicing, the sibling
-        of :meth:`repro.updates.plan.UpdateSchedule.restrict`):
-        switch/clock/control-plane targets it owns, link targets with at
-        least one locally-owned endpoint (each direction's egress —
-        including a cut link's boundary stub — lives on the sender's
-        shard).  ``"*"`` stays on every shard; the injector resolves it
-        against that shard's local inventory.  A target no shard owns
-        would silently vanish from every slice, so it raises instead."""
-        keep = []
-        for event in self.events:
-            if event.target != "*":
-                owners = (event.target.split("-", 1)
-                          if event.layer == "link" else [event.target])
-                homes = [assignment.get(owner) for owner in owners]
-                if None in homes:
-                    raise ValueError(
-                        f"{event.kind}: target {event.target!r} names a "
-                        "node no shard owns; the fault cannot be applied "
-                        "on any slice")
-                if shard_id not in homes:
-                    continue
-            keep.append(event)
-        return FaultSchedule(events=keep)
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -167,15 +127,6 @@ class FaultSchedule:
 
     def __iter__(self):
         return iter(self.events)
-
-    def to_jsonable(self) -> list[dict[str, Any]]:
-        """Stable, JSON-ready form — this is what enters the TrialSpec
-        cache fingerprint, so equal schedules always hash equal."""
-        return [event.to_jsonable() for event in self.events]
-
-    @classmethod
-    def from_jsonable(cls, data: Iterable[dict[str, Any]]) -> "FaultSchedule":
-        return cls(events=[FaultEvent.from_jsonable(d) for d in data])
 
 
 def _poisson(rng: random.Random, mean: float) -> int:

@@ -111,22 +111,20 @@ class GilbertElliottLoss(LossModel):
 
 
 class ScriptedLoss(LossModel):
-    """Drop exactly the packets whose uid is in ``drop_uids``.
+    """Drop exactly the packets ``predicate`` selects.
 
     Used by tests to inject deterministic losses (e.g. "drop the snapshot
-    initiation message and verify the control plane re-initiates").
+    initiation message and verify the control plane re-initiates").  Key
+    it on packet contents, never on ``Packet.uid``: uids count across
+    the whole process.
     """
 
-    def __init__(self, drop_uids: Optional[set[int]] = None,
-                 predicate: Optional[Callable[[Packet], bool]] = None) -> None:
-        self.drop_uids = drop_uids or set()
+    def __init__(self, predicate: Callable[[Packet], bool]) -> None:
         self.predicate = predicate
         self.dropped: list[Packet] = []
 
     def should_drop(self, packet: Packet) -> bool:
-        drop = packet.uid in self.drop_uids or (
-            self.predicate is not None and self.predicate(packet)
-        )
+        drop = self.predicate(packet)
         if drop:
             self.dropped.append(packet)
         return drop

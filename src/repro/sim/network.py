@@ -264,6 +264,19 @@ class Network:
     def switch(self, name: str) -> Switch:
         return self.switches[name]
 
+    def owns(self, name: str) -> bool:
+        """Whether node ``name`` lives in this process: every node of an
+        unscoped network, the scope's own on a shard, where a name the
+        topology lacks is a ``ValueError`` (no shard owns it)."""
+        if self.scope is None:
+            return True
+        try:
+            self.topology.kind(name)
+        except KeyError:
+            raise ValueError(f"no node named {name!r}, so no shard owns "
+                             "it") from None
+        return self.scope.owns(name)
+
     def host(self, name: str) -> Host:
         return self.hosts[name]
 

@@ -198,12 +198,6 @@ class Packet:
         self.snapshot = new_header(sid, packet_type)
         return self.snapshot
 
-    def pop_snapshot_header(self) -> Optional[SnapshotHeader]:
-        """Remove and return the snapshot header (last enabled hop).
-        The caller owns the returned header."""
-        header, self.snapshot = self.snapshot, None
-        return header
-
     def strip_snapshot_header(self) -> None:
         """Drop the snapshot header and recycle it (internal strip
         paths only — the header must not be referenced elsewhere)."""

@@ -21,8 +21,10 @@ The driver binds an :class:`~repro.updates.plan.UpdateSchedule` to a
   :attr:`~repro.sim.switch.Switch.drop_monitor`
   (:class:`DropRecord`) for the verifier's loop / black-hole verdicts.
 
-An **empty schedule arms to a strict no-op** — no events, no monitors —
-so the no-plan path stays golden-trace bit-identical.
+On a shard the driver arms only the commands of the devices it owns;
+the wave metadata stays whole (verdict windows are global).  An **empty
+share arms to a strict no-op** — no events, no monitors — so the
+no-plan path stays golden-trace bit-identical.
 
 Clock-error injection
 ---------------------
@@ -179,15 +181,17 @@ class UpdateDriver:
     # Arming
     # ------------------------------------------------------------------
     def arm(self) -> int:
-        """Schedule every command; returns the number armed.
+        """Schedule every command of a device this network owns (on a
+        shard, its own devices'); returns the number armed.
 
-        An empty schedule is a **strict no-op**: nothing is scheduled
-        and no drop monitor is installed, keeping the event stream
+        An empty share is a **strict no-op**: nothing is scheduled and
+        no drop monitor is installed, keeping the event stream
         byte-identical to an undriven network."""
         if self.armed:
             raise RuntimeError("driver already armed")
         self.armed = True
-        commands = self.schedule.commands
+        commands = [cmd for cmd in self.schedule.commands
+                    if self.network.owns(cmd.device)]
         if not commands:
             return 0
         sim = self.network.sim

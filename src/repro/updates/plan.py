@@ -48,7 +48,7 @@ Determinism contract
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from typing import Any, ClassVar, Optional
 
 from repro.sim.engine import MS, check_minimums
@@ -114,19 +114,6 @@ class UpdateCommand:
     tag: Optional[str] = None
     changes: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"at_ns": self.at_ns, "device": self.device, "op": self.op,
-                "wave": self.wave, "tag": self.tag,
-                "changes": [[dst, list(via)] for dst, via in self.changes]}
-
-    @staticmethod
-    def from_jsonable(data: Mapping[str, Any]) -> "UpdateCommand":
-        return UpdateCommand(
-            at_ns=int(data["at_ns"]), device=data["device"], op=data["op"],
-            wave=int(data["wave"]), tag=data.get("tag"),
-            changes=tuple((dst, tuple(via))
-                          for dst, via in data.get("changes", ())))
-
 
 @dataclass(frozen=True)
 class UpdateWave:
@@ -144,20 +131,6 @@ class UpdateWave:
     verdict_at_ns: int
     window_start_ns: int
     window_end_ns: int
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"index": self.index, "strategy": self.strategy,
-                "label": self.label, "verdict_at_ns": self.verdict_at_ns,
-                "window_start_ns": self.window_start_ns,
-                "window_end_ns": self.window_end_ns}
-
-    @staticmethod
-    def from_jsonable(data: Mapping[str, Any]) -> "UpdateWave":
-        return UpdateWave(
-            index=int(data["index"]), strategy=data["strategy"],
-            label=data["label"], verdict_at_ns=int(data["verdict_at_ns"]),
-            window_start_ns=int(data["window_start_ns"]),
-            window_end_ns=int(data["window_end_ns"]))
 
 
 @dataclass
@@ -187,31 +160,11 @@ class UpdateSchedule:
         return [c for c in self.commands if c.op == "swap"
                 and (wave is None or c.wave == wave)]
 
-    def restrict(self, devices: Iterable[str]) -> "UpdateSchedule":
-        """The sub-schedule touching only ``devices`` (shard slicing);
-        wave metadata is kept whole — verdict windows are global."""
-        keep = set(devices)
-        return UpdateSchedule(
-            commands=[c for c in self.commands if c.device in keep],
-            waves=list(self.waves))
-
     def __len__(self) -> int:
         return len(self.commands)
 
     def __iter__(self):
         return iter(self.commands)
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"commands": [c.to_jsonable() for c in self.commands],
-                "waves": [w.to_jsonable() for w in self.waves]}
-
-    @staticmethod
-    def from_jsonable(data: Mapping[str, Any]) -> "UpdateSchedule":
-        return UpdateSchedule(
-            commands=[UpdateCommand.from_jsonable(c)
-                      for c in data.get("commands", ())],
-            waves=[UpdateWave.from_jsonable(w)
-                   for w in data.get("waves", ())])
 
 
 @dataclass(frozen=True)

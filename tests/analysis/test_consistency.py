@@ -72,28 +72,28 @@ class TestChecks:
 
     def test_correct_snapshot_passes(self):
         checker = self._checker_with_history()
-        checker.check_snapshot(_snapshot(_record(1, value=2, channel=0)),
-                               channel_state=True)
+        checker.check_all([_snapshot(_record(1, value=2, channel=0))],
+                          channel_state=True)
 
     def test_wrong_value_raises(self):
         checker = self._checker_with_history()
         with pytest.raises(ConsistencyViolation):
-            checker.check_snapshot(_snapshot(_record(1, value=5, channel=0)),
-                                   channel_state=True)
+            checker.check_all([_snapshot(_record(1, value=5, channel=0))],
+                              channel_state=True)
 
     def test_inconsistent_records_exempt(self):
         checker = self._checker_with_history()
-        checker.check_snapshot(
-            _snapshot(_record(1, value=99, channel=0, consistent=False)),
+        checker.check_all(
+            [_snapshot(_record(1, value=99, channel=0, consistent=False))],
             channel_state=True)
 
     def test_no_channel_state_law(self):
         checker = self._checker_with_history()
-        checker.check_snapshot(_snapshot(_record(1, value=2)),
-                               channel_state=False)
+        checker.check_all([_snapshot(_record(1, value=2))],
+                          channel_state=False)
         with pytest.raises(ConsistencyViolation):
-            checker.check_snapshot(_snapshot(_record(1, value=3)),
-                                   channel_state=False)
+            checker.check_all([_snapshot(_record(1, value=3))],
+                              channel_state=False)
 
     def test_check_all_counts_records(self):
         checker = self._checker_with_history()

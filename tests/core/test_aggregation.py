@@ -20,7 +20,7 @@ from repro.sim.engine import MS, S, US, Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import ShardRunner
 from repro.sim.switch import Direction, UnitId
-from repro.topology import fat_tree, leaf_spine
+from repro.topology import fat_tree, leaf_spine, linear
 
 
 def _deploy(agg, seed=7, topo=None, **config_kwargs):
@@ -132,6 +132,41 @@ class TestGatingMinReduction:
         # Before any child reports, the subtree floor must stay at 0 no
         # matter how far the local control plane has advanced.
         assert agent.min_finalized() == 0
+
+
+class TestPartialFlush:
+    def test_a_silent_leaf_delays_the_chain_one_flush_not_one_per_hop(self):
+        """A chain tree four relays deep whose leaf is silent: each
+        relay above it flushes its own records once, and every hop
+        passes a child's partial aggregate straight up (it used to hold
+        it for another ``flush_timeout_ns``, so the deepest live records
+        reached the observer after depth x 25 ms)."""
+        config = AggregationConfig(degree=1)
+        network, deployment = _deploy(
+            config, topo=linear(num_switches=5, hosts_per_switch=1))
+        tree = deployment.aggregation.tree
+        [leaf] = [n for n in tree.order if not tree.children[n]]
+        assert tree.depth() >= 3
+        deployment.control_planes[leaf].crash()
+        arrivals = []
+        intake = deployment.aggregation.intake
+        handler = intake.handler
+
+        def spy(message):
+            arrivals.append(network.sim.now)
+            handler(message)
+
+        intake.handler = spy
+        epoch = deployment.take_snapshot()
+        network.run(until=1 * S)
+        snapshot = deployment.observer.snapshot(epoch)
+        assert snapshot.excluded_devices == {leaf}
+        # Per hop: the management-plane latency plus the relay's service
+        # of one message, ~0.3 ms here.
+        hop_ns = 1 * MS
+        assert max(arrivals) <= (snapshot.requested_wall_ns
+                                 + config.flush_timeout_ns
+                                 + tree.depth() * hop_ns)
 
 
 class TestCrashCouplingAndAttribution:

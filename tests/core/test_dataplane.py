@@ -133,7 +133,8 @@ class TestNotifications:
         n = log[0]
         assert n.channel == 3
         assert (n.old_last_seen, n.new_last_seen) == (0, 1)
-        assert n.sid_changed and n.last_seen_changed
+        assert n.old_sid != n.new_sid
+        assert n.old_last_seen != n.new_last_seen
 
     def test_no_notification_when_nothing_changes(self):
         log = []

@@ -7,7 +7,9 @@ from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.channel import GilbertElliottLoss, NoLoss
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
-from repro.topology import linear
+from repro.sim.shard import ShardRunner
+from repro.topology import leaf_spine, linear
+from repro.updates import TimedSwap, UpdateContext, UpdateDriver
 
 
 def _network(seed=3):
@@ -33,6 +35,36 @@ class TestArming:
         assert injector.arm() == 0
         assert injector.rng is None               # no RNG stream constructed
         assert len(network.sim._heap) == before   # nothing scheduled
+
+    def test_a_shard_whose_share_is_empty_is_a_strict_noop(self):
+        # leaf0, spine0 and server0 all live on shard 0, so shard 1's
+        # injector and driver own nothing of either schedule.
+        faults = FaultSchedule()
+        faults.add("link_loss", MS, target="leaf0-spine0")
+        faults.add("cp_crash", MS, target="leaf0", duration_ns=MS)
+        updates = TimedSwap(at_ns=MS, routes=(
+            ("leaf0", "server1", ("spine1",)),
+            ("spine0", "server1", ("leaf0",)))).compile(
+                UpdateContext.for_topology(leaf_spine(hosts_per_leaf=1),
+                                           horizon_ns=10 * MS))
+        armed = {}
+
+        def setup(worker):
+            deployment = deploy(worker, metric="fib_version")
+            heap = len(worker.sim._heap)
+            injector = FaultInjector(worker.network, faults,
+                                     deployment=deployment)
+            driver = UpdateDriver(worker.network, updates)
+            armed[worker.shard_id] = (injector.arm(), driver.arm(),
+                                      injector.rng is None,
+                                      len(worker.sim._heap) - heap,
+                                      [switch.drop_monitor is None for switch
+                                       in worker.network.switches.values()])
+
+        ShardRunner(leaf_spine(hosts_per_leaf=1), shards=2,
+                    setup=setup).close()
+        assert armed[0][:4] == (2, 2, False, 4)  # 2 applies, 2 swaps
+        assert armed[1] == (0, 0, True, 0, [True, True])
 
     def test_double_arm_rejected(self):
         network = _network()

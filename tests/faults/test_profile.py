@@ -7,6 +7,7 @@ and every compiled event lands inside the compile window.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,7 @@ CTX = ProfileContext(horizon_ns=50 * MS, links=("sw0-sw1", "sw1-sw2"),
 
 
 def _multiset(schedule):
-    return sorted(json.dumps(e.to_jsonable(), sort_keys=True)
-                  for e in schedule)
+    return sorted(json.dumps(asdict(e), sort_keys=True) for e in schedule)
 
 
 class TestProfileContext:
@@ -89,8 +89,7 @@ class TestJsonRoundTrip:
                              ids=lambda s: s.spec_type)
     def test_round_trip_compiles_identically(self, spec):
         restored = FaultProfile.from_jsonable(spec.to_jsonable())
-        assert (restored.compile(CTX).to_jsonable()
-                == spec.compile(CTX).to_jsonable())
+        assert restored.compile(CTX) == spec.compile(CTX)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown fault profile type"):
@@ -130,11 +129,10 @@ class TestComposition:
         # Every event A produces alone appears verbatim in any composite
         # that contains A: parts draw from independent RNG streams.
         alone = self.A.compile(CTX)
-        composed = [e.to_jsonable()
-                    for e in (self.A | self.B | self.C).compile(CTX)]
+        composed = list((self.A | self.B | self.C).compile(CTX))
         assert alone, "fixture should produce events"
         for event in alone:
-            assert event.to_jsonable() in composed
+            assert event in composed
 
     def test_dropping_a_part_removes_exactly_its_events(self):
         full = _multiset((self.A | self.C).compile(CTX))
@@ -150,8 +148,7 @@ class TestComposition:
 
     def test_deterministic(self):
         composite = self.A | self.B | Cascade(origin="sw0", probability=1.0)
-        assert (composite.compile(CTX).to_jsonable()
-                == composite.compile(CTX).to_jsonable())
+        assert composite.compile(CTX) == composite.compile(CTX)
 
     def test_non_profile_part_rejected(self):
         with pytest.raises(TypeError, match="FaultProfile"):
@@ -177,7 +174,7 @@ class TestIndependentFaults:
             horizon_ns=CTX.horizon_ns, links=CTX.links,
             switches=CTX.switches, clocks=CTX.clocks,
             start_ns=CTX.start_ns, seed=CTX.seed + 1))
-        assert a.to_jsonable() != b.to_jsonable()
+        assert a != b
 
     def test_adding_a_target_never_reshuffles_others(self):
         spec = IndependentFaults(intensity=2.0)
@@ -187,8 +184,8 @@ class TestIndependentFaults:
         two = spec.compile(ProfileContext(
             horizon_ns=50 * MS, links=("sw0-sw1", "sw1-sw2"),
             start_ns=10 * MS, seed=7))
-        keep = [e.to_jsonable() for e in one if e.target == "sw0-sw1"]
-        both = [e.to_jsonable() for e in two if e.target == "sw0-sw1"]
+        keep = [e for e in one if e.target == "sw0-sw1"]
+        both = [e for e in two if e.target == "sw0-sw1"]
         assert keep == both
 
     def test_kind_subset_respected(self):
@@ -220,7 +217,7 @@ class TestCorrelatedGroup:
     def test_victim_chosen_deterministically_when_unpinned(self):
         a = CorrelatedGroup().compile(CTX)
         b = CorrelatedGroup().compile(CTX)
-        assert a.to_jsonable() == b.to_jsonable()
+        assert a == b
 
     def test_unknown_switch_rejected(self):
         with pytest.raises(ValueError, match="unknown switch"):

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.faults import FAULT_KINDS, INSTANT_KINDS, FaultEvent, FaultSchedule
+from repro.core import deploy
+from repro.faults import (FAULT_KINDS, INSTANT_KINDS, FaultEvent,
+                          FaultInjector, FaultSchedule)
+from repro.sim.engine import MS
+from repro.sim.shard import ShardRunner
+from repro.topology import leaf_spine
 
 
 class TestFaultEvent:
@@ -48,54 +53,59 @@ class TestFaultSchedule:
         assert not FaultSchedule()
         assert len(FaultSchedule()) == 0
 
-    def test_json_round_trip(self):
-        schedule = FaultSchedule()
-        schedule.add("link_loss", 1000, target="a-b", duration_ns=2000,
-                     model="bernoulli", p=0.25)
-        schedule.add("clock_step", 50, target="sw1", delta_ns=-7000)
-        data = schedule.to_jsonable()
-        restored = FaultSchedule.from_jsonable(data)
-        assert restored.to_jsonable() == data
-        assert [e.kind for e in restored] == ["clock_step", "link_loss"]
-        assert restored.events[1].params["p"] == 0.25
-
-    def test_jsonable_params_sorted_for_stable_fingerprints(self):
-        e1 = FaultEvent(at_ns=0, kind="link_loss", target="a-b",
-                        params={"b": 2, "a": 1})
-        e2 = FaultEvent(at_ns=0, kind="link_loss", target="a-b",
-                        params={"a": 1, "b": 2})
-        assert list(e1.to_jsonable()["params"]) == ["a", "b"]
-        assert e1.to_jsonable() == e2.to_jsonable()
-
     def test_non_event_rejected(self):
         with pytest.raises(TypeError):
             FaultSchedule(events=["link_down"])
 
+    # Shard slicing is the injector's: on a shard it arms the events
+    # whose target lives there.  The fabric splits as {leaf0, spine0,
+    # server0} | {leaf1, server1}, with leaf1-spine0 cut.
+
     def test_restrict_slices_by_owner_and_keeps_cut_links_on_both_sides(self):
-        assignment = {"leaf0": 0, "leaf1": 1, "spine0": 0, "server0": 0}
         schedule = FaultSchedule()
         schedule.add("cp_slow", 10, target="leaf0", scale=2.0)
         schedule.add("clock_step", 20, target="leaf1", delta_ns=5)
         schedule.add("link_delay", 30, target="leaf1-spine0", extra_ns=1)
         schedule.add("link_down", 40, target="server0-leaf0")
         schedule.add("queue_squeeze", 50, capacity=4)  # "*": every shard
-        kinds = {shard: [e.kind for e in schedule.restrict(assignment, shard)]
-                 for shard in (0, 1)}
+        kinds = _applied(schedule, shards=2)
         assert kinds[0] == ["cp_slow", "link_delay", "link_down",
                             "queue_squeeze"]
         assert kinds[1] == ["clock_step", "link_delay", "queue_squeeze"]
 
     def test_restrict_to_the_only_shard_is_the_whole_schedule(self):
         schedule = FaultSchedule()
-        schedule.add("link_loss", 5, target="a-b", model="bernoulli", p=0.5)
-        schedule.add("cp_crash", 1, target="a")
-        whole = schedule.restrict({"a": 0, "b": 0}, 0)
-        assert whole.to_jsonable() == schedule.to_jsonable()
+        schedule.add("link_loss", 5, target="leaf0-spine0",
+                     model="bernoulli", p=0.5)
+        schedule.add("cp_crash", 1, target="leaf0")
+        assert _applied(schedule, shards=1) == {
+            0: [event.kind for event in schedule]}
 
     @pytest.mark.parametrize("kind,target", [("cp_crash", "ghost"),
-                                             ("link_delay", "a-ghost")])
+                                             ("link_delay", "leaf0-ghost")])
     def test_restrict_refuses_a_target_no_shard_owns(self, kind, target):
         schedule = FaultSchedule()
         schedule.add(kind, 0, target=target)
         with pytest.raises(ValueError, match=f"{kind}.*{target}"):
-            schedule.restrict({"a": 0, "b": 1}, 0)
+            _applied(schedule, shards=2)
+
+
+def _applied(schedule, shards):
+    """Per shard, the kinds its injector applied while a two-leaf,
+    one-spine fabric split across ``shards`` ran for 1 ms."""
+    injectors = {}
+
+    def setup(worker):
+        injector = injectors[worker.shard_id] = FaultInjector(
+            worker.network, schedule, deployment=deploy(worker))
+        injector.arm()
+
+    runner = ShardRunner(leaf_spine(num_leaves=2, num_spines=1,
+                                    hosts_per_leaf=1),
+                         shards=shards, setup=setup)
+    try:
+        runner.run(MS)
+    finally:
+        runner.close()
+    return {shard: [r.kind for r in injector.log if r.action == "apply"]
+            for shard, injector in sorted(injectors.items())}

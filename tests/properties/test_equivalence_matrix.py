@@ -227,11 +227,10 @@ def _setup(worker: ShardWorker, case: dict[str, Any],
         pairs=[(s, d) for s in mine for d in hosts if d != s],
         sport_churn=True)).start()
     deployment = live[worker.shard_id] = deploy(worker, **vars(config))
-    # Each shard arms its slice (experiments/recovery.py:setup); an empty
-    # schedule arms nothing.
-    FaultInjector(worker.network, _schedule(case, config).restrict(
-        worker.plan.assignment, worker.shard_id),
-        deployment=deployment).arm()
+    # Each shard's injector arms the events it owns; an empty share
+    # arms nothing.
+    FaultInjector(worker.network, _schedule(case, config),
+                  deployment=deployment).arm()
     if not deployment.is_observer_shard:
         return lambda: (worker.sim.events_run, [])
     epochs = deployment.schedule_campaign(case["snapshots"],

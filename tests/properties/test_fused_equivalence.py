@@ -147,7 +147,7 @@ def cases(draw):
 def test_fused_and_per_finish_wirings_reach_the_same_state(drawn):
     case, schedule = drawn
     note(f"case = {json.dumps(case)}")
-    note(f"fault schedule = {json.dumps(schedule.to_jsonable())}")
+    note(f"fault schedule = {schedule!r}")
     fused = run_scenario(case, schedule, scope=None)
     per_finish = run_scenario(case, schedule, scope=EveryNode())
     for part in fused:

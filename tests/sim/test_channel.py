@@ -119,10 +119,10 @@ class TestLossModels:
         with pytest.raises(ValueError):
             BernoulliLoss(1.5, random.Random(1))
 
-    def test_scripted_loss_by_uid(self):
+    def test_scripted_loss_drops_exactly_the_chosen_packet(self):
         victim = _pkt()
         survivor = _pkt()
-        model = ScriptedLoss(drop_uids={victim.uid})
+        model = ScriptedLoss(predicate=lambda packet: packet is victim)
         assert model.should_drop(victim)
         assert not model.should_drop(survivor)
         assert model.dropped == [victim]

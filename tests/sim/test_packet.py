@@ -41,18 +41,14 @@ class TestPacket:
     def test_uids_are_unique(self):
         assert self._packet().uid != self._packet().uid
 
-    def test_push_pop_snapshot_header(self):
+    def test_push_and_strip_snapshot_header(self):
         pkt = self._packet()
         assert pkt.snapshot is None
         header = pkt.push_snapshot_header(sid=5)
         assert pkt.snapshot is header
         assert header.sid == 5
-        popped = pkt.pop_snapshot_header()
-        assert popped is header
+        pkt.strip_snapshot_header()
         assert pkt.snapshot is None
-
-    def test_pop_without_header_returns_none(self):
-        assert self._packet().pop_snapshot_header() is None
 
 
 class TestInitiationPacket:

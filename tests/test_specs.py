@@ -93,11 +93,6 @@ family = pytest.mark.parametrize(
     "fam", FAMILIES, ids=lambda fam: fam.root.family.replace(" ", "-"))
 
 
-def _compiled(spec, ctx):
-    out = spec.compile(ctx)
-    return out.to_jsonable() if hasattr(out, "to_jsonable") else out
-
-
 @family
 def test_round_trip_is_exact(fam):
     a, b, c = fam.leaves
@@ -107,7 +102,7 @@ def test_round_trip_is_exact(fam):
         restored = fam.root.from_jsonable(data)
         assert restored == spec and hash(restored) == hash(spec)
         assert restored.to_jsonable() == data
-        assert _compiled(restored, fam.ctx) == _compiled(spec, fam.ctx)
+        assert restored.compile(fam.ctx) == spec.compile(fam.ctx)
 
 
 @family
@@ -202,7 +197,10 @@ def test_trial_fingerprints_are_pinned():
     digest (recorded before repro.specs replaced the hand-written
     codecs) covers the default and quick batches of the four
     experiments that embed specs; a codec edit that changes it silently
-    invalidates every cached result — bump it only on purpose."""
+    invalidates every cached result — bump it only on purpose.
+    Re-recorded when trials stopped carrying compiled schedules: every
+    faults, recovery and updates spec lost its ``schedule`` param and
+    each recovery spec gained its ``profile``; nothing else moved."""
     from repro.experiments import registry
 
     reg = registry()
@@ -212,4 +210,4 @@ def test_trial_fingerprints_are_pinned():
              for spec in reg[name].specs(reg[name].config(quick=quick))]
     assert len(lines) == 56
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "9339d58d7b449e05297ba6291ee37c2f256a76d6619f6e226884b46e44984c53")
+        "7623c268b426b4ef32e0d95992685bb3fd2269a49ea23c8a03ee6cb7f49b6858")

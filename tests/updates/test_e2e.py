@@ -102,13 +102,11 @@ _DETOUR = (TimedSwap(at_ns=20 * MS, label="detour", routes=(
 
 
 def _sharded_verdicts(shards):
-    topo = leaf_spine(hosts_per_leaf=1)
-    schedule = _DETOUR.compile(
-        UpdateContext.for_topology(topo, horizon_ns=60 * MS))
     results = run_sharded(
-        topo, NetworkConfig(seed=7, ptp_config=noiseless_ptp()),
+        leaf_spine(hosts_per_leaf=1),
+        NetworkConfig(seed=7, ptp_config=noiseless_ptp()),
         shards=shards, until=80 * MS, setup=setup,
-        setup_args=(dict(schedule=schedule.to_jsonable(), sigma_ns=40_000,
+        setup_args=(dict(plan=_DETOUR.to_jsonable(), sigma_ns=40_000,
                          gap_ns=100 * US, ttl=6), 7),
         process=False)
     drops = sorted(row for shard in results for row in shard["drops"])

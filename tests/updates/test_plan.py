@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core import deploy
 from repro.sim.engine import MS
+from repro.sim.shard import ShardRunner
 from repro.topology import leaf_spine
 from repro.updates import (Compose, PhasedUpdate, TimedSwap,
-                           TwoPhaseVersioned, UpdateContext, UpdatePlan,
-                           UpdateSchedule)
+                           TwoPhaseVersioned, UpdateContext, UpdatePlan)
 
 ROUTES = (("leaf0", "server1", ("spine1",)),
           ("spine0", "server1", ("leaf0",)))
@@ -62,13 +63,7 @@ class TestJsonRoundTrip:
                 | TwoPhaseVersioned(at_ns=40 * MS, routes=ROUTES))
         ctx = _ctx()
         rt = UpdatePlan.from_jsonable(plan.to_jsonable())
-        assert rt.compile(ctx).to_jsonable() == plan.compile(ctx).to_jsonable()
-
-    def test_schedule_round_trips(self):
-        schedule = (TimedSwap(at_ns=10 * MS, routes=ROUTES)).compile(_ctx())
-        rt = UpdateSchedule.from_jsonable(schedule.to_jsonable())
-        assert rt.commands == schedule.commands
-        assert rt.waves == schedule.waves
+        assert rt.compile(ctx) == plan.compile(ctx)
 
     def test_unknown_plan_type_rejected(self):
         with pytest.raises(ValueError):
@@ -130,10 +125,30 @@ class TestCompile:
         assert {c.wave for c in schedule} == {0, 1}
 
     def test_restrict_keeps_waves_filters_commands(self):
-        schedule = TimedSwap(at_ns=10 * MS, routes=ROUTES).compile(_ctx())
-        local = schedule.restrict({"leaf0"})
-        assert [c.device for c in local] == ["leaf0"]
-        assert local.waves == schedule.waves
+        # Shard slicing is the driver's: each shard's driver takes the
+        # whole schedule and applies its own devices' commands.  The
+        # fabric splits as {leaf0, spine0, server0} | {leaf1, spine1,
+        # server1}.
+        schedule = TimedSwap(at_ns=MS, routes=(
+            ("leaf0", "server1", ("spine1",)),
+            ("leaf1", "server0", ("spine1",)))).compile(_ctx())
+        drivers = {}
+
+        def setup(worker):
+            drivers[worker.shard_id] = deploy(
+                worker, metric="fib_version", updates=schedule).update_driver
+
+        runner = ShardRunner(leaf_spine(hosts_per_leaf=1), shards=2,
+                             setup=setup)
+        try:
+            runner.run(2 * MS)
+        finally:
+            runner.close()
+        assert {shard: [a.device for a in driver.applied]
+                for shard, driver in drivers.items()} == {0: ["leaf0"],
+                                                          1: ["leaf1"]}
+        assert all(driver.schedule.waves == schedule.waves
+                   for driver in drivers.values())
 
     def test_empty_plan_compiles_to_strict_noop(self):
         # No routes -> no commands AND no waves: arming the schedule
