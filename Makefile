@@ -96,14 +96,17 @@ matrix-deep:
 	REPRO_MATRIX_EXAMPLES=1000 REPRO_MATRIX_DEEP=1 $(PYTHON) -m pytest -q \
 	    tests/properties/test_equivalence_matrix.py
 
-# The store's write-path differentials (tests/service/test_store.py:
-# canonical_bytes against the sorted json.dumps length over drawn JSON
-# values, the exact encoded_bytes sum over drawn document sequences, and
-# snapshot_rows against the old key-lambda order) at two thousand
-# examples each instead of the tier-1 smoke's forty (~1 min).
+# The store's differentials (tests/service/test_store.py) at two
+# thousand examples each: on the write side canonical_bytes against the
+# sorted json.dumps length over drawn JSON values, the exact
+# encoded_bytes sum over drawn document sequences, and snapshot_rows
+# against the old key-lambda order (tier-1 runs forty); on the read
+# side every read against the naive front-to-back decoder, and reads
+# held across later evictions and promotions (tier-1 runs 150).
 store-diff-deep:
 	REPRO_STORE_DIFF_EXAMPLES=2000 $(PYTHON) -m pytest -q \
-	    tests/service/test_store.py -k TestWritePathDifferentials
+	    tests/service/test_store.py -k "TestWritePathDifferentials \
+	    or TestSeekableStoreEqualsNaiveReference or TestHeldReadsStayPut"
 
 # The control plane's jitter sampler against random.Random.randint
 # (tests/core/test_control_plane.py: the same values and the same RNG

@@ -9,9 +9,12 @@ as a chain of **keyframes** and **deltas**:
   rows that changed, the rows that disappeared, and the top-level fields
   that moved — idle units and stable metadata cost nothing.
 
-Retention is a hard ring: past ``retention`` entries the oldest entry is
-evicted, and if that orphans a delta the delta is *promoted* — merged
-with the evicted state into a fresh keyframe — so the chain always
+A keyframe is read from its payload, and every delta entry also keeps
+the keyed state its epoch decodes to, built once on the write path and
+never mutated, so a read is an index lookup and never walks the chain.
+Retention is a hard ring: past ``retention`` entries the oldest entry
+is evicted, and if that orphans a delta the delta is *promoted* — its
+decoded state materialised as a fresh keyframe — so the chain always
 decodes from its first entry and memory never grows with run length.
 The store accounts for its own size exactly (canonical-JSON bytes of
 every stored payload), which is what the service bench asserts flat.
@@ -22,7 +25,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from collections.abc import Iterator
 from typing import Optional, Union, overload
 
@@ -33,8 +35,6 @@ from repro.sim.switch import parse_unit_key, unit_key
 #: output, possibly with service annotations such as ``merged_epochs``).
 EpochDoc = dict[str, object]
 
-_KEYFRAME = "key"
-_DELTA = "delta"
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
@@ -59,14 +59,8 @@ def _meta_of(doc: EpochDoc) -> EpochDoc:
     return {k: v for k, v in doc.items() if k != "records"}
 
 
-def _hop_meta(meta: EpochDoc, delta: EpochDoc) -> None:
-    for k in delta["meta_removed"]:  # type: ignore[union-attr]
-        meta.pop(k, None)
-    meta.update(delta["meta"])  # type: ignore[arg-type]
-
-
 class _Keyed:
-    """One document in keyed form — the state a delta hop advances.
+    """One document in keyed form — what a delta hop reads and returns.
 
     ``meta`` holds the top-level fields, ``rows`` the epoch-stripped unit
     rows by ``device:port:direction``.  Row dicts are shared with stored
@@ -102,14 +96,6 @@ class _Keyed:
         doc["records"] = [rows[key] for key in self.sorted_keys()]
         return doc
 
-    def copy(self) -> "_Keyed":
-        """An independent state over the same (never mutated) row dicts
-        and sorted key order: two dict copies, no per-row work."""
-        twin = _Keyed.__new__(_Keyed)
-        twin.meta, twin.rows = dict(self.meta), dict(self.rows)
-        twin.order = self.sorted_keys()
-        return twin
-
 
 def _keyed(doc: Union[EpochDoc, _Keyed]) -> _Keyed:
     return doc if isinstance(doc, _Keyed) else _Keyed(doc)
@@ -122,7 +108,7 @@ def encode_delta(prev: Union[EpochDoc, _Keyed], doc: EpochDoc) -> EpochDoc:
     bit-for-bit (canonical-JSON identical).  Unit rows are keyed
     ``device:port:direction``; a row's ``epoch`` field is implied by the
     document and never stored twice.  ``prev`` is a document or — the
-    store's own tail — one already in keyed form.
+    store's newest entry's state — one already in keyed form.
     """
     state = _keyed(prev)
     old_meta, old_rows = state.meta, state.rows
@@ -154,20 +140,30 @@ def apply_delta(prev: Union[EpochDoc, _Keyed],
     """Invert :func:`encode_delta` — the one hop of the delta chain.
 
     Given a document, rebuilds and returns the next full document.
-    Given a keyed state (the store's decode cursor), advances it in
-    place at O(changed rows) and returns it; the sorted key order is
-    dropped only when the hop adds or removes a row.
+    Given a keyed state, returns the next state at O(changed rows) and
+    leaves ``prev`` as it was.  A delta that names every row and removes
+    none lends the new state its ``rows`` dict; the sorted key order
+    carries over unless the hop adds or removes a row.
     """
     state = _keyed(prev)
-    _hop_meta(state.meta, delta)
-    rows = state.rows
-    before = len(rows)
-    for key in delta["rows_removed"]:  # type: ignore[union-attr]
-        rows.pop(key, None)
-    rows.update(delta["rows"])  # type: ignore[arg-type]
-    if delta["rows_removed"] or len(rows) != before:
-        state.order = None
-    return state if state is prev else state.document()
+    named: dict[str, EpochDoc] = delta["rows"]  # type: ignore[assignment]
+    removed: list[str] = delta["rows_removed"]  # type: ignore[assignment]
+    meta = dict(state.meta)
+    for k in delta["meta_removed"]:  # type: ignore[union-attr]
+        meta.pop(k, None)
+    meta.update(delta["meta"])  # type: ignore[arg-type]
+    old = state.rows
+    if not removed and named.keys() >= old.keys():
+        rows = named
+    else:
+        rows = dict(old)
+        for key in removed:
+            rows.pop(key, None)
+        rows.update(named)
+    nxt = _Keyed.__new__(_Keyed)
+    nxt.meta, nxt.rows = meta, rows
+    nxt.order = None if removed or len(rows) != len(old) else state.order
+    return nxt if state is prev else nxt.document()
 
 
 def _copy_doc(doc: EpochDoc) -> EpochDoc:
@@ -182,9 +178,7 @@ class StoreConfig:
 
     #: Ring size: the store never holds more than this many epochs.
     retention: int = 1024
-    #: A full keyframe every this many entries (deltas in between):
-    #: a read decodes at most this many minus one hops before its first
-    #: document.
+    #: A full keyframe every this many entries (deltas in between).
     keyframe_interval: int = 64
 
     def __post_init__(self) -> None:
@@ -192,17 +186,17 @@ class StoreConfig:
 
 
 class _Entry:
-    __slots__ = ("epoch", "keyed", "kind", "payload", "size")
+    __slots__ = ("epoch", "keyed", "payload", "size")
 
-    def __init__(self, epoch: int, kind: str, payload: EpochDoc,
+    def __init__(self, epoch: int, payload: EpochDoc,
                  keyed: Optional[_Keyed] = None) -> None:
         self.epoch = epoch
-        self.kind = kind
         self.payload = payload
         self.size = canonical_bytes(payload)
-        #: A keyframe's payload in keyed form (None on a delta): every
-        #: chain that decodes from it starts from a :meth:`_Keyed.copy`
-        #: instead of keying the document again.
+        #: None on a keyframe, which is read from its payload and keyed
+        #: once, by the append that encodes against it.  A delta keeps
+        #: the keyed state its epoch decodes to, never mutated once
+        #: stored: reads and promotion take it as it is.
         self.keyed = keyed
 
 
@@ -215,7 +209,6 @@ class EpochStore:
         #: epoch -> lifetime append number; the entry sits at ring
         #: position ``number - self.evicted``.
         self._index: dict[int, int] = {}
-        self._tail: Optional[_Keyed] = None  # newest document, keyed
         self._since_keyframe = 0
         #: Neighbouring entries out of epoch order (0: ascending ring).
         self._descents = 0
@@ -237,16 +230,16 @@ class EpochStore:
         epoch = int(doc["epoch"])  # type: ignore[arg-type]
         if epoch in self._index:
             raise ValueError(f"epoch {epoch} is already stored")
-        if (self._tail is None
+        if (not self._entries
                 or self._since_keyframe + 1 >= self.config.keyframe_interval):
-            keyed = _Keyed(doc)
-            entry = _Entry(epoch, _KEYFRAME, doc, keyed)
-            self._tail = keyed.copy()
+            entry = _Entry(epoch, doc)
             self._since_keyframe = 0
             self.keyframes += 1
         else:
-            entry = _Entry(epoch, _DELTA, encode_delta(self._tail, doc))
-            apply_delta(self._tail, entry.payload)
+            last = self._entries[-1]
+            tail = last.keyed or _Keyed(last.payload)
+            delta = encode_delta(tail, doc)
+            entry = _Entry(epoch, delta, apply_delta(tail, delta))
             self._since_keyframe += 1
         if self._entries and self._entries[-1].epoch > epoch:
             self._descents += 1
@@ -261,25 +254,21 @@ class EpochStore:
         oldest = self._entries.popleft()
         # Invariant: the first entry is always a keyframe (the first
         # append is one, and promotion below restores it after every
-        # eviction), so every chain decodes from a keyframe at most
-        # ``keyframe_interval - 1`` entries before it.
+        # eviction), so the stored chain decodes from its front.
         del self._index[oldest.epoch]
         self.encoded_bytes -= oldest.size
         self.evicted += 1
-        if self._entries and self._entries[0].epoch < oldest.epoch:
+        if not self._entries:
+            return
+        head = self._entries[0]
+        if head.epoch < oldest.epoch:
             self._descents -= 1
-        if self._entries and self._entries[0].kind == _DELTA:
-            head = self._entries[0]
-            # ``oldest`` is gone, so its keyed form is ours to advance.
-            assert oldest.keyed is not None
-            state = apply_delta(oldest.keyed, head.payload)
-            promoted = _Entry(head.epoch, _KEYFRAME, state.document(), state)
+        if head.keyed is not None:  # an orphaned delta
+            promoted = _Entry(head.epoch, head.keyed.document())
             self.encoded_bytes += promoted.size - head.size
             self._entries[0] = promoted
             self.promoted += 1
             self.keyframes += 1
-        if not self._entries:
-            self._tail = None
 
     # ------------------------------------------------------------------
     # Reads
@@ -307,16 +296,14 @@ class EpochStore:
 
     def scan(self, start: Optional[int] = None,
              end: Optional[int] = None) -> Iterator[EpochDoc]:
-        """Decode stored documents in storage (resolution) order,
-        yielding those with ``start <= epoch <= end``; an open bound is
-        the smallest or largest stored epoch.  Yielded documents are
-        fresh copies — callers may mutate them.
+        """Stored documents in storage (resolution) order, those with
+        ``start <= epoch <= end``; an open bound is the smallest or
+        largest stored epoch.  Yielded documents are fresh copies —
+        callers may mutate them.
         """
-        for found in self._walk(start, end):
-            # Always fresh: the generator suspends at yield, and the
-            # caller may mutate the document before the next hop.
-            yield (found.document() if isinstance(found, _Keyed)
-                   else _copy_doc(found))
+        for entry in self._hits(start, end):
+            yield (_copy_doc(entry.payload) if entry.keyed is None
+                   else entry.keyed.document())
 
     def views(self, start: Optional[int] = None,
               end: Optional[int] = None) -> Iterator[EpochDoc]:
@@ -324,68 +311,41 @@ class EpochStore:
 
         Each document shares the store's row dicts: it is a keyframe's
         stored payload, or a fresh top level and ``records`` list over
-        the decoded rows, which then carry no ``epoch`` field.  Callers
-        must not mutate a view or anything in it.
+        a delta entry's keyed rows, which then carry no ``epoch`` field.
+        Callers must not mutate a view or anything in it.
         """
-        for found in self._walk(start, end):
-            yield found.view() if isinstance(found, _Keyed) else found
+        for entry in self._hits(start, end):
+            yield entry.payload if entry.keyed is None else entry.keyed.view()
 
     def view(self, epoch: int) -> Optional[EpochDoc]:
         """:meth:`get` without the copies (see :meth:`views`)."""
         return next(self.views(start=epoch, end=epoch), None)
 
-    def _walk(self, start: Optional[int],
-              end: Optional[int]) -> Iterator[Union[EpochDoc, _Keyed]]:
-        """The one delta-chain walk behind every read.  Yields each match
-        as the store's own state: a keyframe's stored payload, or the
-        decode cursor, which the next step advances in place.
-
-        Decoding starts at the keyframe nearest before the first match
-        (at most ``keyframe_interval - 1`` hops away) and stops at the
-        last match; the newest entry is served from the decoded tail.
-        """
+    def _hits(self, start: Optional[int],
+              end: Optional[int]) -> list[_Entry]:
+        """The entries behind every read, in storage order, found through
+        the epoch index.  Each is its own decoded form (a keyframe's
+        payload, a delta's state), so no read hops through the chain,
+        and a read resumed after later appends still yields what was
+        stored when it started."""
         index = self._index
         lo = self.min_epoch if start is None else start
         hi = self.max_epoch if end is None else end
         if lo is None or hi is None:  # an empty store
-            return
+            return []
         if hi - lo < len(index):
             hits = [index[e] for e in range(lo, hi + 1) if e in index]
         else:
             hits = [n for e, n in index.items() if lo <= e <= hi]
-        if not hits:
-            return
-        entries = self._entries
-        first, last = min(hits) - self.evicted, max(hits) - self.evicted
-        if first == len(entries) - 1 and entries[first].kind == _DELTA:
-            assert self._tail is not None
-            yield self._tail
-            return
-        while entries[first].kind == _DELTA:
-            first -= 1
-        key = entries[first]
-        state: Optional[_Keyed] = None  # None: ``key`` holds the document
-        for entry in islice(entries, first, last + 1):
-            if entry.kind == _KEYFRAME:
-                key, state = entry, None
-            else:
-                if state is None:
-                    assert key.keyed is not None
-                    state = key.keyed.copy()
-                state = apply_delta(state, entry.payload)
-            if lo <= entry.epoch <= hi:
-                yield key.payload if state is None else state
+        entries, evicted = self._entries, self.evicted
+        return [entries[number - evicted] for number in sorted(hits)]
 
     def scan_meta(self) -> Iterator[EpochDoc]:
         """The top-level fields (everything but ``records``) of every
         stored document, in storage order, without touching a row."""
-        meta: EpochDoc = {}
         for entry in self._entries:
-            if entry.kind == _KEYFRAME:
-                meta = _meta_of(entry.payload)
-            else:
-                _hop_meta(meta, entry.payload)
-            yield dict(meta)
+            yield (_meta_of(entry.payload) if entry.keyed is None
+                   else dict(entry.keyed.meta))
 
     def get(self, epoch: int) -> Optional[EpochDoc]:
         """The document for one epoch, or None if outside the ring."""
