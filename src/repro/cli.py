@@ -17,8 +17,8 @@ Commands:
     ``updates`` additionally accepts ``--update-plan
     <json|file>`` with a serialized :class:`~repro.updates.UpdatePlan`
     (docs/UPDATES.md).  ``--shards N`` partitions each trial's network
-    across N worker processes for experiments that support
-    space-parallel simulation (docs/SHARDING.md; currently ``scaling``,
+    into N shards run in conservative rounds, in one process, for
+    experiments that support it (docs/SHARDING.md; currently ``scaling``,
     ``recovery`` and ``updates``).  ``--agg-degree D`` routes snapshot
     records through
     the hierarchical aggregation fabric for experiments that support it
@@ -113,8 +113,9 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
                         help="space-parallel simulation shards for the "
                              "experiments that support them (currently "
                              "scaling, recovery and updates); each trial "
-                             "partitions its network across N worker "
-                             "processes — see docs/SHARDING.md")
+                             "partitions its network into N shards run in "
+                             "conservative rounds in one process — see "
+                             "docs/SHARDING.md")
     parser.add_argument("--agg-degree", type=_nonnegative_int, default=None,
                         metavar="D",
                         help="aggregation-tree fan-out for the experiments "
@@ -287,13 +288,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
                      on_chunk=progress if args.verbose else None,
                      max_wall_seconds=args.max_wall_seconds)
     engine = run.query_engine()
+    # Wall-clock figures stay off stdout, so a seed's stdout is the same
+    # on every run.
+    wall = {"wall_seconds": round(report.wall_seconds, 3),
+            "epochs_per_sec": round(report.epochs_per_sec, 1),
+            "events_per_sec": round(report.events_per_sec, 1)}
     doc: dict = {
         "epochs_stored": report.epochs_stored,
         "ticks": report.ticks,
         "sim_time_ms": report.sim_time_ns // 1_000_000,
-        "wall_seconds": round(report.wall_seconds, 3),
-        "epochs_per_sec": round(report.epochs_per_sec, 1),
-        "events_per_sec": round(report.events_per_sec, 1),
         "pipeline": report.stats,
         "summary": engine.summary(),
     }
@@ -305,11 +308,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.heavy_hitters:
         doc["heavy_hitters"] = engine.heavy_hitters(top=args.heavy_hitters)
     if args.as_json:
+        print(json.dumps(wall), file=sys.stderr)
         json.dump(doc, sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
         return 0
     print(f"served {doc['epochs_stored']} epochs "
-          f"({doc['epochs_per_sec']} epochs/s wall, "
+          f"({wall['epochs_per_sec']} epochs/s wall, "
           f"{doc['sim_time_ms']} ms simulated)")
     summary = doc["summary"]
     print(f"store: {summary['epochs_stored']} epochs "

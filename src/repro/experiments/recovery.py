@@ -43,7 +43,7 @@ from repro.faults import (CorrelatedGroup, FaultInjector, FaultProfile,
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig
-from repro.sim.shard import ShardWorker, run_sharded
+from repro.sim.shard import ShardRunner, ShardWorker
 from repro.topology import leaf_spine
 
 __all__ = [
@@ -197,9 +197,8 @@ def specs(config: RecoveryConfig) -> list[TrialSpec]:
 
 
 def setup(worker: ShardWorker, params: dict, seed: int, duration: int):
-    """Per-shard setup of one (policy, profile) cell (module-level so
-    the process runner can pickle it; ``shards=1`` is the one shard that
-    owns everything).  Every shard compiles the profile and arms its own
+    """Per-shard setup of one (policy, profile) cell (``shards=1`` is
+    the one shard that owns everything).  Every shard compiles the profile and arms its own
     events; recovery overhead comes back from every shard, completion
     from the observer shard."""
     single = worker.plan.num_shards == 1
@@ -253,10 +252,10 @@ def run_recovery_trial(spec: TrialSpec) -> TrialResult:
     completion, and recovery overhead is summed across shards."""
     p = spec.params
     duration = campaign_window(p["rounds"], p["interval_ns"])
-    results = run_sharded(
+    results = ShardRunner(
         leaf_spine(hosts_per_leaf=p["hosts_per_leaf"]),
         NetworkConfig(seed=spec.seed), shards=spec.shards,
-        until=duration, setup=setup, setup_args=(p, spec.seed, duration))
+        setup=setup, setup_args=(p, spec.seed, duration)).run(duration)
     observer = results[OBSERVER_SHARD]
     total = observer["total"]
     reinitiations = sum(r["reinitiations"] for r in results)

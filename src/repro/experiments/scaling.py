@@ -36,7 +36,7 @@ from repro.faults import FaultInjector, FaultProfile, ProfileContext
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig
-from repro.sim.shard import ShardWorker, run_sharded
+from repro.sim.shard import ShardRunner, ShardWorker
 from repro.topology import fat_tree
 
 __all__ = [
@@ -70,11 +70,11 @@ class ScalingConfig(ExperimentConfig):
     #: Divided evenly across all host pairs, so the *offered load* — and
     #: the simulation cost — stays constant as the fat-tree grows.
     rate_pps: float = 50_000.0
-    #: Space-parallel simulation shards (:mod:`repro.sim.shard`).  With
-    #: ``shards > 1`` the fat-tree is partitioned across worker
-    #: processes with one Speedlight slice per shard; the clean protocol
-    #: path only (fault profiles need channel state, which sharded
-    #: deployments do not support).
+    #: Simulation shards (:mod:`repro.sim.shard`).  With ``shards > 1``
+    #: the fat-tree is partitioned into shards stepped in conservative
+    #: rounds in this process, with one Speedlight slice per shard; the
+    #: clean protocol path only (fault profiles need channel state,
+    #: which sharded deployments do not support).
     shards: int = 1
     #: Aggregation-tree fan-out (:mod:`repro.core.aggregation`).  None —
     #: the default — ships records over the flat unicast path; 0 models
@@ -214,10 +214,9 @@ def setup(worker: ShardWorker, config: ScalingConfig, duration: int):
     """Per-shard setup of one scaling measurement (``shards=1`` is the
     one shard that owns everything).
 
-    Module-level (and with plain-data arguments) so the process runner
-    can pickle it.  The returned finish callable ships plain dicts back
-    over the pipe: progress samples and notification stats from every
-    shard, campaign bookkeeping from the observer shard only.
+    The returned finish callable gives plain dicts: progress samples and
+    notification stats from every shard, campaign bookkeeping from the
+    observer shard only.
     """
     network = worker.network
     topo = network.topology
@@ -278,7 +277,7 @@ def setup(worker: ShardWorker, config: ScalingConfig, duration: int):
 
 def _measure(config: ScalingConfig, arity: int) -> ScalingPoint:
     """One protocol-scaling measurement: the fat-tree is partitioned
-    across ``config.shards`` workers, each runs its own Speedlight
+    across ``config.shards`` shards, each runs its own Speedlight
     slice, and the observer (shard 0) coordinates campaigns across the
     cut.  Per-shard results are merged here in shard order."""
     if config.profile is not None and config.shards > 1:
@@ -287,9 +286,9 @@ def _measure(config: ScalingConfig, arity: int) -> ScalingPoint:
             "deployments do not support; run scaling with shards=1")
     topo = fat_tree(k=arity)
     duration = 30 * MS + config.snapshots * config.interval_ns + 500 * MS
-    results = run_sharded(
+    results = ShardRunner(
         topo, NetworkConfig(seed=config.seed), shards=config.shards,
-        until=duration, setup=setup, setup_args=(config, duration))
+        setup=setup, setup_args=(config, duration)).run(duration)
     observer = results[OBSERVER_SHARD]
     epochs = observer["epochs"]
     finish = observer["finish"]

@@ -54,7 +54,7 @@ from repro.faults import FaultInjector, FaultProfile, FaultSchedule, \
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.shard import ShardWorker, run_sharded
+from repro.sim.shard import ShardRunner, ShardWorker
 from repro.topology import Topology, leaf_spine
 from repro.updates import (DropRecord, PhasedUpdate, TimedSwap,
                            TwoPhaseVersioned, UpdateContext, UpdatePlan,
@@ -299,8 +299,8 @@ def _render(verifier: UpdateVerifier, cuts: dict[int, dict],
 
 def setup(worker: ShardWorker, params: dict, seed: int,
           audit: bool = False):
-    """Per-shard setup of one cell (module-level so the process runner
-    can pickle it; ``shards=1`` is the one shard that owns everything).
+    """Per-shard setup of one cell (``shards=1`` is the one shard that
+    owns everything).
     Each worker compiles the plan and the fault profile and arms the
     commands and events it owns; the observer shard pre-schedules the
     straddling snapshots; every shard ships its drop log home as plain
@@ -362,12 +362,12 @@ def setup(worker: ShardWorker, params: dict, seed: int,
 
 def _run_pass(spec: TrialSpec, *, audit: bool) -> list[dict[str, Any]]:
     """One simulation of the cell; the per-shard finish results."""
-    return run_sharded(
+    return ShardRunner(
         _topology(),
         NetworkConfig(seed=spec.seed, ptp_config=noiseless_ptp(),
                       enable_tracing=audit),
-        shards=spec.shards, until=RUN_UNTIL_NS, setup=setup,
-        setup_args=(spec.params, spec.seed, audit))
+        shards=spec.shards, setup=setup,
+        setup_args=(spec.params, spec.seed, audit)).run(RUN_UNTIL_NS)
 
 
 def _fold(verifier: UpdateVerifier, cuts: dict[int, dict],

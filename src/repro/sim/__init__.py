@@ -39,7 +39,6 @@ from repro.sim.shard import (
     ShardRunner,
     ShardScope,
     ShardWorker,
-    run_sharded,
 )
 
 __all__ = [
@@ -76,5 +75,4 @@ __all__ = [
     "ShardRunner",
     "ShardScope",
     "ShardWorker",
-    "run_sharded",
 ]

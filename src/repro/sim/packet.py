@@ -80,7 +80,7 @@ class SnapshotHeader:
 
 
 #: Free list of stripped headers.  Bounded so a pathological workload
-#: cannot pin memory; per-process, so worker processes stay independent.
+#: cannot pin memory.
 _HEADER_POOL: list[SnapshotHeader] = []
 _HEADER_POOL_MAX = 1024
 
@@ -103,7 +103,7 @@ class FlowKey:
     Instances are immutable by convention; equal keys compare and hash
     equal, with the hash computed once at construction.  ``_crc`` is
     the CRC32 of the canonical key, filled in on each key object by
-    :func:`repro.lb.ecmp.flow_hash` on first use and never pickled.
+    :func:`repro.lb.ecmp.flow_hash` on first use.
     """
 
     __slots__ = ("src", "dst", "sport", "dport", "proto", "_hash", "_crc")
@@ -133,12 +133,6 @@ class FlowKey:
         return (self.src == other.src and self.dst == other.dst
                 and self.sport == other.sport and self.dport == other.dport
                 and self.proto == other.proto)
-
-    def __reduce__(self) -> tuple[type, tuple[str, str, int, int, int]]:
-        # Rebuild from the five fields on unpickle: string hashes differ
-        # between processes, and the CRC is not shipped.
-        return (FlowKey, (self.src, self.dst, self.sport, self.dport,
-                          self.proto))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FlowKey({self.src!r}, {self.dst!r}, {self.sport}, "

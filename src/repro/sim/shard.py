@@ -8,9 +8,8 @@ A large fabric is split at link boundaries into *shards*
 :class:`BoundaryLink` stubs that capture transmissions as timestamped
 items instead of delivering them locally; one coordinator,
 :class:`ShardRunner`, runs the shards in conservative time-windowed
-rounds and exchanges the captured batches through one handle per shard
-— the :class:`ShardWorker` itself, or a pipe to a worker process — that
-takes the same ``step`` and ``finish_run`` calls.
+rounds and exchanges the captured batches between the shards'
+:class:`ShardWorker` objects, all in this process.
 
 **Why this is safe** — the paper's system model (§4.1) is FIFO channels
 with fixed propagation delay, which is exactly the classic conservative
@@ -32,24 +31,18 @@ waits for every shard, then sorts each destination's inbound items by
 injects them in that order.  Injection order assigns engine sequence
 numbers, and the engine breaks timestamp ties by sequence number, so the
 composed execution is a pure function of (topology, config, shard
-count) — independent of worker scheduling, pipe timing, or the order in
-which worker results happen to arrive.  ``shards=1`` skips all of this
-and runs the plain single-process path, bit-identical to an unsharded
-:class:`~repro.sim.network.Network` (the golden-trace test pins this).
+count) — independent of the order the coordinator steps the workers
+in.  ``shards=1`` skips all of this and runs the plain path, bit-identical
+to an unsharded :class:`~repro.sim.network.Network` (the golden-trace
+test pins this).
 
 See docs/SHARDING.md for the full contract.
 """
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
-import pickle
-import traceback
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from multiprocessing.connection import Connection
-from multiprocessing.context import BaseContext
 from typing import Any, Optional
 
 from repro.sim.channel import Link, LossModel
@@ -65,7 +58,6 @@ __all__ = [
     "ShardRunner",
     "ShardScope",
     "ShardWorker",
-    "run_sharded",
 ]
 
 #: Transport item kinds: a data-plane packet crossing a cut link, and a
@@ -202,8 +194,7 @@ class ShardWorker:
     ``setup`` (if given) runs at construction with the worker as first
     argument; it installs workloads/deployments, registers control-plane
     mailboxes, and may return a zero-argument *finish* callable whose
-    result :meth:`finish_run` returns after the run (a process shard
-    ships it back over the pipe, so it must be picklable).
+    result :meth:`finish_run` returns after the run.
     """
 
     def __init__(self, topology: Topology, config: Optional[NetworkConfig],
@@ -381,83 +372,11 @@ def _effective_min(next_times: Sequence[Optional[int]],
 # The coordinator
 # ----------------------------------------------------------------------
 
-def _shard_worker_main(conn: Connection, *args: Any) -> None:
-    """Worker-process loop: build the :class:`ShardWorker` from ``args``,
-    then serve ``step`` / ``finish_run`` until ``stop``.  An exception
-    ends the worker as an ``("error", exc)`` reply (a :class:`RuntimeError`
-    with its traceback text if it does not pickle)."""
-    try:
-        worker = ShardWorker(*args)
-        conn.send(("ok", (sorted(worker.mailboxes), worker.next_time())))
-        calls = {"step": worker.step, "finish_run": worker.finish_run}
-        while (msg := conn.recv())[0] != "stop":
-            conn.send(("ok", calls[msg[0]](*msg[1:])))
-    except Exception as exc:
-        error = exc
-        try:
-            pickle.loads(pickle.dumps(error))
-        except Exception:
-            error = RuntimeError(repr(exc) + "\n" + "".join(
-                traceback.format_exception(type(exc), exc,
-                                           exc.__traceback__)))
-        with contextlib.suppress(OSError):  # the coordinator is gone
-            conn.send(("error", error))
-
-
-def _default_context() -> BaseContext:
-    # fork: cheap startup that inherits the built topology; spawn where
-    # fork does not exist.  Determinism holds either way: the composed
-    # execution depends only on the merged item order the coordinator fixes.
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
-class _PipeShard:
-    """A shard in a worker process: a call only sends it down the pipe;
-    :meth:`reply` collects the result or raises the worker's error."""
-
-    def __init__(self, ctx: BaseContext, args: tuple[Any, ...]) -> None:
-        self._conn, child = ctx.Pipe()
-        self._proc = ctx.Process(target=_shard_worker_main,
-                                 args=(child, *args), daemon=True)
-        self._proc.start()
-        child.close()
-
-    def step(self, horizon: int, items: list[TransportItem]) -> None:
-        self._conn.send(("step", horizon, items))
-
-    def finish_run(self, until: int, items: list[TransportItem]) -> None:
-        self._conn.send(("finish_run", until, items))
-
-    def reply(self) -> Any:
-        tag, value = self._conn.recv()
-        if tag == "error":
-            raise value
-        return value
-
-    def close(self) -> None:
-        # A message, not EOF: forked siblings hold copies of our end.
-        with contextlib.suppress(OSError):  # the worker already exited
-            self._conn.send(("stop",))
-        self._conn.close()
-        self._proc.join(timeout=5)
-        if self._proc.is_alive():  # pragma: no cover - hung worker
-            self._proc.terminate()
-            self._proc.join(timeout=5)
-
-
 class ShardRunner:
-    """The coordinator: one round loop over one handle per shard.
-
-    A handle is the :class:`ShardWorker` itself (all shards in this
-    process, stepped in ``order``, which the merge-order property test
-    permutes) or, with ``process=True``, a pipe to a worker process
-    (``setup``, ``setup_args`` and each ``finish`` result must then
-    pickle).  :meth:`run` may be repeated with a later ``until``; local
-    workers may be scheduled into between runs.  Any exception closes
-    the workers.
+    """The coordinator: one round loop over the shards' workers, all in
+    this process and stepped in ``order`` (the sequence the equivalence
+    matrix permutes).  :meth:`run` may be repeated with a later
+    ``until``; workers may be scheduled into between runs.
     """
 
     def __init__(self, topology: Topology,
@@ -465,113 +384,61 @@ class ShardRunner:
                  shards: int = 2,
                  setup: Optional[Callable[..., Any]] = None,
                  setup_args: Sequence[Any] = (),
-                 process: bool = False,
                  order: Optional[Sequence[int]] = None,
                  busy_clock: Optional[Callable[[], float]] = None) -> None:
-        if process and (order is not None or busy_clock is not None):
-            raise ValueError("order= and busy_clock= apply to local shards "
-                             "only, not with process=True")
         self.plan = plan = ShardPlan.for_topology(topology, shards)
         self._order = list(range(plan.num_shards) if order is None else order)
         if sorted(self._order) != list(range(plan.num_shards)):
             raise ValueError(f"order must be a permutation of "
                              f"0..{plan.num_shards - 1}")
         self._link_shards = plan.link_shards()
-        self.workers: list[ShardWorker] = []  # local handles only
-        self._pipes: list[_PipeShard] = []
+        self.workers = [ShardWorker(topology, config, plan, shard_id,
+                                    setup, setup_args, busy_clock)
+                        for shard_id in range(plan.num_shards)]
         self._mailbox_homes: dict[str, int] = {}
+        for shard_id, worker in enumerate(self.workers):
+            for name in worker.mailboxes:
+                if name in self._mailbox_homes:
+                    raise ValueError(
+                        f"mailbox {name!r} registered by more than one "
+                        f"shard ({self._mailbox_homes[name]} and "
+                        f"{shard_id})")
+                self._mailbox_homes[name] = shard_id
         self.rounds = 0
-        try:
-            if process:
-                ctx = _default_context()
-                for shard_id in range(plan.num_shards):
-                    self._pipes.append(_PipeShard(ctx, (
-                        topology, config, plan, shard_id, setup, setup_args)))
-                self._handles: Sequence[Any] = self._pipes
-                ready = [pipe.reply() for pipe in self._pipes]
-            else:
-                self.workers = [ShardWorker(topology, config, plan, shard_id,
-                                            setup, setup_args, busy_clock)
-                                for shard_id in range(plan.num_shards)]
-                self._handles = self.workers
-                ready = [(w.mailboxes, w.next_time()) for w in self.workers]
-            for shard_id, (mailboxes, _next) in enumerate(ready):
-                for name in mailboxes:
-                    if name in self._mailbox_homes:
-                        raise ValueError(
-                            f"mailbox {name!r} registered by more than one "
-                            f"shard ({self._mailbox_homes[name]} and "
-                            f"{shard_id})")
-                    self._mailbox_homes[name] = shard_id
-        except BaseException:
-            self.close()
-            raise
-        self._next_times: list[Optional[int]] = [t for _m, t in ready]
 
     def _call(self, method: str, arg: int,
               pending: dict[int, list[TransportItem]]) -> list[Any]:
-        """``method(arg, items)`` on every shard, in ``order``.  All are
-        sent before any reply is collected, so process shards run in
-        parallel; a local worker does its work at send time."""
-        replies: list[Any] = [None] * len(self._handles)
+        """``method(arg, items)`` on every worker, in ``order``; the
+        replies in shard order."""
+        replies: list[Any] = [None] * len(self.workers)
         for shard_id in self._order:
-            replies[shard_id] = getattr(self._handles[shard_id], method)(
+            replies[shard_id] = getattr(self.workers[shard_id], method)(
                 arg, pending.pop(shard_id, []))
-        if self._pipes:
-            replies = [pipe.reply() for pipe in self._pipes]
         return replies
 
     def run(self, until: int) -> list[Any]:
         """Run every shard to ``until``; returns the per-shard ``finish``
         results in shard order."""
         pending: dict[int, list[TransportItem]] = {}
-        if self.workers:  # the caller may have scheduled into them
-            self._next_times = [w.next_time() for w in self.workers]
-        try:
-            while self.plan.num_shards > 1:
-                min_next = _effective_min(self._next_times, pending)
-                if min_next is None or min_next > until:
-                    break
-                horizon = min(min_next + self.plan.lookahead_ns, until + 1)
-                outbound: list[TransportItem] = []
-                for shard_id, (drained, next_time) in enumerate(
-                        self._call("step", horizon, pending)):
-                    self._next_times[shard_id] = next_time
-                    outbound.extend(drained)
-                pending = _route(outbound, self._link_shards,
-                                 self._mailbox_homes)
-                self.rounds += 1
-            finished = self._call("finish_run", until, pending)
-            self._next_times = [next_time for _r, next_time in finished]
-            return [result for result, _t in finished]
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Stop and reap process workers (idempotent; local workers hold
-        nothing to release)."""
-        pipes, self._pipes = self._pipes, []
-        for pipe in pipes:
-            pipe.close()
+        # Re-read each time: the caller may have scheduled into a worker.
+        next_times = [w.next_time() for w in self.workers]
+        while self.plan.num_shards > 1:
+            min_next = _effective_min(next_times, pending)
+            if min_next is None or min_next > until:
+                break
+            horizon = min(min_next + self.plan.lookahead_ns, until + 1)
+            outbound: list[TransportItem] = []
+            for shard_id, (drained, next_time) in enumerate(
+                    self._call("step", horizon, pending)):
+                next_times[shard_id] = next_time
+                outbound.extend(drained)
+            pending = _route(outbound, self._link_shards,
+                             self._mailbox_homes)
+            self.rounds += 1
+        return [result for result, _next
+                in self._call("finish_run", until, pending)]
 
 
 # bench/ constructs this name and spans vars(InProcessShardRunner)["run"].
 InProcessShardRunner = ShardRunner
 
-
-def run_sharded(topology: Topology, config: Optional[NetworkConfig], *,
-                shards: int, until: int,
-                setup: Optional[Callable[..., Any]] = None,
-                setup_args: Sequence[Any] = (),
-                process: bool = True) -> list[Any]:
-    """One :class:`ShardRunner` run to ``until``, closed on the way out;
-    returns the per-shard ``finish`` results in shard order.  ``shards=1``
-    runs the plain single-process path (in process, whatever ``process``)."""
-    runner = ShardRunner(topology, config, shards=shards, setup=setup,
-                         setup_args=setup_args,
-                         process=process and shards > 1)
-    try:
-        return runner.run(until)
-    finally:
-        runner.close()

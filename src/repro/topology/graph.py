@@ -52,14 +52,11 @@ class Topology:
         #: Adjacency: node -> {neighbour: the link between them}, in
         #: insertion order (the searches below expand in that order).
         self._adj: dict[str, dict[str, LinkSpec]] = {}
-        #: Derived state, dropped by every mutation and left out of the
-        #: pickle: sorted name lists per kind (None = all nodes) and, per
-        #: destination host, the hop distance of every switch to it.
+        #: Derived state, dropped by every mutation: sorted name lists
+        #: per kind (None = all nodes) and, per destination host, the hop
+        #: distance of every switch to it.
         self._sorted: dict[Optional[NodeKind], list[str]] = {}
         self._hops: dict[str, Mapping[str, int]] = {}
-
-    def __getstate__(self) -> dict[str, object]:
-        return {**self.__dict__, "_sorted": {}, "_hops": {}}
 
     # ------------------------------------------------------------------
     # Construction

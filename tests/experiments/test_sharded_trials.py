@@ -1,7 +1,7 @@
 """One measurement path per sharded experiment.
 
 ``scaling``, ``recovery`` and ``updates`` each run every trial through
-``run_sharded`` with one ``setup``; ``shards=1`` is the plain run.  The
+``ShardRunner`` with one ``setup``; ``shards=1`` is the plain run.  The
 digests below are the canonical-JSON sha256 of one cheap
 ``TrialResult.data`` per experiment and shard count, recorded while each
 experiment still kept a separate single-process trial function — the

@@ -61,8 +61,7 @@ class TestArming:
                                       [switch.drop_monitor is None for switch
                                        in worker.network.switches.values()])
 
-        ShardRunner(leaf_spine(hosts_per_leaf=1), shards=2,
-                    setup=setup).close()
+        ShardRunner(leaf_spine(hosts_per_leaf=1), shards=2, setup=setup)
         assert armed[0][:4] == (2, 2, False, 4)  # 2 applies, 2 swaps
         assert armed[1] == (0, 0, True, 0, [True, True])
 

@@ -100,12 +100,7 @@ def _applied(schedule, shards):
             worker.network, schedule, deployment=deploy(worker))
         injector.arm()
 
-    runner = ShardRunner(leaf_spine(num_leaves=2, num_spines=1,
-                                    hosts_per_leaf=1),
-                         shards=shards, setup=setup)
-    try:
-        runner.run(MS)
-    finally:
-        runner.close()
+    ShardRunner(leaf_spine(num_leaves=2, num_spines=1, hosts_per_leaf=1),
+                shards=shards, setup=setup).run(MS)
     return {shard: [r.kind for r in injector.log if r.action == "apply"]
             for shard, injector in sorted(injectors.items())}

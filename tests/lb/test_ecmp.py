@@ -1,6 +1,5 @@
 """Tests for ECMP load balancing."""
 
-import pickle
 import zlib
 from collections import Counter
 from types import SimpleNamespace
@@ -157,17 +156,6 @@ class TestCrcKeptOnTheKey:
                     assert flow_hash(b, 9) == flow_hash(a, 9) \
                         == _uncached_flow_hash(b, 9)
         assert len(payloads) == len(first) + len(again)
-
-    @given(_keys, st.integers(min_value=0, max_value=2**16))
-    def test_pickled_round_trip(self, fields, salt):
-        key = FlowKey(*fields)
-        before = pickle.dumps(key)
-        flow_hash(key, salt)
-        assert pickle.dumps(key) == before     # the CRC is not pickled
-        copy = pickle.loads(before)
-        assert copy is not key and copy == key and hash(copy) == hash(key)
-        assert copy._crc is None
-        assert flow_hash(copy, salt) == _uncached_flow_hash(key, salt)
 
     @settings(max_examples=30)
     @given(st.lists(_keys, min_size=1, max_size=8), st.data())

@@ -15,7 +15,6 @@ The two load-bearing guarantees:
 
 import functools
 import hashlib
-import multiprocessing
 import operator
 
 import pytest
@@ -23,8 +22,7 @@ import pytest
 from repro.core import deploy
 from repro.sim.engine import MS
 from repro.sim.network import NetworkConfig, cut_links, partition_topology
-from repro.sim.shard import (InProcessShardRunner, ShardPlan, ShardRunner,
-                             run_sharded)
+from repro.sim.shard import InProcessShardRunner, ShardPlan, ShardRunner
 from repro.topology import fat_tree, leaf_spine, linear
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 from tests.integration.test_golden_trace import (GOLDEN_EVENTS,
@@ -34,15 +32,11 @@ from tests.integration.test_golden_trace import (GOLDEN_EVENTS,
 TOPO_KW = dict(num_leaves=3, num_spines=2, hosts_per_leaf=1)
 SETUP_ARGS = (20_000.0, 4 * MS, 2, 2 * MS)
 UNTIL = 12 * MS
-#: Both shard handles: local workers and worker processes.
-HANDLES = pytest.mark.parametrize("process", [False, True],
-                                  ids=["local", "process"])
 
 
 def _traffic_setup(worker, rate_pps, stop_ns, snapshots, interval_ns):
-    """Cross-shard traffic plus a short campaign; module-level so the
-    process runner can pickle it.  Finish value: per-shard event count,
-    plus snapshot health on the observer shard."""
+    """Cross-shard traffic plus a short campaign.  Finish value:
+    per-shard event count, plus snapshot health on the observer shard."""
     topo = worker.network.topology
     local = [h for h in topo.hosts
              if worker.plan.assignment[h] == worker.shard_id]
@@ -122,44 +116,44 @@ class TestMergeDeterminism:
         # assembled every epoch from remote shards' records.
         assert results[0]["complete"] == 2
 
+    def test_state_shared_around_a_mailbox_moves_with_the_order(self):
+        """The canary for actor isolation: shards that share an object
+        instead of a mailbox see each other mid-round, so the stepping
+        order — which the equivalence matrix draws — changes the
+        result.  (Old rule FLOW001 looked for such state statically.)"""
+        def run(order):
+            return ShardRunner(leaf_spine(**TOPO_KW), shards=2,
+                               setup=_shared_dict_setup, setup_args=({},),
+                               order=order).run(until=UNTIL)
 
-class TestProcessRunner:
-    def test_process_runner_matches_in_process(self):
-        topo = leaf_spine(**TOPO_KW)
-        expected, _ = _baseline()
-        got = run_sharded(topo, NetworkConfig(seed=11), shards=3,
-                          until=UNTIL, setup=_traffic_setup,
-                          setup_args=SETUP_ARGS, process=True)
-        assert got == expected
+        assert run([0, 1]) == [None, [True]]
+        assert run([1, 0]) == [None, [False]]
 
-    def test_close_is_idempotent(self):
-        runner = ShardRunner(
-            leaf_spine(**TOPO_KW), NetworkConfig(seed=11), shards=2,
-            setup=_traffic_setup, setup_args=SETUP_ARGS, process=True)
-        runner.run(until=2 * MS)
-        runner.close()
-        runner.close()
-        assert multiprocessing.active_children() == []
 
-    def test_run_resumes_on_both_handles(self):
+def _shared_dict_setup(worker, shared):
+    """At 1 µs shard 0 writes a dict that shard 1 reads at the same
+    instant, within the first round."""
+    if worker.shard_id == 0:
+        worker.sim.schedule(1_000, shared.__setitem__, "written", True)
+        return None
+    seen = []
+    worker.sim.schedule(1_000, lambda: seen.append("written" in shared))
+    return lambda: seen
+
+
+class TestRepeatedRuns:
+    def test_run_resumes_the_same_execution(self):
         """``run`` again with a later ``until`` continues the same
-        execution, and both handles agree on results and rounds."""
-        outcomes = []
-        for process in (False, True):
-            runner = ShardRunner(
-                leaf_spine(**TOPO_KW), NetworkConfig(seed=11), shards=3,
-                setup=_traffic_setup, setup_args=SETUP_ARGS, process=process)
-            try:
-                runner.run(until=2 * MS)
-                outcomes.append((runner.run(until=UNTIL), runner.rounds))
-            finally:
-                runner.close()
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == _baseline()[0]
+        execution: its results match one run to ``until``."""
+        runner = ShardRunner(
+            leaf_spine(**TOPO_KW), NetworkConfig(seed=11), shards=3,
+            setup=_traffic_setup, setup_args=SETUP_ARGS)
+        runner.run(until=2 * MS)
+        assert runner.run(until=UNTIL) == _baseline()[0]
 
-    def test_local_workers_may_be_scheduled_into_between_runs(self):
+    def test_workers_may_be_scheduled_into_between_runs(self):
         """A flow started from outside after one ``run`` crosses the cut
-        in the next: the coordinator re-reads local next-event times."""
+        in the next: the coordinator re-reads the next-event times."""
         runner = ShardRunner(leaf_spine(**TOPO_KW), NetworkConfig(seed=11),
                              shards=2)
         runner.run(until=2 * MS)
@@ -172,13 +166,6 @@ class TestProcessRunner:
                                                       dport=2)
         runner.run(until=UNTIL)
         assert runner.workers[1].network.host(dst).packets_received == 10
-
-    @pytest.mark.parametrize("option", [dict(order=[1, 0]),
-                                        dict(busy_clock=float)])
-    def test_local_only_options_refused_with_process(self, option):
-        with pytest.raises(ValueError, match="local shards only"):
-            ShardRunner(leaf_spine(**TOPO_KW), shards=2, process=True,
-                        **option)
 
 
 def _dead_letter_setup(worker):
@@ -197,61 +184,19 @@ class TestMailboxRouting:
     says who sent it — at run time, where the wiring-time ``_edge``
     mailboxes are visible too."""
 
-    @HANDLES
-    def test_dead_letter_names_the_mailbox_and_the_sender(self, process):
+    def test_dead_letter_names_the_mailbox_and_the_sender(self):
         runner = ShardRunner(
             leaf_spine(**TOPO_KW), NetworkConfig(seed=11), shards=2,
-            setup=_dead_letter_setup, process=process)
+            setup=_dead_letter_setup)
         with pytest.raises(KeyError, match=r"no shard registered mailbox "
                                            r"'nobody-home' \(sent by shard 1\)"):
             runner.run(until=UNTIL)
-        assert multiprocessing.active_children() == []
 
-    @HANDLES
-    def test_duplicate_mailbox_names_both_shards(self, process):
+    def test_duplicate_mailbox_names_both_shards(self):
         with pytest.raises(ValueError, match=r"'observer' registered by more "
                                              r"than one shard \(0 and 1\)"):
             ShardRunner(leaf_spine(**TOPO_KW), NetworkConfig(seed=11),
-                        shards=2, setup=_duplicate_mailbox_setup,
-                        process=process)
-        # Process workers are joined before the error surfaces.
-        assert multiprocessing.active_children() == []
-
-
-class TestProcessRunnerShutdown:
-    """Every way out of a process run stops its workers with a message:
-    none is left to ``join``'s timeout and ``terminate()``."""
-
-    @pytest.fixture
-    def terminations(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate",
-                            lambda proc: calls.append(proc.pid))
-        return calls
-
-    def _runner(self, setup):
-        return ShardRunner(leaf_spine(**TOPO_KW), NetworkConfig(seed=11),
-                           shards=2, setup=setup, process=True)
-
-    def test_refused_at_construction(self, terminations):
-        with pytest.raises(ValueError, match="registered by more than one"):
-            self._runner(_duplicate_mailbox_setup)
-        assert terminations == []
-        assert multiprocessing.active_children() == []
-
-    def test_refused_mid_run(self, terminations):
-        runner = self._runner(_dead_letter_setup)
-        with pytest.raises(KeyError, match="nobody-home"):
-            runner.run(until=UNTIL)
-        assert terminations == []
-        assert multiprocessing.active_children() == []
-
-    def test_finished_run_then_close_again(self, terminations):
-        runner = self._runner(None)
-        assert len(runner.run(until=2 * MS)) == 2
-        runner.close()
-        assert terminations == []
-        assert multiprocessing.active_children() == []
+                        shards=2, setup=_duplicate_mailbox_setup)
 
 
 def _setup_fails_in_shard_1(worker):
@@ -264,48 +209,21 @@ def _event_fails_in_shard_1(worker):
         worker.sim.schedule(1_000, operator.floordiv, 1, 0)
 
 
-class _Unpicklable(Exception):
-    """Pickles, but cannot be rebuilt from its ``args``."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a}/{b}")
-
-
-def _setup_raises_unpicklable(worker):
-    if worker.shard_id == 1:
-        raise _Unpicklable("left", "right")
-
-
 class TestWorkerErrors:
-    """A failing shard raises its own exception on both handles, and no
-    worker process outlives it."""
+    """A failing shard raises its own exception, unwrapped."""
 
-    @HANDLES
-    def test_setup_error(self, process):
+    def test_setup_error(self):
         with pytest.raises(ZeroDivisionError,
                            match="^shard 1 cannot set up$"):
             ShardRunner(leaf_spine(**TOPO_KW), NetworkConfig(seed=11),
-                        shards=2, setup=_setup_fails_in_shard_1,
-                        process=process)
-        assert multiprocessing.active_children() == []
+                        shards=2, setup=_setup_fails_in_shard_1)
 
-    @HANDLES
-    def test_event_error_mid_run(self, process):
+    def test_event_error_mid_run(self):
         runner = ShardRunner(leaf_spine(**TOPO_KW), NetworkConfig(seed=11),
-                             shards=2, setup=_event_fails_in_shard_1,
-                             process=process)
+                             shards=2, setup=_event_fails_in_shard_1)
         with pytest.raises(ZeroDivisionError,
                            match="^integer division or modulo by zero$"):
             runner.run(until=UNTIL)
-        assert multiprocessing.active_children() == []
-
-    def test_unpicklable_error_arrives_as_its_traceback(self):
-        with pytest.raises(RuntimeError, match=r"_Unpicklable\('left/right'\)"
-                                               r"(.|\n)*Traceback"):
-            ShardRunner(leaf_spine(**TOPO_KW), NetworkConfig(seed=11),
-                        shards=2, setup=_setup_raises_unpicklable,
-                        process=True)
-        assert multiprocessing.active_children() == []
 
     def test_an_item_behind_now_is_refused(self):
         worker = ShardRunner(leaf_spine(**TOPO_KW), shards=2).workers[1]
@@ -326,10 +244,10 @@ def test_the_bench_alias_stays_the_coordinator():
 
 class TestSingleShardIdentity:
     def test_golden_trace_through_the_sharded_entry_point(self):
-        results = run_sharded(
+        results = ShardRunner(
             linear(num_switches=2, hosts_per_switch=2),
-            NetworkConfig(seed=7), shards=1, until=60 * MS,
-            setup=_golden_setup)
+            NetworkConfig(seed=7), shards=1,
+            setup=_golden_setup).run(60 * MS)
         events, digest, totals = results[0]
         assert events == GOLDEN_EVENTS
         assert digest == GOLDEN_SHA256
@@ -338,7 +256,7 @@ class TestSingleShardIdentity:
 
 def _golden_setup(worker):
     """The integration suite's pinned scenario, installed through the
-    shard worker (module-level for picklability symmetry)."""
+    shard worker."""
     network = worker.network
     PoissonWorkload(network, PoissonConfig(rate_pps=10_000,
                                            stop_ns=40 * MS,

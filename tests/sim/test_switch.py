@@ -335,9 +335,8 @@ class TestUnitIdHash:
 
     def test_pickled_under_one_hash_seed_found_under_another(self):
         """String hashes are per process (``PYTHONHASHSEED``): a cached
-        value that crossed a pickle boundary — the ``spawn`` fallback of
-        ``sim/shard.py``, any ``--jobs N`` pool — would miss its own dict
-        entry on the other side."""
+        value that crossed a pickle boundary — any ``--jobs N`` pool —
+        would miss its own dict entry on the other side."""
         import os
         import subprocess
         import sys

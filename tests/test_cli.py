@@ -164,8 +164,8 @@ class TestSpecFlagsRejectBadInput:
 
 class TestShardsFlag:
     def test_run_scaling_quick_with_shards(self, capsys):
-        # The CI quick suite's sharded exercise: a real space-parallel
-        # scaling run, two worker processes per trial.
+        # The CI quick suite's sharded exercise: a real two-shard
+        # scaling run per trial.
         assert main(["run", "scaling", "--quick", "--no-cache",
                      "--shards", "2"]) == 0
         captured = capsys.readouterr()
@@ -197,9 +197,12 @@ class TestServe:
         assert main(["serve", "--epochs", "10", "--interval-us", "1000",
                      "--seed", "3", "--json"]) == 0
         import json
-        doc = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
         assert doc["epochs_stored"] >= 10
-        assert doc["epochs_per_sec"] > 0
+        # Wall-clock figures go to stderr, as one JSON line.
+        assert json.loads(captured.err)["epochs_per_sec"] > 0
+        assert "epochs_per_sec" not in doc
         assert doc["pipeline"]["backlog"] == 0
         assert doc["summary"]["epochs_stored"] == doc["pipeline"]["ingested"]
 
@@ -216,6 +219,16 @@ class TestServe:
         assert doc["conservation"]["violations"] == {}
         assert doc["summary"]["epochs_stored"] == 8  # retention ring held
         assert "units" in doc["heavy_hitters"]
+
+    def test_serve_json_stdout_is_the_same_on_every_run(self, capsys):
+        argv = ["serve", "--epochs", "12", "--interval-us", "1000",
+                "--seed", "3", "--retention", "8", "--query-range", "5", "8",
+                "--conservation", "--heavy-hitters", "3", "--json"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out.encode())
+        assert outs[0] == outs[1]
 
     def test_serve_refuses_a_queue_capacity_below_two(self, capsys):
         # Coalescing folds into a waiting epoch, never the one in service.

@@ -12,11 +12,8 @@ that needs a distance reads it.  Three guarantees are pinned here:
   five builders and on drawn switch graphs.
 * **Same cost class** — the one function that searches is counted:
   one call per host, once per topology however many shards read it.
-* **Derived, not stored** — a mutation drops the table; a pickle does
-  not carry it.
+* **Derived, not stored** — a mutation drops the table.
 """
-
-import pickle
 
 import networkx as nx
 import pytest
@@ -229,18 +226,3 @@ class TestSearchCount:
         runner = ShardRunner(topo, NetworkConfig(seed=1), shards=2)
         assert len(runner.workers) == 2
         assert sorted(searches) == topo.hosts
-
-
-class TestDerivedState:
-    def test_pickle_carries_no_table_and_answers_identically(self, searches):
-        topo = fat_tree(k=4)
-        answers = {(s, h): topo.ecmp_next_hops(s, h)
-                   for s in topo.switches for h in topo.hosts}
-        assert len(searches) == len(topo.hosts)
-        copy = pickle.loads(pickle.dumps(topo))
-        assert copy._hops == {} and copy._sorted == {}
-        assert topo._hops  # the original keeps its own
-        assert copy.hosts == topo.hosts and copy.links == topo.links
-        assert {(s, h): copy.ecmp_next_hops(s, h)
-                for s in copy.switches for h in copy.hosts} == answers
-        assert len(searches) == 2 * len(topo.hosts)  # its own first search

@@ -19,7 +19,7 @@ from repro.core.sharded import OBSERVER_SHARD
 from repro.experiments.updates import _render, _wave_cuts, setup
 from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.shard import run_sharded
+from repro.sim.shard import ShardRunner
 from repro.topology import leaf_spine
 from repro.updates import (TimedSwap, UpdateContext, UpdateVerifier,
                            inject_clock_error, noiseless_ptp)
@@ -102,13 +102,12 @@ _DETOUR = (TimedSwap(at_ns=20 * MS, label="detour", routes=(
 
 
 def _sharded_verdicts(shards):
-    results = run_sharded(
+    results = ShardRunner(
         leaf_spine(hosts_per_leaf=1),
         NetworkConfig(seed=7, ptp_config=noiseless_ptp()),
-        shards=shards, until=80 * MS, setup=setup,
+        shards=shards, setup=setup,
         setup_args=(dict(plan=_DETOUR.to_jsonable(), sigma_ns=40_000,
-                         gap_ns=100 * US, ttl=6), 7),
-        process=False)
+                         gap_ns=100 * US, ttl=6), 7)).run(80 * MS)
     drops = sorted(row for shard in results for row in shard["drops"])
     cuts = results[OBSERVER_SHARD]["cuts"]
     applied = sum(shard["applied"] for shard in results)

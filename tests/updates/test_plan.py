@@ -138,12 +138,8 @@ class TestCompile:
             drivers[worker.shard_id] = deploy(
                 worker, metric="fib_version", updates=schedule).update_driver
 
-        runner = ShardRunner(leaf_spine(hosts_per_leaf=1), shards=2,
-                             setup=setup)
-        try:
-            runner.run(2 * MS)
-        finally:
-            runner.close()
+        ShardRunner(leaf_spine(hosts_per_leaf=1), shards=2,
+                    setup=setup).run(2 * MS)
         assert {shard: [a.device for a in driver.applied]
                 for shard, driver in drivers.items()} == {0: ["leaf0"],
                                                           1: ["leaf1"]}
