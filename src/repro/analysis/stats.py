@@ -19,6 +19,10 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+#: The significance level of Figure 13's pairwise tests: a pair counts
+#: when its p-value is below it (§8.4's "ρ < 0.1").
+ALPHA = 0.1
+
 
 class Cdf:
     """An empirical CDF over a sample."""
@@ -102,7 +106,7 @@ class CorrelationResult:
     rho: np.ndarray      # correlation coefficients, NaN on diagonal
     pvalue: np.ndarray   # two-sided p-values
 
-    def significant(self, alpha: float = 0.1) -> dict[tuple[str, str], float]:
+    def significant(self, alpha: float = ALPHA) -> dict[tuple[str, str], float]:
         """Significant pairs (p < alpha) → coefficient."""
         out: dict[tuple[str, str], float] = {}
         n = len(self.names)
@@ -166,7 +170,8 @@ def spearman_matrix(series: dict[str, Sequence[float]]) -> CorrelationResult:
     return CorrelationResult(names=names, rho=rho, pvalue=pval)
 
 
-def significant_fraction(result: CorrelationResult, alpha: float = 0.1) -> float:
+def significant_fraction(result: CorrelationResult,
+                         alpha: float = ALPHA) -> float:
     """Fraction of all port pairs whose correlation is significant —
     the "43% more of the port pairs" comparison of §8.4."""
     n = len(result.names)

@@ -26,8 +26,8 @@ the deployed switches through which
 Cost model.  Relay messages land in a bounded, serially-serviced
 :class:`RelayChannel` — same shape as the control plane's notification
 channel — whose per-message cost is one CPU wakeup
-(:attr:`AggregationConfig.relay_service_ns`) plus a per-record
-decode/combine cost (:attr:`AggregationConfig.relay_per_record_ns`).
+(:data:`RELAY_SERVICE_NS`) plus a per-record decode/combine cost
+(:data:`RELAY_PER_RECORD_NS`).
 The per-record cost is far below the notification path's 110 µs because
 a relay handles pre-parsed records in batch (the same amortisation
 argument as the digest transport's per-record decode, without its flush
@@ -67,6 +67,11 @@ __all__ = [
     "RelayChannel",
 ]
 
+#: CPU wakeup cost of servicing one relay message.
+RELAY_SERVICE_NS = 150 * US
+#: Per-record decode/combine cost within a relay message.
+RELAY_PER_RECORD_NS = 4 * US
+
 
 @dataclass
 class AggregationConfig:
@@ -82,10 +87,6 @@ class AggregationConfig:
 
     #: Max children per tree node (0 = flat-modeled unicast baseline).
     degree: int = 4
-    #: CPU wakeup cost of servicing one relay message.
-    relay_service_ns: int = 150 * US
-    #: Per-record decode/combine cost within a message.
-    relay_per_record_ns: int = 4 * US
     #: Forward a partial (incomplete) aggregate this long after records
     #: start waiting on silent children/local units (0 disables; records
     #: then only move on subtree completion).
@@ -94,8 +95,7 @@ class AggregationConfig:
     buffer_capacity: int = 4096
 
     def __post_init__(self) -> None:
-        check_minimums(self, {"degree": 0, "relay_service_ns": 0,
-                              "relay_per_record_ns": 0, "flush_timeout_ns": 0,
+        check_minimums(self, {"degree": 0, "flush_timeout_ns": 0,
                               "buffer_capacity": 1})
 
 
@@ -214,7 +214,6 @@ class RelayChannel(SerialServer[AggregateMessage]):
     def __init__(self, sim: Simulator, config: AggregationConfig,
                  handler: Callable[[AggregateMessage], None]) -> None:
         super().__init__(sim, config.buffer_capacity, handler)
-        self.config = config
         self.records_in = 0
 
     def deliver(self, message: AggregateMessage) -> bool:
@@ -227,8 +226,8 @@ class RelayChannel(SerialServer[AggregateMessage]):
     _finish = SerialServer._finish
 
     def _begin(self, message: AggregateMessage) -> int:
-        return max(1, self.config.relay_service_ns +
-                   len(message.records) * self.config.relay_per_record_ns)
+        return max(1, RELAY_SERVICE_NS +
+                   len(message.records) * RELAY_PER_RECORD_NS)
 
 
 class _EpochAggregate:

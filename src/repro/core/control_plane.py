@@ -58,7 +58,7 @@ from repro.sim.clock import Clock
 from repro.sim.engine import Simulator, US, MS, check_minimums
 from repro.sim.packet import Packet, PacketType, SnapshotHeader, FlowKey, make_initiation_packet
 from repro.sim.server import SerialServer
-from repro.sim.switch import BROADCAST_DST, Switch, UnitId
+from repro.sim.switch import ASIC_CPU_LATENCY_NS, BROADCAST_DST, Switch, UnitId
 
 
 def uniform_jitter(rng: random.Random, jitter_ns: int) -> Callable[[], int]:
@@ -82,15 +82,23 @@ def uniform_jitter(rng: random.Random, jitter_ns: int) -> Callable[[], int]:
     return draw
 
 
+#: The shape of the OS scheduler's wake-up latency, the "OpenNetworkLinux
+#: scheduling effects" of §8.2: the lognormal body's sigma, the top of the
+#: heavy tail (drawn uniform over its upper two thirds), and the clamp.
+WAKEUP_SIGMA = 0.6
+WAKEUP_TAIL_MAX_NS = 15_000
+WAKEUP_MAX_NS = 50_000
+
+
 def sample_wakeup_ns(rng: random.Random, cfg: ControlPlaneConfig) -> int:
     """The OS scheduler's wake-up latency when an initiation timer
     fires: lognormal around the median, with an occasional heavy tail."""
     if rng.random() < cfg.wakeup_tail_probability:
-        value = rng.uniform(cfg.wakeup_tail_max_ns / 3, cfg.wakeup_tail_max_ns)
+        value = rng.uniform(WAKEUP_TAIL_MAX_NS / 3, WAKEUP_TAIL_MAX_NS)
     else:
         value = rng.lognormvariate(math.log(cfg.wakeup_median_ns),
-                                   cfg.wakeup_sigma)
-    return min(int(value), cfg.wakeup_max_ns)
+                                   WAKEUP_SIGMA)
+    return min(int(value), WAKEUP_MAX_NS)
 
 
 @dataclass
@@ -150,14 +158,11 @@ class ControlPlaneConfig:
     #: Uniform jitter on each injection (±).
     initiation_jitter_ns: int = 100
     #: OS scheduler wake-up latency when the initiation timer fires:
-    #: lognormal(median=wakeup_median_ns, sigma=wakeup_sigma) with an
-    #: occasional heavy tail, clamped at wakeup_max_ns.  These shapes are
-    #: the "OpenNetworkLinux scheduling effects" of §8.2.
+    #: lognormal(median=wakeup_median_ns, sigma=WAKEUP_SIGMA), with
+    #: probability wakeup_tail_probability a heavy tail instead
+    #: (:func:`sample_wakeup_ns`).
     wakeup_median_ns: int = 1_500
-    wakeup_sigma: float = 0.6
     wakeup_tail_probability: float = 0.02
-    wakeup_tail_max_ns: int = 15_000
-    wakeup_max_ns: int = 50_000
     #: Re-send initiations for epochs not locally complete after this.
     reinitiation_timeout_ns: int = 20 * MS
     max_reinitiations: int = 3
@@ -179,16 +184,13 @@ class ControlPlaneConfig:
                 f"ControlPlaneConfig.notification_transport: unknown "
                 f"transport {self.notification_transport!r} (use 'socket' "
                 "or 'digest')")
-        # exp() overflows past 709.8; with sigma <= 75, a draw within 8.5
-        # deviations stays below it for any 64-bit median.
         check_minimums(self, {
             "notification_service_ns": 0, "notification_jitter_ns": 0,
             "buffer_capacity": 1, "digest_batch": 1, "digest_timeout_ns": 0,
             "digest_service_ns": 0, "digest_per_record_ns": 0,
             "initiation_cpu_ns": 0, "initiation_jitter_ns": 0,
-            "wakeup_median_ns": 1, "wakeup_sigma": (0.0, 75.0),
-            "wakeup_tail_probability": (0.0, 1.0), "wakeup_tail_max_ns": 0,
-            "wakeup_max_ns": 0, "reinitiation_timeout_ns": 0,
+            "wakeup_median_ns": 1, "wakeup_tail_probability": (0.0, 1.0),
+            "reinitiation_timeout_ns": 0,
             "max_reinitiations": 0, "probe_delay_ns": 0,
             "register_poll_interval_ns": 0})
 
@@ -504,7 +506,7 @@ class SwitchControlPlane:
         # The message crosses the CPU→ASIC channel, then enters the
         # ingress unit like any packet (Figure 6, path 3).
         # statics: allow[SIM003] models the switch-internal CPU port: the CPU→ASIC channel is inside one switch, not a network link
-        self.sim.schedule_fast(self.switch.config.asic_cpu_latency_ns,
+        self.sim.schedule_fast(ASIC_CPU_LATENCY_NS,
                                self.switch.ports[port].ingress.handle_packet,
                                packet)
 
@@ -565,7 +567,7 @@ class SwitchControlPlane:
                                                 packet_type=PacketType.PROBE)
                 self.probes_sent += 1
                 # statics: allow[SIM003] probes enter via the switch-internal CPU port, same modeled path as initiations
-                self.sim.schedule(self.switch.config.asic_cpu_latency_ns,
+                self.sim.schedule(ASIC_CPU_LATENCY_NS,
                                   port.ingress.handle_packet, probe)
 
     def _periodic_poll(self) -> None:

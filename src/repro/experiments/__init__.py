@@ -58,13 +58,11 @@ FIELD_BOUNDS: dict[str, Any] = {
     "hosts_per_leaf": (1, 256),                  # CampaignSpec
     "poll_read_ns": 0,                           # PollingConfig.per_read_ns
     "host_bw_bps": 1,                            # LinkSpec.bandwidth_bps
-    "mean_fault_duration_ns": 1,                 # IndependentFaults
     # Rates whose period 1e9 / rate is a campaign interval.
     "rate_floor_hz": (1e-9, 1e9), "rate_ceiling_hz": (1e-9, 1e9),
     "burst_gap_ns": 1, "gap_ns": 1, "phase_ns": 1,  # schedule periods
     "ports": 1, "ports_per_router": 1, "ttl": 1, "trials": 1,
     "starvation_period": 1, "search_iterations": 0,
-    "alpha": (0.0, 1.0),                         # a significance level
 }
 
 

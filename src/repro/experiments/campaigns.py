@@ -115,6 +115,10 @@ def make_workload(name: str, network: Network, *, seed: int,
     raise ValueError(f"unknown workload {name!r}")
 
 
+#: Warmup before the first measurement (EWMA registers need traffic).
+WARMUP_NS = 20 * MS
+
+
 @dataclass
 class CampaignSpec:
     """Everything needed to run one measurement campaign."""
@@ -128,8 +132,6 @@ class CampaignSpec:
     hosts_per_leaf: int = 3
     #: Extra time after the last round for snapshot completion.
     settle_ns: int = 60 * MS
-    #: Warmup before the first measurement (EWMA registers need traffic).
-    warmup_ns: int = 20 * MS
     poll_read_ns: int = 425 * US
     #: Whether each switch's control-plane agent polls its ports
     #: concurrently with the others (Figure 9's round-spread calibration)
@@ -141,12 +143,11 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         check_minimums(self, {"rounds": (1, MAX_ROUNDS), "interval_ns": 1,
-                              "hosts_per_leaf": (1, 256), "settle_ns": 0,
-                              "warmup_ns": 0})
+                              "hosts_per_leaf": (1, 256), "settle_ns": 0})
 
     @property
     def duration_ns(self) -> int:
-        return (self.warmup_ns + self.rounds * self.interval_ns +
+        return (WARMUP_NS + self.rounds * self.interval_ns +
                 self.settle_ns + 20 * MS)
 
 
@@ -189,7 +190,7 @@ def snapshot_campaign(spec: CampaignSpec,
     workload.start()
     deployment = deploy(
         network, metric=spec.metric, channel_state=False, max_sid=4095,
-        observer=ObserverConfig(lead_time_ns=spec.warmup_ns))
+        observer=ObserverConfig(lead_time_ns=WARMUP_NS))
     targets = target_fn(network)
     epochs = deployment.schedule_campaign(spec.rounds, spec.interval_ns)
     last_wall = deployment.observer.snapshot(epochs[-1]).requested_wall_ns
@@ -220,7 +221,7 @@ def polling_campaign(spec: CampaignSpec,
         [PollTarget(sw, port, d, spec.metric) for (sw, port, d) in targets],
         PollingConfig(per_read_ns=spec.poll_read_ns, seed=spec.seed + 2,
                       parallel_across_switches=spec.poll_parallel_switches))
-    network.sim.schedule(spec.warmup_ns, poller.run_campaign,
+    network.sim.schedule(WARMUP_NS, poller.run_campaign,
                          spec.rounds, spec.interval_ns)
     network.run(until=spec.duration_ns)
     rounds: list[Round] = []

@@ -92,7 +92,6 @@ class FaultsConfig(ExperimentConfig):
     rate_pps: float = 20_000.0
     hosts_per_leaf: int = 1
     kinds: list[str] = field(default_factory=lambda: list(DEFAULT_KINDS))
-    mean_fault_duration_ns: int = 5 * MS
     #: Serialized :class:`~repro.faults.FaultProfile`
     #: (``profile.to_jsonable()``).  When set, the experiment runs this
     #: single scenario instead of the intensity sweep.
@@ -138,9 +137,7 @@ def scenarios(config: FaultsConfig) -> list[tuple[str, FaultProfile]]:
         profile = FaultProfile.from_jsonable(config.profile)
         return [(f"profile-{profile.spec_type}", profile)]
     return [(f"iid-{intensity:g}",
-             IndependentFaults(intensity=intensity,
-                               kinds=tuple(config.kinds),
-                               mean_duration_ns=config.mean_fault_duration_ns))
+             IndependentFaults(intensity=intensity, kinds=tuple(config.kinds)))
             for intensity in config.intensities]
 
 

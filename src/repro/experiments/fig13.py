@@ -23,16 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.analysis.stats import (CorrelationResult, significant_fraction,
-                                  spearman_matrix)
+from repro.analysis.stats import (ALPHA, CorrelationResult,
+                                  significant_fraction, spearman_matrix)
 from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import (CampaignSpec, Round,
-                                         all_egress_targets,
-                                         polling_campaign, snapshot_campaign)
+                                         all_egress_targets, build_network,
+                                         make_workload, polling_campaign,
+                                         snapshot_campaign)
 from repro.experiments.harness import TextTable, header
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
-from repro.sim.network import Network, NetworkConfig
-from repro.topology import leaf_spine
+from repro.workloads.graphx import GraphXPageRankWorkload
 
 
 @dataclass
@@ -42,8 +42,6 @@ class Fig13Config(ExperimentConfig):
     #: successive rounds sample rotating superstep phases (the paper's
     #: 1 s interval achieves the same de-aliasing at testbed scale).
     interval_ns: int = 9_700_000
-    alpha: float = 0.1
-    master: str = "server0"
 
     @classmethod
     def quick(cls) -> "Fig13Config":
@@ -63,13 +61,13 @@ class Fig13Result:
     # ------------------------------------------------------------------
     def significant_fraction(self, method: str) -> float:
         result = self.snapshots if method == "snapshots" else self.polling
-        return significant_fraction(result, self.config.alpha)
+        return significant_fraction(result)
 
     def extra_pairs_found(self) -> float:
         """How many more significant pairs snapshots find vs polling,
         as a ratio - 1 (the paper's "43% more")."""
-        poll = len(self.polling.significant(self.config.alpha))
-        snap = len(self.snapshots.significant(self.config.alpha))
+        poll = len(self.polling.significant())
+        snap = len(self.snapshots.significant())
         if poll == 0:
             return float("inf") if snap else 0.0
         return snap / poll - 1.0
@@ -78,7 +76,7 @@ class Fig13Result:
         """Significant correlations involving the master's port (ground
         truth: zero)."""
         result = self.snapshots if method == "snapshots" else self.polling
-        return sum(1 for (a, b) in result.significant(self.config.alpha)
+        return sum(1 for (a, b) in result.significant()
                    if self.master_port in (a, b))
 
     def ecmp_pair_status(self, method: str) -> list[str]:
@@ -86,7 +84,7 @@ class Fig13Result:
         result = self.snapshots if method == "snapshots" else self.polling
         out = []
         for a, b in self.uplink_pairs:
-            if result.p_of(a, b) >= self.config.alpha:
+            if result.p_of(a, b) >= ALPHA:
                 out.append("insignificant")
             else:
                 out.append("positive" if result.coefficient(a, b) > 0
@@ -112,7 +110,7 @@ class Fig13Result:
         return "\n".join([
             header("Figure 13 — pairwise port correlations under GraphX",
                    f"{self.config.rounds} rounds, Spearman, "
-                   f"p < {self.config.alpha}"),
+                   f"p < {ALPHA}"),
             table.render(),
             f"snapshots find {extra_str} significant pairs vs polling "
             "(paper: +43%)"])
@@ -180,12 +178,18 @@ def _series_from_rounds(rounds: list[Round]) -> dict[str, list[float]]:
 
 
 def _context(config: Fig13Config) -> tuple[str, list[tuple[str, str]]]:
-    """Master port name and uplink pair names, from the topology."""
-    network = Network(leaf_spine(), NetworkConfig(seed=config.seed))
+    """Master port name and uplink pair names, from the campaign's
+    topology and the master its workload leaves out of the exchanges."""
+    spec = _campaign_spec(config)
+    network = build_network(spec)
+    workload = make_workload(spec.workload, network, seed=spec.seed + 1,
+                             stop_ns=spec.duration_ns)
+    assert isinstance(workload, GraphXPageRankWorkload)
+    master = workload.config.master
     master_leaf = None
     master_port = None
     for leaf in network.switches:
-        port = network.port_map[leaf].get(config.master)
+        port = network.port_map[leaf].get(master)
         if port is not None:
             master_leaf, master_port = leaf, port
             break

@@ -32,6 +32,10 @@ from repro.service.stream import SnapshotStream
 from repro.sim.engine import Simulator, US, check_minimums
 from repro.sim.server import SerialServer
 
+#: Marginal ingest cost per unit record, on top of
+#: ``PipelineConfig.ingest_service_ns`` per epoch.
+INGEST_PER_RECORD_NS = 2 * US
+
 
 @dataclass
 class PipelineConfig:
@@ -46,14 +50,11 @@ class PipelineConfig:
     queue_capacity: int = 64
     #: Serial ingest cost per epoch: encode + index + store bookkeeping.
     ingest_service_ns: int = 120 * US
-    #: Marginal ingest cost per unit record.
-    ingest_per_record_ns: int = 2 * US
 
     def __post_init__(self) -> None:
         # A negative cost would schedule the ingest in the past.
         check_minimums(self, {"retention": 1, "keyframe_interval": 1,
-                              "queue_capacity": 2, "ingest_service_ns": 0,
-                              "ingest_per_record_ns": 0})
+                              "queue_capacity": 2, "ingest_service_ns": 0})
 
 
 class SnapshotPipeline(SerialServer[list]):
@@ -100,7 +101,7 @@ class SnapshotPipeline(SerialServer[list]):
 
     def _begin(self, item: list) -> int:
         return (self.config.ingest_service_ns
-                + self.config.ingest_per_record_ns * item[0].record_count)
+                + INGEST_PER_RECORD_NS * item[0].record_count)
 
     def _ingest_head(self, item: list) -> None:
         snapshot, merged = item

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Optional, Protocol
 
-from repro.sim.engine import Simulator, US, check_minimums
+from repro.sim.engine import Simulator
 from repro.sim.clock import PTPConfig, PTPService
 from repro.sim.channel import Link, LossModel
 from repro.sim.host import Host
@@ -109,8 +109,6 @@ class NetworkConfig:
     seed: int = 0
     switch_config: SwitchConfig = field(default_factory=SwitchConfig)
     ptp_config: PTPConfig = field(default_factory=PTPConfig)
-    mgmt_base_latency_ns: int = 50 * US
-    mgmt_jitter_ns: int = 20 * US
     #: Optional factory producing a loss model per link, e.g. for fault
     #: injection tests: ``lambda spec, rng: BernoulliLoss(0.001, rng)``.
     loss_factory: Optional[Callable[..., LossModel]] = None
@@ -119,9 +117,6 @@ class NetworkConfig:
     lb_factory: Optional[Callable[[int], object]] = None
     #: Record packet traces through snapshot units (consistency checks).
     enable_tracing: bool = False
-
-    def __post_init__(self) -> None:
-        check_minimums(self, {"mgmt_base_latency_ns": 0, "mgmt_jitter_ns": 0})
 
 
 class NetworkScope(Protocol):
@@ -157,9 +152,7 @@ class Network:
         self.rng = random.Random(self.config.seed)
         self.ptp = PTPService(self.sim, self._child_rng("ptp"),
                               self.config.ptp_config)
-        self.mgmt = ManagementPlane(self.sim, self._child_rng("mgmt"),
-                                    self.config.mgmt_base_latency_ns,
-                                    self.config.mgmt_jitter_ns)
+        self.mgmt = ManagementPlane(self.sim, self._child_rng("mgmt"))
         self.switches: dict[str, Switch] = {}
         self.hosts: dict[str, Host] = {}
         self.links: list[Link] = []
@@ -195,10 +188,8 @@ class Network:
         for index, name in enumerate(topo.switches):
             if scope is not None and not scope.owns(name):
                 continue
-            cfg = SwitchConfig(**{**self.config.switch_config.__dict__,
-                                  "num_ports": topo.degree(name),
-                                  "enable_tracing": self.config.enable_tracing})
-            self.switches[name] = Switch(self.sim, name, cfg,
+            self.switches[name] = Switch(self.sim, name, topo.degree(name),
+                                         self.config.switch_config,
                                          lb=lb_factory(index))
             self.ptp.attach(name)
         for name in topo.hosts:

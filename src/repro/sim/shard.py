@@ -260,9 +260,6 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # Coordinator protocol
     # ------------------------------------------------------------------
-    def next_time(self) -> Optional[int]:
-        return self.sim.peek_time()
-
     def run_horizon(self, horizon: int) -> int:
         if self._busy_clock is None:
             return self.sim.run_horizon(horizon)
@@ -305,19 +302,10 @@ class ShardWorker:
             else:
                 sim.inject_at(at, self.mailboxes[key], payload)
 
-    def step(self, horizon: int, items: Iterable[TransportItem]
-             ) -> tuple[list[TransportItem], Optional[int]]:
-        """One round: inject, run to ``horizon``, drain; -> (batch, next)."""
-        self.inject(items)
-        self.run_horizon(horizon)
-        return self.drain(), self.next_time()
-
-    def finish_run(self, until: int, items: Iterable[TransportItem]
-                   ) -> tuple[Any, Optional[int]]:
-        """The finish pass: inject, run to ``until``; -> (finish(), next)."""
-        self.inject(items)
+    def finish_run(self, until: int) -> Any:
+        """The finish pass: run to ``until``; -> ``finish()``."""
         self.network.run(until=until)
-        return self._finish(), self.next_time()
+        return self._finish()
 
 
 # ----------------------------------------------------------------------
@@ -351,21 +339,6 @@ def _route(items: list[TransportItem],
     for group in per.values():
         group.sort(key=_merge_key)
     return per
-
-
-def _effective_min(next_times: Sequence[Optional[int]],
-                   pending: Mapping[int, list[TransportItem]]) -> Optional[int]:
-    """Earliest pending event across all shards, counting routed-but-not-
-    yet-injected items at their delivery times."""
-    best: Optional[int] = None
-    for shard_id, t in enumerate(next_times):
-        for item in pending.get(shard_id, ()):
-            at = item[2]
-            if t is None or at < t:
-                t = at
-        if t is not None and (best is None or t < best):
-            best = t
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -406,37 +379,34 @@ class ShardRunner:
                 self._mailbox_homes[name] = shard_id
         self.rounds = 0
 
-    def _call(self, method: str, arg: int,
-              pending: dict[int, list[TransportItem]]) -> list[Any]:
-        """``method(arg, items)`` on every worker, in ``order``; the
-        replies in shard order."""
-        replies: list[Any] = [None] * len(self.workers)
-        for shard_id in self._order:
-            replies[shard_id] = getattr(self.workers[shard_id], method)(
-                arg, pending.pop(shard_id, []))
-        return replies
-
     def run(self, until: int) -> list[Any]:
         """Run every shard to ``until``; returns the per-shard ``finish``
         results in shard order."""
-        pending: dict[int, list[TransportItem]] = {}
-        # Re-read each time: the caller may have scheduled into a worker.
-        next_times = [w.next_time() for w in self.workers]
+        workers = [self.workers[shard_id] for shard_id in self._order]
         while self.plan.num_shards > 1:
-            min_next = _effective_min(next_times, pending)
-            if min_next is None or min_next > until:
+            # Routed items are already injected, so each shard's next
+            # event counts them; read afresh, it also sees whatever the
+            # caller scheduled into a worker between runs.
+            first = min((t for w in self.workers
+                         if (t := w.sim.peek_time()) is not None),
+                        default=None)
+            if first is None or first > until:
                 break
-            horizon = min(min_next + self.plan.lookahead_ns, until + 1)
+            horizon = min(first + self.plan.lookahead_ns, until + 1)
             outbound: list[TransportItem] = []
-            for shard_id, (drained, next_time) in enumerate(
-                    self._call("step", horizon, pending)):
-                next_times[shard_id] = next_time
-                outbound.extend(drained)
-            pending = _route(outbound, self._link_shards,
-                             self._mailbox_homes)
+            for worker in workers:
+                worker.run_horizon(horizon)
+                outbound.extend(worker.drain())
+            # Each shard's batch goes in as soon as it is routed: items
+            # lie at or past the horizon, so none lands in a shard's past.
+            routed = _route(outbound, self._link_shards, self._mailbox_homes)
+            for shard_id, items in routed.items():
+                self.workers[shard_id].inject(items)
             self.rounds += 1
-        return [result for result, _next
-                in self._call("finish_run", until, pending)]
+        results: list[Any] = [None] * len(self.workers)
+        for shard_id in self._order:
+            results[shard_id] = self.workers[shard_id].finish_run(until)
+        return results
 
 
 # bench/ constructs this name and spans vars(InProcessShardRunner)["run"].

@@ -212,20 +212,20 @@ class CounterLike(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
+#: Constant ingress pipeline latency (parse + match-action stages).
+INGRESS_LATENCY_NS = 300
+#: Latency of the internal fabric between ingress and egress units.
+FABRIC_LATENCY_NS = 400
+#: Latency of the ASIC→CPU notification path (PCIe DMA + raw socket).
+ASIC_CPU_LATENCY_NS = 4 * US
+#: The combined ingress→fabric hop, what a forwarded packet waits.
+_INGRESS_FABRIC_NS = INGRESS_LATENCY_NS + FABRIC_LATENCY_NS
+
+
 @dataclass
 class SwitchConfig:
     """Static configuration of a switch."""
 
-    #: Number of front-panel ports.
-    num_ports: int = 16
-    #: Constant ingress pipeline latency (parse + match-action stages).
-    ingress_latency_ns: int = 300
-    #: Constant egress pipeline latency.
-    egress_latency_ns: int = 300
-    #: Latency of the internal fabric between ingress and egress units.
-    fabric_latency_ns: int = 400
-    #: Latency of the ASIC→CPU notification path (PCIe DMA + raw socket).
-    asic_cpu_latency_ns: int = 4 * US
     #: Number of class-of-service lanes per egress (strict priority,
     #: higher class first).  Each (ingress, egress, class) triple is its
     #: own FIFO logical channel in the snapshot system model (§4.1).
@@ -234,17 +234,12 @@ class SwitchConfig:
     #: models an unbounded buffer.  Drops are one of the non-idealities
     #: the snapshot protocol explicitly tolerates (§4.2, §6).
     queue_capacity_packets: Optional[int] = None
-    #: Record per-packet traces through snapshot units (memory-hungry;
-    #: enabled by consistency tests, off for the big experiments).
-    enable_tracing: bool = False
 
     def __post_init__(self) -> None:
-        # At most Tofino 2's 256 ports, and 802.1p's eight classes.
+        # At most 802.1p's eight classes.
         check_minimums(self, {
-            "num_ports": (0, 256), "ingress_latency_ns": 0,
-            "egress_latency_ns": 0, "fabric_latency_ns": 0,
-            "asic_cpu_latency_ns": 0, "num_cos": (1, 8),
-            "queue_capacity_packets": 1}, optional=("queue_capacity_packets",))
+            "num_cos": (1, 8), "queue_capacity_packets": 1},
+            optional=("queue_capacity_packets",))
 
 
 class _EgressQueue:
@@ -506,7 +501,7 @@ class IngressUnit(_ProcessingUnit):
             # (Figure 6, path 3) and is dropped there after processing.
             # A disabled unit should never see one; drop defensively.
             if agent is not None:
-                sw.sim.schedule_fast(sw._ingress_fabric_ns,
+                sw.sim.schedule_fast(_INGRESS_FABRIC_NS,
                                      sw._to_egress[self.port_index],
                                      packet, self.port_index)
             return
@@ -534,7 +529,7 @@ class IngressUnit(_ProcessingUnit):
 
         dst = packet.flow.dst
         if dst == BROADCAST_DST:
-            self._flood(packet, sw.config.ingress_latency_ns)
+            self._flood(packet, INGRESS_LATENCY_NS)
             return
 
         # Forwarding lookup: a tagged packet tries the staged rules
@@ -556,7 +551,7 @@ class IngressUnit(_ProcessingUnit):
             sw.last_matched_version[self.port_index] = sw.route_version[dst]
             out_port = (candidates[0] if len(candidates) == 1
                         else sw.lb.select(candidates, packet, now))
-        sw.sim.schedule_fast(sw._ingress_fabric_ns, sw._to_egress[out_port],
+        sw.sim.schedule_fast(_INGRESS_FABRIC_NS, sw._to_egress[out_port],
                              packet, self.port_index)
 
     def _flood(self, packet: Packet, delay: int) -> None:
@@ -576,7 +571,7 @@ class IngressUnit(_ProcessingUnit):
                           cos=packet.cos, payload=ttl)
             if packet.snapshot is not None:
                 copy.snapshot = packet.snapshot.copy()
-            sw.sim.schedule_fast(delay + sw.config.fabric_latency_ns,
+            sw.sim.schedule_fast(delay + FABRIC_LATENCY_NS,
                                  sw._to_egress[out_port],
                                  copy, self.port_index)
 
@@ -708,26 +703,24 @@ class Switch:
     Forwarding is destination-based: :attr:`routes` maps a destination
     host name to the list of candidate egress ports (the ECMP group), and
     the attached :class:`LoadBalancer` picks one per packet.  Routes are
-    installed by :class:`repro.sim.network.Network` from the topology.
+    installed by :class:`repro.sim.network.Network` from the topology,
+    as is ``num_ports``, the switch's degree there.
     """
 
-    def __init__(self, sim: Simulator, name: str,
+    def __init__(self, sim: Simulator, name: str, num_ports: int,
                  config: Optional[SwitchConfig] = None,
                  lb: Optional[LoadBalancer] = None) -> None:
         self.sim = sim
         self.name = name
         self.config = config or SwitchConfig()
-        #: Hot-path precomputations from the (static) config: the
-        #: combined ingress→fabric hop latency and the single-CoS flag
-        #: that collapses lane/channel arithmetic.
-        self._ingress_fabric_ns = (self.config.ingress_latency_ns
-                                   + self.config.fabric_latency_ns)
+        #: Hot-path precomputation from the (static) config: the
+        #: single-CoS flag that collapses lane/channel arithmetic.
         self._single_cos = self.config.num_cos == 1
         #: Flow source of this switch's own CPU-injected liveness probes
         #: (see ``SwitchControlPlane.inject_probes``); used to tell a
         #: locally injected probe from one that crossed the wire.
         self._cpu_src = f"{name}-cpu"
-        self.ports: list[Port] = [Port(self, i) for i in range(self.config.num_ports)]
+        self.ports: list[Port] = [Port(self, i) for i in range(num_ports)]
         #: Pre-bound egress handlers by port, what ingress units schedule.
         self._to_egress = [port.egress.handle_packet for port in self.ports]
         self.routes: dict[str, list[int]] = {}
@@ -753,7 +746,7 @@ class Switch:
         #: count from a common origin.
         self.fib_generation = 0
         self.route_version: dict[str, int] = {}
-        self.last_matched_version: list[int] = [0] * self.config.num_ports
+        self.last_matched_version: list[int] = [0] * num_ports
         #: Atomic table flips applied via :meth:`apply_route_swap`.
         self.route_swaps = 0
         #: Two-phase-update staging: rule tag -> dst -> candidate ports.
@@ -961,7 +954,7 @@ class Switch:
         """Ship a notification over the ASIC→CPU channel."""
         if self.notification_sink is None:
             return
-        self.sim.schedule_fast(self.config.asic_cpu_latency_ns,
+        self.sim.schedule_fast(ASIC_CPU_LATENCY_NS,
                                self.notification_sink, notification)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

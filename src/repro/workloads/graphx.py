@@ -13,7 +13,7 @@ Figure 13 analysis, and all three are modelled explicitly:
   together — and these fluctuations are **common across workers**
   (they are phases of one distributed computation).  We model this with
   a shared piecewise-constant intensity process ``I(t)`` (resampled
-  every ``modulation_period_ns``) that scales every sender's packet gap.
+  every ``MODULATION_PERIOD_NS``) that scales every sender's packet gap.
   Simultaneous measurements of two ports see the same ``I(t)`` and are
   therefore positively correlated; measurements a few hundred µs apart
   see independent draws — exactly the signal snapshots preserve and
@@ -36,42 +36,39 @@ from typing import Optional
 from repro.sim.engine import MS, US, check_minimums
 from repro.workloads.base import Workload, WorkloadConfig
 
+#: Iteration period of the bulk-synchronous loop.
+ITERATION_NS = 10 * MS
+#: Straggler jitter on each worker's wave start.
+MAX_JITTER_NS = 300_000
+#: The shared intensity process: resample period and lognormal sigma.
+#: All senders share each draw, so port rates co-move within a wave.
+MODULATION_PERIOD_NS = 300 * US
+INTENSITY_SIGMA = 0.6
+#: Size of the master's control messages (task scheduling RPCs).
+CONTROL_SIZE_BYTES = 200
+#: Size of a background chatter packet.
+CHATTER_SIZE_BYTES = 150
+
 
 @dataclass
 class GraphXConfig(WorkloadConfig):
     #: The driver host (excluded from bulk exchanges).
     master: str = "server0"
-    #: Iteration period of the bulk-synchronous loop.
-    iteration_ns: int = 10 * MS
-    #: Straggler jitter on each worker's wave start.
-    max_jitter_ns: int = 300_000
     #: Rank-update packets per worker->worker stream per iteration.
     burst_packets: int = 180
     #: Base packet gap within a stream (scaled by the intensity process);
     #: 40 µs x 180 packets ≈ a 7 ms exchange window per 10 ms iteration.
     burst_gap_ns: int = 40 * US
-    #: The shared intensity process: resample period and lognormal sigma.
-    #: All senders share each draw, so port rates co-move within a wave.
-    modulation_period_ns: int = 300 * US
-    intensity_sigma: float = 0.6
     size_bytes: int = 1200
-    #: Size of the master's control messages (task scheduling RPCs).
-    control_size_bytes: int = 200
     #: Background chatter rate per host pair (packets/second): shuffle
     #: ACKs, block-manager heartbeats, executor liveness.
     chatter_pps: float = 300.0
-    chatter_size_bytes: int = 150
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        # A zero period would loop at one instant; a lognormal sigma past
-        # 75 can overflow its float draw (ControlPlaneConfig).
         check_minimums(self, {
-            "iteration_ns": 1, "max_jitter_ns": 0, "burst_packets": 0,
-            "burst_gap_ns": 0, "modulation_period_ns": 1,
-            "intensity_sigma": (0.0, 75.0), "size_bytes": 1,
-            "control_size_bytes": 1, "chatter_pps": 0.0,
-            "chatter_size_bytes": 1})
+            "burst_packets": 0, "burst_gap_ns": 0, "size_bytes": 1,
+            "chatter_pps": 0.0})
         # 0 switches the chatter off; below PoissonConfig's rate floor the
         # mean gap 1e9 / chatter_pps overflows to inf.
         if 0 < self.chatter_pps < 1e-9:
@@ -102,8 +99,7 @@ class GraphXPageRankWorkload(Workload):
                     if src != dst:
                         self.sim.schedule(self.exp_delay(mean_gap),
                                           self._chatter, src, dst, mean_gap)
-        if self.config.intensity_sigma > 0:
-            self._modulate()
+        self._modulate()
         self._iteration()
 
     # ------------------------------------------------------------------
@@ -113,7 +109,7 @@ class GraphXPageRankWorkload(Workload):
         if not self.active:
             return
         self.emit(src, dst, sport=self.next_sport(), dport=7078,
-                  size_bytes=self.config.chatter_size_bytes)
+                  size_bytes=CHATTER_SIZE_BYTES)
         self.sim.schedule(self.exp_delay(mean_gap), self._chatter,
                           src, dst, mean_gap)
 
@@ -121,9 +117,8 @@ class GraphXPageRankWorkload(Workload):
         """Resample the shared intensity factor (one draw for everyone)."""
         if not self.active:
             return
-        self._intensity = self.rng.lognormvariate(0.0,
-                                                  self.config.intensity_sigma)
-        self.sim.schedule(self.config.modulation_period_ns, self._modulate)
+        self._intensity = self.rng.lognormvariate(0.0, INTENSITY_SIGMA)
+        self.sim.schedule(MODULATION_PERIOD_NS, self._modulate)
 
     def _current_gap_ns(self) -> int:
         return max(1, int(self.config.burst_gap_ns * self._intensity))
@@ -137,13 +132,13 @@ class GraphXPageRankWorkload(Workload):
         self.iterations_run += 1
         workers = self.workers
         for src in workers:
-            jitter = self.rng.randint(0, self.config.max_jitter_ns)
+            jitter = self.rng.randint(0, MAX_JITTER_NS)
             self.sim.schedule(jitter, self._worker_wave, src, workers)
         # The master sends only small control messages, one per worker.
         for dst in workers:
             self.emit(self.config.master, dst, sport=self.next_sport(),
-                      dport=7077, size_bytes=self.config.control_size_bytes)
-        self.sim.schedule(self.config.iteration_ns, self._iteration)
+                      dport=7077, size_bytes=CONTROL_SIZE_BYTES)
+        self.sim.schedule(ITERATION_NS, self._iteration)
 
     def _worker_wave(self, src: str, workers: list[str]) -> None:
         if not self.active:

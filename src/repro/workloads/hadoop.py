@@ -24,11 +24,13 @@ from typing import Optional
 from repro.sim.engine import MS, US, check_minimums
 from repro.workloads.base import Workload, WorkloadConfig
 
+#: Map and reduce tasks of the job; every mapper sends to every reducer.
+NUM_MAPPERS = 10
+NUM_REDUCERS = 8
+
 
 @dataclass
 class HadoopConfig(WorkloadConfig):
-    num_mappers: int = 10
-    num_reducers: int = 8
     #: Mean burst length of a shuffle wave.
     mean_burst_ns: int = 2 * MS
     #: Mean pause between waves of one mapper→reducer transfer.
@@ -40,10 +42,7 @@ class HadoopConfig(WorkloadConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        # Every mapper-to-reducer transfer is listed and scheduled at the
-        # start, ~380 bytes each: 1 600 x 1 600 of them hold ~1 GB.
         check_minimums(self, {
-            "num_mappers": (0, 1600), "num_reducers": (0, 1600),
             "mean_burst_ns": 1, "mean_pause_ns": 1, "burst_gap_ns": 0,
             "size_bytes": 1})
 
@@ -58,8 +57,8 @@ class HadoopTerasortWorkload(Workload):
 
     def _assign_tasks(self) -> None:
         hosts = self.hosts
-        mappers = [hosts[i % len(hosts)] for i in range(self.config.num_mappers)]
-        reducers = [hosts[(i + 1) % len(hosts)] for i in range(self.config.num_reducers)]
+        mappers = [hosts[i % len(hosts)] for i in range(NUM_MAPPERS)]
+        reducers = [hosts[(i + 1) % len(hosts)] for i in range(NUM_REDUCERS)]
         self.transfers = []
         for m in mappers:
             for r in reducers:

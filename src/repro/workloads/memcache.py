@@ -25,6 +25,11 @@ from typing import Optional
 from repro.sim.engine import US, check_minimums
 from repro.workloads.base import Workload, WorkloadConfig
 
+#: Size of one multi-get request packet.
+REQUEST_SIZE_BYTES = 120
+#: Server-side lookup time before the response leaves.
+SERVER_THINK_NS = 2 * US
+
 
 @dataclass
 class MemcacheConfig(WorkloadConfig):
@@ -34,10 +39,7 @@ class MemcacheConfig(WorkloadConfig):
     keys_per_multiget: int = 50
     #: Mean gap between multi-gets per client (closed-ish loop).
     mean_request_gap_ns: int = 40 * US
-    request_size_bytes: int = 120
     value_size_bytes: int = 400
-    #: Server-side lookup time before the response leaves.
-    server_think_ns: int = 2 * US
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -45,8 +47,7 @@ class MemcacheConfig(WorkloadConfig):
         # ten keys, in one event, ~300 bytes each: 2**25 keys hold ~1 GB.
         check_minimums(self, {
             "keys_per_multiget": (1, 1 << 25), "mean_request_gap_ns": 1,
-            "request_size_bytes": 1, "value_size_bytes": 1,
-            "server_think_ns": 0})
+            "value_size_bytes": 1})
 
 
 class MemcacheWorkload(Workload):
@@ -87,10 +88,10 @@ class MemcacheWorkload(Workload):
         for server in servers:
             sport = self.next_sport()
             self.emit(client, server, sport=sport, dport=11211,
-                      size_bytes=self.config.request_size_bytes)
+                      size_bytes=REQUEST_SIZE_BYTES)
             # Response: value payloads, sent after a tiny lookup delay.
             responses = max(1, keys_per_server // 10)
-            self.sim.schedule(self.config.server_think_ns,
+            self.sim.schedule(SERVER_THINK_NS,
                               self._respond, server, client, sport, responses)
         self.sim.schedule(self.exp_delay(self.config.mean_request_gap_ns),
                           self._multiget, client)

@@ -11,7 +11,9 @@ from repro.experiments.ablations import (IdealVsSpeedlightConfig,
                                          run_ideal_vs_speedlight,
                                          run_initiation_strategies,
                                          run_notification_transports)
+from repro.experiments.campaigns import build_network
 from repro.experiments.harness import TextTable
+from repro.workloads.graphx import GraphXPageRankWorkload
 
 
 class TestHarness:
@@ -116,6 +118,18 @@ class TestFig13:
         assert result.master_significant("snapshots") <= 1
         assert result.ecmp_pair_status("snapshots").count("positive") >= 1
         assert "Figure 13" in result.report()
+
+    def test_the_audited_master_is_the_workloads(self):
+        """The master port whose correlations fig13 counts is the access
+        port of the one host GraphX leaves out of its exchanges."""
+        config = fig13.Fig13Config.quick()
+        master_port, _pairs = fig13._context(config)
+        network = build_network(fig13._campaign_spec(config))
+        workload = GraphXPageRankWorkload(network)
+        (master,) = set(workload.hosts) - set(workload.workers)
+        (leaf,) = [name for name in network.switches
+                   if master in network.port_map[name]]
+        assert master_port == f"{leaf}:{network.port_map[leaf][master]}"
 
 
 class TestMotivation:

@@ -61,8 +61,7 @@ class TestBackpressure:
             config=PipelineConfig(
                 retention=256, keyframe_interval=8,
                 queue_capacity=capacity,
-                ingest_service_ns=5 * MS,  # cadence is 1 ms: must coalesce
-                ingest_per_record_ns=2 * US))
+                ingest_service_ns=5 * MS))  # cadence is 1 ms: must coalesce
         campaign = ContinuousCampaign(network.sim, deployment.observer,
                                       interval_ns=1 * MS)
         campaign.start(max_ticks=ticks)
@@ -116,8 +115,7 @@ class TestBackpressure:
             PipelineConfig(queue_capacity=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("ingest_service_ns", -1), ("ingest_per_record_ns", -1),
-        ("retention", 0), ("keyframe_interval", 0), ("queue_capacity", 1)])
+        ("ingest_service_ns", -1), ("retention", 0), ("keyframe_interval", 0), ("queue_capacity", 1)])
     def test_config_refuses_each_field_below_its_minimum(self, field, value):
         # A negative ingest cost used to schedule the ingest in the past.
         with pytest.raises(ValueError, match=f"PipelineConfig.{field} "):

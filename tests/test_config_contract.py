@@ -1,4 +1,5 @@
-"""Every config refuses an impossible value by name, or runs with it.
+"""Every config refuses an impossible value by name, or runs with it;
+and every field of every config is read somewhere in ``src``.
 
 The configs and specs are found by introspection, not from a list: every
 dataclass defined under ``repro`` whose name ends in ``Config``, ``Spec``
@@ -26,10 +27,20 @@ Each example draws one bad value for every field of every class.
 Hypothesis tries the simplest draw, every field at 0, first; tier-1 runs
 three examples, and ``make config-fuzz-deep`` a thousand
 (``REPRO_CONFIG_FUZZ_EXAMPLES``), which covers every (field, value) pair.
+
+A field nothing reads is a knob that does nothing.  The reader check
+parses ``src`` and types each attribute read's receiver from the
+annotations in reach (parameters, class fields, ``self.x = ...``
+assignments, constructor calls); a field counts as read when a read of
+its name has a receiver of its class (or a related one), or an
+unresolved receiver, or when an instance of its class is passed whole
+to ``asdict``/``replace``.  Its declaration, its bounds table and its
+own ``__post_init__`` are not readers.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import importlib
@@ -42,6 +53,7 @@ import types
 import typing
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Optional, Union
 from unittest import mock
 
@@ -360,7 +372,6 @@ def test_a_bad_field_is_refused_by_name_or_runs(draw):
 @pytest.mark.parametrize("cls, field, value", [
     # Each was accepted, then failed inside the simulator or ran silently.
     (ObserverConfig, "retry_timeout_ns", math.inf),  # OverflowError in run
-    (ControlPlaneConfig, "wakeup_sigma", math.inf),  # OverflowError in run
     (ObserverConfig, "lead_time_ns", math.nan),  # unnamed ValueError in run
     (MemcacheConfig, "mean_request_gap_ns", 0),  # ZeroDivisionError
     (ControlPlaneConfig, "notification_service_ns", 1.5),  # TypeError: read_ns
@@ -396,3 +407,179 @@ def test_a_whole_float_is_the_integer_it_equals(cls, field, value):
     if cls is ControlPlaneConfig:
         with _guarded():
             _rig(control_plane=config)
+
+
+# ----------------------------------------------------------------------
+# Every field has a reader
+# ----------------------------------------------------------------------
+#: Calls that read every field of their first argument.
+_WHOLE = {"asdict", "replace"}
+
+
+def _hint(node: Optional[ast.expr]) -> Optional[str]:
+    """The class an annotation names, unwrapping ``Optional``/``| None``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Subscript) and _hint(node.value) == "Optional":
+        return _hint(node.slice)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        for side in (node.left, node.right):
+            if not (isinstance(side, ast.Constant) and side.value is None):
+                return _hint(side)
+    return None
+
+
+def _params(fn: ast.FunctionDef, owner: Optional[str]) -> dict[str, str]:
+    """Parameter name -> annotated class; an unannotated first parameter
+    of a method is the owner."""
+    args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    env = {arg.arg: hint for arg in args
+           if (hint := _hint(arg.annotation)) is not None}
+    if owner and args and args[0].annotation is None:
+        env[args[0].arg] = owner
+    return env
+
+
+class _Types:
+    """Class name -> bases and typed attributes, over every module."""
+
+    def __init__(self, trees: list[ast.Module]) -> None:
+        self.bases: dict[str, set[Optional[str]]] = {}
+        self.attrs: dict[str, dict[str, str]] = {}
+        classes = [node for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)]
+        for cls in classes:
+            self.bases.setdefault(cls.name, set()).update(
+                _hint(base) for base in cls.bases)
+            attrs = self.attrs.setdefault(cls.name, {})
+            for item in cls.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and (hint := _hint(item.annotation))):
+                    attrs[item.target.id] = hint
+                elif (isinstance(item, ast.FunctionDef)
+                      and (hint := _hint(item.returns))):
+                    attrs[item.name] = hint  # a property or method
+        for cls in classes:  # ``self.x = ...`` in the methods
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                env = _params(fn, cls.name)
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.AnnAssign):
+                        target, hint = node.target, _hint(node.annotation)
+                    elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                        target, hint = node.targets[0], self.of(node.value, env)
+                    else:
+                        continue
+                    if (hint and isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"):
+                        self.attrs[cls.name].setdefault(target.attr, hint)
+
+    def lineage(self, name: Optional[str]) -> list[str]:
+        """``name`` and its bases, transitively."""
+        seen: list[str] = []
+        stack = [name]
+        while stack:
+            current = stack.pop()
+            if current and current not in seen:
+                seen.append(current)
+                stack += self.bases.get(current, ())
+        return seen
+
+    def of(self, node: Optional[ast.expr], env: dict[str, str]
+           ) -> Optional[str]:
+        """The class an expression evaluates to, where it is plain."""
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        if isinstance(node, (ast.Attribute, ast.Call)):
+            if isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Name):
+                    return node.func.id if node.func.id in self.bases else None
+                node = node.func
+            if isinstance(node, ast.Attribute):
+                owner = self.of(node.value, env)
+                for name in self.lineage(owner):
+                    if node.attr in self.attrs.get(name, {}):
+                        return self.attrs[name][node.attr]
+        if isinstance(node, ast.BoolOp):
+            return next(filter(None, (self.of(v, env) for v in node.values)),
+                        None)
+        if isinstance(node, ast.IfExp):
+            return self.of(node.body, env) or self.of(node.orelse, env)
+        return None
+
+
+def _reads() -> tuple[_Types, set[tuple[Optional[str], str]]]:
+    """(receiver class or None, attribute name) of every read in
+    ``src``; the name ``*`` for a call that reads every field."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(repro.__file__).parent.rglob("*.py"))]
+    types_ = _Types(trees)
+    found: set[tuple[Optional[str], str]] = set()
+
+    def visit(node: ast.AST, env: dict[str, str], owner: Optional[str],
+              checking: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, {}, child.name, False)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                # A class's own __post_init__ checks its fields; it is
+                # not a reader.
+                visit(child, {**env, **_params(child, owner)}, None,
+                      bool(owner) and child.name == "__post_init__")
+                continue
+            if (isinstance(child, ast.Assign) and len(child.targets) == 1
+                    and isinstance(child.targets[0], ast.Name)
+                    and (hint := types_.of(child.value, env))):
+                env[child.targets[0].id] = hint
+            receiver: Optional[ast.expr] = None
+            name: Optional[str] = None
+            if (isinstance(child, ast.Attribute)
+                    and not isinstance(child.ctx, ast.Store)):
+                receiver, name = child.value, child.attr
+            elif isinstance(child, ast.Call) and child.args:
+                called = getattr(child.func, "id",
+                                 getattr(child.func, "attr", None))
+                if called in _WHOLE:
+                    receiver, name = child.args[0], "*"
+                elif (called == "getattr" and len(child.args) > 1
+                      and isinstance(child.args[1], ast.Constant)):
+                    receiver, name = child.args[0], child.args[1].value
+            if name is not None and not (
+                    checking and isinstance(receiver, ast.Name)
+                    and receiver.id == "self"):
+                found.add((types_.of(receiver, env), name))
+            visit(child, env, owner, checking)
+
+    for tree in trees:
+        visit(tree, {}, None, False)
+    return types_, found
+
+
+def test_every_field_is_read_in_src():
+    """A field no code reads is a knob that does nothing (the old
+    ``SwitchConfig.egress_latency_ns``, read nowhere, and
+    ``SwitchConfig.enable_tracing``, set by ``Network`` and read by
+    nothing).  A calibration no caller changes is a module constant."""
+    types_, found = _reads()
+    unread = []
+    for cls in CLASSES:
+        related = set(types_.lineage(cls.__name__)) | {
+            name for name in types_.bases
+            if cls.__name__ in types_.lineage(name)}
+        declared = cls.__dict__.get("__annotations__", {})
+        for f in dataclasses.fields(cls):
+            if f.name in declared and not any(
+                    receiver in related if name == "*" else (
+                        name == f.name
+                        and (receiver is None or receiver in related))
+                    for receiver, name in found):
+                unread.append(f"{cls.__name__}.{f.name}")
+    assert unread == []

@@ -89,11 +89,11 @@ class TestHadoop:
 
     def test_mapper_reducer_counts(self):
         net = _net()
-        wl = HadoopTerasortWorkload(net, HadoopConfig(
-            stop_ns=50 * MS, num_mappers=10, num_reducers=8))
+        wl = HadoopTerasortWorkload(net, HadoopConfig(stop_ns=50 * MS))
         wl.start()
         net.run(until=10 * MS)
-        # 10x8 pairs minus same-host collisions.
+        # hadoop.NUM_MAPPERS x NUM_REDUCERS = 10x8 pairs minus same-host
+        # collisions.
         assert 60 <= len(wl.transfers) <= 80
 
     def test_generates_shuffle_traffic(self):
@@ -122,8 +122,8 @@ class TestGraphX:
 
     def test_iterations_advance(self):
         net = _net()
-        wl = GraphXPageRankWorkload(net, GraphXConfig(
-            stop_ns=55 * MS, iteration_ns=10 * MS))
+        # One iteration per 10 ms (graphx.ITERATION_NS).
+        wl = GraphXPageRankWorkload(net, GraphXConfig(stop_ns=55 * MS))
         wl.start()
         net.run(until=100 * MS)
         assert 4 <= wl.iterations_run <= 7
