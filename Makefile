@@ -9,7 +9,7 @@ PROFILE_EXP ?= fig10
 .PHONY: install test lint statics typecheck static-checks \
         bench bench-smoke bench-experiments fused-diff-deep jobs-diff-deep \
         matrix-deep store-diff-deep draw-diff-deep intake-diff-deep \
-        config-fuzz-deep \
+        config-fuzz-deep route-diff-deep \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -134,6 +134,18 @@ intake-diff-deep:
 config-fuzz-deep:
 	REPRO_CONFIG_FUZZ_EXAMPLES=1000 $(PYTHON) -m pytest -q \
 	    tests/test_config_contract.py
+
+# The set-up path's differentials at two thousand drawn switch graphs
+# (single- and multi-homed hosts) each instead of the tier-1 smoke's
+# sixty: the gateway tables, the per-switch listing and the loaded FIB
+# against the pairwise networkx oracles
+# (tests/topology/test_route_table.py), and partition_topology against
+# the re-sorting body it replaced at 1-4 shards (tests/sim/test_shard.py;
+# ~25 s).
+route-diff-deep:
+	REPRO_ROUTE_DIFF_EXAMPLES=2000 $(PYTHON) -m pytest -q \
+	    tests/topology/test_route_table.py tests/sim/test_shard.py \
+	    -k "test_drawn_graphs_match"
 
 # The --jobs 1 vs --jobs N comparison (tests/runtime/test_runner.py,
 # tier-1: two tiny trials per experiment) over the whole quick suite:

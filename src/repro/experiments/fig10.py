@@ -43,6 +43,10 @@ class Fig10Config(ExperimentConfig):
     rate_floor_hz: float = 10.0
     rate_ceiling_hz: float = 20_000.0
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_rate_range(self)
+
     @classmethod
     def quick(cls) -> "Fig10Config":
         return cls(port_counts=[4, 16, 64], burst=25, search_iterations=7)
@@ -141,6 +145,17 @@ def _sustained(ports: int, rate_hz: float, config: Fig10Config,
     return cp.channel.max_backlog <= 2.5 * per_snapshot
 
 
+def _check_rate_range(config: Union[Fig10Config, AggKneeConfig]) -> None:
+    """A knee search runs from its floor up to its ceiling: refuse a
+    floor above the ceiling, which :func:`_knee` would answer with the
+    ceiling, a rate below the floor or a search of an inverted interval."""
+    if config.rate_floor_hz > config.rate_ceiling_hz:
+        name = type(config).__name__
+        raise ValueError(
+            f"{name}.rate_floor_hz must be <= {name}.rate_ceiling_hz "
+            f"({config.rate_ceiling_hz!r}), got {config.rate_floor_hz!r}")
+
+
 def _knee(sustained: Callable[[float], bool],
           config: Union[Fig10Config, AggKneeConfig]) -> float:
     """The highest rate ``sustained`` holds at, by geometric search
@@ -184,6 +199,10 @@ class AggKneeConfig(ExperimentConfig):
     search_iterations: int = 7
     rate_floor_hz: float = 0.5
     rate_ceiling_hz: float = 5_000.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_rate_range(self)
 
     @classmethod
     def quick(cls) -> "AggKneeConfig":

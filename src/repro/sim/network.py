@@ -51,41 +51,33 @@ def partition_topology(topology: Topology, num_shards: int) -> dict[str, int]:
         raise ValueError(
             f"cannot split {len(switches)} switches into {num_shards} shards")
     assignment: dict[str, int] = {}
-
-    def switch_degree(name: str) -> int:
-        return sum(1 for n in topology.neighbors(name)
-                   if topology.kind(n) is NodeKind.SWITCH)
-
+    fabric = {name: [n for n in topology.neighbors(name)
+                     if topology.kind(n) is NodeKind.SWITCH]
+              for name in switches}
+    # Seeds in order: highest switch-degree, name as tie-break (the sort
+    # is stable over sorted names).
+    seeds = sorted(switches, key=lambda name: -len(fabric[name]))
     remaining = set(switches)
     base, extra = divmod(len(switches), num_shards)
     for shard in range(num_shards):
         target = base + (1 if shard < extra else 0)
-        region: list[str] = []
-        while len(region) < target:
-            if not region:
-                # Seed: highest switch-degree, name as tie-break.
-                seed = max(sorted(remaining), key=switch_degree)
-                region.append(seed)
-                remaining.discard(seed)
-                continue
-            frontier = sorted({n for member in region
-                               for n in topology.neighbors(member)
-                               if n in remaining})
-            if not frontier:
-                # Disconnected remainder: start a fresh seed inside the
-                # same shard.
-                seed = max(sorted(remaining), key=switch_degree)
-                region.append(seed)
-                remaining.discard(seed)
-                continue
-            def edges_into_region(name: str) -> int:
-                return sum(1 for n in topology.neighbors(name)
-                           if n in region)
-            pick = max(frontier, key=edges_into_region)
-            region.append(pick)
+        # The frontier: each unassigned switch next to the region, with
+        # its count of links into the region, kept up as the region grows.
+        links_in: dict[str, int] = {}
+        for _ in range(target):
+            if links_in:
+                # Most links into the region, name as tie-break.
+                pick = min(links_in, key=lambda n: (-links_in[n], n))
+                del links_in[pick]
+            else:
+                # A fresh region, or a disconnected remainder: start a
+                # new seed inside the same shard.
+                pick = next(n for n in seeds if n in remaining)
             remaining.discard(pick)
-        for name in region:
-            assignment[name] = shard
+            assignment[pick] = shard
+            for n in fabric[pick]:
+                if n in remaining:
+                    links_in[n] = links_in.get(n, 0) + 1
     for host in topology.hosts:
         # Host-to-host links do not exist, so every host neighbor is a
         # switch; a multi-homed host follows its first switch by name.
@@ -238,16 +230,20 @@ class Network:
         topo = self.topology
         for sw_name, switch in self.switches.items():
             ports_of = self.port_map[sw_name]
-            for host in topo.hosts:
-                next_hops = topo.ecmp_next_hops(sw_name, host)
-                if not next_hops:
-                    continue
-                switch.install_route(host, [ports_of[n] for n in next_hops])
-            # Construction-order generations are meaningless; declare the
-            # built table to be generation 0 on every device so the §10
-            # fib_version metric (and repro.updates verdicts) start from
-            # a common baseline.  Pure state reset: no events scheduled.
-            switch.seal_fib()
+            # Hosts behind one gateway share one next-hop list, so they
+            # share one port list too (nothing edits a route in place).
+            ports_for: dict[int, list[int]] = {}
+            routes: dict[str, list[int]] = {}
+            for host, next_hops in topo.routes_from(sw_name).items():
+                ports = ports_for.get(id(next_hops))
+                if ports is None:
+                    ports = ports_for[id(next_hops)] = [
+                        ports_of[n] for n in next_hops]
+                routes[host] = ports
+            # Construction order is meaningless: the built table is
+            # generation 0 on every device, so the §10 fib_version metric
+            # (and repro.updates verdicts) start from a common baseline.
+            switch.load_fib(routes)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -307,19 +303,21 @@ class Network:
         """
         topo = self.topology
         switch = self.switches[switch_name]
+        ports = [(neighbor, in_port,
+                  topo.kind(neighbor) is NodeKind.SWITCH)
+                 for neighbor, in_port in self.port_map[switch_name].items()]
         pairs: set[tuple[int, int]] = set()
-        for neighbor, in_port in self.port_map[switch_name].items():
-            from_host = topo.kind(neighbor) is NodeKind.HOST
-            for dst, out_ports in switch.routes.items():
-                if dst == neighbor:
+        for dst, out_ports in switch.routes.items():
+            # A route to a name the topology does not know (an injected
+            # misconfiguration) is on no shortest path.
+            hops = topo.switch_hops(dst) if dst in self.port_map else {}
+            here = hops.get(switch_name)
+            for neighbor, in_port, from_switch in ports:
+                if neighbor == dst:
                     continue
-                if not from_host:
-                    # A route to a name the topology does not know (an
-                    # injected misconfiguration) is on no shortest path.
-                    hops = topo.hops_to(dst) if dst in self.port_map else {}
-                    here = hops.get(switch_name)
-                    if here is None or hops.get(neighbor) != here + 1:
-                        continue  # S is not on a shortest path from X to dst
+                if from_switch and (here is None
+                                    or hops.get(neighbor) != here + 1):
+                    continue  # S is not on a shortest path from X to dst
                 for out_port in out_ports:
                     if out_port != in_port:
                         pairs.add((in_port, out_port))

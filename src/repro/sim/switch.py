@@ -740,10 +740,9 @@ class Switch:
         #: FIB versioning for forwarding-state snapshots (§10): every
         #: route install/update bumps the generation and tags the rule;
         #: the last version matched at each ingress is a data-plane
-        #: register the snapshot primitive can capture.  After topology
-        #: build, :meth:`seal_fib` re-baselines the install-time bumps to
-        #: generation 0 so coordinated updates (:mod:`repro.updates`)
-        #: count from a common origin.
+        #: register the snapshot primitive can capture.  The built table
+        #: is loaded at generation 0 (:meth:`load_fib`) so coordinated
+        #: updates (:mod:`repro.updates`) count from a common origin.
         self.fib_generation = 0
         self.route_version: dict[str, int] = {}
         self.last_matched_version: list[int] = [0] * num_ports
@@ -785,25 +784,25 @@ class Switch:
         self.fib_generation += 1
         self.route_version[dst] = self.fib_generation
 
-    def seal_fib(self) -> None:
-        """Re-baseline FIB versioning after topology build.
+    def load_fib(self, routes: dict[str, list[int]]) -> None:
+        """Load the whole built table as *the* initial forwarding state.
 
-        :meth:`install_route` bumps the generation per install, so a
-        freshly built network encodes its construction order in the
-        generation numbers (leaf0 ends at N, spine1 at M…).  Sealing
-        declares the current table to be *the* initial forwarding state:
-        generation 0, every rule tagged 0, every ``last_matched_version``
-        register cleared.  Update experiments then read "device is on
-        generation g" uniformly across devices.  Called once by
-        :class:`repro.sim.network.Network` right after route
-        installation; later installs/swaps count up from the seal.
+        What :meth:`install_route` per destination would leave once
+        re-baselined: ``routes`` in its own key order, generation 0,
+        every rule tagged 0, every ``last_matched_version`` register 0,
+        so construction order never leaks into the generation numbers
+        and update experiments read "device is on generation g"
+        uniformly across devices.  Called once by
+        :class:`repro.sim.network.Network` right after build, with the
+        ports of its own port map (not checked here); the lists are
+        kept, not copied, and may be shared between destinations.
+        Later installs and swaps count up from generation 0.
         """
+        self.routes = routes
+        self.route_version = dict.fromkeys(routes, 0)
         self.fib_generation = 0
-        for dst in self.route_version:
-            self.route_version[dst] = 0
         registers = self.last_matched_version
-        for i in range(len(registers)):
-            registers[i] = 0
+        registers[:] = [0] * len(registers)
 
     def apply_route_swap(self, changes: list) -> int:
         """Apply a batch of route changes as one atomic table flip.

@@ -52,11 +52,17 @@ class Topology:
         #: Adjacency: node -> {neighbour: the link between them}, in
         #: insertion order (the searches below expand in that order).
         self._adj: dict[str, dict[str, LinkSpec]] = {}
-        #: Derived state, dropped by every mutation: sorted name lists
-        #: per kind (None = all nodes) and, per destination host, the hop
-        #: distance of every switch to it.
+        #: Derived state, dropped by every mutation (:meth:`_changed`
+        #: drops all but the name lists): sorted name lists per kind
+        #: (None = all nodes); every host with its search source (see
+        #: "Routing" below); per host asked of :meth:`hops_to`, the hop
+        #: distance of every switch to it; per source, its search and
+        #: every other switch's sorted next hops toward it.
         self._sorted: dict[Optional[NodeKind], list[str]] = {}
+        self._source_of: Optional[dict[str, str]] = None
         self._hops: dict[str, Mapping[str, int]] = {}
+        self._searched: dict[str, dict[str, int]] = {}
+        self._toward_of: dict[str, dict[str, list[str]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -75,7 +81,7 @@ class Topology:
         self._kinds[name] = kind
         self._adj[name] = {}
         self._sorted.clear()
-        self._hops.clear()
+        self._changed()
 
     def add_link(self, a: str, b: str, bandwidth_bps: int = 25_000_000_000,
                  propagation_ns: int = 500) -> LinkSpec:
@@ -91,8 +97,15 @@ class Topology:
         spec = LinkSpec(a, b, bandwidth_bps, propagation_ns)
         self._links.append(spec)
         self._adj[a][b] = self._adj[b][a] = spec
-        self._hops.clear()
+        self._changed()
         return spec
+
+    def _changed(self) -> None:
+        """Drop the routing state derived from the nodes and links."""
+        self._source_of = None
+        self._hops.clear()
+        self._searched.clear()
+        self._toward_of.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -155,19 +168,58 @@ class Topology:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
+    # A host with exactly one link hangs off that link's switch, its
+    # *gateway*.  Its distance table is the gateway's switch-only search,
+    # every switch one hop farther, and every other switch reaches it
+    # through the gateway; so set-up runs one search per gateway switch,
+    # and the next hops toward a gateway serve every host behind it.
+    # Any other host (several links, or none) is its own search source.
+
     def hops_to(self, dst_host: str) -> Mapping[str, int]:
         """Hop distance to ``dst_host`` of every switch that can reach it
-        (and 0 for the host itself), read-only.  One search per host,
-        from the host, kept until the topology changes.  Only switches
-        are expanded: hosts never transit traffic.
+        (and 0 for the host itself), read-only, kept until the topology
+        changes.  Only switches are expanded: hosts never transit
+        traffic.
         """
-        if self._kinds.get(dst_host) is not NodeKind.HOST:
-            raise ValueError(f"{dst_host!r} is not a host")
         hops = self._hops.get(dst_host)
         if hops is None:
-            hops = self._hops[dst_host] = MappingProxyType(
-                self._search(dst_host))
+            table = self._searched_from(self._source(dst_host))
+            if dst_host not in table:  # the gateway's search
+                table = {dst_host: 0, **{name: hop + 1
+                                         for name, hop in table.items()}}
+            hops = self._hops[dst_host] = MappingProxyType(table)
         return hops
+
+    def switch_hops(self, host: str) -> Mapping[str, int]:
+        """Hop distances that rank the switches toward ``host``,
+        read-only: for a host with a gateway, every switch's distance to
+        the gateway (one less than to the host); for any other host,
+        :meth:`hops_to` itself.  A difference between two switches is
+        the host's either way, which is all a shortest-path test reads,
+        and no per-host table is built."""
+        return MappingProxyType(self._searched_from(self._source(host)))
+
+    def _source(self, host: str) -> str:
+        """The search ``host``'s distances come from: its gateway, or
+        itself when it has none."""
+        if self._kinds.get(host) is not NodeKind.HOST:
+            raise ValueError(f"{host!r} is not a host")
+        return self._sources()[host]
+
+    def _sources(self) -> dict[str, str]:
+        """Every host, in :attr:`hosts` order, with its search source."""
+        if self._source_of is None:
+            adj = self._adj
+            self._source_of = {
+                host: next(iter(adj[host])) if len(adj[host]) == 1 else host
+                for host in self._names(NodeKind.HOST)}
+        return self._source_of
+
+    def _searched_from(self, source: str) -> dict[str, int]:
+        table = self._searched.get(source)
+        if table is None:
+            table = self._searched[source] = self._search(source)
+        return table
 
     def _search(self, source: str) -> dict[str, int]:
         """The one graph search: breadth-first from ``source``, expanding
@@ -185,6 +237,22 @@ class Topology:
             frontier = reached
         return hops
 
+    def _toward(self, source: str) -> dict[str, list[str]]:
+        """Every switch that reaches ``source`` but is not it, with its
+        sorted next hops toward it: one list for all the hosts behind a
+        gateway, so read-only."""
+        toward = self._toward_of.get(source)
+        if toward is None:
+            adj, table = self._adj, self._searched_from(source)
+            get = table.get
+            toward = self._toward_of[source] = {}
+            for name, hop in table.items():
+                if hop:
+                    next_hops = [n for n in adj[name] if get(n) == hop - 1]
+                    next_hops.sort()
+                    toward[name] = next_hops
+        return toward
+
     def ecmp_next_hops(self, switch: str, dst_host: str) -> list[str]:
         """All equal-cost next hops from ``switch`` toward ``dst_host``.
 
@@ -193,12 +261,28 @@ class Topology:
         """
         if self._kinds.get(switch) is not NodeKind.SWITCH:
             raise ValueError(f"{switch!r} is not a switch")
-        hops = self.hops_to(dst_host)
-        here = hops.get(switch)
-        if here is None:
-            return []
-        return sorted(n for n in self._adj[switch]
-                      if hops.get(n) == here - 1)
+        source = self._source(dst_host)
+        if switch == source:  # the gateway
+            return [dst_host]
+        return list(self._toward(source).get(switch, ()))
+
+    def routes_from(self, switch: str) -> dict[str, list[str]]:
+        """``{host: ecmp_next_hops(switch, host)}`` over every host
+        ``switch`` reaches, keyed in :attr:`hosts` order: a switch's
+        whole route table in one call.  Hosts on one gateway share one
+        list, so treat the lists as read-only.
+        """
+        if self._kinds.get(switch) is not NodeKind.SWITCH:
+            raise ValueError(f"{switch!r} is not a switch")
+        toward_of = self._toward_of
+        routes: dict[str, list[str]] = {}
+        for host, source in self._sources().items():
+            if source == switch:  # the gateway
+                routes[host] = [host]
+            elif next_hops := (toward_of.get(source)
+                               or self._toward(source)).get(switch):
+                routes[host] = next_hops
+        return routes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Topology({self.name!r}, switches={len(self.switches)}, "

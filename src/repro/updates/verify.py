@@ -115,7 +115,7 @@ class UpdateVerifier:
 
     def expected_generations(self, wave_index: int) -> dict[str, int]:
         """Per device, the generation it should be on once every swap
-        up to and including ``wave_index`` has applied (seal baseline is
+        up to and including ``wave_index`` has applied (the built table is
         generation 0; each swap bumps exactly once)."""
         counts: dict[str, int] = {}
         for cmd in self.schedule.commands:

@@ -82,6 +82,19 @@ class TestFig10:
         assert fig10.run_agg(config).max_rate_hz == {
             (4, 0): 57.7390992344729, (4, 4): 1369.209817132181}
 
+    # A floor above the ceiling made _knee answer with the ceiling, a
+    # rate below the floor, or a search of an inverted interval.
+    @pytest.mark.parametrize("cls", [fig10.Fig10Config, fig10.AggKneeConfig])
+    def test_a_floor_above_the_ceiling_is_refused(self, cls):
+        name = cls.__name__
+        with pytest.raises(ValueError, match=(
+                rf"^{name}\.rate_floor_hz must be <= {name}\.rate_ceiling_hz "
+                r"\(40\.0\), got 50\.0$")):
+            cls(rate_floor_hz=50.0, rate_ceiling_hz=40.0)
+        cls(rate_floor_hz=40.0, rate_ceiling_hz=40.0)  # a one-rate search
+        cls()
+        cls.quick()
+
 
 class TestFig11:
     def test_sync_grows_slowly_and_stays_bounded(self):

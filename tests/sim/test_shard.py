@@ -21,13 +21,24 @@ import pytest
 
 from repro.core import deploy
 from repro.sim.engine import MS
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim.network import NetworkConfig, cut_links, partition_topology
 from repro.sim.shard import InProcessShardRunner, ShardPlan, ShardRunner
-from repro.topology import fat_tree, leaf_spine, linear
+from repro.topology import fat_tree, leaf_spine, linear, ring, single_switch
+from repro.topology.graph import NodeKind
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 from tests.integration.test_golden_trace import (GOLDEN_EVENTS,
                                                  GOLDEN_SHA256,
                                                  GOLDEN_TOTALS)
+from tests.topology.test_route_table import switch_graphs
+
+#: Drawn examples of the partition differential (``make
+#: route-diff-deep`` raises it).
+EXAMPLES = int(os.environ.get("REPRO_ROUTE_DIFF_EXAMPLES", "60"))
 
 TOPO_KW = dict(num_leaves=3, num_spines=2, hosts_per_leaf=1)
 SETUP_ARGS = (20_000.0, 4 * MS, 2, 2 * MS)
@@ -105,6 +116,98 @@ class TestPartitioner:
         plan = ShardPlan.for_topology(leaf_spine(**TOPO_KW), 1)
         assert plan.cut == ()
         assert plan.lookahead_ns == 0
+
+
+def partition_oracle(topology, num_shards):
+    """``partition_topology`` as it was before it counted as it grew:
+    the frontier re-sorted and every candidate's links into the region
+    recounted (a list scan) for every pick."""
+    switches = topology.switches
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+    if num_shards > len(switches):
+        raise ValueError(
+            f"cannot split {len(switches)} switches into {num_shards} shards")
+    assignment: dict[str, int] = {}
+
+    def switch_degree(name: str) -> int:
+        return sum(1 for n in topology.neighbors(name)
+                   if topology.kind(n) is NodeKind.SWITCH)
+
+    remaining = set(switches)
+    base, extra = divmod(len(switches), num_shards)
+    for shard in range(num_shards):
+        target = base + (1 if shard < extra else 0)
+        region: list[str] = []
+        while len(region) < target:
+            if not region:
+                # Seed: highest switch-degree, name as tie-break.
+                seed = max(sorted(remaining), key=switch_degree)
+                region.append(seed)
+                remaining.discard(seed)
+                continue
+            frontier = sorted({n for member in region
+                               for n in topology.neighbors(member)
+                               if n in remaining})
+            if not frontier:
+                # Disconnected remainder: start a fresh seed inside the
+                # same shard.
+                seed = max(sorted(remaining), key=switch_degree)
+                region.append(seed)
+                remaining.discard(seed)
+                continue
+            def edges_into_region(name: str) -> int:
+                return sum(1 for n in topology.neighbors(name)
+                           if n in region)
+            pick = max(frontier, key=edges_into_region)
+            region.append(pick)
+            remaining.discard(pick)
+        for name in region:
+            assignment[name] = shard
+    for host in topology.hosts:
+        # Host-to-host links do not exist, so every host neighbor is a
+        # switch; a multi-homed host follows its first switch by name.
+        attached = topology.neighbors(host)[0]
+        assignment[host] = assignment[attached]
+    return assignment
+
+
+def assert_partitions_match(topo, num_shards):
+    try:
+        expected = partition_oracle(topo, num_shards)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            partition_topology(topo, num_shards)
+        assert str(raised.value) == str(exc)
+        return
+    assignment = partition_topology(topo, num_shards)
+    assert assignment == expected
+    assert list(assignment.items()) == list(expected.items())
+
+
+class TestPartitionDifferential:
+    """The partition grown with counts kept up to date assigns every
+    node exactly as the re-sorting, recounting body it replaced."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: leaf_spine(num_leaves=3, hosts_per_leaf=2),
+                     id="leaf_spine"),
+        pytest.param(lambda: single_switch(num_hosts=3), id="single_switch"),
+        pytest.param(lambda: linear(num_switches=4), id="linear"),
+        pytest.param(lambda: ring(num_switches=5, hosts_per_switch=2),
+                     id="ring"),
+        pytest.param(lambda: fat_tree(k=4), id="fat_tree4"),
+        pytest.param(lambda: fat_tree(k=6), id="fat_tree6"),
+        pytest.param(lambda: fat_tree(k=8), id="fat_tree8"),
+    ])
+    @pytest.mark.parametrize("num_shards", [0, 1, 2, 3, 4])
+    def test_builders_match_the_oracle(self, build, num_shards):
+        assert_partitions_match(build(), num_shards)
+
+    @given(switch_graphs(), st.integers(1, 4))
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_drawn_graphs_match_the_oracle(self, topo, num_shards):
+        assert_partitions_match(topo, num_shards)
 
 
 class TestMergeDeterminism:

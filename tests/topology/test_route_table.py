@@ -1,19 +1,35 @@
-"""The per-host distance table behind route set-up (docs/PERF.md, "The
-set-up path").
+"""The distance tables behind route set-up (docs/PERF.md, "The set-up
+path" and "The set-up path, part two").
 
-``Topology.hops_to`` runs one search per destination host and everything
-that needs a distance reads it.  Three guarantees are pinned here:
+A host with one link hangs off one *gateway* switch, and its distances
+are the gateway's switch-only search plus one; ``Topology`` runs one
+search per gateway (and one per multi-homed host), and everything that
+needs a distance or a next hop reads it.  Four guarantees are pinned
+here:
 
 * **Same answers** — the pairwise implementations it replaced (one
   ``nx.shortest_path_length`` per (switch, host) and one more per
   neighbour; a per-call BFS cache over a graph copy in
-  ``feasible_channels``) are kept below, verbatim, as oracles, and agree
-  with the table for every (switch, host) pair and every switch on the
-  five builders and on drawn switch graphs.
-* **Same cost class** — the one function that searches is counted:
-  one call per host, once per topology however many shards read it.
-* **Derived, not stored** — a mutation drops the table.
+  ``feasible_channels``) are kept below as oracles, verbatim but for
+  the graph ``pairwise_next_hops`` searches (no host transits), and agree
+  with ``hops_to``, ``ecmp_next_hops`` and the per-switch listing
+  ``routes_from`` for every (switch, host) pair and every switch on the
+  five builders and on drawn switch graphs with single- and multi-homed
+  hosts.
+* **Same FIB** — each switch's table, loaded in one pass, is what
+  ``install_route`` per host followed by the replaced ``seal_fib``
+  (kept below as an oracle) leaves: the same routes in ``hosts`` order,
+  generation 0, every rule and every ``last_matched_version`` register
+  at 0 (checked where every host has one link: a simulated host has
+  one NIC, so a multi-homed one builds no ``Network``).
+* **Same cost class** — the one function that searches is counted: one
+  call per gateway switch plus one per multi-homed host, once per
+  topology however many shards read it; a channel-state deploy adds
+  none.
+* **Derived, not stored** — a mutation drops the tables.
 """
+
+import os
 
 import networkx as nx
 import pytest
@@ -21,12 +37,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import deploy
+from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import ShardRunner
+from repro.sim.switch import Switch
 from repro.topology import (fat_tree, leaf_spine, linear, ring,
                             single_switch)
 from repro.topology.graph import NodeKind, Topology
 
+#: Drawn examples per differential (``make route-diff-deep`` raises it).
+EXAMPLES = int(os.environ.get("REPRO_ROUTE_DIFF_EXAMPLES", "60"))
 
 # ----------------------------------------------------------------------
 # Oracles: the bodies this table replaced
@@ -40,8 +60,18 @@ def oracle_graph(topo):
     return graph
 
 
-def pairwise_next_hops(topo, switch, dst_host):
+def transit_graph(topo, dst_host):
+    """The oracle graph less every host but ``dst_host``: hosts never
+    transit traffic.  With single-homed hosts only (all the replaced
+    code met) no path ran through one anyway; a host linked to two
+    switches would be a shortcut between them."""
     graph = oracle_graph(topo)
+    graph.remove_nodes_from(h for h in topo.hosts if h != dst_host)
+    return graph
+
+
+def pairwise_next_hops(topo, switch, dst_host):
+    graph = transit_graph(topo, dst_host)  # was oracle_graph(topo)
     kinds = {name: topo.kind(name) for name in topo.nodes}
     try:
         dist = nx.shortest_path_length(graph, switch, dst_host)
@@ -92,18 +122,47 @@ def pairwise_feasible_channels(net, switch_name):
     return pairs
 
 
+def seal_fib(switch):
+    """``Switch.seal_fib`` as it was before the table was loaded in one
+    pass: the state ``install_route`` per host left, re-baselined."""
+    switch.fib_generation = 0
+    for dst in switch.route_version:
+        switch.route_version[dst] = 0
+    registers = switch.last_matched_version
+    for i in range(len(registers)):
+        registers[i] = 0
+
+
 def assert_matches_oracles(topo):
+    for host in topo.hosts:
+        assert topo.hops_to(host) == nx.single_source_shortest_path_length(
+            transit_graph(topo, host), host), host
+    expected = {switch: {host: hops for host in topo.hosts
+                         if (hops := pairwise_next_hops(topo, switch, host))}
+                for switch in topo.switches}
     for switch in topo.switches:
         for host in topo.hosts:
             assert (topo.ecmp_next_hops(switch, host)
-                    == pairwise_next_hops(topo, switch, host)), (switch, host)
+                    == expected[switch].get(host, [])), (switch, host)
+        listing = topo.routes_from(switch)
+        assert listing == expected[switch], switch
+        assert list(listing) == list(expected[switch]), switch  # hosts order
+    if any(topo.degree(host) > 1 for host in topo.hosts):
+        return  # a simulated host has one NIC: no Network to build
     net = Network(topo, NetworkConfig(seed=1))
     for name, switch in net.switches.items():
         ports_of = net.port_map[name]
-        assert switch.routes == {
-            host: [ports_of[n] for n in hops] for host in topo.hosts
-            if (hops := pairwise_next_hops(topo, name, host))}, name
-        assert switch.route_version == dict.fromkeys(switch.routes, 0)
+        oracle = Switch(Simulator(), name, len(switch.ports))
+        for host, hops in expected[name].items():
+            oracle.install_route(host, [ports_of[n] for n in hops])
+        seal_fib(oracle)
+        assert switch.routes == oracle.routes, name
+        assert list(switch.routes) == list(oracle.routes), name
+        assert list(switch.route_version.items()) == list(
+            oracle.route_version.items()), name
+        assert switch.fib_generation == oracle.fib_generation == 0, name
+        assert (switch.last_matched_version == oracle.last_matched_version
+                == [0] * len(switch.ports)), name
         assert (net.feasible_channels(name)
                 == pairwise_feasible_channels(net, name)), name
 
@@ -121,7 +180,8 @@ BUILDERS = [
 @st.composite
 def switch_graphs(draw):
     """Switches joined by a drawn edge set (connected or not), each with
-    0-2 single-homed hosts, plus sometimes an island no one can reach."""
+    0-2 single-homed hosts, 0-2 hosts linked to 2-3 distinct switches,
+    plus sometimes an island no one can reach."""
     count = draw(st.integers(1, 7))
     topo = Topology("drawn")
     names = [topo.add_switch(f"s{i}") for i in range(count)]
@@ -133,6 +193,13 @@ def switch_graphs(draw):
             st.integers(0, 2), min_size=count, max_size=count))):
         for j in range(fanout):
             topo.add_link(names[i], topo.add_host(f"h{i}_{j}"))
+    if count >= 2:
+        for j, attached in enumerate(draw(st.lists(st.lists(
+                st.sampled_from(names), min_size=2, max_size=3, unique=True),
+                max_size=2))):
+            host = topo.add_host(f"m{j}")
+            for name in attached:
+                topo.add_link(name, host)
     if draw(st.booleans()):
         topo.add_link(topo.add_switch("island"), topo.add_host("island_h"))
     return topo
@@ -144,7 +211,7 @@ class TestDifferential:
         assert_matches_oracles(build())
 
     @given(switch_graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     def test_drawn_graphs_match_the_pairwise_oracles(self, topo):
         assert_matches_oracles(topo)
 
@@ -213,16 +280,36 @@ def searches(monkeypatch):
     return sources
 
 
+def gateway_searches(topo):
+    """The search sources set-up needs: every switch a single-homed host
+    hangs off, and every other host."""
+    return sorted({topo.neighbors(host)[0] if topo.degree(host) == 1
+                   else host for host in topo.hosts})
+
+
 class TestSearchCount:
-    def test_one_search_per_host_and_none_for_channel_state(self, searches):
+    def test_one_search_per_gateway_none_for_channel_state(self, searches):
         topo = fat_tree(k=4)
         net = Network(topo, NetworkConfig(seed=1))
-        assert sorted(searches) == topo.hosts  # 16; the pairwise form ran 1 344
+        # 8 edge switches; one search per host ran 16, the pairwise form
+        # 1 344.
+        assert sorted(searches) == gateway_searches(topo) == [
+            f"edge{pod}_{i}" for pod in range(4) for i in range(2)]
         deploy(net, channel_state=True)  # feasible_channels, every switch
-        assert len(searches) == len(topo.hosts)
+        assert len(searches) == 8
+
+    def test_a_multi_homed_host_keeps_its_own_search(self, searches):
+        topo = leaf_spine(num_leaves=3, hosts_per_leaf=2)
+        dual = topo.add_host("dual")
+        topo.add_link("leaf0", dual)
+        topo.add_link("leaf1", dual)
+        for switch in topo.switches:
+            topo.routes_from(switch)
+        assert sorted(searches) == gateway_searches(topo) == [
+            "dual", "leaf0", "leaf1", "leaf2"]
 
     def test_shards_share_one_table(self, searches):
         topo = fat_tree(k=4)
         runner = ShardRunner(topo, NetworkConfig(seed=1), shards=2)
         assert len(runner.workers) == 2
-        assert sorted(searches) == topo.hosts
+        assert sorted(searches) == gateway_searches(topo)

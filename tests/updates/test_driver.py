@@ -25,10 +25,9 @@ def _schedule(net, plan):
 
 class TestSealBaseline:
     def test_build_ends_sealed_at_generation_zero(self):
-        # install_route bumps per install during topology build; the
-        # network seals afterwards so every device starts uniformly at
-        # generation 0 (otherwise construction order would leak into
-        # the fib_version metric).
+        # The network loads each built table in one pass at generation
+        # 0, so every device starts uniformly there (per-install bumps
+        # would leak construction order into the fib_version metric).
         net = _net()
         for name in net.switches:
             sw = net.switch(name)
