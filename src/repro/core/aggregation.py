@@ -71,11 +71,17 @@ __all__ = [
 RELAY_SERVICE_NS = 150 * US
 #: Per-record decode/combine cost within a relay message.
 RELAY_PER_RECORD_NS = 4 * US
+#: Relay receive-buffer capacity (messages); overflow drops.  A test
+#: shrinks one channel's ``capacity``.
+RELAY_BUFFER_CAPACITY = 4096
+#: Forward a partial (incomplete) aggregate this long after records
+#: start waiting on silent children/local units.
+RELAY_FLUSH_TIMEOUT_NS = 25 * MS
 
 
 @dataclass
 class AggregationConfig:
-    """Shape and cost model of the aggregation fabric.
+    """Shape of the aggregation fabric.
 
     ``degree`` selects the fabric: ``0`` is the flat-modeled baseline
     (no tree; unicast initiation; one intake message per unit record),
@@ -87,16 +93,9 @@ class AggregationConfig:
 
     #: Max children per tree node (0 = flat-modeled unicast baseline).
     degree: int = 4
-    #: Forward a partial (incomplete) aggregate this long after records
-    #: start waiting on silent children/local units (0 disables; records
-    #: then only move on subtree completion).
-    flush_timeout_ns: int = 25 * MS
-    #: Relay receive-buffer capacity (messages); overflow drops.
-    buffer_capacity: int = 4096
 
     def __post_init__(self) -> None:
-        check_minimums(self, {"degree": 0, "flush_timeout_ns": 0,
-                              "buffer_capacity": 1})
+        check_minimums(self, {"degree": 0})
 
 
 @dataclass
@@ -211,9 +210,9 @@ class RelayChannel(SerialServer[AggregateMessage]):
     Thrift/driver path the notification jitter models).
     """
 
-    def __init__(self, sim: Simulator, config: AggregationConfig,
+    def __init__(self, sim: Simulator,
                  handler: Callable[[AggregateMessage], None]) -> None:
-        super().__init__(sim, config.buffer_capacity, handler)
+        super().__init__(sim, RELAY_BUFFER_CAPACITY, handler)
         self.records_in = 0
 
     def deliver(self, message: AggregateMessage) -> bool:
@@ -260,10 +259,9 @@ class AggregationAgent:
     in service at the relay when the crash came.
     """
 
-    def __init__(self, sim: Simulator, config: AggregationConfig,
-                 name: str, tree: AggregationTree) -> None:
+    def __init__(self, sim: Simulator, name: str,
+                 tree: AggregationTree) -> None:
         self.sim = sim
-        self.config = config
         self.name = name
         self.tree = tree
         self.parent = tree.parent[name]
@@ -278,7 +276,7 @@ class AggregationAgent:
         self.send_up: Optional[Callable[[AggregateMessage], None]] = None
         #: Downward initiation forwarder: ``forward(child, epoch, at)``.
         self.forward_init: Optional[Callable[[str, int, int], None]] = None
-        self.channel = RelayChannel(sim, config, self._on_message)
+        self.channel = RelayChannel(sim, self._on_message)
         self.channel.on_lost = self._on_lost_in_service
         self.online = True
         self.messages_sent = 0
@@ -363,10 +361,9 @@ class AggregationAgent:
             self._note_completed(epoch)
             self._send(epoch, records, complete=True)
             return
-        if (aggregate.records and aggregate.flush_event is None
-                and self.config.flush_timeout_ns > 0):
+        if aggregate.records and aggregate.flush_event is None:
             aggregate.flush_event = self.sim.schedule(
-                self.config.flush_timeout_ns, self._flush, epoch)
+                RELAY_FLUSH_TIMEOUT_NS, self._flush, epoch)
 
     def _note_completed(self, epoch: int) -> None:
         """Remember a completion claim; past two ID windows of them, drop

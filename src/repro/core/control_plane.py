@@ -49,7 +49,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Mapping
-from typing import Optional
+from typing import Optional, Union
 
 from repro.core.dataplane import SpeedlightUnit
 from repro.core.ids import IdSpace
@@ -82,22 +82,54 @@ def uniform_jitter(rng: random.Random, jitter_ns: int) -> Callable[[], int]:
     return draw
 
 
-#: The shape of the OS scheduler's wake-up latency, the "OpenNetworkLinux
-#: scheduling effects" of §8.2: the lognormal body's sigma, the top of the
-#: heavy tail (drawn uniform over its upper two thirds), and the clamp.
+#: Uniform jitter on the notification service cost (±).
+NOTIFICATION_JITTER_NS = 15 * US
+#: Socket receive buffer capacity (notifications); overflow drops.  A
+#: fault or a test shrinks one channel's ``capacity``.
+NOTIFICATION_BUFFER_CAPACITY = 4096
+#: The P4 digest-stream transport §7.2 mentions and rejects: the ASIC
+#: batches up to ``DIGEST_BATCH`` notifications (or flushes after
+#: ``DIGEST_TIMEOUT_NS``), amortising per-wakeup cost at the price of
+#: added latency.
+DIGEST_BATCH = 16
+DIGEST_TIMEOUT_NS = 500 * US
+#: CPU cost per digest wakeup, plus per-record decode+handling.  The
+#: Figure 7 handler work dominates either transport, so the per-record
+#: cost is only modestly below the socket's 110 µs; the digest's saving
+#: is the amortised wakeup, its price the flush wait.
+DIGEST_SERVICE_NS = 150 * US
+DIGEST_PER_RECORD_NS = 85 * US
+#: CPU cost of injecting one initiation message (per port, serial).
+#: Sub-microsecond: the CP writes one descriptor per port into a batched
+#: DMA ring, so a 64-port sweep completes in ~10 µs.
+INITIATION_CPU_NS = 150
+#: Uniform jitter on each injection (±).
+INITIATION_JITTER_NS = 100
+#: The OS scheduler's wake-up latency when the initiation timer fires,
+#: the "OpenNetworkLinux scheduling effects" of §8.2: lognormal around
+#: the median with the body's sigma, with probability
+#: ``WAKEUP_TAIL_PROBABILITY`` a heavy tail instead (drawn uniform over
+#: the upper two thirds of its top), and the clamp on any draw.
+WAKEUP_MEDIAN_NS = 1_500
 WAKEUP_SIGMA = 0.6
+WAKEUP_TAIL_PROBABILITY = 0.02
 WAKEUP_TAIL_MAX_NS = 15_000
 WAKEUP_MAX_NS = 50_000
+#: Seeds every control plane's RNG as ``f"{CONTROL_PLANE_SEED}/{switch}"``,
+#: so the notification jitter, initiation jitter and wake-up draws are
+#: the same under every ``NetworkConfig.seed``: trials repeated over
+#: seeds never vary them.  Deriving them from the network seed would
+#: move every golden trace.
+CONTROL_PLANE_SEED = 11
 
 
-def sample_wakeup_ns(rng: random.Random, cfg: ControlPlaneConfig) -> int:
+def sample_wakeup_ns(rng: random.Random) -> int:
     """The OS scheduler's wake-up latency when an initiation timer
     fires: lognormal around the median, with an occasional heavy tail."""
-    if rng.random() < cfg.wakeup_tail_probability:
+    if rng.random() < WAKEUP_TAIL_PROBABILITY:
         value = rng.uniform(WAKEUP_TAIL_MAX_NS / 3, WAKEUP_TAIL_MAX_NS)
     else:
-        value = rng.lognormvariate(math.log(cfg.wakeup_median_ns),
-                                   WAKEUP_SIGMA)
+        value = rng.lognormvariate(math.log(WAKEUP_MEDIAN_NS), WAKEUP_SIGMA)
     return min(int(value), WAKEUP_MAX_NS)
 
 
@@ -132,37 +164,11 @@ class ControlPlaneConfig:
 
     #: Serial CPU cost of servicing one notification (Thrift/driver).
     notification_service_ns: int = 110 * US
-    #: Uniform jitter on the service cost (±).
-    notification_jitter_ns: int = 15 * US
-    #: Socket receive buffer capacity (notifications); overflow drops.
-    buffer_capacity: int = 4096
     #: Notification transport: "socket" is the paper's raw-socket DMA
     #: driver (one CPU wakeup per notification); "digest" models the P4
-    #: digest-stream alternative §7.2 mentions and rejects — the ASIC
-    #: batches up to ``digest_batch`` notifications (or flushes after
-    #: ``digest_timeout_ns``), amortising per-wakeup cost at the price
-    #: of added latency.
+    #: digest-stream alternative §7.2 mentions and rejects
+    #: (:class:`DigestChannel`).
     notification_transport: str = "socket"
-    digest_batch: int = 16
-    digest_timeout_ns: int = 500 * US
-    #: CPU cost per digest wakeup, plus per-record decode+handling.  The
-    #: Figure 7 handler work dominates either transport, so the
-    #: per-record cost is only modestly below the socket's 110 µs; the
-    #: digest's saving is the amortised wakeup, its price the flush wait.
-    digest_service_ns: int = 150 * US
-    digest_per_record_ns: int = 85 * US
-    #: CPU cost of injecting one initiation message (per port, serial).
-    #: Sub-microsecond: the CP writes one descriptor per port into a
-    #: batched DMA ring, so a 64-port sweep completes in ~10 µs.
-    initiation_cpu_ns: int = 150
-    #: Uniform jitter on each injection (±).
-    initiation_jitter_ns: int = 100
-    #: OS scheduler wake-up latency when the initiation timer fires:
-    #: lognormal(median=wakeup_median_ns, sigma=WAKEUP_SIGMA), with
-    #: probability wakeup_tail_probability a heavy tail instead
-    #: (:func:`sample_wakeup_ns`).
-    wakeup_median_ns: int = 1_500
-    wakeup_tail_probability: float = 0.02
     #: Re-send initiations for epochs not locally complete after this.
     reinitiation_timeout_ns: int = 20 * MS
     max_reinitiations: int = 3
@@ -176,7 +182,6 @@ class ControlPlaneConfig:
     #: timeout (§6; 0 disables — the paper's default).  Tuned via
     #: :class:`~repro.core.recovery.RecoveryPolicy`.
     register_poll_interval_ns: int = 0
-    seed: int = 11
 
     def __post_init__(self) -> None:
         if self.notification_transport not in ("socket", "digest"):
@@ -185,12 +190,7 @@ class ControlPlaneConfig:
                 f"transport {self.notification_transport!r} (use 'socket' "
                 "or 'digest')")
         check_minimums(self, {
-            "notification_service_ns": 0, "notification_jitter_ns": 0,
-            "buffer_capacity": 1, "digest_batch": 1, "digest_timeout_ns": 0,
-            "digest_service_ns": 0, "digest_per_record_ns": 0,
-            "initiation_cpu_ns": 0, "initiation_jitter_ns": 0,
-            "wakeup_median_ns": 1, "wakeup_tail_probability": (0.0, 1.0),
-            "reinitiation_timeout_ns": 0,
+            "notification_service_ns": 0, "reinitiation_timeout_ns": 0,
             "max_reinitiations": 0, "probe_delay_ns": 0,
             "register_poll_interval_ns": 0})
 
@@ -202,9 +202,9 @@ class NotificationChannel(SerialServer[Notification]):
     def __init__(self, sim: Simulator, rng: random.Random,
                  config: ControlPlaneConfig,
                  handler: Callable[[Notification], None]) -> None:
-        super().__init__(sim, config.buffer_capacity, handler)
+        super().__init__(sim, NOTIFICATION_BUFFER_CAPACITY, handler)
         self.config = config
-        self._jitter = uniform_jitter(rng, config.notification_jitter_ns)
+        self._jitter = uniform_jitter(rng, NOTIFICATION_JITTER_NS)
 
     # Spelled out here: the benchmark's tracer resolves span points by vars().
     deliver = SerialServer.deliver
@@ -218,7 +218,7 @@ class DigestChannel(SerialServer[list[Notification]]):
     """The P4 digest-stream notification transport (§7.2's alternative).
 
     The ASIC accumulates notifications into a digest buffer that is
-    shipped to the CPU when ``digest_batch`` records are pending or a
+    shipped to the CPU when ``DIGEST_BATCH`` records are pending or a
     flush timer fires.  The CPU pays one wakeup per digest plus a small
     per-record decode cost — cheaper per notification under load, but
     every record is delayed by up to the batching window, which is why
@@ -227,11 +227,9 @@ class DigestChannel(SerialServer[list[Notification]]):
     are digests; its counters and ``capacity`` count notifications.
     """
 
-    def __init__(self, sim: Simulator, rng: random.Random,
-                 config: ControlPlaneConfig,
+    def __init__(self, sim: Simulator,
                  handler: Callable[[Notification], None]) -> None:
-        super().__init__(sim, config.buffer_capacity, self._read_digest)
-        self.config = config
+        super().__init__(sim, NOTIFICATION_BUFFER_CAPACITY, self._read_digest)
         self._read_notification = handler
         self._pending: list[Notification] = []
         #: Notifications in ``_queue``'s batches, kept as a running count
@@ -253,11 +251,11 @@ class DigestChannel(SerialServer[list[Notification]]):
         self._pending.append(notification)
         if backlog >= self.max_backlog:
             self.max_backlog = backlog + 1
-        if len(self._pending) >= self.config.digest_batch:
+        if len(self._pending) >= DIGEST_BATCH:
             self._ship()
         elif self._flush_event is None:
-            self._flush_event = self.sim.schedule(
-                self.config.digest_timeout_ns, self._flush)
+            self._flush_event = self.sim.schedule(DIGEST_TIMEOUT_NS,
+                                                  self._flush)
         return True
 
     def _flush(self) -> None:
@@ -290,8 +288,7 @@ class DigestChannel(SerialServer[list[Notification]]):
 
     def _begin(self, batch: list[Notification]) -> int:
         self._queued -= len(batch)
-        return max(1, self.config.digest_service_ns +
-                   len(batch) * self.config.digest_per_record_ns)
+        return max(1, DIGEST_SERVICE_NS + len(batch) * DIGEST_PER_RECORD_NS)
 
     def _read_digest(self, batch: list[Notification]) -> None:
         # The server counted the digest once; count its notifications.
@@ -398,18 +395,19 @@ class SwitchControlPlane:
         #: needed (ablation support).
         self.ideal_dataplane = ideal_dataplane
         self.config = config or ControlPlaneConfig()
-        self.rng = random.Random(f"{self.config.seed}/{switch.name}")
-        self._initiation_jitter = uniform_jitter(
-            self.rng, self.config.initiation_jitter_ns)
+        self.rng = random.Random(f"{CONTROL_PLANE_SEED}/{switch.name}")
+        self._initiation_jitter = uniform_jitter(self.rng,
+                                                 INITIATION_JITTER_NS)
         #: Callback shipping finalized records toward the observer
         #: (installed by the deployment; routed over the mgmt plane).
         self.ship = ship
         self.trackers: dict[UnitId, _UnitTracker] = {}
-        channel = (DigestChannel
-                   if self.config.notification_transport == "digest"
-                   else NotificationChannel)
-        self.channel = channel(self.sim, self.rng, self.config,
-                               self._on_notification)
+        self.channel: Union[NotificationChannel, DigestChannel]
+        if self.config.notification_transport == "digest":
+            self.channel = DigestChannel(self.sim, self._on_notification)
+        else:
+            self.channel = NotificationChannel(self.sim, self.rng, self.config,
+                                               self._on_notification)
         switch.notification_sink = self.channel.deliver
         #: epoch -> [earliest, latest, count] of the data-plane timestamps
         #: on the processed notifications carrying that epoch — the
@@ -480,11 +478,11 @@ class SwitchControlPlane:
         if self._crashed:
             return  # a dead CP fires nothing; observer retries cover it
         # OS wake-up jitter before the initiation loop runs.
-        wakeup = sample_wakeup_ns(self.rng, self.config)
+        wakeup = sample_wakeup_ns(self.rng)
         ports = self._snapshot_ports()
         jitter = self._initiation_jitter
         for k, port in enumerate(ports):
-            delay = wakeup + (k + 1) * self.config.initiation_cpu_ns + jitter()
+            delay = wakeup + (k + 1) * INITIATION_CPU_NS + jitter()
             self.sim.schedule_fast(max(delay, 1), self._inject_initiation,
                                    port, epoch)
         self.initiations_sent += 1

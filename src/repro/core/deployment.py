@@ -384,8 +384,7 @@ class SpeedlightDeployment:
             return
         intake = None
         if self.is_observer_shard:
-            intake = RelayChannel(self.network.sim, cfg,
-                                  self.observer.on_aggregate)
+            intake = RelayChannel(self.network.sim, self.observer.on_aggregate)
         send_root = self._edge(AGG_OBSERVER_MAILBOX,
                                intake.deliver if intake is not None else None)
         if cfg.degree == 0:
@@ -406,7 +405,7 @@ class SpeedlightDeployment:
         agents: dict[str, AggregationAgent] = {}
         for name in sorted(self.control_planes):
             cp = self.control_planes[name]
-            agent = AggregationAgent(self.network.sim, cfg, name, tree)
+            agent = AggregationAgent(self.network.sim, name, tree)
             agent.control_plane = cp
             cp.agg_agent = agent
             agent.expected_local = 2 * len(

@@ -1,8 +1,8 @@
 """Recovery policies — the §6 liveness machinery as a first-class spec.
 
 The paper's recovery knobs (control-plane re-initiation timeouts,
-liveness-probe delay, register polls, digest flush timers, observer
-retry/device timeouts) used to be hard-coded fields scattered across
+liveness-probe delay, register polls, observer retry/device timeouts)
+used to be hard-coded fields scattered across
 :class:`~repro.core.control_plane.ControlPlaneConfig` and
 :class:`~repro.core.observer.ObserverConfig`.  A :class:`RecoveryPolicy`
 gathers exactly those knobs into one frozen, JSON-round-trippable spec
@@ -54,8 +54,6 @@ class RecoveryPolicy:
     #: Control plane: periodic proactive register polls (0 disables) —
     #: recovers from dropped notifications without waiting for timeouts.
     register_poll_interval_ns: int = ControlPlaneConfig.register_poll_interval_ns
-    #: Control plane (digest transport only): flush timer.
-    digest_timeout_ns: int = ControlPlaneConfig.digest_timeout_ns
     #: Observer: re-register initiations for incomplete snapshots.
     retry_timeout_ns: int = ObserverConfig.retry_timeout_ns
     max_retries: int = ObserverConfig.max_retries
@@ -79,8 +77,7 @@ class RecoveryPolicy:
             reinitiation_timeout_ns=self.reinitiation_timeout_ns,
             max_reinitiations=self.max_reinitiations,
             probe_delay_ns=self.probe_delay_ns,
-            register_poll_interval_ns=self.register_poll_interval_ns,
-            digest_timeout_ns=self.digest_timeout_ns)
+            register_poll_interval_ns=self.register_poll_interval_ns)
 
     def observer_config(
             self, base: Optional[ObserverConfig] = None) -> ObserverConfig:

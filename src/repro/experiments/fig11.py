@@ -10,7 +10,7 @@ uses (so Figure 9 and Figure 11 are controlled by one set of constants):
 
 * PTP residual clock offset — :class:`repro.sim.clock.PTPConfig`;
 * OS scheduler wake-up latency — the control plane's lognormal+tail
-  model (:class:`repro.core.control_plane.ControlPlaneConfig`);
+  model (:func:`repro.core.control_plane.sample_wakeup_ns`);
 * initiation→execution latency — per-port serial injection cost plus
   the constant ASIC crossing (constants cancel in a max-min spread, but
   the per-port sweep does not).
@@ -35,8 +35,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
-from repro.core.control_plane import (ControlPlaneConfig, sample_wakeup_ns,
-                                      uniform_jitter)
+from repro.core import control_plane
 from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.harness import TextTable, header
 from repro.runtime import (TrialResult, TrialSpec, derive_seed, make_result,
@@ -51,7 +50,6 @@ class Fig11Config(ExperimentConfig):
     ports_per_router: int = 64
     trials: int = 40
     ptp: PTPConfig = field(default_factory=PTPConfig)
-    cp: ControlPlaneConfig = field(default_factory=ControlPlaneConfig)
 
     @classmethod
     def quick(cls) -> "Fig11Config":
@@ -86,8 +84,7 @@ def specs(config: Fig11Config) -> list[TrialSpec]:
     return [TrialSpec(kind="fig11",
                       params=dict(routers=n, trials=config.trials,
                                   ports_per_router=config.ports_per_router,
-                                  ptp=asdict(config.ptp),
-                                  cp=asdict(config.cp)),
+                                  ptp=asdict(config.ptp)),
                       seed=config.seed, label=f"fig11/{n}r")
             for n in config.router_counts]
 
@@ -97,8 +94,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     p = spec.params
     config = Fig11Config(seed=spec.seed, router_counts=[p["routers"]],
                          ports_per_router=p["ports_per_router"],
-                         trials=p["trials"], ptp=PTPConfig(**p["ptp"]),
-                         cp=ControlPlaneConfig(**p["cp"]))
+                         trials=p["trials"], ptp=PTPConfig(**p["ptp"]))
     rng = random.Random(derive_seed(spec.seed, "fig11", p["routers"]))
     total = sum(_trial_sync_ns(rng, config, p["routers"])
                 for _ in range(config.trials))
@@ -137,12 +133,14 @@ def _trial_sync_ns(rng: random.Random, config: Fig11Config,
                    num_routers: int) -> int:
     earliest = None
     latest = None
-    sweep = config.ports_per_router * config.cp.initiation_cpu_ns
-    jitter = uniform_jitter(rng, config.cp.initiation_jitter_ns)
+    per_port = control_plane.INITIATION_CPU_NS
+    sweep = config.ports_per_router * per_port
+    jitter = control_plane.uniform_jitter(rng,
+                                          control_plane.INITIATION_JITTER_NS)
     for _ in range(num_routers):
-        base = (_sample_clock_error(rng, config.ptp) +
-                sample_wakeup_ns(rng, config.cp))
-        first = base + config.cp.initiation_cpu_ns + jitter()
+        base = (_sample_clock_error(rng, config.ptp)
+                + control_plane.sample_wakeup_ns(rng))
+        first = base + per_port + jitter()
         last = base + sweep + jitter()
         lo, hi = min(first, last), max(first, last)
         earliest = lo if earliest is None else min(earliest, lo)

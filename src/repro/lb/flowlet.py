@@ -23,6 +23,9 @@ from repro.lb.ecmp import flow_hash
 from repro.sim.engine import US, check_minimums
 from repro.sim.packet import Packet
 
+#: Flowlet table entries, allocated up front: a hardware flowlet table
+#: holds tens of thousands of entries.
+FLOWLET_TABLE_SIZE = 4096
 
 @dataclass
 class FlowletConfig:
@@ -35,13 +38,10 @@ class FlowletConfig:
     """
 
     timeout_ns: int = 50 * US
-    table_size: int = 4096
     salt: int = 0
 
     def __post_init__(self) -> None:
-        # The table is allocated up front: a hardware flowlet table holds
-        # tens of thousands of entries, not billions.
-        check_minimums(self, {"timeout_ns": 0, "table_size": (1, 1 << 20)})
+        check_minimums(self, {"timeout_ns": 0})
 
 
 class _TableEntry:
@@ -57,7 +57,7 @@ class FlowletBalancer:
 
     def __init__(self, config: Optional[FlowletConfig] = None) -> None:
         self.config = config or FlowletConfig()
-        self._table = [_TableEntry() for _ in range(self.config.table_size)]
+        self._table = [_TableEntry() for _ in range(FLOWLET_TABLE_SIZE)]
         self._next_member = 0
         self.decisions = 0
         self.flowlets_started = 0

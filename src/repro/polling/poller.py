@@ -29,6 +29,9 @@ from repro.sim.engine import US, check_minimums
 from repro.sim.network import Network
 from repro.sim.switch import unit_key
 
+#: Jitter on each register read's duration (uniform, ±).
+READ_JITTER_NS = 40 * US
+
 
 @dataclass(frozen=True)
 class PollTarget:
@@ -87,14 +90,12 @@ class PollingConfig:
     #: default reproduces the testbed's ~2.6 ms round spread over 4
     #: switches polled in parallel, ~8 units each.
     per_read_ns: int = 350 * US
-    #: Jitter on each read's duration (uniform, ±).
-    read_jitter_ns: int = 40 * US
     #: Whether distinct switches poll concurrently (one CP agent each).
     parallel_across_switches: bool = True
     seed: int = 7
 
     def __post_init__(self) -> None:
-        check_minimums(self, {"per_read_ns": 0, "read_jitter_ns": 0})
+        check_minimums(self, {"per_read_ns": 0})
 
 
 class PollingObserver:
@@ -119,8 +120,7 @@ class PollingObserver:
         return self.network.switch(target.switch).unit(target.port, target.direction)
 
     def _read_duration_ns(self) -> int:
-        jitter = self.rng.randint(-self.config.read_jitter_ns,
-                                  self.config.read_jitter_ns)
+        jitter = self.rng.randint(-READ_JITTER_NS, READ_JITTER_NS)
         return max(1, self.config.per_read_ns + jitter)
 
     # ------------------------------------------------------------------

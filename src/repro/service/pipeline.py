@@ -32,8 +32,10 @@ from repro.service.stream import SnapshotStream
 from repro.sim.engine import Simulator, US, check_minimums
 from repro.sim.server import SerialServer
 
+#: Serial ingest cost per epoch: encode + index + store bookkeeping.
+INGEST_SERVICE_NS = 120 * US
 #: Marginal ingest cost per unit record, on top of
-#: ``PipelineConfig.ingest_service_ns`` per epoch.
+#: ``INGEST_SERVICE_NS`` per epoch.
 INGEST_PER_RECORD_NS = 2 * US
 
 
@@ -48,13 +50,10 @@ class PipelineConfig:
     #: Ingest queue bound, the epoch in service included (so >= 2);
     #: arrivals past it coalesce into the newest waiting one, never queue.
     queue_capacity: int = 64
-    #: Serial ingest cost per epoch: encode + index + store bookkeeping.
-    ingest_service_ns: int = 120 * US
 
     def __post_init__(self) -> None:
-        # A negative cost would schedule the ingest in the past.
         check_minimums(self, {"retention": 1, "keyframe_interval": 1,
-                              "queue_capacity": 2, "ingest_service_ns": 0})
+                              "queue_capacity": 2})
 
 
 class SnapshotPipeline(SerialServer[list]):
@@ -100,8 +99,7 @@ class SnapshotPipeline(SerialServer[list]):
             self.deliver([snapshot, 0])
 
     def _begin(self, item: list) -> int:
-        return (self.config.ingest_service_ns
-                + INGEST_PER_RECORD_NS * item[0].record_count)
+        return INGEST_SERVICE_NS + INGEST_PER_RECORD_NS * item[0].record_count
 
     def _ingest_head(self, item: list) -> None:
         snapshot, merged = item

@@ -26,6 +26,17 @@ from repro.sim.switch import BROADCAST_DST, Switch, SwitchConfig, TraceEvent
 from repro.topology.graph import LinkSpec, NodeKind, Topology
 
 
+def check_host_links(topology: Topology) -> None:
+    """Refuse, by name, a host with other than one link: a host has one
+    NIC to wire and one switch to follow into a shard.  (``Topology``
+    itself admits any host, for the route oracles.)"""
+    for host in topology.hosts:
+        links = topology.degree(host)
+        if links != 1:
+            raise ValueError(f"host {host!r} has {links} links; a host "
+                             "takes exactly one")
+
+
 def partition_topology(topology: Topology, num_shards: int) -> dict[str, int]:
     """Assign every node of ``topology`` to one of ``num_shards`` shards.
 
@@ -44,6 +55,7 @@ def partition_topology(topology: Topology, num_shards: int) -> dict[str, int]:
     sets.  Returns a ``{node name -> shard id}`` mapping covering every
     switch and host.
     """
+    check_host_links(topology)
     switches = topology.switches
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -79,9 +91,9 @@ def partition_topology(topology: Topology, num_shards: int) -> dict[str, int]:
                 if n in remaining:
                     links_in[n] = links_in.get(n, 0) + 1
     for host in topology.hosts:
-        # Host-to-host links do not exist, so every host neighbor is a
-        # switch; a multi-homed host follows its first switch by name.
-        attached = topology.neighbors(host)[0]
+        # Host-to-host links do not exist, so a host's one neighbor is
+        # its switch.
+        [attached] = topology.neighbors(host)
         assignment[host] = assignment[attached]
     return assignment
 
@@ -133,6 +145,7 @@ class Network:
                  config: Optional[NetworkConfig] = None,
                  sim: Optional[Simulator] = None,
                  scope: Optional["NetworkScope"] = None) -> None:
+        check_host_links(topology)
         self.topology = topology
         self.config = config or NetworkConfig()
         self.sim = sim or Simulator()

@@ -46,6 +46,11 @@ MODULATION_PERIOD_NS = 300 * US
 INTENSITY_SIGMA = 0.6
 #: Size of the master's control messages (task scheduling RPCs).
 CONTROL_SIZE_BYTES = 200
+#: Rank-update packets per worker->worker stream per iteration.
+BURST_PACKETS = 180
+#: Background chatter rate per host pair (packets/second): shuffle
+#: ACKs, block-manager heartbeats, executor liveness.
+CHATTER_PPS = 300.0
 #: Size of a background chatter packet.
 CHATTER_SIZE_BYTES = 150
 
@@ -54,26 +59,14 @@ CHATTER_SIZE_BYTES = 150
 class GraphXConfig(WorkloadConfig):
     #: The driver host (excluded from bulk exchanges).
     master: str = "server0"
-    #: Rank-update packets per worker->worker stream per iteration.
-    burst_packets: int = 180
     #: Base packet gap within a stream (scaled by the intensity process);
     #: 40 µs x 180 packets ≈ a 7 ms exchange window per 10 ms iteration.
     burst_gap_ns: int = 40 * US
     size_bytes: int = 1200
-    #: Background chatter rate per host pair (packets/second): shuffle
-    #: ACKs, block-manager heartbeats, executor liveness.
-    chatter_pps: float = 300.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_minimums(self, {
-            "burst_packets": 0, "burst_gap_ns": 0, "size_bytes": 1,
-            "chatter_pps": 0.0})
-        # 0 switches the chatter off; below PoissonConfig's rate floor the
-        # mean gap 1e9 / chatter_pps overflows to inf.
-        if 0 < self.chatter_pps < 1e-9:
-            raise ValueError("GraphXConfig.chatter_pps must be 0 or >= 1e-09, "
-                             f"got {self.chatter_pps!r}")
+        check_minimums(self, {"burst_gap_ns": 0, "size_bytes": 1})
 
 
 class GraphXPageRankWorkload(Workload):
@@ -92,13 +85,12 @@ class GraphXPageRankWorkload(Workload):
     def _begin(self) -> None:
         if self.config.master not in self.network.hosts:
             raise ValueError(f"master {self.config.master!r} not in network")
-        if self.config.chatter_pps > 0:
-            mean_gap = 1e9 / self.config.chatter_pps
-            for src in self.hosts:
-                for dst in self.hosts:
-                    if src != dst:
-                        self.sim.schedule(self.exp_delay(mean_gap),
-                                          self._chatter, src, dst, mean_gap)
+        mean_gap = 1e9 / CHATTER_PPS
+        for src in self.hosts:
+            for dst in self.hosts:
+                if src != dst:
+                    self.sim.schedule(self.exp_delay(mean_gap),
+                                      self._chatter, src, dst, mean_gap)
         self._modulate()
         self._iteration()
 
@@ -146,8 +138,7 @@ class GraphXPageRankWorkload(Workload):
         for dst in workers:
             if dst == src:
                 continue
-            self._stream(src, dst, self.next_sport(),
-                         self.config.burst_packets, 0)
+            self._stream(src, dst, self.next_sport(), BURST_PACKETS, 0)
 
     def _stream(self, src: str, dst: str, sport: int, remaining: int,
                 seq: int) -> None:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import (AggregationConfig, AggregationTree, ObserverConfig,
                         deploy)
+from repro.core import aggregation
 from repro.core.aggregation import AggregateMessage, AggregationAgent
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.core.snapshot import SnapshotStatus
@@ -28,6 +29,12 @@ def _deploy(agg, seed=7, topo=None, **config_kwargs):
     deployment = deploy(
         network, metric="packet_count", aggregation=agg, **config_kwargs)
     return network, deployment
+
+
+@pytest.fixture
+def short_flush(monkeypatch):
+    """A 10 ms partial-flush timer in place of the relays' 25 ms."""
+    monkeypatch.setattr(aggregation, "RELAY_FLUSH_TIMEOUT_NS", 10 * MS)
 
 
 def _campaign(network, deployment, count=4, interval_ns=10 * MS):
@@ -139,7 +146,7 @@ class TestPartialFlush:
         """A chain tree four relays deep whose leaf is silent: each
         relay above it flushes its own records once, and every hop
         passes a child's partial aggregate straight up (it used to hold
-        it for another ``flush_timeout_ns``, so the deepest live records
+        it for another ``RELAY_FLUSH_TIMEOUT_NS``, so the deepest live records
         reached the observer after depth x 25 ms)."""
         config = AggregationConfig(degree=1)
         network, deployment = _deploy(
@@ -165,20 +172,20 @@ class TestPartialFlush:
         # of one message, ~0.3 ms here.
         hop_ns = 1 * MS
         assert max(arrivals) <= (snapshot.requested_wall_ns
-                                 + config.flush_timeout_ns
+                                 + aggregation.RELAY_FLUSH_TIMEOUT_NS
                                  + tree.depth() * hop_ns)
 
 
 class TestCrashCouplingAndAttribution:
-    def _crash_relay_setup(self):
+    @pytest.fixture
+    def relay_setup(self, short_flush):
         # device_timeout must outlast the partial-flush cascade (one
         # flush_timeout after initiation) or every device looks silent.
         observer = ObserverConfig(lead_time_ns=5 * MS,
                                   retry_timeout_ns=10 * MS, max_retries=1,
                                   device_timeout_ns=40 * MS)
         network, deployment = _deploy(
-            AggregationConfig(degree=2, flush_timeout_ns=10 * MS),
-            observer=observer)
+            AggregationConfig(degree=2), observer=observer)
         tree = deployment.aggregation.tree
         # A mid-tree relay: not the root, and has children to strand.
         relay = next(n for n in tree.order
@@ -192,8 +199,8 @@ class TestCrashCouplingAndAttribution:
                 subtree.append(node)
         return network, deployment, relay, subtree
 
-    def test_silent_relay_subtree_attributed_not_blamed(self):
-        network, deployment, relay, subtree = self._crash_relay_setup()
+    def test_silent_relay_subtree_attributed_not_blamed(self, relay_setup):
+        network, deployment, relay, subtree = relay_setup
         deployment.control_planes[relay].crash()
         epoch = deployment.take_snapshot()
         network.run(until=200 * MS)
@@ -210,8 +217,8 @@ class TestCrashCouplingAndAttribution:
             assert snapshot.exclusion_reasons[device] == f"relay:{relay}", (
                 device, snapshot.exclusion_reasons)
 
-    def test_restarted_relay_carries_later_epochs(self):
-        network, deployment, relay, _subtree = self._crash_relay_setup()
+    def test_restarted_relay_carries_later_epochs(self, relay_setup):
+        network, deployment, relay, _subtree = relay_setup
         cp = deployment.control_planes[relay]
         network.sim.schedule_at(1 * MS, cp.crash)
         network.sim.schedule_at(40 * MS, cp.restart)
@@ -222,8 +229,8 @@ class TestCrashCouplingAndAttribution:
         assert deployment.observer.snapshot(first).excluded_devices
         assert deployment.observer.snapshot(second).usable
 
-    def test_crash_takes_agent_offline_and_back(self):
-        network, deployment, relay, _subtree = self._crash_relay_setup()
+    def test_crash_takes_agent_offline_and_back(self, relay_setup):
+        network, deployment, relay, _subtree = relay_setup
         agent = deployment.aggregation.agents[relay]
         cp = deployment.control_planes[relay]
         assert agent.online
@@ -241,7 +248,7 @@ class TestCrashCouplingAndAttribution:
         tree = AggregationTree(root="root", parent={"root": None, "kid": "root"},
                                children={"root": ["kid"], "kid": []},
                                order=["root", "kid"])
-        agent = AggregationAgent(sim, AggregationConfig(degree=2), "root", tree)
+        agent = AggregationAgent(sim, "root", tree)
         sent = []
         agent.send_up = sent.append
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import control_plane
 from repro.core.control_plane import (ControlPlaneConfig, NotificationChannel,
                                       SwitchControlPlane, uniform_jitter)
 from repro.core.dataplane import SpeedlightUnit
@@ -31,10 +32,20 @@ def _pkt(sid):
     return pkt
 
 
+@pytest.fixture
+def fast_cp(monkeypatch):
+    """A quick, jitter-free control plane CPU: no service or injection
+    jitter, a 100 ns wake-up with no tail."""
+    for name, value in (("NOTIFICATION_JITTER_NS", 0),
+                        ("INITIATION_CPU_NS", 100),
+                        ("INITIATION_JITTER_NS", 0),
+                        ("WAKEUP_MEDIAN_NS", 100),
+                        ("WAKEUP_TAIL_PROBABILITY", 0.0)):
+        monkeypatch.setattr(control_plane, name, value)
+
+
 def _fast_cp_config(**overrides):
-    defaults = dict(notification_service_ns=1000, notification_jitter_ns=0,
-                    initiation_cpu_ns=100, initiation_jitter_ns=0,
-                    wakeup_median_ns=100, wakeup_tail_probability=0.0,
+    defaults = dict(notification_service_ns=1000,
                     reinitiation_timeout_ns=0, probe_delay_ns=0)
     defaults.update(overrides)
     return ControlPlaneConfig(**defaults)
@@ -58,15 +69,16 @@ def _bench(channel_state=False, max_sid=255, cp_config=None, ship=None):
     return net, cp, agent, shipped
 
 
+@pytest.mark.usefixtures("fast_cp")
 class TestNotificationChannel:
     def _channel(self, capacity=4, service=1000):
         sim = Simulator()
         handled = []
         channel = NotificationChannel(
             sim, random.Random(1),
-            _fast_cp_config(buffer_capacity=capacity,
-                            notification_service_ns=service),
+            _fast_cp_config(notification_service_ns=service),
             handled.append)
+        channel.capacity = capacity
         return sim, channel, handled
 
     def _notification(self, i=0):
@@ -101,6 +113,7 @@ class TestNotificationChannel:
         assert channel.max_backlog == 10
 
 
+@pytest.mark.usefixtures("fast_cp")
 class TestNoChannelState:
     def test_record_shipped_on_advance(self):
         net, cp, agent, shipped = _bench()
@@ -157,6 +170,7 @@ class TestNoChannelState:
         assert len(shipped) < 11
 
 
+@pytest.mark.usefixtures("fast_cp")
 class TestChannelState:
     def test_completion_gated_on_last_seen(self):
         net, cp, agent, shipped = _bench(channel_state=True)
@@ -228,12 +242,13 @@ class TestChannelState:
         assert [r.epoch for r in shipped] == [1]
 
 
+@pytest.mark.usefixtures("fast_cp")
 class TestDropRecovery:
     def test_poll_registers_recovers_lost_notifications(self):
         # Tiny buffer: most notifications drop.
         net, cp, agent, shipped = _bench(
-            cp_config=_fast_cp_config(buffer_capacity=1,
-                                      notification_service_ns=500 * US))
+            cp_config=_fast_cp_config(notification_service_ns=500 * US))
+        cp.channel.capacity = 1
         for epoch in range(1, 6):
             agent.process_packet(_pkt(epoch), 0, now_ns=epoch)
         net.run(until=10 * MS)
@@ -268,6 +283,7 @@ class TestInitiation:
         assert cp.local_epoch_complete(1)
         assert cp.initiations_sent == 1
 
+    @pytest.mark.usefixtures("fast_cp")
     def test_initiation_at_local_clock_time(self):
         net = Network(single_switch(num_hosts=2), NetworkConfig(seed=1))
         switch = net.switch("sw0")
@@ -303,6 +319,7 @@ class TestInitiation:
         net.run(until=100 * MS)
         assert cp.reinitiations_sent == 2
 
+    @pytest.mark.usefixtures("fast_cp")
     def test_duplicate_registration_rejected(self):
         net, cp, agent, _ = _bench()
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import ControlPlaneConfig, deploy
+from repro.core import ControlPlaneConfig, control_plane, deploy
 from repro.core.control_plane import DigestChannel
 from repro.core.notifications import Notification
 from repro.sim.engine import MS, Simulator, US
@@ -15,19 +15,21 @@ from repro.topology import single_switch
 UNIT = UnitId("sw0", 0, Direction.INGRESS)
 
 
-def _config(**overrides):
-    defaults = dict(digest_batch=4, digest_timeout_ns=200 * US,
-                    digest_service_ns=50 * US, digest_per_record_ns=10 * US,
-                    buffer_capacity=64)
-    defaults.update(overrides)
-    return ControlPlaneConfig(**defaults)
+@pytest.fixture
+def small_digests(monkeypatch):
+    """Batches of 4, a 200 us flush timer, 50 us a wakeup plus 10 us a
+    record."""
+    for name, value in (("DIGEST_BATCH", 4), ("DIGEST_TIMEOUT_NS", 200 * US),
+                        ("DIGEST_SERVICE_NS", 50 * US),
+                        ("DIGEST_PER_RECORD_NS", 10 * US)):
+        monkeypatch.setattr(control_plane, name, value)
 
 
-def _channel(config=None):
+def _channel(capacity=64):
     sim = Simulator()
     handled = []
-    channel = DigestChannel(sim, random.Random(1), config or _config(),
-                            handled.append)
+    channel = DigestChannel(sim, handled.append)
+    channel.capacity = capacity
     return sim, channel, handled
 
 
@@ -35,6 +37,7 @@ def _notification(i):
     return Notification(unit=UNIT, old_sid=i, new_sid=i + 1, timestamp_ns=i)
 
 
+@pytest.mark.usefixtures("small_digests")
 class TestBatching:
     def test_full_batch_ships_immediately(self):
         sim, channel, handled = _channel()
@@ -71,13 +74,14 @@ class TestBatching:
         assert channel.processed == 8
 
     def test_overflow_drops(self):
-        sim, channel, handled = _channel(_config(buffer_capacity=3))
+        sim, channel, handled = _channel(capacity=3)
         for i in range(6):
             channel.deliver(_notification(i))
         sim.run()
         assert channel.dropped == 3
 
 
+@pytest.mark.usefixtures("small_digests")
 class TestBacklogCounter:
     """``backlog`` is a running count (it used to re-sum the queued
     batches on every arrival, twice); the sum stays here as the oracle."""
@@ -90,7 +94,7 @@ class TestBacklogCounter:
     @pytest.mark.parametrize("seed", range(8))
     def test_counter_equals_the_sum_through_random_histories(self, seed):
         rng = random.Random(seed)
-        sim, channel, handled = _channel(_config(buffer_capacity=24))
+        sim, channel, handled = _channel(capacity=24)
         peak = accepted = 0
         for step in range(400):
             action = rng.choice(["arrive"] * 12 + ["burst", "timer", "service",

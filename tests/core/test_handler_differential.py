@@ -16,6 +16,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import control_plane
 from repro.core.control_plane import (ControlPlaneConfig, SwitchControlPlane,
                                       UnitSnapshotRecord)
 from repro.core.dataplane import SpeedlightUnit
@@ -28,6 +29,15 @@ from repro.topology import single_switch
 
 UNITS = (UnitId("sw0", 0, Direction.INGRESS), UnitId("sw0", 1, Direction.EGRESS))
 CHANNELS = (0, 1)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _short_service_jitter():
+    """±200 ns on a 1 µs service, so arrivals interleave with service
+    ends in varied orders."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(control_plane, "NOTIFICATION_JITTER_NS", 200)
+        yield
 
 
 class _ReplacedHandler(SwitchControlPlane):
@@ -126,8 +136,8 @@ class _Stack:
             self.net.switch("sw0"), Clock(), IdSpace(max_sid),
             channel_state=channel_state,
             config=ControlPlaneConfig(
-                notification_service_ns=1000, notification_jitter_ns=200,
-                reinitiation_timeout_ns=0, probe_delay_ns=0),
+                notification_service_ns=1000, reinitiation_timeout_ns=0,
+                probe_delay_ns=0),
             ship=self._ship)
         self.emitted: list = []
         self.counter = 0

@@ -35,16 +35,11 @@ class TestRecoveryPolicy:
         # Each of these once switched collection off silently, spent
         # every retry at the initiation instant, or failed late at the
         # first notification with no field named.
-        (ControlPlaneConfig, "buffer_capacity", 0),
-        (AggregationConfig, "buffer_capacity", 0),
         (ObserverConfig, "retry_timeout_ns", 0),
-        (ControlPlaneConfig, "notification_jitter_ns", -1),
-        (ControlPlaneConfig, "digest_timeout_ns", -1),
-        (ControlPlaneConfig, "digest_batch", 0),
         (ControlPlaneConfig, "notification_transport", "pigeon"),
         # The policy validates by building both configs.
-        (RecoveryPolicy, "digest_timeout_ns", -1),
         (RecoveryPolicy, "device_timeout_ns", -1),
+        (AggregationConfig, "degree", -1),
     ])
     def test_each_config_names_its_bad_field(self, config, field, value):
         with pytest.raises(ValueError, match=field):
@@ -53,11 +48,9 @@ class TestRecoveryPolicy:
     def test_overlay_preserves_non_recovery_fields(self):
         policy = recovery_preset("eager")
         base_cp = ControlPlaneConfig(notification_service_ns=99 * US,
-                                     buffer_capacity=7,
                                      notification_transport="digest")
         cp = policy.control_plane_config(base_cp)
         assert cp.notification_service_ns == 99 * US
-        assert cp.buffer_capacity == 7
         assert cp.notification_transport == "digest"
         assert cp.reinitiation_timeout_ns == policy.reinitiation_timeout_ns
         assert cp.register_poll_interval_ns == policy.register_poll_interval_ns

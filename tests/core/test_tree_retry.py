@@ -9,10 +9,18 @@ legacy sweep must be untouched (golden traces depend on it).
 
 from __future__ import annotations
 
-from repro.core import AggregationConfig, ObserverConfig, deploy
+import pytest
+
+from repro.core import AggregationConfig, ObserverConfig, aggregation, deploy
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
 from repro.topology import fat_tree, leaf_spine
+
+
+@pytest.fixture(autouse=True)
+def _short_flush(monkeypatch):
+    """A 10 ms partial-flush timer in place of the relays' 25 ms."""
+    monkeypatch.setattr(aggregation, "RELAY_FLUSH_TIMEOUT_NS", 10 * MS)
 
 
 def _deploy(agg, seed=7, topo=None, **config_kwargs):
@@ -33,7 +41,7 @@ _OBSERVER = dict(lead_time_ns=5 * MS, retry_timeout_ns=25 * MS,
 def _crashed_relay_run(degree=2):
     """Crash a mid-tree relay before the snapshot; run to resolution."""
     network, deployment = _deploy(
-        AggregationConfig(degree=degree, flush_timeout_ns=10 * MS),
+        AggregationConfig(degree=degree),
         observer=ObserverConfig(**_OBSERVER))
     tree = deployment.aggregation.tree
     relay = next(n for n in tree.order
@@ -100,7 +108,7 @@ class TestTreeAwareRetry:
         # A device that is slow-but-reporting leaves no silent set; the
         # tree path declines and the full sweep runs as before.
         network, deployment = _deploy(
-            AggregationConfig(degree=2, flush_timeout_ns=10 * MS),
+            AggregationConfig(degree=2),
             observer=ObserverConfig(**_OBSERVER))
         snapshot_epoch = deployment.take_snapshot()
         network.run(until=1 * S)

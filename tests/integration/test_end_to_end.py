@@ -140,9 +140,9 @@ class TestFaultTolerance:
     def test_notification_buffer_overflow_recovered_by_polling(self):
         net = Network(leaf_spine(hosts_per_leaf=1), NetworkConfig(seed=9))
         _traffic(net, 1 * S)
-        deployment = deploy(
-            net, metric="packet_count",
-            control_plane=ControlPlaneConfig(buffer_capacity=2))
+        deployment = deploy(net, metric="packet_count")
+        for cp in deployment.control_planes.values():
+            cp.channel.capacity = 2
         epochs = _run_campaign(net, deployment, count=10, interval_ns=2 * MS)
         if deployment.notification_stats()["dropped"] == 0:
             pytest.skip("buffer never overflowed at this seed")

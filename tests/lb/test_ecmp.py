@@ -97,8 +97,8 @@ def _consumer_outputs(flows):
     balancer = EcmpBalancer(salt=3)
     heavy = HeavyHitterCounter(width=64)
     active = ActiveFlowEstimator(bits=64, salt=5)
-    flowlet = FlowletBalancer(FlowletConfig(timeout_ns=10 * US,
-                                            table_size=16, salt=7))
+    with mock.patch("repro.lb.flowlet.FLOWLET_TABLE_SIZE", 16):
+        flowlet = FlowletBalancer(FlowletConfig(timeout_ns=10 * US, salt=7))
     picks = []
     for t, flow in enumerate(flows):
         packet = Packet(flow=flow)

@@ -1,6 +1,7 @@
 """Tests for flowlet switching."""
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,7 +50,7 @@ class TestFlowletBalancer:
         assert second in (7, 8)
 
     def test_distinct_flows_use_distinct_entries(self):
-        lb = FlowletBalancer(FlowletConfig(timeout_ns=10**9, table_size=4096))
+        lb = FlowletBalancer(FlowletConfig(timeout_ns=10**9))
         a = lb.select([0, 1], _pkt(1000), now_ns=0)
         b = lb.select([0, 1], _pkt(1001), now_ns=0)
         assert lb.flowlets_started == 2
@@ -58,15 +59,14 @@ class TestFlowletBalancer:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            FlowletBalancer(FlowletConfig(table_size=0))
-        with pytest.raises(ValueError):
             FlowletBalancer(FlowletConfig(timeout_ns=-1))
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=2**16),
                               st.integers(min_value=0, max_value=10**9)),
                     min_size=1, max_size=100))
     def test_property_selection_always_valid(self, events):
-        lb = FlowletBalancer(FlowletConfig(table_size=64))
+        with mock.patch("repro.lb.flowlet.FLOWLET_TABLE_SIZE", 64):
+            lb = FlowletBalancer(FlowletConfig())
         candidates = [3, 5, 9]
         now = 0
         for sport, gap in sorted(events, key=lambda e: e[1]):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.counters import PacketCounter
+from repro.polling import poller
 from repro.polling import (PollRound, PollSample, PollTarget, PollingConfig,
                            PollingObserver)
 from repro.sim.engine import MS, US
@@ -18,6 +19,12 @@ def _net_with_counters(topo=None):
             port.ingress.counters.add("packet_count", PacketCounter())
             port.egress.counters.add("packet_count", PacketCounter())
     return net
+
+
+@pytest.fixture
+def exact_reads(monkeypatch):
+    """Every register read takes exactly ``per_read_ns``."""
+    monkeypatch.setattr(poller, "READ_JITTER_NS", 0)
 
 
 def _targets(net, direction=Direction.INGRESS):
@@ -50,31 +57,34 @@ class TestSingleRound:
         assert len(done) == 1
         assert len(done[0].samples) == len(targets)
 
+    @pytest.mark.usefixtures("exact_reads")
     def test_reads_are_sequential_per_switch(self):
         net = _net_with_counters()
         poller = PollingObserver(net, _targets(net), PollingConfig(
-            per_read_ns=400 * US, read_jitter_ns=0))
+            per_read_ns=400 * US))
         round_ = poller.poll_round()
         net.run(until=100 * MS)
         times = sorted(s.read_ns for s in round_.samples)
         for earlier, later in zip(times, times[1:]):
             assert later - earlier >= 400 * US
 
+    @pytest.mark.usefixtures("exact_reads")
     def test_round_spread_reflects_chain_length(self):
         net = _net_with_counters()
         poller = PollingObserver(net, _targets(net), PollingConfig(
-            per_read_ns=300 * US, read_jitter_ns=0))
+            per_read_ns=300 * US))
         round_ = poller.poll_round()
         net.run(until=100 * MS)
         # 3 targets on one switch -> spread = 2 gaps of 300 us.
         assert round_.spread_ns == 2 * 300 * US
 
+    @pytest.mark.usefixtures("exact_reads")
     def test_values_sampled_at_read_time_not_request_time(self):
         net = _net_with_counters()
         counter = net.switch("sw0").ports[0].ingress.counters.get("packet_count")
         poller = PollingObserver(
             net, [PollTarget("sw0", 0, Direction.INGRESS, "packet_count")],
-            PollingConfig(per_read_ns=1 * MS, read_jitter_ns=0))
+            PollingConfig(per_read_ns=1 * MS))
         round_ = poller.poll_round()
         # Counter increments after the request is issued but before the
         # driver read completes: polling must observe the new value.
@@ -84,10 +94,11 @@ class TestSingleRound:
         net.run(until=100 * MS)
         assert round_.samples[0].value == 1
 
+    @pytest.mark.usefixtures("exact_reads")
     def test_parallel_switches_poll_concurrently(self):
         net = _net_with_counters(leaf_spine(hosts_per_leaf=1))
         serial = PollingObserver(net, _targets(net), PollingConfig(
-            per_read_ns=500 * US, read_jitter_ns=0,
+            per_read_ns=500 * US,
             parallel_across_switches=False))
         round_ = serial.poll_round()
         net.run(until=100 * MS)
@@ -95,7 +106,7 @@ class TestSingleRound:
 
         net2 = _net_with_counters(leaf_spine(hosts_per_leaf=1))
         parallel = PollingObserver(net2, _targets(net2), PollingConfig(
-            per_read_ns=500 * US, read_jitter_ns=0,
+            per_read_ns=500 * US,
             parallel_across_switches=True))
         round2 = parallel.poll_round()
         net2.run(until=100 * MS)

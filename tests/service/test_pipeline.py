@@ -53,6 +53,9 @@ class TestStreamIntake:
 
 
 class TestBackpressure:
+    #: The ingest server slowed ~40x, to about 5 ms an epoch.
+    SLOW = 40.0
+
     def _congested_run(self, ticks=30, capacity=2):
         """Ingest server far slower than the snapshot cadence."""
         network, deployment = _deploy()
@@ -60,8 +63,8 @@ class TestBackpressure:
             network.sim, deployment.observer,
             config=PipelineConfig(
                 retention=256, keyframe_interval=8,
-                queue_capacity=capacity,
-                ingest_service_ns=5 * MS))  # cadence is 1 ms: must coalesce
+                queue_capacity=capacity))
+        pipeline.service_scale = self.SLOW  # cadence is 1 ms: must coalesce
         campaign = ContinuousCampaign(network.sim, deployment.observer,
                                       interval_ns=1 * MS)
         campaign.start(max_ticks=ticks)
@@ -82,8 +85,8 @@ class TestBackpressure:
         network, deployment = _deploy()
         pipeline = SnapshotPipeline(
             network.sim, deployment.observer,
-            config=PipelineConfig(queue_capacity=capacity,
-                                  ingest_service_ns=5 * MS))
+            config=PipelineConfig(queue_capacity=capacity))
+        pipeline.service_scale = self.SLOW
         campaign = ContinuousCampaign(network.sim, deployment.observer,
                                       interval_ns=1 * MS)
         campaign.start(max_ticks=40)
@@ -115,9 +118,8 @@ class TestBackpressure:
             PipelineConfig(queue_capacity=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("ingest_service_ns", -1), ("retention", 0), ("keyframe_interval", 0), ("queue_capacity", 1)])
+        ("retention", 0), ("keyframe_interval", 0), ("queue_capacity", 1)])
     def test_config_refuses_each_field_below_its_minimum(self, field, value):
-        # A negative ingest cost used to schedule the ingest in the past.
         with pytest.raises(ValueError, match=f"PipelineConfig.{field} "):
             PipelineConfig(**{field: value})
         PipelineConfig(**{field: value + 1})  # the minimum itself is fine

@@ -10,6 +10,15 @@ from repro.topology import Topology, fat_tree, leaf_spine
 from repro.topology.graph import NodeKind
 
 
+def with_odd_host(links):
+    """A two-leaf fabric plus host ``odd`` linked to ``links`` leaves."""
+    topo = leaf_spine(num_leaves=2, num_spines=1, hosts_per_leaf=1)
+    topo.add_host("odd")
+    for leaf in ("leaf0", "leaf1")[:links]:
+        topo.add_link(leaf, "odd")
+    return topo
+
+
 class TestAssembly:
     def test_device_counts(self, leaf_spine_net):
         assert len(leaf_spine_net.switches) == 4
@@ -39,6 +48,13 @@ class TestAssembly:
             topo.add_link("sw0", host)
         with pytest.raises(ValueError, match=BROADCAST_DST):
             Network(topo)
+
+    @pytest.mark.parametrize("links", [0, 2], ids=["unlinked", "dual_homed"])
+    def test_a_host_with_other_than_one_link_is_refused_by_name(self, links):
+        # Dual-homed, it died mid-build on the second link; unlinked, it
+        # was built and could never send.
+        with pytest.raises(ValueError, match=f"^host 'odd' has {links} links"):
+            Network(with_odd_host(links))
 
     def test_peer_of_port(self, leaf_spine_net):
         name, kind = leaf_spine_net.peer_of_port("leaf0", 0)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core import AggregationConfig, ControlPlaneConfig
+from repro.core import ControlPlaneConfig, control_plane
 from repro.core.aggregation import AggregateMessage, RelayChannel
 from repro.core.control_plane import DigestChannel, NotificationChannel
 from repro.core.notifications import Notification
@@ -34,22 +34,20 @@ def _message(i):
 SERVERS = {
     "notification": (lambda sim, handler: NotificationChannel(
         sim, random.Random(1), ControlPlaneConfig(), handler), _notification),
-    # One notification per digest: each arrival ships at once.
-    "digest": (lambda sim, handler: DigestChannel(
-        sim, random.Random(1),
-        ControlPlaneConfig(notification_transport="digest", digest_batch=1),
-        handler), _notification),
-    "relay": (lambda sim, handler: RelayChannel(
-        sim, AggregationConfig(degree=2), handler), _message),
+    "digest": (DigestChannel, _notification),
+    "relay": (RelayChannel, _message),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(SERVERS))
-def test_item_in_service_dies_with_a_crash_despite_a_quick_restart(kind):
+def test_item_in_service_dies_with_a_crash_despite_a_quick_restart(
+        kind, monkeypatch):
     """A crash loses the item in service even when the server is back up
     before that item's service would have ended (it used to be handled
     after the restart), and what is admitted after the restart is served
     once that slot ends."""
+    # One notification per digest: each arrival ships at once.
+    monkeypatch.setattr(control_plane, "DIGEST_BATCH", 1)
     make, item = SERVERS[kind]
     sim = Simulator()
     handled = []

@@ -34,6 +34,7 @@ from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 from tests.integration.test_golden_trace import (GOLDEN_EVENTS,
                                                  GOLDEN_SHA256,
                                                  GOLDEN_TOTALS)
+from tests.sim.test_network import with_odd_host
 from tests.topology.test_route_table import switch_graphs
 
 #: Drawn examples of the partition differential (``make
@@ -100,6 +101,13 @@ class TestPartitioner:
         sizes = [sum(1 for s in topo.switches if assignment[s] == shard)
                  for shard in range(4)]
         assert sizes == [5, 5, 5, 5]
+
+    @pytest.mark.parametrize("links", [0, 2], ids=["unlinked", "dual_homed"])
+    def test_a_host_with_other_than_one_link_is_refused_by_name(self, links):
+        # Unlinked, it raised a bare IndexError; dual-homed, it followed
+        # its first switch by name into a network that cannot wire it.
+        with pytest.raises(ValueError, match=f"^host 'odd' has {links} links"):
+            partition_topology(with_odd_host(links), 2)
 
     def test_more_shards_than_switches_rejected(self):
         with pytest.raises(ValueError, match="cannot split"):
@@ -204,7 +212,7 @@ class TestPartitionDifferential:
     def test_builders_match_the_oracle(self, build, num_shards):
         assert_partitions_match(build(), num_shards)
 
-    @given(switch_graphs(), st.integers(1, 4))
+    @given(switch_graphs(multihomed=False), st.integers(1, 4))
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_drawn_graphs_match_the_oracle(self, topo, num_shards):
         assert_partitions_match(topo, num_shards)

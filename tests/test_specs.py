@@ -200,7 +200,10 @@ def test_trial_fingerprints_are_pinned():
     invalidates every cached result — bump it only on purpose.
     Re-recorded when trials stopped carrying compiled schedules: every
     faults, recovery and updates spec lost its ``schedule`` param and
-    each recovery spec gained its ``profile``; nothing else moved."""
+    each recovery spec gained its ``profile``; nothing else moved.
+    Re-recorded when the digest flush timer became a constant: the 21
+    specs that carry a recovery policy lost its ``digest_timeout_ns``;
+    nothing else moved."""
     from repro.experiments import registry
 
     reg = registry()
@@ -210,4 +213,4 @@ def test_trial_fingerprints_are_pinned():
              for spec in reg[name].specs(reg[name].config(quick=quick))]
     assert len(lines) == 56
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "7623c268b426b4ef32e0d95992685bb3fd2269a49ea23c8a03ee6cb7f49b6858")
+        "205455ad95f6e4641229c11bd2dd472bf2f00647d08c93b11d2d6af798f79852")

@@ -178,10 +178,11 @@ BUILDERS = [
 
 
 @st.composite
-def switch_graphs(draw):
+def switch_graphs(draw, multihomed=True):
     """Switches joined by a drawn edge set (connected or not), each with
-    0-2 single-homed hosts, 0-2 hosts linked to 2-3 distinct switches,
-    plus sometimes an island no one can reach."""
+    0-2 single-homed hosts, 0-2 hosts linked to 2-3 distinct switches
+    (unless ``multihomed`` is off: a network refuses them), plus
+    sometimes an island no one can reach."""
     count = draw(st.integers(1, 7))
     topo = Topology("drawn")
     names = [topo.add_switch(f"s{i}") for i in range(count)]
@@ -193,7 +194,7 @@ def switch_graphs(draw):
             st.integers(0, 2), min_size=count, max_size=count))):
         for j in range(fanout):
             topo.add_link(names[i], topo.add_host(f"h{i}_{j}"))
-    if count >= 2:
+    if count >= 2 and multihomed:
         for j, attached in enumerate(draw(st.lists(st.lists(
                 st.sampled_from(names), min_size=2, max_size=3, unique=True),
                 max_size=2))):

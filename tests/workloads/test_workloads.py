@@ -139,8 +139,7 @@ class TestGraphX:
     def test_workers_exchange_all_to_all(self, record_arrivals):
         net = _net()
         log = record_arrivals(net)
-        wl = GraphXPageRankWorkload(net, GraphXConfig(stop_ns=30 * MS,
-                                                      chatter_pps=0))
+        wl = GraphXPageRankWorkload(net, GraphXConfig(stop_ns=30 * MS))
         wl.start()
         net.run(until=60 * MS)
         workers = set(wl.workers)
