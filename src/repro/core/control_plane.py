@@ -556,17 +556,16 @@ class SwitchControlPlane:
             agent = port.ingress.snapshot_agent
             if agent is None:
                 continue
-            for cos in range(self.switch.config.num_cos):
-                flow = FlowKey(src=f"{self.switch.name}-cpu",
-                               dst=BROADCAST_DST, sport=0, dport=0, proto=255)
-                probe = Packet(flow=flow, size_bytes=64, cos=cos,
-                               created_ns=self.sim.now, payload=ttl)
-                probe.snapshot = SnapshotHeader(sid=agent.sid,
-                                                packet_type=PacketType.PROBE)
-                self.probes_sent += 1
-                # statics: allow[SIM003] probes enter via the switch-internal CPU port, same modeled path as initiations
-                self.sim.schedule(ASIC_CPU_LATENCY_NS,
-                                  port.ingress.handle_packet, probe)
+            flow = FlowKey(src=f"{self.switch.name}-cpu",
+                           dst=BROADCAST_DST, sport=0, dport=0, proto=255)
+            probe = Packet(flow=flow, size_bytes=64,
+                           created_ns=self.sim.now, payload=ttl)
+            probe.snapshot = SnapshotHeader(sid=agent.sid,
+                                            packet_type=PacketType.PROBE)
+            self.probes_sent += 1
+            # statics: allow[SIM003] probes enter via the switch-internal CPU port, same modeled path as initiations
+            self.sim.schedule(ASIC_CPU_LATENCY_NS,
+                              port.ingress.handle_packet, probe)
 
     def _periodic_poll(self) -> None:
         """Recurring register poll at the RecoveryPolicy's cadence.  A

@@ -19,13 +19,13 @@ P4 compiler) performs on a real network:
   configure header stripping at deployment boundaries (partial
   deployment, §10).
 
-Gating: an ingress unit gates on its external channel, one sub-channel
-per CoS lane, only when the link peer is a snapshot-enabled switch (host
-channels carry no tagged in-flight packets, so they are excluded — the
-§6 "removal of non-utilized upstream neighbors" knob, applied
-automatically); an egress unit gates on every (feasible ingress port,
-lane) pair of its switch (a packet never hairpins out the port it
-arrived on).  An operator drops a further channel with
+Gating: an ingress unit gates on its external channel only when the
+link peer is a snapshot-enabled switch (host channels carry no tagged
+in-flight packets, so they are excluded — the §6 "removal of
+non-utilized upstream neighbors" knob, applied automatically); an
+egress unit gates on every feasible ingress port of its switch (a
+packet never hairpins out the port it arrived on).  An operator drops a
+further channel with
 :meth:`~repro.core.control_plane.SwitchControlPlane.exclude_channel`.
 
 The same class wires a :class:`~repro.sim.network.Network` and one
@@ -61,7 +61,7 @@ from repro.counters import metric
 from repro.sim.engine import check_minimums
 from repro.sim.network import Network
 from repro.sim.shard import ShardWorker
-from repro.sim.switch import Direction, Switch, UnitId
+from repro.sim.switch import Direction, EXTERNAL_CHANNEL, UnitId
 from repro.topology.graph import NodeKind
 
 def _unpacked(handler: Callable[..., Any]) -> Callable[[tuple], None]:
@@ -320,8 +320,7 @@ class SpeedlightDeployment:
             ingress = port.ingress.snapshot_agent
             egress = port.egress.snapshot_agent
             cp.register_unit(ingress, self._ingress_gating(name, port_index))
-            cp.register_unit(egress,
-                             self._egress_gating(switch, feasible, port_index))
+            cp.register_unit(egress, self._egress_gating(feasible, port_index))
             units += (ingress.unit_id, egress.unit_id)
         self.observer.register_device(name, cp, units)
 
@@ -331,22 +330,16 @@ class SpeedlightDeployment:
         peer, kind = self.network.peer_of_port(switch_name, port)
         if kind is not NodeKind.SWITCH or peer not in self._participants:
             return []
-        # One external sub-channel per CoS lane (lane 0 is the classic
-        # EXTERNAL_CHANNEL).
-        return list(range(self.network.switch(switch_name).config.num_cos))
+        return [EXTERNAL_CHANNEL]
 
-    def _egress_gating(self, switch: Switch, feasible_channels,
-                       port: int) -> list[int]:
+    def _egress_gating(self, feasible_channels, port: int) -> list[int]:
         """Channels whose Last Seen gates this egress's completion: every
-        (feasible ingress port, CoS lane) pair — derived from the routing
-        function so completion never gates on structurally idle channels
-        (§6)."""
+        feasible ingress port — derived from the routing function so
+        completion never gates on structurally idle channels (§6)."""
         if not self.config.channel_state:
             return []
-        return sorted({switch.egress_channel_id(p_in, cos)
-                       for (p_in, p_out) in feasible_channels
-                       if p_out == port
-                       for cos in range(switch.config.num_cos)})
+        return sorted(p_in for (p_in, p_out) in feasible_channels
+                      if p_out == port)
 
     def _register_remote_devices(self) -> None:
         """Give shard 0's observer the full device census: remote

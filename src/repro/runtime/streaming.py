@@ -47,9 +47,6 @@ class ServiceSpec:
     agg_degree: Optional[int] = None
     #: Memcache incast request cadence (0 disables the workload).
     mean_request_gap_ns: int = 400 * US
-    #: Record data-plane traces (per-flow conservation ground truth;
-    #: memory grows with the horizon, so only for short verified runs).
-    enable_tracing: bool = False
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     #: Simulation-time chunk per stepping iteration.
     chunk_ns: int = 50 * MS
@@ -95,8 +92,7 @@ class ServiceRun:
         topo = leaf_spine(num_leaves=spec.num_leaves,
                           num_spines=spec.num_spines,
                           hosts_per_leaf=spec.hosts_per_leaf)
-        self.network = Network(topo, NetworkConfig(
-            seed=spec.seed, enable_tracing=spec.enable_tracing))
+        self.network = Network(topo, NetworkConfig(seed=spec.seed))
         self.sim = self.network.sim
         aggregation = (None if spec.agg_degree is None
                        else AggregationConfig(degree=spec.agg_degree))

@@ -11,7 +11,7 @@ flavours exist in the simulator:
   serialise departures, each direction is FIFO.
 * **Fabric channels** (inside :mod:`repro.sim.switch`) connect every
   ingress unit to every egress unit of the same device with a constant
-  pipeline latency — also FIFO per (ingress, egress, CoS) triple.
+  pipeline latency — also FIFO per (ingress, egress) pair.
 
 Packet loss is the one non-ideality the protocol must tolerate (§6
 "Ensuring liveness"); :class:`BernoulliLoss` provides seeded random drops

@@ -1,15 +1,17 @@
 """Packets and the Speedlight snapshot header.
 
-The snapshot header (paper §5.1) carries three fields:
+The snapshot header (paper §5.1) carries two fields:
 
 * **packet type** — ``DATA`` for ordinary traffic, ``INITIATION`` for the
   control-plane initiation messages of §6 (Figure 6, path 3), ``PROBE``
   for the snapshot-propagation broadcasts that keep idle channels live
   (§6, "Ensuring liveness");
 * **snapshot ID** — the epoch the *send* of this packet belongs to, set at
-  each hop to the sending processing unit's current ID;
-* **channel ID** — identifies the upstream neighbor (only needed when
-  channel state is collected).
+  each hop to the sending processing unit's current ID.
+
+The paper's third field, the channel ID, is not carried: a unit knows
+the channel a packet arrived on from the port it arrived on (an ingress
+unit's one external link, an egress unit's source ingress port).
 
 Hosts never see the header: it is pushed by the first snapshot-enabled
 ingress unit and popped before delivery to a host (or, under partial
@@ -60,23 +62,20 @@ class SnapshotHeader:
     downstream unit learns the upstream unit's current snapshot epoch.
     """
 
-    __slots__ = ("sid", "packet_type", "channel_id")
+    __slots__ = ("sid", "packet_type")
 
-    def __init__(self, sid: int = 0, packet_type: PacketType = DATA,
-                 channel_id: Optional[int] = None) -> None:
+    def __init__(self, sid: int = 0, packet_type: PacketType = DATA) -> None:
         self.sid = sid
         self.packet_type = packet_type
-        self.channel_id = channel_id
 
     def copy(self) -> "SnapshotHeader":
         """An independent header with the same fields (recycles the
         free list when possible)."""
-        return new_header(self.sid, self.packet_type, self.channel_id)
+        return new_header(self.sid, self.packet_type)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SnapshotHeader(sid={self.sid}, "
-                f"packet_type={self.packet_type!r}, "
-                f"channel_id={self.channel_id})")
+                f"packet_type={self.packet_type!r})")
 
 
 #: Free list of stripped headers.  Bounded so a pathological workload
@@ -85,16 +84,14 @@ _HEADER_POOL: list[SnapshotHeader] = []
 _HEADER_POOL_MAX = 1024
 
 
-def new_header(sid: int = 0, packet_type: PacketType = DATA,
-               channel_id: Optional[int] = None) -> SnapshotHeader:
+def new_header(sid: int = 0, packet_type: PacketType = DATA) -> SnapshotHeader:
     """Allocate a snapshot header, reusing a pooled one when available."""
     if _HEADER_POOL:
         header = _HEADER_POOL.pop()
         header.sid = sid
         header.packet_type = packet_type
-        header.channel_id = channel_id
         return header
-    return SnapshotHeader(sid, packet_type, channel_id)
+    return SnapshotHeader(sid, packet_type)
 
 
 class FlowKey:
@@ -159,12 +156,12 @@ class Packet:
     """
 
     __slots__ = ("flow", "size_bytes", "seq", "created_ns", "snapshot",
-                 "uid", "cos", "payload", "ttl", "route_tag")
+                 "uid", "payload", "ttl", "route_tag")
 
     def __init__(self, flow: FlowKey, size_bytes: int = 1500, seq: int = 0,
                  created_ns: int = 0,
                  snapshot: Optional[SnapshotHeader] = None,
-                 uid: Optional[int] = None, cos: int = 0,
+                 uid: Optional[int] = None,
                  payload: Any = None, ttl: Optional[int] = None,
                  route_tag: Optional[str] = None) -> None:
         self.flow = flow
@@ -173,7 +170,6 @@ class Packet:
         self.created_ns = created_ns
         self.snapshot = snapshot
         self.uid = next(_packet_uid) if uid is None else uid
-        self.cos = cos
         self.payload = payload
         self.ttl = ttl
         self.route_tag = route_tag

@@ -9,7 +9,8 @@ per-port, per-direction **processing units** connected by FIFO channels:
   same switch (packets can arrive from any of them) plus the control
   plane;
 * the internal fabric connecting ingress to egress units is FIFO per
-  (ingress, egress, class-of-service) triple.
+  (ingress, egress) pair, so an egress unit's channel is the ingress
+  port a packet came from.
 
 Processing units are *linearizable*: they process one packet at a time in
 arrival order.  The discrete-event engine gives us that for free — each
@@ -226,28 +227,20 @@ _INGRESS_FABRIC_NS = INGRESS_LATENCY_NS + FABRIC_LATENCY_NS
 class SwitchConfig:
     """Static configuration of a switch."""
 
-    #: Number of class-of-service lanes per egress (strict priority,
-    #: higher class first).  Each (ingress, egress, class) triple is its
-    #: own FIFO logical channel in the snapshot system model (§4.1).
-    num_cos: int = 1
     #: Per-egress buffer limit in packets (tail drop beyond it); None
     #: models an unbounded buffer.  Drops are one of the non-idealities
     #: the snapshot protocol explicitly tolerates (§4.2, §6).
     queue_capacity_packets: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # At most 802.1p's eight classes.
-        check_minimums(self, {
-            "num_cos": (1, 8), "queue_capacity_packets": 1},
-            optional=("queue_capacity_packets",))
+        check_minimums(self, {"queue_capacity_packets": 1},
+                       optional=("queue_capacity_packets",))
 
 
 class _EgressQueue:
     """Store-and-forward output queue feeding the physical link.
 
-    One queue per egress unit, with ``num_cos`` strict-priority lanes
-    (higher class first; within a class, FIFO — the paper's CoS
-    sub-channel model, §4.1).  Serialisation delay is computed per
+    One FIFO per egress unit.  Serialisation delay is computed per
     packet from the bound link's serialisation table, ``ser_fn`` on a
     miss; instantaneous depth in packets and bytes is itself a
     snapshottable metric (the queue-depth counter).
@@ -260,7 +253,6 @@ class _EgressQueue:
     def __init__(self, sim: Simulator,
                  transmit: Optional[Callable[[Packet, float], object]] = None,
                  ser_fn: Optional[Callable[[int], int]] = None,
-                 num_cos: int = 1,
                  capacity_packets: Optional[int] = None) -> None:
         self.sim = sim
         self.transmit = transmit
@@ -271,12 +263,9 @@ class _EgressQueue:
         #: size_bytes -> serialisation ns: the bound link's memo, which
         #: ``ser_fn`` fills on a miss.
         self._ser_table: dict[int, int] = {}
-        self.num_cos = num_cos
         self.capacity_packets = capacity_packets
-        self._lanes: list[deque[Packet]] = [deque() for _ in range(num_cos)]
-        #: Waiting packets across all lanes (excludes the in-service one);
-        #: maintained incrementally so depth checks are O(1).
-        self._waiting = 0
+        #: The FIFO of waiting packets (excludes the in-service one).
+        self._waiting: deque[Packet] = deque()
         self.queued_bytes = 0
         #: The packet in service (or last served), its finish instant and,
         #: while fused, the seq of its delivery.  Events for that instant
@@ -320,23 +309,20 @@ class _EgressQueue:
 
     @property
     def depth_packets(self) -> int:
-        return self._waiting + self.busy
+        return len(self._waiting) + self.busy
 
     @property
     def depth_bytes(self) -> int:
         return self.queued_bytes
 
-    def lane_depth(self, cos: int) -> int:
-        return len(self._lanes[cos])
-
     def push(self, packet: Packet) -> bool:
-        """Enqueue a packet on its class's lane.
+        """Enqueue a packet.
 
         Returns False on a tail drop (buffer at capacity).
         """
         now = self.sim.now
         busy = now < self._finish_at
-        depth = self._waiting + busy
+        depth = len(self._waiting) + busy
         if (self.capacity_packets is not None
                 and depth >= self.capacity_packets):
             self.packets_dropped += 1
@@ -346,10 +332,9 @@ class _EgressQueue:
         if not depth and not self.paused:
             self._serve(packet, now)
             return True
-        self._lanes[min(max(packet.cos, 0), self.num_cos - 1)].append(packet)
-        self._waiting += 1
+        self._waiting.append(packet)
         self.queued_bytes += packet.size_bytes
-        if busy and self._waiting == 1 and self._fused_seq is not None:
+        if busy and len(self._waiting) == 1 and self._fused_seq is not None:
             # First waiter behind a fused packet: nothing is scheduled
             # for its finish instant yet, so visit it.
             self.sim.schedule_fast_at(self._fused_seq - 0.5,
@@ -396,13 +381,10 @@ class _EgressQueue:
         now = self.sim.now
         if self.paused or now < self._finish_at:
             return
-        for lane in reversed(self._lanes):  # strict priority
-            if lane:
-                packet = lane.popleft()
-                self._waiting -= 1
-                self.queued_bytes -= packet.size_bytes
-                self._serve(packet, now)
-                return
+        if self._waiting:
+            packet = self._waiting.popleft()
+            self.queued_bytes -= packet.size_bytes
+            self._serve(packet, now)
 
     def pause(self) -> None:
         """Stall the dequeue side (the in-service packet still completes)."""
@@ -466,19 +448,18 @@ class IngressUnit(_ProcessingUnit):
                 # channels carry no tagged in-flight packets, so every
                 # host packet tagged here belongs to the current epoch.
                 snapshot = packet.push_snapshot_header(sid=agent.sid)
-            # Each CoS lane of the external link is its own FIFO logical
-            # channel (§4.1); with one lane this reduces to
-            # EXTERNAL_CHANNEL == 0.  A probe injected by our *own* CPU
-            # never traversed the external link, so it runs on the CPU
-            # channel — updating the external lane's Last Seen would
-            # spoof the gate open while genuinely old packets are still
-            # in flight from the neighbor (a probe that crossed the wire
-            # arrived behind them, so the external lane is correct).
+            # The external link is one FIFO logical channel (§4.1).  A
+            # probe injected by our *own* CPU never traversed it, so it
+            # runs on the CPU channel — updating the external channel's
+            # Last Seen would spoof the gate open while genuinely old
+            # packets are still in flight from the neighbor (a probe that
+            # crossed the wire arrived behind them, so the external
+            # channel is correct).
             if is_initiation or (not is_measured
                                  and packet.flow.src == sw._cpu_src):
                 channel = CPU_CHANNEL
             else:
-                channel = 0 if sw._single_cos else sw.cos_lane(packet)
+                channel = EXTERNAL_CHANNEL
             carried = snapshot.sid
             if carried == agent.quiet_sid:
                 # The unit's own epoch, nothing to snapshot: only the
@@ -568,7 +549,7 @@ class IngressUnit(_ProcessingUnit):
                 continue
             copy = Packet(flow=packet.flow, size_bytes=packet.size_bytes,
                           seq=packet.seq, created_ns=packet.created_ns,
-                          cos=packet.cos, payload=ttl)
+                          payload=ttl)
             if packet.snapshot is not None:
                 copy.snapshot = packet.snapshot.copy()
             sw.sim.schedule_fast(delay + FABRIC_LATENCY_NS,
@@ -587,8 +568,7 @@ class EgressUnit(_ProcessingUnit):
     def __init__(self, switch: "Switch", port: int) -> None:
         super().__init__(switch, port, Direction.EGRESS)
         self.queue = _EgressQueue(
-            switch.sim, num_cos=switch.config.num_cos,
-            capacity_packets=switch.config.queue_capacity_packets)
+            switch.sim, capacity_packets=switch.config.queue_capacity_packets)
         #: Set during wiring: True when the link peer cannot parse the
         #: snapshot header (hosts always; disabled switches under partial
         #: deployment).
@@ -607,13 +587,7 @@ class EgressUnit(_ProcessingUnit):
 
         agent = self.snapshot_agent
         if agent is not None and snapshot is not None:
-            if is_initiation:
-                channel = CPU_CHANNEL
-            elif sw._single_cos:
-                channel = from_ingress_port
-            else:
-                channel = sw.egress_channel_id(from_ingress_port,
-                                               sw.cos_lane(packet))
+            channel = CPU_CHANNEL if is_initiation else from_ingress_port
             carried = snapshot.sid
             if carried == agent.quiet_sid:
                 # The unit's own epoch, nothing to snapshot: only the
@@ -713,9 +687,6 @@ class Switch:
         self.sim = sim
         self.name = name
         self.config = config or SwitchConfig()
-        #: Hot-path precomputation from the (static) config: the
-        #: single-CoS flag that collapses lane/channel arithmetic.
-        self._single_cos = self.config.num_cos == 1
         #: Flow source of this switch's own CPU-injected liveness probes
         #: (see ``SwitchControlPlane.inject_probes``); used to tell a
         #: locally injected probe from one that crossed the wire.
@@ -914,20 +885,6 @@ class Switch:
         if len(candidates) == 1:
             return candidates[0]
         return self.lb.select(candidates, packet, self.sim.now)
-
-    # ------------------------------------------------------------------
-    # CoS channel numbering
-    # ------------------------------------------------------------------
-    def cos_lane(self, packet: Packet) -> int:
-        """The CoS lane a packet travels in (clamped to configured lanes)."""
-        return min(max(packet.cos, 0), self.config.num_cos - 1)
-
-    def egress_channel_id(self, ingress_port: int, cos: int) -> int:
-        """Logical channel ID at an egress unit for traffic arriving from
-        ``ingress_port`` in class ``cos``.  With a single CoS lane this is
-        just the ingress port number (the paper's base model); with more,
-        every (port, class) pair is a distinct FIFO channel (§4.1)."""
-        return ingress_port * self.config.num_cos + cos
 
     # ------------------------------------------------------------------
     # Unit access helpers

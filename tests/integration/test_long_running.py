@@ -6,7 +6,6 @@ from repro.core import (ControlPlaneConfig, ObserverConfig, SnapshotStatus,
                         deploy)
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.switch import SwitchConfig
 from repro.topology import leaf_spine, single_switch
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
@@ -79,11 +78,10 @@ class TestDeviceFailureMidCampaign:
             assert all(u.device != "spine1" for u in snap.records)
 
 
-class TestCosPartialDeployment:
-    def test_two_classes_on_leaves_only(self):
-        cfg = NetworkConfig(seed=10, switch_config=SwitchConfig(num_cos=2),
-                            enable_tracing=True)
-        net = Network(leaf_spine(hosts_per_leaf=1), cfg)
+class TestLeavesOnlyPartialDeployment:
+    def test_channel_state_on_leaves_only(self):
+        net = Network(leaf_spine(hosts_per_leaf=1),
+                      NetworkConfig(seed=10, enable_tracing=True))
         wl = PoissonWorkload(net, PoissonConfig(
             seed=11, rate_pps=15_000, stop_ns=1 * S, sport_churn=True))
         wl.start()

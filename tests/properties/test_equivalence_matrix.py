@@ -44,7 +44,6 @@ from repro.sim.channel import (BernoulliLoss, GilbertElliottLoss, LossModel,
 from repro.sim.engine import MS, US
 from repro.sim.network import NetworkConfig
 from repro.sim.shard import ShardRunner, ShardWorker
-from repro.sim.switch import SwitchConfig
 from repro.topology import fat_tree, leaf_spine, linear, ring, single_switch
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
@@ -197,13 +196,12 @@ def cases(draw: st.DrawFn) -> dict[str, Any]:
     topology = draw(st.sampled_from(sorted(TOPOLOGIES)))
     topo = TOPOLOGIES[topology]()
     switches = sorted(topo.switches)
-    cos = draw(st.integers(1, 2))
     shards = 1 if len(switches) == 1 else draw(st.integers(2, 3))
     config = draw(st.builds(DeploymentConfig, **{
         name: field(switches) for name, field in FIELDS.items()}))
     links = list(ProfileContext.for_topology(topo, horizon_ns=1).links)
     return dict(
-        topology=topology, cos=cos, seed=draw(st.integers(0, 10_000)),
+        topology=topology, seed=draw(st.integers(0, 10_000)),
         rate=draw(st.sampled_from([2_000.0, 10_000.0]))
         / (20 if topology == "fattree" else 1),
         loss=draw(st.none() | st.tuples(
@@ -250,7 +248,6 @@ def _run(case: dict[str, Any], config: DeploymentConfig, shards: int = 1,
     live, loss = {}, case["loss"]
     runner = ShardRunner(TOPOLOGIES[case["topology"]](), NetworkConfig(
         seed=case["seed"], enable_tracing=traced,
-        switch_config=SwitchConfig(num_cos=case["cos"]),
         loss_factory=loss and LOSSES[loss[0]](loss[1])),
         shards=shards, setup=_setup,
         setup_args=(case, config, live), order=order)
@@ -317,7 +314,7 @@ def test_strategy_draws_every_fault_profile_and_kind() -> None:
 # A relay's control plane crashes while it holds an epoch's records
 # (AggregationAgent.set_online drops them; the observer blames it).
 @example(case=dict(
-    topology="ring", cos=2, seed=2741, rate=2_000.0, loss=None, snapshots=3,
+    topology="ring", seed=2759, rate=2_000.0, loss=None, snapshots=3,
     interval=5, config=DeploymentConfig(
         metric="byte_count", channel_state=True, max_sid=3, ideal_units=True,
         control_plane=ControlPlaneConfig(probe_delay_ns=0),
@@ -325,6 +322,14 @@ def test_strategy_draws_every_fault_profile_and_kind() -> None:
     faults=Cascade(origin="sw3", max_depth=0, at_ns=15 * MS, duration_ns=0,
                    include_cp=True),
     shards=2, order=[0, 1]))
+# Channel state under periodic loss, probes with no delay: both epochs
+# complete (liveness is promised; no carve-out applies).
+@example(case=dict(
+    topology="leafspine", seed=1, rate=2_000.0, loss=("scripted", 0.02),
+    snapshots=2, interval=3, config=DeploymentConfig(
+        channel_state=True, control_plane=ControlPlaneConfig(
+            probe_delay_ns=0)),
+    faults=None, shards=2, order=[0, 1]))
 def test_equivalence_matrix(case: dict[str, Any]) -> None:
     config = case["config"]
     assert eval(repr(case)) == case  # a failing draw replays from its repr

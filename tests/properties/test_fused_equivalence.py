@@ -3,10 +3,10 @@ matrix (ROADMAP, docs/PERF.md "The fused hop").
 
 Hypothesis draws a small network, Poisson traffic with a 64 B / 1500 B
 size mix (so serialisation times differ and short packets queue behind
-long ones), one or three CoS lanes, channel state on or off (off, a
-unit pass that carries the unit's own epoch takes the quiet pass,
-``SnapshotAgent.quiet_sid``) and a :class:`FaultSchedule` over the five
-data-path fault kinds, overlapping windows included.  The same
+long ones), channel state on or off (off, a unit pass that carries the
+unit's own epoch takes the quiet pass, ``SnapshotAgent.quiet_sid``) and
+a :class:`FaultSchedule` over the five data-path fault kinds,
+overlapping windows included.  The same
 scenario then runs twice — links wired fused, and links wired the way
 every scoped (multi-shard) network wires them, one event per finish
 instant — and must reach the same state-level digest
@@ -28,7 +28,6 @@ from repro.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.sim.engine import US
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import FlowKey, Packet
-from repro.sim.switch import SwitchConfig
 from repro.topology import leaf_spine, linear
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 from tests.integration.test_golden_trace import StateRecorder
@@ -60,32 +59,26 @@ class EveryNode:
 
 
 class MixedPoisson(PoissonWorkload):
-    """Poisson arrivals; each packet draws its size (64 B or 1500 B) and
-    its class of service from the workload's own RNG."""
-
-    num_cos = 1
+    """Poisson arrivals; each packet draws its size (64 B or 1500 B)
+    from the workload's own RNG."""
 
     def emit(self, src, dst, *, sport, dport, size_bytes, seq=0, proto=6):
         if not self.active:
             return
         size = 64 if self.rng.random() < 0.5 else 1500
-        cos = self.rng.randrange(self.num_cos)
         self.network.host(src).send_packet(Packet(
-            flow=FlowKey(src, dst, sport, dport, proto), size_bytes=size,
-            cos=cos))
+            flow=FlowKey(src, dst, sport, dport, proto), size_bytes=size))
         self.packets_emitted += 1
 
 
 def run_scenario(case, schedule, scope):
     network = Network(TOPOLOGIES[case["topology"]](), NetworkConfig(
-        seed=case["seed"], enable_tracing=True,
-        switch_config=SwitchConfig(num_cos=case["num_cos"])), scope=scope)
+        seed=case["seed"], enable_tracing=True), scope=scope)
     assert all(link._plain is (scope is None) for link in network.links)
     recorder = StateRecorder(network)
     workload = MixedPoisson(network, PoissonConfig(
         seed=case["seed"] + 1, rate_pps=case["rate_pps"],
         stop_ns=TRAFFIC_NS, sport_churn=True))
-    workload.num_cos = case["num_cos"]
     workload.start()
     deployment = deploy(network, metric="packet_count",
                         channel_state=case["channel_state"])
@@ -120,7 +113,6 @@ def cases(draw):
     case = {
         "topology": topology,
         "seed": draw(st.integers(min_value=0, max_value=10_000)),
-        "num_cos": draw(st.sampled_from([1, 3])),
         "rate_pps": draw(st.sampled_from([100_000.0, 400_000.0])),
         "channel_state": draw(st.booleans()),
     }

@@ -33,18 +33,17 @@ class Endpoint:
         self.arrivals.append((self.sim.now, packet.seq))
 
 
-def _pkt(seq=0, size=1000, cos=0):
-    return Packet(flow=FlowKey("a", "b", 1, 2), seq=seq, size_bytes=size,
-                  cos=cos)
+def _pkt(seq=0, size=1000):
+    return Packet(flow=FlowKey("a", "b", 1, 2), seq=seq, size_bytes=size)
 
 
-def _lane(sim, fused, num_cos=1, capacity=None, name="a-b"):
+def _lane(sim, fused, capacity=None, name="a-b"):
     """One sender queue on an 8 Gb/s link (1000 B serialise in 1000 ns)
     with 500 ns of propagation."""
     link = Link(sim, bandwidth_bps=8_000_000_000, propagation_ns=500,
                 name=name, fused=fused)
     sender, receiver = Endpoint(sim, "a"), Endpoint(sim, "b")
-    queue = _EgressQueue(sim, num_cos=num_cos, capacity_packets=capacity)
+    queue = _EgressQueue(sim, capacity_packets=capacity)
     queue.bind(link, sender)
     link.attach(receiver)
     return link, queue, receiver
@@ -139,14 +138,15 @@ class TestLazyObservers:
 
 @WIRINGS
 class TestQueueDiscipline:
-    def test_strict_priority_behind_the_packet_in_service(self, fused):
+    def test_per_packet_serialisation_in_fifo_order(self, fused):
         sim = Simulator()
-        _link, queue, receiver = _lane(sim, fused, num_cos=2)
-        for seq in range(3):
-            queue.push(_pkt(seq, cos=0))
-        sim.schedule_at(10, queue.push, _pkt(99, cos=1))
+        _link, queue, receiver = _lane(sim, fused)
+        for seq, size in enumerate((100, 5000, 10)):
+            queue.push(_pkt(seq, size=size))
         sim.run()
-        assert [seq for _t, seq in receiver.arrivals] == [0, 99, 1, 2]
+        # Each packet serialises for its own size (1 ns a byte), in
+        # arrival order, then propagates 500 ns.
+        assert receiver.arrivals == [(600, 0), (5600, 1), (5610, 2)]
 
     def test_pause_holds_waiting_packets_until_resume(self, fused):
         sim = Simulator()

@@ -20,7 +20,6 @@ class TestSnapshotHeader:
         header = SnapshotHeader()
         assert header.sid == 0
         assert header.packet_type is PacketType.DATA
-        assert header.channel_id is None
 
     def test_copy_is_independent(self):
         header = SnapshotHeader(sid=3)

@@ -367,8 +367,7 @@ class TestUnitIdHash:
 
 
 class TestSwitchConfig:
-    @pytest.mark.parametrize("field, least", [
-        ("num_cos", 1), ("queue_capacity_packets", 1)])
+    @pytest.mark.parametrize("field, least", [("queue_capacity_packets", 1)])
     def test_refuses_each_field_below_its_minimum(self, field, least):
         with pytest.raises(ValueError, match=f"SwitchConfig.{field} "):
             SwitchConfig(**{field: least - 1})

@@ -612,15 +612,6 @@ _HOST_INPUTS = {"WorkloadConfig.hosts", "GraphXConfig.master",
 #: Records built from positional arguments, which the keyword scan
 #: cannot see.
 _POSITIONAL = {"LinkSpec"}
-#: Fields only tests set that are still settable, each with what keeps
-#: it; the check fails once one is set outside the tests or retired.
-_NOT_YET_RETIRED = {
-    # The class-of-service lanes of the §4.1 channel model: the
-    # deployment and control plane size their gating channels by it.
-    "SwitchConfig.num_cos",
-    # Set by no caller, tests included; a service run never traces.
-    "ServiceSpec.enable_tracing",
-}
 
 
 def _sets() -> tuple[_Types, set[tuple[Optional[str], str]]]:
@@ -671,7 +662,5 @@ def test_every_runtime_field_is_set_outside_tests():
                         owner is None or cls.__name__ in types_.lineage(owner))
                     for owner, name in found):
                 unset.add(f"{cls.__name__}.{f.name}")
-    only_tests = sorted(unset - _HOST_INPUTS - _NOT_YET_RETIRED)
+    only_tests = sorted(unset - _HOST_INPUTS)
     assert not only_tests, f"set by no caller outside the tests: {only_tests}"
-    stale = sorted(_NOT_YET_RETIRED - unset)
-    assert not stale, f"set or gone now, drop from _NOT_YET_RETIRED: {stale}"
