@@ -9,7 +9,7 @@ PROFILE_EXP ?= fig10
 .PHONY: install test lint statics typecheck static-checks \
         bench bench-smoke bench-experiments fused-diff-deep jobs-diff-deep \
         matrix-deep store-diff-deep draw-diff-deep intake-diff-deep \
-        config-fuzz-deep route-diff-deep \
+        config-fuzz-deep route-diff-deep contracts \
         chaos-smoke profile figures experiments examples \
         quick-experiments clean
 
@@ -128,12 +128,21 @@ intake-diff-deep:
 
 # The config contract (tests/test_config_contract.py: every numeric
 # field of every config and spec, found by introspection, set to 0, -1,
-# 1, 2**62, 0.5, NaN or ±inf is refused by name or runs a bounded smoke
-# rig) at a thousand examples instead of the tier-1 smoke's three; each
-# example draws a value for every field (~6 min).
+# 1, 2**62, 0.5, NaN or ±inf, a sweep's list to one such entry, is
+# refused by name or runs a bounded smoke rig, an experiment config its
+# first trial) at a thousand examples instead of the tier-1 smoke's
+# three; each example draws a value for every field (~6 min).
 config-fuzz-deep:
 	REPRO_CONFIG_FUZZ_EXAMPLES=1000 $(PYTHON) -m pytest -q \
 	    tests/test_config_contract.py
+
+# The three source contracts (tests/test_config_contract.py), in a few
+# seconds: every config field is read in src, every runtime field is set
+# outside the tests, and every src function, method and class has a
+# caller outside the tests.  Run it before the tier-1 suite.
+contracts:
+	$(PYTHON) -m pytest -q tests/test_config_contract.py -k \
+	    "read_in_src or set_outside_tests or has_a_caller_outside_tests"
 
 # The set-up path's differentials at two thousand drawn switch graphs
 # (single- and multi-homed hosts) each instead of the tier-1 smoke's

@@ -18,7 +18,6 @@ from repro.analysis.report import (
     epoch_from_record,
     epoch_record,
     snapshot_rows,
-    snapshot_to_json,
 )
 from repro.analysis.invariants import (
     AuditSummary,
@@ -37,7 +36,6 @@ __all__ = [
     "epoch_from_record",
     "epoch_record",
     "snapshot_rows",
-    "snapshot_to_json",
     "ConsistencyAudit",
     "ConsistencyChecker",
     "ConsistencyViolation",

@@ -200,19 +200,3 @@ class ConsistencyChecker:
             report.records_checked += snapshot.record_count - flagged
             report.violations.extend(problems)
         return report
-
-    def marking_precision(self, snapshots: Sequence[GlobalSnapshot]) -> dict[str, int]:
-        """How often inconsistent-marked records actually violate the law
-        (with channel state).  Conservative marking means some marked
-        records are in fact fine; this quantifies the over-marking."""
-        stats = {"marked": 0, "actually_wrong": 0}
-        for snapshot in snapshots:
-            for unit, value, state, consistent, *_ in snapshot.rows():
-                if consistent:
-                    continue
-                stats["marked"] += 1
-                expected = self.expected_with_channel_state(unit, snapshot.epoch)
-                actual = value + (state or 0)
-                if actual != expected:
-                    stats["actually_wrong"] += 1
-        return stats

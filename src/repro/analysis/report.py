@@ -7,9 +7,7 @@ rows/dicts (for JSON/CSV export or ad-hoc analysis) and back.
 from __future__ import annotations
 
 import functools
-import json
 from operator import itemgetter
-from typing import Optional
 
 from repro.core.control_plane import UnitSnapshotRecord
 from repro.core.snapshot import GlobalSnapshot, SnapshotStatus
@@ -46,7 +44,7 @@ def _unit(device: str, port: int, direction: str) -> UnitId:
 def epoch_record(snapshot: GlobalSnapshot) -> dict[str, object]:
     """*The* JSON-stable epoch-record shape.
 
-    Every exporter — batch reports, :func:`snapshot_to_json`, the
+    Every exporter — batch reports, the
     service-mode delta store and its query API — serializes epochs
     through this one function, so ``exclusion_reasons`` and per-unit
     records round-trip identically everywhere.  The document is pure
@@ -92,8 +90,3 @@ def epoch_from_record(doc: dict[str, object]) -> GlobalSnapshot:
         exclusion_reasons=dict(doc["exclusion_reasons"]),  # type: ignore[arg-type]
         status=SnapshotStatus(doc["status"]),
         retries=int(doc["retries"]))  # type: ignore[arg-type]
-
-
-def snapshot_to_json(snapshot: GlobalSnapshot, indent: Optional[int] = None) -> str:
-    """A self-describing JSON document for one snapshot."""
-    return json.dumps(epoch_record(snapshot), indent=indent)

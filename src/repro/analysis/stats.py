@@ -71,14 +71,6 @@ class Cdf:
             pts.append((float(self.samples[-1]), 1.0))
         return pts
 
-    def summary_row(self, label: str, scale: float = 1.0,
-                    unit: str = "") -> str:
-        """One formatted row: label, p50/p90/p99/max."""
-        return (f"{label:<28s} p50={self.percentile(50)/scale:>10.1f}{unit} "
-                f"p90={self.percentile(90)/scale:>10.1f}{unit} "
-                f"p99={self.percentile(99)/scale:>10.1f}{unit} "
-                f"max={self.max/scale:>10.1f}{unit}")
-
 
 def balance_stddevs(rounds: Sequence[dict[str, dict[int, float]]]) -> list[float]:
     """Figure 12's balance metric over a measurement campaign.

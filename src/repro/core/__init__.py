@@ -54,7 +54,6 @@ from repro.core.observer import ObserverConfig, SnapshotObserver
 from repro.core.recovery import (
     RECOVERY_PRESETS,
     RecoveryPolicy,
-    recovery_preset,
 )
 from repro.core.snapshot import GlobalSnapshot, SnapshotStatus
 from repro.core.deployment import (
@@ -85,7 +84,6 @@ __all__ = [
     "SnapshotObserver",
     "RECOVERY_PRESETS",
     "RecoveryPolicy",
-    "recovery_preset",
     "GlobalSnapshot",
     "SnapshotStatus",
     "DeploymentConfig",

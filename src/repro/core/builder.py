@@ -9,7 +9,7 @@ is applied by passing the two configs it builds::
 
     schedule = plan.compile(UpdateContext.for_topology(
         network.topology, horizon_ns=100 * MS))
-    policy = recovery_preset("eager")
+    policy = RECOVERY_PRESETS["eager"]
     deployment = deploy(network, metric="packet_count", channel_state=True,
                         control_plane=policy.control_plane_config(),
                         observer=policy.observer_config(),

@@ -452,14 +452,6 @@ class SwitchControlPlane:
         self.trackers[agent.unit_id] = _UnitTracker(agent, gating_channels)
         self._ports = None
 
-    def exclude_channel(self, unit: UnitId, channel: int) -> None:
-        """Operator-configured removal of a non-utilized upstream
-        neighbor from completion consideration (§6, "Ensuring liveness")."""
-        tracker = self.trackers[unit]
-        if channel in tracker.gating:
-            tracker.gating.remove(channel)
-            self._finalize_ready(tracker)
-
     # ------------------------------------------------------------------
     # Synchronized initiation
     # ------------------------------------------------------------------

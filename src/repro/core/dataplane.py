@@ -195,13 +195,5 @@ class SpeedlightUnit:
     def read_last_seen(self, channel_id: int) -> int:
         return self.last_seen.get(channel_id, 0)
 
-    def poll_state(self) -> dict[str, int]:
-        """Proactive register poll used for notification-drop recovery
-        (§6, "Ensuring liveness")."""
-        state = {"sid": self._sid}
-        for channel, value in self.last_seen.items():
-            state[f"last_seen[{channel}]"] = value
-        return state
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpeedlightUnit({self.unit_id}, sid={self._sid})"

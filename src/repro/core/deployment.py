@@ -24,9 +24,7 @@ link peer is a snapshot-enabled switch (host channels carry no tagged
 in-flight packets, so they are excluded — the §6 "removal of
 non-utilized upstream neighbors" knob, applied automatically); an
 egress unit gates on every feasible ingress port of its switch (a
-packet never hairpins out the port it arrived on).  An operator drops a
-further channel with
-:meth:`~repro.core.control_plane.SwitchControlPlane.exclude_channel`.
+packet never hairpins out the port it arrived on).
 
 The same class wires a :class:`~repro.sim.network.Network` and one
 shard's slice of a space-parallel run (a

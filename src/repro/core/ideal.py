@@ -124,19 +124,6 @@ class IdealUnit:
         return self._sid
 
     # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    def completed_through(self, gating_channels: list[int]) -> int:
-        """Highest epoch locally complete (Figure 3 line 12): with
-        channel state, ``min(lastSeen[*])`` over the gating channels;
-        without, simply the current ID (line 19)."""
-        if not self.channel_state:
-            return self._sid
-        if not gating_channels:
-            return self._sid
-        return min(self.last_seen.get(c, 0) for c in gating_channels)
-
-    # ------------------------------------------------------------------
     # Control-plane register API (compatible with SpeedlightUnit, so the
     # same control plane can drive either unit type for the ablation)
     # ------------------------------------------------------------------
@@ -154,12 +141,6 @@ class IdealUnit:
 
     def read_last_seen(self, channel_id: int) -> int:
         return self.last_seen.get(channel_id, 0)
-
-    def snapshot_value(self, epoch: int, include_channel_state: bool = True) -> int:
-        slot = self.snaps[epoch]
-        if include_channel_state and self.channel_state:
-            return slot.value + slot.channel_state
-        return slot.value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IdealUnit({self.unit_id}, sid={self._sid})"

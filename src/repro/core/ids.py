@@ -81,23 +81,6 @@ class IdSpace:
         delta = (a - b) % self._size
         return 1 if delta <= self._window else -1
 
-    def forward_distance(self, a: int, b: int) -> int:
-        """How many increments take wrapped ``a`` to wrapped ``b``."""
-        if self.max_sid is None:
-            if b < a:
-                raise ValueError(f"{b} is behind {a} in an unbounded space")
-            return b - a
-        self._check(a)
-        self._check(b)
-        return (b - a) % self.size
-
-    def succ(self, a: int) -> int:
-        """The wrapped ID after ``a``."""
-        if self.max_sid is None:
-            return a + 1
-        self._check(a)
-        return (a + 1) % self.size
-
     def unwrap_onto(self, wrapped: int, reference: int) -> int:
         """Map ``wrapped`` to the unwrapped epoch nearest ``reference``.
 

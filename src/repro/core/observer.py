@@ -132,11 +132,6 @@ class SnapshotObserver:
         self._expected_units = None
         self.units.extend(units)
 
-    def remove_device(self, name: str) -> None:
-        self.control_planes.pop(name, None)
-        self._device_units.pop(name, None)
-        self._expected_units = None
-
     def on_resolved(self, callback: Callable[[GlobalSnapshot], None]) -> None:
         """Run ``callback`` once per snapshot when it leaves PENDING —
         COMPLETE, PARTIAL, and ABANDONED alike.  This is the streaming

@@ -32,7 +32,7 @@ from repro.core.control_plane import ControlPlaneConfig
 from repro.core.observer import ObserverConfig
 from repro.sim.engine import MS
 
-__all__ = ["RECOVERY_PRESETS", "RecoveryPolicy", "recovery_preset"]
+__all__ = ["RECOVERY_PRESETS", "RecoveryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,5 @@ def _presets() -> dict[str, RecoveryPolicy]:
     }
 
 
-#: Named policies for sweeps and the CLI; see :func:`recovery_preset`.
+#: Named policies for sweeps and the CLI.
 RECOVERY_PRESETS: dict[str, RecoveryPolicy] = _presets()
-
-
-def recovery_preset(name: str) -> RecoveryPolicy:
-    """Look up a named policy preset (raises with the known names)."""
-    try:
-        return RECOVERY_PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown recovery preset {name!r} "
-            f"(known: {', '.join(sorted(RECOVERY_PRESETS))})") from None

@@ -74,7 +74,3 @@ class ActiveFlowEstimator:
             return self.bits * 8
         estimate = -self.bits * math.log(zeros / self.bits)
         return int(round(estimate))
-
-    @property
-    def saturated(self) -> bool:
-        return self._set_bits == self.bits

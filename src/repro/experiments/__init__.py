@@ -47,9 +47,11 @@ MAX_ROUNDS = 400_000
 #: trials, by name; where a runtime config takes the field, that
 #: config's own bound.  Any experiment config's field of one of these
 #: names is held to it at construction, not first inside a worker's
-#: trial.
+#: trial; a list field's entries each are.
 FIELD_BOUNDS: dict[str, Any] = {
-    "seed": 0, "shards": 1, "agg_degree": 0,     # TrialSpec
+    "seed": 0, "agg_degree": 0,                  # TrialSpec
+    # TrialSpec; the partition also refuses more shards than switches.
+    "shards": (1, 1024),
     "rounds": (1, MAX_ROUNDS),                   # CampaignSpec.rounds
     "snapshots": (1, MAX_ROUNDS),                # a campaign's count
     "burst": (1, MAX_ROUNDS),                    # a campaign's count
@@ -61,8 +63,19 @@ FIELD_BOUNDS: dict[str, Any] = {
     # Rates whose period 1e9 / rate is a campaign interval.
     "rate_floor_hz": (1e-9, 1e9), "rate_ceiling_hz": (1e-9, 1e9),
     "burst_gap_ns": 1, "gap_ns": 1, "phase_ns": 1,  # schedule periods
-    "ports": 1, "ports_per_router": 1, "ttl": 1, "trials": 1,
-    "starvation_period": 1, "search_iterations": 0,
+    "ports": (1, 64), "port_counts": (1, 64),    # ports of one Tofino pipe
+    "ports_per_router": 1, "ttl": 1, "starvation_period": 1,
+    "search_iterations": 0,
+    "trials": (1, 10_000),                       # 250x fig11's 40
+    # Sweeps (a list field holds each entry to its bound).
+    "router_counts": (1, 100_000),               # 10x the paper's largest
+    "arities": (2, 32),                          # k=32: 1 280 switches
+    "degrees": 0,                                # AggregationConfig.degree
+    "service_costs_ns": 0,          # ControlPlaneConfig.notification_service_ns
+    "residual_sigmas_ns": 0,                     # PTPConfig.residual_sigma_ns
+    "rates_pps": 1e-9,                           # PoissonConfig.rate_pps
+    "intensities": (0.0, 700.0),                 # IndependentFaults.intensity
+    "clock_error_ns": 0,                         # inject_clock_error's sigma
 }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from collections.abc import Sequence
 
-from repro.experiments import Experiment
+from repro.experiments import FIELD_BOUNDS, Experiment
 from repro.experiments.harness import TextTable, header
 from repro.resources import TOFINO_1, ResourceReport, Variant, estimate
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
@@ -41,7 +41,7 @@ class Table1Config:
     ports: int = 64
 
     def __post_init__(self) -> None:
-        check_minimums(self, {"ports": 1})
+        check_minimums(self, {"ports": FIELD_BOUNDS["ports"]})
 
     @classmethod
     def quick(cls) -> "Table1Config":

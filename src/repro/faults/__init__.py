@@ -38,8 +38,7 @@ randomness — runs with ``FaultSchedule()`` are byte-identical to runs
 with no schedule at all.  See ``docs/FAULTS.md``.
 """
 
-from repro.core.recovery import (RECOVERY_PRESETS, RecoveryPolicy,
-                                 recovery_preset)
+from repro.core.recovery import RECOVERY_PRESETS, RecoveryPolicy
 from repro.faults.attribution import (EpochAttribution, FaultSpan,
                                       attribute_epochs, spans_from_log)
 from repro.faults.injector import FaultInjector, InjectionRecord
@@ -68,6 +67,5 @@ __all__ = [
     "RECOVERY_PRESETS",
     "RecoveryPolicy",
     "attribute_epochs",
-    "recovery_preset",
     "spans_from_log",
 ]

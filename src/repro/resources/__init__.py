@@ -1,13 +1,14 @@
 """Tofino resource model for the Speedlight data plane (Table 1).
 
 The original Table 1 is a compiler report; this package reproduces it
-with an analytical model of the P4 program's resource consumption,
-calibrated against every number the paper publishes (three variants at
-64 ports, plus the 14-port wraparound+channel-state configuration).
+with an analytical model of the P4 program's resource consumption: the
+compute rows summed from an inventory of the compiled tables, the memory
+rows calibrated against every number the paper publishes (three
+variants at 64 ports, plus the 14-port wraparound+channel-state
+configuration).
 """
 
 from repro.resources.model import (
-    Variant,
     ResourceReport,
     TofinoCapacity,
     estimate,
@@ -15,10 +16,8 @@ from repro.resources.model import (
 )
 from repro.resources.pipeline import (
     PIPELINE,
-    REGISTERS,
     PipelineTable,
-    RegisterArray,
-    register_bytes,
+    Variant,
     tables_for,
     totals_for,
 )
@@ -30,10 +29,7 @@ __all__ = [
     "estimate",
     "TOFINO_1",
     "PIPELINE",
-    "REGISTERS",
     "PipelineTable",
-    "RegisterArray",
-    "register_bytes",
     "tables_for",
     "totals_for",
 ]

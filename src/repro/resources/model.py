@@ -6,7 +6,8 @@ Tofino resources):
 * **Computational and control-flow resources** (ALUs, logical table IDs,
   gateways, stages) depend only on the program *logic* — i.e. the
   variant — not on port count: adding ports grows register arrays, not
-  match-action logic.  These are taken directly from Table 1.
+  match-action logic.  They are summed from the compiled-table
+  inventory, :func:`repro.resources.pipeline.totals_for`.
 * **Memory** grows with the number of ports, because "the data plane
   must allocate larger register arrays and tables to store and address
   the per-port statistics" (§7.1).  We model SRAM/TCAM as
@@ -28,33 +29,13 @@ first-generation Tofino pipe, included so that
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-
-class Variant(enum.Enum):
-    """The three data-plane builds of Table 1."""
-
-    PACKET_COUNT = "packet_count"          # plain counters, no rollover
-    WRAP_AROUND = "wrap_around"            # + snapshot-ID rollover support
-    CHANNEL_STATE = "channel_state"        # + in-flight channel state
-
-    @property
-    def label(self) -> str:
-        return {
-            Variant.PACKET_COUNT: "Packet Count",
-            Variant.WRAP_AROUND: "+ Wrap Around",
-            Variant.CHANNEL_STATE: "+ Chnl. State",
-        }[self]
+from repro.resources.pipeline import Variant, totals_for
 
 
 @dataclass(frozen=True)
 class _VariantModel:
-    stateless_alus: int
-    stateful_alus: int
-    table_ids: int
-    gateways: int
-    stages: int
     sram_per_port_kb: float
     sram_fixed_kb: float
     tcam_per_port_kb: float
@@ -84,22 +65,16 @@ _WA_TCAM_SLOPE = 0.55
 
 _MODELS: dict[Variant, _VariantModel] = {
     Variant.PACKET_COUNT: _VariantModel(
-        stateless_alus=17, stateful_alus=9, table_ids=27, gateways=15,
-        stages=10,
         sram_per_port_kb=_PC_SRAM_SLOPE,
         sram_fixed_kb=_fit_fixed(606.0, _PC_SRAM_SLOPE),
         tcam_per_port_kb=_PC_TCAM_SLOPE,
         tcam_fixed_kb=_fit_fixed(42.0, _PC_TCAM_SLOPE)),
     Variant.WRAP_AROUND: _VariantModel(
-        stateless_alus=19, stateful_alus=9, table_ids=35, gateways=19,
-        stages=10,
         sram_per_port_kb=_WA_SRAM_SLOPE,
         sram_fixed_kb=_fit_fixed(671.0, _WA_SRAM_SLOPE),
         tcam_per_port_kb=_WA_TCAM_SLOPE,
         tcam_fixed_kb=_fit_fixed(59.0, _WA_TCAM_SLOPE)),
     Variant.CHANNEL_STATE: _VariantModel(
-        stateless_alus=24, stateful_alus=11, table_ids=37, gateways=19,
-        stages=12,
         sram_per_port_kb=_CS_SRAM_SLOPE,
         sram_fixed_kb=_fit_fixed(770.0, _CS_SRAM_SLOPE),
         tcam_per_port_kb=_CS_TCAM_SLOPE,
@@ -152,14 +127,6 @@ class ResourceReport:
             "tcam": self.tcam_kb / capacity.tcam_kb,
         }
 
-    def fits(self, capacity: TofinoCapacity = TOFINO_1,
-             budget: float = 1.0) -> bool:
-        """Does the build fit within ``budget`` of every dedicated
-        resource (and the stage count)?"""
-        if self.stages > capacity.stages:
-            return False
-        return all(u <= budget for u in self.utilization(capacity).values())
-
 
 def estimate(variant: Variant, ports: int = 64) -> ResourceReport:
     """Resource usage of ``variant`` configured for ``ports``-port
@@ -169,8 +136,6 @@ def estimate(variant: Variant, ports: int = 64) -> ResourceReport:
                          f"1..64 ports, got {ports}")
     m = _MODELS[variant]
     return ResourceReport(
-        variant=variant, ports=ports,
-        stateless_alus=m.stateless_alus, stateful_alus=m.stateful_alus,
-        table_ids=m.table_ids, gateways=m.gateways, stages=m.stages,
+        variant=variant, ports=ports, **totals_for(variant),
         sram_kb=round(m.sram_fixed_kb + m.sram_per_port_kb * ports, 1),
         tcam_kb=round(m.tcam_fixed_kb + m.tcam_per_port_kb * ports, 1))

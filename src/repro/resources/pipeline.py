@@ -1,25 +1,39 @@
 """Structural inventory of the Speedlight P4 pipeline.
 
-:mod:`repro.resources.model` reports the Table 1 totals; this module
-records *where they come from*: the match-action tables each variant
-compiles, with per-table resource annotations, laid out over physical
-stages exactly as the logical pipelines of Figures 4 and 5 require
-("the prototype utilizes 10 to 12 physical processing stages ... to
-satisfy sequential dependencies in its control flow", §7.1).
+The match-action tables each variant compiles, with per-table resource
+annotations, laid out over physical stages exactly as the logical
+pipelines of Figures 4 and 5 require ("the prototype utilizes 10 to 12
+physical processing stages ... to satisfy sequential dependencies in
+its control flow", §7.1).
 
-The inventory is the source of truth for the *computational and
-control-flow* rows of Table 1: summing the annotations reproduces the
-published ALU/table/gateway/stage counts for every variant (pinned by
-tests).  Memory sizing lives in :mod:`.model` (calibrated totals) with
-:func:`register_arrays` here providing the raw register inventory that
-explains the per-port growth.
+The inventory is the one source of the *computational and
+control-flow* rows of Table 1: :func:`~repro.resources.model.estimate`
+reports the sums of its annotations (:func:`totals_for`), which the
+tests hold to the published ALU/table/gateway/stage counts for every
+variant.  Memory sizing lives in :mod:`.model` (calibrated totals).
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
-from repro.resources.model import Variant
+
+class Variant(enum.Enum):
+    """The three data-plane builds of Table 1."""
+
+    PACKET_COUNT = "packet_count"          # plain counters, no rollover
+    WRAP_AROUND = "wrap_around"            # + snapshot-ID rollover support
+    CHANNEL_STATE = "channel_state"        # + in-flight channel state
+
+    @property
+    def label(self) -> str:
+        return {
+            Variant.PACKET_COUNT: "Packet Count",
+            Variant.WRAP_AROUND: "+ Wrap Around",
+            Variant.CHANNEL_STATE: "+ Chnl. State",
+        }[self]
+
 
 #: Order of strictly-increasing capability, for inclusion filtering.
 _VARIANT_LEVEL = {
@@ -93,12 +107,8 @@ def tables_for(variant: Variant) -> list[PipelineTable]:
 
 
 def totals_for(variant: Variant) -> dict[str, int]:
-    """Aggregate computational/control-flow totals for a variant.
-
-    These are exactly the top five rows of Table 1; tests pin them to
-    the published numbers, so the inventory cannot silently drift from
-    the report.
-    """
+    """Aggregate computational/control-flow totals for a variant: the
+    top five rows of Table 1."""
     tables = tables_for(variant)
     return {
         "table_ids": sum(t.table_ids for t in tables),
@@ -107,52 +117,3 @@ def totals_for(variant: Variant) -> dict[str, int]:
         "stateful_alus": sum(t.stateful_alus for t in tables),
         "stages": len({t.stage for t in tables}),
     }
-
-
-@dataclass(frozen=True)
-class RegisterArray:
-    """One stateful register array and its sizing rule."""
-
-    name: str
-    entry_bytes: int
-    #: Entries as a function of (ports, slots): "per_unit" arrays hold
-    #: one entry per processing unit (2x ports); "per_slot" hold one per
-    #: unit per snapshot slot; "per_neighbor" one per egress unit per
-    #: upstream neighbor (ports^2 scaling).
-    scaling: str
-    min_variant: Variant = Variant.PACKET_COUNT
-
-    def included_in(self, variant: Variant) -> bool:
-        return _VARIANT_LEVEL[variant] >= _VARIANT_LEVEL[self.min_variant]
-
-    def entries(self, ports: int, slots: int) -> int:
-        units = 2 * ports
-        if self.scaling == "per_unit":
-            return units
-        if self.scaling == "per_slot":
-            return units * slots
-        if self.scaling == "per_neighbor":
-            return ports * (ports + 1)  # egress units x (ingress ports + CPU)
-        raise ValueError(f"unknown scaling {self.scaling!r}")
-
-    def bytes_for(self, ports: int, slots: int) -> int:
-        return self.entry_bytes * self.entries(ports, slots)
-
-
-REGISTERS: list[RegisterArray] = [
-    RegisterArray("target_counter", 8, "per_unit"),
-    RegisterArray("snapshot_id", 2, "per_unit"),
-    RegisterArray("snapshot_value", 4, "per_slot"),
-    RegisterArray("capture_timestamp", 4, "per_unit"),
-    RegisterArray("snapshot_channel_state", 4, "per_slot",
-                  Variant.CHANNEL_STATE),
-    RegisterArray("last_seen", 2, "per_neighbor", Variant.CHANNEL_STATE),
-]
-
-
-def register_bytes(variant: Variant, ports: int, slots: int = 256) -> int:
-    """Total stateful-register footprint in bytes (the dominant per-port
-    SRAM term; match-action entries add the fixed remainder accounted in
-    the calibrated model)."""
-    return sum(array.bytes_for(ports, slots) for array in REGISTERS
-               if array.included_in(variant))

@@ -15,7 +15,7 @@ flavours exist in the simulator:
 
 Packet loss is the one non-ideality the protocol must tolerate (§6
 "Ensuring liveness"); :class:`BernoulliLoss` provides seeded random drops
-and :class:`ScriptedLoss` lets tests drop specific packets.
+and a test subclasses :class:`LossModel` to drop specific packets.
 """
 
 from __future__ import annotations
@@ -108,26 +108,6 @@ class GilbertElliottLoss(LossModel):
             self.dropped += 1
             return True
         return False
-
-
-class ScriptedLoss(LossModel):
-    """Drop exactly the packets ``predicate`` selects.
-
-    Used by tests to inject deterministic losses (e.g. "drop the snapshot
-    initiation message and verify the control plane re-initiates").  Key
-    it on packet contents, never on ``Packet.uid``: uids count across
-    the whole process.
-    """
-
-    def __init__(self, predicate: Callable[[Packet], bool]) -> None:
-        self.predicate = predicate
-        self.dropped: list[Packet] = []
-
-    def should_drop(self, packet: Packet) -> bool:
-        drop = self.predicate(packet)
-        if drop:
-            self.dropped.append(packet)
-        return drop
 
 
 class LinkEndpoint(Protocol):
@@ -236,10 +216,6 @@ class Link:
         if self._endpoints[side] is None:
             raise RuntimeError(f"link {self.name!r} has only one endpoint")
         return side
-
-    def peer_of(self, endpoint: LinkEndpoint) -> LinkEndpoint:
-        """The endpoint at the other side of the link."""
-        return self._endpoints[self._peer_side(endpoint)]  # type: ignore[return-value]
 
     def serialization_ns(self, size_bytes: int) -> int:
         """Time to clock ``size_bytes`` onto the wire at link rate

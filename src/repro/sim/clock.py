@@ -87,10 +87,6 @@ class Clock:
         conversion — including initiation scheduling — is skewed."""
         self.offset_ns += int(delta_ns)
 
-    def error_at(self, true_ns: int) -> int:
-        """Current deviation of local time from true time, in ns."""
-        return self.local_time(true_ns) - true_ns
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clock(drift={self.drift_ppb}ppb, offset={self.offset_ns}ns)"
 
@@ -212,17 +208,3 @@ class PTPService:
         self._holdover.discard(name)
         if self._started:
             self._discipline(self.clocks[name])
-
-    # ------------------------------------------------------------------
-    # Introspection used by the experiments
-    # ------------------------------------------------------------------
-    def pairwise_spread_ns(self) -> int:
-        """Max minus min local-clock reading across all clocks, right now.
-
-        This is the instantaneous "synchronisation" of the control planes
-        and lower-bounds the snapshot synchronisation achievable.
-        """
-        if not self.clocks:
-            return 0
-        readings: list[int] = [c.local_time(self.sim.now) for c in self.clocks.values()]
-        return max(readings) - min(readings)

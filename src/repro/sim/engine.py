@@ -80,7 +80,8 @@ def check_minimums(config: object, bounds: Mapping[str, Any],
     least any real.  As in :func:`exact_ns`, a whole float such as
     ``2e6`` in an integer field is taken as the int it equals, and the
     field is set to that int.  NaN and ±inf are refused, None only for a
-    field named in ``optional``."""
+    field named in ``optional``.  A list field is a sweep: each of its
+    entries is held to the bound."""
     for name, bound in bounds.items():
         value = getattr(config, name)
         if type(value) is int and (  # the common case, before unpacking
@@ -89,20 +90,33 @@ def check_minimums(config: object, bounds: Mapping[str, Any],
             continue
         if value is None and name in optional:
             continue
-        least, most = bound if type(bound) is tuple else (bound, _INF)
-        whole = type(least) is int
-        real = type(value) in (int, float) or isinstance(value, numbers.Real)
-        if real and least <= value <= most and value != _INF:
-            if not whole or isinstance(value, numbers.Integral):
-                continue
-            if int(value) == value:
-                object.__setattr__(config, name, int(value))
-                continue
-        span = f">= {least}" if most == _INF else f"in [{least}, {most}]"
-        raise (ValueError if real else TypeError)(
-            f"{type(config).__name__}.{name} must be "
-            f"{'an integer' if whole else 'a finite number'} {span}"
-            f"{' or None' if name in optional else ''}, got {value!r}")
+        if type(value) is list:
+            object.__setattr__(config, name, [
+                _within(config, f"{name} entries", entry, bound, False)
+                for entry in value])
+            continue
+        checked = _within(config, name, value, bound, name in optional)
+        if checked is not value:
+            object.__setattr__(config, name, checked)
+
+
+def _within(config: object, name: str, value: Any, bound: Any,
+            optional: bool) -> Any:
+    """``value`` if it is inside ``bound`` (a whole float in an integer
+    field as the int it equals); else the error naming ``name``."""
+    least, most = bound if type(bound) is tuple else (bound, _INF)
+    whole = type(least) is int
+    real = type(value) in (int, float) or isinstance(value, numbers.Real)
+    if real and least <= value <= most and value != _INF:
+        if not whole or isinstance(value, numbers.Integral):
+            return value
+        if int(value) == value:
+            return int(value)
+    span = f">= {least}" if most == _INF else f"in [{least}, {most}]"
+    raise (ValueError if real else TypeError)(
+        f"{type(config).__name__}.{name} must be "
+        f"{'an integer' if whole else 'a finite number'} {span}"
+        f"{' or None' if optional else ''}, got {value!r}")
 
 
 class Event:
@@ -355,12 +369,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
         return len(self._heap) - len(self._cancelled)
-
-    @property
-    def cancelled_count(self) -> int:
-        """Cancelled events still occupying heap slots (drops to zero
-        after a compaction or once the entries are popped)."""
-        return len(self._cancelled)
 
     @property
     def compactions(self) -> int:

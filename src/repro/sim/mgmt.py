@@ -56,18 +56,3 @@ class ManagementPlane:
         """Deliver ``deliver(*args)`` after one sampled one-way latency."""
         self.messages_sent += 1
         self.sim.schedule_fast(self.one_way_latency_ns(), deliver, *args)
-
-    def request(self, handler: Callable[..., Any], reply: Callable[..., Any],
-                *args: Any) -> None:
-        """A request/response exchange.
-
-        ``handler(*args)`` runs at the remote side after one one-way
-        latency; its return value is delivered to ``reply`` after another
-        one-way latency.  This is the primitive behind counter polling.
-        """
-        def _at_remote() -> None:
-            result = handler(*args)
-            self.sim.schedule(self.one_way_latency_ns(), reply, result)
-
-        self.messages_sent += 1
-        self.sim.schedule(self.one_way_latency_ns(), _at_remote)

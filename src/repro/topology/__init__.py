@@ -9,7 +9,8 @@ a running simulation.  Builders cover the shapes used by the paper:
 * :func:`~repro.topology.builders.fat_tree` — k-ary fat-trees for scale
   studies;
 * :func:`~repro.topology.builders.single_switch` — the Figure 10 setup;
-* :func:`~repro.topology.builders.linear` — chains, useful in tests.
+* :func:`~repro.topology.builders.ring` — rings, for forwarding-loop
+  studies (§2.2).
 """
 
 from repro.topology.graph import Topology, NodeKind, LinkSpec
@@ -17,7 +18,6 @@ from repro.topology.builders import (
     leaf_spine,
     fat_tree,
     single_switch,
-    linear,
     ring,
 )
 
@@ -28,6 +28,5 @@ __all__ = [
     "leaf_spine",
     "fat_tree",
     "single_switch",
-    "linear",
     "ring",
 ]

@@ -55,12 +55,10 @@ class Topology:
         #: Derived state, dropped by every mutation (:meth:`_changed`
         #: drops all but the name lists): sorted name lists per kind
         #: (None = all nodes); every host with its search source (see
-        #: "Routing" below); per host asked of :meth:`hops_to`, the hop
-        #: distance of every switch to it; per source, its search and
-        #: every other switch's sorted next hops toward it.
+        #: "Routing" below); per source, its search and every other
+        #: switch's sorted next hops toward it.
         self._sorted: dict[Optional[NodeKind], list[str]] = {}
         self._source_of: Optional[dict[str, str]] = None
-        self._hops: dict[str, Mapping[str, int]] = {}
         self._searched: dict[str, dict[str, int]] = {}
         self._toward_of: dict[str, dict[str, list[str]]] = {}
 
@@ -103,7 +101,6 @@ class Topology:
     def _changed(self) -> None:
         """Drop the routing state derived from the nodes and links."""
         self._source_of = None
-        self._hops.clear()
         self._searched.clear()
         self._toward_of.clear()
 
@@ -148,23 +145,6 @@ class Topology:
     def degree(self, name: str) -> int:
         return len(self._links_of(name))
 
-    def link_between(self, a: str, b: str) -> Optional[LinkSpec]:
-        return self._adj.get(a, {}).get(b)
-
-    def is_connected(self) -> bool:
-        """Whether every node reaches every other (hosts included); an
-        empty topology is not connected."""
-        if not self._adj:
-            return False
-        start = next(iter(self._adj))
-        seen, stack = {start}, [start]
-        while stack:
-            for neighbor in self._adj[stack.pop()]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return len(seen) == len(self._adj)
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
@@ -175,28 +155,13 @@ class Topology:
     # and the next hops toward a gateway serve every host behind it.
     # Any other host (several links, or none) is its own search source.
 
-    def hops_to(self, dst_host: str) -> Mapping[str, int]:
-        """Hop distance to ``dst_host`` of every switch that can reach it
-        (and 0 for the host itself), read-only, kept until the topology
-        changes.  Only switches are expanded: hosts never transit
-        traffic.
-        """
-        hops = self._hops.get(dst_host)
-        if hops is None:
-            table = self._searched_from(self._source(dst_host))
-            if dst_host not in table:  # the gateway's search
-                table = {dst_host: 0, **{name: hop + 1
-                                         for name, hop in table.items()}}
-            hops = self._hops[dst_host] = MappingProxyType(table)
-        return hops
-
     def switch_hops(self, host: str) -> Mapping[str, int]:
         """Hop distances that rank the switches toward ``host``,
         read-only: for a host with a gateway, every switch's distance to
         the gateway (one less than to the host); for any other host,
-        :meth:`hops_to` itself.  A difference between two switches is
-        the host's either way, which is all a shortest-path test reads,
-        and no per-host table is built."""
+        every switch's distance to the host itself.  A difference
+        between two switches is the host's either way, which is all a
+        shortest-path test reads, and no per-host table is built."""
         return MappingProxyType(self._searched_from(self._source(host)))
 
     def _source(self, host: str) -> str:
@@ -253,24 +218,13 @@ class Topology:
                     toward[name] = next_hops
         return toward
 
-    def ecmp_next_hops(self, switch: str, dst_host: str) -> list[str]:
-        """All equal-cost next hops from ``switch`` toward ``dst_host``.
-
-        Hop count is the metric (standard for leaf-spine/fat-tree ECMP).
-        The returned neighbor names are sorted for determinism.
-        """
-        if self._kinds.get(switch) is not NodeKind.SWITCH:
-            raise ValueError(f"{switch!r} is not a switch")
-        source = self._source(dst_host)
-        if switch == source:  # the gateway
-            return [dst_host]
-        return list(self._toward(source).get(switch, ()))
-
     def routes_from(self, switch: str) -> dict[str, list[str]]:
-        """``{host: ecmp_next_hops(switch, host)}`` over every host
-        ``switch`` reaches, keyed in :attr:`hosts` order: a switch's
-        whole route table in one call.  Hosts on one gateway share one
-        list, so treat the lists as read-only.
+        """``{host: the equal-cost next hops from switch toward host}``
+        over every host ``switch`` reaches, keyed in :attr:`hosts`
+        order: a switch's whole route table in one call.  Hop count is
+        the metric (standard for leaf-spine/fat-tree ECMP); each list is
+        sorted for determinism, and hosts on one gateway share one list,
+        so treat the lists as read-only.
         """
         if self._kinds.get(switch) is not NodeKind.SWITCH:
             raise ValueError(f"{switch!r} is not a switch")

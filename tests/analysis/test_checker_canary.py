@@ -26,7 +26,7 @@ from repro.core.dataplane import SpeedlightUnit
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import Packet
-from repro.topology import linear
+from tests.conftest import linear
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
 #: Seeds the mutated scenario may take before a checker flags it.

@@ -101,11 +101,15 @@ class TestChecks:
         assert checker.check_all(snaps, channel_state=True) == 1
 
     def test_marking_precision(self):
+        # Marking is conservative: the audit counts a marked record as
+        # flagged whether its value is right (2) or wrong (9), and holds
+        # neither to the law.
         checker = self._checker_with_history()
         snaps = [_snapshot(_record(1, value=2, channel=0, consistent=False)),
                  _snapshot(_record(1, value=9, channel=0, consistent=False))]
-        stats = checker.marking_precision(snaps)
-        assert stats == {"marked": 2, "actually_wrong": 1}
+        audit = checker.audit(snaps, channel_state=True)
+        assert (audit.records_flagged, audit.records_checked) == (2, 0)
+        assert audit.violations == []
 
 
 class TestWrappedIngestion:

@@ -33,10 +33,6 @@ class TestCdf:
         with pytest.raises(ValueError):
             Cdf([])
 
-    def test_summary_row_contains_label(self):
-        row = Cdf([1.0, 2.0]).summary_row("my-series", scale=1.0, unit="x")
-        assert "my-series" in row and "p50" in row
-
 
 class TestBalanceStddevs:
     def test_per_switch_per_round(self):

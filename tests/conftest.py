@@ -9,7 +9,27 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import FlowKey, Packet
-from repro.topology import leaf_spine, single_switch
+from repro.topology import Topology, leaf_spine, single_switch
+from repro.topology.builders import GBPS
+
+
+def linear(num_switches: int = 3, hosts_per_switch: int = 1,
+           host_bw_bps: int = 25 * GBPS,
+           fabric_bw_bps: int = 100 * GBPS) -> Topology:
+    """A chain of switches ``sw0``..., each with local hosts."""
+    if num_switches < 1:
+        raise ValueError("need at least one switch")
+    topo = Topology(f"linear-{num_switches}")
+    switches = [topo.add_switch(f"sw{i}") for i in range(num_switches)]
+    for left, right in zip(switches, switches[1:]):
+        topo.add_link(left, right, fabric_bw_bps, 500)
+    server = 0
+    for sw in switches:
+        for _ in range(hosts_per_switch):
+            host = topo.add_host(f"server{server}")
+            topo.add_link(sw, host, host_bw_bps, 500)
+            server += 1
+    return topo
 
 
 class Arrivals:

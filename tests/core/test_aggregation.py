@@ -21,7 +21,8 @@ from repro.sim.engine import MS, S, US, Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import ShardRunner
 from repro.sim.switch import Direction, UnitId
-from repro.topology import fat_tree, leaf_spine, linear
+from repro.topology import fat_tree, leaf_spine
+from tests.conftest import linear
 
 
 def _deploy(agg, seed=7, topo=None, **config_kwargs):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import control_plane
+from repro.core import SnapshotStatus, control_plane, deploy
 from repro.core.control_plane import (ControlPlaneConfig, NotificationChannel,
                                       SwitchControlPlane, uniform_jitter)
 from repro.core.dataplane import SpeedlightUnit
@@ -18,6 +18,7 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import FlowKey, Packet, SnapshotHeader
 from repro.sim.switch import Direction, UnitId
 from repro.topology import single_switch
+from tests.conftest import linear
 
 UNIT_A = UnitId("sw0", 0, Direction.INGRESS)
 
@@ -204,6 +205,20 @@ class TestChannelState:
         assert not by_epoch[3].consistent
         assert by_epoch[4].consistent  # the landing epoch keeps its state
 
+    def test_exclude_channel_unblocks_completion(self):
+        # The §6 removal of non-utilized upstream neighbours is derived
+        # at deploy time: no host channel gates an ingress unit, so a
+        # snapshot completes while every host is idle.
+        net = Network(single_switch(num_hosts=3), NetworkConfig(seed=1))
+        deployment = deploy(net, channel_state=True)
+        trackers = deployment.control_planes["sw0"].trackers
+        assert all(not tracker.gating for unit, tracker in trackers.items()
+                   if unit.direction == Direction.INGRESS)
+        epoch = deployment.take_snapshot()
+        net.run(until=200 * MS)
+        snapshot = deployment.observer.snapshot(epoch)
+        assert snapshot.status is SnapshotStatus.COMPLETE
+
     def test_multiple_gating_channels_gate_on_minimum(self):
         net = Network(single_switch(num_hosts=3), NetworkConfig(seed=1))
         switch = net.switch("sw0")
@@ -221,24 +236,6 @@ class TestChannelState:
         assert shipped == []  # channel 1 still at 0
         agent.process_packet(_pkt(1), channel_id=1, now_ns=10)
         net.run(until=2 * MS)
-        assert [r.epoch for r in shipped] == [1]
-
-    def test_exclude_channel_unblocks_completion(self):
-        net = Network(single_switch(num_hosts=3), NetworkConfig(seed=1))
-        switch = net.switch("sw0")
-        shipped = []
-        cp = SwitchControlPlane(switch, Clock(), IdSpace(255),
-                                channel_state=True,
-                                config=_fast_cp_config(),
-                                ship=shipped.append)
-        agent = SpeedlightUnit(UNIT_A, cp.ids, lambda: 7, channel_state=True,
-                               notify=switch.send_notification)
-        switch.ports[0].ingress.snapshot_agent = agent
-        cp.register_unit(agent, gating_channels=[0, 1])
-        agent.process_packet(_pkt(1), channel_id=0, now_ns=5)
-        net.run(until=1 * MS)
-        assert shipped == []
-        cp.exclude_channel(UNIT_A, 1)  # operator removes the idle neighbor
         assert [r.epoch for r in shipped] == [1]
 
 
@@ -341,7 +338,6 @@ class TestCrashRecovery:
 
     def _two_switch(self, channel_state=True):
         from repro.core import deploy
-        from repro.topology import linear
         net = Network(linear(num_switches=2, hosts_per_switch=1),
                       NetworkConfig(seed=5))
         deployment = deploy(
@@ -401,7 +397,6 @@ class TestProbeLiveness:
 
     def _idle_two_switch(self):
         from repro.core import deploy
-        from repro.topology import linear
         net = Network(linear(num_switches=2, hosts_per_switch=1),
                       NetworkConfig(seed=5))
         deployment = deploy(net, metric="packet_count", channel_state=True)

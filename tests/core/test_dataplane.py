@@ -174,11 +174,12 @@ class TestWraparound:
 
 class TestRegisterAccess:
     def test_poll_state_exposes_registers(self):
+        # The registers a control-plane poll reads (poll_registers).
         unit = _unit(channel_state=True)
         unit.process_packet(_pkt(2), channel_id=1, now_ns=10)
-        state = unit.poll_state()
-        assert state["sid"] == 2
-        assert state["last_seen[1]"] == 2
+        assert unit.sid == 2
+        assert unit.read_last_seen(1) == 2
+        assert unit.read_last_seen(0) == 0
 
     def test_read_slot_returns_a_copy(self):
         unit = _unit(value=lambda: 42)

@@ -184,14 +184,6 @@ class _ReplacedUnit:
     def read_last_seen(self, channel_id: int) -> int:
         return self.last_seen.get(channel_id, 0)
 
-    def poll_state(self) -> dict[str, int]:
-        """Proactive register poll used for notification-drop recovery
-        (§6, "Ensuring liveness")."""
-        state = {"sid": self._sid}
-        for channel, value in self.last_seen.items():
-            state[f"last_seen[{channel}]"] = value
-        return state
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpeedlightUnit({self.unit_id}, sid={self._sid})"
 
@@ -265,7 +257,7 @@ def test_unit_equals_the_one_it_replaced(script):
         # included: the whole register file reads the same.
         assert _registers(new, size) == _registers(old, size), op
         assert logs[0] == logs[1], op
-        assert new.poll_state() == old.poll_state()
+        assert (new.sid, new.last_seen) == (old.sid, old.last_seen)
         # The quiet ID is the current one, unless Last Seen can move.
         assert new.quiet_sid == (None if channel_state else new.sid)
     assert (new.packets_seen, new.notifications_emitted) == \

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import deploy, recovery_preset
+from repro.core import RECOVERY_PRESETS, deploy
 from repro.core.dataplane import SpeedlightUnit
 from repro.core.deployment import merge_progress
 from repro.core.ideal import IdealUnit
@@ -42,7 +42,7 @@ class TestWiring:
         ({"chanel_state": True}, TypeError, "chanel_state"),
         # Removed fields are refused by name: a recovery policy is applied
         # by passing the two configs it builds; gating is the topology's.
-        ({"recovery": recovery_preset("eager")}, TypeError, "recovery"),
+        ({"recovery": RECOVERY_PRESETS["eager"]}, TypeError, "recovery"),
         ({"gate_host_channels": True}, TypeError, "gate_host_channels"),
         ({"cos_classes": [0]}, TypeError, "cos_classes"),
         # An unknown metric fails before any switch is touched, naming

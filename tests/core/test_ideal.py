@@ -55,24 +55,28 @@ class TestIdealCapture:
         assert unit.snaps[2].channel_state == 0
 
     def test_completed_through(self):
+        # Completion (Figure 3 line 12) is min(lastSeen) over the gating
+        # channels, which the control plane reads through this API.
         unit = _ideal()
         unit.process_packet(_pkt(2), channel_id=0, now_ns=10)
         unit.process_packet(_pkt(1), channel_id=1, now_ns=20)
-        assert unit.completed_through([0, 1]) == 1
-        assert unit.completed_through([0]) == 2
-        assert unit.completed_through([]) == 2
+        assert [unit.read_last_seen(c) for c in (0, 1, 2)] == [2, 1, 0]
+        assert unit.sid == 2
 
     def test_completed_through_without_channel_state(self):
+        # Without channel state completion is the current ID (line 19).
         unit = _ideal(channel_state=False)
         unit.process_packet(_pkt(4), 0, 10)
-        assert unit.completed_through([0]) == 4
+        assert unit.sid == 4
+        assert unit.read_last_seen(0) == 0
 
     def test_snapshot_value_with_and_without_channel(self):
         unit = _ideal(value=lambda: 5)
         unit.process_packet(_pkt(1), 0, 10)
         unit.process_packet(_pkt(0), 0, 20)
-        assert unit.snapshot_value(1) == 6
-        assert unit.snapshot_value(1, include_channel_state=False) == 5
+        slot = unit.read_slot(1)
+        assert (slot.value, slot.channel_state) == (5, 1)
+        assert unit.take_slot(1) == (5, 10)
 
     def test_register_api_compatibility(self):
         unit = _ideal(value=lambda: 5)

@@ -62,14 +62,16 @@ class TestWrapped:
 
     def test_succ_wraps(self):
         ids = IdSpace(7)
-        assert ids.succ(6) == 7
-        assert ids.succ(7) == 0
+        assert ids.wrap(6 + 1) == 7
+        assert ids.wrap(7 + 1) == 0
+        assert ids.cmp(0, 7) == 1  # the successor of 7 is still ahead
 
     def test_forward_distance(self):
+        # How far ahead of a reference a wrapped ID lands.
         ids = IdSpace(7)
-        assert ids.forward_distance(3, 5) == 2
-        assert ids.forward_distance(6, 1) == 3
-        assert ids.forward_distance(4, 4) == 0
+        assert ids.unwrap_onto(5, 3) - 3 == 2
+        assert ids.unwrap_onto(1, 6) - 6 == 3
+        assert ids.unwrap_onto(4, 4) - 4 == 0
 
     def test_unwrap_onto_forward(self):
         ids = IdSpace(7)
@@ -118,7 +120,8 @@ class TestWrappedProperties:
            st.integers(min_value=0, max_value=10**6))
     def test_property_succ_agrees_with_unwrapped_increment(self, max_sid, a):
         ids = IdSpace(max_sid)
-        assert ids.succ(ids.wrap(a)) == ids.wrap(a + 1)
+        assert ids.unwrap_onto(ids.wrap(a + 1), a) == a + 1
+        assert ids.cmp(ids.wrap(a + 1), ids.wrap(a)) == 1
 
 
 def _unwrap_onto_three_candidates(max_sid, wrapped, reference):

@@ -189,11 +189,6 @@ class TestNodeAttachment:
         with pytest.raises(ValueError):
             dep.observer.register_device("sw0", cp, set())
 
-    def test_remove_device(self):
-        _net, dep = _deploy()
-        dep.observer.remove_device("sw0")
-        assert dep.observer.control_planes == {}
-
 
 def _full_walk_enforce_window(observer, initiating_epoch):
     """Reference no-lapping enforcement: inspect every snapshot ever
@@ -295,19 +290,22 @@ class TestWindowCursor:
         net, dep = _deploy(topo=leaf_spine(hosts_per_leaf=1))
         observer = dep.observer
         before = observer.take_snapshot()
-        removed_units = {u for u in observer.snapshot(before).expected_units
-                         if u.device == "leaf1"}
-        cp = observer.control_planes["leaf1"]
-        observer.remove_device("leaf1")
-        without = observer.take_snapshot()
-        observer.register_device("leaf1", cp, removed_units)
         again = observer.take_snapshot()
+        # A device registered now (leaf1's control plane under a second
+        # name) joins from the next snapshot on.
+        added_units = {UnitId("leaf9", u.port, u.direction)
+                       for u in observer.snapshot(before).expected_units
+                       if u.device == "leaf1"}
+        observer.register_device("leaf9", observer.control_planes["leaf1"],
+                                 added_units)
+        with_it = observer.take_snapshot()
         expected = [observer.snapshot(e).expected_units
-                    for e in (before, without, again)]
-        assert expected[1] == expected[0] - removed_units
-        assert expected[2] == expected[0]
+                    for e in (before, again, with_it)]
+        assert expected[1] == expected[0]
+        assert expected[2] == expected[0] | added_units
         # Snapshots of one device set share one expected set; an
         # exclusion must not leak into the others.
         later = observer.take_snapshot()
         observer.snapshot(later).exclude_device("leaf0")
         assert observer.snapshot(again).expected_units == expected[0]
+        assert observer.snapshot(with_it).expected_units == expected[2]

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core import (RECOVERY_PRESETS, AggregationConfig, RecoveryPolicy,
-                        deploy, recovery_preset)
+                        deploy)
 from repro.core.control_plane import ControlPlaneConfig
 from repro.core.observer import ObserverConfig
 from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
-from repro.topology import linear
+from tests.conftest import linear
 
 
 class TestRecoveryPolicy:
@@ -46,7 +46,7 @@ class TestRecoveryPolicy:
             config(**{field: value})
 
     def test_overlay_preserves_non_recovery_fields(self):
-        policy = recovery_preset("eager")
+        policy = RECOVERY_PRESETS["eager"]
         base_cp = ControlPlaneConfig(notification_service_ns=99 * US,
                                      notification_transport="digest")
         cp = policy.control_plane_config(base_cp)
@@ -64,11 +64,6 @@ class TestRecoveryPolicy:
     def test_presets_named_consistently(self):
         for name, policy in RECOVERY_PRESETS.items():
             assert policy.name == name
-            assert recovery_preset(name) == policy
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError, match="unknown recovery preset"):
-            recovery_preset("yolo")
 
 
 class TestDeploymentThreading:
@@ -82,7 +77,7 @@ class TestDeploymentThreading:
         return network, deploy(network, metric="packet_count", **configs)
 
     def test_policy_threads_into_both_configs(self):
-        policy = recovery_preset("eager")
+        policy = RECOVERY_PRESETS["eager"]
         _, deployment = self._deploy(policy)
         assert (deployment.config.control_plane
                 == policy.control_plane_config(ControlPlaneConfig()))
@@ -109,7 +104,7 @@ class TestDeploymentThreading:
         assert all(cp.polls_performed == 0
                    for cp in silent.control_planes.values())
 
-        network, polling = self._deploy(recovery_preset("polling"))
+        network, polling = self._deploy(RECOVERY_PRESETS["polling"])
         polling.schedule_campaign(rounds, interval)
         network.run(until=horizon)
         assert any(cp.polls_performed > 0

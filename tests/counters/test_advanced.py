@@ -69,7 +69,6 @@ class TestActiveFlowEstimator:
         counter = ActiveFlowEstimator(bits=8)
         for sport in range(500):
             counter.update(_pkt(sport=sport), 0)
-        assert counter.saturated
         assert counter.read() == 8 * 8
 
     def test_minimum_size(self):

@@ -8,7 +8,8 @@ from repro.sim.channel import GilbertElliottLoss, NoLoss
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import ShardRunner
-from repro.topology import leaf_spine, linear
+from repro.topology import leaf_spine
+from tests.conftest import linear
 from repro.updates import TimedSwap, UpdateContext, UpdateDriver
 
 

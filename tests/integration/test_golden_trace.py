@@ -36,7 +36,7 @@ from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.engine import MS
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import FlowKey, Packet
-from repro.topology import linear
+from tests.conftest import linear
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 
 GOLDEN_SHA256 = ("2bf543cfd1e909913ee677a2ce0a664e"
@@ -178,7 +178,7 @@ def test_all_zero_composite_profile_preserves_golden_trace():
     byte-identical to no injector at all (docs/FAULTS.md)."""
     from repro.faults import (Compose, IndependentFaults, MaintenanceWindow,
                               ProfileContext)
-    from repro.topology import linear as linear_topo
+    from tests.conftest import linear as linear_topo
 
     topo = linear_topo(num_switches=2, hosts_per_switch=2)
     context = ProfileContext.for_topology(topo, horizon_ns=30 * MS,

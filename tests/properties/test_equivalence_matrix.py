@@ -39,13 +39,13 @@ from repro.faults import (FAULT_KINDS, Cascade, Compose, CorrelatedGroup,
                           ProfileContext)
 from repro.service.pipeline import PipelineConfig, SnapshotPipeline
 from repro.service.query import QueryEngine
-from repro.sim.channel import (BernoulliLoss, GilbertElliottLoss, LossModel,
-                               ScriptedLoss)
+from repro.sim.channel import BernoulliLoss, GilbertElliottLoss, LossModel
 from repro.sim.engine import MS, US
 from repro.sim.network import NetworkConfig
 from repro.sim.shard import ShardRunner, ShardWorker
-from repro.topology import fat_tree, leaf_spine, linear, ring, single_switch
+from repro.topology import fat_tree, leaf_spine, ring, single_switch
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
+from tests.conftest import linear
 
 EXAMPLES = int(os.environ.get("REPRO_MATRIX_EXAMPLES", "20"))
 TOPOLOGIES = {"single": lambda: single_switch(num_hosts=3),
@@ -145,6 +145,23 @@ PROFILES: dict[str, Profiles] = {
                    if tag != "compose"]),
         min_size=2, max_size=3).map(lambda parts: Compose(parts=tuple(parts))),
 }
+
+
+class ScriptedLoss(LossModel):
+    """Drop exactly the packets ``predicate`` selects.  Key it on packet
+    contents or a count, never on ``Packet.uid``: uids count across the
+    whole process."""
+
+    def __init__(self, predicate: Callable[[Any], bool]) -> None:
+        self.predicate = predicate
+        self.dropped: list[Any] = []
+
+    def should_drop(self, packet: Any) -> bool:
+        drop = self.predicate(packet)
+        if drop:
+            self.dropped.append(packet)
+        return drop
+
 
 #: Loss models by name, each a function of one drop rate.
 LOSSES: dict[str, Callable[[float], Callable[[Any, Any], LossModel]]] = {

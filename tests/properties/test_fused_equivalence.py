@@ -28,7 +28,8 @@ from repro.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.sim.engine import US
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import FlowKey, Packet
-from repro.topology import leaf_spine, linear
+from repro.topology import leaf_spine
+from tests.conftest import linear
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 from tests.integration.test_golden_trace import StateRecorder
 

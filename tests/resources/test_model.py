@@ -66,8 +66,10 @@ class TestModelShape:
 
     def test_fits_tofino(self):
         for variant in Variant:
-            assert estimate(variant, 64).fits(TOFINO_1)
+            report = estimate(variant, 64)
+            assert report.stages <= TOFINO_1.stages
+            assert max(report.utilization(TOFINO_1).values()) <= 1.0
 
     def test_fits_respects_budget(self):
         report = estimate(Variant.CHANNEL_STATE, 64)
-        assert not report.fits(TOFINO_1, budget=0.01)
+        assert max(report.utilization(TOFINO_1).values()) > 0.01

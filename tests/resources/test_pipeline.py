@@ -2,23 +2,20 @@
 
 import pytest
 
-from repro.resources import (PIPELINE, REGISTERS, Variant, estimate,
-                             register_bytes, tables_for, totals_for)
+from repro.experiments.table1 import PAPER_TABLE1
+from repro.resources import PIPELINE, Variant, estimate, tables_for, totals_for
 
 
 class TestInventoryMatchesTable1:
-    """The structural inventory must sum to the published counts — the
-    same numbers the calibrated model reports — for every variant."""
+    """The structural inventory must sum to the published counts, and
+    the model reports its sums, for every variant."""
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_totals_agree_with_model(self, variant):
         totals = totals_for(variant)
-        report = estimate(variant, ports=64)
-        assert totals["stateless_alus"] == report.stateless_alus
-        assert totals["stateful_alus"] == report.stateful_alus
-        assert totals["table_ids"] == report.table_ids
-        assert totals["gateways"] == report.gateways
-        assert totals["stages"] == report.stages
+        assert totals == {row: PAPER_TABLE1[variant][row] for row in totals}
+        report = estimate(variant, ports=14)
+        assert {row: getattr(report, row) for row in totals} == totals
 
 
 class TestInventoryStructure:
@@ -55,31 +52,25 @@ class TestInventoryStructure:
 
 class TestRegisterArrays:
     def test_channel_state_adds_last_seen(self):
-        pc = {r.name for r in REGISTERS if r.included_in(Variant.PACKET_COUNT)}
-        cs = {r.name for r in REGISTERS if r.included_in(Variant.CHANNEL_STATE)}
-        assert "last_seen" in cs - pc
-        assert "snapshot_channel_state" in cs - pc
+        pc = {t.name for t in tables_for(Variant.PACKET_COUNT)}
+        cs = {t.name for t in tables_for(Variant.CHANNEL_STATE)}
+        assert cs - pc >= {"update_last_seen", "credit_channel_state"}
 
     def test_register_bytes_grow_with_ports_and_variant(self):
-        assert register_bytes(Variant.PACKET_COUNT, 64) > \
-            register_bytes(Variant.PACKET_COUNT, 14)
-        assert register_bytes(Variant.CHANNEL_STATE, 64) > \
-            register_bytes(Variant.WRAP_AROUND, 64)
+        assert estimate(Variant.PACKET_COUNT, 64).sram_kb > \
+            estimate(Variant.PACKET_COUNT, 14).sram_kb
+        assert estimate(Variant.CHANNEL_STATE, 64).sram_kb > \
+            estimate(Variant.WRAP_AROUND, 64).sram_kb
 
     def test_register_footprint_consistent_with_calibrated_slope(self):
-        """The register inventory should explain the per-port SRAM slope
-        of the calibrated model to within a factor of ~2 (match-action
-        overheads account for the rest)."""
-        for variant in Variant:
-            raw_slope_kb = (register_bytes(variant, 64)
-                            - register_bytes(variant, 14)) / 50 / 1024
-            model_slope_kb = (estimate(variant, 64).sram_kb
-                              - estimate(variant, 14).sram_kb) / 50
-            assert 0.5 <= raw_slope_kb / model_slope_kb <= 2.0, variant
-
-    def test_per_slot_arrays_dominate(self):
-        """Snapshot value storage is the big consumer, as §7.1 implies
-        ('larger register arrays ... to store the per-port statistics')."""
-        value_bytes = next(r for r in REGISTERS if r.name == "snapshot_value")
-        total = register_bytes(Variant.PACKET_COUNT, 64)
-        assert value_bytes.bytes_for(64, 256) > 0.5 * total
+        """Without channel state the per-port SRAM slope is the value
+        arrays' sizing, two units x 256 x 32-bit slots = 2 KB, to within
+        a factor of ~2 (match-action overheads account for the rest);
+        the per-neighbor Last Seen array makes channel state steeper."""
+        slopes = {variant: (estimate(variant, 64).sram_kb
+                            - estimate(variant, 14).sram_kb) / 50
+                  for variant in Variant}
+        raw_slope_kb = 2 * 256 * 4 / 1024
+        for variant in (Variant.PACKET_COUNT, Variant.WRAP_AROUND):
+            assert 0.5 <= raw_slope_kb / slopes[variant] <= 2.0, variant
+        assert slopes[Variant.CHANNEL_STATE] > slopes[Variant.WRAP_AROUND]

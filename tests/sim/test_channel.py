@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from repro.sim.channel import (BernoulliLoss, GilbertElliottLoss, Link,
-                               NoLoss, ScriptedLoss)
+from repro.sim.channel import BernoulliLoss, GilbertElliottLoss, Link, NoLoss
 from repro.sim.engine import Simulator
 from repro.sim.packet import FlowKey, Packet
+from tests.properties.test_equivalence_matrix import ScriptedLoss
 
 
 class FakeEndpoint:
@@ -70,8 +70,8 @@ class TestLink:
     def test_peer_of_unattached_raises(self):
         sim = Simulator()
         link, _a, _b = _wired_link(sim)
-        with pytest.raises(ValueError):
-            link.peer_of(FakeEndpoint("stranger"))
+        with pytest.raises(ValueError, match="not attached"):
+            link.transmit(FakeEndpoint("stranger"), _pkt())
 
     def test_serialization_time(self):
         sim = Simulator()

@@ -18,7 +18,7 @@ class TestClock:
     def test_offset_shifts_local_time(self):
         clock = Clock(offset_ns=500)
         assert clock.local_time(1000) == 1500
-        assert clock.error_at(1000) == 500
+        assert clock.local_time(1000) - 1000 == 500
 
     def test_drift_accumulates(self):
         clock = Clock(drift_ppb=1_000_000)  # 0.1% fast
@@ -38,7 +38,7 @@ class TestClock:
     def test_resync_residual_becomes_offset(self):
         clock = Clock()
         clock.resync(true_ns=100, residual_error_ns=-7)
-        assert clock.error_at(100) == -7
+        assert clock.local_time(100) - 100 == -7
 
     @given(st.integers(min_value=-40_000_000, max_value=40_000_000),
            st.integers(min_value=-10_000, max_value=10_000),
@@ -88,13 +88,13 @@ class TestPTPService:
         clocks = [ptp.attach(f"sw{i}") for i in range(4)]
         ptp.start()
         for clock in clocks:
-            assert abs(clock.error_at(sim.now)) <= 100
+            assert abs(clock.local_time(sim.now) - sim.now) <= 100
 
     def test_attach_after_start_is_disciplined(self):
         sim, ptp = self._service(PTPConfig(residual_max_ns=100))
         ptp.start()
         late = ptp.attach("late")
-        assert abs(late.error_at(sim.now)) <= 100
+        assert abs(late.local_time(sim.now) - sim.now) <= 100
 
     def test_periodic_resync_bounds_error(self):
         config = PTPConfig(sync_interval_ns=1 * S, residual_max_ns=8_000,
@@ -105,7 +105,8 @@ class TestPTPService:
         sim.run(until=10 * S)
         # Worst case: residual clamp + one interval of max drift.
         max_err = config.residual_max_ns + 40_000  # 40us/s * 1s = 40us... ppb
-        assert abs(clock.error_at(sim.now)) <= config.residual_max_ns + \
+        assert abs(clock.local_time(sim.now) - sim.now) <= \
+            config.residual_max_ns + \
             abs(clock.drift_ppb) * config.sync_interval_ns // 10**9 + 1
 
     def test_residual_sampling_respects_clamp(self):
@@ -114,15 +115,12 @@ class TestPTPService:
         for _ in range(500):
             assert abs(ptp.sample_residual()) <= 5_000
 
-    def test_pairwise_spread_zero_without_clocks(self):
-        _sim, ptp = self._service()
-        assert ptp.pairwise_spread_ns() == 0
-
     def test_pairwise_spread_reflects_offsets(self):
         sim, ptp = self._service()
         ptp.attach("a", Clock(offset_ns=10))
         ptp.attach("b", Clock(offset_ns=-15))
-        assert ptp.pairwise_spread_ns() == 25
+        readings = [clock.local_time(sim.now) for clock in ptp.clocks.values()]
+        assert max(readings) - min(readings) == 25
 
 
 class TestPTPConfig:

@@ -216,18 +216,18 @@ class TestCancellationBookkeeping:
     def test_pending_count_and_cancelled_count(self, sim):
         handles = [sim.schedule(i + 1, lambda: None) for i in range(10)]
         assert sim.pending == 10
-        assert sim.cancelled_count == 0
+        assert len(sim._cancelled) == 0
         handles[0].cancel()
         handles[5].cancel()
         assert sim.pending == 8
-        assert sim.cancelled_count == 2
+        assert len(sim._cancelled) == 2
 
     def test_cancel_after_fire_does_not_pollute_side_table(self, sim):
         first = sim.schedule(1, lambda: None)
         sim.schedule(2, lambda: None)
         sim.run(until=1)
         first.cancel()  # already fired: must be an exact no-op
-        assert sim.cancelled_count == 0
+        assert len(sim._cancelled) == 0
         assert sim.pending == 1
 
     def test_cancel_churn_does_not_leak(self, sim):
@@ -239,8 +239,8 @@ class TestCancellationBookkeeping:
         live = [sim.schedule(10 * S + i, lambda: None) for i in range(8)]
         for i in range(10_000):
             sim.schedule(1_000 + i % 97, lambda: None).cancel()
-            assert (sim.cancelled_count < _COMPACT_MIN_CANCELLED
-                    or 2 * sim.cancelled_count < len(sim._heap))
+            assert (len(sim._cancelled) < _COMPACT_MIN_CANCELLED
+                    or 2 * len(sim._cancelled) < len(sim._heap))
         assert sim.compactions > 0
         # Bound: live entries + the compaction trigger's slack.
         assert len(sim._heap) <= 2 * max(len(live),
@@ -319,7 +319,7 @@ class TestSeqHandles:
         assert sim.pending == 1
         sim.run()
         assert fired == ["keep"]
-        assert sim.cancelled_count == 0
+        assert len(sim._cancelled) == 0
 
     def test_schedule_fast_at_orders_before_its_anchor(self):
         sim = Simulator()

@@ -55,22 +55,25 @@ class TestSend:
 
 
 class TestRequest:
+    """A request and its reply are two sends."""
+
     def test_round_trip(self):
         sim, mgmt = _mgmt(jitter=0)
         replies = []
-        mgmt.request(lambda x: x * 2, replies.append, 21)
+        mgmt.send(lambda x: mgmt.send(replies.append, x * 2), 21)
         sim.run()
         assert replies == [42]
         assert sim.now == 100 * US  # two one-way latencies
+        assert mgmt.messages_sent == 2
 
     def test_handler_runs_at_remote_time(self):
         sim, mgmt = _mgmt(jitter=0)
-        handler_times = []
+        times = []
 
         def handler():
-            handler_times.append(sim.now)
-            return None
+            times.append(sim.now)
+            mgmt.send(lambda: times.append(sim.now))
 
-        mgmt.request(handler, lambda _result: None)
+        mgmt.send(handler)
         sim.run()
-        assert handler_times == [50 * US]
+        assert times == [50 * US, 100 * US]

@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 from repro.sim.network import NetworkConfig, cut_links, partition_topology
 from repro.sim.shard import InProcessShardRunner, ShardPlan, ShardRunner
-from repro.topology import fat_tree, leaf_spine, linear, ring, single_switch
+from repro.topology import fat_tree, leaf_spine, ring, single_switch
+from tests.conftest import linear
 from repro.topology.graph import NodeKind
 from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 from tests.integration.test_golden_trace import (GOLDEN_EVENTS,

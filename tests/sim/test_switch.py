@@ -9,7 +9,8 @@ from repro.sim.packet import (FlowKey, Packet, PacketType, SnapshotHeader,
                               make_initiation_packet)
 from repro.sim.switch import (BROADCAST_DST, CPU_CHANNEL, Direction,
                               EXTERNAL_CHANNEL, SwitchConfig, UnitId)
-from repro.topology import linear, single_switch
+from repro.topology import single_switch
+from tests.conftest import linear
 
 
 class RecordingAgent:

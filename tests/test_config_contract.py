@@ -1,12 +1,14 @@
 """Every config refuses an impossible value by name, or runs with it;
-and every field of every config is read somewhere in ``src``.
+every field of every config is read somewhere in ``src``; and every
+``src`` definition has a caller outside the tests.
 
 The configs and specs are found by introspection, not from a list: every
 dataclass defined under ``repro`` whose name ends in ``Config``, ``Spec``
 or ``Policy``, every member of a :class:`repro.specs.Spec` family and
 every compile context (:class:`repro.specs.Window`).  For each numeric
 field a draw sets that one field to 0, -1, 1, 2**62, 0.5, NaN, +inf or
--inf (an ``Optional`` field also to None) on an otherwise valid instance.
+-inf (an ``Optional`` field also to None; a list of numbers, a sweep, to
+a one-entry list of the value) on an otherwise valid instance.
 The oracle: construction raises ``ValueError`` or ``TypeError`` naming
 ``Class.field`` (an overlay such as ``RecoveryPolicy`` may name the
 config the value lands in), or a bounded smoke run finishes:
@@ -15,7 +17,8 @@ config the value lands in), or a bounded smoke run finishes:
   number of events (``Simulator.run`` is capped for the smoke);
 * a ``Spec`` family member compiles against a small context, and a
   context compiles every default member of its family;
-* an experiment config builds its trial specs.
+* an experiment config builds its trial specs and runs the first one
+  (cut off by the same event budget).
 
 A smoke run must also finish inside a wall-clock guard and an address
 space guard, so a hang or a runaway allocation fails the draw instead of
@@ -40,6 +43,11 @@ own ``__post_init__`` are not readers.
 A runtime field only tests set is a calibration with one value in use.
 The set check walks ``src``, ``bench`` and ``examples`` with the same
 typing and fails on a runtime-config field no keyword there sets.
+
+A function, method or class only tests call serves no workload.  The
+definition check walks ``src``, ``bench``, ``examples`` and
+``benchmarks`` and fails on a ``src`` definition whose name nothing
+there loads.  The three source checks share one parse of each module.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ import importlib
 import math
 import os
 import pkgutil
+import re
 import resource
 import signal
 import types
@@ -243,18 +252,31 @@ _UNIONS = (Union, getattr(types, "UnionType", Union))
 
 
 @functools.cache
-def _numeric(cls: type) -> dict[str, bool]:
-    """Each numeric init field of ``cls`` -> whether it is Optional."""
+def _numeric(cls: type) -> dict[str, str]:
+    """Each numeric init field of ``cls`` -> ``"optional"``, ``"list"``
+    (a sweep of numbers, drawn as a one-entry list) or ``"plain"``."""
     hints = typing.get_type_hints(cls)
-    out: dict[str, bool] = {}
+    out: dict[str, str] = {}
     for f in dataclasses.fields(cls):
         hint = hints[f.name]
         args = set(typing.get_args(hint))
         optional = (typing.get_origin(hint) in _UNIONS and type(None) in args)
-        if f.init and (hint in (int, float)
-                       or (optional and args - {type(None)} <= {int, float})):
-            out[f.name] = optional
+        if not f.init:
+            continue
+        if hint in (int, float):
+            out[f.name] = "plain"
+        elif optional and args - {type(None)} <= {int, float}:
+            out[f.name] = "optional"
+        elif typing.get_origin(hint) is list and args <= {int, float}:
+            out[f.name] = "list"
     return out
+
+
+def _drawn(kind: str) -> st.SearchStrategy:
+    if kind == "list":
+        return st.sampled_from(BAD_VALUES).map(lambda value: [value])
+    return st.sampled_from(BAD_VALUES + ((None,) if kind == "optional"
+                                         else ()))
 
 
 @functools.cache
@@ -290,7 +312,9 @@ def _experiments() -> dict[type, Any]:
 def _smoke(instance: Any) -> None:
     cls = type(instance)
     if cls in _experiments():
-        _experiments()[cls].specs(instance)
+        # The first trial, cut off by the event budget: a value in range
+        # that fails inside a trial (a sweep's entry) fails the draw.
+        TrialRunner().run_batch(_experiments()[cls].specs(instance)[:1])
     elif cls.__name__ in _SMOKES:
         _SMOKES[cls.__name__](instance)
     elif issubclass(cls, Spec):
@@ -348,8 +372,7 @@ def test_discovery_finds_the_known_configs():
           suppress_health_check=list(HealthCheck))
 @given(st.fixed_dictionaries({
     cls: st.fixed_dictionaries({
-        name: st.sampled_from(BAD_VALUES + ((None,) if optional else ()))
-        for name, optional in _numeric(cls).items()})
+        name: _drawn(kind) for name, kind in _numeric(cls).items()})
     for cls in DRAWN}))
 def test_a_bad_field_is_refused_by_name_or_runs(draw):
     """Each example draws one bad value for every field of every class,
@@ -516,11 +539,23 @@ class _Types:
         return None
 
 
-def _trees(*roots: Path) -> list[ast.Module]:
-    """Every module under ``roots``, tests left out."""
-    return [ast.parse(path.read_text())
+@functools.cache
+def _parse(path: Path) -> ast.Module:
+    """One module's tree, parsed once per session: the three source
+    checks share it, and none of them changes a tree."""
+    return ast.parse(path.read_text())
+
+
+def _modules(*roots: Path) -> list[tuple[Path, ast.Module]]:
+    """Every module under ``roots``, tests left out, with its path."""
+    return [(path, _parse(path))
             for root in roots for path in sorted(root.rglob("*.py"))
             if "tests" not in path.relative_to(root).parts]
+
+
+def _trees(*roots: Path) -> list[ast.Module]:
+    """Every module under ``roots``, tests left out."""
+    return [tree for _path, tree in _modules(*roots)]
 
 
 def _walk(trees: list[ast.Module], types_: _Types
@@ -664,3 +699,101 @@ def test_every_runtime_field_is_set_outside_tests():
                 unset.add(f"{cls.__name__}.{f.name}")
     only_tests = sorted(unset - _HOST_INPUTS)
     assert not only_tests, f"set by no caller outside the tests: {only_tests}"
+
+
+# ----------------------------------------------------------------------
+# Every definition has a caller outside the tests
+# ----------------------------------------------------------------------
+#: Definitions no workload reads, kept because a golden or a
+#: differential reads them as its observation; each names that test.
+_ORACLES = {
+    "_EgressQueue.bytes_sent":
+        "GOLDEN_STATE_SHA256, tests/integration/test_golden_trace.py",
+    "_EgressQueue.depth_bytes":
+        "the fused-hop differential, tests/sim/test_fused_hop.py",
+}
+
+_Def = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+
+
+def _registered(node: _Def) -> bool:
+    """A ``@trial`` function, or a ``Spec`` member with a ``spec_type``:
+    the registries call them by their tag, not by their name."""
+    if isinstance(node, ast.ClassDef):
+        return any(isinstance(item, ast.AnnAssign)
+                   and getattr(item.target, "id", None) == "spec_type"
+                   and item.value is not None for item in node.body)
+    return any(isinstance(deco, ast.Call)
+               and getattr(deco.func, "id", None) == "trial"
+               for deco in node.decorator_list)
+
+
+def _loaded(node: ast.AST) -> Optional[str]:
+    """The name ``node`` loads: a name or an attribute (an augmented
+    assignment reads its target first), a keyword, or a string that is
+    an identifier (``getattr``, string annotations)."""
+    if isinstance(node, ast.AugAssign):
+        node = node.target
+        return getattr(node, "attr", getattr(node, "id", None))
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        return node.id
+    if isinstance(node, ast.Attribute) and not isinstance(node.ctx,
+                                                          ast.Store):
+        return node.attr
+    if isinstance(node, ast.keyword):
+        return node.arg
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.isidentifier()):
+        return node.value
+    return None
+
+
+def test_every_src_def_has_a_caller_outside_tests():
+    """A function, method or class only the tests call serves no
+    workload: it is deleted, or the tests keep it as a fixture.  A
+    definition is reached when its name is loaded in ``src``, ``bench``,
+    ``examples`` or ``benchmarks`` outside its own body, appears in the
+    Makefile, or is registered (:func:`_registered`).  Names are matched
+    without types, so a definition sharing a name with a reached one
+    passes too; ``__all__`` lists and imports are not loads, and dunder
+    methods are called by the language."""
+    root = Path(__file__).resolve().parents[1]
+    loads: dict[str, int] = {}
+    own: dict[_Def, int] = {}  # loads of a definition's name in its body
+    defs: list[tuple[str, _Def]] = []
+
+    def visit(node: ast.AST, enclosing: tuple[_Def, ...], qual: str,
+              where: Optional[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__"
+                    for target in child.targets)):
+                continue
+            name = _loaded(child)
+            if name:
+                loads[name] = loads.get(name, 0) + 1
+                for outer in enclosing:
+                    if outer.name == name:
+                        own[outer] = own.get(outer, 0) + 1
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                if where is not None:
+                    defs.append((f"{where}:{qual}{child.name}", child))
+                visit(child, enclosing + (child,), f"{qual}{child.name}.",
+                      where)
+            else:
+                visit(child, enclosing, qual, where)
+
+    for path, tree in _modules(Path(repro.__file__).parent):
+        visit(tree, (), "", str(path.relative_to(root)))
+    for _path, tree in _modules(root / "bench", root / "examples",
+                                root / "benchmarks"):
+        visit(tree, (), "", None)
+    makefile = set(re.findall(r"\w+", (root / "Makefile").read_text()))
+    unreached = sorted(
+        where for where, node in defs
+        if loads.get(node.name, 0) <= own.get(node, 0)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in makefile and not _registered(node)
+        and where.partition(":")[2] not in _ORACLES)
+    assert not unreached, f"called by nothing outside the tests: {unreached}"

@@ -1,8 +1,17 @@
 """Tests for the topology builders."""
 
+import networkx as nx
 import pytest
 
-from repro.topology import fat_tree, leaf_spine, linear, ring, single_switch
+from repro.topology import fat_tree, leaf_spine, ring, single_switch
+from tests.conftest import linear
+from tests.topology.test_route_table import oracle_graph
+
+
+def link_between(topo, a, b):
+    """The link joining ``a`` and ``b``, or None."""
+    return next((link for link in topo.links if {link.a, link.b} == {a, b}),
+                None)
 
 
 class TestLeafSpine:
@@ -15,8 +24,8 @@ class TestLeafSpine:
 
     def test_link_speeds(self):
         topo = leaf_spine()
-        fabric = topo.link_between("leaf0", "spine0")
-        host = topo.link_between("leaf0", "server0")
+        fabric = link_between(topo, "leaf0", "spine0")
+        host = link_between(topo, "leaf0", "server0")
         assert fabric.bandwidth_bps == 100 * 10**9
         assert host.bandwidth_bps == 25 * 10**9
 
@@ -24,13 +33,13 @@ class TestLeafSpine:
         topo = leaf_spine(num_leaves=3, num_spines=4, hosts_per_leaf=2)
         for i in range(3):
             for j in range(4):
-                assert topo.link_between(f"leaf{i}", f"spine{j}") is not None
+                assert link_between(topo, f"leaf{i}", f"spine{j}") is not None
         assert len(topo.hosts) == 6
 
     def test_hosts_numbered_across_leaves(self):
         topo = leaf_spine(num_leaves=2, hosts_per_leaf=3)
-        assert topo.link_between("leaf0", "server0") is not None
-        assert topo.link_between("leaf1", "server3") is not None
+        assert link_between(topo, "leaf0", "server0") is not None
+        assert link_between(topo, "leaf1", "server3") is not None
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -54,12 +63,12 @@ class TestLinearAndRing:
         topo = linear(num_switches=4, hosts_per_switch=2)
         assert len(topo.switches) == 4
         assert len(topo.hosts) == 8
-        assert topo.link_between("sw0", "sw1") is not None
-        assert topo.link_between("sw0", "sw3") is None
+        assert link_between(topo, "sw0", "sw1") is not None
+        assert link_between(topo, "sw0", "sw3") is None
 
     def test_ring_wraps(self):
         topo = ring(num_switches=4)
-        assert topo.link_between("sw3", "sw0") is not None
+        assert link_between(topo, "sw3", "sw0") is not None
 
     def test_ring_minimum_size(self):
         with pytest.raises(ValueError):
@@ -72,7 +81,7 @@ class TestFatTree:
         # (k/2)^2 cores + k pods x (k/2 agg + k/2 edge) = 4 + 16 switches.
         assert len(topo.switches) == 20
         assert len(topo.hosts) == 16
-        assert topo.is_connected()
+        assert nx.is_connected(oracle_graph(topo))
 
     def test_k_must_be_even(self):
         with pytest.raises(ValueError):
@@ -81,5 +90,5 @@ class TestFatTree:
     def test_equal_cost_core_paths(self):
         topo = fat_tree(k=4)
         # Cross-pod traffic from an edge switch has 2 equal-cost aggs.
-        hops = topo.ecmp_next_hops("edge0_0", "server15")
+        hops = topo.routes_from("edge0_0")["server15"]
         assert len(hops) == 2

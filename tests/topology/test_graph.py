@@ -1,8 +1,10 @@
 """Tests for the declarative topology description."""
 
+import networkx as nx
 import pytest
 
 from repro.topology.graph import LinkSpec, NodeKind, Topology
+from tests.topology.test_route_table import oracle_graph
 
 
 def _two_switch():
@@ -80,24 +82,23 @@ class TestQueries:
 
     def test_link_between(self):
         topo = _two_switch()
-        spec = topo.link_between("s0", "s1")
-        assert spec == LinkSpec("s0", "s1")
-        assert topo.link_between("s1", "s0") is spec
-        assert topo.link_between("s0", "h1") is None
-        assert topo.link_between("nope", "s0") is None
+        assert topo.links == [LinkSpec("s0", "s1"), LinkSpec("s0", "h0"),
+                              LinkSpec("s1", "h1")]
+        assert "h1" not in topo.neighbors("s0")
 
     def test_connectivity(self):
         topo = _two_switch()
-        assert topo.is_connected()
+        assert nx.is_connected(oracle_graph(topo))
         topo.add_switch("island")
-        assert not topo.is_connected()
+        assert not nx.is_connected(oracle_graph(topo))
 
 
 class TestEcmpNextHops:
+    """The equal-cost next hops a switch's ``routes_from`` lists."""
+
     def test_single_path(self):
         topo = _two_switch()
-        assert topo.ecmp_next_hops("s0", "h1") == ["s1"]
-        assert topo.ecmp_next_hops("s0", "h0") == ["h0"]
+        assert topo.routes_from("s0") == {"h0": ["h0"], "h1": ["s1"]}
 
     def test_multipath(self):
         topo = Topology()
@@ -110,7 +111,7 @@ class TestEcmpNextHops:
                 topo.add_link(leaf, spine)
         topo.add_link("l0", "h0")
         topo.add_link("l1", "h1")
-        assert topo.ecmp_next_hops("l0", "h1") == ["sp0", "sp1"]
+        assert topo.routes_from("l0")["h1"] == ["sp0", "sp1"]
 
     def test_hosts_never_transit(self):
         # h0 attached to both switches would be a shorter "path"; hosts
@@ -124,7 +125,7 @@ class TestEcmpNextHops:
         topo.add_link("s0", "h0")
         topo.add_link("s1", "h0")  # dual-homed host
         topo.add_link("s1", "h1")
-        assert topo.ecmp_next_hops("s0", "h1") == ["s1"]
+        assert topo.routes_from("s0")["h1"] == ["s1"]
 
     def test_distance_is_not_measured_through_a_host(self):
         # s1-s2-s3-s4 with h on s1 and s4: the graph's shortest path from
@@ -139,20 +140,21 @@ class TestEcmpNextHops:
         for a, b in (("s1", "s2"), ("s2", "s3"), ("s3", "s4"),
                      ("s1", "h"), ("s4", "h"), ("s4", "d")):
             topo.add_link(a, b)
-        assert topo.ecmp_next_hops("s1", "d") == ["s2"]
-        assert topo.ecmp_next_hops("s4", "d") == ["d"]
-        assert topo.hops_to("d") == {"d": 0, "s4": 1, "s3": 2, "s2": 3, "s1": 4}
+        assert topo.routes_from("s1")["d"] == ["s2"]
+        assert topo.routes_from("s4")["d"] == ["d"]
+        # d hangs off s4: switches rank by s4's search, a hop short.
+        assert topo.switch_hops("d") == {"s4": 0, "s3": 1, "s2": 2, "s1": 3}
 
     def test_unreachable_destination(self):
         topo = _two_switch()
         topo.add_switch("island")
         topo.add_host("island_h")
         topo.add_link("island", "island_h")
-        assert topo.ecmp_next_hops("s0", "island_h") == []
+        assert "island_h" not in topo.routes_from("s0")
 
     def test_argument_validation(self):
         topo = _two_switch()
-        with pytest.raises(ValueError):
-            topo.ecmp_next_hops("h0", "h1")  # source must be a switch
-        with pytest.raises(ValueError):
-            topo.ecmp_next_hops("s0", "s1")  # dst must be a host
+        with pytest.raises(ValueError, match="not a switch"):
+            topo.routes_from("h0")
+        with pytest.raises(ValueError, match="not a host"):
+            topo.switch_hops("s1")
