@@ -6,7 +6,8 @@ Every module exposes the same shape:
   for CI/benchmarks) — the default constructor matches the paper's
   parameters as closely as simulation cost allows;
 * ``specs(config) -> List[TrialSpec]`` — the experiment as a batch of
-  independent, picklable trial specs (see :mod:`repro.runtime`);
+  independent, picklable trial specs (see :mod:`repro.runtime`), each
+  carrying the config (``TrialSpec.of``, ``spec.config(Config)``);
 * ``assemble(config, results) -> Result`` — folds the per-trial rows
   back into a structured result;
 * ``EXPERIMENTS`` — a tuple of :class:`Experiment` values, one per
@@ -49,8 +50,8 @@ MAX_ROUNDS = 400_000
 #: names is held to it at construction, not first inside a worker's
 #: trial; a list field's entries each are.
 FIELD_BOUNDS: dict[str, Any] = {
-    "seed": 0, "agg_degree": 0,                  # TrialSpec
-    # TrialSpec; the partition also refuses more shards than switches.
+    "seed": 0, "agg_degree": 0,                  # AggregationConfig.degree
+    # ShardRunner; the partition also refuses more shards than switches.
     "shards": (1, 1024),
     "rounds": (1, MAX_ROUNDS),                   # CampaignSpec.rounds
     "snapshots": (1, MAX_ROUNDS),                # a campaign's count
@@ -83,7 +84,8 @@ FIELD_BOUNDS: dict[str, Any] = {
 class ExperimentConfig:
     """Base of an experiment's config: each field named in
     :data:`FIELD_BOUNDS` is held to its bound (the seed seeds every
-    trial, so it is an integer >= 0)."""
+    trial, so it is an integer >= 0), and a fat-tree sweep
+    (``arities``) holds even entries only."""
 
     seed: int = 42
 
@@ -92,6 +94,10 @@ class ExperimentConfig:
                               for name, bound in FIELD_BOUNDS.items()
                               if hasattr(self, name)},
                        optional=("agg_degree",))
+        odd = [k for k in getattr(self, "arities", ()) if k % 2]
+        if odd:
+            raise ValueError(f"{type(self).__name__}.arities must be even "
+                             f"fat-tree arities, got {odd[0]!r}")
 
 
 @dataclass(frozen=True)

@@ -115,32 +115,23 @@ def _run_starved(config: IdealVsSpeedlightConfig, ideal: bool) -> dict[str, int]
 
 def ideal_specs(config: IdealVsSpeedlightConfig) -> list[TrialSpec]:
     """One spec per data-plane kind (speedlight, ideal)."""
-    return [TrialSpec(kind="ablation_ideal",
-                      params=dict(kind=kind, snapshots=config.snapshots,
-                                  interval_ns=config.interval_ns,
-                                  rate_pps=config.rate_pps,
-                                  starved_switch=config.starved_switch,
-                                  starvation_period=config.starvation_period),
-                      seed=config.seed, label=f"ablation-ideal/{kind}")
+    return [TrialSpec.of("ablation_ideal", config, f"ablation-ideal/{kind}",
+                         point={"kind": kind})
             for kind in ("speedlight", "ideal")]
 
 
 @trial("ablation_ideal")
 def run_ideal_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = IdealVsSpeedlightConfig(
-        seed=spec.seed, snapshots=p["snapshots"],
-        interval_ns=p["interval_ns"], rate_pps=p["rate_pps"],
-        starved_switch=p["starved_switch"],
-        starvation_period=p["starvation_period"])
-    return make_result(spec, _run_starved(config, ideal=p["kind"] == "ideal"))
+    return make_result(spec, _run_starved(
+        spec.config(IdealVsSpeedlightConfig),
+        ideal=spec.point["kind"] == "ideal"))
 
 
 def ideal_assemble(config: IdealVsSpeedlightConfig,
                    results: Sequence[TrialResult]) -> IdealVsSpeedlightResult:
     return IdealVsSpeedlightResult(
         config=config,
-        outcomes={r.params["kind"]: dict(r.data) for r in results})
+        outcomes={r.point["kind"]: dict(r.data) for r in results})
 
 
 _IDEAL = Experiment("ablation-ideal",
@@ -204,28 +195,22 @@ def _sync_samples(config: InitiationConfig,
 
 def initiation_specs(config: InitiationConfig) -> list[TrialSpec]:
     """One spec per initiation strategy."""
-    return [TrialSpec(kind="ablation_initiation",
-                      params=dict(strategy=strategy,
-                                  snapshots=config.snapshots,
-                                  interval_ns=config.interval_ns,
-                                  rate_pps=config.rate_pps),
-                      seed=config.seed, label=f"ablation-initiation/{strategy}")
+    return [TrialSpec.of("ablation_initiation", config,
+                         f"ablation-initiation/{strategy}",
+                         point={"strategy": strategy})
             for strategy in ("multi", "single")]
 
 
 @trial("ablation_initiation")
 def run_initiation_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = InitiationConfig(seed=spec.seed, snapshots=p["snapshots"],
-                              interval_ns=p["interval_ns"],
-                              rate_pps=p["rate_pps"])
-    initiators = None if p["strategy"] == "multi" else ["spine0"]
-    return make_result(spec, {"samples": _sync_samples(config, initiators)})
+    initiators = None if spec.point["strategy"] == "multi" else ["spine0"]
+    return make_result(spec, {"samples": _sync_samples(
+        spec.config(InitiationConfig), initiators)})
 
 
 def initiation_assemble(config: InitiationConfig,
                         results: Sequence[TrialResult]) -> InitiationResult:
-    samples = {r.params["strategy"]: r.data["samples"] for r in results}
+    samples = {r.point["strategy"]: r.data["samples"] for r in results}
     return InitiationResult(config=config,
                             sync_multi=Cdf(samples["multi"]),
                             sync_single=Cdf(samples["single"]))
@@ -322,38 +307,29 @@ def _transport_completion(config: TransportConfig, transport: str) -> float:
 
 def transport_specs(config: TransportConfig) -> list[TrialSpec]:
     """One spec per (transport, measurement) — four-way parallel."""
-    return [TrialSpec(kind="ablation_transport",
-                      params=dict(transport=transport, measure=measure,
-                                  ports=config.ports,
-                                  snapshots=config.snapshots,
-                                  interval_ns=config.interval_ns),
-                      seed=config.seed,
-                      label=f"ablation-transport/{transport}/{measure}")
+    return [TrialSpec.of("ablation_transport", config,
+                         f"ablation-transport/{transport}/{measure}",
+                         point={"transport": transport, "measure": measure})
             for transport in ("socket", "digest")
             for measure in ("rate", "completion")]
 
 
 @trial("ablation_transport")
 def run_transport_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = TransportConfig(seed=spec.seed, ports=p["ports"],
-                             snapshots=p["snapshots"],
-                             interval_ns=p["interval_ns"])
-    measure = (_transport_max_rate if p["measure"] == "rate"
+    measure = (_transport_max_rate if spec.point["measure"] == "rate"
                else _transport_completion)
-    return make_result(spec, {"value": measure(config, p["transport"])})
+    return make_result(spec, {"value": measure(
+        spec.config(TransportConfig), spec.point["transport"])})
 
 
 def transport_assemble(config: TransportConfig,
                        results: Sequence[TrialResult]) -> TransportResult:
-    max_rate_hz: dict[str, float] = {}
-    completion_ns: dict[str, float] = {}
-    for r in results:
-        bucket = (max_rate_hz if r.params["measure"] == "rate"
-                  else completion_ns)
-        bucket[r.params["transport"]] = r.data["value"]
-    return TransportResult(config=config, max_rate_hz=max_rate_hz,
-                           completion_ns=completion_ns)
+    def measured(measure: str) -> dict[str, float]:
+        return {r.point["transport"]: r.data["value"] for r in results
+                if r.point["measure"] == measure}
+
+    return TransportResult(config=config, max_rate_hz=measured("rate"),
+                           completion_ns=measured("completion"))
 
 
 _TRANSPORT = Experiment("ablation-transport",

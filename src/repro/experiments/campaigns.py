@@ -117,6 +117,10 @@ def make_workload(name: str, network: Network, *, seed: int,
 
 #: Warmup before the first measurement (EWMA registers need traffic).
 WARMUP_NS = 20 * MS
+#: Per-register read cost of the campaigns' polling baseline.
+POLL_READ_NS = 425 * US
+#: Extra time after the last round for snapshot completion.
+SETTLE_NS = 60 * MS
 
 
 @dataclass
@@ -130,9 +134,6 @@ class CampaignSpec:
     interval_ns: int = 5 * MS
     seed: int = 42
     hosts_per_leaf: int = 3
-    #: Extra time after the last round for snapshot completion.
-    settle_ns: int = 60 * MS
-    poll_read_ns: int = 425 * US
     #: Whether each switch's control-plane agent polls its ports
     #: concurrently with the others (Figure 9's round-spread calibration)
     #: or one observer sweeps every port in sequence (Figure 13's
@@ -143,12 +144,12 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         check_minimums(self, {"rounds": (1, MAX_ROUNDS), "interval_ns": 1,
-                              "hosts_per_leaf": (1, 256), "settle_ns": 0})
+                              "hosts_per_leaf": (1, 256)})
 
     @property
     def duration_ns(self) -> int:
         return (WARMUP_NS + self.rounds * self.interval_ns +
-                self.settle_ns + 20 * MS)
+                SETTLE_NS + 20 * MS)
 
 
 def build_network(spec: CampaignSpec) -> Network:
@@ -194,7 +195,7 @@ def snapshot_campaign(spec: CampaignSpec,
     targets = target_fn(network)
     epochs = deployment.schedule_campaign(spec.rounds, spec.interval_ns)
     last_wall = deployment.observer.snapshot(epochs[-1]).requested_wall_ns
-    network.run(until=last_wall + spec.settle_ns)
+    network.run(until=last_wall + SETTLE_NS)
     rounds: list[Round] = []
     for epoch in epochs:
         snap = deployment.observer.snapshot(epoch)
@@ -219,7 +220,7 @@ def polling_campaign(spec: CampaignSpec,
     poller = PollingObserver(
         network,
         [PollTarget(sw, port, d, spec.metric) for (sw, port, d) in targets],
-        PollingConfig(per_read_ns=spec.poll_read_ns, seed=spec.seed + 2,
+        PollingConfig(per_read_ns=POLL_READ_NS, seed=spec.seed + 2,
                       parallel_across_switches=spec.poll_parallel_switches))
     network.sim.schedule(WARMUP_NS, poller.run_campaign,
                          spec.rounds, spec.interval_ns)

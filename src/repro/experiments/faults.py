@@ -28,10 +28,11 @@ Reported per scenario:
   (:class:`~repro.analysis.consistency.ConsistencyChecker`).  Faults may
   stall or degrade snapshots; they must never make one silently wrong.
 
-The fault profile is embedded in each TrialSpec's params (its JSON
-form), so it participates in the cache fingerprint: change the
-scenario, invalidate the cache.  The trial compiles it against the
-same context :func:`specs` checked it on.
+Each TrialSpec carries the config, its intensity sweep narrowed to the
+trial's scenario, so the scenario participates in the cache
+fingerprint: change the scenario, invalidate the cache.  The trial
+compiles its profile against the same context :func:`specs` checked it
+on.
 """
 
 from __future__ import annotations
@@ -232,51 +233,40 @@ class FaultsResult:
 
 
 def specs(config: FaultsConfig) -> list[TrialSpec]:
-    """One spec per fault scenario; the profile rides in the params, so
-    the scenario is part of the cache fingerprint.  Each profile is
-    compiled here once, so a bad target fails before any trial runs."""
+    """One spec per fault scenario; the profile rides in the config (or
+    the scenario's intensity in its narrowed sweep), so the scenario is
+    part of the cache fingerprint.  Each profile is compiled here once,
+    so a bad target fails before any trial runs."""
     context = _context_for(config)
-    specs_out = []
+    out = []
     for label, profile in scenarios(config):
         profile.compile(context)
-        params = dict(scenario=label,
-                      profile=profile.to_jsonable(),
-                      rounds=config.rounds,
-                      interval_ns=config.interval_ns,
-                      rate_pps=config.rate_pps,
-                      hosts_per_leaf=config.hosts_per_leaf)
-        # Present only for a partial deployment or narrowed targets.
-        if config.deploy_switches is not None:
-            params["deploy"] = sorted(config.deploy_switches)
-        if config.fault_switches is not None:
-            params["fault_switches"] = sorted(config.fault_switches)
-        specs_out.append(TrialSpec(kind="faults_sweep", params=params,
-                                   seed=config.seed,
-                                   label=f"faults/{label}"))
-    return specs_out
+        sweep = ({} if config.profile is not None
+                 else {"intensities": [profile.intensity]})
+        out.append(TrialSpec.of("faults_sweep", config, f"faults/{label}",
+                                **sweep))
+    return out
 
 
 @trial("faults_sweep")
 def run_faults_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    schedule = FaultProfile.from_jsonable(p["profile"]).compile(
-        _context_for(FaultsConfig(
-            seed=spec.seed, rounds=p["rounds"], interval_ns=p["interval_ns"],
-            hosts_per_leaf=p["hosts_per_leaf"],
-            fault_switches=p.get("fault_switches"))))
+    config = spec.config(FaultsConfig)
+    ((_label, profile),) = scenarios(config)
+    schedule = profile.compile(_context_for(config))
     # Tracing on: the consistency audit replays ground truth from the
     # trace (campaigns.poisson_network has no tracing knob, so build
     # the leaf-spine network directly).
-    network = Network(leaf_spine(hosts_per_leaf=p["hosts_per_leaf"]),
-                      NetworkConfig(seed=spec.seed, enable_tracing=True))
-    duration = campaign_window(p["rounds"], p["interval_ns"])
-    start_poisson(network, seed=spec.seed + 1, rate_pps=p["rate_pps"],
+    network = Network(leaf_spine(hosts_per_leaf=config.hosts_per_leaf),
+                      NetworkConfig(seed=config.seed, enable_tracing=True))
+    duration = campaign_window(config.rounds, config.interval_ns)
+    start_poisson(network, seed=config.seed + 1, rate_pps=config.rate_pps,
                   stop_ns=duration)
     deployment = deploy(network, metric="packet_count", channel_state=True,
-                        switches=p.get("deploy"))
+                        switches=(None if config.deploy_switches is None
+                                  else sorted(config.deploy_switches)))
     injector = FaultInjector(network, schedule, deployment=deployment)
     injector.arm()
-    epochs = deployment.schedule_campaign(p["rounds"], p["interval_ns"])
+    epochs = deployment.schedule_campaign(config.rounds, config.interval_ns)
     network.run(until=duration)
 
     observer = deployment.observer
@@ -324,8 +314,8 @@ def run_faults_trial(spec: TrialSpec) -> TrialResult:
 def assemble(config: FaultsConfig,
              results: Sequence[TrialResult]) -> FaultsResult:
     return FaultsResult(config=config,
-                        rows={r.params["scenario"]: dict(r.data)
-                              for r in results})
+                        rows={label: dict(r.data) for (label, _profile), r
+                              in zip(scenarios(config), results)})
 
 
 EXPERIMENTS = (

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
+from itertools import product
 from typing import Optional, Union
 
 from repro.core import (AggregationConfig, ControlPlaneConfig,
@@ -76,32 +77,25 @@ class Fig10Result:
 
 def specs(config: Fig10Config) -> list[TrialSpec]:
     """One spec per port count (one full knee search each)."""
-    return [TrialSpec(kind="fig10",
-                      params=dict(ports=ports, burst=config.burst,
-                                  search_iterations=config.search_iterations,
-                                  rate_floor_hz=config.rate_floor_hz,
-                                  rate_ceiling_hz=config.rate_ceiling_hz),
-                      seed=config.seed, label=f"fig10/{ports}p")
+    return [TrialSpec.of("fig10", config, f"fig10/{ports}p",
+                         port_counts=[ports])
             for ports in config.port_counts]
 
 
 @trial("fig10")
 def run_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = Fig10Config(seed=spec.seed, port_counts=[p["ports"]],
-                         burst=p["burst"],
-                         search_iterations=p["search_iterations"],
-                         rate_floor_hz=p["rate_floor_hz"],
-                         rate_ceiling_hz=p["rate_ceiling_hz"])
+    config = spec.config(Fig10Config)
+    (ports,) = config.port_counts
     return make_result(spec, {"max_rate_hz": _knee(
-        lambda rate: _sustained(p["ports"], rate, config), config)})
+        lambda rate: _sustained(ports, rate, config), config)})
 
 
 def assemble(config: Fig10Config,
              results: Sequence[TrialResult]) -> Fig10Result:
     return Fig10Result(config=config,
-                       max_rate_hz={r.params["ports"]: r.data["max_rate_hz"]
-                                    for r in results})
+                       max_rate_hz={ports: r.data["max_rate_hz"]
+                                    for ports, r in zip(config.port_counts,
+                                                        results)})
 
 
 _FIG10 = Experiment("fig10", "max sustained snapshot rate vs. ports/router",
@@ -249,37 +243,24 @@ class AggKneeResult:
 
 def agg_specs(config: AggKneeConfig) -> list[TrialSpec]:
     """One spec per (arity, degree) cell (one full knee search each)."""
-    return [TrialSpec(kind="fig10_agg",
-                      params=dict(arity=arity, degree=degree,
-                                  burst=config.burst,
-                                  search_iterations=config.search_iterations,
-                                  rate_floor_hz=config.rate_floor_hz,
-                                  rate_ceiling_hz=config.rate_ceiling_hz),
-                      seed=config.seed,
-                      label=f"fig10-agg/k{arity}/d{degree}")
-            for arity in config.arities
-            for degree in config.degrees]
+    return [TrialSpec.of("fig10_agg", config, f"fig10-agg/k{arity}/d{degree}",
+                         arities=[arity], degrees=[degree])
+            for arity, degree in product(config.arities, config.degrees)]
 
 
 @trial("fig10_agg")
 def run_agg_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = AggKneeConfig(seed=spec.seed, arities=[p["arity"]],
-                           degrees=[p["degree"]], burst=p["burst"],
-                           search_iterations=p["search_iterations"],
-                           rate_floor_hz=p["rate_floor_hz"],
-                           rate_ceiling_hz=p["rate_ceiling_hz"])
+    config = spec.config(AggKneeConfig)
     return make_result(spec, {"max_rate_hz": _knee(
-        lambda rate: _agg_sustained(p["arity"], p["degree"], rate, config),
-        config)})
+        lambda rate: _agg_sustained(rate, config), config)})
 
 
 def agg_assemble(config: AggKneeConfig,
                  results: Sequence[TrialResult]) -> AggKneeResult:
     return AggKneeResult(
         config=config,
-        max_rate_hz={(r.params["arity"], r.params["degree"]):
-                     r.data["max_rate_hz"] for r in results})
+        max_rate_hz={cell: r.data["max_rate_hz"] for cell, r in zip(
+            product(config.arities, config.degrees), results)})
 
 
 _AGG = Experiment("fig10-agg",
@@ -288,12 +269,12 @@ _AGG = Experiment("fig10-agg",
 run_agg = _AGG.run
 
 
-def _agg_sustained(arity: int, degree: int, rate_hz: float,
-                   config: AggKneeConfig) -> bool:
-    """Run one whole-fabric burst at ``rate_hz``; True when every hop of
-    the record path kept up: per-switch notification channels, relay
-    agents, and the observer intake all drained without drops and
-    without unbounded backlog."""
+def _agg_sustained(rate_hz: float, config: AggKneeConfig) -> bool:
+    """Run one whole-fabric burst of the config's one cell at
+    ``rate_hz``; True when every hop of the record path kept up:
+    per-switch notification channels, relay agents, and the observer
+    intake all drained without drops and without unbounded backlog."""
+    (arity,), (degree,) = config.arities, config.degrees
     network = Network(fat_tree(k=arity), NetworkConfig(seed=config.seed))
     deployment = deploy(
         network, metric="packet_count", channel_state=False, max_sid=None,

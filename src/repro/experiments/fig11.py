@@ -32,7 +32,7 @@ without reordering any random stream.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from repro.core import control_plane
@@ -81,22 +81,16 @@ class Fig11Result:
 
 def specs(config: Fig11Config) -> list[TrialSpec]:
     """One spec per network size."""
-    return [TrialSpec(kind="fig11",
-                      params=dict(routers=n, trials=config.trials,
-                                  ports_per_router=config.ports_per_router,
-                                  ptp=asdict(config.ptp)),
-                      seed=config.seed, label=f"fig11/{n}r")
+    return [TrialSpec.of("fig11", config, f"fig11/{n}r", router_counts=[n])
             for n in config.router_counts]
 
 
 @trial("fig11")
 def run_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = Fig11Config(seed=spec.seed, router_counts=[p["routers"]],
-                         ports_per_router=p["ports_per_router"],
-                         trials=p["trials"], ptp=PTPConfig(**p["ptp"]))
-    rng = random.Random(derive_seed(spec.seed, "fig11", p["routers"]))
-    total = sum(_trial_sync_ns(rng, config, p["routers"])
+    config = spec.config(Fig11Config)
+    (routers,) = config.router_counts
+    rng = random.Random(derive_seed(config.seed, "fig11", routers))
+    total = sum(_trial_sync_ns(rng, config, routers)
                 for _ in range(config.trials))
     return make_result(spec, {"avg_sync_ns": total / config.trials})
 
@@ -104,8 +98,8 @@ def run_trial(spec: TrialSpec) -> TrialResult:
 def assemble(config: Fig11Config,
              results: Sequence[TrialResult]) -> Fig11Result:
     return Fig11Result(config=config,
-                       avg_sync_ns={r.params["routers"]: r.data["avg_sync_ns"]
-                                    for r in results})
+                       avg_sync_ns={n: r.data["avg_sync_ns"] for n, r
+                                    in zip(config.router_counts, results)})
 
 
 EXPERIMENTS = (

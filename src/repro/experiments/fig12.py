@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import product
 
 from repro.analysis.stats import Cdf, balance_stddevs
 from repro.experiments import Experiment, ExperimentConfig
@@ -89,29 +90,25 @@ class Fig12Result:
 
 def specs(config: Fig12Config) -> list[TrialSpec]:
     """One spec per (workload, balancer, method) campaign."""
-    out = []
-    for workload in config.workloads:
-        for balancer in BALANCERS:
-            for method in METHODS:
-                params = dict(workload=workload, balancer=balancer,
-                              method=method, rounds=config.rounds,
-                              interval_ns=config.interval_ns)
-                out.append(TrialSpec(
-                    kind="fig12", params=params, seed=config.seed,
-                    label=f"fig12/{workload}/{balancer}/{method}"))
-    return out
+    return [TrialSpec.of("fig12", config,
+                         f"fig12/{workload}/{balancer}/{method}",
+                         point={"balancer": balancer, "method": method},
+                         workloads=[workload])
+            for workload, balancer, method
+            in product(config.workloads, BALANCERS, METHODS)]
 
 
 @trial("fig12")
 def run_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    campaign_spec = CampaignSpec(workload=p["workload"],
-                                 balancer=p["balancer"],
+    config = spec.config(Fig12Config)
+    (workload,) = config.workloads
+    campaign_spec = CampaignSpec(workload=workload,
+                                 balancer=spec.point["balancer"],
                                  metric="ewma_interarrival",
-                                 rounds=p["rounds"],
-                                 interval_ns=p["interval_ns"],
-                                 seed=spec.seed)
-    campaign = (snapshot_campaign if p["method"] == "snapshots"
+                                 rounds=config.rounds,
+                                 interval_ns=config.interval_ns,
+                                 seed=config.seed)
+    campaign = (snapshot_campaign if spec.point["method"] == "snapshots"
                 else polling_campaign)
     rounds = campaign(campaign_spec, uplink_egress_targets)
     stddevs = balance_stddevs(rounds_to_balance_input(rounds))
@@ -122,8 +119,8 @@ def run_trial(spec: TrialSpec) -> TrialResult:
 
 def assemble(config: Fig12Config,
              results: Sequence[TrialResult]) -> Fig12Result:
-    cdfs = {(r.params["workload"], r.params["balancer"], r.params["method"]):
-            Cdf(r.data["stddevs"]) for r in results}
+    cells = product(config.workloads, BALANCERS, METHODS)
+    cdfs = {cell: Cdf(r.data["stddevs"]) for cell, r in zip(cells, results)}
     return Fig12Result(config=config, cdfs=cdfs)
 
 

@@ -129,27 +129,23 @@ def _campaign_spec(config: Fig13Config) -> CampaignSpec:
 
 def specs(config: Fig13Config) -> list[TrialSpec]:
     """One spec per collection method."""
-    return [TrialSpec(kind="fig13",
-                      params=dict(method=method, rounds=config.rounds,
-                                  interval_ns=config.interval_ns),
-                      seed=config.seed, label=f"fig13/{method}")
+    return [TrialSpec.of("fig13", config, f"fig13/{method}",
+                         point={"method": method})
             for method in ("snapshots", "polling")]
 
 
 @trial("fig13")
 def run_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = Fig13Config(seed=spec.seed, rounds=p["rounds"],
-                         interval_ns=p["interval_ns"])
-    campaign = (snapshot_campaign if p["method"] == "snapshots"
+    campaign = (snapshot_campaign if spec.point["method"] == "snapshots"
                 else polling_campaign)
-    rounds = campaign(_campaign_spec(config), all_egress_targets)
+    rounds = campaign(_campaign_spec(spec.config(Fig13Config)),
+                      all_egress_targets)
     return make_result(spec, {"series": _series_from_rounds(rounds)})
 
 
 def assemble(config: Fig13Config,
              results: Sequence[TrialResult]) -> Fig13Result:
-    series = {r.params["method"]: r.data["series"] for r in results}
+    series = {r.point["method"]: r.data["series"] for r in results}
     master_port, uplink_pairs = _context(config)
     return Fig13Result(
         config=config,

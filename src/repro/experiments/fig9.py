@@ -32,11 +32,11 @@ from repro.core import ControlPlaneConfig, deploy
 from repro.experiments import Experiment, ExperimentConfig
 from repro.experiments.campaigns import (campaign_window, poisson_network,
                                          start_poisson)
-from repro.experiments.harness import (TextTable, ascii_cdf, drain_campaign,
-                                       header)
+from repro.experiments.harness import TextTable, ascii_cdf, header
 from repro.polling import PollTarget, PollingConfig, PollingObserver
 from repro.runtime import TrialResult, TrialSpec, make_result, trial
 from repro.sim.engine import MS, US
+from repro.sim.network import Network
 from repro.sim.switch import Direction
 
 #: Spec series names, with the seed offsets the original serial
@@ -98,37 +98,31 @@ class Fig9Result:
 
 def specs(config: Fig9Config) -> list[TrialSpec]:
     """One spec per series (the three CDFs are independent trials)."""
-    out = []
-    for series, offset in SERIES:
-        params = dict(series=series, seed_offset=offset,
-                      rounds=config.rounds, interval_ns=config.interval_ns,
-                      rate_pps=config.rate_pps,
-                      hosts_per_leaf=config.hosts_per_leaf,
-                      poll_read_ns=config.poll_read_ns)
-        out.append(TrialSpec(kind="fig9", params=params, seed=config.seed,
-                             label=f"fig9/{series}"))
-    return out
+    return [TrialSpec.of("fig9", config, f"fig9/{series}",
+                         point={"series": series})
+            for series, _offset in SERIES]
 
 
 @trial("fig9")
 def run_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = Fig9Config(seed=spec.seed, rounds=p["rounds"],
-                        interval_ns=p["interval_ns"], rate_pps=p["rate_pps"],
-                        hosts_per_leaf=p["hosts_per_leaf"],
-                        poll_read_ns=p["poll_read_ns"])
-    if p["series"] == "polling":
-        samples = _polling_series(config, p["seed_offset"])
+    config = spec.config(Fig9Config)
+    series = spec.point["series"]
+    network = poisson_network(config.seed + dict(SERIES)[series],
+                              hosts_per_leaf=config.hosts_per_leaf)
+    duration = campaign_window(config.rounds, config.interval_ns)
+    start_poisson(network, seed=config.seed + 1, rate_pps=config.rate_pps,
+                  stop_ns=duration)
+    if series == "polling":
+        samples = _polling_series(network, config, duration)
     else:
         samples = _snapshot_series(
-            config, channel_state=(p["series"] == "channel_state"),
-            seed_offset=p["seed_offset"])
+            network, config, channel_state=(series == "channel_state"))
     return make_result(spec, {"samples": samples})
 
 
 def assemble(config: Fig9Config,
              results: Sequence[TrialResult]) -> Fig9Result:
-    cdfs = {r.params["series"]: Cdf(r.data["samples"]) for r in results}
+    cdfs = {r.point["series"]: Cdf(r.data["samples"]) for r in results}
     return Fig9Result(config=config, sync_no_cs=cdfs["switch_state"],
                       sync_cs=cdfs["channel_state"], polling=cdfs["polling"])
 
@@ -141,21 +135,19 @@ run = EXPERIMENTS[0].run
 
 
 # ----------------------------------------------------------------------
-# Series execution (pure functions of the reconstructed config)
+# Series execution (on the trial's network, its traffic started)
 # ----------------------------------------------------------------------
 
-def _snapshot_series(config: Fig9Config, channel_state: bool,
-                     seed_offset: int) -> list[int]:
-    network = poisson_network(config.seed + seed_offset,
-                              hosts_per_leaf=config.hosts_per_leaf)
-    duration = campaign_window(config.rounds, config.interval_ns)
-    start_poisson(network, seed=config.seed + 1, rate_pps=config.rate_pps,
-                  stop_ns=duration)
+def _snapshot_series(network: Network, config: Fig9Config,
+                     channel_state: bool) -> list[int]:
     deployment = deploy(
         network, metric="packet_count", channel_state=channel_state,
         max_sid=4095, control_plane=ControlPlaneConfig(probe_delay_ns=0))
     epochs = deployment.schedule_campaign(config.rounds, config.interval_ns)
-    drain_campaign(network, deployment, epochs, settle_ns=100 * MS)
+    # Run to the last snapshot plus a settling period (retries,
+    # shipping, observer assembly).
+    network.run(until=100 * MS + max(
+        deployment.observer.snapshot(e).requested_wall_ns for e in epochs))
     spreads = [deployment.sync_spread_ns(e) for e in epochs]
     samples = [s for s in spreads if s is not None]
     if not samples:
@@ -163,12 +155,8 @@ def _snapshot_series(config: Fig9Config, channel_state: bool,
     return samples
 
 
-def _polling_series(config: Fig9Config, seed_offset: int) -> list[int]:
-    network = poisson_network(config.seed + seed_offset,
-                              hosts_per_leaf=config.hosts_per_leaf)
-    duration = campaign_window(config.rounds, config.interval_ns)
-    start_poisson(network, seed=config.seed + 1, rate_pps=config.rate_pps,
-                  stop_ns=duration)
+def _polling_series(network: Network, config: Fig9Config,
+                    duration: int) -> list[int]:
     # Polling needs the counters in place; deploy Speedlight's counters
     # but take no snapshots (the polling framework reads the same
     # registers a snapshot would).

@@ -1,5 +1,4 @@
-"""Shared experiment utilities: text tables, ASCII CDF plots, and
-campaign helpers."""
+"""Shared experiment utilities: text tables and ASCII CDF plots."""
 
 from __future__ import annotations
 
@@ -7,8 +6,6 @@ import math
 from collections.abc import Sequence
 
 from repro.analysis.stats import Cdf
-from repro.core.deployment import SpeedlightDeployment
-from repro.sim.network import Network
 
 
 class TextTable:
@@ -99,17 +96,6 @@ def ascii_cdf(curves: dict[str, Cdf], width: int = 64, height: int = 12,
                        for i, label in enumerate(sorted(curves)))
     lines.append("     " + legend)
     return "\n".join(lines)
-
-
-def drain_campaign(network: Network, deployment: SpeedlightDeployment,
-                   epochs: Sequence[int], settle_ns: int) -> None:
-    """Run the simulation until the campaign's last snapshot plus a
-    settling period (retries, shipping, observer assembly)."""
-    if not epochs:
-        return
-    last = max(deployment.observer.snapshot(e).requested_wall_ns
-               for e in epochs)
-    network.run(until=last + settle_ns)
 
 
 def header(title: str, subtitle: str = "") -> str:

@@ -191,45 +191,27 @@ def _measure(config: MotivationConfig, alternating: bool,
 
 def specs(config: MotivationConfig) -> list[TrialSpec]:
     """One spec per (regime, method) measurement."""
-    out = []
-    for regime in REGIMES:
-        for method in METHODS:
-            params = dict(regime=regime, method=method,
-                          rounds=config.rounds,
-                          interval_ns=config.interval_ns,
-                          phase_ns=config.phase_ns,
-                          host_bw_bps=config.host_bw_bps,
-                          burst_gap_ns=config.burst_gap_ns,
-                          poll_read_ns=config.poll_read_ns)
-            out.append(TrialSpec(kind="motivation", params=params,
-                                 seed=config.seed,
-                                 label=f"motivation/{regime}/{method}"))
-    return out
+    return [TrialSpec.of("motivation", config,
+                         f"motivation/{regime}/{method}",
+                         point={"regime": regime, "method": method})
+            for regime in REGIMES for method in METHODS]
 
 
 @trial("motivation")
 def run_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = MotivationConfig(seed=spec.seed, rounds=p["rounds"],
-                              interval_ns=p["interval_ns"],
-                              phase_ns=p["phase_ns"],
-                              host_bw_bps=p["host_bw_bps"],
-                              burst_gap_ns=p["burst_gap_ns"],
-                              poll_read_ns=p["poll_read_ns"])
-    gap, total = _measure(config, p["regime"] == "alternating", p["method"])
+    gap, total = _measure(spec.config(MotivationConfig),
+                          spec.point["regime"] == "alternating",
+                          spec.point["method"])
     return make_result(spec, {"mean_gap": gap, "mean_total": total})
 
 
 def assemble(config: MotivationConfig,
              results: Sequence[TrialResult]) -> MotivationResult:
-    mean_gap: dict[tuple[str, str], float] = {}
-    mean_total: dict[tuple[str, str], float] = {}
-    for r in results:
-        key = (r.params["regime"], r.params["method"])
-        mean_gap[key] = r.data["mean_gap"]
-        mean_total[key] = r.data["mean_total"]
-    return MotivationResult(config=config, mean_gap=mean_gap,
-                            mean_total=mean_total)
+    rows = {(r.point["regime"], r.point["method"]): r.data for r in results}
+    return MotivationResult(
+        config=config,
+        mean_gap={key: row["mean_gap"] for key, row in rows.items()},
+        mean_total={key: row["mean_total"] for key, row in rows.items()})
 
 
 EXPERIMENTS = (

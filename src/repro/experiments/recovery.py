@@ -29,7 +29,7 @@ overhead) — the completion-vs-overhead frontier the ROADMAP asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.core import RecoveryPolicy, deploy
@@ -159,44 +159,35 @@ class RecoveryResult:
         ])
 
 
-def _context_for(params: Mapping[str, Any], seed: int) -> ProfileContext:
+def _context_for(config: RecoveryConfig) -> ProfileContext:
     """The compile context of a cell: the leaf-spine testbed over the
     campaign window, its lead-in left fault-free."""
     return ProfileContext.for_topology(
-        leaf_spine(hosts_per_leaf=params["hosts_per_leaf"]),
-        horizon_ns=params["rounds"] * params["interval_ns"],
-        start_ns=10 * MS, seed=seed)
+        leaf_spine(hosts_per_leaf=config.hosts_per_leaf),
+        horizon_ns=config.rounds * config.interval_ns,
+        start_ns=10 * MS, seed=config.seed)
 
 
 def specs(config: RecoveryConfig) -> list[TrialSpec]:
-    """One spec per (policy, profile) cell; both specs ride in the
-    params, so policy and profile are part of the cache fingerprint.
-    Each profile is compiled here once, so a bad target fails before
-    any trial runs."""
-    base = dict(rounds=config.rounds, interval_ns=config.interval_ns,
-                rate_pps=config.rate_pps,
-                hosts_per_leaf=config.hosts_per_leaf)
-    context = _context_for(base, config.seed)
-    profiles = {label: FaultProfile.from_jsonable(profile_json)
-                for label, profile_json in sorted(config.profiles.items())}
-    for profile in profiles.values():
-        profile.compile(context)
-    result = []
-    for policy_json in config.policies:
-        policy = RecoveryPolicy.from_jsonable(policy_json)
-        for label, profile in profiles.items():
-            result.append(TrialSpec(
-                kind="recovery_sweep",
-                params=dict(base, policy=policy.to_jsonable(),
-                            profile_label=label,
-                            profile=profile.to_jsonable()),
-                seed=config.seed,
-                label=f"recovery/{policy.name}/{label}",
-                shards=config.shards))
-    return result
+    """One spec per (policy, profile) cell, the policy and profile
+    sweeps narrowed to the cell, so both are part of the cache
+    fingerprint.  Each profile is compiled here once, so a bad target
+    fails before any trial runs."""
+    context = _context_for(config)
+    profiles = sorted(config.profiles.items())
+    for _label, profile_json in profiles:
+        FaultProfile.from_jsonable(profile_json).compile(context)
+    out = []
+    for policy in config.policies:
+        name = RecoveryPolicy.from_jsonable(policy).name
+        out += [TrialSpec.of("recovery_sweep", config,
+                             f"recovery/{name}/{label}", policies=[policy],
+                             profiles={label: profile})
+                for label, profile in profiles]
+    return out
 
 
-def setup(worker: ShardWorker, params: dict, seed: int, duration: int):
+def setup(worker: ShardWorker, config: RecoveryConfig, duration: int):
     """Per-shard setup of one (policy, profile) cell (``shards=1`` is
     the one shard that owns everything).  Every shard compiles the profile and arms its own
     events; recovery overhead comes back from every shard, completion
@@ -206,22 +197,22 @@ def setup(worker: ShardWorker, params: dict, seed: int, duration: int):
         # Sharded deployments cannot see cross-cut gating sets, so only
         # the one-shard sweep collects channel state — and only it needs
         # in-flight packets to collect.
-        start_poisson(worker.network, seed=seed + 1,
-                      rate_pps=params["rate_pps"], stop_ns=duration)
-    policy = RecoveryPolicy.from_jsonable(params["policy"])
+        start_poisson(worker.network, seed=config.seed + 1,
+                      rate_pps=config.rate_pps, stop_ns=duration)
+    policy = RecoveryPolicy.from_jsonable(config.policies[0])
     deployment = deploy(worker, metric="packet_count", channel_state=single,
                         control_plane=policy.control_plane_config(),
                         observer=policy.observer_config())
+    (profile,) = config.profiles.values()
     injector = FaultInjector(
         worker.network,
-        FaultProfile.from_jsonable(params["profile"]).compile(
-            _context_for(params, seed)),
+        FaultProfile.from_jsonable(profile).compile(_context_for(config)),
         deployment=deployment)
     injector.arm()
     epochs: list[int] = []
     if deployment.is_observer_shard:
-        epochs.extend(deployment.schedule_campaign(params["rounds"],
-                                                   params["interval_ns"]))
+        epochs.extend(deployment.schedule_campaign(config.rounds,
+                                                   config.interval_ns))
 
     def finish() -> dict:
         cps = deployment.control_planes.values()
@@ -250,12 +241,12 @@ def setup(worker: ShardWorker, params: dict, seed: int, duration: int):
 def run_recovery_trial(spec: TrialSpec) -> TrialResult:
     """One (policy, profile) cell: the observer shard assembles
     completion, and recovery overhead is summed across shards."""
-    p = spec.params
-    duration = campaign_window(p["rounds"], p["interval_ns"])
+    config = spec.config(RecoveryConfig)
+    duration = campaign_window(config.rounds, config.interval_ns)
     results = ShardRunner(
-        leaf_spine(hosts_per_leaf=p["hosts_per_leaf"]),
-        NetworkConfig(seed=spec.seed), shards=spec.shards,
-        setup=setup, setup_args=(p, spec.seed, duration)).run(duration)
+        leaf_spine(hosts_per_leaf=config.hosts_per_leaf),
+        NetworkConfig(seed=config.seed), shards=config.shards,
+        setup=setup, setup_args=(config, duration)).run(duration)
     observer = results[OBSERVER_SHARD]
     total = observer["total"]
     reinitiations = sum(r["reinitiations"] for r in results)
@@ -264,8 +255,8 @@ def run_recovery_trial(spec: TrialSpec) -> TrialResult:
     retries = observer["retries"]
     overhead = (reinitiations + probes + polls + retries) / total
     return make_result(spec, {
-        "policy": RecoveryPolicy.from_jsonable(p["policy"]).name,
-        "profile": p["profile_label"],
+        "policy": RecoveryPolicy.from_jsonable(config.policies[0]).name,
+        "profile": next(iter(config.profiles)),
         "total": total,
         "completed": observer["completed"],
         "completion_rate": observer["completed"] / total,

@@ -150,56 +150,25 @@ class ScalingResult:
 
 def specs(config: ScalingConfig) -> list[TrialSpec]:
     """One spec per fat-tree arity.  The fault profile (if any) rides in
-    the params, so it is part of the cache fingerprint; it is compiled
+    the config, so it is part of the cache fingerprint; it is compiled
     per arity inside the trial, against that fat-tree's own targets."""
-    params: dict = dict(snapshots=config.snapshots,
-                        interval_ns=config.interval_ns)
-    if config.profile is not None:
-        params.update(profile=config.profile, rate_pps=config.rate_pps)
-    return [TrialSpec(kind="scaling",
-                      params=dict(params, arity=arity),
-                      seed=config.seed, label=f"scaling/k{arity}",
-                      shards=config.shards,
-                      agg_degree=config.agg_degree)
+    return [TrialSpec.of("scaling", config, f"scaling/k{arity}",
+                         arities=[arity])
             for arity in config.arities]
 
 
 @trial("scaling")
 def run_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    config = ScalingConfig(seed=spec.seed, arities=[p["arity"]],
-                           snapshots=p["snapshots"],
-                           interval_ns=p["interval_ns"],
-                           profile=p.get("profile"),
-                           rate_pps=p.get("rate_pps", 5_000.0),
-                           shards=spec.shards,
-                           agg_degree=spec.agg_degree)
-    point = _measure(config, p["arity"])
-    return make_result(spec, {
-        "switches": point.switches,
-        "units": point.units,
-        "sync_samples": [float(s) for s in point.sync.samples],
-        "completion_latency_ns": point.completion_latency_ns,
-        "completed": point.completed,
-        "expected": point.expected,
-        "notifications_per_switch": point.notifications_per_switch,
-        "inconsistent_fraction": point.inconsistent_fraction,
-        "faults_applied": point.faults_applied,
-    })
+    return make_result(spec, _measure(spec.config(ScalingConfig)))
 
 
 def assemble(config: ScalingConfig,
              results: Sequence[TrialResult]) -> ScalingResult:
     points = {}
-    for r in results:
-        points[r.params["arity"]] = ScalingPoint(
-            switches=r.data["switches"], units=r.data["units"],
-            sync=Cdf(r.data["sync_samples"]),
-            completion_latency_ns=r.data["completion_latency_ns"],
-            completed=r.data["completed"], expected=r.data["expected"],
-            notifications_per_switch=r.data["notifications_per_switch"],
-            inconsistent_fraction=r.data.get("inconsistent_fraction"),
-            faults_applied=r.data.get("faults_applied", 0))
+    for arity, r in zip(config.arities, results):
+        data = dict(r.data)
+        points[arity] = ScalingPoint(sync=Cdf(data.pop("sync_samples")),
+                                     **data)
     return ScalingResult(config=config, points=points)
 
 
@@ -275,15 +244,18 @@ def setup(worker: ShardWorker, config: ScalingConfig, duration: int):
     return finish
 
 
-def _measure(config: ScalingConfig, arity: int) -> ScalingPoint:
-    """One protocol-scaling measurement: the fat-tree is partitioned
-    across ``config.shards`` shards, each runs its own Speedlight
-    slice, and the observer (shard 0) coordinates campaigns across the
-    cut.  Per-shard results are merged here in shard order."""
+def _measure(config: ScalingConfig) -> dict:
+    """One protocol-scaling measurement at the config's one arity, as
+    trial data (a :class:`ScalingPoint`'s fields, the CDF as its
+    samples): the fat-tree is partitioned across ``config.shards``
+    shards, each runs its own Speedlight slice, and the observer (shard
+    0) coordinates campaigns across the cut.  Per-shard results are
+    merged here in shard order."""
     if config.profile is not None and config.shards > 1:
         raise ValueError(
             "fault profiles need channel state, which sharded "
             "deployments do not support; run scaling with shards=1")
+    (arity,) = config.arities
     topo = fat_tree(k=arity)
     duration = 30 * MS + config.snapshots * config.interval_ns + 500 * MS
     results = ShardRunner(
@@ -306,15 +278,16 @@ def _measure(config: ScalingConfig, arity: int) -> ScalingPoint:
     processed = sum(shard["notifications"]["processed"]
                     for shard in results)
     num_switches = len(topo.switches)
-    return ScalingPoint(
-        switches=num_switches,
+    return {
+        "switches": num_switches,
         # Builders connect every port, so a switch's unit count is twice
         # its topological degree.
-        units=sum(2 * topo.degree(s) for s in topo.switches),
-        sync=Cdf(spreads),
-        completion_latency_ns=(latencies[len(latencies) // 2]
-                               if latencies else float("nan")),
-        completed=len(finish), expected=len(epochs),
-        notifications_per_switch=processed / num_switches,
-        inconsistent_fraction=observer.get("inconsistent_fraction"),
-        faults_applied=observer.get("faults_applied", 0))
+        "units": sum(2 * topo.degree(s) for s in topo.switches),
+        "sync_samples": [float(s) for s in Cdf(spreads).samples],
+        "completion_latency_ns": (latencies[len(latencies) // 2]
+                                  if latencies else float("nan")),
+        "completed": len(finish), "expected": len(epochs),
+        "notifications_per_switch": processed / num_switches,
+        "inconsistent_fraction": observer.get("inconsistent_fraction"),
+        "faults_applied": observer.get("faults_applied", 0),
+    }

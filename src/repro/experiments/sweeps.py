@@ -76,12 +76,9 @@ class ServiceCostSweepResult:
 
 def service_cost_specs(config: ServiceCostSweepConfig) -> list[TrialSpec]:
     """One spec per service cost (one full knee search each)."""
-    return [TrialSpec(kind="sweep_service_cost",
-                      params=dict(cost_ns=cost, ports=config.ports,
-                                  burst=config.burst,
-                                  search_iterations=config.search_iterations),
-                      seed=config.seed,
-                      label=f"sweep-service-cost/{cost // 1000}us")
+    return [TrialSpec.of("sweep_service_cost", config,
+                         f"sweep-service-cost/{cost // 1000}us",
+                         service_costs_ns=[cost])
             for cost in config.service_costs_ns]
 
 
@@ -89,15 +86,16 @@ def service_cost_specs(config: ServiceCostSweepConfig) -> list[TrialSpec]:
 def run_service_cost_trial(spec: TrialSpec) -> TrialResult:
     from repro.experiments.fig10 import Fig10Config, _knee, _sustained
 
-    p = spec.params
-    config = Fig10Config(seed=spec.seed, burst=p["burst"],
-                         search_iterations=p["search_iterations"])
+    config = spec.config(ServiceCostSweepConfig)
+    (cost,) = config.service_costs_ns
+    fig10 = Fig10Config(seed=config.seed, burst=config.burst,
+                        search_iterations=config.search_iterations)
     control_plane = ControlPlaneConfig(
-        notification_service_ns=p["cost_ns"],
+        notification_service_ns=cost,
         reinitiation_timeout_ns=0,  # retries would double the load
         probe_delay_ns=0)
-    rate = _knee(lambda rate_hz: _sustained(p["ports"], rate_hz, config,
-                                            control_plane), config)
+    rate = _knee(lambda rate_hz: _sustained(config.ports, rate_hz, fig10,
+                                            control_plane), fig10)
     return make_result(spec, {"max_rate_hz": rate})
 
 
@@ -106,8 +104,8 @@ def service_cost_assemble(
         results: Sequence[TrialResult]) -> ServiceCostSweepResult:
     return ServiceCostSweepResult(
         config=config,
-        max_rate_hz={r.params["cost_ns"]: r.data["max_rate_hz"]
-                     for r in results})
+        max_rate_hz={cost: r.data["max_rate_hz"] for cost, r
+                     in zip(config.service_costs_ns, results)})
 
 
 _SERVICE_COST = Experiment("sweep-service-cost",
@@ -154,22 +152,21 @@ class PtpSweepResult:
 
 def ptp_specs(config: PtpSweepConfig) -> list[TrialSpec]:
     """One spec per clock-residual sigma."""
-    return [TrialSpec(kind="sweep_ptp",
-                      params=dict(sigma_ns=sigma, rounds=config.rounds,
-                                  interval_ns=config.interval_ns),
-                      seed=config.seed, label=f"sweep-ptp/{sigma}ns")
+    return [TrialSpec.of("sweep_ptp", config, f"sweep-ptp/{sigma}ns",
+                         residual_sigmas_ns=[sigma])
             for sigma in config.residual_sigmas_ns]
 
 
 @trial("sweep_ptp")
 def run_ptp_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    sigma = p["sigma_ns"]
+    config = spec.config(PtpSweepConfig)
+    (sigma,) = config.residual_sigmas_ns
     ptp = PTPConfig(residual_sigma_ns=sigma, residual_max_ns=6 * sigma)
-    network = poisson_network(seed=spec.seed, ptp=ptp)
+    network = poisson_network(seed=config.seed, ptp=ptp)
     deployment = deploy(network, metric="packet_count")
-    epochs = deployment.schedule_campaign(p["rounds"], p["interval_ns"])
-    network.run(until=20 * MS + p["rounds"] * p["interval_ns"] + 200 * MS)
+    epochs = deployment.schedule_campaign(config.rounds, config.interval_ns)
+    network.run(until=20 * MS + config.rounds * config.interval_ns
+                + 200 * MS)
     spreads = sorted(s for s in (deployment.sync_spread_ns(e)
                                  for e in epochs) if s is not None)
     return make_result(
@@ -180,8 +177,8 @@ def ptp_assemble(config: PtpSweepConfig,
                  results: Sequence[TrialResult]) -> PtpSweepResult:
     return PtpSweepResult(
         config=config,
-        sync_median_ns={r.params["sigma_ns"]: r.data["sync_median_ns"]
-                        for r in results})
+        sync_median_ns={sigma: r.data["sync_median_ns"] for sigma, r
+                        in zip(config.residual_sigmas_ns, results)})
 
 
 _PTP = Experiment("sweep-ptp", "snapshot sync vs. clock quality (PTP->NTP)",
@@ -224,25 +221,23 @@ class RateSweepResult:
 
 def rate_specs(config: RateSweepConfig) -> list[TrialSpec]:
     """One spec per traffic rate."""
-    return [TrialSpec(kind="sweep_rate",
-                      params=dict(rate_pps=rate, rounds=config.rounds,
-                                  interval_ns=config.interval_ns),
-                      seed=config.seed,
-                      label=f"sweep-rate/{rate / 1e3:.0f}kpps")
+    return [TrialSpec.of("sweep_rate", config,
+                         f"sweep-rate/{rate / 1e3:.0f}kpps", rates_pps=[rate])
             for rate in config.rates_pps]
 
 
 @trial("sweep_rate")
 def run_rate_trial(spec: TrialSpec) -> TrialResult:
-    p = spec.params
-    network = poisson_network(seed=spec.seed)
-    duration = 20 * MS + p["rounds"] * p["interval_ns"] + 200 * MS
-    start_poisson(network, seed=spec.seed + 1, rate_pps=p["rate_pps"],
+    config = spec.config(RateSweepConfig)
+    (rate,) = config.rates_pps
+    network = poisson_network(seed=config.seed)
+    duration = 20 * MS + config.rounds * config.interval_ns + 200 * MS
+    start_poisson(network, seed=config.seed + 1, rate_pps=rate,
                   stop_ns=duration)
     deployment = deploy(
         network, metric="packet_count", channel_state=True, max_sid=4095,
         control_plane=ControlPlaneConfig(probe_delay_ns=0))
-    epochs = deployment.schedule_campaign(p["rounds"], p["interval_ns"])
+    epochs = deployment.schedule_campaign(config.rounds, config.interval_ns)
     network.run(until=duration)
     spreads = sorted(s for s in (deployment.sync_spread_ns(e)
                                  for e in epochs) if s is not None)
@@ -254,8 +249,8 @@ def rate_assemble(config: RateSweepConfig,
                   results: Sequence[TrialResult]) -> RateSweepResult:
     return RateSweepResult(
         config=config,
-        sync_median_ns={r.params["rate_pps"]: r.data["sync_median_ns"]
-                        for r in results})
+        sync_median_ns={rate: r.data["sync_median_ns"]
+                        for rate, r in zip(config.rates_pps, results)})
 
 
 _RATE = Experiment("sweep-rate", "channel-state sync vs. traffic rate",

@@ -106,13 +106,12 @@ def _report_from_data(doc: dict[str, object]) -> ResourceReport:
 
 
 def specs(config: Table1Config) -> list[TrialSpec]:
-    return [TrialSpec(kind="table1", params=dict(ports=config.ports),
-                      seed=0, label="table1")]
+    return [TrialSpec.of("table1", config, "table1")]
 
 
 @trial("table1")
 def run_trial(spec: TrialSpec) -> TrialResult:
-    ports = spec.params["ports"]
+    ports = spec.config(Table1Config).ports
     return make_result(spec, {
         "reports": {v.value: _report_to_data(estimate(v, ports))
                     for v in Variant},

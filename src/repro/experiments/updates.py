@@ -29,9 +29,10 @@ straddling cuts against :class:`~repro.analysis.invariants.LinkAudit`
 and the ground-truth conservation law — updates may drop packets in
 mixed windows; they must never corrupt a snapshot.
 
-The plan (and fault profile) ride in each TrialSpec's params (JSON
-forms, same contract as the fault experiments — docs/SPECS.md), so
-scenarios participate in the cache fingerprint; the trial and each
+Each TrialSpec carries the config with its strategy and clock-error
+sweeps narrowed to the cell (a serialized plan or fault profile rides
+in it as JSON, same contract as the fault experiments — docs/SPECS.md),
+so scenarios participate in the cache fingerprint; the trial and each
 shard compile them where they arm them.  ``--fault-profile``
 composes chaos on top; ``--update-plan`` swaps in a serialized plan;
 ``--shards N`` space-partitions each cell (verdicts must not change).
@@ -40,7 +41,7 @@ composes chaos on top; ``--update-plan`` swaps in a serialized plan;
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any, Optional
 
 from repro.analysis.consistency import ConsistencyChecker
@@ -205,48 +206,39 @@ def _topology():
     return leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=1)
 
 
-def _update_schedule(params: Mapping[str, Any], topology: Topology,
+def _update_schedule(plan: UpdatePlan, topology: Topology,
                      seed: int) -> UpdateSchedule:
     """A cell's plan compiled against ``topology`` over the horizon."""
-    return UpdatePlan.from_jsonable(params["plan"]).compile(
-        UpdateContext.for_topology(topology, horizon_ns=HORIZON_NS,
-                                   seed=seed))
+    return plan.compile(UpdateContext.for_topology(
+        topology, horizon_ns=HORIZON_NS, seed=seed))
 
 
-def _fault_schedule(params: Mapping[str, Any], topology: Topology,
-                    seed: int) -> FaultSchedule:
+def _fault_schedule(config: UpdatesConfig,
+                    topology: Topology) -> FaultSchedule:
     """A cell's fault profile compiled against ``topology`` (empty
     without one)."""
-    if "profile" not in params:
+    if config.profile is None:
         return FaultSchedule()
-    return FaultProfile.from_jsonable(params["profile"]).compile(
+    return FaultProfile.from_jsonable(config.profile).compile(
         ProfileContext.for_topology(topology, horizon_ns=HORIZON_NS,
-                                    start_ns=10 * MS, seed=seed))
+                                    start_ns=10 * MS, seed=config.seed))
 
 
 def specs(config: UpdatesConfig) -> list[TrialSpec]:
-    """One spec per (strategy, clock-error) cell; the plan and the
-    fault profile ride in the params, so the scenario is part of the
-    cache fingerprint.  Each is compiled here once, so a bad device or
-    target fails before any trial runs."""
+    """One spec per (scenario, clock-error) cell, the strategy and
+    clock-error sweeps narrowed to the cell, so the scenario is part of
+    the cache fingerprint.  The plan and the fault profile are compiled
+    here once, so a bad device or target fails before any trial runs."""
     topology = _topology()
-    faults: dict[str, Any] = {}
-    if config.profile is not None:
-        faults["profile"] = FaultProfile.from_jsonable(
-            config.profile).to_jsonable()
-    _fault_schedule(faults, topology, config.seed)
+    _fault_schedule(config, topology)
     out = []
     for label, plan in scenarios(config):
-        cell: dict[str, Any] = dict(
-            scenario=label, plan=plan.to_jsonable(), gap_ns=config.gap_ns,
-            ttl=config.ttl, audit=config.audit, **faults)
-        _update_schedule(cell, topology, config.seed)
-        for sigma in config.clock_error_ns:
-            out.append(TrialSpec(kind="updates_sweep",
-                                 params=dict(cell, sigma_ns=sigma),
-                                 seed=config.seed,
-                                 label=f"updates/{label}@{sigma}",
-                                 shards=config.shards))
+        _update_schedule(plan, topology, config.seed)
+        strategy = {} if config.plan is not None else {"strategies": [label]}
+        out += [TrialSpec.of("updates_sweep", config,
+                             f"updates/{label}@{sigma}",
+                             clock_error_ns=[sigma], **strategy)
+                for sigma in config.clock_error_ns]
     return out
 
 
@@ -297,7 +289,7 @@ def _render(verifier: UpdateVerifier, cuts: dict[int, dict],
             for wave in verifier.schedule.waves]
 
 
-def setup(worker: ShardWorker, params: dict, seed: int,
+def setup(worker: ShardWorker, config: UpdatesConfig, plan: UpdatePlan,
           audit: bool = False):
     """Per-shard setup of one cell (``shards=1`` is the one shard that
     owns everything).
@@ -312,14 +304,15 @@ def setup(worker: ShardWorker, params: dict, seed: int,
     invariant and the trace-replayed conservation law.
     """
     network = worker.network
-    schedule = _update_schedule(params, network.topology, seed)
-    offsets = inject_clock_error(network, params["sigma_ns"], seed=seed)
+    schedule = _update_schedule(plan, network.topology, config.seed)
+    (sigma,) = config.clock_error_ns
+    offsets = inject_clock_error(network, sigma, seed=config.seed)
     deployment = deploy(
         worker, updates=schedule,
         **(dict(metric="packet_count", channel_state=True) if audit
            else dict(metric="fib_version")))
     injector = FaultInjector(
-        network, _fault_schedule(params, network.topology, seed),
+        network, _fault_schedule(config, network.topology),
         deployment=deployment)
     injector.arm()
     wave_epochs: dict[int, int] = {}
@@ -328,7 +321,7 @@ def setup(worker: ShardWorker, params: dict, seed: int,
         for w, at in sorted(instants.items()):
             wave_epochs[w] = deployment.observer.take_snapshot(at_wall_ns=at)
     _start_traffic(network, sorted(network.topology.hosts),
-                   params["gap_ns"], params["ttl"])
+                   config.gap_ns, config.ttl)
 
     def finish_audit() -> dict[str, Any]:
         snapshots = [deployment.observer.snapshot(e)
@@ -360,14 +353,15 @@ def setup(worker: ShardWorker, params: dict, seed: int,
     return finish_audit if audit else finish
 
 
-def _run_pass(spec: TrialSpec, *, audit: bool) -> list[dict[str, Any]]:
+def _run_pass(config: UpdatesConfig, plan: UpdatePlan, *,
+              audit: bool) -> list[dict[str, Any]]:
     """One simulation of the cell; the per-shard finish results."""
     return ShardRunner(
         _topology(),
-        NetworkConfig(seed=spec.seed, ptp_config=noiseless_ptp(),
+        NetworkConfig(seed=config.seed, ptp_config=noiseless_ptp(),
                       enable_tracing=audit),
-        shards=spec.shards, setup=setup,
-        setup_args=(spec.params, spec.seed, audit)).run(RUN_UNTIL_NS)
+        shards=config.shards, setup=setup,
+        setup_args=(config, plan, audit)).run(RUN_UNTIL_NS)
 
 
 def _fold(verifier: UpdateVerifier, cuts: dict[int, dict],
@@ -390,9 +384,11 @@ def _fold(verifier: UpdateVerifier, cuts: dict[int, dict],
 
 @trial("updates_sweep")
 def run_updates_trial(spec: TrialSpec) -> TrialResult:
-    verifier = UpdateVerifier(
-        _update_schedule(spec.params, _topology(), spec.seed))
-    results = _run_pass(spec, audit=False)
+    config = spec.config(UpdatesConfig)
+    ((_label, plan),) = scenarios(config)
+    verifier = UpdateVerifier(_update_schedule(plan, _topology(),
+                                               config.seed))
+    results = _run_pass(config, plan, audit=False)
     drops = [DropRecord(*row) for shard in results
              for row in shard["drops"]]
     drops.sort(key=lambda d: (d.time_ns, d.device, d.kind, d.dst))
@@ -400,12 +396,12 @@ def run_updates_trial(spec: TrialSpec) -> TrialResult:
     data["updates_applied"] = sum(shard["applied"] for shard in results)
     data["faults_applied"] = sum(shard["faults_applied"]
                                  for shard in results)
-    if spec.shards == 1:
+    if config.shards == 1:
         # Single-process cells also report the realized offsets and,
         # when asked, run the conservation pass (it needs channel state).
         data["offsets"] = results[0]["offsets"]
-        if spec.params.get("audit", True):
-            data.update(_run_pass(spec, audit=True)[0])
+        if config.audit:
+            data.update(_run_pass(config, plan, audit=True)[0])
     return make_result(spec, data)
 
 
@@ -480,10 +476,11 @@ class UpdatesResult:
 
 def assemble(config: UpdatesConfig,
              results: Sequence[TrialResult]) -> UpdatesResult:
-    return UpdatesResult(
-        config=config,
-        rows={(r.params["scenario"], r.params["sigma_ns"]): dict(r.data)
-              for r in results})
+    cells = [(label, sigma) for label, _plan in scenarios(config)
+             for sigma in config.clock_error_ns]
+    return UpdatesResult(config=config,
+                         rows={cell: dict(r.data)
+                               for cell, r in zip(cells, results)})
 
 
 EXPERIMENTS = (

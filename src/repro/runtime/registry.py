@@ -2,11 +2,12 @@
 
 A *trial function* is a pure function ``fn(spec: TrialSpec) ->
 TrialResult``: it builds its own network/workload/deployment from the
-spec alone and returns a JSON-able result row.  Experiment modules
-register theirs at import time with the :func:`trial` decorator::
+spec's config and point alone and returns a JSON-able result row.
+Experiment modules register theirs at import time with :func:`trial`::
 
     @trial("fig9")
     def run_trial(spec: TrialSpec) -> TrialResult:
+        config = spec.config(Fig9Config)
         ...
 
 Worker processes resolve kinds through :func:`resolve`, which on a

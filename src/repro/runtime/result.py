@@ -1,7 +1,7 @@
 """JSON-serializable trial results.
 
 A :class:`TrialResult` is the complete output of one trial: the spec
-identity (kind, params, seed, fingerprint) plus a ``data`` payload of
+identity (kind, fingerprint, config settings, point) plus a ``data`` payload of
 plain JSON types.  Experiments assemble their figure/table results from
 batches of these rows, which is what makes results cacheable and
 transportable across process boundaries.
@@ -31,27 +31,17 @@ class TrialResult:
 
     kind: str
     fingerprint: str
-    seed: int
     label: str
-    params: Mapping[str, Any]
+    settings: Mapping[str, Any]
+    point: Mapping[str, Any]
     data: Mapping[str, Any]
 
     def to_json(self) -> str:
-        return canonical_json({
-            "kind": self.kind,
-            "fingerprint": self.fingerprint,
-            "seed": self.seed,
-            "label": self.label,
-            "params": self.params,
-            "data": self.data,
-        })
+        return canonical_json(vars(self))
 
     @classmethod
     def from_json(cls, text: str) -> "TrialResult":
-        doc = json.loads(text)
-        return cls(kind=doc["kind"], fingerprint=doc["fingerprint"],
-                   seed=doc["seed"], label=doc.get("label", ""),
-                   params=doc["params"], data=doc["data"])
+        return cls(**json.loads(text))
 
 
 def make_result(spec: "TrialSpec", data: Mapping[str, Any]) -> TrialResult:
@@ -59,5 +49,5 @@ def make_result(spec: "TrialSpec", data: Mapping[str, Any]) -> TrialResult:
     spec.  ``data`` is canonicalised (numpy scalars to int/float, tuples
     to lists) so the row always survives a JSON round trip."""
     return TrialResult(kind=spec.kind, fingerprint=spec.fingerprint(),
-                       seed=spec.seed, label=spec.label,
-                       params=spec.params, data=canonical(data))
+                       label=spec.label, settings=spec.settings,
+                       point=spec.point, data=canonical(data))

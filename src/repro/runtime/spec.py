@@ -1,9 +1,9 @@
 """Declarative trial specifications.
 
 A :class:`TrialSpec` is the unit of work of the experiment runtime: a
-picklable, JSON-canonical description of one simulation trial (topology
-+ workload + deployment + campaign parameters + seed).  Experiments
-decompose their series/sweep points into specs; the
+picklable, JSON-canonical description of one simulation trial (the
+experiment config, sweeps narrowed to the trial, + trial-only keys).
+Experiments decompose their series/sweep points into specs; the
 :class:`~repro.runtime.runner.TrialRunner` executes batches of them
 serially or across worker processes.
 
@@ -13,22 +13,21 @@ Two properties matter:
   needs.  Trial functions receive only the spec, so serial and parallel
   execution (and cached replay) are indistinguishable.
 * **Stable identity** — :meth:`TrialSpec.fingerprint` hashes the
-  canonical JSON encoding of ``(kind, params, seed)``.  The fingerprint
+  canonical JSON encoding of ``(kind, config, point)``.  The fingerprint
   keys the on-disk result cache and is independent of dict insertion
   order, process, and platform.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+import typing
 from collections.abc import Mapping
-from typing import Any
-
-from repro.sim.engine import check_minimums
+from typing import Any, Optional
 
 
 def canonical(obj: Any, path: str = "value") -> Any:
@@ -84,51 +83,61 @@ def derive_seed(base: int, *parts: Any) -> int:
     return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class TrialSpec:
     """One unit of experiment work.
 
     ``kind`` selects the registered trial function
-    (:mod:`repro.runtime.registry`); ``params`` carries every
-    trial-relevant knob as plain JSON types; ``seed`` is the base RNG
-    seed; ``label`` is a human-readable tag for progress output and is
-    deliberately excluded from the fingerprint.
+    (:mod:`repro.runtime.registry`); ``settings`` is the experiment
+    config as plain JSON types (build it with :meth:`of`); ``point``
+    holds the trial-only keys that are not config fields; ``label`` is a
+    human-readable tag for progress output and is deliberately excluded
+    from the fingerprint.
     """
 
     kind: str
-    params: Mapping[str, Any]
-    seed: int = 0
+    settings: Mapping[str, Any] = dataclasses.field(default_factory=dict)
+    point: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     label: str = ""
-    #: Space-parallel simulation shards (repro.sim.shard).  1 — the
-    #: default — is the plain single-process path.
-    shards: int = 1
-    #: Aggregation-tree fan-out (repro.core.aggregation).  ``None`` —
-    #: the default — is the flat unicast notification path; ``0`` is the
-    #: flat-*modeled* observer intake; ``>= 1`` enables the tree.
-    agg_degree: int | None = None
 
     def __post_init__(self) -> None:
         # Normalise eagerly so a malformed spec fails at construction,
         # near the code that built it, not inside a worker process.
-        object.__setattr__(self, "params",
-                           canonical(self.params, "TrialSpec.params"))
-        check_minimums(self, {"seed": 0, "shards": 1, "agg_degree": 0},
-                       optional=("agg_degree",))
+        for name in ("settings", "point"):
+            object.__setattr__(self, name, canonical(
+                getattr(self, name), f"TrialSpec.{name}"))
+
+    @classmethod
+    def of(cls, kind: str, config: Any, label: str,
+           point: Optional[Mapping[str, Any]] = None,
+           **sweep: Any) -> "TrialSpec":
+        """The spec of one trial of the experiment config ``config``:
+        every field of it, each sweep named in ``sweep`` narrowed to
+        this trial's entries (``port_counts=[8]``)."""
+        return cls(kind=kind, point=point or {}, label=label,
+                   settings={**dataclasses.asdict(config), **sweep})
+
+    # Unannotated: the config contract then counts reads through it.
+    def config(self, cls: type):
+        """The config this trial carries, rebuilt as ``cls``."""
+        return _rebuild(cls, self.settings)
 
     def fingerprint(self) -> str:
-        """Stable content hash of ``(kind, params, seed)`` — plus
-        ``shards`` when sharded and ``agg_degree`` when aggregation is
-        configured.  ``shards=1`` / ``agg_degree=None`` are deliberately
-        absent from the payload so every pre-existing fingerprint (and
-        cached result) stays valid."""
-        payload_dict: dict[str, Any] = {
-            "kind": self.kind, "params": self.params, "seed": self.seed}
-        if self.shards != 1:
-            payload_dict["shards"] = self.shards
-        if self.agg_degree is not None:
-            payload_dict["agg_degree"] = self.agg_degree
-        payload = canonical_json(payload_dict)
+        """Stable content hash of ``(kind, config, point)``."""
+        payload = canonical_json({"kind": self.kind,
+                                  "config": self.settings,
+                                  "point": self.point})
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def describe(self) -> str:
         return self.label or f"{self.kind}[{self.fingerprint()[:8]}]"
+
+
+def _rebuild(hint: Any, value: Any) -> Any:
+    """The inverse of ``canonical(asdict(...))`` for the field types
+    configs use: a dataclass and a tuple come back as themselves."""
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(**{f.name: _rebuild(hints[f.name], value[f.name])
+                       for f in dataclasses.fields(hint)})
+    return tuple(value) if typing.get_origin(hint) is tuple else value

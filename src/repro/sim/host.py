@@ -36,7 +36,6 @@ class Host:
         self._nic = _EgressQueue(sim)
         self.packets_received = 0
         self.bytes_received = 0
-        self.packets_sent = 0
         #: When set, every packet leaving this host without an explicit
         #: TTL gets this hop limit (IP-style; switches decrement it and
         #: expire packets at zero).  ``None`` — the default — disables
@@ -76,7 +75,6 @@ class Host:
         """Queue one packet on the NIC (serialised at link rate)."""
         if self.link is None:
             raise RuntimeError(f"host {self.name} is not connected")
-        self.packets_sent += 1
         packet.created_ns = self.sim.now
         if packet.ttl is None and self.default_ttl is not None:
             packet.ttl = self.default_ttl

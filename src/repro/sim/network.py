@@ -154,7 +154,6 @@ class Network:
         #: cut link is replaced by the scope's boundary stub
         #: (:mod:`repro.sim.shard`).
         self.scope = scope
-        self.rng = random.Random(self.config.seed)
         self.ptp = PTPService(self.sim, self._child_rng("ptp"),
                               self.config.ptp_config)
         self.mgmt = ManagementPlane(self.sim, self._child_rng("mgmt"))

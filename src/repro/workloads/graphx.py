@@ -48,6 +48,9 @@ INTENSITY_SIGMA = 0.6
 CONTROL_SIZE_BYTES = 200
 #: Rank-update packets per worker->worker stream per iteration.
 BURST_PACKETS = 180
+#: Base packet gap within a stream (scaled by the intensity process);
+#: 40 µs x 180 packets ≈ a 7 ms exchange window per 10 ms iteration.
+BURST_GAP_NS = 40 * US
 #: Background chatter rate per host pair (packets/second): shuffle
 #: ACKs, block-manager heartbeats, executor liveness.
 CHATTER_PPS = 300.0
@@ -59,14 +62,11 @@ CHATTER_SIZE_BYTES = 150
 class GraphXConfig(WorkloadConfig):
     #: The driver host (excluded from bulk exchanges).
     master: str = "server0"
-    #: Base packet gap within a stream (scaled by the intensity process);
-    #: 40 µs x 180 packets ≈ a 7 ms exchange window per 10 ms iteration.
-    burst_gap_ns: int = 40 * US
     size_bytes: int = 1200
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_minimums(self, {"burst_gap_ns": 0, "size_bytes": 1})
+        check_minimums(self, {"size_bytes": 1})
 
 
 class GraphXPageRankWorkload(Workload):
@@ -113,7 +113,7 @@ class GraphXPageRankWorkload(Workload):
         self.sim.schedule(MODULATION_PERIOD_NS, self._modulate)
 
     def _current_gap_ns(self) -> int:
-        return max(1, int(self.config.burst_gap_ns * self._intensity))
+        return max(1, int(BURST_GAP_NS * self._intensity))
 
     # ------------------------------------------------------------------
     # Supersteps

@@ -221,8 +221,8 @@ class TestPartialDeploymentInvariance:
                                    rounds=partial.rounds,
                                    kinds=partial.kinds)
         partial_specs = faults.specs(partial)
-        assert all(s.params["deploy"] == ["leaf0", "leaf1"]
-                   for s in partial_specs)
+        assert all(s.config(faults.FaultsConfig).deploy_switches
+                   == ["leaf0", "leaf1"] for s in partial_specs)
         full_fps = {s.fingerprint() for s in faults.specs(full)}
         assert not full_fps & {s.fingerprint() for s in partial_specs}
 

@@ -64,9 +64,9 @@ def test_trial_data_is_pinned_at_one_and_two_shards(make_spec, shards):
     assert digest == PINNED[(make_spec, shards)]
 
 
-def test_updates_shard_count_travels_on_the_spec_not_in_params():
+def test_updates_shard_count_is_in_the_config_and_the_fingerprint():
     spec = _updates(2)
-    assert spec.shards == 2 and "shards" not in spec.params
+    assert spec.config(updates.UpdatesConfig).shards == 2
     assert spec.fingerprint() != _updates(1).fingerprint()
 
 

@@ -6,7 +6,7 @@ from repro.runtime import TrialCache, TrialSpec, code_version, make_result
 
 
 def _result(x=1):
-    spec = TrialSpec(kind="k", params={"x": x}, seed=5, label=f"k/{x}")
+    spec = TrialSpec(kind="k", settings={"x": x, "seed": 5}, label=f"k/{x}")
     return spec, make_result(spec, {"value": x * 10})
 
 

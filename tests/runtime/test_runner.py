@@ -64,7 +64,8 @@ class TestDeterminism:
     def test_results_come_back_in_spec_order(self):
         specs = _fig11_specs([20, 5, 10])
         results = TrialRunner(jobs=2).run_batch(specs)
-        assert [r.params["routers"] for r in results] == [20, 5, 10]
+        assert [r.settings["router_counts"] for r in results] == \
+            [[20], [5], [10]]
 
     def test_cache_fingerprints_stable_across_jobs(self, tmp_path):
         """The on-disk cache produced at ``--jobs 4`` is interchangeable
@@ -104,11 +105,11 @@ class TestCacheInteraction:
 
         @trial("_runner_test_counting")
         def counting_trial(spec):
-            calls.append(spec.params["n"])
-            return make_result(spec, {"n": spec.params["n"]})
+            calls.append(spec.point["n"])
+            return make_result(spec, {"n": spec.point["n"]})
 
         cache = TrialCache(tmp_path / "c", version="v1")
-        specs = [TrialSpec(kind="_runner_test_counting", params={"n": n})
+        specs = [TrialSpec(kind="_runner_test_counting", point={"n": n})
                  for n in (1, 2)]
         runner = TrialRunner(cache=cache)
         runner.run_batch(specs)
@@ -127,14 +128,14 @@ class TestCacheInteraction:
 
         @trial("_runner_test_invalidate")
         def invalidating_trial(spec):
-            calls.append(spec.params["n"])
-            return make_result(spec, {"n": spec.params["n"]})
+            calls.append(spec.point["n"])
+            return make_result(spec, {"n": spec.point["n"]})
 
         cache_dir = tmp_path / "c"
         TrialRunner(cache=TrialCache(cache_dir, version="v1")).run_batch(
-            [TrialSpec(kind="_runner_test_invalidate", params={"n": 1})])
+            [TrialSpec(kind="_runner_test_invalidate", point={"n": 1})])
         TrialRunner(cache=TrialCache(cache_dir, version="v1")).run_batch(
-            [TrialSpec(kind="_runner_test_invalidate", params={"n": 2})])
+            [TrialSpec(kind="_runner_test_invalidate", point={"n": 2})])
         assert calls == [1, 2]  # the changed spec executed, fresh
 
     def test_code_version_change_invalidates(self, tmp_path):
@@ -145,7 +146,7 @@ class TestCacheInteraction:
             calls.append(1)
             return make_result(spec, {})
 
-        spec = TrialSpec(kind="_runner_test_version", params={})
+        spec = TrialSpec(kind="_runner_test_version", point={})
         cache_dir = tmp_path / "c"
         TrialRunner(cache=TrialCache(cache_dir, version="v1")).run_batch([spec])
         TrialRunner(cache=TrialCache(cache_dir, version="v2")).run_batch([spec])
@@ -176,11 +177,11 @@ class TestRegistry:
         @trial("_runner_test_mismatch")
         def mismatched(spec):
             other = TrialSpec(kind="_runner_test_mismatch",
-                              params={"different": True})
+                              point={"different": True})
             return make_result(other, {})
 
         with pytest.raises(RuntimeError, match="different spec"):
-            execute_spec(TrialSpec(kind="_runner_test_mismatch", params={}))
+            execute_spec(TrialSpec(kind="_runner_test_mismatch", point={}))
 
 
 class TestValidation:

@@ -1,10 +1,19 @@
-"""TrialSpec canonicalization, fingerprints, and seed derivation."""
+"""TrialSpec canonicalization, fingerprints, the config round trip,
+and seed derivation."""
 
 import numpy as np
 import pytest
 
+from repro.experiments.fig11 import Fig11Config
+from repro.experiments.fig12 import Fig12Config
+from repro.experiments.scaling import ScalingConfig
 from repro.runtime import (TrialSpec, canonical, canonical_json, derive_seed,
                            make_result)
+from repro.sim.clock import PTPConfig
+
+
+def _scaling(**fields):
+    return TrialSpec.of("scaling", ScalingConfig(**fields), "scaling")
 
 
 class TestCanonical:
@@ -30,9 +39,9 @@ class TestCanonical:
     def test_non_finite_floats_rejected_by_key_path(self, bad: float) -> None:
         # A NaN used to construct, and fingerprint() then raised an
         # unnamed "Out of range float values" error.
-        path = r"^TrialSpec\.params\['interval_ns'\] must be a finite number"
+        path = r"^TrialSpec\.settings\['interval_ns'\] must be a finite number"
         with pytest.raises(ValueError, match=path):
-            TrialSpec(kind="fig12", params={"interval_ns": bad})
+            TrialSpec(kind="fig12", settings={"interval_ns": bad})
         with pytest.raises(ValueError, match=r"^value\['a'\]\[1\] must be "):
             canonical({"a": [0.5, bad]})
 
@@ -43,66 +52,72 @@ class TestCanonical:
 
 class TestFingerprint:
     def test_label_does_not_affect_fingerprint(self):
-        a = TrialSpec(kind="k", params={"x": 1}, seed=7, label="one")
-        b = TrialSpec(kind="k", params={"x": 1}, seed=7, label="two")
+        a = TrialSpec(kind="k", settings={"x": 1}, label="one")
+        b = TrialSpec(kind="k", settings={"x": 1}, label="two")
         assert a.fingerprint() == b.fingerprint()
 
     def test_params_order_does_not_affect_fingerprint(self):
-        a = TrialSpec(kind="k", params={"x": 1, "y": 2}, seed=7)
-        b = TrialSpec(kind="k", params={"y": 2, "x": 1}, seed=7)
+        a = TrialSpec(kind="k", settings={"x": 1, "y": 2}, point={"p": 1})
+        b = TrialSpec(kind="k", settings={"y": 2, "x": 1}, point={"p": 1})
         assert a.fingerprint() == b.fingerprint()
 
     @pytest.mark.parametrize("other", [
-        TrialSpec(kind="k2", params={"x": 1}, seed=7),
-        TrialSpec(kind="k", params={"x": 2}, seed=7),
-        TrialSpec(kind="k", params={"x": 1}, seed=8),
+        TrialSpec(kind="k2", settings={"x": 1, "seed": 7}),
+        TrialSpec(kind="k", settings={"x": 2, "seed": 7}),
+        TrialSpec(kind="k", settings={"x": 1, "seed": 8}),
+        TrialSpec(kind="k", settings={"x": 1, "seed": 7}, point={"p": 1}),
     ])
     def test_kind_params_seed_all_fingerprinted(self, other):
-        base = TrialSpec(kind="k", params={"x": 1}, seed=7)
+        """Kind, config (the seed is one of its fields) and point."""
+        base = TrialSpec(kind="k", settings={"x": 1, "seed": 7})
         assert base.fingerprint() != other.fingerprint()
 
     def test_default_shards_leaves_fingerprint_unchanged(self):
-        # Back-compat: every pre-sharding fingerprint (and cached
-        # result) must survive the new field at its default.
-        base = TrialSpec(kind="k", params={"x": 1}, seed=7)
-        explicit = TrialSpec(kind="k", params={"x": 1}, seed=7, shards=1)
-        assert base.fingerprint() == explicit.fingerprint()
+        assert _scaling().fingerprint() == _scaling(shards=1).fingerprint()
 
     def test_shard_count_is_fingerprinted(self):
-        base = TrialSpec(kind="k", params={"x": 1}, seed=7)
-        sharded = TrialSpec(kind="k", params={"x": 1}, seed=7, shards=2)
-        assert base.fingerprint() != sharded.fingerprint()
+        assert _scaling().fingerprint() != _scaling(shards=2).fingerprint()
 
     def test_shards_must_be_positive(self):
-        with pytest.raises(ValueError, match="shards"):
-            TrialSpec(kind="k", params={}, seed=7, shards=0)
+        with pytest.raises(ValueError, match=r"^ScalingConfig\.shards "):
+            _scaling(shards=0)
 
     def test_default_agg_degree_leaves_fingerprint_unchanged(self):
-        # Back-compat: every pre-aggregation fingerprint (and cached
-        # result) must survive the new field at its default.
-        base = TrialSpec(kind="k", params={"x": 1}, seed=7)
-        explicit = TrialSpec(kind="k", params={"x": 1}, seed=7,
-                             agg_degree=None)
-        assert base.fingerprint() == explicit.fingerprint()
+        assert (_scaling().fingerprint()
+                == _scaling(agg_degree=None).fingerprint())
 
     def test_agg_degree_is_fingerprinted(self):
-        base = TrialSpec(kind="k", params={"x": 1}, seed=7)
-        flat = TrialSpec(kind="k", params={"x": 1}, seed=7, agg_degree=0)
-        tree = TrialSpec(kind="k", params={"x": 1}, seed=7, agg_degree=4)
-        assert len({base.fingerprint(), flat.fingerprint(),
-                    tree.fingerprint()}) == 3
+        assert len({_scaling().fingerprint(),
+                    _scaling(agg_degree=0).fingerprint(),
+                    _scaling(agg_degree=4).fingerprint()}) == 3
 
     def test_agg_degree_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="agg_degree"):
-            TrialSpec(kind="k", params={}, seed=7, agg_degree=-1)
+        with pytest.raises(ValueError, match=r"^ScalingConfig\.agg_degree "):
+            _scaling(agg_degree=-1)
 
     def test_fingerprint_is_stable_across_processes(self):
         # A hard-coded value: sha256 must not drift with interpreter
         # hash randomization (unlike hash()).
-        spec = TrialSpec(kind="k", params={"x": 1}, seed=7)
+        spec = TrialSpec(kind="k", settings={"x": 1})
         assert spec.fingerprint() == spec.fingerprint()
         assert len(spec.fingerprint()) == 64
         assert int(spec.fingerprint(), 16) >= 0
+
+
+class TestConfigRoundTrip:
+    def test_nested_dataclass_and_sweep_narrowing(self):
+        config = Fig11Config(router_counts=[10, 30], trials=3,
+                             ptp=PTPConfig(residual_sigma_ns=2_000))
+        spec = TrialSpec.of("fig11", config, "fig11/30r", router_counts=[30])
+        rebuilt = spec.config(Fig11Config)
+        assert isinstance(rebuilt.ptp, PTPConfig)
+        assert rebuilt == Fig11Config(router_counts=[30], trials=3,
+                                      ptp=config.ptp)
+
+    def test_tuple_field(self):
+        config = Fig12Config(rounds=3, workloads=("memcache", "graphx"))
+        spec = TrialSpec.of("fig12", config, "fig12", workloads=["graphx"])
+        assert spec.config(Fig12Config).workloads == ("graphx",)
 
 
 class TestDeriveSeed:
@@ -121,17 +136,19 @@ class TestDeriveSeed:
 
 class TestMakeResult:
     def test_result_carries_spec_identity(self):
-        spec = TrialSpec(kind="k", params={"x": 1}, seed=7, label="lbl")
+        spec = TrialSpec(kind="k", settings={"x": 1}, point={"p": 2},
+                         label="lbl")
         result = make_result(spec, {"v": (1, 2)})
         assert result.fingerprint == spec.fingerprint()
         assert result.kind == "k"
         assert result.label == "lbl"
+        assert (result.settings, result.point) == ({"x": 1}, {"p": 2})
         assert result.data == {"v": [1, 2]}  # canonicalized
 
     def test_json_roundtrip_is_byte_stable(self):
         from repro.runtime import TrialResult
 
-        spec = TrialSpec(kind="k", params={"x": 1}, seed=7)
+        spec = TrialSpec(kind="k", settings={"x": 1}, point={"p": 2})
         result = make_result(spec, {"v": 3.5})
         text = result.to_json()
         assert TrialResult.from_json(text).to_json() == text

@@ -8,7 +8,8 @@ or ``Policy``, every member of a :class:`repro.specs.Spec` family and
 every compile context (:class:`repro.specs.Window`).  For each numeric
 field a draw sets that one field to 0, -1, 1, 2**62, 0.5, NaN, +inf or
 -inf (an ``Optional`` field also to None; a list of numbers, a sweep, to
-a one-entry list of the value) on an otherwise valid instance.
+a one-entry list of the value; a fat-tree ``arities`` sweep also to the
+in-range odd arity 3) on an otherwise valid instance.
 The oracle: construction raises ``ValueError`` or ``TypeError`` naming
 ``Class.field`` (an overlay such as ``RecoveryPolicy`` may name the
 config the value lands in), or a bounded smoke run finishes:
@@ -80,10 +81,12 @@ from repro.experiments import ExperimentConfig, registry
 from repro.experiments.campaigns import (CampaignSpec, snapshot_campaign,
                                          uplink_egress_targets)
 from repro.experiments.fig9 import Fig9Config
+from repro.experiments.fig10 import AggKneeConfig
 from repro.experiments.fig12 import Fig12Config
+from repro.experiments.scaling import ScalingConfig
 from repro.lb.flowlet import FlowletBalancer
 from repro.polling.poller import PollingConfig, PollingObserver, PollTarget
-from repro.runtime import TrialRunner, TrialSpec
+from repro.runtime import TrialRunner
 from repro.runtime.streaming import ServiceRun, ServiceSpec
 from repro.service.pipeline import SnapshotPipeline
 from repro.service.store import EpochStore, StoreConfig
@@ -99,6 +102,9 @@ from repro.workloads.synthetic import PoissonConfig, PoissonWorkload
 EXAMPLES = int(os.environ.get("REPRO_CONFIG_FUZZ_EXAMPLES", "3"))
 
 BAD_VALUES = (0, -1, 1, 2**62, 0.5, math.nan, math.inf, -math.inf)
+#: In-range values a field of this name must still refuse: an odd
+#: fat-tree arity.
+BAD_BY_NAME = {"arities": (3,)}
 #: Events a smoke run may execute before it counts as finished (the
 #: default rig runs all of its 20 ms, three snapshots, in ~540).
 EVENTS = 1000
@@ -219,7 +225,6 @@ _SMOKES: dict[str, Callable[[Any], None]] = {
         observer=policy.observer_config()),
     "CampaignSpec": lambda spec: snapshot_campaign(spec,
                                                    uplink_egress_targets),
-    "TrialSpec": lambda spec: TrialRunner().run_batch([spec]),
     "LinkSpec": _link,
 }
 
@@ -227,7 +232,6 @@ _SMOKES: dict[str, Callable[[Any], None]] = {
 _BASES: dict[str, Callable[[], Any]] = {
     "CampaignSpec": lambda: CampaignSpec(workload="memcache", rounds=3,
                                          interval_ns=2 * MS),
-    "TrialSpec": lambda: TrialSpec(kind="table1", params={"ports": 8}),
     "LinkSpec": lambda: LinkSpec("a", "b"),
 }
 
@@ -272,11 +276,11 @@ def _numeric(cls: type) -> dict[str, str]:
     return out
 
 
-def _drawn(kind: str) -> st.SearchStrategy:
+def _drawn(name: str, kind: str) -> st.SearchStrategy:
+    values = BAD_VALUES + BAD_BY_NAME.get(name, ())
     if kind == "list":
-        return st.sampled_from(BAD_VALUES).map(lambda value: [value])
-    return st.sampled_from(BAD_VALUES + ((None,) if kind == "optional"
-                                         else ()))
+        return st.sampled_from(values).map(lambda value: [value])
+    return st.sampled_from(values + ((None,) if kind == "optional" else ()))
 
 
 @functools.cache
@@ -360,7 +364,7 @@ DRAWN = [cls for cls in CLASSES if _numeric(cls) and not any(
 
 def test_discovery_finds_the_known_configs():
     names = {cls.__name__ for cls in DRAWN}
-    assert {"ServiceSpec", "TrialSpec", "ControlPlaneConfig", "SwitchConfig",
+    assert {"ServiceSpec", "ControlPlaneConfig", "SwitchConfig",
             "IndependentFaults", "TimedSwap", "ProfileContext",
             "Fig9Config", "MemcacheConfig", "RecoveryPolicy"} <= names
 
@@ -372,7 +376,7 @@ def test_discovery_finds_the_known_configs():
           suppress_health_check=list(HealthCheck))
 @given(st.fixed_dictionaries({
     cls: st.fixed_dictionaries({
-        name: _drawn(kind) for name, kind in _numeric(cls).items()})
+        name: _drawn(name, kind) for name, kind in _numeric(cls).items()})
     for cls in DRAWN}))
 def test_a_bad_field_is_refused_by_name_or_runs(draw):
     """Each example draws one bad value for every field of every class,
@@ -405,6 +409,9 @@ def test_a_bad_field_is_refused_by_name_or_runs(draw):
     # Accepted with their trial specs; refused only in a worker's trial.
     (Fig9Config, "rate_pps", math.nan),
     (Fig12Config, "interval_ns", math.nan),
+    # In range, then fat_tree's unnamed "k must be a positive even integer".
+    (AggKneeConfig, "arities", [3]),
+    (ScalingConfig, "arities", [5]),
 ])
 def test_a_probed_defect_is_refused_by_name(cls, field, value):
     with pytest.raises((ValueError, TypeError),
@@ -431,6 +438,16 @@ def test_a_whole_float_is_the_integer_it_equals(cls, field, value):
     if cls is ControlPlaneConfig:
         with _guarded():
             _rig(control_plane=config)
+
+
+def test_no_field_annotation_is_a_pep_604_union():
+    """``int | None`` raises ``TypeError`` on Python 3.9, the project's
+    floor, wherever a field's annotations are evaluated: in
+    ``typing.get_type_hints`` (:func:`_numeric`) and in
+    ``TrialSpec.config``.  ``Optional[int]`` works on every version."""
+    unions = [f"{cls.__name__}.{f.name}: {f.type}" for cls in CLASSES
+              for f in dataclasses.fields(cls) if "|" in str(f.type)]
+    assert unions == []
 
 
 # ----------------------------------------------------------------------
@@ -675,9 +692,11 @@ def _sets() -> tuple[_Types, set[tuple[Optional[str], str]]]:
 def test_every_runtime_field_is_set_outside_tests():
     """A runtime config field that only tests set has one value in use,
     and is a module constant beside its reader; a test that needs
-    another value patches the constant.  Experiment configs, ``Spec``
-    family members and compile contexts hold user inputs and the
-    paper's parameters, and are left out.
+    another value patches the constant.  Experiment configs (every
+    registered ``config_cls``, ``Table1Config`` too, which has no seed
+    and so no ``ExperimentConfig`` base), ``Spec`` family members and
+    compile contexts hold user inputs and the paper's parameters, and
+    are left out.
 
     A keyword passed to a function, or to ``replace`` on a receiver the
     typing does not resolve, counts for every class with a field of its
@@ -688,7 +707,7 @@ def test_every_runtime_field_is_set_outside_tests():
     unset = set()
     for cls in CLASSES:
         if (issubclass(cls, (ExperimentConfig, Spec, Window))
-                or cls.__name__ in _POSITIONAL):
+                or cls in _experiments() or cls.__name__ in _POSITIONAL):
             continue
         declared = cls.__dict__.get("__annotations__", {})
         for f in dataclasses.fields(cls):
@@ -711,6 +730,8 @@ _ORACLES = {
         "GOLDEN_STATE_SHA256, tests/integration/test_golden_trace.py",
     "_EgressQueue.depth_bytes":
         "the fused-hop differential, tests/sim/test_fused_hop.py",
+    "_EgressQueue.packets_sent":
+        "GOLDEN_STATE_SHA256, tests/integration/test_golden_trace.py",
 }
 
 _Def = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]

@@ -203,7 +203,11 @@ def test_trial_fingerprints_are_pinned():
     each recovery spec gained its ``profile``; nothing else moved.
     Re-recorded when the digest flush timer became a constant: the 21
     specs that carry a recovery policy lost its ``digest_timeout_ns``;
-    nothing else moved."""
+    nothing else moved.
+    Re-recorded when every trial began carrying its whole experiment
+    config (``TrialSpec.of``, the fingerprint of ``(kind, config,
+    point)``) instead of a hand-copied subset of it plus a seed: every
+    key moved, no trial's data did."""
     from repro.experiments import registry
 
     reg = registry()
@@ -213,4 +217,4 @@ def test_trial_fingerprints_are_pinned():
              for spec in reg[name].specs(reg[name].config(quick=quick))]
     assert len(lines) == 56
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "205455ad95f6e4641229c11bd2dd472bf2f00647d08c93b11d2d6af798f79852")
+        "424b6abfd60b13ef28ae8a449bc9d7dfa5d646569388295e3a46baa47774ad2d")

@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import deploy
 from repro.core.sharded import OBSERVER_SHARD
-from repro.experiments.updates import _render, _wave_cuts, setup
+from repro.experiments.updates import (UpdatesConfig, _render, _wave_cuts,
+                                       setup)
 from repro.sim.engine import MS, US
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.shard import ShardRunner
@@ -106,8 +107,9 @@ def _sharded_verdicts(shards):
         leaf_spine(hosts_per_leaf=1),
         NetworkConfig(seed=7, ptp_config=noiseless_ptp()),
         shards=shards, setup=setup,
-        setup_args=(dict(plan=_DETOUR.to_jsonable(), sigma_ns=40_000,
-                         gap_ns=100 * US, ttl=6), 7)).run(80 * MS)
+        setup_args=(UpdatesConfig(seed=7, clock_error_ns=[40_000],
+                                  gap_ns=100 * US, ttl=6),
+                    _DETOUR)).run(80 * MS)
     drops = sorted(row for shard in results for row in shard["drops"])
     cuts = results[OBSERVER_SHARD]["cuts"]
     applied = sum(shard["applied"] for shard in results)
